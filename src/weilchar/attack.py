@@ -12,12 +12,13 @@ import math
 import random
 import time
 from dataclasses import dataclass, field as dc_field
-from typing import Optional
+from functools import lru_cache
+from typing import NamedTuple, Optional
 
 from .action import OrientedCurve, _fold_seed, get_tower
-from .curves import (gl2_order, point_add, scalar_mul, torsion_basis,
+from .curves import (Curve, gl2_order, point_add, scalar_mul, torsion_basis,
                      torsion_extension_degree)
-from .fields import dlog_in_mu_m, element_order
+from .fields import FieldElement, FieldTower, dlog_in_mu_m, element_order
 from .pairing import weil_pairing
 from .quadforms import (Character, assigned_characters, char_eval_class,
                         char_eval_norm, enumerate_class_group,
@@ -140,16 +141,42 @@ def _frobenius_order_mod(q: int, t: int, m: int, cap: int) -> int:
     return cap
 
 
-def eval_character(ocE: OrientedCurve, ocE2: OrientedCurve, char: Character,
-                   rng) -> CharEvalResult:
-    """Algorithm behind the attack: two pairings, one dlog, one symbol.
+@lru_cache(maxsize=256)
+def _extension_degree(q: int, a4: int, a6: int, m: int) -> int:
+    """torsion_extension_degree of y^2 = x^3 + a4 x + a6 over F_q at m.
 
-    ocE2 must be a curve in the orbit of ocE; the result is the character
-    value at the class sending ocE to ocE2."""
+    It depends on the model and m alone, so one division-polynomial
+    computation serves every evaluation against the same base curve."""
+    return torsion_extension_degree(Curve(get_tower(q, 1), 0, a4, a6), m)
+
+
+class BaseSide(NamedTuple):
+    """The half of a character evaluation that sees only the base curve:
+    the shift k of sigma, the torsion degree r, its tower, and the base
+    pairing z = e_m(P, sigma P).  One record serves every target compared
+    against the same base; timings_ms holds what building it cost."""
+
+    oc: OrientedCurve
+    char: Character
+    k: int
+    r: int
+    tower: FieldTower
+    z: FieldElement
+    sigma_evals: int
+    timings_ms: dict
+
+
+def _side_pairing(oc, m: int, tower, rng, stats):
+    E, P, sP, z = _noneigen_draw(oc, m, tower, rng, stats)
+    return z if z is not None else weil_pairing(E, P, sP, m, rng).value
+
+
+def base_side(ocE: OrientedCurve, char: Character, rng) -> BaseSide:
+    """Base half of eval_character: its checks on the base and character,
+    the shift, the torsion degree, and the base pairing, drawn from rng in
+    the order eval_character draws them."""
     m = char.modulus
     q = ocE.q
-    if (ocE2.q, ocE2.t, ocE2.sigma_k) != (q, ocE.t, ocE.sigma_k):
-        raise ValueError("instances do not share field, trace, and sigma data")
     if math.gcd(m, q) != 1:
         raise ValueError(
             f"modulus {m} shares a factor with the characteristic {q}; "
@@ -162,38 +189,65 @@ def eval_character(ocE: OrientedCurve, ocE2: OrientedCurve, char: Character,
     t0 = time.perf_counter()
     k = adjust_generator(ocE, m)
     A = ocE if k == 0 else ocE.shifted(k)
-    B = ocE2 if k == 0 else ocE2.shifted(k)
     t1 = time.perf_counter()
     times["adjust_ms"] = (t1 - t0) * 1000
 
-    r = torsion_extension_degree(ocE.curve, m)
-    assert gl2_order(m) % r == 0, "extension degree must divide #GL2(Z/m)"
-    assert r <= 2 * m * m, "extension degree exceeds the element-order bound"
+    r = _extension_degree(q, int(ocE.curve.a4.value), int(ocE.curve.a6.value),
+                          m)
+    if gl2_order(m) % r:
+        raise RuntimeError(
+            f"extension degree {r} does not divide #GL2(Z/{m})")
+    if r > 2 * m * m:
+        raise RuntimeError(
+            f"extension degree {r} exceeds the element-order bound 2*{m}^2")
     tower = get_tower(q, r)
     t2 = time.perf_counter()
     times["extension_ms"] = (t2 - t1) * 1000
 
-    EA, P, sP, z = _noneigen_draw(A, m, tower, rng, stats)
-    if z is None:
-        z = weil_pairing(EA, P, sP, m, rng).value
-    t3 = time.perf_counter()
-    times["side_base_ms"] = (t3 - t2) * 1000
+    z = _side_pairing(A, m, tower, rng, stats)
+    times["side_base_ms"] = (time.perf_counter() - t2) * 1000
+    return BaseSide(ocE, char, k, r, tower, z, stats["sigma_evals"], times)
 
-    EB, P2, sP2, z2 = _noneigen_draw(B, m, tower, rng, stats)
-    if z2 is None:
-        z2 = weil_pairing(EB, P2, sP2, m, rng).value
-    t4 = time.perf_counter()
-    times["side_target_ms"] = (t4 - t3) * 1000
 
-    a = dlog_in_mu_m(z, z2, m)
-    assert math.gcd(a, m) == 1, "dlog landed outside the unit group"
+def eval_character(ocE: OrientedCurve, ocE2: OrientedCurve, char: Character,
+                   rng, base: Optional[BaseSide] = None) -> CharEvalResult:
+    """Algorithm behind the attack: two pairings, one dlog, one symbol.
+
+    ocE2 must be a curve in the orbit of ocE; the result is the character
+    value at the class sending ocE to ocE2.  base, from base_side(ocE, char,
+    ...), supplies the base pairing so that several targets share it;
+    without it the base side is built here, drawing from rng first.  The
+    result's timings_ms cover the work of this call only."""
+    m = char.modulus
+    if (ocE2.q, ocE2.t, ocE2.sigma_k) != (ocE.q, ocE.t, ocE.sigma_k):
+        raise ValueError("instances do not share field, trace, and sigma data")
+    t0 = time.perf_counter()
+    if base is None:
+        base = base_side(ocE, char, rng)
+        times = dict(base.timings_ms)
+    elif base.char != char or base.oc != ocE:
+        raise ValueError(
+            "the base side was built for another base curve or character")
+    else:
+        times = {}
+
+    stats = {"sigma_evals": 0}
+    t1 = time.perf_counter()
+    B = ocE2 if base.k == 0 else ocE2.shifted(base.k)
+    z2 = _side_pairing(B, m, base.tower, rng, stats)
+    t2 = time.perf_counter()
+    times["side_target_ms"] = (t2 - t1) * 1000
+
+    a = dlog_in_mu_m(base.z, z2, m)
+    if math.gcd(a, m) != 1:
+        raise RuntimeError("dlog landed outside the unit group")
     value = char_eval_norm(char, a)
     gamma = a % 8 if (m == 8 and ocE.D % 32 == 0) else None
-    t5 = time.perf_counter()
-    times["dlog_ms"] = (t5 - t4) * 1000
-    times["total_ms"] = (t5 - t0) * 1000
-    return CharEvalResult(char, value, a % m, r, gamma,
-                          stats["sigma_evals"], times)
+    t3 = time.perf_counter()
+    times["dlog_ms"] = (t3 - t2) * 1000
+    times["total_ms"] = (t3 - t0) * 1000
+    return CharEvalResult(char, value, a % m, base.r, gamma,
+                          base.sigma_evals + stats["sigma_evals"], times)
 
 
 def eval_all_characters(ocE: OrientedCurve, ocE2: OrientedCurve, rng,

@@ -280,7 +280,7 @@ def cmd_eval_char(args) -> int:
             raise CommandError(EXIT_ATTACK,
                                f"evaluation failed at {ch.label}: {exc}")
         values[ch.label] = res
-        ms = sum(res.timings_ms.values())
+        ms = res.timings_ms["total_ms"]
         line = (f"  {ch.label:<14} {res.value:+d}   dlog ratio {res.dlog_a}"
                 f"   r={res.extension_degree_used}"
                 f"   sigma evals {res.sigma_evals}   {ms:.0f} ms")

@@ -38,7 +38,7 @@ class CurvePoint:
     def __hash__(self):
         if self.is_infinity():
             return hash("inf")
-        return hash((self.x.level, self.x.value, self.y.value))
+        return hash((self.x, self.y))
 
     def __neg__(self):
         if self.is_infinity():

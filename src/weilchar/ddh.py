@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .action import (OrientedCurve, SmoothIdeal, apply_smooth_ideal,
                      random_smooth_class)
-from .attack import eval_character
+from .attack import base_side, eval_character
 from .quadforms import Character, char_eval_norm, class_number
 
 PublicTriple = namedtuple("PublicTriple", ["base", "t1", "t2", "t3"])
@@ -70,7 +70,8 @@ def sample_triple(base: OrientedCurve, mode: str, rng,
 
 def distinguish(triple, chars: list, rng=None) -> str:
     """Guess "dh" iff chi([c]) = chi([a]) chi([b]) for every supplied
-    character, where each value is read off the curve pair by eval_character.
+    character, where each value is read off the curve pair by eval_character
+    against one base side per character.
 
     Accepts a full DdhTriple but immediately drops to the public view; only
     base and t1..t3 feed the evaluation.
@@ -81,9 +82,11 @@ def distinguish(triple, chars: list, rng=None) -> str:
     if rng is None:
         rng = random.Random()
     for ch in chars:
-        va = eval_character(view.base, view.t1, ch, rng).value
-        vb = eval_character(view.base, view.t2, ch, rng).value
-        vc = eval_character(view.base, view.t3, ch, rng).value
+        # the three targets share the base curve, so its pairing is drawn once
+        side = base_side(view.base, ch, rng)
+        va = eval_character(view.base, view.t1, ch, rng, side).value
+        vb = eval_character(view.base, view.t2, ch, rng, side).value
+        vc = eval_character(view.base, view.t3, ch, rng, side).value
         if vc != va * vb:
             return "random"
     return "dh"

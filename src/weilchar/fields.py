@@ -523,7 +523,15 @@ class FieldElement:
         return u == v
 
     def __hash__(self):
-        return hash((self.level, self.value))
+        # equality lifts across levels and embeds ints, so hash the value at
+        # the lowest level it lies in: a level-0 value hashes as its int
+        tower, level, v = self.tower, self.level, self.value
+        while level:
+            low = tower.try_descend(v, level, level - 1)
+            if low is None:
+                break
+            v, level = low, level - 1
+        return hash(v)
 
     def __repr__(self):
         return f"FieldElement(level={self.level}, {self.value})"

@@ -131,7 +131,10 @@ def recover_root(ocE: OrientedCurve, ocE2: OrientedCurve, c_squared: QuadForm,
 
     G = [g for g in two_torsion
          if all(char_eval_class(ch, g, D) == 1 for ch in filter_chars)]
-    assert len(G) <= 2 ** (len(P2) + 1)
+    if len(G) > 2 ** (len(P2) + 1):
+        raise RuntimeError(
+            f"{len(G)} two-torsion classes survive the character filter, "
+            f"above the bound 2^{len(P2) + 1}")
     timings["sqrt_ms"] = (time.perf_counter() - t0) * 1000.0
 
     t0 = time.perf_counter()

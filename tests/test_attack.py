@@ -3,10 +3,11 @@ import random
 
 import pytest
 
+from weilchar import attack
 from weilchar.action import (OrientedCurve, SmoothIdeal, apply_smooth_ideal,
                              get_tower, random_smooth_class, split_prime)
 from weilchar.attack import (_frobenius_order_mod, adjust_generator,
-                             eval_all_characters, eval_character,
+                             base_side, eval_all_characters, eval_character,
                              find_noneigen_point, usable_characters)
 from weilchar.curves import (frobenius_map, point_add, scalar_mul,
                              torsion_basis, torsion_extension_degree)
@@ -210,3 +211,61 @@ def test_frobenius_order_frozen(oc24, oc52):
     assert _frobenius_order_mod(7, 2, 8, 128) == res8.extension_degree_used
     r4 = torsion_extension_degree(oc52.curve, 4)
     assert _frobenius_order_mod(13, 0, 4, 32) == r4 == 4
+
+
+# single-pair evaluations at fixed seeds, pinned byte for byte: fixture,
+# connecting ideal, character, rng seed, to_json() without timings
+_FROZEN_EVALS = (
+    ("oc24", (5, 3, 1), CHI3, 11,
+     {"a": 2, "char": {"kind": "chi", "modulus": 3}, "gamma": None, "r": 3,
+      "sigma_evals": 2, "value": -1}),
+    ("oc24", (5, 3, 1), EPS, 12,
+     {"a": 3, "char": {"kind": "epsilon", "modulus": 8}, "gamma": None,
+      "r": 8, "sigma_evals": 6, "value": -1}),
+    ("oc52", (7, 1, 1), DELTA, 13,
+     {"a": 3, "char": {"kind": "delta", "modulus": 4}, "gamma": None,
+      "r": 4, "sigma_evals": 8, "value": -1}),
+)
+
+
+def _frozen_eval(request, name, factor, ch, seed):
+    oc = request.getfixturevalue(name)
+    target = apply_smooth_ideal(oc, SmoothIdeal.from_factors([factor], oc))
+    got = eval_character(oc, target, ch, random.Random(seed)).to_json()
+    del got["timings_ms"]
+    return got
+
+
+def test_eval_character_frozen(request):
+    for name, factor, ch, seed, want in _FROZEN_EVALS:
+        assert _frozen_eval(request, name, factor, ch, seed) == want, ch.label
+
+
+def test_cold_and_warm_caches_agree(request):
+    # the extension degree is memoized per base model and the torsion basis
+    # per tower; neither may change what an evaluation returns
+    attack._extension_degree.cache_clear()
+    attack._basis_cache.clear()
+    cold = [_frozen_eval(request, *case[:4]) for case in _FROZEN_EVALS]
+    assert attack._extension_degree.cache_info().misses == 3
+    warm = [_frozen_eval(request, *case[:4]) for case in _FROZEN_EVALS]
+    assert attack._extension_degree.cache_info().misses == 3
+    assert cold == warm == [case[4] for case in _FROZEN_EVALS]
+
+
+def test_shared_base_side(oc24, oc40):
+    rng = random.Random(7)
+    side = base_side(oc24, CHI3, rng)
+    assert (side.k, side.r) == (adjust_generator(oc24, 3), 3)
+    for e in (1, 2):
+        target = apply_smooth_ideal(
+            oc24, SmoothIdeal.from_factors([(5, 3, e)], oc24))
+        got = eval_character(oc24, target, CHI3, rng, side)
+        assert got.value == char_eval_norm(CHI3, 5 ** e)
+        assert got.sigma_evals > side.sigma_evals
+    with pytest.raises(ValueError, match="another base"):
+        eval_character(oc24, oc24, EPS, rng, side)
+    with pytest.raises(ValueError, match="another base"):
+        eval_character(oc40, oc40, CHI3, rng, side)
+    with pytest.raises(ValueError, match="not assigned"):
+        base_side(oc24, CHI5, rng)

@@ -1,11 +1,16 @@
 import filecmp
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import weilchar
 import weilchar.pairing
 import weilchar.quadforms
-from weilchar import cli
+from weilchar import attack, cli
 
 
 def run(capsys, argv):
@@ -139,6 +144,41 @@ def test_eval_char_planted_pair(pair24, tmp_path, capsys):
     assert written["schema"] == "weilchar/eval/v1"
     assert set(written["oracle_match"].values()) == {True}
     assert "timings_ms" not in json.dumps(written)
+
+
+def test_eval_char_prints_total_time(pair24, capsys, monkeypatch):
+    # total_ms already covers the stages, so the stage sum would double it
+    real = attack.eval_character
+
+    def stubbed(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.timings_ms = {"adjust_ms": 100.0, "side_base_ms": 400.0,
+                          "side_target_ms": 500.0, "total_ms": 1234.0}
+        return res
+
+    monkeypatch.setattr(attack, "eval_character", stubbed)
+    code, out, _ = run(capsys, ["eval-char", str(pair24)])
+    assert code == 0
+    assert out.count("1234 ms") == 2 and "2234 ms" not in out
+
+
+def test_attack_guard_survives_optimize(pair24):
+    # python -O strips asserts; the degree check must still raise, and the
+    # CLI must still exit with the attack-layer code
+    script = (
+        "import sys\n"
+        "from weilchar import attack, cli\n"
+        "attack.torsion_extension_degree = lambda E, m: 7\n"
+        f"sys.exit(cli.main(['eval-char', {str(pair24)!r}, "
+        "'--chars', 'chi_3']))\n")
+    src = str(Path(weilchar.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 3, proc.stderr
+    assert "does not divide #GL2(Z/3)" in proc.stderr
 
 
 def test_eval_char_rejects_bad_moduli(tmp_path, capsys):

@@ -227,3 +227,12 @@ def test_frobenius_satisfies_char_poly():
         acc = point_add(Er, FFP, scalar_mul(Er, -t, FP))
         acc = point_add(Er, acc, scalar_mul(Er, 11, P))
         assert acc.is_infinity()
+
+
+def test_point_hash_agrees_with_equality():
+    # (2, 10) on y^2 = x^3 + 2x + 12 over F_19, seen at both levels of F_361
+    tower = make_extension(FieldTower(PrimeField(19), []), 2)
+    low = CurvePoint(FieldElement(tower, 0, 2), FieldElement(tower, 0, 10))
+    lifted = CurvePoint(low.x.at_level(1), low.y.at_level(1))
+    assert low == lifted and hash(low) == hash(lifted)
+    assert len({low, lifted, CurvePoint.infinity()}) == 2

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from weilchar.action import make_instance
-from weilchar.attack import usable_characters
+from weilchar.attack import eval_character, usable_characters
 from weilchar.ddh import PublicTriple, distinguish, run_experiment, sample_triple
 from weilchar.quadforms import Character
 
@@ -31,6 +31,23 @@ def test_dh_triples_never_rejected(oc52):
     for s in range(8):
         tri = sample_triple(oc52, "dh", random.Random(100 + s))
         assert distinguish(tri, chars, random.Random(s)) == "dh"
+
+
+def test_shared_base_keeps_guesses(oc52):
+    # one base side per character must guess exactly as three independent
+    # evaluations, each drawing its own base pairing, would
+    chars = usable_characters(oc52)
+    for s in range(20):
+        mode = "dh" if s % 2 == 0 else "random"
+        tri = sample_triple(oc52, mode, random.Random(200 + s))
+        rng = random.Random(s)
+        independent = "dh"
+        for ch in chars:
+            va, vb, vc = (eval_character(oc52, t, ch, rng).value
+                          for t in (tri.t1, tri.t2, tri.t3))
+            if vc != va * vb:
+                independent = "random"
+        assert distinguish(tri, chars, random.Random(s)) == independent, s
 
 
 def test_trivial_class_group_refused():

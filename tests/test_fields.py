@@ -159,3 +159,18 @@ def test_element_order_and_dlog():
             w = cand
     for k in range(8):
         assert dlog_in_mu_m(w, w ** k, 8) == k
+
+
+def test_hash_agrees_with_equality():
+    tower = make_extension(FieldTower(PrimeField(13), []), 2)
+    a = fe(tower, 0, 5)
+    lifted = a.at_level(1)
+    assert a == lifted and hash(a) == hash(lifted)
+    assert len({a, lifted}) == 1
+    assert a == 5 and hash(a) == hash(5)
+    # a value outside the prime field keeps its own level
+    rng = random.Random(3)
+    b = rand_elt(tower, 1, rng)
+    while b.value[1] == 0:
+        b = rand_elt(tower, 1, rng)
+    assert len({b, FieldElement(tower, 1, b.value), a}) == 2
