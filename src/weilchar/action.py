@@ -17,30 +17,18 @@ from typing import Optional
 from .curves import (Curve, CurvePoint, count_points, extension_order,
                      frobenius_map, point_add, sample_m_torsion, scalar_mul,
                      velu_isogeny)
-from .fields import (FieldElement, FieldTower, PrimeField, make_extension,
-                     _is_prime)
+from .fields import FieldElement, _is_prime, get_tower
 from .quadforms import (Discriminant, QuadForm, compose, enumerate_class_group,
                         principal_form, reduce_form)
 
-_tower_cache: dict = {}
 _kernel_cache: dict = {}
-
-
-def get_tower(p: int, r: int) -> FieldTower:
-    """Shared tower F_p or F_{p^r}; one object per (p, r) so that elements,
-    cached Frobenius data, and cached kernel points interoperate."""
-    key = (p, r)
-    if key not in _tower_cache:
-        base = FieldTower(PrimeField(p), [])
-        _tower_cache[key] = base if r == 1 else make_extension(base, r)
-    return _tower_cache[key]
 
 
 class OrientedCurve:
     """A curve over F_q together with sigma = pi_q + k orienting Z[sigma]."""
 
     def __init__(self, curve: Curve, q: int, t: int, sigma_k: int = 0):
-        if curve.level != 0:
+        if curve.field.r != 1:
             raise ValueError("instances live over the prime field")
         self.curve = curve
         self.q = q
@@ -71,9 +59,8 @@ class OrientedCurve:
         return extension_order(self.q, self.t, r)
 
     def curve_in(self, r: int) -> Curve:
-        """The instance curve base-changed to F_{q^r} in the shared tower."""
-        tw = get_tower(self.q, r)
-        return self.curve.in_tower(tw, 1 if r > 1 else 0)
+        """The instance curve base-changed to F_{q^r}."""
+        return self.curve.over(get_tower(self.q, r))
 
     def sigma_eval(self, P: CurvePoint, E_amb: Optional[Curve] = None) -> CurvePoint:
         """ι(sigma)(P) = pi_q(P) + [k]P."""
@@ -112,16 +99,32 @@ class OrientedCurve:
 
     @classmethod
     def from_json(cls, data: dict) -> "OrientedCurve":
+        """The instance a record describes, after checking that the record
+        is one that to_json of a generated instance could have written."""
         q = data["p"]
         tw = get_tower(q, 1)
         k = data["sigma"]["k"]
         t = data["trace"] - 2 * k
-        E = Curve(tw, 0,
-                  FieldElement(tw, 0, tw.from_int(data["curve"]["a4"], 0)),
-                  FieldElement(tw, 0, tw.from_int(data["curve"]["a6"], 0)))
+        a4, a6 = data["curve"]["a4"], data["curve"]["a6"]
+        for name, v in (("a4", a4), ("a6", a6)):
+            if type(v) is not int or not 0 <= v < q:
+                raise ValueError(f"coefficient {name} = {v!r} is not an "
+                                 f"int in [0, {q})")
+        E = Curve(tw, a4, a6)
+        if E.j_invariant().value in (0, 1728 % q):
+            raise ValueError("j-invariant 0 or 1728: the instance generators "
+                             "never produce these curves")
         oc = cls(E, q, t, k)
         if oc.D != data["D"]:
             raise ValueError("inconsistent instance data: discriminant mismatch")
+        # the trace must be the curve's own, not its twist's: a few points,
+        # drawn from a generator seeded by the record, must be killed by
+        # the group order
+        rng = random.Random(_fold_seed((q, t, a4, a6)))
+        for _ in range(8):
+            if not scalar_mul(E, q + 1 - t, E.random_point(rng)).is_infinity():
+                raise ValueError(f"trace {t} does not match the curve: "
+                                 f"#E(F_q) is not {q + 1 - t}")
         return oc
 
 
@@ -168,7 +171,7 @@ def prime_ideal_form(oc: OrientedCurve, ell: int, lam: int) -> QuadForm:
     b = (2 * lam - tr) % (2 * ell)
     c4 = b * b + oc.D
     if c4 % (4 * ell):
-        raise AssertionError("form dictionary arithmetic broke")
+        raise RuntimeError("form dictionary arithmetic broke")
     return reduce_form(QuadForm(ell, b, c4 // (4 * ell)))
 
 
@@ -184,8 +187,7 @@ def gen_supersingular_instance(p: int) -> OrientedCurve:
     for a4 in range(1, p):
         for a6 in range(1, p):
             try:
-                E = Curve(tw, 0, FieldElement(tw, 0, tw.from_int(a4, 0)),
-                          FieldElement(tw, 0, tw.from_int(a6, 0)))
+                E = Curve(tw, a4, a6)
             except ValueError:
                 continue
             N, t = count_points(E)
@@ -217,8 +219,7 @@ def make_instance(q: int, t: int, rng) -> OrientedCurve:
         a4 = rng.randrange(1, q)
         a6 = rng.randrange(1, q)
         try:
-            E = Curve(tw, 0, FieldElement(tw, 0, tw.from_int(a4, 0)),
-                      FieldElement(tw, 0, tw.from_int(a6, 0)))
+            E = Curve(tw, a4, a6)
         except ValueError:
             continue
         if E.j_invariant().value in (0, 1728 % q):
@@ -232,8 +233,7 @@ def make_instance(q: int, t: int, rng) -> OrientedCurve:
         N, tc = count_points(E)
         if tc == -t:
             a4, a6 = (a4 * nonsquare**2) % q, (a6 * nonsquare**3) % q
-            E = Curve(tw, 0, FieldElement(tw, 0, tw.from_int(a4, 0)),
-                      FieldElement(tw, 0, tw.from_int(a6, 0)))
+            E = Curve(tw, a4, a6)
             _, tc = count_points(E)
         if tc == t:
             return OrientedCurve(E, q, t)
@@ -256,8 +256,7 @@ def gen_ordinary_instance(q_range, m_target: Optional[int] = None, rng=None,
         a4 = rng.randrange(1, q)
         a6 = rng.randrange(1, q)
         try:
-            E = Curve(tw, 0, FieldElement(tw, 0, tw.from_int(a4, 0)),
-                      FieldElement(tw, 0, tw.from_int(a6, 0)))
+            E = Curve(tw, a4, a6)
         except ValueError:
             continue
         if E.j_invariant().value in (0, 1728 % q):
@@ -305,7 +304,7 @@ def _mult_order(a: int, n: int) -> int:
         x = (x * a) % n
         k += 1
         if k > n:
-            raise AssertionError("order computation ran away")
+            raise RuntimeError("order computation ran away")
     return k
 
 
@@ -363,7 +362,7 @@ def canonical_model(curve: Curve) -> Curve:
     model per F_q-isomorphism class.  Short Weierstrass isomorphisms are
     exactly these scalings, so pinning the model makes walks that arrive at
     the same class through different isogeny routes cache-identical."""
-    p = curve.tower.p
+    p = curve.field.p
     a4, a6 = int(curve.a4.value), int(curve.a6.value)
     best = (a4, a6)
     for u in range(2, p // 2 + 1):
@@ -374,7 +373,7 @@ def canonical_model(curve: Curve) -> Curve:
             best = cand
     if best == (a4, a6):
         return curve
-    return Curve(curve.tower, 0, best[0], best[1])
+    return Curve(curve.field, best[0], best[1])
 
 
 def apply_prime_ideal(oc: OrientedCurve, ell: int, lam: int) -> OrientedCurve:

@@ -15,10 +15,11 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .action import OrientedCurve, _fold_seed, get_tower
+from .action import OrientedCurve, _fold_seed
 from .curves import (Curve, gl2_order, point_add, scalar_mul, torsion_basis,
                      torsion_extension_degree)
-from .fields import FieldElement, FieldTower, dlog_in_mu_m, element_order
+from .fields import (FieldElement, FieldTower, dlog_in_mu_m, element_order,
+                     get_tower)
 from .pairing import weil_pairing
 from .quadforms import (Character, assigned_characters, char_eval_class,
                         char_eval_norm, enumerate_class_group,
@@ -63,7 +64,7 @@ def adjust_generator(oc, m: int) -> int:
     for k in range(bound):
         if math.gcd(N + k * (tr + k), need) == 1:
             return k
-    raise AssertionError(f"no usable shift below {bound} for modulus {m}")
+    raise RuntimeError(f"no usable shift below {bound} for modulus {m}")
 
 
 _basis_cache: dict = {}
@@ -88,10 +89,8 @@ def _noneigen_draw(oc, m: int, tower, rng, stats=None):
     For odd m that is certified by e_m(P, sigma P) being primitive; for
     m = 4 and 8 by sigma moving (m/2)P. Returns (E, P, sigma P, pairing or
     None) so the caller reuses the work."""
-    level = tower.depth()
-    r = tower.degree_over_base(level)
-    E = oc.curve.in_tower(tower, level)
-    B1, B2 = _torsion_basis_cached(oc, E, m, r)
+    E = oc.curve.over(tower)
+    B1, B2 = _torsion_basis_cached(oc, E, m, tower.r)
     for _ in range(64):
         P = point_add(E, scalar_mul(E, rng.randrange(m), B1),
                       scalar_mul(E, rng.randrange(m), B2))
@@ -147,7 +146,7 @@ def _extension_degree(q: int, a4: int, a6: int, m: int) -> int:
 
     It depends on the model and m alone, so one division-polynomial
     computation serves every evaluation against the same base curve."""
-    return torsion_extension_degree(Curve(get_tower(q, 1), 0, a4, a6), m)
+    return torsion_extension_degree(Curve(get_tower(q, 1), a4, a6), m)
 
 
 class BaseSide(NamedTuple):

@@ -1,4 +1,4 @@
-"""Short Weierstrass curves y^2 = x^3 + a4 x + a6 over tower fields,
+"""Short Weierstrass curves y^2 = x^3 + a4 x + a6 over F_p or F_{p^r},
 with division polynomials, torsion sampling, and Velu isogenies.
 
 Characteristic is always at least 5 here, so the short form loses nothing.
@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from .fields import FieldElement, FieldTower, Poly, make_extension
+from .fields import FieldElement, FieldTower, Poly
 
 
 class CurvePoint:
@@ -50,31 +50,25 @@ class CurvePoint:
             return "CurvePoint(inf)"
         return f"CurvePoint({self.x.value}, {self.y.value})"
 
-    def to_json(self):
-        if self.is_infinity():
-            return "infinity"
-        return {"x": self.x.to_json(), "y": self.y.to_json()}
-
 
 class Curve:
-    """y^2 = x^3 + a4 x + a6 over one level of a field tower."""
+    """y^2 = x^3 + a4 x + a6 over F_p or F_{p^r}; the coefficients are ints
+    or elements that the field takes in (see FieldTower.__call__)."""
 
-    def __init__(self, tower: FieldTower, level: int, a4: FieldElement, a6: FieldElement):
-        self.tower = tower
-        self.level = level
-        self.a4 = a4 if isinstance(a4, FieldElement) else FieldElement(tower, level, tower.from_int(a4, level))
-        self.a6 = a6 if isinstance(a6, FieldElement) else FieldElement(tower, level, tower.from_int(a6, level))
+    def __init__(self, field: FieldTower, a4, a6):
+        self.field = field
+        self.a4 = field(a4)
+        self.a6 = field(a6)
         disc = 4 * self.a4 ** 3 + 27 * self.a6 ** 2
         if disc.is_zero():
             raise ValueError("singular curve (discriminant zero)")
 
     def __eq__(self, other):
-        return (isinstance(other, Curve) and other.tower == self.tower
-                and other.level == self.level
+        return (isinstance(other, Curve) and other.field is self.field
                 and other.a4 == self.a4 and other.a6 == self.a6)
 
     def __repr__(self):
-        return f"Curve(level={self.level}, a4={self.a4.value}, a6={self.a6.value})"
+        return f"Curve({self.field!r}, a4={self.a4.value}, a6={self.a6.value})"
 
     def rhs(self, x: FieldElement) -> FieldElement:
         return x ** 3 + self.a4 * x + self.a6
@@ -85,35 +79,23 @@ class Curve:
         return P.y * P.y == self.rhs(P.x)
 
     def point(self, x, y) -> CurvePoint:
-        P = CurvePoint(self._coerce(x), self._coerce(y))
+        P = CurvePoint(self.field(x), self.field(y))
         if not self.contains(P):
             raise ValueError("point is not on the curve")
         return P
-
-    def _coerce(self, v) -> FieldElement:
-        if isinstance(v, FieldElement):
-            return v
-        return FieldElement(self.tower, self.level, self.tower.from_int(v, self.level))
 
     def j_invariant(self) -> FieldElement:
         num = 4 * self.a4 ** 3
         return 1728 * num / (num + 27 * self.a6 ** 2)
 
-    def at_level(self, level: int) -> "Curve":
-        if level == self.level:
-            return self
-        return Curve(self.tower, level, self.a4.at_level(level), self.a6.at_level(level))
-
-    def in_tower(self, tower: FieldTower, level: int) -> "Curve":
-        """The same curve viewed in an extension tower built over the same base."""
-        a4 = FieldElement(tower, level, tower.lift(self.a4.at_level(0).value, 0, level))
-        a6 = FieldElement(tower, level, tower.lift(self.a6.at_level(0).value, 0, level))
-        return Curve(tower, level, a4, a6)
+    def over(self, field: FieldTower) -> "Curve":
+        """The same equation over another field of the same characteristic;
+        away from its own field the coefficients must lie in F_p."""
+        return self if field is self.field else Curve(field, self.a4, self.a6)
 
     def random_point(self, rng) -> CurvePoint:
         for _ in range(10000):
-            x = FieldElement(self.tower, self.level,
-                             self.tower.random_value(self.level, rng))
+            x = FieldElement(self.field, self.field.random_value(rng))
             y = self.rhs(x).sqrt()
             if y is None:
                 continue
@@ -121,9 +103,6 @@ class Curve:
                 y = -y
             return CurvePoint(x, y)
         raise RuntimeError("failed to sample a curve point")
-
-    def to_json(self):
-        return {"level": self.level, "a4": self.a4.to_json(), "a6": self.a6.to_json()}
 
 
 def point_add(E: Curve, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
@@ -161,7 +140,7 @@ def frobenius_map(P: CurvePoint, q: int) -> CurvePoint:
     characteristic of the point's field."""
     if P.is_infinity():
         return P
-    p = P.x.tower.p
+    p = P.x.field.p
     k = 0
     qq = q
     while qq > 1:
@@ -174,13 +153,13 @@ def frobenius_map(P: CurvePoint, q: int) -> CurvePoint:
 
 def count_points(E: Curve) -> tuple:
     """(group order, trace) by exhaustive x-sweep. Field size capped at 10^6."""
-    tower, level = E.tower, E.level
-    S = tower.size(level)
+    field = E.field
+    S = field.size
     if S > 10**6:
         raise ValueError("field too large for exhaustive point counting")
     n = 1  # infinity
-    if level == 0:
-        p = tower.p
+    if field.r == 1:
+        p = field.p
         squares = set()
         for v in range(p):
             squares.add((v * v) % p)
@@ -195,16 +174,16 @@ def count_points(E: Curve) -> tuple:
     else:
         half = (S - 1) // 2
         for i in range(S):
-            x = tower.unrank(i, level)
-            c = tower.vadd(level, tower.vmul(level, tower.vmul(level, x, x), x),
-                           tower.vadd(level, tower.vmul(level, E.a4.value, x), E.a6.value))
-            if tower.is_zero(c, level):
+            x = field.unrank(i)
+            c = field.vadd(field.vmul(field.vmul(x, x), x),
+                           field.vadd(field.vmul(E.a4.value, x), E.a6.value))
+            if c == field.zero:
                 n += 1
-            elif tower.vpow(level, c, half) == tower.one(level):
+            elif field.vpow(c, half) == field.one:
                 n += 2
     t = S + 1 - n
     if t * t > 4 * S:
-        raise AssertionError("trace outside the Hasse interval")
+        raise RuntimeError("trace outside the Hasse interval")
     return n, t
 
 
@@ -263,11 +242,11 @@ class _YPoly:
 
 
 def _division_psis(E: Curve, m: int) -> dict:
-    tower, level = E.tower, E.level
+    field = E.field
     A, B = E.a4, E.a6
-    cubic = Poly(tower, level, [B, A, 0, 1])
-    zero = Poly(tower, level, [0])
-    one = Poly(tower, level, [1])
+    cubic = Poly(field, [B, A, 0, 1])
+    zero = Poly(field, [0])
+    one = Poly(field, [1])
 
     def yp(u, v):
         return _YPoly(u, v, cubic)
@@ -275,23 +254,22 @@ def _division_psis(E: Curve, m: int) -> dict:
     psi = {
         0: yp(zero, zero),
         1: yp(one, zero),
-        2: yp(zero, Poly(tower, level, [2])),
-        3: yp(Poly(tower, level,
-                   [-(A * A), 12 * B, 6 * A, 0, 3]), zero),
-        4: yp(zero, Poly(tower, level,
+        2: yp(zero, Poly(field, [2])),
+        3: yp(Poly(field, [-(A * A), 12 * B, 6 * A, 0, 3]), zero),
+        4: yp(zero, Poly(field,
                          [-4 * (8 * B * B + A ** 3), -16 * A * B, -20 * A * A,
                           80 * B, 20 * A, 0, 4])),
     }
 
-    inv2 = FieldElement(tower, level, tower.vinv(level, tower.from_int(2, level)))
+    inv2 = field(2).inverse()
 
     def div_2y(w: _YPoly) -> _YPoly:
         # w must be a pure-x multiple of the cubic; w/(2y) is then pure-y
         if not w.v.is_zero():
-            raise AssertionError("division polynomial parity broke")
+            raise RuntimeError("division polynomial parity broke")
         q, r = w.u.divmod(cubic)
         if not r.is_zero():
-            raise AssertionError("division polynomial cubic factor missing")
+            raise RuntimeError("division polynomial cubic factor missing")
         return yp(zero, q * inv2)
 
     def get(n: int) -> _YPoly:
@@ -317,17 +295,17 @@ def division_polynomial(E: Curve, m: int) -> Poly:
     if m < 1:
         raise ValueError("m must be positive")
     if m == 1:
-        return Poly(E.tower, E.level, [1])
+        return Poly(E.field, [1])
     psi = _division_psis(E, m)[m]
     if m % 2:
         if not psi.v.is_zero():
-            raise AssertionError("odd-index division polynomial has a y part")
+            raise RuntimeError("odd-index division polynomial has a y part")
         return psi.u
     if m not in (2, 4, 8):
         raise ValueError("even m supported only for m in {2, 4, 8}")
     if not psi.u.is_zero():
-        raise AssertionError("even-index division polynomial has an x part")
-    cubic = Poly(E.tower, E.level, [E.a6, E.a4, 0, 1])
+        raise RuntimeError("even-index division polynomial has an x part")
+    cubic = Poly(E.field, [E.a6, E.a4, 0, 1])
     return cubic * psi.v
 
 
@@ -335,16 +313,16 @@ def torsion_extension_degree(E: Curve, m: int) -> int:
     """Smallest r with E[m] fully rational over the degree-r extension of the
     curve's own field, read off from the splitting of the division polynomial
     and of the y-coordinate squares."""
-    tower, level = E.tower, E.level
-    q = tower.size(level)
-    if math.gcd(m, tower.p) != 1:
+    field = E.field
+    q = field.size
+    if math.gcd(m, field.p) != 1:
         raise ValueError("m must be coprime to the characteristic")
     psi = division_polynomial(E, m).monic()
-    cubic = Poly(tower, level, [E.a6, E.a4, 0, 1])
+    cubic = Poly(field, [E.a6, E.a4, 0, 1])
     shared = psi.gcd(cubic)
     psi1 = psi // shared if shared.degree() > 0 else psi
-    x = Poly.x(tower, level)
-    one = Poly(tower, level, [1])
+    x = Poly.x(field)
+    one = Poly(field, [1])
 
     cap = gl2_order(m)
     cur = x                     # x^(q^r) mod psi
@@ -357,7 +335,7 @@ def torsion_extension_degree(E: Curve, m: int) -> int:
         ypow = (ypow.powmod(q, psi1) * step) % psi1
         if cur == x % psi and ypow == one % psi1:
             if cap % r:
-                raise AssertionError("torsion field degree does not divide #GL2")
+                raise RuntimeError("torsion field degree does not divide #GL2")
             return r
     raise RuntimeError(f"no extension of degree up to {cap} splits the {m}-torsion")
 
@@ -427,42 +405,28 @@ class Isogeny:
     """Separable isogeny with cyclic kernel of odd prime order, via Velu."""
 
     def __init__(self, domain: Curve, codomain: Curve, degree: int,
-                 kernel_poly: Poly, kernel_points: list):
+                 kernel_points: list):
         self.domain = domain
         self.codomain = codomain
         self.degree = degree
-        self.kernel_poly = kernel_poly
         self._kernel_points = kernel_points  # all ell-1 finite kernel points
 
     def __call__(self, P: CurvePoint) -> CurvePoint:
         if P.is_infinity():
             return CurvePoint.infinity()
-        ktower = self._kernel_points[0].x.tower
-        if P.x.tower is not ktower:
-            # points can only cross towers through the shared base field
-            P = CurvePoint(
-                FieldElement(ktower, 0, P.x.at_level(0).value).at_level(0),
-                FieldElement(ktower, 0, P.y.at_level(0).value).at_level(0))
-        lv = max(P.x.level, self._kernel_points[0].x.level)
-        E = (self.domain.at_level(lv) if self.domain.tower is ktower
-             else self.domain.in_tower(ktower, lv))
-        X, Y = P.x.at_level(lv), P.y.at_level(lv)
-        xs, ys = X, Y
+        # compute in the larger of the point's and the kernel's field; the
+        # coordinates of the other embed in mixed arithmetic
+        field = max(P.x.field, self._kernel_points[0].x.field,
+                    key=lambda f: f.r)
+        E = self.domain.over(field)
+        xs, ys = P.x, P.y
         for Q in self._kernel_points:
-            Qx, Qy = Q.x.at_level(lv), Q.y.at_level(lv)
-            T = point_add(E, CurvePoint(X, Y), CurvePoint(Qx, Qy))
+            T = point_add(E, P, Q)
             if T.is_infinity():
                 return CurvePoint.infinity()   # P was a kernel point
-            xs = xs + (T.x - Qx)
-            ys = ys + (T.y - Qy)
+            xs = xs + (T.x - Q.x)
+            ys = ys + (T.y - Q.y)
         return CurvePoint(xs, ys)
-
-    def to_json(self):
-        return {
-            "domain": self.domain.to_json(),
-            "degree": self.degree,
-            "kernel_poly": self.kernel_poly.to_json(),
-        }
 
 
 def velu_isogeny(E: Curve, K: CurvePoint, ell: Optional[int] = None,
@@ -471,13 +435,12 @@ def velu_isogeny(E: Curve, K: CurvePoint, ell: Optional[int] = None,
 
     The order is derived from K when not supplied. With rational_codomain the
     kernel must be stable under the Frobenius of E's own field, and the
-    codomain is expressed back at E's level.
+    codomain is expressed back over E's field.
     """
     if K.is_infinity():
         raise ValueError("kernel generator must be finite")
-    lv = K.x.level
-    ktower = K.x.tower
-    Eh = E.at_level(lv) if ktower is E.tower else E.in_tower(ktower, lv)
+    field = K.x.field
+    Eh = E.over(field)
     if not Eh.contains(K):
         raise ValueError("kernel generator is not on the curve")
     mults = [K]
@@ -495,7 +458,7 @@ def velu_isogeny(E: Curve, K: CurvePoint, ell: Optional[int] = None,
         raise ValueError("kernel order must be an odd prime")
 
     if rational_codomain:
-        q = E.tower.size(E.level)
+        q = E.field.size
         sigmaK = frobenius_map(K, q)
         if sigmaK not in mults:
             raise ValueError("kernel is not Frobenius-stable over the base field")
@@ -503,8 +466,7 @@ def velu_isogeny(E: Curve, K: CurvePoint, ell: Optional[int] = None,
     A, B = Eh.a4, Eh.a6
     t_acc = None
     w_acc = None
-    half = mults[:(ell - 1) // 2]
-    for Q in half:
+    for Q in mults[:(ell - 1) // 2]:
         tq = 6 * Q.x * Q.x + 2 * A
         uq = 4 * Q.y * Q.y
         wq = uq + Q.x * tq
@@ -513,26 +475,8 @@ def velu_isogeny(E: Curve, K: CurvePoint, ell: Optional[int] = None,
     A2 = A - 5 * t_acc
     B2 = B - 7 * w_acc
 
-    kernel_poly = Poly(ktower, lv, [1])
-    for Q in half:
-        kernel_poly = kernel_poly * Poly(ktower, lv, [-Q.x, 1])
-
-    if rational_codomain:
-        def home(v: FieldElement) -> FieldElement:
-            if ktower is E.tower:
-                return v.at_level(E.level)
-            base_val = v.at_level(0).value
-            return FieldElement(E.tower, E.level, E.tower.lift(base_val, 0, E.level))
-
-        A2 = home(A2)
-        B2 = home(B2)
-        kernel_poly = Poly(E.tower, E.level,
-                           [home(FieldElement(ktower, lv, c))
-                            for c in kernel_poly.coeffs])
-        codomain = Curve(E.tower, E.level, A2, B2)
-    else:
-        codomain = Curve(ktower, lv, A2, B2)
-    iso = Isogeny(E, codomain, ell, kernel_poly, mults)
-    if iso.degree != 2 * iso.kernel_poly.degree() + 1:
-        raise AssertionError("kernel polynomial degree is off")
-    return iso
+    if rational_codomain and field is not E.field:
+        # the stable kernel makes the codomain's coefficients lie in F_p
+        A2, B2 = A2.descend(), B2.descend()
+    return Isogeny(E, Curve(E.field if rational_codomain else field, A2, B2),
+                   ell, mults)

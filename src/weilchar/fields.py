@@ -1,14 +1,14 @@
-"""Exact arithmetic in prime fields and in towers of extension fields.
+"""Exact arithmetic in a prime field F_p and in one extension F_{p^r}.
 
-Everything is plain-integer arithmetic: an element of the bottom field is an
-int in [0, p), and an element of level i is a tuple of level-(i-1) values
-(coefficients, constant first) modulo the level's defining polynomial.
+Everything is plain-integer arithmetic: an element of F_p is an int in
+[0, p), and an element of F_{p^r} is a tuple of r such ints, the
+coefficients (constant first) of a polynomial modulo the field's monic
+defining polynomial.  F_p sits inside every F_{p^r} as the constants.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 
 def _is_prime(n: int) -> bool:
@@ -36,167 +36,146 @@ def legendre_symbol(n: int, m: int) -> int:
     return 1 if e == 1 else -1
 
 
-class PrimeField:
-    """The bottom field F_p. Characteristic at least 5, p below 2^32."""
+# -- polynomials over F_p as int lists, constant first (vinv and Poly) -------
 
-    def __init__(self, p: int):
-        if not (5 <= p < 2**32):
-            raise ValueError(f"characteristic {p} out of the supported range")
-        if not _is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        self.p = p
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
-
-    def __repr__(self):
-        return f"PrimeField({self.p})"
+def _ptrim(a: list) -> list:
+    while len(a) > 1 and not a[-1]:
+        a.pop()
+    return a
 
 
-class _ExtLevel:
-    """One extension step: degree and monic defining polynomial.
+def _psub(p: int, a: list, b: list) -> list:
+    out = a + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] = (out[i] - c) % p
+    return _ptrim(out)
 
-    modulus holds the degree+1 coefficients (constant first, leading 1) as
-    raw values of the previous level.
-    """
 
-    def __init__(self, degree: int, modulus: tuple):
-        self.degree = degree
-        self.modulus = modulus
-        self.frob_basis = None  # lazy: images t^(p*j) for the level-1 fast path
+def _pmul(p: int, a: list, b: list) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b):
+                out[i + j] += c * d
+    return _ptrim([c % p for c in out])
+
+
+def _pdivmod(p: int, num: list, den: list):
+    if den == [0]:
+        raise ZeroDivisionError("polynomial division by zero")
+    inv_lead = pow(den[-1], p - 2, p)
+    rem = list(num)
+    dd = len(den) - 1
+    if len(rem) - 1 < dd:
+        return [0], rem
+    quo = [0] * (len(rem) - dd)
+    for i in range(len(rem) - 1, dd - 1, -1):
+        c = rem[i]
+        if not c:
+            continue
+        f = c * inv_lead % p
+        quo[i - dd] = f
+        for j in range(dd + 1):
+            rem[i - dd + j] = (rem[i - dd + j] - f * den[j]) % p
+    return _ptrim(quo), _ptrim(rem)
+
+
+_towers: dict = {}
+
+
+def get_tower(p: int, r: int = 1) -> "FieldTower":
+    """F_p for r = 1, else F_{p^r}: one shared object per (p, r), so fields
+    compare by identity and each builds its modulus, Frobenius basis and
+    square-root non-residue once."""
+    tower = _towers.get((p, r))
+    if tower is None:
+        if r < 1:
+            raise ValueError("extension degree must be positive")
+        if r == 1:
+            if not (5 <= p < 2**32):
+                raise ValueError(f"characteristic {p} out of the supported range")
+            if not _is_prime(p):
+                raise ValueError(f"{p} is not prime")
+            tower = FieldTower(p, 1, None)
+        else:
+            tower = FieldTower(p, r, make_extension(p, r))
+        _towers[(p, r)] = tower
+    return tower
 
 
 class FieldTower:
-    """A tower F_p = L_0 < L_1 < ... < L_k of successive extensions.
+    """F_p (r = 1) or F_{p^r} with the given monic modulus; build it with
+    get_tower.
 
-    Raw values: int at level 0, tuples of lower-level values above. The
-    public face is FieldElement; the v* methods work on raw values and are
-    what the hot paths use.
+    Raw values: an int in [0, p) for F_p, a tuple of r such ints for
+    F_{p^r}.  The public face is FieldElement; the v* methods work on raw
+    values and are what the hot paths use.
     """
 
-    def __init__(self, base: PrimeField, levels: tuple = ()):
-        self.base = base
-        self.levels = tuple(levels)
-        self._sizes = [base.p]
-        for lv in self.levels:
-            self._sizes.append(self._sizes[-1] ** lv.degree)
-        self._nonresidue = {}  # level -> raw value, for square roots
-
-    # -- structure ---------------------------------------------------------
-
-    @property
-    def p(self) -> int:
-        return self.base.p
-
-    def depth(self) -> int:
-        return len(self.levels)
-
-    def size(self, level: int) -> int:
-        return self._sizes[level]
-
-    def degree_over_base(self, level: int) -> int:
-        d = 1
-        for lv in self.levels[:level]:
-            d *= lv.degree
-        return d
-
-    def __eq__(self, other):
-        if not isinstance(other, FieldTower):
-            return False
-        return (self.base == other.base
-                and [(l.degree, l.modulus) for l in self.levels]
-                == [(l.degree, l.modulus) for l in other.levels])
-
-    def __hash__(self):
-        return hash((self.base, tuple((l.degree, l.modulus) for l in self.levels)))
+    def __init__(self, p: int, r: int, modulus: Optional[tuple]):
+        self.p = p
+        self.r = r
+        self.size = p ** r
+        self.modulus = modulus
+        self.base = self if r == 1 else get_tower(p, 1)
+        self.zero = 0 if r == 1 else (0,) * r
+        self.one = 1 if r == 1 else (1,) + (0,) * (r - 1)
+        self._frob_basis = None   # lazy: images of x^j under x -> x^p
+        self._nonresidue = None   # lazy: for Tonelli-Shanks
 
     def __repr__(self):
-        degs = "x".join(str(l.degree) for l in self.levels) or "1"
-        return f"FieldTower(p={self.p}, degrees={degs})"
+        return f"FieldTower(p={self.p}, r={self.r})"
+
+    def __call__(self, x) -> "FieldElement":
+        """x as an element of this field: an int is reduced mod p, an F_p
+        element embeds, an element of another field descends to F_p first
+        (ValueError if it lies outside)."""
+        if not isinstance(x, FieldElement):
+            return FieldElement(self, self.from_int(x))
+        if x.field is self:
+            return x
+        x = x.descend()
+        if x.field is not self.base:
+            raise TypeError(f"{x.field!r} is not the prime field of {self!r}")
+        return x if self.r == 1 else FieldElement(self, self.from_int(x.value))
 
     # -- raw value arithmetic ----------------------------------------------
 
-    def zero(self, level: int):
-        if level == 0:
-            return 0
-        d = self.levels[level - 1].degree
-        z = self.zero(level - 1)
-        return tuple(z for _ in range(d))
-
-    def one(self, level: int):
-        if level == 0:
-            return 1
-        d = self.levels[level - 1].degree
-        z = self.zero(level - 1)
-        return (self.one(level - 1),) + tuple(z for _ in range(d - 1))
-
-    def from_int(self, n: int, level: int):
-        if level == 0:
+    def from_int(self, n: int):
+        if self.r == 1:
             return n % self.p
-        d = self.levels[level - 1].degree
-        z = self.zero(level - 1)
-        return (self.from_int(n, level - 1),) + tuple(z for _ in range(d - 1))
+        return (n % self.p,) + self.zero[1:]
 
-    def is_zero(self, v, level: int) -> bool:
-        if level == 0:
-            return v == 0
-        return all(self.is_zero(c, level - 1) for c in v)
-
-    def vadd(self, level: int, u, v):
-        if level == 0:
-            return (u + v) % self.p
-        return tuple(self.vadd(level - 1, a, b) for a, b in zip(u, v))
-
-    def vsub(self, level: int, u, v):
-        if level == 0:
-            return (u - v) % self.p
-        return tuple(self.vsub(level - 1, a, b) for a, b in zip(u, v))
-
-    def vneg(self, level: int, u):
-        if level == 0:
-            return (-u) % self.p
-        return tuple(self.vneg(level - 1, a) for a in u)
-
-    def vmul(self, level: int, u, v):
-        if level == 0:
-            return (u * v) % self.p
-        if level == 1:
-            return self._mul1(u, v)
-        lev = self.levels[level - 1]
-        d = lev.degree
-        low = level - 1
-        z = self.zero(low)
-        tmp = [z] * (2 * d - 1)
-        for i, a in enumerate(u):
-            if self.is_zero(a, low):
-                continue
-            for j, b in enumerate(v):
-                tmp[i + j] = self.vadd(low, tmp[i + j], self.vmul(low, a, b))
-        # reduce by the monic modulus
-        f = lev.modulus
-        for i in range(2 * d - 2, d - 1, -1):
-            c = tmp[i]
-            if self.is_zero(c, low):
-                continue
-            for j in range(d):
-                tmp[i - d + j] = self.vsub(low, tmp[i - d + j],
-                                           self.vmul(low, c, f[j]))
-        return tuple(tmp[:d])
-
-    def _mul1(self, u, v):
-        # level-1 fast path: coefficients are plain ints
+    def vadd(self, u, v):
         p = self.p
-        lev = self.levels[0]
-        d = lev.degree
+        if self.r == 1:
+            return (u + v) % p
+        return tuple((a + b) % p for a, b in zip(u, v))
+
+    def vsub(self, u, v):
+        p = self.p
+        if self.r == 1:
+            return (u - v) % p
+        return tuple((a - b) % p for a, b in zip(u, v))
+
+    def vneg(self, u):
+        p = self.p
+        if self.r == 1:
+            return (-u) % p
+        return tuple((-a) % p for a in u)
+
+    def vmul(self, u, v):
+        p = self.p
+        d = self.r
+        if d == 1:
+            return (u * v) % p
         tmp = [0] * (2 * d - 1)
         for i, a in enumerate(u):
             if a:
                 for j, b in enumerate(v):
                     tmp[i + j] += a * b
-        f = lev.modulus
+        # reduce by the monic modulus
+        f = self.modulus
         for i in range(2 * d - 2, d - 1, -1):
             c = tmp[i] % p
             if c:
@@ -204,272 +183,155 @@ class FieldTower:
                     tmp[i - d + j] -= c * f[j]
         return tuple(t % p for t in tmp[:d])
 
-    def vscale(self, level: int, u, c_low):
-        """Multiply a level value by a scalar from the level below."""
-        if level == 0:
-            raise ValueError("no level below the base")
-        return tuple(self.vmul(level - 1, a, c_low) for a in u)
-
-    def vpow(self, level: int, u, e: int):
+    def vpow(self, u, e: int):
         if e < 0:
-            return self.vpow(level, self.vinv(level, u), -e)
-        acc = self.one(level)
+            return self.vpow(self.vinv(u), -e)
+        acc = self.one
         base = u
         while e:
             if e & 1:
-                acc = self.vmul(level, acc, base)
-            base = self.vmul(level, base, base)
+                acc = self.vmul(acc, base)
+            base = self.vmul(base, base)
             e >>= 1
         return acc
 
-    def vinv(self, level: int, u):
-        if self.is_zero(u, level):
+    def vinv(self, u):
+        if u == self.zero:
             raise ZeroDivisionError("inverse of zero")
-        if level == 0:
-            return pow(u, self.p - 2, self.p)
-        # extended Euclid against the defining polynomial, one level down
-        low = level - 1
-        lev = self.levels[level - 1]
-        f = list(lev.modulus)
-        a = list(u) + [self.zero(low)]
-        s0, s1 = [self.zero(low)], [self.one(low)]
-        r0, r1 = f, a
-        while True:
-            r1 = self._ptrim(low, r1)
-            if len(r1) == 1 and not self.is_zero(r1[0], low):
-                inv_lead = self.vinv(low, r1[0])
-                out = [self.vmul(low, c, inv_lead) for c in s1]
-                out += [self.zero(low)] * (lev.degree - len(out))
-                return tuple(out[:lev.degree])
-            if all(self.is_zero(c, low) for c in r1):
-                raise ZeroDivisionError("value not invertible")
-            q, r = self._pdivmod(low, r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, self._psub(low, s0, self._pmul(low, q, s1))
+        p = self.p
+        if self.r == 1:
+            return pow(u, p - 2, p)
+        # extended Euclid against the defining polynomial, over F_p
+        r0, r1 = list(self.modulus), _ptrim(list(u))
+        s0, s1 = [0], [1]
+        while len(r1) > 1:
+            q, rem = _pdivmod(p, r0, r1)
+            r0, r1 = r1, rem
+            s0, s1 = s1, _psub(p, s0, _pmul(p, q, s1))
+        if not r1[0]:
+            raise ZeroDivisionError("value not invertible")
+        inv_lead = pow(r1[0], p - 2, p)
+        return tuple(c * inv_lead % p for c in s1) + self.zero[len(s1):]
 
-    def lift(self, v, from_level: int, to_level: int):
-        while from_level < to_level:
-            d = self.levels[from_level].degree
-            z = self.zero(from_level)
-            v = (v,) + tuple(z for _ in range(d - 1))
-            from_level += 1
-        return v
-
-    def try_descend(self, v, from_level: int, to_level: int):
-        """Return v as a value of the lower level, or None if it does not lie there."""
-        while from_level > to_level:
-            low = from_level - 1
-            if any(not self.is_zero(c, low) for c in v[1:]):
-                return None
-            v = v[0]
-            from_level -= 1
-        return v
-
-    def rank(self, v, level: int) -> int:
-        """Position of v in the constant-first enumeration of the level."""
-        if level == 0:
+    def rank(self, v) -> int:
+        """Position of v in the constant-first enumeration of the field."""
+        if self.r == 1:
             return v
-        s = self.size(level - 1)
         n = 0
         for c in reversed(v):
-            n = n * s + self.rank(c, level - 1)
+            n = n * self.p + c
         return n
 
-    def unrank(self, n: int, level: int):
-        if level == 0:
-            return n % self.p
-        s = self.size(level - 1)
-        d = self.levels[level - 1].degree
+    def unrank(self, n: int):
+        p = self.p
+        if self.r == 1:
+            return n % p
         out = []
-        for _ in range(d):
-            out.append(self.unrank(n % s, level - 1))
-            n //= s
+        for _ in range(self.r):
+            out.append(n % p)
+            n //= p
         return tuple(out)
 
-    def random_value(self, level: int, rng):
-        return self.unrank(rng.randrange(self.size(level)), level)
+    def random_value(self, rng):
+        return self.unrank(rng.randrange(self.size))
 
     # -- frobenius ----------------------------------------------------------
 
-    def frobenius(self, v, level: int, power: int = 1):
-        """v^(p^power). Linear-map fast path at level 1."""
-        if level == 0 or power == 0:
+    def frobenius(self, v, power: int = 1):
+        """v^(p^power), as a linear map on the coefficients."""
+        if self.r == 1 or power == 0:
             return v
-        if level == 1:
-            lev = self.levels[0]
-            if lev.frob_basis is None:
-                d = lev.degree
-                x = tuple(1 if i == 1 else 0 for i in range(d))
-                tp = self.vpow(1, x, self.p)
-                basis = [self.one(1)]
-                for _ in range(d - 1):
-                    basis.append(self.vmul(1, basis[-1], tp))
-                lev.frob_basis = basis
-            out = v
-            for _ in range(power):
-                acc = self.zero(1)
-                for c, b in zip(out, lev.frob_basis):
-                    if c:
-                        acc = self.vadd(1, acc, tuple((c * x) % self.p for x in b))
-                out = acc
-            return out
-        out = v
+        if self._frob_basis is None:
+            xp = self.vpow((0, 1) + self.zero[2:], self.p)
+            basis = [self.one]
+            for _ in range(self.r - 1):
+                basis.append(self.vmul(basis[-1], xp))
+            self._frob_basis = basis
+        p = self.p
         for _ in range(power):
-            out = self.vpow(level, out, self.p)
-        return out
+            acc = [0] * self.r
+            for c, b in zip(v, self._frob_basis):
+                if c:
+                    for i, x in enumerate(b):
+                        acc[i] += c * x
+            v = tuple(a % p for a in acc)
+        return v
 
     # -- square roots --------------------------------------------------------
 
-    def vsqrt(self, v, level: int):
-        """A square root of v at the given level, or None if v is a non-square."""
-        if self.is_zero(v, level):
+    def vsqrt(self, v):
+        """A square root of v, or None if v is a non-square."""
+        if v == self.zero:
             return v
-        q = self.size(level)
-        e = self.vpow(level, v, (q - 1) // 2)
-        if e != self.one(level):
+        q = self.size
+        one = self.one
+        e = self.vpow(v, (q - 1) // 2)
+        if e != one:
             return None
         if q % 4 == 3:
-            return self.vpow(level, v, (q + 1) // 4)
+            return self.vpow(v, (q + 1) // 4)
         # Tonelli-Shanks with a deterministic non-residue
-        nr = self._nonresidue.get(level)
+        nr = self._nonresidue
         if nr is None:
             n = 2
             while True:
-                cand = self.unrank(n, level)
-                if self.vpow(level, cand, (q - 1) // 2) != self.one(level):
+                cand = self.unrank(n)
+                if self.vpow(cand, (q - 1) // 2) != one:
                     nr = cand
                     break
                 n += 1
-            self._nonresidue[level] = nr
+            self._nonresidue = nr
         s, t = 0, q - 1
         while t % 2 == 0:
             s += 1
             t //= 2
         m = s
-        c = self.vpow(level, nr, t)
-        u = self.vpow(level, v, t)
-        r = self.vpow(level, v, (t + 1) // 2)
-        one = self.one(level)
+        c = self.vpow(nr, t)
+        u = self.vpow(v, t)
+        r = self.vpow(v, (t + 1) // 2)
         while u != one:
             i, z = 0, u
             while z != one:
-                z = self.vmul(level, z, z)
+                z = self.vmul(z, z)
                 i += 1
-            b = self.vpow(level, c, 1 << (m - i - 1))
-            m, c = i, self.vmul(level, b, b)
-            u = self.vmul(level, u, c)
-            r = self.vmul(level, r, b)
+            b = self.vpow(c, 1 << (m - i - 1))
+            m, c = i, self.vmul(b, b)
+            u = self.vmul(u, c)
+            r = self.vmul(r, b)
         return r
-
-    # -- list-of-raw-values polynomial helpers (used by vinv and Poly) -------
-
-    def _ptrim(self, level: int, a: list) -> list:
-        while len(a) > 1 and self.is_zero(a[-1], level):
-            a = a[:-1]
-        return a
-
-    def _padd(self, level: int, a: list, b: list) -> list:
-        n = max(len(a), len(b))
-        z = self.zero(level)
-        out = [(a[i] if i < len(a) else z) for i in range(n)]
-        for i, c in enumerate(b):
-            out[i] = self.vadd(level, out[i], c)
-        return self._ptrim(level, out)
-
-    def _psub(self, level: int, a: list, b: list) -> list:
-        return self._padd(level, a, [self.vneg(level, c) for c in b])
-
-    def _pmul(self, level: int, a: list, b: list) -> list:
-        if (len(a) == 1 and self.is_zero(a[0], level)) or \
-           (len(b) == 1 and self.is_zero(b[0], level)):
-            return [self.zero(level)]
-        z = self.zero(level)
-        out = [z] * (len(a) + len(b) - 1)
-        for i, c in enumerate(a):
-            if self.is_zero(c, level):
-                continue
-            for j, d in enumerate(b):
-                out[i + j] = self.vadd(level, out[i + j], self.vmul(level, c, d))
-        return self._ptrim(level, out)
-
-    def _pdivmod(self, level: int, num: list, den: list):
-        den = self._ptrim(level, den)
-        if len(den) == 1 and self.is_zero(den[0], level):
-            raise ZeroDivisionError("polynomial division by zero")
-        inv_lead = self.vinv(level, den[-1])
-        rem = list(num)
-        dd = len(den) - 1
-        z = self.zero(level)
-        if len(rem) - 1 < dd:
-            return [z], self._ptrim(level, rem)
-        quo = [z] * (len(rem) - dd)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i]
-            if self.is_zero(c, level):
-                continue
-            f = self.vmul(level, c, inv_lead)
-            quo[i - dd] = f
-            for j in range(dd + 1):
-                rem[i - dd + j] = self.vsub(level, rem[i - dd + j],
-                                            self.vmul(level, f, den[j]))
-        return self._ptrim(level, quo), self._ptrim(level, rem)
-
-    # -- serialization --------------------------------------------------------
-
-    def to_json(self) -> dict:
-        def enc(v, level):
-            if level == 0:
-                return str(v)
-            return [enc(c, level - 1) for c in v]
-        return {
-            "p": str(self.p),
-            "levels": [[enc(c, i) for c in lv.modulus]
-                       for i, lv in enumerate(self.levels)],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "FieldTower":
-        base = PrimeField(int(data["p"]))
-        tower = cls(base)
-        for mod in data["levels"]:
-            def dec(x):
-                if isinstance(x, list):
-                    return tuple(dec(c) for c in x)
-                return int(x)
-            coeffs = tuple(dec(c) for c in mod)
-            tower = tower._with_level(len(coeffs) - 1, coeffs)
-        return tower
-
-    def _with_level(self, degree: int, modulus: tuple) -> "FieldTower":
-        return FieldTower(self.base, self.levels + (_ExtLevel(degree, modulus),))
 
 
 class FieldElement:
-    """A value at some level of a FieldTower, with operator arithmetic."""
+    """An element of F_p or F_{p^r}, with operator arithmetic."""
 
-    __slots__ = ("tower", "level", "value")
+    __slots__ = ("field", "value")
 
-    def __init__(self, tower: FieldTower, level: int, value):
-        self.tower = tower
-        self.level = level
+    def __init__(self, field: FieldTower, value):
+        self.field = field
         self.value = value
 
-    # coercion: ints embed anywhere, lower levels lift to higher
+    # coercion: ints embed anywhere, F_p elements embed into F_{p^r}
     def _pair(self, other):
-        if isinstance(other, int):
-            return self.value, self.tower.from_int(other, self.level), self.level
-        if not isinstance(other, FieldElement) or other.tower != self.tower:
+        f = self.field
+        if isinstance(other, FieldElement):
+            g = other.field
+            if g is f:
+                return f, self.value, other.value
+            if g.base is f:
+                return g, g.from_int(self.value), other.value
+            if f.base is g:
+                return f, self.value, f.from_int(other.value)
             return NotImplemented
-        lv = max(self.level, other.level)
-        return (self.tower.lift(self.value, self.level, lv),
-                self.tower.lift(other.value, other.level, lv), lv)
+        if isinstance(other, int):
+            return f, self.value, f.from_int(other)
+        return NotImplemented
 
     def __add__(self, other):
         pr = self._pair(other)
         if pr is NotImplemented:
             return NotImplemented
-        u, v, lv = pr
-        return FieldElement(self.tower, lv, self.tower.vadd(lv, u, v))
+        f, u, v = pr
+        return FieldElement(f, f.vadd(u, v))
 
     __radd__ = __add__
 
@@ -477,22 +339,21 @@ class FieldElement:
         pr = self._pair(other)
         if pr is NotImplemented:
             return NotImplemented
-        u, v, lv = pr
-        return FieldElement(self.tower, lv, self.tower.vsub(lv, u, v))
+        f, u, v = pr
+        return FieldElement(f, f.vsub(u, v))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return FieldElement(self.tower, self.level,
-                            self.tower.vneg(self.level, self.value))
+        return FieldElement(self.field, self.field.vneg(self.value))
 
     def __mul__(self, other):
         pr = self._pair(other)
         if pr is NotImplemented:
             return NotImplemented
-        u, v, lv = pr
-        return FieldElement(self.tower, lv, self.tower.vmul(lv, u, v))
+        f, u, v = pr
+        return FieldElement(f, f.vmul(u, v))
 
     __rmul__ = __mul__
 
@@ -500,99 +361,86 @@ class FieldElement:
         pr = self._pair(other)
         if pr is NotImplemented:
             return NotImplemented
-        u, v, lv = pr
-        return FieldElement(self.tower, lv,
-                            self.tower.vmul(lv, u, self.tower.vinv(lv, v)))
+        f, u, v = pr
+        return FieldElement(f, f.vmul(u, f.vinv(v)))
 
     def __rtruediv__(self, other):
         return self.inverse() * other
 
     def __pow__(self, e: int):
-        return FieldElement(self.tower, self.level,
-                            self.tower.vpow(self.level, self.value, e))
+        return FieldElement(self.field, self.field.vpow(self.value, e))
 
     def inverse(self) -> "FieldElement":
-        return FieldElement(self.tower, self.level,
-                            self.tower.vinv(self.level, self.value))
+        return FieldElement(self.field, self.field.vinv(self.value))
 
     def __eq__(self, other):
+        if isinstance(other, int):
+            # only the canonical representative in [0, p) is equal, since
+            # only it hashes alike
+            f = self.field
+            return 0 <= other < f.p and self.value == f.from_int(other)
         pr = self._pair(other)
         if pr is NotImplemented:
             return NotImplemented
-        u, v, _ = pr
-        return u == v
+        return pr[1] == pr[2]
 
     def __hash__(self):
-        # equality lifts across levels and embeds ints, so hash the value at
-        # the lowest level it lies in: a level-0 value hashes as its int
-        tower, level, v = self.tower, self.level, self.value
-        while level:
-            low = tower.try_descend(v, level, level - 1)
-            if low is None:
-                break
-            v, level = low, level - 1
+        # equality embeds F_p and ints, so a value lying in F_p hashes as
+        # its int wherever it lives
+        v = self.value
+        if self.field.r > 1 and not any(v[1:]):
+            v = v[0]
         return hash(v)
 
     def __repr__(self):
-        return f"FieldElement(level={self.level}, {self.value})"
+        return f"FieldElement(p={self.field.p}, r={self.field.r}, {self.value})"
 
     def is_zero(self) -> bool:
-        return self.tower.is_zero(self.value, self.level)
+        return self.value == self.field.zero
+
+    def descend(self) -> "FieldElement":
+        """This element as an element of F_p; ValueError if it lies outside."""
+        f = self.field
+        if f.r == 1:
+            return self
+        if any(self.value[1:]):
+            raise ValueError("value does not lie in the prime field")
+        return FieldElement(f.base, self.value[0])
 
     def frobenius(self, power: int = 1) -> "FieldElement":
-        return FieldElement(self.tower, self.level,
-                            self.tower.frobenius(self.value, self.level, power))
+        return FieldElement(self.field, self.field.frobenius(self.value, power))
 
     def sqrt(self) -> Optional["FieldElement"]:
-        r = self.tower.vsqrt(self.value, self.level)
+        r = self.field.vsqrt(self.value)
         if r is None:
             return None
-        return FieldElement(self.tower, self.level, r)
+        return FieldElement(self.field, r)
 
     def rank(self) -> int:
-        return self.tower.rank(self.value, self.level)
-
-    def at_level(self, level: int) -> "FieldElement":
-        if level >= self.level:
-            return FieldElement(self.tower, level,
-                                self.tower.lift(self.value, self.level, level))
-        v = self.tower.try_descend(self.value, self.level, level)
-        if v is None:
-            raise ValueError("value does not lie in the requested subfield")
-        return FieldElement(self.tower, level, v)
-
-    def to_json(self):
-        def enc(v, level):
-            if level == 0:
-                return str(v)
-            return [enc(c, level - 1) for c in v]
-        return enc(self.value, self.level)
-
-    @classmethod
-    def from_json(cls, tower: FieldTower, level: int, data) -> "FieldElement":
-        def dec(x):
-            if isinstance(x, list):
-                return tuple(dec(c) for c in x)
-            return int(x)
-        return cls(tower, level, dec(data))
+        return self.field.rank(self.value)
 
 
 class Poly:
-    """Dense polynomial over one level of a tower, constant-first coefficients."""
+    """Dense polynomial over F_p, int coefficients constant first.  It can
+    be evaluated at elements of F_p and of its extensions."""
 
-    __slots__ = ("tower", "level", "coeffs")
+    __slots__ = ("field", "coeffs")
 
-    def __init__(self, tower: FieldTower, level: int, coeffs: Iterable):
-        self.tower = tower
-        self.level = level
-        cs = [c.value if isinstance(c, FieldElement) else tower.from_int(c, level)
-              if isinstance(c, int) else c for c in coeffs]
-        cs = tower._ptrim(level, cs or [tower.zero(level)])
-        self.coeffs = tuple(cs)
+    def __init__(self, field: FieldTower, coeffs: Iterable):
+        if field.r != 1:
+            raise ValueError("polynomials have coefficients in a prime field")
+        self.field = field
+        self.coeffs = tuple(_ptrim([field(c).value for c in coeffs] or [0]))
+
+    def _new(self, coeffs: list) -> "Poly":
+        out = Poly.__new__(Poly)
+        out.field = self.field
+        out.coeffs = tuple(coeffs)
+        return out
 
     @classmethod
-    def x(cls, tower: FieldTower, level: int) -> "Poly":
-        return cls(tower, level, [tower.zero(level), tower.one(level)])
+    def x(cls, field: FieldTower) -> "Poly":
+        return cls(field, [0, 1])
 
     def degree(self) -> int:
         if self.is_zero():
@@ -600,38 +448,37 @@ class Poly:
         return len(self.coeffs) - 1
 
     def is_zero(self) -> bool:
-        return len(self.coeffs) == 1 and self.tower.is_zero(self.coeffs[0], self.level)
+        return self.coeffs == (0,)
 
     def __eq__(self, other):
-        return (isinstance(other, Poly) and other.level == self.level
+        return (isinstance(other, Poly) and other.field is self.field
                 and other.coeffs == self.coeffs)
 
     def __hash__(self):
-        return hash((self.level, self.coeffs))
+        return hash(self.coeffs)
 
     def __add__(self, other):
-        return Poly(self.tower, self.level,
-                    self.tower._padd(self.level, list(self.coeffs), list(other.coeffs)))
+        return self - (-other)
 
     def __sub__(self, other):
-        return Poly(self.tower, self.level,
-                    self.tower._psub(self.level, list(self.coeffs), list(other.coeffs)))
+        return self._new(_psub(self.field.p, list(self.coeffs),
+                               list(other.coeffs)))
 
     def __neg__(self):
-        return Poly(self.tower, self.level,
-                    [self.tower.vneg(self.level, c) for c in self.coeffs])
+        p = self.field.p
+        return self._new([(-c) % p for c in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, (int, FieldElement)):
-            other = Poly(self.tower, self.level, [other])
-        return Poly(self.tower, self.level,
-                    self.tower._pmul(self.level, list(self.coeffs), list(other.coeffs)))
+            other = Poly(self.field, [other])
+        return self._new(_pmul(self.field.p, list(self.coeffs),
+                               list(other.coeffs)))
 
     __rmul__ = __mul__
 
     def divmod(self, other: "Poly"):
-        q, r = self.tower._pdivmod(self.level, list(self.coeffs), list(other.coeffs))
-        return (Poly(self.tower, self.level, q), Poly(self.tower, self.level, r))
+        q, r = _pdivmod(self.field.p, list(self.coeffs), list(other.coeffs))
+        return self._new(q), self._new(r)
 
     def __mod__(self, other: "Poly") -> "Poly":
         return self.divmod(other)[1]
@@ -642,18 +489,18 @@ class Poly:
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
-        inv = self.tower.vinv(self.level, self.coeffs[-1])
-        return Poly(self.tower, self.level,
-                    [self.tower.vmul(self.level, c, inv) for c in self.coeffs])
+        p = self.field.p
+        inv = pow(self.coeffs[-1], p - 2, p)
+        return self._new([c * inv % p for c in self.coeffs])
 
     def gcd(self, other: "Poly") -> "Poly":
         a, b = self, other
         while not b.is_zero():
             a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
+        return a.monic()
 
     def powmod(self, e: int, mod: "Poly") -> "Poly":
-        acc = Poly(self.tower, self.level, [self.tower.one(self.level)])
+        acc = self._new([1])
         base = self % mod
         while e:
             if e & 1:
@@ -663,57 +510,46 @@ class Poly:
         return acc
 
     def __call__(self, x) -> FieldElement:
-        xv = x.value if isinstance(x, FieldElement) else self.tower.from_int(x, self.level)
-        lv = max(self.level, x.level if isinstance(x, FieldElement) else 0)
-        xv = self.tower.lift(xv, x.level, lv) if isinstance(x, FieldElement) else xv
-        acc = self.tower.zero(lv)
+        f = x.field if isinstance(x, FieldElement) else self.field
+        if f.base is not self.field:
+            raise TypeError(f"cannot evaluate over {self.field!r} at {f!r}")
+        xv = f(x).value
+        acc = f.zero
         for c in reversed(self.coeffs):
-            acc = self.tower.vadd(lv, self.tower.vmul(lv, acc, xv),
-                                  self.tower.lift(c, self.level, lv))
-        return FieldElement(self.tower, lv, acc)
-
-    def element_coeffs(self) -> list:
-        return [FieldElement(self.tower, self.level, c) for c in self.coeffs]
+            acc = f.vadd(f.vmul(acc, xv), f.from_int(c))
+        return FieldElement(f, acc)
 
     def __repr__(self):
-        return f"Poly(level={self.level}, deg={self.degree()})"
-
-    def to_json(self):
-        return [FieldElement(self.tower, self.level, c).to_json() for c in self.coeffs]
+        return f"Poly(p={self.field.p}, deg={self.degree()})"
 
 
-def make_extension(tower: FieldTower, r: int) -> FieldTower:
-    """Extend the top level by degree r with the lexicographically first monic
-    irreducible polynomial (coefficients enumerated constant-first)."""
-    if r < 1:
-        raise ValueError("extension degree must be positive")
-    if r == 1:
-        return tower
-    top = tower.depth()
-    s = tower.size(top)
-    n = 0
-    while True:
+def make_extension(p: int, r: int) -> tuple:
+    """The modulus of F_{p^r}: the lexicographically first monic irreducible
+    polynomial of degree r over F_p (coefficients enumerated constant-first),
+    as a tuple of r + 1 ints."""
+    if r < 2:
+        raise ValueError("extension degree must be at least 2")
+    field = get_tower(p, 1)
+    for n in range(p ** r):
         digits = []
         m = n
         for _ in range(r):
-            digits.append(tower.unrank(m % s, top))
-            m //= s
-        coeffs = tuple(digits) + (tower.one(top),)
-        if _is_irreducible(tower, top, coeffs, r, s):
-            return tower._with_level(r, coeffs)
-        n += 1
-        if n > s**r:
-            raise RuntimeError("no irreducible polynomial found (impossible)")
+            digits.append(m % p)
+            m //= p
+        coeffs = tuple(digits) + (1,)
+        if _is_irreducible(field, coeffs, r):
+            return coeffs
+    raise RuntimeError("no irreducible polynomial found (impossible)")
 
 
-def _is_irreducible(tower: FieldTower, level: int, coeffs: tuple, r: int, s: int) -> bool:
-    # f (degree r) is irreducible over a field of size s iff it shares no root
-    # with x^(s^i) - x for every i up to r//2
-    f = Poly(tower, level, list(coeffs))
-    x = Poly.x(tower, level)
+def _is_irreducible(field: FieldTower, coeffs: tuple, r: int) -> bool:
+    # f (degree r) is irreducible over F_p iff it shares no root with
+    # x^(p^i) - x for every i up to r//2
+    f = Poly(field, coeffs)
+    x = Poly.x(field)
     cur = x
     for _ in range(r // 2):
-        cur = cur.powmod(s, f)
+        cur = cur.powmod(field.p, f)
         if not f.gcd(cur - x).degree() == 0:
             return False
     return True
@@ -750,14 +586,14 @@ def dlog_in_mu_m(base: FieldElement, target: FieldElement, m: int) -> int:
     while step * step < m:
         step += 1
     table = {}
-    cur = FieldElement(base.tower, base.level, base.tower.one(base.level))
+    cur = FieldElement(base.field, base.field.one)
     for j in range(step):
-        table.setdefault((cur.level, cur.value), j)
+        table.setdefault(cur, j)
         cur = cur * base
     giant = base.inverse() ** step
     cur = target
     for i in range(step + 1):
-        j = table.get((cur.level, cur.value))
+        j = table.get(cur)
         if j is not None:
             return (i * step + j) % m
         cur = cur * giant
@@ -765,19 +601,19 @@ def dlog_in_mu_m(base: FieldElement, target: FieldElement, m: int) -> int:
 
 
 def poly_roots(f: Poly) -> list:
-    """All roots of f in its own level, sorted by the canonical element order.
+    """All roots of f in F_p, sorted.
 
-    Splits off the linear part with gcd(f, x^q - x), then applies
+    Splits off the linear part with gcd(f, x^p - x), then applies
     equal-degree splitting with a deterministic sweep of shifts.
     """
     if f.is_zero():
         raise ValueError("the zero polynomial has every root")
-    tower, level = f.tower, f.level
+    field = f.field
     if f.degree() == 0:
         return []
-    q = tower.size(level)
-    x = Poly.x(tower, level)
-    g = f.gcd(x.powmod(q, f) - x)
+    p = field.p
+    x = Poly.x(field)
+    g = f.gcd(x.powmod(p, f) - x)
     roots = []
     stack = [g]
     shift = 1
@@ -787,18 +623,18 @@ def poly_roots(f: Poly) -> list:
             continue
         if h.degree() == 1:
             h = h.monic()
-            roots.append(tower.vneg(level, h.coeffs[0]))
+            roots.append((-h.coeffs[0]) % p)
             continue
-        # split with (x+c)^((q-1)/2) - 1 for successive shifts c
+        # split with (x+c)^((p-1)/2) - 1 for successive shifts c
         while True:
-            c = tower.unrank(shift % q, level)
+            c = shift % p
             shift += 1
-            base = Poly(tower, level, [c, tower.one(level)])
-            w = base.powmod((q - 1) // 2, h) - Poly(tower, level, [tower.one(level)])
+            base = Poly(field, [c, 1])
+            w = base.powmod((p - 1) // 2, h) - Poly(field, [1])
             d = h.gcd(w)
             if 0 < d.degree() < h.degree():
                 stack.append(d)
                 stack.append(h // d)
                 break
-    roots.sort(key=lambda v: tower.rank(v, level))
-    return [FieldElement(tower, level, v) for v in roots]
+    roots.sort()
+    return [FieldElement(field, v) for v in roots]

@@ -90,25 +90,6 @@ def _miller_at(E: Curve, P: CurvePoint, m: int, X: CurvePoint) -> FieldElement:
     return f
 
 
-def miller_function(E: Curve, P: CurvePoint, m: int, Q: CurvePoint, rng) -> FieldElement:
-    """f_{m,P} evaluated at a divisor D_Q = (Q+R) - (R) ~ (Q) - (infinity),
-    with the offset R resampled until no zero or pole is hit."""
-    if m == 1:
-        return E.a4 - E.a4 + 1
-    if not scalar_mul(E, m, P).is_infinity():
-        raise ValueError(f"the base point must be {m}-torsion")
-    for _ in range(200):
-        R = E.random_point(rng)
-        QR = point_add(E, Q, R)
-        if QR.is_infinity() or R.is_infinity() or QR == P or R == P:
-            continue
-        try:
-            return _miller_at(E, P, m, QR) / _miller_at(E, P, m, R)
-        except DegenerateEvaluation:
-            continue
-    raise RuntimeError("no nondegenerate divisor offset found")
-
-
 def weil_pairing(E: Curve, P: CurvePoint, Q: CurvePoint, m: int, rng) -> PairingValue:
     """e_m(P, Q) for P, Q in E[m]; the value is a root of unity of order
     dividing m, primitive exactly when (P, Q) is a basis of E[m]."""

@@ -202,16 +202,6 @@ class Discriminant:
     def characters(self) -> list:
         return assigned_characters(self.D)
 
-    def two_rank(self) -> int:
-        return len(self.characters()) - 1 if self.characters() else 0
-
-    def to_json(self):
-        return {"D": self.D, "factors": [list(pe) for pe in self.factors]}
-
-    @classmethod
-    def from_json(cls, data) -> "Discriminant":
-        return cls(int(data["D"]))
-
     def __repr__(self):
         return f"Discriminant(-{self.D})"
 

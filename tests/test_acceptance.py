@@ -14,14 +14,14 @@ import random
 import time
 
 from weilchar.action import (SmoothIdeal, apply_smooth_ideal,
-                             gen_supersingular_instance, get_tower,
-                             make_instance, random_smooth_class, split_prime)
+                             gen_supersingular_instance, make_instance,
+                             random_smooth_class, split_prime)
 from weilchar.attack import eval_character
 from weilchar.curves import (Curve, count_points, extension_order,
                              frobenius_map, gl2_order, point_add, scalar_mul,
                              torsion_basis, torsion_extension_degree,
                              velu_isogeny)
-from weilchar.fields import FieldElement, element_order, legendre_symbol
+from weilchar.fields import element_order, get_tower, legendre_symbol
 from weilchar.pairing import weil_pairing
 from weilchar.quadforms import (Character, char_eval_norm, compose,
                                 reduce_form, verify_character_relation)
@@ -122,22 +122,19 @@ _PAIRING_ROSTER = [
 
 
 def _pairing_site(q, a4, a6, ell, m, rng):
-    """Curve, m-torsion basis, and degree-ell isogeny, all in one tower."""
-    probe_tw = get_tower(q, 1)
-    probe = Curve(probe_tw, 0, FieldElement(probe_tw, 0, a4),
-                  FieldElement(probe_tw, 0, a6))
+    """Curve, m-torsion basis, and degree-ell isogeny, all over F_{q^r}."""
+    probe = Curve(get_tower(q, 1), a4, a6)
     N, t = count_points(probe)
     r = torsion_extension_degree(probe, m)
     tw = get_tower(q, r)
-    E0 = Curve(tw, 0, FieldElement(tw, 0, a4), FieldElement(tw, 0, a6))
+    E0 = Curve(get_tower(q, 1), a4, a6)
     K = None
     while K is None or K.is_infinity():
         K = scalar_mul(E0, N // ell, E0.random_point(rng))
     phi = velu_isogeny(E0, K, ell)
-    top = tw.depth()
-    E = E0.at_level(top)
+    E = E0.over(tw)
     P, Q = torsion_basis(E, m, extension_order(q, t, r), rng)
-    return E, P, Q, phi, phi.codomain.at_level(top)
+    return E, P, Q, phi, phi.codomain.over(tw)
 
 
 def test_criterion_4_pairing_properties():
@@ -278,8 +275,7 @@ def _exhaustive_table_check(rng):
     tors = [None] + [A for A in points if _b_mul(3, A) is None]
     assert len(tors) == 9
 
-    tw = get_tower(_BP, 1)
-    E = Curve(tw, 0, FieldElement(tw, 0, _BA4), FieldElement(tw, 0, _BA6))
+    E = Curve(get_tower(_BP, 1), _BA4, _BA6)
 
     def lift(A):
         from weilchar.curves import CurvePoint

@@ -6,11 +6,11 @@ import pytest
 from weilchar.action import (OrientedCurve, SmoothIdeal, apply_prime_ideal,
                              apply_smooth_ideal, canonical_model, eigen_kernel,
                              gen_ordinary_instance, gen_supersingular_instance,
-                             get_tower, make_instance, prime_ideal_form,
+                             make_instance, prime_ideal_form,
                              random_smooth_class, sampler_primes, split_prime)
 from weilchar.curves import (Curve, count_points, frobenius_map, point_add,
                              scalar_mul)
-from weilchar.fields import FieldElement
+from weilchar.fields import get_tower
 from weilchar.quadforms import (QuadForm, assigned_characters, class_number,
                                 enumerate_class_group)
 
@@ -68,8 +68,7 @@ def trace6_j_invariants():
     for a4 in range(1, 23):
         for a6 in range(1, 23):
             try:
-                E = Curve(tw23, 0, FieldElement(tw23, 0, a4),
-                          FieldElement(tw23, 0, a6))
+                E = Curve(tw23, a4, a6)
             except ValueError:
                 continue
             if E.j_invariant().value in (0, 1728 % 23):
@@ -140,11 +139,11 @@ def test_shifted_orientation(oc56):
 
 def test_eigen_kernel(oc56):
     K = eigen_kernel(oc56, 5, 2)
-    assert K.x.tower.size(K.x.level) == 23 ** 4
+    assert K.x.field.size == 23 ** 4
     assert frobenius_map(K, 23) == scalar_mul(oc56.curve_in(4), 2, K)
     assert eigen_kernel(oc56, 5, 2) is K
     K3 = eigen_kernel(oc56, 3, 1)
-    assert K3.x.level == 0 and frobenius_map(K3, 23) == K3
+    assert K3.x.field.r == 1 and frobenius_map(K3, 23) == K3
 
 
 def test_sampler_configs(oc24, oc56, oc52):
@@ -189,15 +188,13 @@ def test_canonical_model(oc56, oc52):
     p = 23
     for u in (2, 5, 11, 22):
         u4, u6 = pow(u, 4, p), pow(u, 6, p)
-        scaled = Curve(E.tower, 0,
-                       FieldElement(E.tower, 0, int(E.a4.value) * u4 % p),
-                       FieldElement(E.tower, 0, int(E.a6.value) * u6 % p))
+        scaled = Curve(E.field, int(E.a4.value) * u4 % p,
+                       int(E.a6.value) * u6 % p)
         assert canonical_model(scaled) == C
     # the quadratic twist shares the zero trace but is not F_q-isomorphic
     Et = oc52.curve
     d = next(d for d in range(2, 13) if pow(d, 6, 13) == 12)
-    tw = Curve(Et.tower, 0,
-               FieldElement(Et.tower, 0, int(Et.a4.value) * pow(d, 2, 13) % 13),
-               FieldElement(Et.tower, 0, int(Et.a6.value) * pow(d, 3, 13) % 13))
+    tw = Curve(Et.field, int(Et.a4.value) * pow(d, 2, 13) % 13,
+               int(Et.a6.value) * pow(d, 3, 13) % 13)
     assert count_points(tw) == count_points(Et) == (14, 0)
     assert canonical_model(tw) != canonical_model(Et)

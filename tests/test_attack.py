@@ -5,13 +5,13 @@ import pytest
 
 from weilchar import attack
 from weilchar.action import (OrientedCurve, SmoothIdeal, apply_smooth_ideal,
-                             get_tower, random_smooth_class, split_prime)
+                             random_smooth_class, split_prime)
 from weilchar.attack import (_frobenius_order_mod, adjust_generator,
                              base_side, eval_all_characters, eval_character,
                              find_noneigen_point, usable_characters)
 from weilchar.curves import (frobenius_map, point_add, scalar_mul,
                              torsion_basis, torsion_extension_degree)
-from weilchar.fields import element_order, legendre_symbol
+from weilchar.fields import element_order, get_tower, legendre_symbol
 from weilchar.pairing import weil_pairing
 from weilchar.quadforms import (Character, assigned_characters,
                                 char_eval_class, char_eval_norm,
@@ -157,7 +157,7 @@ def test_noneigen_frequency(oc24):
     rng = random.Random(7)
     r3 = torsion_extension_degree(oc24.curve, 3)
     tow = get_tower(7, r3)
-    E3 = oc24.curve.in_tower(tow, tow.depth())
+    E3 = oc24.curve.over(tow)
     B1, B2 = torsion_basis(E3, 3, oc24.group_order(r3), rng)
     hits = 0
     n_draws = 800

@@ -268,3 +268,51 @@ def test_sqrt_recover_rejects_wrong_disc(pair24, capsys):
     code, _, err = run(capsys, ["sqrt-recover", str(pair24),
                                 "--square", "1,0,1"])
     assert code == 2 and "discriminant" in err
+
+
+@pytest.fixture()
+def readme_pair(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": "ordinary", "q": "23", "t": "6",
+                               "plant": True, "seed": "1"}))
+    out = tmp_path / "pair.json"
+    code, _, _ = run(capsys, ["gen-instance", "--config", str(cfg),
+                              "--out", str(out)])
+    assert code == 0
+    return out
+
+
+def test_readme_pair_loads(readme_pair):
+    base, target, oracle = cli.load_pair(cli.read_json(str(readme_pair)))
+    assert (base.q, base.t, base.D) == (23, 6, 56)
+    assert (target.q, target.t) == (23, 6) and oracle is not None
+
+
+def _set(key, value):
+    def mutate(record):
+        if key in ("a4", "a6"):
+            record["curve"][key] = value(int(record["curve"][key]))
+        else:
+            record[key] = value(int(record[key]))
+    return mutate
+
+
+@pytest.mark.parametrize("mutate,message", [
+    (_set("a4", lambda a4: str(a4 + 23)), "not an int in [0, 23)"),
+    (_set("a6", lambda a6: "-1"), "not an int in [0, 23)"),
+    (_set("a4", lambda a4: "nine"), "not an int in [0, 23)"),
+    (_set("a4", lambda a4: "0"), "j-invariant 0 or 1728"),
+    (_set("a6", lambda a6: "0"), "j-invariant 0 or 1728"),
+    # the twist's trace gives the same discriminant
+    (_set("trace", lambda t: str(-t)), "does not match the curve"),
+], ids=["a4-unreduced", "a6-negative", "a4-not-int", "j-0", "j-1728",
+        "twist-trace"])
+def test_malformed_instance_exits_2(readme_pair, tmp_path, capsys, mutate,
+                                    message):
+    data = json.loads(readme_pair.read_text())
+    mutate(data["base"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, _, err = run(capsys, ["eval-char", str(bad), "--chars", "epsilon",
+                                "--seed", "7"])
+    assert code == 2 and "bad instance data" in err and message in err, err

@@ -7,24 +7,18 @@ from weilchar.curves import (Curve, CurvePoint, count_points,
                              frobenius_map, gl2_order, point_add,
                              sample_m_torsion, scalar_mul, torsion_basis,
                              torsion_extension_degree, velu_isogeny)
-from weilchar.fields import (FieldElement, FieldTower, Poly, PrimeField,
-                             make_extension, poly_roots)
+from weilchar.fields import FieldElement, Poly, get_tower, poly_roots
 
 
 def curve_over(p, a4, a6, r=1):
-    base = FieldTower(PrimeField(p), [])
-    tower = make_extension(FieldTower(PrimeField(p), []), r) if r > 1 else base
-    lvl = 1 if r > 1 else 0
-    return Curve(tower, lvl,
-                 FieldElement(tower, lvl, tower.from_int(a4, lvl)),
-                 FieldElement(tower, lvl, tower.from_int(a6, lvl)))
+    return Curve(get_tower(p, r), a4, a6)
 
 
 def all_points(E):
-    tower, lvl = E.tower, E.level
+    tower = E.field
     pts = [CurvePoint.infinity()]
-    for i in range(tower.size(lvl)):
-        x = FieldElement(tower, lvl, tower.unrank(i, lvl))
+    for i in range(tower.size):
+        x = FieldElement(tower, tower.unrank(i))
         c = E.rhs(x)
         if c.is_zero():
             pts.append(CurvePoint(x, c))
@@ -83,12 +77,12 @@ def test_extension_order_matches_counts():
 
 
 def test_division_polynomials():
-    t13 = FieldTower(PrimeField(13), [])
+    t13 = get_tower(13, 1)
     E = curve_over(13, 2, 3)
     A, B = 2, 3
     psi3 = division_polynomial(E, 3)
-    assert psi3 == Poly(t13, 0, [(-A * A) % 13, (12 * B) % 13, (6 * A) % 13, 0, 3])
-    assert division_polynomial(E, 2).monic() == Poly(t13, 0, [B, A, 0, 1])
+    assert psi3 == Poly(t13, [(-A * A) % 13, (12 * B) % 13, (6 * A) % 13, 0, 3])
+    assert division_polynomial(E, 2).monic() == Poly(t13, [B, A, 0, 1])
     assert division_polynomial(E, 4).degree() == 9
     assert division_polynomial(E, 8).degree() == 33
     # rational torsion x-coordinates are exactly rational psi roots with
@@ -143,7 +137,8 @@ def test_sample_and_basis():
     Nr = extension_order(13, t, r)
     P5 = sample_m_torsion(Er, 5, Nr, rng)
     assert scalar_mul(Er, 5, P5).is_infinity() and not P5.is_infinity()
-    assert division_polynomial(Er, 5)(P5.x).is_zero()
+    # psi_5 of the base curve: Er has the same coefficients
+    assert division_polynomial(E, 5)(P5.x).is_zero()
     P, Q = torsion_basis(Er, 5, Nr, rng)
     # independence: the span has m^2 elements
     span = set()
@@ -178,7 +173,7 @@ def test_velu_frobenius_commutation_and_rejection():
     N, t = count_points(E)
     r = torsion_extension_degree(E, 5)
     Er = curve_over(13, 2, 3, r=r)
-    Ee = E.in_tower(Er.tower, Er.level)
+    Ee = E.over(Er.field)
     Ne = extension_order(13, t, r)
 
     def eigen_point():
@@ -201,7 +196,7 @@ def test_velu_frobenius_commutation_and_rejection():
 
     K, lam = eigen_point()
     phi = velu_isogeny(E, K, 5)
-    assert phi.codomain.level == 0
+    assert phi.codomain.field is E.field
     assert count_points(phi.codomain)[0] == N
     P = Ee.random_point(rng)
     assert frobenius_map(phi(P), 13) == phi(frobenius_map(P, 13))
@@ -230,9 +225,56 @@ def test_frobenius_satisfies_char_poly():
 
 
 def test_point_hash_agrees_with_equality():
-    # (2, 10) on y^2 = x^3 + 2x + 12 over F_19, seen at both levels of F_361
-    tower = make_extension(FieldTower(PrimeField(19), []), 2)
-    low = CurvePoint(FieldElement(tower, 0, 2), FieldElement(tower, 0, 10))
-    lifted = CurvePoint(low.x.at_level(1), low.y.at_level(1))
+    # (2, 10) on y^2 = x^3 + 2x + 12 over F_19, and embedded in F_361
+    tower = get_tower(19, 2)
+    base = get_tower(19, 1)
+    low = CurvePoint(base(2), base(10))
+    lifted = CurvePoint(tower(low.x), tower(low.y))
     assert low == lifted and hash(low) == hash(lifted)
     assert len({low, lifted, CurvePoint.infinity()}) == 2
+
+
+# random_point(random.Random(s)) on y^2 = x^3 + a4 x + a6, recorded before
+# the field layer was flattened: x, y and the sign draw must not move
+_FROZEN_POINTS = {
+    (7, 1, 1, 3): [
+        (0, 6,
+         6),
+        (1, 4,
+         1),
+        (2, 6,
+         1),
+    ],
+    (7, 3, 1, 3): [
+        (0, (1, 0, 4),
+         (6, 5, 1)),
+        (1, (5, 2, 1),
+         (4, 2, 1)),
+        (2, (4, 6, 0),
+         (3, 3, 4)),
+    ],
+    (13, 12, 2, 3): [
+        (0, (8, 12, 0, 2, 3, 11, 0, 1, 2, 4, 7, 7),
+         (9, 4, 11, 12, 11, 7, 3, 1, 5, 12, 7, 6)),
+        (1, (0, 9, 8, 7, 3, 10, 3, 11, 5, 11, 5, 7),
+         (1, 3, 11, 10, 3, 2, 2, 8, 3, 1, 11, 0)),
+        (2, (0, 7, 9, 10, 11, 7, 4, 2, 10, 4, 10, 1),
+         (2, 5, 0, 4, 6, 3, 5, 1, 9, 11, 0, 2)),
+    ],
+    (101, 2, 1, 3): [
+        (0, (22, 68),
+         (75, 8)),
+        (1, (80, 21),
+         (6, 16)),
+        (2, (17, 9),
+         (97, 39)),
+    ],
+}
+
+
+def test_frozen_random_points():
+    for (p, r, a4, a6), rows in _FROZEN_POINTS.items():
+        E = curve_over(p, a4, a6, r=r)
+        for seed, x, y in rows:
+            P = E.random_point(random.Random(seed))
+            assert (P.x.value, P.y.value) == (x, y)

@@ -2,17 +2,13 @@ import random
 
 import pytest
 
-from weilchar.fields import (FieldElement, FieldTower, Poly, PrimeField,
-                             _is_prime, dlog_in_mu_m, element_order,
-                             legendre_symbol, make_extension, poly_roots)
+from weilchar.fields import (FieldElement, Poly, _is_prime, dlog_in_mu_m,
+                             element_order, get_tower, legendre_symbol,
+                             poly_roots)
 
 
-def fe(tower, level, v):
-    return FieldElement(tower, level, tower.from_int(v, level))
-
-
-def rand_elt(tower, level, rng):
-    return FieldElement(tower, level, tower.random_value(level, rng))
+def rand_elt(tower, rng):
+    return FieldElement(tower, tower.random_value(rng))
 
 
 def test_is_prime_table():
@@ -37,10 +33,10 @@ def test_legendre_symbol_matches_euler():
 def test_tower_axioms(p, levels):
     rng = random.Random(p)
     for r in levels:
-        tower = make_extension(FieldTower(PrimeField(p), []), r)
-        assert tower.size(1) == p ** r
+        tower = get_tower(p, r)
+        assert tower.size == p ** r
         for _ in range(40):
-            a, b, c = (rand_elt(tower, 1, rng) for _ in range(3))
+            a, b, c = (rand_elt(tower, rng) for _ in range(3))
             assert a + b == b + a
             assert a * b == b * a
             assert (a + b) + c == a + (b + c)
@@ -56,45 +52,45 @@ def test_tower_axioms(p, levels):
 
 
 def test_base_field_embeds_in_extension():
-    base = FieldTower(PrimeField(7), [])
-    tower = make_extension(FieldTower(PrimeField(7), []), 2)
+    base = get_tower(7, 1)
+    tower = get_tower(7, 2)
     for v in range(7):
-        lifted = FieldElement(tower, 1, tower.lift(base.from_int(v, 0), 0, 1))
-        assert lifted == fe(tower, 1, v)
+        lifted = tower(base(v))
+        assert lifted == tower(v)
     # lifted elements multiply like the base field does
-    a = fe(tower, 1, 3)
-    b = fe(tower, 1, 5)
-    assert a * b == fe(tower, 1, 15 % 7)
+    a = tower(3)
+    b = tower(5)
+    assert a * b == tower(15 % 7)
 
 
 def test_frobenius_fixed_field():
-    tower = make_extension(FieldTower(PrimeField(5), []), 3)
+    tower = get_tower(5, 3)
     rng = random.Random(2)
     for _ in range(20):
-        a = rand_elt(tower, 1, rng)
+        a = rand_elt(tower, rng)
         assert a ** (5 ** 3) == a
         if a ** 5 == a:
             # fixed by x -> x^5 means it lies in F_5
-            assert any(a == fe(tower, 1, v) for v in range(5))
+            assert any(a == tower(v) for v in range(5))
 
 
 def test_sqrt_on_prime_field():
-    t13 = FieldTower(PrimeField(13), [])
+    t13 = get_tower(13, 1)
     squares = {(v * v) % 13 for v in range(13)}
     for v in range(13):
-        s = fe(t13, 0, v).sqrt()
+        s = t13(v).sqrt()
         if v in squares:
-            assert s is not None and s * s == fe(t13, 0, v)
+            assert s is not None and s * s == t13(v)
         else:
             assert s is None
 
 
 def test_sqrt_on_extension():
-    tower = make_extension(FieldTower(PrimeField(7), []), 2)
+    tower = get_tower(7, 2)
     rng = random.Random(3)
     hits = 0
     for _ in range(60):
-        a = rand_elt(tower, 1, rng)
+        a = rand_elt(tower, rng)
         sq = a * a
         s = sq.sqrt()
         assert s is not None and (s == a or s == -a)
@@ -105,41 +101,41 @@ def test_sqrt_on_extension():
 
 
 def test_poly_arithmetic_and_roots():
-    t13 = FieldTower(PrimeField(13), [])
+    t13 = get_tower(13, 1)
     rng = random.Random(4)
     for _ in range(25):
         coeffs = [rng.randrange(13) for _ in range(4)] + [1]
-        f = Poly(t13, 0, coeffs)
+        f = Poly(t13, coeffs)
         roots = poly_roots(f)
-        brute = [v for v in range(13) if f(fe(t13, 0, v)).is_zero()]
+        brute = [v for v in range(13) if f(t13(v)).is_zero()]
         assert sorted(int(z.value) for z in roots) == sorted(brute)
         for z in roots:
             assert f(z).is_zero()
     # degree bookkeeping through products
-    f = Poly(t13, 0, [1, 2, 1])
-    g = Poly(t13, 0, [3, 1])
+    f = Poly(t13, [1, 2, 1])
+    g = Poly(t13, [3, 1])
     assert (f * g).degree() == 3
     q, r = (f * g).divmod(g)
     assert q == f and r.is_zero()
 
 
 def test_poly_roots_with_multiplicity_collapse():
-    t7 = FieldTower(PrimeField(7), [])
+    t7 = get_tower(7, 1)
     # (x - 2)^2 (x - 3) has root set {2, 3}
     def x_minus(c):
-        return Poly(t7, 0, [(-c) % 7, 1])
+        return Poly(t7, [(-c) % 7, 1])
     f = x_minus(2) * x_minus(2) * x_minus(3)
     roots = {int(z.value) for z in poly_roots(f)}
     assert roots == {2, 3}
 
 
 def test_element_order_and_dlog():
-    tower = make_extension(FieldTower(PrimeField(7), []), 2)
+    tower = get_tower(7, 2)
     # mu_3 lives in F_49 since 3 | 48; find a generator and take dlogs
     rng = random.Random(5)
     z = None
     while z is None:
-        a = rand_elt(tower, 1, rng)
+        a = rand_elt(tower, rng)
         if a.is_zero():
             continue
         cand = a ** (48 // 3)
@@ -151,7 +147,7 @@ def test_element_order_and_dlog():
     # mu_8 in F_49 as well
     w = None
     while w is None:
-        a = rand_elt(tower, 1, rng)
+        a = rand_elt(tower, rng)
         if a.is_zero():
             continue
         cand = a ** (48 // 8)
@@ -162,15 +158,108 @@ def test_element_order_and_dlog():
 
 
 def test_hash_agrees_with_equality():
-    tower = make_extension(FieldTower(PrimeField(13), []), 2)
-    a = fe(tower, 0, 5)
-    lifted = a.at_level(1)
+    tower = get_tower(13, 2)
+    a = get_tower(13, 1)(5)
+    lifted = tower(a)
     assert a == lifted and hash(a) == hash(lifted)
     assert len({a, lifted}) == 1
     assert a == 5 and hash(a) == hash(5)
-    # a value outside the prime field keeps its own level
+    # a value outside the prime field keeps its own hash
     rng = random.Random(3)
-    b = rand_elt(tower, 1, rng)
+    b = rand_elt(tower, rng)
     while b.value[1] == 0:
-        b = rand_elt(tower, 1, rng)
-    assert len({b, FieldElement(tower, 1, b.value), a}) == 2
+        b = rand_elt(tower, rng)
+    assert len({b, FieldElement(tower, b.value), a}) == 2
+
+
+def test_int_equality_only_for_canonical_representative():
+    # equality with an int must agree with hashing, which only the
+    # representative in [0, p) can match
+    a = get_tower(7, 1)(5)
+    assert a == 5 and a != 12 and a != -2
+    assert len({a, 5}) == 1
+    assert len({a, 12}) == 2
+    b = get_tower(7, 2)(5)
+    assert b == 5 and b != 12 and len({b, 5}) == 1
+
+
+# Recorded before the field layer was flattened: the defining polynomial of
+# each extension, the root that sqrt picks for seeded squares (both the
+# q = 3 mod 4 branch and Tonelli-Shanks), and so the representation of
+# every value an artifact is derived from.
+_FROZEN_MODULI = {
+    (7, 2): (1, 0, 1),
+    (7, 3): (2, 0, 0, 1),
+    (13, 12): (2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (101, 2): (2, 0, 1),
+    (2221, 4): (2, 0, 0, 0, 1),
+}
+
+# (p, r): [(rank of a, a * a, sqrt(a * a))] for a = unrank(n), n drawn
+# from random.Random(f"sqrt{p},{r}")
+_FROZEN_SQRT = {
+    (7, 1): [
+        (3, 2,
+         4),
+        (1, 1,
+         1),
+        (3, 2,
+         4),
+        (5, 4,
+         2),
+        (6, 1,
+         1),
+    ],
+    (7, 3): [
+        (181, (2, 2, 3),
+         (1, 3, 4)),
+        (108, (1, 5, 6),
+         (3, 1, 2)),
+        (270, (5, 2, 0),
+         (4, 3, 5)),
+        (329, (6, 5, 4),
+         (0, 2, 1)),
+        (70, (2, 5, 2),
+         (0, 4, 6)),
+    ],
+    (13, 12): [
+        (10474346375045, (2, 11, 11, 6, 12, 5, 0, 2, 8, 7, 10, 4),
+         (6, 8, 2, 4, 12, 8, 3, 8, 4, 1, 3, 8)),
+        (6983158091440, (9, 7, 2, 8, 5, 3, 2, 12, 3, 12, 2, 8),
+         (2, 7, 0, 5, 0, 10, 0, 5, 7, 5, 2, 10)),
+        (16516534036344, (12, 7, 10, 2, 8, 2, 5, 1, 0, 6, 1, 10),
+         (9, 10, 7, 0, 10, 1, 2, 7, 7, 3, 11, 4)),
+        (5317338433703, (10, 11, 8, 9, 12, 2, 2, 12, 0, 6, 4, 2),
+         (3, 3, 4, 1, 9, 0, 7, 7, 8, 6, 1, 11)),
+        (11746563351411, (11, 1, 7, 5, 1, 6, 6, 12, 8, 3, 8, 11),
+         (5, 2, 9, 5, 4, 6, 8, 0, 9, 2, 7, 6)),
+    ],
+    (101, 2): [
+        (4801, (13, 26),
+         (54, 47)),
+        (3183, (75, 93),
+         (49, 70)),
+        (4422, (18, 27),
+         (22, 58)),
+        (2957, (11, 8),
+         (73, 72)),
+        (2415, (33, 91),
+         (9, 78)),
+    ],
+}
+
+
+def test_frozen_moduli():
+    for (p, r), modulus in _FROZEN_MODULI.items():
+        assert get_tower(p, r).modulus == modulus
+
+
+def test_frozen_square_roots():
+    for (p, r), rows in _FROZEN_SQRT.items():
+        tower = get_tower(p, r)
+        rng = random.Random(f"sqrt{p},{r}")
+        for n, square, root in rows:
+            assert rng.randrange(1, p ** r) == n
+            a = FieldElement(tower, tower.unrank(n))
+            assert (a * a).value == square
+            assert (a * a).sqrt().value == root

@@ -6,18 +6,12 @@ from weilchar.curves import (Curve, CurvePoint, count_points, extension_order,
                              frobenius_map, point_add, sample_m_torsion,
                              scalar_mul, torsion_basis,
                              torsion_extension_degree, velu_isogeny)
-from weilchar.fields import (FieldElement, FieldTower, PrimeField,
-                             element_order, make_extension)
+from weilchar.fields import element_order, get_tower
 from weilchar.pairing import PairingValue, weil_pairing
 
 
 def curve_over(p, a4, a6, r=1):
-    base = FieldTower(PrimeField(p), [])
-    tower = make_extension(FieldTower(PrimeField(p), []), r) if r > 1 else base
-    lvl = 1 if r > 1 else 0
-    return Curve(tower, lvl,
-                 FieldElement(tower, lvl, tower.from_int(a4, lvl)),
-                 FieldElement(tower, lvl, tower.from_int(a6, lvl)))
+    return Curve(get_tower(p, r), a4, a6)
 
 
 def test_two_torsion_frozen_values():
@@ -26,17 +20,16 @@ def test_two_torsion_frozen_values():
     E = curve_over(13, -1 % 13, 0)
     P = E.point(0, 0)
     Q = E.point(1, 0)
-    base = E.tower
-    one = FieldElement(base, 0, base.from_int(1, 0))
-    minus_one = FieldElement(base, 0, base.from_int(-1 % 13, 0))
+    base = E.field
+    one = base(1)
+    minus_one = base(-1 % 13)
     assert weil_pairing(E, P, Q, 2, rng).value == minus_one
     assert weil_pairing(E, P, P, 2, rng).value == one
     assert weil_pairing(E, P, CurvePoint.infinity(), 2, rng).value == one
 
 
 def test_pairing_value_validates_order():
-    base = FieldTower(PrimeField(13), [])
-    two = FieldElement(base, 0, base.from_int(2, 0))
+    two = get_tower(13, 1)(2)
     with pytest.raises(ValueError):
         PairingValue(two, 3)  # 2^3 = 8 != 1 mod 13
 
@@ -91,8 +84,8 @@ def test_isogeny_compatibility():
     rng = random.Random(11)
     E0 = curve_over(13, 2, 3)
     N0, t0 = count_points(E0)
-    tw12 = make_extension(FieldTower(PrimeField(13), []), 12)
-    E12 = E0.in_tower(tw12, 1)
+    tw12 = get_tower(13, 12)
+    E12 = E0.over(tw12)
     N12 = extension_order(13, t0, 12)
     K = None
     for _ in range(60):
@@ -107,7 +100,7 @@ def test_isogeny_compatibility():
     phi = velu_isogeny(E0, K, 5)
     P3, Q3 = torsion_basis(E12, 3, N12, rng)
     z3 = weil_pairing(E12, P3, Q3, 3, rng).value
-    C12 = phi.codomain.in_tower(tw12, 1)
+    C12 = phi.codomain.over(tw12)
     iP, iQ = phi(P3), phi(Q3)
     assert C12.contains(iP) and C12.contains(iQ)
     assert weil_pairing(C12, iP, iQ, 3, rng).value == z3 ** 5
