@@ -18,10 +18,9 @@ from .curves import (Curve, CurvePoint, count_points, extension_order,
                      frobenius_map, point_add, sample_m_torsion, scalar_mul,
                      velu_isogeny)
 from .fields import FieldElement, _is_prime, get_tower
+from .memo import memo
 from .quadforms import (Discriminant, QuadForm, compose, enumerate_class_group,
                         principal_form, reduce_form)
-
-_kernel_cache: dict = {}
 
 
 class OrientedCurve:
@@ -81,6 +80,10 @@ class OrientedCurve:
         return (isinstance(other, OrientedCurve) and other.q == self.q
                 and other.t == self.t and other.sigma_k == self.sigma_k
                 and other.curve == self.curve)
+
+    def __hash__(self):
+        return hash((self.q, self.t, self.sigma_k, self.curve.a4.value,
+                     self.curve.a6.value))
 
     def __repr__(self):
         return (f"OrientedCurve(q={self.q}, t={self.t}, D={self.D}, "
@@ -143,9 +146,6 @@ class SmoothIdeal:
             n *= ell ** abs(e)
         return n
 
-    def to_json(self) -> dict:
-        return {"factors": [[ell, lam, e] for ell, lam, e in self.factors]}
-
     @classmethod
     def from_factors(cls, factors, oc: OrientedCurve) -> "SmoothIdeal":
         form = principal_form(oc.D)
@@ -156,10 +156,6 @@ class SmoothIdeal:
             for _ in range(abs(e)):
                 form = compose(form, f)
         return cls(tuple((ell, lam, e) for ell, lam, e in factors), form)
-
-    @classmethod
-    def from_json(cls, data: dict, oc: OrientedCurve) -> "SmoothIdeal":
-        return cls.from_factors([tuple(f) for f in data["factors"]], oc)
 
 
 def prime_ideal_form(oc: OrientedCurve, ell: int, lam: int) -> QuadForm:
@@ -317,10 +313,11 @@ def _fold_seed(key: tuple) -> int:
 
 def eigen_kernel(oc: OrientedCurve, ell: int, lam: int) -> CurvePoint:
     """A point K of order ell with sigma(K) = [lam]K, over the smallest
-    extension carrying the eigenline; cached per (curve, ell, lam).
+    extension carrying the eigenline.
 
-    Sampling runs on a generator derived from the cache key, so the caller's
-    randomness stream is untouched and repeat calls are free."""
+    Sampling runs on a generator seeded by the model, ell and the Frobenius
+    eigenvalue, so the caller's randomness stream is untouched and repeat
+    calls return equal points."""
     tr, N = oc.sigma_trace, oc.sigma_norm
     if (lam * lam - tr * lam + N) % ell:
         raise ValueError(f"{lam} is not an eigenvalue of sigma mod {ell}")
@@ -328,11 +325,8 @@ def eigen_kernel(oc: OrientedCurve, ell: int, lam: int) -> CurvePoint:
         raise ValueError("kernel primes must be odd, split, and unramified")
     lam_pi = (lam - oc.sigma_k) % ell          # eigenvalue of the Frobenius
     other_pi = (oc.t - lam_pi) % ell
-    key = (oc.q, oc.t, int(oc.curve.a4.value), int(oc.curve.a6.value), ell, lam_pi)
-    hit = _kernel_cache.get(key)
-    if hit is not None:
-        return hit
-    rng = random.Random(_fold_seed(key))
+    rng = random.Random(_fold_seed((oc.q, oc.t, int(oc.curve.a4.value),
+                                    int(oc.curve.a6.value), ell, lam_pi)))
     k_deg = _mult_order(lam_pi, ell)
     Ek = oc.curve_in(k_deg)
     Nk = oc.group_order(k_deg)
@@ -349,12 +343,8 @@ def eigen_kernel(oc: OrientedCurve, ell: int, lam: int) -> CurvePoint:
         if frobenius_map(T, oc.q) != scalar_mul(Ek, lam_pi, T):
             raise RuntimeError(
                 f"no eigenpoint for eigenvalue {lam} mod {ell}: inconsistent data")
-        _kernel_cache[key] = T
         return T
     raise RuntimeError(f"eigenpoint sampling failed for ell={ell}")
-
-
-_step_cache: dict = {}
 
 
 def canonical_model(curve: Curve) -> Curve:
@@ -376,20 +366,13 @@ def canonical_model(curve: Curve) -> Curve:
     return Curve(curve.field, best[0], best[1])
 
 
+@memo
 def apply_prime_ideal(oc: OrientedCurve, ell: int, lam: int) -> OrientedCurve:
     """The action of the class of (ell, sigma - lam): quotient by the
     eigenline and carry the orientation over to the codomain."""
-    lam_pi = (lam - oc.sigma_k) % ell
-    key = (oc.q, oc.t, oc.sigma_k,
-           int(oc.curve.a4.value), int(oc.curve.a6.value), ell, lam_pi)
-    hit = _step_cache.get(key)
-    if hit is not None:
-        return hit
     K = eigen_kernel(oc, ell, lam)
     phi = velu_isogeny(oc.curve, K, ell)
-    out = OrientedCurve(canonical_model(phi.codomain), oc.q, oc.t, oc.sigma_k)
-    _step_cache[key] = out
-    return out
+    return OrientedCurve(canonical_model(phi.codomain), oc.q, oc.t, oc.sigma_k)
 
 
 def apply_smooth_ideal(oc: OrientedCurve, ideal: SmoothIdeal) -> OrientedCurve:
@@ -401,9 +384,6 @@ def apply_smooth_ideal(oc: OrientedCurve, ideal: SmoothIdeal) -> OrientedCurve:
         for _ in range(abs(e)):
             cur = apply_prime_ideal(cur, ell, use)
     return cur
-
-
-_sampler_cache: dict = {}
 
 
 def _usable_split_primes(oc: OrientedCurve, degree_cap: int,
@@ -428,35 +408,35 @@ def _usable_split_primes(oc: OrientedCurve, degree_cap: int,
     return candidates
 
 
-_word_cache: dict = {}
+@memo
+def _class_words(oc: OrientedCurve, degree_cap: int, smooth_bound: int) -> dict:
+    """Each class reached by the usable split primes, mapped to a shortest
+    word (ell, lam, +-1)* reaching it (breadth-first over the class group)."""
+    gens = []
+    for _, ell, lam in _usable_split_primes(oc, degree_cap, smooth_bound):
+        f = prime_ideal_form(oc, ell, lam)
+        gens.append((ell, lam, 1, f))
+        gens.append((ell, lam, -1, f.inverse()))
+    words = {principal_form(oc.D): ()}
+    frontier = [principal_form(oc.D)]
+    while frontier:
+        nxt = []
+        for base in frontier:
+            for ell, lam, sign, f in gens:
+                reached = compose(base, f)
+                if reached in words:
+                    continue
+                words[reached] = words[base] + ((ell, lam, sign),)
+                nxt.append(reached)
+        frontier = nxt
+    return words
 
 
 def smooth_in_class(oc: OrientedCurve, form: QuadForm, degree_cap: int = 12,
                     smooth_bound: int = 50) -> SmoothIdeal:
     """A smooth ideal in the given class, as a short word in the usable split
-    primes (breadth-first over the enumerated class group)."""
-    key = (oc.q, oc.sigma_trace, oc.sigma_k, degree_cap, smooth_bound)
-    words = _word_cache.get(key)
-    if words is None:
-        candidates = _usable_split_primes(oc, degree_cap, smooth_bound)
-        gens = []
-        for _, ell, lam in candidates:
-            f = prime_ideal_form(oc, ell, lam)
-            gens.append((ell, lam, 1, f))
-            gens.append((ell, lam, -1, f.inverse()))
-        words = {principal_form(oc.D): ()}
-        frontier = [principal_form(oc.D)]
-        while frontier:
-            nxt = []
-            for base in frontier:
-                for ell, lam, sign, f in gens:
-                    reached = compose(base, f)
-                    if reached in words:
-                        continue
-                    words[reached] = words[base] + ((ell, lam, sign),)
-                    nxt.append(reached)
-            frontier = nxt
-        _word_cache[key] = words
+    primes."""
+    words = _class_words(oc, degree_cap, smooth_bound)
     target = reduce_form(form)
     if target not in words:
         raise RuntimeError(
@@ -469,18 +449,17 @@ def smooth_in_class(oc: OrientedCurve, form: QuadForm, degree_cap: int = 12,
     return SmoothIdeal.from_factors(factors, oc)
 
 
-def _sampler_config(oc: OrientedCurve, exp_bound: int, degree_cap: int,
-                    smooth_bound: int):
-    """Pick a prefix of the cheapest usable split primes whose exponent-vector
-    distribution over cl(O) is provably close to uniform.
+@memo
+def sampler_primes(oc: OrientedCurve, exp_bound: int = 5, degree_cap: int = 12,
+                   smooth_bound: int = 50):
+    """The validated sampler configuration: ([(ell, lambda)], exact statistical
+    distance of the sampled class distribution from uniform).
 
-    The distribution is computed exactly by convolving the per-prime uniform
-    exponent laws through the enumerated class group; the empirical 10h-sample
-    check the tests run is implied by it."""
-    key = (oc.q, oc.sigma_trace, exp_bound, degree_cap, smooth_bound)
-    hit = _sampler_cache.get(key)
-    if hit is not None:
-        return hit
+    The primes are the shortest prefix of the cheapest usable split primes
+    whose exponent-vector distribution over cl(O) is close to uniform.  The
+    distribution is computed exactly by convolving the per-prime uniform
+    exponent laws through the enumerated class group; the empirical
+    10h-sample check the tests run is implied by it."""
     candidates = _usable_split_primes(oc, degree_cap, smooth_bound)
     if len(candidates) < 2:
         raise RuntimeError("fewer than two usable split primes below the bound")
@@ -521,9 +500,7 @@ def _sampler_config(oc: OrientedCurve, exp_bound: int, degree_cap: int,
         chosen = candidates[:take]
         sd, full = exact_stat_distance(chosen)
         if full and sd < Fraction(5, 100):
-            cfg = ([(ell, lam) for _, ell, lam in chosen], float(sd))
-            _sampler_cache[key] = cfg
-            return cfg
+            return [(ell, lam) for _, ell, lam in chosen], float(sd)
     raise RuntimeError(
         "the usable split primes only reach a skewed or proper part of cl(O)")
 
@@ -532,17 +509,10 @@ def random_smooth_class(oc: OrientedCurve, rng, exp_bound: int = 5,
                         degree_cap: int = 12, smooth_bound: int = 50) -> SmoothIdeal:
     """A near-uniform random class as a smooth ideal: uniform exponents in
     [-exp_bound, exp_bound] over an enumeration-validated set of split primes."""
-    primes, _ = _sampler_config(oc, exp_bound, degree_cap, smooth_bound)
+    primes, _ = sampler_primes(oc, exp_bound, degree_cap, smooth_bound)
     factors = []
     for ell, lam in primes:
         e = rng.randint(-exp_bound, exp_bound)
         if e:
             factors.append((ell, lam, e))
     return SmoothIdeal.from_factors(factors, oc)
-
-
-def sampler_primes(oc: OrientedCurve, exp_bound: int = 5, degree_cap: int = 12,
-                   smooth_bound: int = 50):
-    """The validated sampler configuration: ([(ell, lambda)], exact statistical
-    distance of the sampled class distribution from uniform)."""
-    return _sampler_config(oc, exp_bound, degree_cap, smooth_bound)

@@ -12,14 +12,14 @@ import math
 import random
 import time
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .action import OrientedCurve, _fold_seed
-from .curves import (Curve, gl2_order, point_add, scalar_mul, torsion_basis,
+from .curves import (gl2_order, point_add, scalar_mul, torsion_basis,
                      torsion_extension_degree)
 from .fields import (FieldElement, FieldTower, dlog_in_mu_m, element_order,
                      get_tower)
+from .memo import memo
 from .pairing import weil_pairing
 from .quadforms import (Character, assigned_characters, char_eval_class,
                         char_eval_norm, enumerate_class_group,
@@ -67,20 +67,14 @@ def adjust_generator(oc, m: int) -> int:
     raise RuntimeError(f"no usable shift below {bound} for modulus {m}")
 
 
-_basis_cache: dict = {}
-
-
-def _torsion_basis_cached(oc, E, m: int, r: int):
-    """Basis of E[m] per (model, m), found on a generator derived from the
-    cache key so the caller's randomness stream is identical whether this
-    is the first visit or a repeat."""
-    key = (oc.q, r, int(oc.curve.a4.value), int(oc.curve.a6.value), m)
-    hit = _basis_cache.get(key)
-    if hit is None:
-        rng = random.Random(_fold_seed(key))
-        hit = torsion_basis(E, m, oc.group_order(r), rng)
-        _basis_cache[key] = hit
-    return hit
+@memo
+def _torsion_basis(oc: OrientedCurve, m: int, r: int) -> tuple:
+    """Basis of E[m] over F_{q^r}, found on a generator seeded by the model,
+    r and m, so the caller's randomness stream is the same whether or not
+    the basis was memoized."""
+    rng = random.Random(_fold_seed((oc.q, r, int(oc.curve.a4.value),
+                                    int(oc.curve.a6.value), m)))
+    return torsion_basis(oc.curve_in(r), m, oc.group_order(r), rng)
 
 
 def _noneigen_draw(oc, m: int, tower, rng, stats=None):
@@ -90,7 +84,7 @@ def _noneigen_draw(oc, m: int, tower, rng, stats=None):
     m = 4 and 8 by sigma moving (m/2)P. Returns (E, P, sigma P, pairing or
     None) so the caller reuses the work."""
     E = oc.curve.over(tower)
-    B1, B2 = _torsion_basis_cached(oc, E, m, tower.r)
+    B1, B2 = _torsion_basis(oc, m, tower.r)
     for _ in range(64):
         P = point_add(E, scalar_mul(E, rng.randrange(m), B1),
                       scalar_mul(E, rng.randrange(m), B2))
@@ -120,13 +114,6 @@ def _noneigen_draw(oc, m: int, tower, rng, stats=None):
         f"on the {m}-torsion (imprimitive sigma or wrong modulus)")
 
 
-def find_noneigen_point(oc, m: int, tower, rng, _stats=None):
-    """P in E[m] over the given tower such that sigma does not act as a
-    scalar on the pair (P, sigma P)."""
-    _, P, _, _ = _noneigen_draw(oc, m, tower, rng, _stats)
-    return P
-
-
 def _frobenius_order_mod(q: int, t: int, m: int, cap: int) -> int:
     """Order of the Frobenius companion matrix in GL2(Z/m); predicts the
     torsion extension degree when the orientation is primitive at m."""
@@ -140,13 +127,12 @@ def _frobenius_order_mod(q: int, t: int, m: int, cap: int) -> int:
     return cap
 
 
-@lru_cache(maxsize=256)
-def _extension_degree(q: int, a4: int, a6: int, m: int) -> int:
-    """torsion_extension_degree of y^2 = x^3 + a4 x + a6 over F_q at m.
-
-    It depends on the model and m alone, so one division-polynomial
-    computation serves every evaluation against the same base curve."""
-    return torsion_extension_degree(Curve(get_tower(q, 1), a4, a6), m)
+@memo
+def _extension_degree(oc: OrientedCurve, m: int) -> int:
+    """torsion_extension_degree of the instance curve at m, memoized so
+    that one division-polynomial computation serves every evaluation
+    against the same base curve."""
+    return torsion_extension_degree(oc.curve, m)
 
 
 class BaseSide(NamedTuple):
@@ -191,8 +177,7 @@ def base_side(ocE: OrientedCurve, char: Character, rng) -> BaseSide:
     t1 = time.perf_counter()
     times["adjust_ms"] = (t1 - t0) * 1000
 
-    r = _extension_degree(q, int(ocE.curve.a4.value), int(ocE.curve.a6.value),
-                          m)
+    r = _extension_degree(ocE, m)
     if gl2_order(m) % r:
         raise RuntimeError(
             f"extension degree {r} does not divide #GL2(Z/{m})")

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from .fields import FieldElement, FieldTower, Poly
+from .fields import FieldElement, FieldTower, Poly, factorize
 
 
 class CurvePoint:
@@ -198,19 +198,8 @@ def extension_order(q: int, t: int, r: int) -> int:
 def gl2_order(m: int) -> int:
     """#GL_2(Z/mZ)."""
     out = 1
-    mm = m
-    d = 2
-    while d * d <= mm:
-        if mm % d == 0:
-            k = 0
-            while mm % d == 0:
-                mm //= d
-                k += 1
-            out *= d ** (4 * k - 3) * (d - 1) * (d * d - 1)
-        d += 1
-    if mm > 1:
-        d = mm
-        out *= d * (d - 1) * (d * d - 1)
+    for d, k in factorize(m):
+        out *= d ** (4 * k - 3) * (d - 1) * (d * d - 1)
     return out
 
 
@@ -343,22 +332,10 @@ def torsion_extension_degree(E: Curve, m: int) -> int:
 def sample_m_torsion(E: Curve, m: int, order: int, rng) -> CurvePoint:
     """A uniform-ish point of exact order m (a prime power), given the group
     order of E over its field of definition."""
-    ell = None
-    d = 2
-    mm = m
-    while d * d <= mm:
-        if mm % d == 0:
-            ell = d
-            break
-        d += 1
-    if ell is None:
-        ell = mm
-    k = 0
-    while mm > 1:
-        if mm % ell:
-            raise ValueError("m must be a prime power")
-        mm //= ell
-        k += 1
+    fac = factorize(m)
+    if len(fac) != 1:
+        raise ValueError("m must be a prime power")
+    ell, k = fac[0]
     e = 0
     n = order
     while n % ell == 0:
@@ -386,9 +363,7 @@ def sample_m_torsion(E: Curve, m: int, order: int, rng) -> CurvePoint:
 def torsion_basis(E: Curve, m: int, order: int, rng) -> tuple:
     """Two generators of E[m] = (Z/m)^2 for a prime power m, assuming the full
     m-torsion is rational over E's field of size `order` + trace."""
-    ell = 2
-    while m % ell:
-        ell += 1
+    ell = factorize(m)[0][0]
     P = sample_m_torsion(E, m, order, rng)
     S1 = scalar_mul(E, m // ell, P)
     line = [CurvePoint.infinity()]
@@ -429,13 +404,12 @@ class Isogeny:
         return CurvePoint(xs, ys)
 
 
-def velu_isogeny(E: Curve, K: CurvePoint, ell: Optional[int] = None,
-                 rational_codomain: bool = True) -> Isogeny:
+def velu_isogeny(E: Curve, K: CurvePoint, ell: Optional[int] = None) -> Isogeny:
     """The quotient isogeny E -> E/<K> for K of odd prime order.
 
-    The order is derived from K when not supplied. With rational_codomain the
-    kernel must be stable under the Frobenius of E's own field, and the
-    codomain is expressed back over E's field.
+    The order is derived from K when not supplied. The kernel must be stable
+    under the Frobenius of E's own field, and the codomain is expressed back
+    over E's field.
     """
     if K.is_infinity():
         raise ValueError("kernel generator must be finite")
@@ -457,11 +431,8 @@ def velu_isogeny(E: Curve, K: CurvePoint, ell: Optional[int] = None,
                                       for d in range(3, int(math.isqrt(ell)) + 1, 2)):
         raise ValueError("kernel order must be an odd prime")
 
-    if rational_codomain:
-        q = E.field.size
-        sigmaK = frobenius_map(K, q)
-        if sigmaK not in mults:
-            raise ValueError("kernel is not Frobenius-stable over the base field")
+    if frobenius_map(K, E.field.size) not in mults:
+        raise ValueError("kernel is not Frobenius-stable over the base field")
 
     A, B = Eh.a4, Eh.a6
     t_acc = None
@@ -475,8 +446,7 @@ def velu_isogeny(E: Curve, K: CurvePoint, ell: Optional[int] = None,
     A2 = A - 5 * t_acc
     B2 = B - 7 * w_acc
 
-    if rational_codomain and field is not E.field:
+    if field is not E.field:
         # the stable kernel makes the codomain's coefficients lie in F_p
         A2, B2 = A2.descend(), B2.descend()
-    return Isogeny(E, Curve(E.field if rational_codomain else field, A2, B2),
-                   ell, mults)
+    return Isogeny(E, Curve(E.field, A2, B2), ell, mults)

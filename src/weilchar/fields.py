@@ -25,6 +25,25 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def factorize(n: int) -> list:
+    """Sorted [(prime, exponent), ...] by trial division."""
+    if n <= 0:
+        raise ValueError("positive integers only")
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
 def legendre_symbol(n: int, m: int) -> int:
     """Legendre symbol (n/m) for an odd prime m, via Euler's criterion."""
     if m < 3 or m % 2 == 0 or not _is_prime(m):
@@ -560,16 +579,7 @@ def element_order(z: FieldElement, bound: int) -> int:
     if (z ** bound) != 1:
         raise ValueError(f"element order does not divide {bound}")
     order = bound
-    n, fac = bound, []
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            fac.append(d)
-            n //= d
-        d += 1
-    if n > 1:
-        fac.append(n)
-    for q in set(fac):
+    for q, _ in factorize(bound):
         while order % q == 0 and (z ** (order // q)) == 1:
             order //= q
     return order
@@ -598,43 +608,3 @@ def dlog_in_mu_m(base: FieldElement, target: FieldElement, m: int) -> int:
             return (i * step + j) % m
         cur = cur * giant
     raise ValueError("discrete log not found in the root-of-unity subgroup")
-
-
-def poly_roots(f: Poly) -> list:
-    """All roots of f in F_p, sorted.
-
-    Splits off the linear part with gcd(f, x^p - x), then applies
-    equal-degree splitting with a deterministic sweep of shifts.
-    """
-    if f.is_zero():
-        raise ValueError("the zero polynomial has every root")
-    field = f.field
-    if f.degree() == 0:
-        return []
-    p = field.p
-    x = Poly.x(field)
-    g = f.gcd(x.powmod(p, f) - x)
-    roots = []
-    stack = [g]
-    shift = 1
-    while stack:
-        h = stack.pop()
-        if h.degree() <= 0:
-            continue
-        if h.degree() == 1:
-            h = h.monic()
-            roots.append((-h.coeffs[0]) % p)
-            continue
-        # split with (x+c)^((p-1)/2) - 1 for successive shifts c
-        while True:
-            c = shift % p
-            shift += 1
-            base = Poly(field, [c, 1])
-            w = base.powmod((p - 1) // 2, h) - Poly(field, [1])
-            d = h.gcd(w)
-            if 0 < d.degree() < h.degree():
-                stack.append(d)
-                stack.append(h // d)
-                break
-    roots.sort()
-    return [FieldElement(field, v) for v in roots]

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Optional
 
-from .fields import legendre_symbol
+from .fields import factorize, legendre_symbol
+from .memo import memo
 
 
 def _xgcd(a: int, b: int):
@@ -26,25 +25,6 @@ def _xgcd(a: int, b: int):
         old_s, s = s, old_s - q * s
         old_t, t = t, old_t - q * t
     return old_r, old_s, old_t
-
-
-def factorize(n: int) -> list:
-    """Sorted [(prime, exponent), ...] by trial division."""
-    if n <= 0:
-        raise ValueError("positive integers only")
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append((n, 1))
-    return out
 
 
 @dataclass(frozen=True)
@@ -75,10 +55,6 @@ class QuadForm:
 
     def to_json(self):
         return [self.a, self.b, self.c]
-
-    @classmethod
-    def from_json(cls, data) -> "QuadForm":
-        return cls(int(data[0]), int(data[1]), int(data[2]))
 
 
 def reduce_form(form: QuadForm) -> QuadForm:
@@ -144,7 +120,7 @@ def form_pow(f: QuadForm, e: int, D: int) -> QuadForm:
     return acc
 
 
-@lru_cache(maxsize=None)
+@memo
 def enumerate_class_group(D: int) -> tuple:
     """All reduced primitive forms of discriminant -D, canonically ordered."""
     if D <= 0 or D % 4 not in (0, 3):
@@ -180,10 +156,6 @@ class Character:
 
     def to_json(self):
         return {"kind": self.kind, "modulus": self.modulus}
-
-    @classmethod
-    def from_json(cls, data) -> "Character":
-        return cls(data["kind"], int(data["modulus"]))
 
 
 class Discriminant:

