@@ -22,6 +22,11 @@ from .memo import memo
 from .quadforms import (Discriminant, QuadForm, compose, enumerate_class_group,
                         principal_form, reduce_form)
 
+# the split primes the action uses: odd, at most SMOOTH_BOUND, with both
+# eigenline extension degrees at most DEGREE_CAP
+DEGREE_CAP = 12
+SMOOTH_BOUND = 50
+
 
 class OrientedCurve:
     """A curve over F_q together with sigma = pi_q + k orienting Z[sigma]."""
@@ -386,13 +391,12 @@ def apply_smooth_ideal(oc: OrientedCurve, ideal: SmoothIdeal) -> OrientedCurve:
     return cur
 
 
-def _usable_split_primes(oc: OrientedCurve, degree_cap: int,
-                         smooth_bound: int) -> list:
+def _usable_split_primes(oc: OrientedCurve) -> list:
     """Split primes we can afford to act by, sorted cheapest first: odd,
     coprime to qD, with both eigenline extension degrees within the cap.
     Entries are (cost, ell, lam)."""
     candidates = []
-    for ell in range(3, smooth_bound + 1, 2):
+    for ell in range(3, SMOOTH_BOUND + 1, 2):
         if not _is_prime(ell) or oc.q % ell == 0 or oc.D % ell == 0:
             continue
         kind, roots = split_prime(oc, ell)
@@ -401,7 +405,7 @@ def _usable_split_primes(oc: OrientedCurve, degree_cap: int,
         lam, lam2 = roots
         cost = max(_mult_order((lam - oc.sigma_k) % ell, ell),
                    _mult_order((lam2 - oc.sigma_k) % ell, ell))
-        if cost > degree_cap:
+        if cost > DEGREE_CAP:
             continue
         candidates.append((cost, ell, lam))
     candidates.sort()
@@ -409,11 +413,11 @@ def _usable_split_primes(oc: OrientedCurve, degree_cap: int,
 
 
 @memo
-def _class_words(oc: OrientedCurve, degree_cap: int, smooth_bound: int) -> dict:
+def _class_words(oc: OrientedCurve) -> dict:
     """Each class reached by the usable split primes, mapped to a shortest
     word (ell, lam, +-1)* reaching it (breadth-first over the class group)."""
     gens = []
-    for _, ell, lam in _usable_split_primes(oc, degree_cap, smooth_bound):
+    for _, ell, lam in _usable_split_primes(oc):
         f = prime_ideal_form(oc, ell, lam)
         gens.append((ell, lam, 1, f))
         gens.append((ell, lam, -1, f.inverse()))
@@ -432,15 +436,14 @@ def _class_words(oc: OrientedCurve, degree_cap: int, smooth_bound: int) -> dict:
     return words
 
 
-def smooth_in_class(oc: OrientedCurve, form: QuadForm, degree_cap: int = 12,
-                    smooth_bound: int = 50) -> SmoothIdeal:
+def smooth_in_class(oc: OrientedCurve, form: QuadForm) -> SmoothIdeal:
     """A smooth ideal in the given class, as a short word in the usable split
     primes."""
-    words = _class_words(oc, degree_cap, smooth_bound)
+    words = _class_words(oc)
     target = reduce_form(form)
     if target not in words:
         raise RuntimeError(
-            f"no smooth representative: the split primes below {smooth_bound} "
+            f"no smooth representative: the split primes below {SMOOTH_BOUND} "
             f"generate a proper subgroup")
     merged: dict = {}
     for ell, lam, sign in words[target]:
@@ -450,8 +453,7 @@ def smooth_in_class(oc: OrientedCurve, form: QuadForm, degree_cap: int = 12,
 
 
 @memo
-def sampler_primes(oc: OrientedCurve, exp_bound: int = 5, degree_cap: int = 12,
-                   smooth_bound: int = 50):
+def sampler_primes(oc: OrientedCurve, exp_bound: int = 5):
     """The validated sampler configuration: ([(ell, lambda)], exact statistical
     distance of the sampled class distribution from uniform).
 
@@ -460,7 +462,7 @@ def sampler_primes(oc: OrientedCurve, exp_bound: int = 5, degree_cap: int = 12,
     distribution is computed exactly by convolving the per-prime uniform
     exponent laws through the enumerated class group; the empirical
     10h-sample check the tests run is implied by it."""
-    candidates = _usable_split_primes(oc, degree_cap, smooth_bound)
+    candidates = _usable_split_primes(oc)
     if len(candidates) < 2:
         raise RuntimeError("fewer than two usable split primes below the bound")
     group = enumerate_class_group(oc.D)
@@ -505,11 +507,10 @@ def sampler_primes(oc: OrientedCurve, exp_bound: int = 5, degree_cap: int = 12,
         "the usable split primes only reach a skewed or proper part of cl(O)")
 
 
-def random_smooth_class(oc: OrientedCurve, rng, exp_bound: int = 5,
-                        degree_cap: int = 12, smooth_bound: int = 50) -> SmoothIdeal:
+def random_smooth_class(oc: OrientedCurve, rng, exp_bound: int = 5) -> SmoothIdeal:
     """A near-uniform random class as a smooth ideal: uniform exponents in
     [-exp_bound, exp_bound] over an enumeration-validated set of split primes."""
-    primes, _ = sampler_primes(oc, exp_bound, degree_cap, smooth_bound)
+    primes, _ = sampler_primes(oc, exp_bound)
     factors = []
     for ell, lam in primes:
         e = rng.randint(-exp_bound, exp_bound)

@@ -234,8 +234,7 @@ def eval_character(ocE: OrientedCurve, ocE2: OrientedCurve, char: Character,
                           base.sigma_evals + stats["sigma_evals"], times)
 
 
-def eval_all_characters(ocE: OrientedCurve, ocE2: OrientedCurve, rng,
-                        max_modulus: Optional[int] = None) -> dict:
+def eval_all_characters(ocE: OrientedCurve, ocE2: OrientedCurve, rng) -> dict:
     """Evaluate the assigned characters, skipping the one the character
     relation already determines and reporting per-character failures."""
     q = ocE.q
@@ -245,9 +244,6 @@ def eval_all_characters(ocE: OrientedCurve, ocE2: OrientedCurve, rng,
         if math.gcd(ch.modulus, q) != 1:
             report["errors"][ch.label] = (
                 "modulus shares a factor with the characteristic")
-        elif max_modulus is not None and ch.modulus > max_modulus:
-            report["errors"][ch.label] = (
-                f"modulus above the configured bound {max_modulus}")
         else:
             usable.append(ch)
     rel = relation_characters(ocE.D)
@@ -265,15 +261,13 @@ def eval_all_characters(ocE: OrientedCurve, ocE2: OrientedCurve, rng,
     return report
 
 
-def usable_characters(oc: OrientedCurve, max_modulus: Optional[int] = None) -> list:
+def usable_characters(oc: OrientedCurve) -> list:
     """Assigned characters that are both evaluable (modulus coprime to q)
     and nontrivial on the class group, per enumeration."""
     group = enumerate_class_group(oc.D)
     out = []
     for ch in assigned_characters(oc.D):
         if math.gcd(ch.modulus, oc.q) != 1:
-            continue
-        if max_modulus is not None and ch.modulus > max_modulus:
             continue
         if any(char_eval_class(ch, g, oc.D) == -1 for g in group):
             out.append(ch)

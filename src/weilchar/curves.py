@@ -105,21 +105,28 @@ class Curve:
         raise RuntimeError("failed to sample a curve point")
 
 
-def point_add(E: Curve, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
+def add_with_slope(E: Curve, P: CurvePoint, Q: CurvePoint) -> tuple:
+    """(P + Q, slope of the line through P and Q), the tangent's when
+    P == Q; the slope is None when that line is vertical or P or Q is
+    infinity."""
     if P.is_infinity():
-        return Q
+        return Q, None
     if Q.is_infinity():
-        return P
+        return P, None
     if P.x == Q.x:
         if P.y == -Q.y:
-            return CurvePoint.infinity()
+            return CurvePoint.infinity(), None
         # doubling
         lam = (3 * P.x * P.x + E.a4) / (2 * P.y)
     else:
         lam = (Q.y - P.y) / (Q.x - P.x)
     x3 = lam * lam - P.x - Q.x
     y3 = lam * (P.x - x3) - P.y
-    return CurvePoint(x3, y3)
+    return CurvePoint(x3, y3), lam
+
+
+def point_add(E: Curve, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
+    return add_with_slope(E, P, Q)[0]
 
 
 def scalar_mul(E: Curve, n: int, P: CurvePoint) -> CurvePoint:
@@ -404,32 +411,28 @@ class Isogeny:
         return CurvePoint(xs, ys)
 
 
-def velu_isogeny(E: Curve, K: CurvePoint, ell: Optional[int] = None) -> Isogeny:
-    """The quotient isogeny E -> E/<K> for K of odd prime order.
+def velu_isogeny(E: Curve, K: CurvePoint, ell: int) -> Isogeny:
+    """The quotient isogeny E -> E/<K> for K of odd prime order ell.
 
-    The order is derived from K when not supplied. The kernel must be stable
-    under the Frobenius of E's own field, and the codomain is expressed back
-    over E's field.
+    The kernel must be stable under the Frobenius of E's own field, and the
+    codomain is expressed back over E's field.
     """
+    if ell < 3 or ell % 2 == 0 or any(ell % d == 0
+                                      for d in range(3, int(math.isqrt(ell)) + 1, 2)):
+        raise ValueError("kernel order must be an odd prime")
     if K.is_infinity():
         raise ValueError("kernel generator must be finite")
     field = K.x.field
     Eh = E.over(field)
     if not Eh.contains(K):
         raise ValueError("kernel generator is not on the curve")
+    # K, 2K, ..., (ell-1)K; for prime ell, [ell]K = O with K finite means
+    # order exactly ell
     mults = [K]
-    cap = ell if ell is not None else 300
-    while not point_add(Eh, mults[-1], K).is_infinity():
+    for _ in range(ell - 2):
         mults.append(point_add(Eh, mults[-1], K))
-        if len(mults) > cap:
-            raise ValueError("kernel generator order exceeds the supported bound")
-    order = len(mults) + 1
-    if ell is not None and order != ell:
+    if not point_add(Eh, mults[-1], K).is_infinity():
         raise ValueError(f"kernel generator does not have order {ell}")
-    ell = order
-    if ell < 3 or ell % 2 == 0 or any(ell % d == 0
-                                      for d in range(3, int(math.isqrt(ell)) + 1, 2)):
-        raise ValueError("kernel order must be an odd prime")
 
     if frobenius_map(K, E.field.size) not in mults:
         raise ValueError("kernel is not Frobenius-stable over the base field")

@@ -140,7 +140,7 @@ class FieldTower:
         self.zero = 0 if r == 1 else (0,) * r
         self.one = 1 if r == 1 else (1,) + (0,) * (r - 1)
         self._frob_basis = None   # lazy: images of x^j under x -> x^p
-        self._nonresidue = None   # lazy: for Tonelli-Shanks
+        self._sqrt_consts = None  # lazy: (s, t, n^t) for Tonelli-Shanks
 
     def __repr__(self):
         return f"FieldTower(p={self.p}, r={self.r})"
@@ -279,40 +279,38 @@ class FieldTower:
     # -- square roots --------------------------------------------------------
 
     def vsqrt(self, v):
-        """A square root of v, or None if v is a non-square."""
+        """A square root of v, or None if v is a non-square.
+
+        Tonelli-Shanks with q - 1 = 2^s t, t odd, from one power
+        w = v^((t-1)/2): r = v w is the first guess and u = r w = v^t its
+        error.  v is a square exactly when u^(2^(s-1)) = 1 (Euler), which
+        the loop's first order search decides.  For q = 3 mod 4, s = 1 and
+        r = v^((q+1)/4)."""
         if v == self.zero:
             return v
-        q = self.size
         one = self.one
-        e = self.vpow(v, (q - 1) // 2)
-        if e != one:
-            return None
-        if q % 4 == 3:
-            return self.vpow(v, (q + 1) // 4)
-        # Tonelli-Shanks with a deterministic non-residue
-        nr = self._nonresidue
-        if nr is None:
-            n = 2
-            while True:
-                cand = self.unrank(n)
-                if self.vpow(cand, (q - 1) // 2) != one:
-                    nr = cand
-                    break
+        if self._sqrt_consts is None:
+            q, s, t = self.size, 0, self.size - 1
+            while t % 2 == 0:
+                s, t = s + 1, t // 2
+            n = 2   # the first non-residue in rank order; needed for s > 1
+            while s > 1 and self.vpow(self.unrank(n), (q - 1) // 2) == one:
                 n += 1
-            self._nonresidue = nr
-        s, t = 0, q - 1
-        while t % 2 == 0:
-            s += 1
-            t //= 2
-        m = s
-        c = self.vpow(nr, t)
-        u = self.vpow(v, t)
-        r = self.vpow(v, (t + 1) // 2)
+            c = self.vpow(self.unrank(n), t) if s > 1 else None
+            self._sqrt_consts = (s, t, c)
+        m, t, c = self._sqrt_consts
+        w = self.vpow(v, (t - 1) // 2)
+        r = self.vmul(v, w)
+        u = self.vmul(r, w)
         while u != one:
             i, z = 0, u
             while z != one:
                 z = self.vmul(z, z)
                 i += 1
+            if i == m:
+                # u^(2^(s-1)) = -1, so v is a non-square; later passes
+                # always have i < m
+                return None
             b = self.vpow(c, 1 << (m - i - 1))
             m, c = i, self.vmul(b, b)
             u = self.vmul(u, c)

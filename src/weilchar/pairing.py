@@ -4,20 +4,22 @@ e_m(P, Q) is computed as f_{D_P}(D_Q) / f_{D_Q}(D_P) with shifted divisors
 D_P = (P+S) - (S) and D_Q = (Q+R) - (R); the function for a shifted divisor
 is the translated Miller function, so every evaluation happens at honest
 affine points, scalar normalizations cancel in the ratios, and no
-correction-at-infinity bookkeeping is needed. Degenerate line evaluations
-trigger a resample of the shift points.
+correction-at-infinity bookkeeping is needed.
+
+Each base point is walked once: the walk over [k]P takes its slopes from
+the group law, evaluates every line and vertical at both evaluation points
+into one numerator and one denominator, and divides once at the end.  A
+line or vertical that vanishes at an evaluation point makes the walk
+return None, and the pairing draws fresh shift points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
-from .curves import Curve, CurvePoint, point_add, scalar_mul
+from .curves import Curve, CurvePoint, add_with_slope, point_add
 from .fields import FieldElement
-
-
-class DegenerateEvaluation(Exception):
-    """An intermediate line vanished at an evaluation point; reshift and retry."""
 
 
 @dataclass(frozen=True)
@@ -31,73 +33,56 @@ class PairingValue:
             raise ValueError("pairing value is not a root of unity of the stated order")
 
 
-def line_value(E: Curve, T: CurvePoint, U: CurvePoint, X: CurvePoint) -> FieldElement:
-    """Value at X of the line through T and U (tangent if T == U).
+def _miller_ratio(E: Curve, P: CurvePoint, m: int, X1: CurvePoint,
+                  X2: CurvePoint) -> Optional[FieldElement]:
+    """f_{m,P}(X1) / f_{m,P}(X2), where div(f_{m,P}) = m(P) - m(infinity),
+    for finite P and affine X1, X2; None if a line or vertical of the walk
+    vanishes at X1 or X2.  Raises ValueError unless [m]P = O.
 
-    The line through anything and infinity is the vertical through the finite
-    point; the line through infinity twice is the constant 1.
+    f_{2k} = f_k^2 l_{T,T} / v_{2T} and f_{k+1} = f_k l_{T,P} / v_{T+P},
+    where the line through a point and infinity is the vertical through the
+    point, and the line or vertical through infinity alone is 1.
     """
-    if X.is_infinity():
-        raise ValueError("lines are only evaluated at affine points")
-    one = E.a4 - E.a4 + 1
-    if T.is_infinity() and U.is_infinity():
-        return one
-    if T.is_infinity():
-        return X.x - U.x
-    if U.is_infinity():
-        return X.x - T.x
-    if T.x == U.x and T.y == -U.y:
-        # vertical line, covers the order-2 tangent case too
-        return X.x - T.x
-    if T == U:
-        lam = (3 * T.x * T.x + E.a4) / (2 * T.y)
-    else:
-        lam = (U.y - T.y) / (U.x - T.x)
-    return (X.y - T.y) - lam * (X.x - T.x)
-
-
-def _miller_at(E: Curve, P: CurvePoint, m: int, X: CurvePoint) -> FieldElement:
-    """f_{m,P}(X), where div(f_{m,P}) = m(P) - m(infinity), for P in E[m].
-
-    Raises DegenerateEvaluation if an intermediate line or vertical vanishes
-    at X; callers treat that as a request for fresh shift points.
-    """
-    if P.is_infinity():
-        raise ValueError("the Miller function needs a finite base point")
-    if X.is_infinity():
-        raise ValueError("evaluate the Miller function at affine points only")
-    one = E.a4 - E.a4 + 1
-    f = one
+    # num = f(X1) times the verticals at X2; den = f(X2) times those at X1
+    num = den = E.field(1)
     T = P
     for bit in bin(m)[3:]:
-        num = line_value(E, T, T, X)
-        T2 = point_add(E, T, T)
-        den = line_value(E, T2, -T2, X) if not T2.is_infinity() else one
-        if num.is_zero() or den.is_zero():
-            raise DegenerateEvaluation()
-        f = f * f * num / den
-        T = T2
-        if bit == "1":
-            num = line_value(E, T, P, X)
-            T1 = point_add(E, T, P)
-            den = line_value(E, T1, -T1, X) if not T1.is_infinity() else one
-            if num.is_zero() or den.is_zero():
-                raise DegenerateEvaluation()
-            f = f * num / den
-            T = T1
+        num, den = num * num, den * den
+        # a doubling with the current T, then an addition of P on a 1 bit
+        for U in ((T, P) if bit == "1" else (T,)):
+            if T.is_infinity() and U.is_infinity():
+                continue
+            S, lam = add_with_slope(E, T, U)
+            if lam is None:
+                V = U if T.is_infinity() else T
+                num *= X1.x - V.x
+                den *= X2.x - V.x
+            else:
+                num *= (X1.y - T.y) - lam * (X1.x - T.x)
+                den *= (X2.y - T.y) - lam * (X2.x - T.x)
+            if not S.is_infinity():
+                num *= X2.x - S.x
+                den *= X1.x - S.x
+            T = S
     if not T.is_infinity():
         raise ValueError(f"base point does not have order dividing {m}")
-    return f
+    # a factor that vanished once keeps its accumulator at zero
+    if num.is_zero() or den.is_zero():
+        return None
+    return num / den
 
 
 def weil_pairing(E: Curve, P: CurvePoint, Q: CurvePoint, m: int, rng) -> PairingValue:
     """e_m(P, Q) for P, Q in E[m]; the value is a root of unity of order
-    dividing m, primitive exactly when (P, Q) is a basis of E[m]."""
-    if not (scalar_mul(E, m, P).is_infinity() and scalar_mul(E, m, Q).is_infinity()):
-        raise ValueError(f"both arguments must be {m}-torsion points")
-    one = E.a4 - E.a4 + 1
+    dividing m, primitive exactly when (P, Q) is a basis of E[m].  The
+    walks raise ValueError unless both arguments lie in E[m]."""
     if P.is_infinity() or Q.is_infinity():
-        return PairingValue(one, m)
+        # e_m is 1 here and no shift points are drawn; each line of a walk
+        # at its own base point vanishes there, so it only checks the order
+        for T in (P, Q):
+            if not T.is_infinity():
+                _miller_ratio(E, T, m, T, T)
+        return PairingValue(E.field(1), m)
     for _ in range(200):
         R = E.random_point(rng)
         S = E.random_point(rng)
@@ -108,12 +93,9 @@ def weil_pairing(E: Curve, P: CurvePoint, Q: CurvePoint, m: int, rng) -> Pairing
         e4 = point_add(E, S, -R)                    # S - R
         if any(T.is_infinity() or T == P or T == Q for T in (e1, e2, e3, e4)):
             continue
-        try:
-            top = _miller_at(E, P, m, e1) / _miller_at(E, P, m, e2)
-            bot = _miller_at(E, Q, m, e3) / _miller_at(E, Q, m, e4)
-        except DegenerateEvaluation:
-            continue
-        if bot.is_zero():
+        top = _miller_ratio(E, P, m, e1, e2)
+        bot = _miller_ratio(E, Q, m, e3, e4)
+        if top is None or bot is None:
             continue
         return PairingValue(top / bot, m)
     raise RuntimeError("could not find nondegenerate shift points for the pairing")

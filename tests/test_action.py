@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import weilchar.action
 from weilchar.action import (OrientedCurve, SmoothIdeal, apply_prime_ideal,
                              apply_smooth_ideal, canonical_model, eigen_kernel,
                              gen_ordinary_instance, gen_supersingular_instance,
@@ -147,7 +148,7 @@ def test_eigen_kernel(oc56):
     assert K3.x.field.r == 1 and frobenius_map(K3, 23) == K3
 
 
-def test_sampler_configs(oc24, oc56, oc52):
+def test_sampler_configs(oc24, oc56, oc52, monkeypatch):
     """Statistical distances frozen by hand convolution over the group."""
     primes24, sd24 = sampler_primes(oc24)
     assert primes24 == [(5, 3)] and abs(sd24 - Fraction(1, 22)) < 1e-12
@@ -157,8 +158,11 @@ def test_sampler_configs(oc24, oc56, oc52):
     assert primes52 == [(7, 1)] and abs(sd52 - Fraction(1, 22)) < 1e-12
     primes52b, sd52b = sampler_primes(oc52, exp_bound=2)
     assert sd52b < 0.05 and len(primes52b) >= 2
+    # the memo key does not carry the cap, so the cached config must go
+    monkeypatch.setattr(weilchar.action, "DEGREE_CAP", 1)
+    clear_caches()
     with pytest.raises(RuntimeError):
-        sampler_primes(oc24, degree_cap=1)
+        sampler_primes(oc24)
 
 
 def test_sampled_class_uniformity(oc56):

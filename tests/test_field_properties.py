@@ -95,3 +95,15 @@ def test_prime_field_embeds_homomorphically(pr, m, n):
     # mixed arithmetic lands in the extension
     w = FieldElement(field, field.unrank(m + p * n))
     assert (w + u).field is field and w + u == w + U and w * u == w * U
+
+
+@props
+@given(elements(1))
+def test_sqrt_exists_exactly_for_squares(draw):
+    """Euler's criterion decides sqrt, from s = 1 (F_7, F_{7^3}) up to
+    s >= 4 (F_{5^4}), where q - 1 = 2^s t with t odd."""
+    field, a = draw
+    if a.is_zero():
+        return
+    euler = a ** ((field.size - 1) // 2)
+    assert (a.sqrt() is None) == (euler != 1)

@@ -171,8 +171,8 @@ def test_int_equality_only_for_canonical_representative():
 
 
 # Recorded before the field layer was flattened: the defining polynomial of
-# each extension, the root that sqrt picks for seeded squares (both the
-# q = 3 mod 4 branch and Tonelli-Shanks), and so the representation of
+# each extension, the root that sqrt picks for seeded squares (in
+# fields with q = 3 mod 4 and with q = 1 mod 4), and so the representation of
 # every value an artifact is derived from.
 _FROZEN_MODULI = {
     (7, 2): (1, 0, 1),

@@ -104,3 +104,34 @@ def test_isogeny_compatibility():
     iP, iQ = phi(P3), phi(Q3)
     assert C12.contains(iP) and C12.contains(iQ)
     assert weil_pairing(C12, iP, iQ, 3, rng).value == z3 ** 5
+
+
+def _basis(q, a4, a6, d, rng):
+    E = curve_over(q, a4, a6)
+    N, t = count_points(E)
+    r = torsion_extension_degree(E, d)
+    Er = curve_over(q, a4, a6, r=r) if r > 1 else E
+    return (Er,) + torsion_basis(Er, d, extension_order(q, t, r), rng)
+
+
+@pytest.mark.parametrize("d,m", [(2, 4), (3, 15), (5, 15)])
+def test_pairing_through_points_of_lower_order(d, m):
+    """e_m(P, Q) = e_d(P, Q)^(m/d) for P, Q in E[d], d | m.  The Miller walk
+    over [k]P reaches infinity in a doubling at (2, 4) and in an addition at
+    (3, 15), and adds P to itself at (5, 15)."""
+    rng = random.Random(17)
+    E, P, Q = _basis(13, 2, 3, d, rng)
+    zd = weil_pairing(E, P, Q, d, rng).value
+    assert element_order(zd, d) == d
+    for S, T in ((P, Q), (Q, P), (P, point_add(E, P, Q))):
+        assert (weil_pairing(E, S, T, m, rng).value
+                == weil_pairing(E, S, T, d, rng).value ** (m // d))
+
+
+def test_pairing_rejects_points_outside_the_torsion():
+    rng = random.Random(19)
+    E, P, Q = _basis(13, 2, 3, 5, rng)
+    with pytest.raises(ValueError):
+        weil_pairing(E, P, Q, 3, rng)
+    with pytest.raises(ValueError):
+        weil_pairing(E, CurvePoint.infinity(), Q, 3, rng)
