@@ -356,19 +356,35 @@ def canonical_model(curve: Curve) -> Curve:
     """The least (a4, a6) among the u-scalings (u^4 a4, u^6 a6), one fixed
     model per F_q-isomorphism class.  Short Weierstrass isomorphisms are
     exactly these scalings, so pinning the model makes walks that arrive at
-    the same class through different isogeny routes cache-identical."""
-    p = curve.field.p
+    the same class through different isogeny routes cache-identical.
+
+    The least a4' is the least k >= 1 with w = k/a4 a fourth power u^4;
+    the scalings reaching it multiply a6 by x^3 = w x for the square roots
+    x of w that are squares themselves, and the least product is a6'.
+    When a4 = 0 the least a6' is the least k >= 1 with k/a6 a sixth power."""
+    field = curve.field
+    p = field.p
     a4, a6 = int(curve.a4.value), int(curve.a6.value)
-    best = (a4, a6)
-    for u in range(2, p // 2 + 1):
-        u2 = u * u % p
-        u4 = u2 * u2 % p
-        cand = (a4 * u4 % p, a6 * u4 % p * u2 % p)
-        if cand < best:
-            best = cand
+    if a4:
+        k, w = _least_power_multiple(a4, 4, p)
+        x = field.vsqrt(w)
+        best = (k, min(a6 * w * y % p for y in (x, p - x)
+                       if field.vis_square(y)))
+    else:
+        best = (0, _least_power_multiple(a6, 6, p)[0])
     if best == (a4, a6):
         return curve
-    return Curve(curve.field, best[0], best[1])
+    return Curve(field, best[0], best[1])
+
+
+def _least_power_multiple(a: int, d: int, p: int) -> tuple:
+    """(k, k/a) for the least k >= 1 with k/a a d-th power in F_p^*."""
+    e = (p - 1) // math.gcd(d, p - 1)
+    inv = pow(a, p - 2, p)
+    k = 1
+    while pow(k * inv % p, e, p) != 1:
+        k += 1
+    return k, k * inv % p
 
 
 @memo

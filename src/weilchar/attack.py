@@ -22,8 +22,7 @@ from .fields import (FieldElement, FieldTower, dlog_in_mu_m, element_order,
 from .memo import memo
 from .pairing import weil_pairing
 from .quadforms import (Character, assigned_characters, char_eval_class,
-                        char_eval_norm, enumerate_class_group,
-                        relation_characters)
+                        char_eval_norm, enumerate_class_group)
 
 
 @dataclass
@@ -112,19 +111,6 @@ def _noneigen_draw(oc, m: int, tower, rng, stats=None):
     raise RuntimeError(
         f"no independent point in 64 draws: the orientation acts by a scalar "
         f"on the {m}-torsion (imprimitive sigma or wrong modulus)")
-
-
-def _frobenius_order_mod(q: int, t: int, m: int, cap: int) -> int:
-    """Order of the Frobenius companion matrix in GL2(Z/m); predicts the
-    torsion extension degree when the orientation is primitive at m."""
-    a, b, c, d = 0, (-q) % m, 1 % m, t % m
-    x, y, z, w = 1 % m, 0, 0, 1 % m
-    for r in range(1, cap + 1):
-        x, y, z, w = ((x * a + y * c) % m, (x * b + y * d) % m,
-                      (z * a + w * c) % m, (z * b + w * d) % m)
-        if x == w == 1 % m and y == z == 0:
-            return r
-    return cap
 
 
 @memo
@@ -232,33 +218,6 @@ def eval_character(ocE: OrientedCurve, ocE2: OrientedCurve, char: Character,
     times["total_ms"] = (t3 - t0) * 1000
     return CharEvalResult(char, value, a % m, base.r, gamma,
                           base.sigma_evals + stats["sigma_evals"], times)
-
-
-def eval_all_characters(ocE: OrientedCurve, ocE2: OrientedCurve, rng) -> dict:
-    """Evaluate the assigned characters, skipping the one the character
-    relation already determines and reporting per-character failures."""
-    q = ocE.q
-    report = {"results": [], "errors": {}, "dropped": None}
-    usable = []
-    for ch in assigned_characters(ocE.D):
-        if math.gcd(ch.modulus, q) != 1:
-            report["errors"][ch.label] = (
-                "modulus shares a factor with the characteristic")
-        else:
-            usable.append(ch)
-    rel = relation_characters(ocE.D)
-    if rel and all(ch in usable for ch in rel):
-        # the relation makes one member redundant; drop the priciest
-        drop = max(rel, key=lambda ch: (_frobenius_order_mod(
-            q, ocE.t, ch.modulus, 2 * ch.modulus ** 2), ch.modulus))
-        usable.remove(drop)
-        report["dropped"] = drop.label
-    for ch in usable:
-        try:
-            report["results"].append(eval_character(ocE, ocE2, ch, rng))
-        except (ValueError, RuntimeError) as exc:
-            report["errors"][ch.label] = str(exc)
-    return report
 
 
 def usable_characters(oc: OrientedCurve) -> list:

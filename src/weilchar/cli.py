@@ -82,14 +82,19 @@ def write_json(path, payload) -> None:
             fh.write(text)
 
 
-def read_json(path):
+def read_json(path) -> dict:
+    """The JSON object in the file at path; every input file holds one."""
     try:
         with open(path) as fh:
-            return _destring(json.load(fh))
+            data = json.load(fh)
     except OSError as exc:
         raise CommandError(EXIT_INFEASIBLE, f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise CommandError(EXIT_INFEASIBLE, f"{path} is not valid JSON: {exc}")
+    if not isinstance(data, dict):
+        raise CommandError(EXIT_INFEASIBLE,
+                           f"{path} must hold a JSON object at its top level")
+    return _destring(data)
 
 
 def _strip_key(obj, key):
@@ -259,8 +264,15 @@ def _select_chars(args_chars, base, payload_usable) -> list:
 def cmd_eval_char(args) -> int:
     payload = read_json(args.input)
     base, target, oracle = load_pair(payload)
-    chars = _select_chars(args.chars, base,
-                          payload.get("characters", {}).get("usable", []))
+    characters = payload.get("characters", {})
+    usable = (characters.get("usable", []) if isinstance(characters, dict)
+              else None)
+    if not (isinstance(usable, list) and all(isinstance(s, str)
+                                             for s in usable)):
+        raise CommandError(EXIT_INFEASIBLE,
+                           "'characters' must be an object whose 'usable' is "
+                           "a list of character labels")
+    chars = _select_chars(args.chars, base, usable)
     for ch in chars:
         if math.gcd(ch.modulus, base.q) != 1:
             raise CommandError(

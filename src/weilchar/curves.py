@@ -179,14 +179,13 @@ def count_points(E: Curve) -> tuple:
             elif c in squares:
                 n += 2
     else:
-        half = (S - 1) // 2
         for i in range(S):
             x = field.unrank(i)
             c = field.vadd(field.vmul(field.vmul(x, x), x),
                            field.vadd(field.vmul(E.a4.value, x), E.a6.value))
             if c == field.zero:
                 n += 1
-            elif field.vpow(c, half) == field.one:
+            elif field.vis_square(c):
                 n += 2
     t = S + 1 - n
     if t * t > 4 * S:

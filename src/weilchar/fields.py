@@ -4,6 +4,13 @@ Everything is plain-integer arithmetic: an element of F_p is an int in
 [0, p), and an element of F_{p^r} is a tuple of r such ints, the
 coefficients (constant first) of a polynomial modulo the field's monic
 defining polynomial.  F_p sits inside every F_{p^r} as the constants.
+
+Square roots lean on the Frobenius x -> x^p, a linear map on coefficients.
+The norm N(v) = v^(1 + p + ... + p^(r-1)) lies in F_p and decides
+squareness there, since v^((q-1)/2) = N(v)^((p-1)/2).  For odd r the
+Tonelli-Shanks loop also runs in F_p, on ints, and only its first guess is
+a power in F_{p^r}; for even r the loop stays in F_{p^r} and its power is
+taken by base-p digits over the Frobenius images.
 """
 
 from __future__ import annotations
@@ -140,7 +147,7 @@ class FieldTower:
         self.zero = 0 if r == 1 else (0,) * r
         self.one = 1 if r == 1 else (1,) + (0,) * (r - 1)
         self._frob_basis = None   # lazy: images of x^j under x -> x^p
-        self._sqrt_consts = None  # lazy: (s, t, n^t) for Tonelli-Shanks
+        self._sqrt_consts = None  # lazy: _sqrt_setup()
 
     def __repr__(self):
         return f"FieldTower(p={self.p}, r={self.r})"
@@ -276,46 +283,135 @@ class FieldTower:
             v = tuple(a % p for a in acc)
         return v
 
-    # -- square roots --------------------------------------------------------
+    # -- norm and square roots ----------------------------------------------
+
+    def _frobenius_sum_power(self, v, k: int, step: int = 1):
+        """v^(1 + p^step + p^(2 step) + ... + p^((k-1) step)) for k >= 1.
+
+        a_j = v^(1 + ... + p^((j-1) step)) follows the bits of k:
+        a_2j = a_j * phi^(j step)(a_j) and a_(j+1) = v * phi^step(a_j)."""
+        a, j = v, 1
+        for bit in bin(k)[3:]:
+            a = self.vmul(a, self.frobenius(a, j * step))
+            j *= 2
+            if bit == "1":
+                a = self.vmul(v, self.frobenius(a, step))
+                j += 1
+        return a
+
+    def _digit_power(self, v, digits):
+        """v^e for the exponent e with the given base-p digits, least first:
+        the product of phi^i(v)^(digit i), all r images sharing one
+        squaring chain of at most log2 p steps."""
+        images = [v]
+        for _ in digits[1:]:
+            images.append(self.frobenius(images[-1]))
+        acc = None
+        for bit in range(max(digits).bit_length() - 1, -1, -1):
+            if acc is not None:
+                acc = self.vmul(acc, acc)
+            for g, d in zip(images, digits):
+                if d >> bit & 1:
+                    acc = g if acc is None else self.vmul(acc, g)
+        return self.one if acc is None else acc
+
+    def vnorm(self, v) -> int:
+        """N(v) = v^(1 + p + ... + p^(r-1)), the norm of v to F_p, as an int
+        in [0, p), by about log2 r multiplications and r Frobenius maps."""
+        if self.r == 1:
+            return v
+        a = self._frobenius_sum_power(v, self.r)
+        if any(a[1:]):
+            raise RuntimeError(f"norm of {v} does not lie in the prime field")
+        return a[0]
+
+    def vis_square(self, v) -> bool:
+        """Whether v is a nonzero square, by Euler's criterion in F_p:
+        v^((q-1)/2) = N(v)^((p-1)/2)."""
+        p = self.p
+        return pow(self.vnorm(v), (p - 1) // 2, p) == 1
+
+    def _sqrt_setup(self) -> tuple:
+        """(s, c, digits) for vsqrt: q - 1 = 2^s t with t odd; c = n^t for
+        the first non-residue n in rank order (None when s = 1), an int for
+        odd r; for even r the base-p digits of (t - 1)/2, least first."""
+        p, r = self.p, self.r
+        # for odd r, (q - 1)/(p - 1) = 1 + p + ... + p^(r-1) is odd, so
+        # q - 1 and p - 1 have the same 2-part
+        e = p - 1 if r % 2 else self.size - 1
+        s = (e & -e).bit_length() - 1
+        t = (self.size - 1) >> s
+        n = 2
+        while s > 1 and self.vis_square(self.unrank(n)):
+            n += 1
+        if s == 1:
+            c = None
+        elif r % 2:
+            c = pow(n, t, p)    # n < p: a non-residue of F_p stays one
+        else:
+            c = self.vpow(self.unrank(n), t)
+        digits = None if r % 2 else self.unrank((t - 1) // 2)
+        return s, c, digits
 
     def vsqrt(self, v):
         """A square root of v, or None if v is a non-square.
 
-        Tonelli-Shanks with q - 1 = 2^s t, t odd, from one power
-        w = v^((t-1)/2): r = v w is the first guess and u = r w = v^t its
-        error.  v is a square exactly when u^(2^(s-1)) = 1 (Euler), which
-        the loop's first order search decides.  For q = 3 mod 4, s = 1 and
-        r = v^((q+1)/4)."""
+        Squareness is decided first, by the norm in F_p (see vis_square).
+        The root is the Tonelli-Shanks one for q - 1 = 2^s t, t odd: the
+        guess v^((t+1)/2) times the corrections that bring its error
+        u = v^t to 1, which are powers of c = n^t for a fixed non-residue
+        n.  Two paths compute that same root:
+
+        - odd r (r = 1 included): q - 1 = (p - 1) M with M odd, so
+          t = t' M with t' = (p - 1)/2^s.  u = N(v)^t' and c lie in F_p,
+          so the loop runs on ints.  Only the guess lives in F_{p^r}:
+          v^((t+1)/2) = v * (v^((p+1)/2))^(p (1 + p^2 + ... + p^(r-3)))
+          * N(v)^((t'-1)/2), one power by (p + 1)/2 and a Frobenius chain,
+          scaled at the end by an int.
+        - even r: the loop runs in F_{p^r} from w = v^((t-1)/2), guess
+          v w and error u = v w^2; w is taken by the base-p digits of its
+          exponent over the r Frobenius images of v (_digit_power)."""
         if v == self.zero:
             return v
-        one = self.one
+        p, r = self.p, self.r
+        norm = self.vnorm(v)
+        if pow(norm, (p - 1) // 2, p) != 1:
+            return None
         if self._sqrt_consts is None:
-            q, s, t = self.size, 0, self.size - 1
-            while t % 2 == 0:
-                s, t = s + 1, t // 2
-            n = 2   # the first non-residue in rank order; needed for s > 1
-            while s > 1 and self.vpow(self.unrank(n), (q - 1) // 2) == one:
-                n += 1
-            c = self.vpow(self.unrank(n), t) if s > 1 else None
-            self._sqrt_consts = (s, t, c)
-        m, t, c = self._sqrt_consts
-        w = self.vpow(v, (t - 1) // 2)
-        r = self.vmul(v, w)
-        u = self.vmul(r, w)
-        while u != one:
-            i, z = 0, u
-            while z != one:
-                z = self.vmul(z, z)
-                i += 1
-            if i == m:
-                # u^(2^(s-1)) = -1, so v is a non-square; later passes
-                # always have i < m
-                return None
-            b = self.vpow(c, 1 << (m - i - 1))
-            m, c = i, self.vmul(b, b)
-            u = self.vmul(u, c)
-            r = self.vmul(r, b)
-        return r
+            self._sqrt_consts = self._sqrt_setup()
+        s, c, digits = self._sqrt_consts
+        if r % 2:
+            tp = (p - 1) >> s
+            scale = _tonelli_shanks(lambda a, b: a * b % p, 1, s, c,
+                                    pow(norm, tp, p),
+                                    pow(norm, (tp - 1) // 2, p))
+            if r == 1:
+                return v * scale % p
+            y = self.vpow(v, (p + 1) // 2)
+            guess = self.vmul(v, self.frobenius(
+                self._frobenius_sum_power(y, (r - 1) // 2, 2)))
+            return tuple(a * scale % p for a in guess)
+        w = self._digit_power(v, digits)
+        guess = self.vmul(v, w)
+        return _tonelli_shanks(self.vmul, self.one, s, c,
+                               self.vmul(guess, w), guess)
+
+
+def _tonelli_shanks(mul, one, m: int, c, u, acc):
+    """The Tonelli-Shanks loop: acc times the corrections b that bring the
+    error u to one.  c has order 2^m and u an order dividing 2^(m-1)."""
+    while u != one:
+        i, z = 0, u
+        while z != one:
+            z = mul(z, z)
+            i += 1
+        b = c
+        for _ in range(m - i - 1):
+            b = mul(b, b)
+        m, c = i, mul(b, b)
+        u = mul(u, c)
+        acc = mul(acc, b)
+    return acc
 
 
 class FieldElement:

@@ -207,6 +207,36 @@ def test_sampler_keys_on_the_whole_instance(oc120):
     assert ideal.class_form.disc() == -108
 
 
+def _least_scaling(p: int, a4: int, a6: int) -> tuple:
+    """The least (u^4 a4, u^6 a6) over u in F_p^*, by trying every u."""
+    best = (a4, a6)
+    for u in range(2, p // 2 + 1):
+        u2 = u * u % p
+        u4 = u2 * u2 % p
+        cand = (a4 * u4 % p, a6 * u4 % p * u2 % p)
+        if cand < best:
+            best = cand
+    return best
+
+
+def test_canonical_model_is_the_least_scaling():
+    # every nonsingular curve over small fields, j = 0 and j = 1728 among
+    # them, and a seeded sample of curves over F_2221
+    cases = [(p, a4, a6) for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41,
+                                   43, 101)
+             for a4 in range(p) for a6 in range(p)]
+    rng = random.Random(5)
+    cases += [(2221, rng.randrange(2221), rng.randrange(2221))
+              for _ in range(40)]
+    cases += [(2221, 0, 1), (2221, 3, 0)]
+    for p, a4, a6 in cases:
+        if (4 * a4 ** 3 + 27 * a6 ** 2) % p == 0:
+            continue
+        C = canonical_model(Curve(get_tower(p, 1), a4, a6))
+        assert (C.a4.value, C.a6.value) == _least_scaling(p, a4, a6), \
+            (p, a4, a6)
+
+
 def test_canonical_model(oc56, oc52):
     E = oc56.curve
     C = canonical_model(E)

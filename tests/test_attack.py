@@ -5,8 +5,7 @@ import pytest
 
 from weilchar.action import (OrientedCurve, SmoothIdeal, apply_smooth_ideal,
                              random_smooth_class, split_prime)
-from weilchar.attack import (_frobenius_order_mod, _noneigen_draw,
-                             adjust_generator, base_side, eval_all_characters,
+from weilchar.attack import (_noneigen_draw, adjust_generator, base_side,
                              eval_character, usable_characters)
 from weilchar.curves import (frobenius_map, point_add, scalar_mul,
                              torsion_basis, torsion_extension_degree)
@@ -133,20 +132,7 @@ def test_composition(oc24):
     assert v_full == v_a * v_b
 
 
-def test_eval_all_bookkeeping(oc24, oc52):
-    rng = random.Random(7)
-    step = apply_smooth_ideal(
-        oc24, SmoothIdeal.from_factors([(5, 3, 1)], oc24))
-    rep = eval_all_characters(oc24, step, rng)
-    assert rep["dropped"] == "epsilon" and not rep["errors"]
-    assert [r.char.label for r in rep["results"]] == ["chi_3"]
-
-    t13 = apply_smooth_ideal(
-        oc52, SmoothIdeal.from_factors([(7, 1, 3)], oc52))
-    rep13 = eval_all_characters(oc52, t13, rng)
-    assert rep13["dropped"] is None
-    assert "chi_13" in rep13["errors"]
-    assert [r.char.label for r in rep13["results"]] == ["delta"]
+def test_usable_characters(oc24, oc52):
     assert [c.label for c in usable_characters(oc52)] == ["delta"]
     assert [c.label for c in usable_characters(oc24)] == ["chi_3", "epsilon"]
 
@@ -202,6 +188,19 @@ def test_imprimitive_rejected(oc24, oc52):
     r4 = torsion_extension_degree(oc52.curve, 4)
     with pytest.raises(RuntimeError, match="imprimitive"):
         _noneigen_draw(_Imprimitive(oc52, 4, 1), 4, get_tower(13, r4), rng)
+
+
+def _frobenius_order_mod(q: int, t: int, m: int, cap: int) -> int:
+    """Order of the Frobenius companion matrix in GL2(Z/m), capped: the
+    torsion extension degree when the orientation is primitive at m."""
+    a, b, c, d = 0, (-q) % m, 1 % m, t % m
+    x, y, z, w = 1 % m, 0, 0, 1 % m
+    for r in range(1, cap + 1):
+        x, y, z, w = ((x * a + y * c) % m, (x * b + y * d) % m,
+                      (z * a + w * c) % m, (z * b + w * d) % m)
+        if x == w == 1 % m and y == z == 0:
+            return r
+    return cap
 
 
 def test_frobenius_order_frozen(oc24, oc52):

@@ -316,3 +316,34 @@ def test_malformed_instance_exits_2(readme_pair, tmp_path, capsys, mutate,
     code, _, err = run(capsys, ["eval-char", str(bad), "--chars", "epsilon",
                                 "--seed", "7"])
     assert code == 2 and "bad instance data" in err and message in err, err
+
+
+@pytest.mark.parametrize("top", ["[]", "[1, 2]", "null", "7", '"pair"'],
+                         ids=["empty-list", "list", "null", "number",
+                              "string"])
+@pytest.mark.parametrize("argv", [
+    ["eval-char", "{}"],
+    ["sqrt-recover", "{}", "--square", "1,0,14"],
+    ["ddh-experiment", "--config", "{}"],
+    ["gen-instance", "--config", "{}"],
+], ids=["eval-char", "sqrt-recover", "ddh-experiment", "gen-instance"])
+def test_non_object_input_exits_2(tmp_path, capsys, top, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_text(top)
+    code, _, err = run(capsys, [a.format(bad) for a in argv])
+    assert code == 2 and "must hold a JSON object" in err, err
+
+
+@pytest.mark.parametrize("characters", [
+    [], ["chi_3"], None, 3, {"usable": "chi_3"}, {"usable": None},
+    {"usable": [3]},
+], ids=["list", "label-list", "null", "number", "usable-string",
+        "usable-null", "usable-ints"])
+def test_mistyped_characters_exits_2(readme_pair, tmp_path, capsys,
+                                     characters):
+    data = json.loads(readme_pair.read_text())
+    data["characters"] = characters
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, _, err = run(capsys, ["eval-char", str(bad), "--seed", "7"])
+    assert code == 2 and "'characters' must be an object" in err, err

@@ -107,3 +107,15 @@ def test_sqrt_exists_exactly_for_squares(draw):
         return
     euler = a ** ((field.size - 1) // 2)
     assert (a.sqrt() is None) == (euler != 1)
+    assert field.vis_square(a.value) == (euler == 1)
+
+
+@props
+@given(elements(2))
+def test_norm_is_a_multiplicative_map_to_the_prime_field(draw):
+    field, a, b = draw
+    p = field.p
+    n = field.vnorm(a.value)
+    assert isinstance(n, int) and 0 <= n < p
+    assert a ** ((field.size - 1) // (p - 1)) == n
+    assert field.vnorm((a * b).value) == n * field.vnorm(b.value) % p

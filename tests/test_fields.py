@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from weilchar.fields import (FieldElement, Poly, _is_prime, dlog_in_mu_m,
-                             element_order, get_tower, legendre_symbol)
+from weilchar.fields import (FieldElement, FieldTower, Poly, _is_prime,
+                             dlog_in_mu_m, element_order, get_tower,
+                             legendre_symbol)
 
 
 def rand_elt(tower, rng):
@@ -241,8 +242,8 @@ def test_frozen_moduli():
         assert get_tower(p, r).modulus == modulus
 
 
-def test_frozen_square_roots():
-    for (p, r), rows in _FROZEN_SQRT.items():
+def _check_frozen_square_roots(table):
+    for (p, r), rows in table.items():
         tower = get_tower(p, r)
         rng = random.Random(f"sqrt{p},{r}")
         for n, square, root in rows:
@@ -250,3 +251,81 @@ def test_frozen_square_roots():
             a = FieldElement(tower, tower.unrank(n))
             assert (a * a).value == square
             assert (a * a).sqrt().value == root
+
+
+def test_frozen_square_roots():
+    _check_frozen_square_roots(_FROZEN_SQRT)
+
+
+# Recorded, like _FROZEN_SQRT, with the plain Tonelli-Shanks power in
+# F_{p^r}, before square roots went through the norm: odd r with s = 4
+# (p = 17) and s = 2 (p = 2221), where the loop runs in F_p; even r at the
+# ddh field (101, 4); and r = 7 over the criterion-7 prime.
+_FROZEN_SQRT_NORM_PATHS = {
+    (17, 3): [
+        (1479, (8, 7, 13),
+         (0, 15, 12)),
+        (359, (14, 5, 2),
+         (2, 4, 1)),
+        (4421, (10, 1, 0),
+         (16, 12, 2)),
+        (1261, (1, 8, 10),
+         (3, 6, 4)),
+        (470, (10, 10, 2),
+         (6, 7, 16)),
+    ],
+    (2221, 3): [
+        (9567918357, (688, 1472, 542),
+         (1385, 1413, 1939)),
+        (8513846910, (1327, 2172, 1175),
+         (1230, 107, 496)),
+        (9948044576, (1474, 1793, 2050),
+         (1233, 1547, 2016)),
+        (9990905087, (1345, 792, 1191),
+         (886, 856, 2025)),
+        (678728047, (701, 209, 1339),
+         (1552, 1318, 137)),
+    ],
+    (101, 4): [
+        (70728514, (52, 0, 40, 16),
+         (32, 49, 65, 68)),
+        (68841963, (74, 1, 12, 73),
+         (41, 46, 19, 35)),
+        (45886310, (66, 75, 34, 75),
+         (91, 21, 54, 44)),
+        (76522754, (12, 85, 93, 13),
+         (3, 50, 27, 74)),
+        (53130047, (52, 31, 54, 19),
+         (7, 32, 57, 51)),
+    ],
+    (120121, 7): [
+        (55960702759392119714910541462722212,
+         (16153, 76890, 62349, 73183, 105971, 80171, 16345),
+         (22498, 104838, 81117, 41829, 109363, 103137, 101493)),
+        (167861964990362958851839018301067767,
+         (113633, 10175, 27492, 96397, 63355, 89277, 61038),
+         (104100, 71044, 78362, 84299, 82811, 86354, 55877)),
+        (289648551042822297537821639484438932,
+         (106039, 34606, 26808, 111624, 91547, 74919, 43984),
+         (75874, 42308, 113920, 116263, 70136, 109654, 96417)),
+        (168681070787469485609881753447112697,
+         (59256, 50878, 16918, 75970, 19124, 68565, 58724),
+         (115893, 82681, 94585, 59155, 87988, 45885, 56150)),
+        (26892084951358304966597528341421065,
+         (59123, 28349, 24699, 48676, 16164, 34203, 114232),
+         (103219, 75110, 51750, 38352, 19199, 22862, 111170)),
+    ],
+}
+
+
+def test_frozen_square_roots_on_both_paths():
+    _check_frozen_square_roots(_FROZEN_SQRT_NORM_PATHS)
+
+
+def test_norm_outside_the_prime_field_raises():
+    # over x^2 - 1 = (x - 1)(x + 1), not a field, x^p = x and the "norm"
+    # of 1 + x is (1 + x)^2 = 2 + 2x; the check must survive python -O
+    ring = FieldTower(7, 2, (6, 0, 1))
+    assert ring.vnorm((0, 1)) == 1
+    with pytest.raises(RuntimeError, match="prime field"):
+        ring.vnorm((1, 1))
