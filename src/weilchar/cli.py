@@ -162,7 +162,16 @@ def load_pair(payload):
             (target.q, target.sigma_trace, target.sigma_k):
         raise CommandError(EXIT_INFEASIBLE,
                            "pair halves do not share a sigma descriptor")
-    return base, target, payload.get("oracle")
+    oracle = payload.get("oracle")
+    values = (oracle.get("char_values", {}) if isinstance(oracle, dict)
+              else None)
+    if oracle is not None and not (
+            isinstance(values, dict)
+            and all(type(v) is int and v in (1, -1) for v in values.values())):
+        raise CommandError(EXIT_INFEASIBLE,
+                           "'oracle' must be an object whose 'char_values' "
+                           "maps character labels to +1 or -1")
+    return base, target, oracle
 
 
 def _form_from_triple(triple) -> QuadForm:

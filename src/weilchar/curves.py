@@ -2,6 +2,11 @@
 with division polynomials, torsion sampling, and Velu isogenies.
 
 Characteristic is always at least 5 here, so the short form loses nothing.
+
+The group law is written once, in _add_raw, on raw field values: a point is
+an (x, y) pair of raw coordinates or None for infinity.  point_add,
+add_with_slope, scalar_mul and the Miller walk in pairing run on it and
+build FieldElement and CurvePoint objects only for what they return.
 """
 
 from __future__ import annotations
@@ -94,35 +99,67 @@ class Curve:
         return self if field is self.field else Curve(field, self.a4, self.a6)
 
     def random_point(self, rng) -> CurvePoint:
+        f = self.field
+        a4, a6 = self.a4.value, self.a6.value
         for _ in range(10000):
-            x = FieldElement(self.field, self.field.random_value(rng))
-            y = self.rhs(x).sqrt()
+            x = f.random_value(rng)
+            y = f.vsqrt(f.vadd(f.vmul(f.vadd(f.vmul(x, x), a4), x), a6))
             if y is None:
                 continue
             if rng.randrange(2):
-                y = -y
-            return CurvePoint(x, y)
+                y = f.vneg(y)
+            return CurvePoint(FieldElement(f, x), FieldElement(f, y))
         raise RuntimeError("failed to sample a curve point")
+
+
+def _raw(f: FieldTower, P: CurvePoint):
+    """P as a raw point of f: None for infinity, else the pair of raw
+    coordinate values.  A point over f's prime field embeds; any other
+    field raises as f(x) does (TypeError, or ValueError off F_p)."""
+    if P.is_infinity():
+        return None
+    return f(P.x).value, f(P.y).value
+
+
+def _point(f: FieldTower, A) -> CurvePoint:
+    """The CurvePoint of a raw point of f."""
+    if A is None:
+        return CurvePoint.infinity()
+    return CurvePoint(FieldElement(f, A[0]), FieldElement(f, A[1]))
+
+
+def _add_raw(f: FieldTower, a4, A, B) -> tuple:
+    """The group law on raw points of f for y^2 = x^3 + a4 x + a6 (a4 a
+    raw value): (A + B, slope of the line through A and B), the tangent's
+    when A == B.  The slope is None when that line is vertical or A or B
+    is infinity (None).  This is the one point-addition formula; the
+    public functions and the Miller walk wrap it."""
+    if A is None:
+        return B, None
+    if B is None:
+        return A, None
+    x1, y1 = A
+    x2, y2 = B
+    if x1 == x2:
+        if f.vadd(y1, y2) == f.zero:
+            return None, None
+        # doubling: (3 x^2 + a4) / (2 y)
+        xx = f.vmul(x1, x1)
+        lam = f.vmul(f.vadd(f.vadd(f.vadd(xx, xx), xx), a4),
+                     f.vinv(f.vadd(y1, y1)))
+    else:
+        lam = f.vmul(f.vsub(y2, y1), f.vinv(f.vsub(x2, x1)))
+    x3 = f.vsub(f.vsub(f.vmul(lam, lam), x1), x2)
+    return (x3, f.vsub(f.vmul(lam, f.vsub(x1, x3)), y1)), lam
 
 
 def add_with_slope(E: Curve, P: CurvePoint, Q: CurvePoint) -> tuple:
     """(P + Q, slope of the line through P and Q), the tangent's when
     P == Q; the slope is None when that line is vertical or P or Q is
-    infinity."""
-    if P.is_infinity():
-        return Q, None
-    if Q.is_infinity():
-        return P, None
-    if P.x == Q.x:
-        if P.y == -Q.y:
-            return CurvePoint.infinity(), None
-        # doubling
-        lam = (3 * P.x * P.x + E.a4) / (2 * P.y)
-    else:
-        lam = (Q.y - P.y) / (Q.x - P.x)
-    x3 = lam * lam - P.x - Q.x
-    y3 = lam * (P.x - x3) - P.y
-    return CurvePoint(x3, y3), lam
+    infinity.  Points over E's prime field embed in E's field."""
+    f = E.field
+    S, lam = _add_raw(f, E.a4.value, _raw(f, P), _raw(f, Q))
+    return _point(f, S), None if lam is None else FieldElement(f, lam)
 
 
 def point_add(E: Curve, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
@@ -132,14 +169,17 @@ def point_add(E: Curve, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
 def scalar_mul(E: Curve, n: int, P: CurvePoint) -> CurvePoint:
     if n < 0:
         return scalar_mul(E, -n, -P)
-    acc = CurvePoint.infinity()
-    add = P
+    f = E.field
+    a4 = E.a4.value
+    acc = None
+    add = _raw(f, P)
     while n:
         if n & 1:
-            acc = point_add(E, acc, add)
-        add = point_add(E, add, add)
+            acc = _add_raw(f, a4, acc, add)[0]
         n >>= 1
-    return acc
+        if n:
+            add = _add_raw(f, a4, add, add)[0]
+    return _point(f, acc)
 
 
 def frobenius_map(P: CurvePoint, q: int) -> CurvePoint:

@@ -5,7 +5,14 @@ Everything is plain-integer arithmetic: an element of F_p is an int in
 coefficients (constant first) of a polynomial modulo the field's monic
 defining polynomial.  F_p sits inside every F_{p^r} as the constants.
 
-Square roots lean on the Frobenius x -> x^p, a linear map on coefficients.
+Products go by Kronecker substitution (Harvey, J. Symbolic Comput. 44,
+2009): both operands pack into one int each, one bigint product carries
+every coefficient product in its own slot, and the 2r - 1 slots reduce
+through the nonzero low terms of the modulus only.  Inverses are extended
+Euclid on int lists, updated in place.
+
+Square roots lean on the Frobenius x -> x^p, a linear map on coefficients;
+each power phi^k in use is kept as one sparse matrix per field.
 The norm N(v) = v^(1 + p + ... + p^(r-1)) lies in F_p and decides
 squareness there, since v^((q-1)/2) = N(v)^((p-1)/2).  For odd r the
 Tonelli-Shanks loop also runs in F_p, on ints, and only its first guess is
@@ -146,8 +153,16 @@ class FieldTower:
         self.base = self if r == 1 else get_tower(p, 1)
         self.zero = 0 if r == 1 else (0,) * r
         self.one = 1 if r == 1 else (1,) + (0,) * (r - 1)
-        self._frob_basis = None   # lazy: images of x^j under x -> x^p
+        self._frob_rows = {}      # power k -> sparse rows of phi^k, lazy
         self._sqrt_consts = None  # lazy: _sqrt_setup()
+        if r > 1:
+            # vmul: a slot holds a product coefficient, at most r (p-1)^2
+            w = 2 * (p - 1).bit_length() + r.bit_length()
+            self._slot, self._slot_mask = w, (1 << w) - 1
+            self._slot_shifts = tuple(w * i for i in range(2 * r - 1))
+            # x^r = sum of these (j, -f_j) over the nonzero low terms f_j
+            self._low_terms = tuple((j, -c % p)
+                                    for j, c in enumerate(modulus[:r]) if c)
 
     def __repr__(self):
         return f"FieldTower(p={self.p}, r={self.r})"
@@ -176,38 +191,48 @@ class FieldTower:
         p = self.p
         if self.r == 1:
             return (u + v) % p
-        return tuple((a + b) % p for a, b in zip(u, v))
+        return tuple([(a + b) % p for a, b in zip(u, v)])
 
     def vsub(self, u, v):
         p = self.p
         if self.r == 1:
             return (u - v) % p
-        return tuple((a - b) % p for a, b in zip(u, v))
+        return tuple([(a - b) % p for a, b in zip(u, v)])
 
     def vneg(self, u):
         p = self.p
         if self.r == 1:
             return (-u) % p
-        return tuple((-a) % p for a in u)
+        return tuple([(-a) % p for a in u])
 
     def vmul(self, u, v):
+        """u v by Kronecker substitution: each operand packs into one int
+        with a coefficient per slot of 2 bitlen(p - 1) + bitlen(r) bits,
+        wide enough for r (p - 1)^2, so one bigint product holds the 2r - 1
+        product coefficients uncarried.  They unpack by fixed shifts and
+        reduce from the top through the nonzero low terms of the monic
+        modulus only (one or two for the lex-first moduli used here)."""
         p = self.p
-        d = self.r
-        if d == 1:
-            return (u * v) % p
-        tmp = [0] * (2 * d - 1)
-        for i, a in enumerate(u):
-            if a:
-                for j, b in enumerate(v):
-                    tmp[i + j] += a * b
-        # reduce by the monic modulus
-        f = self.modulus
-        for i in range(2 * d - 2, d - 1, -1):
-            c = tmp[i] % p
+        r = self.r
+        if r == 1:
+            return u * v % p
+        w = self._slot
+        a = b = 0
+        for c in reversed(u):
+            a = a << w | c
+        for c in reversed(v):
+            b = b << w | c
+        prod = a * b
+        mask = self._slot_mask
+        out = [prod >> s & mask for s in self._slot_shifts]
+        low = self._low_terms
+        for i in range(2 * r - 2, r - 1, -1):
+            c = out[i] % p
             if c:
-                for j in range(d):
-                    tmp[i - d + j] -= c * f[j]
-        return tuple(t % p for t in tmp[:d])
+                i -= r
+                for j, f in low:
+                    out[i + j] += c * f
+        return tuple([c % p for c in out[:r]])
 
     def vpow(self, u, e: int):
         if e < 0:
@@ -222,22 +247,39 @@ class FieldTower:
         return acc
 
     def vinv(self, u):
+        """1/u by extended Euclid against the modulus on int lists over F_p,
+        with s_a u = a and s_b u = b (mod the modulus) throughout; each
+        elimination of a's leading term by b updates a and s_a in place.
+        ZeroDivisionError for zero, or when the gcd is not a unit (a
+        reducible modulus)."""
         if u == self.zero:
             raise ZeroDivisionError("inverse of zero")
         p = self.p
-        if self.r == 1:
-            return pow(u, p - 2, p)
-        # extended Euclid against the defining polynomial, over F_p
-        r0, r1 = list(self.modulus), _ptrim(list(u))
-        s0, s1 = [0], [1]
-        while len(r1) > 1:
-            q, rem = _pdivmod(p, r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _psub(p, s0, _pmul(p, q, s1))
-        if not r1[0]:
+        r = self.r
+        if r == 1:
+            return pow(u, -1, p)
+        a, b = list(self.modulus), list(u)
+        while not b[-1]:
+            b.pop()
+        sa, sb = [0] * r, [1] + [0] * (r - 1)
+        while len(b) > 1:
+            db = len(b) - 1
+            lead = pow(b[-1], -1, p)
+            while len(a) > db:
+                c = a.pop() * lead % p
+                k = len(a) - db
+                for j in range(db):
+                    a[k + j] = (a[k + j] - c * b[j]) % p
+                for j in range(r - k):
+                    if sb[j]:
+                        sa[k + j] = (sa[k + j] - c * sb[j]) % p
+                while a and not a[-1]:
+                    a.pop()
+            a, b, sa, sb = b, a, sb, sa
+        if not b:
             raise ZeroDivisionError("value not invertible")
-        inv_lead = pow(r1[0], p - 2, p)
-        return tuple(c * inv_lead % p for c in s1) + self.zero[len(s1):]
+        lead = pow(b[0], -1, p)
+        return tuple([c * lead % p for c in sb])
 
     def rank(self, v) -> int:
         """Position of v in the constant-first enumeration of the field."""
@@ -264,24 +306,32 @@ class FieldTower:
     # -- frobenius ----------------------------------------------------------
 
     def frobenius(self, v, power: int = 1):
-        """v^(p^power), as a linear map on the coefficients."""
-        if self.r == 1 or power == 0:
+        """v^(p^power), a linear map on the coefficients.  phi^k for
+        k = power mod r is kept per field as sparse rows, row j holding
+        the nonzero coefficients of phi^k(x^j), built on first use; for a
+        binomial modulus every row has one entry."""
+        k = power % self.r
+        if not k:
             return v
-        if self._frob_basis is None:
-            xp = self.vpow((0, 1) + self.zero[2:], self.p)
-            basis = [self.one]
-            for _ in range(self.r - 1):
-                basis.append(self.vmul(basis[-1], xp))
-            self._frob_basis = basis
-        p = self.p
-        for _ in range(power):
-            acc = [0] * self.r
-            for c, b in zip(v, self._frob_basis):
-                if c:
-                    for i, x in enumerate(b):
-                        acc[i] += c * x
-            v = tuple(a % p for a in acc)
-        return v
+        rows = self._frob_rows.get(k) or self._frobenius_rows(k)
+        return _linear_map(rows, v, self.p)
+
+    def _frobenius_rows(self, k: int) -> tuple:
+        """Sparse rows of phi^k, cached: the powers of y = phi^k(x), with
+        y = x^p for k = 1 and y = phi(phi(...phi(x))) otherwise."""
+        if k == 1:
+            y = self.vpow((0, 1) + self.zero[2:], self.p)
+        else:
+            step = self._frob_rows.get(1) or self._frobenius_rows(1)
+            y = (0, 1) + self.zero[2:]
+            for _ in range(k):
+                y = _linear_map(step, y, self.p)
+        powers = [self.one, y]
+        for _ in range(self.r - 2):
+            powers.append(self.vmul(powers[-1], y))
+        rows = self._frob_rows[k] = tuple(
+            tuple((i, c) for i, c in enumerate(g) if c) for g in powers)
+        return rows
 
     # -- norm and square roots ----------------------------------------------
 
@@ -395,6 +445,17 @@ class FieldTower:
         guess = self.vmul(v, w)
         return _tonelli_shanks(self.vmul, self.one, s, c,
                                self.vmul(guess, w), guess)
+
+
+def _linear_map(rows, v, p: int) -> tuple:
+    """The image of v under the F_p-linear map with the given sparse rows:
+    the sum of v_j times row j."""
+    acc = [0] * len(v)
+    for c, row in zip(v, rows):
+        if c:
+            for i, x in row:
+                acc[i] += c * x
+    return tuple([a % p for a in acc])
 
 
 def _tonelli_shanks(mul, one, m: int, c, u, acc):

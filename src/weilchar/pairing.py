@@ -7,10 +7,11 @@ affine points, scalar normalizations cancel in the ratios, and no
 correction-at-infinity bookkeeping is needed.
 
 Each base point is walked once: the walk over [k]P takes its slopes from
-the group law, evaluates every line and vertical at both evaluation points
-into one numerator and one denominator, and divides once at the end.  A
-line or vertical that vanishes at an evaluation point makes the walk
-return None, and the pairing draws fresh shift points.
+the group law (curves._add_raw, on raw field values), evaluates every line
+and vertical at both evaluation points into one numerator and one
+denominator, and divides once at the end.  A line or vertical that
+vanishes at an evaluation point makes the walk return None, and the
+pairing draws fresh shift points.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .curves import Curve, CurvePoint, add_with_slope, point_add
+from .curves import Curve, CurvePoint, _add_raw, _raw, point_add
 from .fields import FieldElement
 
 
@@ -28,8 +29,7 @@ class PairingValue:
     modulus: int
 
     def __post_init__(self):
-        one = self.value / self.value
-        if self.value ** self.modulus != one:
+        if self.value ** self.modulus != 1:
             raise ValueError("pairing value is not a root of unity of the stated order")
 
 
@@ -41,35 +41,45 @@ def _miller_ratio(E: Curve, P: CurvePoint, m: int, X1: CurvePoint,
 
     f_{2k} = f_k^2 l_{T,T} / v_{2T} and f_{k+1} = f_k l_{T,P} / v_{T+P},
     where the line through a point and infinity is the vertical through the
-    point, and the line or vertical through infinity alone is 1.
+    point, and the line or vertical through infinity alone is 1.  The walk
+    runs on raw values of E's field (curves._add_raw) and wraps only the
+    ratio.
     """
+    f = E.field
+    a4 = E.a4.value
+    P = _raw(f, P)
+    x1, y1 = _raw(f, X1)
+    x2, y2 = _raw(f, X2)
     # num = f(X1) times the verticals at X2; den = f(X2) times those at X1
-    num = den = E.field(1)
+    num = den = f.one
     T = P
     for bit in bin(m)[3:]:
-        num, den = num * num, den * den
+        num, den = f.vmul(num, num), f.vmul(den, den)
         # a doubling with the current T, then an addition of P on a 1 bit
         for U in ((T, P) if bit == "1" else (T,)):
-            if T.is_infinity() and U.is_infinity():
+            if T is None and U is None:
                 continue
-            S, lam = add_with_slope(E, T, U)
+            S, lam = _add_raw(f, a4, T, U)
             if lam is None:
-                V = U if T.is_infinity() else T
-                num *= X1.x - V.x
-                den *= X2.x - V.x
+                vx = (U if T is None else T)[0]
+                num = f.vmul(num, f.vsub(x1, vx))
+                den = f.vmul(den, f.vsub(x2, vx))
             else:
-                num *= (X1.y - T.y) - lam * (X1.x - T.x)
-                den *= (X2.y - T.y) - lam * (X2.x - T.x)
-            if not S.is_infinity():
-                num *= X2.x - S.x
-                den *= X1.x - S.x
+                tx, ty = T
+                num = f.vmul(num, f.vsub(f.vsub(y1, ty),
+                                         f.vmul(lam, f.vsub(x1, tx))))
+                den = f.vmul(den, f.vsub(f.vsub(y2, ty),
+                                         f.vmul(lam, f.vsub(x2, tx))))
+            if S is not None:
+                num = f.vmul(num, f.vsub(x2, S[0]))
+                den = f.vmul(den, f.vsub(x1, S[0]))
             T = S
-    if not T.is_infinity():
+    if T is not None:
         raise ValueError(f"base point does not have order dividing {m}")
     # a factor that vanished once keeps its accumulator at zero
-    if num.is_zero() or den.is_zero():
+    if num == f.zero or den == f.zero:
         return None
-    return num / den
+    return FieldElement(f, f.vmul(num, f.vinv(den)))
 
 
 def weil_pairing(E: Curve, P: CurvePoint, Q: CurvePoint, m: int, rng) -> PairingValue:

@@ -262,25 +262,14 @@ def verify_character_relation(D: int) -> dict:
     Returns a report dict with an 'ok' flag.
     """
     disc = Discriminant(D)
-    f, d = disc.two_exp, disc.odd_part
     group = enumerate_class_group(D)
     chars = assigned_characters(D)
     mu = len(chars)
 
-    relation_ok = True
-    for g in group:
-        n = find_coprime_value(g, 2 * D)
-        prod = 1
-        for (p, e) in disc.odd_primes:
-            if e % 2:
-                prod *= legendre_symbol(n, p)
-        if ((d + 1) // 2) % 2:
-            prod *= char_eval_norm(Character("delta", 4), n)
-        if f % 2:
-            prod *= char_eval_norm(Character("epsilon", 8), n)
-        if prod != 1:
-            relation_ok = False
-            break
+    rel = relation_characters(disc)
+    relation_ok = all(
+        math.prod(char_eval_norm(ch, n) for ch in rel) == 1
+        for n in (find_coprime_value(g, 2 * D) for g in group))
 
     squares = sorted({compose(g, g) for g in group},
                      key=lambda q: (q.a, q.b, q.c))

@@ -347,3 +347,33 @@ def test_mistyped_characters_exits_2(readme_pair, tmp_path, capsys,
     bad.write_text(json.dumps(data))
     code, _, err = run(capsys, ["eval-char", str(bad), "--seed", "7"])
     assert code == 2 and "'characters' must be an object" in err, err
+
+
+@pytest.mark.parametrize("oracle", [
+    [1], "x", 7, {"char_values": "epsilon"}, {"char_values": {"epsilon": "x"}},
+    {"char_values": [1]}, {"char_values": {"epsilon": 0}},
+    {"char_values": {"epsilon": True}}, {"char_values": None},
+], ids=["list", "string", "number", "values-string", "value-string",
+        "values-list", "value-zero", "value-bool", "values-null"])
+@pytest.mark.parametrize("argv", [
+    ["eval-char", "{}", "--chars", "epsilon", "--seed", "7"],
+    ["sqrt-recover", "{}", "--square", "1,0,14", "--seed", "9"],
+], ids=["eval-char", "sqrt-recover"])
+def test_malformed_oracle_exits_2(readme_pair, tmp_path, capsys, oracle, argv):
+    data = json.loads(readme_pair.read_text())
+    data["oracle"] = oracle
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, _, err = run(capsys, [a.format(bad) for a in argv])
+    assert code == 2 and "'oracle' must be an object" in err, err
+
+
+@pytest.mark.parametrize("oracle", [None, {}, {"planted_class": [2, 0, 7]},
+                                    {"char_values": {}},
+                                    {"char_values": {"epsilon": "-1"}}],
+                         ids=["null", "empty", "no-values", "no-labels",
+                              "minus-one"])
+def test_well_formed_oracle_loads(readme_pair, oracle):
+    data = cli.read_json(str(readme_pair))
+    data["oracle"] = cli._destring(oracle)
+    assert cli.load_pair(data)[2] == data["oracle"]

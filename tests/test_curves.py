@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from weilchar.curves import (Curve, CurvePoint, count_points,
+from weilchar.curves import (Curve, CurvePoint, add_with_slope, count_points,
                              division_polynomial, extension_order,
                              frobenius_map, gl2_order, point_add,
                              sample_m_torsion, scalar_mul, torsion_basis,
@@ -279,3 +279,65 @@ def test_frozen_random_points():
         for seed, x, y in rows:
             P = E.random_point(random.Random(seed))
             assert (P.x.value, P.y.value) == (x, y)
+
+
+def _add_with_slope_oracle(E, P, Q):
+    """The tangent and chord formulas on FieldElement arithmetic, as
+    add_with_slope computed them before it moved to raw values."""
+    if P.is_infinity():
+        return Q, None
+    if Q.is_infinity():
+        return P, None
+    if P.x == Q.x:
+        if P.y == -Q.y:
+            return CurvePoint.infinity(), None
+        lam = (3 * P.x * P.x + E.a4) / (2 * P.y)
+    else:
+        lam = (Q.y - P.y) / (Q.x - P.x)
+    x3 = lam * lam - P.x - Q.x
+    return CurvePoint(x3, lam * (P.x - x3) - P.y), lam
+
+
+def test_add_with_slope_matches_the_field_element_formulas():
+    rng = random.Random(29)
+    E = curve_over(101, 1, 3, r=2)
+    low = curve_over(101, 1, 3)
+    O = CurvePoint.infinity()
+    cases = []
+    for _ in range(20):
+        P, Q = E.random_point(rng), E.random_point(rng)
+        cases += [(P, Q), (P, P), (P, -P), (O, P), (P, O)]
+    # points over the prime field embed in E's field
+    for _ in range(10):
+        P0, Q0 = low.random_point(rng), low.random_point(rng)
+        cases += [(P0, E.random_point(rng)), (P0, P0), (P0, Q0), (P0, -P0)]
+    # a 2-torsion point doubles to infinity along a vertical tangent
+    E13 = curve_over(13, 12, 0)
+    T = E13.point(0, 0)
+    assert add_with_slope(E13, T, T) == (O, None)
+    for P, Q in cases:
+        S, lam = add_with_slope(E, P, Q)
+        want, want_lam = _add_with_slope_oracle(E, P, Q)
+        assert S == want and lam == want_lam
+        assert S.is_infinity() or S.x.field is E.field
+        assert (lam is None) == (P.is_infinity() or Q.is_infinity()
+                                 or S.is_infinity())
+        assert point_add(E, P, Q) == S and E.contains(S)
+
+
+def test_point_from_an_unrelated_field_raises():
+    rng = random.Random(31)
+    E = curve_over(7, 1, 3, r=2)
+    P = E.random_point(rng)
+    F = curve_over(7, 1, 3, r=3)
+    R = F.random_point(rng)
+    while not any(R.x.value[1:]):
+        R = F.random_point(rng)
+    for call in (lambda: point_add(E, P, R), lambda: point_add(E, R, P),
+                 lambda: scalar_mul(E, 3, R),
+                 lambda: add_with_slope(E, R, R)):
+        with pytest.raises((TypeError, ValueError)):
+            call()
+    # and a curve over F_p does not take points of an extension
+    with pytest.raises((TypeError, ValueError)):
+        point_add(curve_over(7, 1, 3), R, R)

@@ -44,7 +44,7 @@ def test_inverse(draw):
     field, a, b = draw
     if a.is_zero():
         return
-    assert a * a.inverse() == 1
+    assert a * a.inverse() == 1 and a.inverse().inverse() == a
     assert (b / a) * a == b
     assert a ** -1 == a.inverse()
 
@@ -119,3 +119,12 @@ def test_norm_is_a_multiplicative_map_to_the_prime_field(draw):
     assert isinstance(n, int) and 0 <= n < p
     assert a ** ((field.size - 1) // (p - 1)) == n
     assert field.vnorm((a * b).value) == n * field.vnorm(b.value) % p
+
+
+@props
+@given(elements(2), st.integers(0, 9))
+def test_frobenius_powers_are_ring_maps(draw, k):
+    field, a, b = draw
+    assert (a + b).frobenius(k) == a.frobenius(k) + b.frobenius(k)
+    assert (a * b).frobenius(k) == a.frobenius(k) * b.frobenius(k)
+    assert a.frobenius(k) == a ** (field.p ** k)

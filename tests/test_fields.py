@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from weilchar.fields import (FieldElement, FieldTower, Poly, _is_prime,
+from weilchar.fields import (FieldElement, FieldTower, Poly, _is_irreducible,
+                             _is_prime, _pdivmod, _pmul, _psub, _ptrim,
                              dlog_in_mu_m, element_order, get_tower,
                              legendre_symbol)
 
@@ -329,3 +330,94 @@ def test_norm_outside_the_prime_field_raises():
     assert ring.vnorm((0, 1)) == 1
     with pytest.raises(RuntimeError, match="prime field"):
         ring.vnorm((1, 1))
+
+
+# The kernels that vmul and vinv replaced, kept as oracles: the schoolbook
+# product reduced by the whole modulus, and extended Euclid by polynomial
+# division.
+
+def _schoolbook_mul(field, u, v):
+    p, d = field.p, field.r
+    tmp = [0] * (2 * d - 1)
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            tmp[i + j] += a * b
+    f = field.modulus
+    for i in range(2 * d - 2, d - 1, -1):
+        c = tmp[i] % p
+        for j in range(d):
+            tmp[i - d + j] -= c * f[j]
+    return tuple(t % p for t in tmp[:d])
+
+
+def _euclid_inv(field, u):
+    p = field.p
+    r0, r1 = list(field.modulus), _ptrim(list(u))
+    s0, s1 = [0], [1]
+    while len(r1) > 1:
+        q, rem = _pdivmod(p, r0, r1)
+        r0, r1 = r1, rem
+        s0, s1 = s1, _psub(p, s0, _pmul(p, q, s1))
+    if not r1[0]:
+        raise ZeroDivisionError("value not invertible")
+    inv_lead = pow(r1[0], p - 2, p)
+    return tuple(c * inv_lead % p for c in s1) + field.zero[len(s1):]
+
+
+_P_MAX = 4294967291     # the largest prime below 2^32, the supported bound
+
+
+def _cubic_at_p_max():
+    # the lex-first cubic search would first scan all p binomials x^3 + c,
+    # none irreducible since p = 2 mod 3; x^3 + x + 3 is
+    modulus = (3, 1, 0, 1)
+    assert _is_irreducible(get_tower(_P_MAX), modulus, 3)
+    return FieldTower(_P_MAX, 3, modulus)
+
+
+@pytest.mark.parametrize("field,count", [
+    (lambda: get_tower(17, 3), 60),
+    (lambda: get_tower(101, 4), 60),
+    (lambda: get_tower(101, 12), 30),
+    (lambda: get_tower(23, 42), 4),
+    (lambda: get_tower(_P_MAX, 2), 60),
+    (_cubic_at_p_max, 60),
+], ids=["17^3", "101^4", "101^12", "23^42", "pmax^2", "pmax^3"])
+def test_kernels_match_the_schoolbook_oracles(field, count):
+    field = field()
+    p, r = field.p, field.r
+    # binomial and trinomial moduli: one or two nonzero low terms
+    assert 1 <= sum(1 for c in field.modulus[:r] if c) <= 2
+    rng = random.Random(f"kernels{p},{r}")
+    top = (p - 1,) * r      # every product slot at its largest, r (p-1)^2
+    cases = [(top, top), (top, field.one), (field.one, field.zero)]
+    cases += [(field.random_value(rng), field.random_value(rng))
+              for _ in range(count)]
+    for u, v in cases:
+        assert field.vmul(u, v) == _schoolbook_mul(field, u, v)
+        if u != field.zero:
+            inv = field.vinv(u)
+            assert inv == _euclid_inv(field, u)
+            assert field.vmul(u, inv) == field.one
+
+
+@pytest.mark.parametrize("p,r", [(7, 2), (17, 3), (101, 4), (13, 12),
+                                 (2221, 3), (23, 42)])
+def test_frobenius_powers_are_p_powers(p, r):
+    field = get_tower(p, r)
+    rng = random.Random(f"frob{p},{r}")
+    for _ in range(3 if r > 12 else 10):
+        v = field.random_value(rng)
+        for k in range(r + 1):
+            assert field.frobenius(v, k) == field.vpow(v, p ** k)
+    # powers wrap modulo r, phi^r being the identity
+    assert field.frobenius(v, r + 1) == field.frobenius(v, 1)
+
+
+def test_inverse_over_a_reducible_modulus_raises():
+    # x^2 - 1 = (x - 1)(x + 1): 1 + x and x - 1 share a factor with it
+    ring = FieldTower(7, 2, (6, 0, 1))
+    for u in ((1, 1), (6, 1), (0, 0)):
+        with pytest.raises(ZeroDivisionError):
+            ring.vinv(u)
+    assert ring.vinv((0, 1)) == (0, 1)      # x^2 = 1 here

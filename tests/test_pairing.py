@@ -1,6 +1,8 @@
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weilchar.curves import (Curve, CurvePoint, count_points, extension_order,
                              frobenius_map, point_add, sample_m_torsion,
@@ -135,3 +137,24 @@ def test_pairing_rejects_points_outside_the_torsion():
         weil_pairing(E, P, Q, 3, rng)
     with pytest.raises(ValueError):
         weil_pairing(E, CurvePoint.infinity(), Q, 3, rng)
+
+
+@functools.lru_cache(maxsize=None)
+def _cached_basis(q, a4, a6, m):
+    return _basis(q, a4, a6, m, random.Random(23))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([(13, 2, 3, 3), (13, 2, 3, 5), (11, 3, 4, 7)]),
+       st.integers(0, 10**6), st.integers(0, 10**6), st.integers(1, 60))
+def test_pairing_laws_on_the_raw_walk(curve, u, v, a):
+    """Bilinearity e(aP, Q) = e(P, Q)^a and alternation e(P, P) = 1 for
+    P = uB1 + vB2 and Q = vB1 + uB2 on a basis (B1, B2) of E[m]."""
+    q, a4, a6, m = curve
+    E, B1, B2 = _cached_basis(q, a4, a6, m)
+    P = point_add(E, scalar_mul(E, u, B1), scalar_mul(E, v, B2))
+    Q = point_add(E, scalar_mul(E, v, B1), scalar_mul(E, u, B2))
+    rng = random.Random(u ^ v)
+    z = weil_pairing(E, P, Q, m, rng).value
+    assert weil_pairing(E, scalar_mul(E, a, P), Q, m, rng).value == z ** a
+    assert weil_pairing(E, P, P, m, rng).value == 1
