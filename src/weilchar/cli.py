@@ -108,6 +108,16 @@ def _strip_key(obj, key):
 
 # ------------------------------------------------------------ shared loaders
 
+def _config_value(config: dict, key: str, kind: type, default=None):
+    """config[key] (default when absent), which must have type kind: a JSON
+    number or decimal string is an int, true and false are bools."""
+    value = config.get(key, default)
+    if type(value) is not kind:
+        raise CommandError(EXIT_INFEASIBLE, f"config key {key!r} must be "
+                           f"of type {kind.__name__}, not {value!r}")
+    return value
+
+
 def parse_char_label(label: str) -> Character:
     label = label.strip()
     if label.startswith("chi_"):
@@ -220,25 +230,37 @@ def cmd_gen_instance(args) -> int:
     config = read_json(args.config) if args.config else {}
     mode = config.get("mode", "supersingular")
     rng = random.Random(args.seed)
+    plant = _config_value(config, "plant", bool, False)
     try:
         if mode == "supersingular":
             if "p" not in config:
                 raise ValueError("supersingular mode needs config key 'p'")
-            oc = action.gen_supersingular_instance(int(config["p"]))
+            p = _config_value(config, "p", int)
+            oc = action.gen_supersingular_instance(p)
         elif mode == "ordinary":
             if "q" in config:
-                oc = action.make_instance(int(config["q"]), int(config["t"]), rng)
+                q = _config_value(config, "q", int)
+                t = _config_value(config, "t", int)
+                oc = action.make_instance(q, t, rng)
             elif "q_range" in config:
-                lo, hi = config["q_range"]
+                q_range = config["q_range"]
+                if not (isinstance(q_range, list) and len(q_range) == 2
+                        and all(type(v) is int for v in q_range)):
+                    raise CommandError(EXIT_INFEASIBLE,
+                                       "config key 'q_range' must be a list "
+                                       f"of two integers, not {q_range!r}")
+                m_target = (None if config.get("m_target") is None
+                            else _config_value(config, "m_target", int))
                 oc = action.gen_ordinary_instance(
-                    (int(lo), int(hi)), config.get("m_target"), rng,
-                    budget=int(config.get("budget", 4000)))
+                    tuple(q_range), m_target, rng,
+                    budget=_config_value(config, "budget", int, 4000))
             else:
                 raise ValueError("ordinary mode needs 'q'+'t' or 'q_range'")
         else:
             raise ValueError(f"unknown mode {mode!r}")
-        if config.get("plant"):
-            payload = _pair_payload(oc, rng, int(config.get("exp_bound", 5)))
+        if plant:
+            exp_bound = _config_value(config, "exp_bound", int, 5)
+            payload = _pair_payload(oc, rng, exp_bound)
         else:
             payload = _instance_payload(oc)
     except (ValueError, RuntimeError) as exc:
@@ -338,15 +360,23 @@ def cmd_ddh_experiment(args) -> int:
                            "ddh-experiment needs config key 'instance' "
                            "(a path or an instance object)")
     base = load_instance(source)
-    trials = args.trials if args.trials is not None else int(config.get("trials", 100))
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-    squares_only = args.squares_only or bool(config.get("squares_only", False))
-    exp_bound = int(config.get("exp_bound", 5))
+    trials = (args.trials if args.trials is not None
+              else _config_value(config, "trials", int, 100))
+    seed = (args.seed if args.seed is not None
+            else _config_value(config, "seed", int, 0))
+    squares_only = (_config_value(config, "squares_only", bool, False)
+                    or args.squares_only)
+    exp_bound = _config_value(config, "exp_bound", int, 5)
 
     if args.chars:
         labels = [s for s in args.chars.split(",") if s.strip()]
     else:
         labels = config.get("chars")
+        if not (labels is None or isinstance(labels, list)
+                and all(isinstance(s, str) for s in labels)):
+            raise CommandError(EXIT_INFEASIBLE,
+                               "config key 'chars' must be a list of "
+                               f"character labels, not {labels!r}")
     usable = attack.usable_characters(base)
     if labels:
         chars = [parse_char_label(s) for s in labels]
@@ -694,11 +724,9 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--chars")
     d.add_argument("--squares-only", action="store_true", dest="squares_only",
                    help="sample all classes from cl(O)^2")
-    fmt = d.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true",
-                     help="print the full report as JSON")
-    fmt.add_argument("--table", action="store_true",
-                     help="print the summary table (default)")
+    d.add_argument("--json", action="store_true",
+                   help="print the full report as JSON instead of the "
+                        "summary table")
     d.add_argument("--out", help="also write the report JSON here")
 
     r = sub.add_parser("sqrt-recover",

@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from .fields import FieldElement, FieldTower, Poly, factorize
+from .fields import (FieldElement, FieldTower, _is_prime, _pdivmod, _pgcd,
+                     _pmul, _ppowmod, _psub, factorize)
 
 
 class CurvePoint:
@@ -249,126 +250,93 @@ def gl2_order(m: int) -> int:
     return out
 
 
-class _YPoly:
-    """u(x) + v(x)*y with y^2 reduced to the curve cubic; division-polynomial
-    arithmetic lives here."""
-
-    __slots__ = ("u", "v", "cubic")
-
-    def __init__(self, u: Poly, v: Poly, cubic: Poly):
-        self.u = u
-        self.v = v
-        self.cubic = cubic
-
-    def __mul__(self, other: "_YPoly") -> "_YPoly":
-        u1, v1, u2, v2 = self.u, self.v, other.u, other.v
-        u = u1 * u2 + v1 * v2 * self.cubic
-        v = u1 * v2 + u2 * v1
-        return _YPoly(u, v, self.cubic)
-
-    def __sub__(self, other: "_YPoly") -> "_YPoly":
-        return _YPoly(self.u - other.u, self.v - other.v, self.cubic)
-
-    def pow3(self) -> "_YPoly":
-        return self * self * self
-
-    def sq(self) -> "_YPoly":
-        return self * self
-
-
-def _division_psis(E: Curve, m: int) -> dict:
-    field = E.field
-    A, B = E.a4, E.a6
-    cubic = Poly(field, [B, A, 0, 1])
-    zero = Poly(field, [0])
-    one = Poly(field, [1])
-
-    def yp(u, v):
-        return _YPoly(u, v, cubic)
-
-    psi = {
-        0: yp(zero, zero),
-        1: yp(one, zero),
-        2: yp(zero, Poly(field, [2])),
-        3: yp(Poly(field, [-(A * A), 12 * B, 6 * A, 0, 3]), zero),
-        4: yp(zero, Poly(field,
-                         [-4 * (8 * B * B + A ** 3), -16 * A * B, -20 * A * A,
-                          80 * B, 20 * A, 0, 4])),
+def _division_f(p: int, A: int, B: int, m: int) -> list:
+    """f_m over F_p for y^2 = x^3 + A x + B, where the m-th division
+    polynomial is psi_m = f_m for odd m and 2y f_m for even m.  With
+    F = (2y)^2 = 4 (x^3 + A x + B) the recurrences stay in x alone
+    (Washington, Elliptic Curves, section 3.2)."""
+    F = [4 * B % p, 4 * A % p, 0, 4]
+    F2 = _pmul(p, F, F)
+    f = {
+        0: [0], 1: [1], 2: [1],
+        3: [c % p for c in (-A * A, 12 * B, 6 * A, 0, 3)],
+        4: [c % p for c in (-2 * (8 * B * B + A ** 3), -8 * A * B, -10 * A * A,
+                            40 * B, 10 * A, 0, 2)],
     }
 
-    inv2 = field(2).inverse()
+    def mul(a, b):
+        return _pmul(p, a, b)
 
-    def div_2y(w: _YPoly) -> _YPoly:
-        # w must be a pure-x multiple of the cubic; w/(2y) is then pure-y
-        if not w.v.is_zero():
-            raise RuntimeError("division polynomial parity broke")
-        q, r = w.u.divmod(cubic)
-        if not r.is_zero():
-            raise RuntimeError("division polynomial cubic factor missing")
-        return yp(zero, q * inv2)
-
-    def get(n: int) -> _YPoly:
-        if n in psi:
-            return psi[n]
+    def get(n: int) -> list:
+        if n in f:
+            return f[n]
         k = n // 2
         if n % 2:
-            val = get(k + 2) * get(k).pow3() - get(k - 1) * get(k + 1).pow3()
+            # psi_{2k+1} = psi_{k+2} psi_k^3 - psi_{k-1} psi_{k+1}^3; the
+            # even-index pair carries (2y)^4 = F^2
+            u = mul(get(k + 2), mul(get(k), mul(get(k), get(k))))
+            v = mul(get(k - 1), mul(get(k + 1), mul(get(k + 1), get(k + 1))))
+            if k % 2:
+                v = mul(F2, v)
+            else:
+                u = mul(F2, u)
+            val = _psub(p, u, v)
         else:
-            val = div_2y(get(k) * (get(k + 2) * get(k - 1).sq()
-                                   - get(k - 2) * get(k + 1).sq()))
-        psi[n] = val
+            # psi_{2k} = psi_k (psi_{k+2} psi_{k-1}^2 - psi_{k-2} psi_{k+1}^2)
+            # / (2y); the factors of 2y cancel for either parity of k
+            val = mul(get(k), _psub(
+                p, mul(get(k + 2), mul(get(k - 1), get(k - 1))),
+                mul(get(k - 2), mul(get(k + 1), get(k + 1)))))
+        f[n] = val
         return val
 
-    get(m)
-    return psi
+    return get(m)
 
 
-def division_polynomial(E: Curve, m: int) -> Poly:
+def division_polynomial(E: Curve, m: int) -> list:
     """For odd m, the classical m-division polynomial in x. For even m in
     {2, 4, 8}, the x-coordinate polynomial of the full m-torsion (the
-    2-torsion cubic folded in)."""
+    2-torsion cubic folded in).  Coefficients are ints mod p, constant
+    first; E must be defined over a prime field."""
     if m < 1:
         raise ValueError("m must be positive")
-    if m == 1:
-        return Poly(E.field, [1])
-    psi = _division_psis(E, m)[m]
+    if E.field.r != 1:
+        raise ValueError("division polynomials need a curve over a prime field")
+    p, A, B = E.field.p, E.a4.value, E.a6.value
     if m % 2:
-        if not psi.v.is_zero():
-            raise RuntimeError("odd-index division polynomial has a y part")
-        return psi.u
+        return _division_f(p, A, B, m)
     if m not in (2, 4, 8):
         raise ValueError("even m supported only for m in {2, 4, 8}")
-    if not psi.u.is_zero():
-        raise RuntimeError("even-index division polynomial has an x part")
-    cubic = Poly(E.field, [E.a6, E.a4, 0, 1])
-    return cubic * psi.v
+    # cubic * psi_m / y = cubic * 2 f_m
+    return _pmul(p, [2 * B % p, 2 * A % p, 0, 2], _division_f(p, A, B, m))
 
 
 def torsion_extension_degree(E: Curve, m: int) -> int:
     """Smallest r with E[m] fully rational over the degree-r extension of the
     curve's own field, read off from the splitting of the division polynomial
-    and of the y-coordinate squares."""
-    field = E.field
-    q = field.size
-    if math.gcd(m, field.p) != 1:
+    and of the y-coordinate squares.  E must be defined over a prime field."""
+    p = E.field.p
+    if math.gcd(m, p) != 1:
         raise ValueError("m must be coprime to the characteristic")
-    psi = division_polynomial(E, m).monic()
-    cubic = Poly(field, [E.a6, E.a4, 0, 1])
-    shared = psi.gcd(cubic)
-    psi1 = psi // shared if shared.degree() > 0 else psi
-    x = Poly.x(field)
-    one = Poly(field, [1])
+    # remainders modulo psi do not depend on its leading coefficient
+    psi = division_polynomial(E, m)
+    cubic = [E.a6.value, E.a4.value, 0, 1]
+    shared = _pgcd(p, psi, cubic)
+    psi1 = _pdivmod(p, psi, shared)[0] if len(shared) > 1 else psi
+    x = _pdivmod(p, [0, 1], psi)[1]
+    one = _pdivmod(p, [1], psi1)[1]
 
     cap = gl2_order(m)
-    cur = x                     # x^(q^r) mod psi
-    ypow = one % psi1           # cubic^((q^r-1)/2) mod psi1
-    step = cubic.powmod((q - 1) // 2, psi1)
+    cur = [0, 1]                # x^(p^r) mod psi
+    ypow = one                  # cubic^((p^r-1)/2) mod psi1
+    step = _ppowmod(p, cubic, (p - 1) // 2, psi1)
     r = 0
     while r < cap:
         r += 1
-        cur = cur.powmod(q, psi)
-        ypow = (ypow.powmod(q, psi1) * step) % psi1
-        if cur == x % psi and ypow == one % psi1:
+        cur = _ppowmod(p, cur, p, psi)
+        ypow = _pdivmod(p, _pmul(p, _ppowmod(p, ypow, p, psi1), step),
+                        psi1)[1]
+        if cur == x and ypow == one:
             if cap % r:
                 raise RuntimeError("torsion field degree does not divide #GL2")
             return r
@@ -456,8 +424,7 @@ def velu_isogeny(E: Curve, K: CurvePoint, ell: int) -> Isogeny:
     The kernel must be stable under the Frobenius of E's own field, and the
     codomain is expressed back over E's field.
     """
-    if ell < 3 or ell % 2 == 0 or any(ell % d == 0
-                                      for d in range(3, int(math.isqrt(ell)) + 1, 2)):
+    if ell == 2 or not _is_prime(ell):
         raise ValueError("kernel order must be an odd prime")
     if K.is_infinity():
         raise ValueError("kernel generator must be finite")

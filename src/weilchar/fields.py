@@ -22,7 +22,7 @@ taken by base-p digits over the Frobenius images.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 
 def _is_prime(n: int) -> bool:
@@ -69,7 +69,7 @@ def legendre_symbol(n: int, m: int) -> int:
     return 1 if e == 1 else -1
 
 
-# -- polynomials over F_p as int lists, constant first (vinv and Poly) -------
+# -- polynomials over F_p as trimmed int lists, constant first ----------------
 
 def _ptrim(a: list) -> list:
     while len(a) > 1 and not a[-1]:
@@ -111,6 +111,26 @@ def _pdivmod(p: int, num: list, den: list):
         for j in range(dd + 1):
             rem[i - dd + j] = (rem[i - dd + j] - f * den[j]) % p
     return _ptrim(quo), _ptrim(rem)
+
+
+def _pgcd(p: int, a: list, b: list) -> list:
+    """The monic gcd of a and b."""
+    while b != [0]:
+        a, b = b, _pdivmod(p, a, b)[1]
+    inv = pow(a[-1], p - 2, p)
+    return [c * inv % p for c in a]
+
+
+def _ppowmod(p: int, a: list, e: int, f: list) -> list:
+    """a^e mod f by square-and-multiply."""
+    acc = [1]
+    base = _pdivmod(p, a, f)[1]
+    while e:
+        if e & 1:
+            acc = _pdivmod(p, _pmul(p, acc, base), f)[1]
+        base = _pdivmod(p, _pmul(p, base, base), f)[1]
+        e >>= 1
+    return acc
 
 
 _towers: dict = {}
@@ -594,116 +614,12 @@ class FieldElement:
         return self.field.rank(self.value)
 
 
-class Poly:
-    """Dense polynomial over F_p, int coefficients constant first.  It can
-    be evaluated at elements of F_p and of its extensions."""
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: FieldTower, coeffs: Iterable):
-        if field.r != 1:
-            raise ValueError("polynomials have coefficients in a prime field")
-        self.field = field
-        self.coeffs = tuple(_ptrim([field(c).value for c in coeffs] or [0]))
-
-    def _new(self, coeffs: list) -> "Poly":
-        out = Poly.__new__(Poly)
-        out.field = self.field
-        out.coeffs = tuple(coeffs)
-        return out
-
-    @classmethod
-    def x(cls, field: FieldTower) -> "Poly":
-        return cls(field, [0, 1])
-
-    def degree(self) -> int:
-        if self.is_zero():
-            return -1
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return self.coeffs == (0,)
-
-    def __eq__(self, other):
-        return (isinstance(other, Poly) and other.field is self.field
-                and other.coeffs == self.coeffs)
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other):
-        return self - (-other)
-
-    def __sub__(self, other):
-        return self._new(_psub(self.field.p, list(self.coeffs),
-                               list(other.coeffs)))
-
-    def __neg__(self):
-        p = self.field.p
-        return self._new([(-c) % p for c in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, FieldElement)):
-            other = Poly(self.field, [other])
-        return self._new(_pmul(self.field.p, list(self.coeffs),
-                               list(other.coeffs)))
-
-    __rmul__ = __mul__
-
-    def divmod(self, other: "Poly"):
-        q, r = _pdivmod(self.field.p, list(self.coeffs), list(other.coeffs))
-        return self._new(q), self._new(r)
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return self.divmod(other)[1]
-
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return self.divmod(other)[0]
-
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        p = self.field.p
-        inv = pow(self.coeffs[-1], p - 2, p)
-        return self._new([c * inv % p for c in self.coeffs])
-
-    def gcd(self, other: "Poly") -> "Poly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
-
-    def powmod(self, e: int, mod: "Poly") -> "Poly":
-        acc = self._new([1])
-        base = self % mod
-        while e:
-            if e & 1:
-                acc = (acc * base) % mod
-            base = (base * base) % mod
-            e >>= 1
-        return acc
-
-    def __call__(self, x) -> FieldElement:
-        f = x.field if isinstance(x, FieldElement) else self.field
-        if f.base is not self.field:
-            raise TypeError(f"cannot evaluate over {self.field!r} at {f!r}")
-        xv = f(x).value
-        acc = f.zero
-        for c in reversed(self.coeffs):
-            acc = f.vadd(f.vmul(acc, xv), f.from_int(c))
-        return FieldElement(f, acc)
-
-    def __repr__(self):
-        return f"Poly(p={self.field.p}, deg={self.degree()})"
-
-
 def make_extension(p: int, r: int) -> tuple:
     """The modulus of F_{p^r}: the lexicographically first monic irreducible
     polynomial of degree r over F_p (coefficients enumerated constant-first),
     as a tuple of r + 1 ints."""
     if r < 2:
         raise ValueError("extension degree must be at least 2")
-    field = get_tower(p, 1)
     for n in range(p ** r):
         digits = []
         m = n
@@ -711,20 +627,20 @@ def make_extension(p: int, r: int) -> tuple:
             digits.append(m % p)
             m //= p
         coeffs = tuple(digits) + (1,)
-        if _is_irreducible(field, coeffs, r):
+        if _is_irreducible(p, coeffs):
             return coeffs
     raise RuntimeError("no irreducible polynomial found (impossible)")
 
 
-def _is_irreducible(field: FieldTower, coeffs: tuple, r: int) -> bool:
+def _is_irreducible(p: int, coeffs) -> bool:
     # f (degree r) is irreducible over F_p iff it shares no root with
     # x^(p^i) - x for every i up to r//2
-    f = Poly(field, coeffs)
-    x = Poly.x(field)
+    f = list(coeffs)
+    x = [0, 1]
     cur = x
-    for _ in range(r // 2):
-        cur = cur.powmod(field.p, f)
-        if not f.gcd(cur - x).degree() == 0:
+    for _ in range((len(f) - 1) // 2):
+        cur = _ppowmod(p, cur, p, f)
+        if len(_pgcd(p, f, _psub(p, cur, x))) != 1:
             return False
     return True
 

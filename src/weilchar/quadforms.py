@@ -107,19 +107,6 @@ def compose(f1: QuadForm, f2: QuadForm) -> QuadForm:
     return reduce_form(QuadForm(a3, b3, c3))
 
 
-def form_pow(f: QuadForm, e: int, D: int) -> QuadForm:
-    if e < 0:
-        return form_pow(f.inverse(), -e, D)
-    acc = principal_form(D)
-    base = reduce_form(f)
-    while e:
-        if e & 1:
-            acc = compose(acc, base)
-        base = compose(base, base)
-        e >>= 1
-    return acc
-
-
 @memo
 def enumerate_class_group(D: int) -> tuple:
     """All reduced primitive forms of discriminant -D, canonically ordered."""

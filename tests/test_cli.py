@@ -377,3 +377,49 @@ def test_well_formed_oracle_loads(readme_pair, oracle):
     data = cli.read_json(str(readme_pair))
     data["oracle"] = cli._destring(oracle)
     assert cli.load_pair(data)[2] == data["oracle"]
+
+
+@pytest.mark.parametrize("extra", [
+    {"chars": 5}, {"chars": [5]}, {"chars": "delta"}, {"seed": [1]},
+    {"seed": "abc"}, {"exp_bound": [2]}, {"trials": "many"},
+    {"squares_only": "no"}, {"squares_only": 1},
+], ids=["chars-number", "chars-ints", "chars-string", "seed-list",
+        "seed-word", "exp-bound-list", "trials-word", "squares-only-string",
+        "squares-only-number"])
+def test_mistyped_ddh_config_exits_2(tmp_path, capsys, extra):
+    cfg = _write_instance_config(tmp_path, capsys,
+                                 {"mode": "supersingular", "p": 13},
+                                 **{"trials": 4, **extra})
+    code, _, err = run(capsys, ["ddh-experiment", "--config", str(cfg)])
+    assert code == 2 and "config key" in err, err
+
+
+@pytest.mark.parametrize("config", [
+    {"mode": "supersingular", "p": [1]},
+    {"mode": "supersingular", "p": 101.5},
+    {"mode": "ordinary", "q": [7], "t": 2},
+    {"mode": "ordinary", "q": 23},
+    {"mode": "ordinary", "q_range": 5},
+    {"mode": "ordinary", "q_range": [20, "x"]},
+    {"mode": "ordinary", "q_range": [20, 30], "m_target": "seven"},
+    {"mode": "ordinary", "q_range": [20, 30], "m_target": [7]},
+    {"mode": "ordinary", "q": 23, "t": 6, "plant": True, "exp_bound": [1]},
+    {"mode": "ordinary", "q": 23, "t": 6, "plant": "no"},
+], ids=["p-list", "p-fraction", "q-list", "t-missing", "q-range-number",
+        "q-range-word", "m-target-word", "m-target-list", "exp-bound-list",
+        "plant-string"])
+def test_mistyped_gen_config_exits_2(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, _, err = run(capsys, ["gen-instance", "--config", str(cfg)])
+    assert code == 2 and "config key" in err, err
+
+
+def test_ddh_config_takes_json_booleans(tmp_path, capsys):
+    cfg = _write_instance_config(tmp_path, capsys,
+                                 {"mode": "supersingular", "p": 13},
+                                 trials=8, seed=4, squares_only=True)
+    code, out, _ = run(capsys, ["ddh-experiment", "--config", str(cfg),
+                                "--json"])
+    assert code == 0
+    assert cli._destring(json.loads(out))["squares_only"] is True

@@ -7,11 +7,20 @@ from weilchar.curves import (Curve, CurvePoint, add_with_slope, count_points,
                              frobenius_map, gl2_order, point_add,
                              sample_m_torsion, scalar_mul, torsion_basis,
                              torsion_extension_degree, velu_isogeny)
-from weilchar.fields import FieldElement, Poly, get_tower
+from weilchar.fields import FieldElement, get_tower
 
 
 def curve_over(p, a4, a6, r=1):
     return Curve(get_tower(p, r), a4, a6)
+
+
+def peval(coeffs, x):
+    """The polynomial over F_p with these coefficients (constant first) at
+    x, an element of F_p or of an extension."""
+    acc = x.field(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def all_points(E):
@@ -76,15 +85,32 @@ def test_extension_order_matches_counts():
         assert tr * tr <= 4 * 13 ** r
 
 
+# Recorded before division polynomials moved to int lists and the x-only
+# recurrence: y^2 = x^3 + 2x + 3 over F_13, coefficients constant first
+_FROZEN_DIVISION_POLYNOMIALS = {
+    4: [2, 8, 10, 6, 10, 0, 5, 9, 0, 4],
+    5: [8, 4, 4, 3, 9, 7, 3, 10, 9, 9, 7, 0, 5],
+    7: [7, 2, 11, 8, 6, 12, 2, 8, 6, 1, 2, 6, 10, 1, 2, 10, 0, 8, 2, 4, 1, 2,
+        5, 0, 7],
+    8: [12, 8, 5, 9, 9, 2, 11, 12, 8, 1, 7, 2, 10, 11, 9, 7, 1, 8, 11, 7, 10,
+        1, 9, 4, 10, 2, 4, 8, 4, 6, 3, 1, 0, 8],
+    9: [0, 6, 11, 4, 1, 3, 3, 10, 2, 9, 7, 9, 3, 5, 6, 2, 12, 2, 6, 6, 9, 4,
+        0, 1, 0, 0, 1, 2, 9, 5, 3, 11, 10, 12, 0, 10, 3, 1, 8, 0, 9],
+}
+
+
 def test_division_polynomials():
     t13 = get_tower(13, 1)
     E = curve_over(13, 2, 3)
     A, B = 2, 3
     psi3 = division_polynomial(E, 3)
-    assert psi3 == Poly(t13, [(-A * A) % 13, (12 * B) % 13, (6 * A) % 13, 0, 3])
-    assert division_polynomial(E, 2).monic() == Poly(t13, [B, A, 0, 1])
-    assert division_polynomial(E, 4).degree() == 9
-    assert division_polynomial(E, 8).degree() == 33
+    assert psi3 == [(-A * A) % 13, (12 * B) % 13, (6 * A) % 13, 0, 3]
+    assert division_polynomial(E, 2) == [2 * B, 2 * A, 0, 2]
+    assert division_polynomial(E, 1) == [1]
+    for m, coeffs in _FROZEN_DIVISION_POLYNOMIALS.items():
+        assert division_polynomial(E, m) == coeffs, m
+    assert len(division_polynomial(E, 4)) - 1 == 9
+    assert len(division_polynomial(E, 8)) - 1 == 33
     # rational torsion x-coordinates are exactly rational psi roots with
     # a rational y above them
     pts = all_points(E)
@@ -93,8 +119,34 @@ def test_division_polynomials():
                      if not P.is_infinity()
                      and scalar_mul(E, m, P).is_infinity()}
         psi = division_polynomial(E, m)
-        roots = {v for v in range(13) if psi(t13(v)).is_zero()}
+        roots = {v for v in range(13) if peval(psi, t13(v)).is_zero()}
         assert torsion_x <= roots
+
+
+def test_division_polynomials_need_a_prime_field():
+    E = curve_over(13, 2, 3, r=2)
+    with pytest.raises(ValueError, match="prime field"):
+        division_polynomial(E, 3)
+    with pytest.raises(ValueError, match="prime field"):
+        torsion_extension_degree(E, 3)
+
+
+# Recorded before division polynomials moved to int lists: r for
+# m = 2, 3, 4, 5, 7, 8, 9 over F_101.  At m = 2 the monic psi is the cubic
+# itself, so the y-coordinate test runs modulo a constant.
+_FROZEN_TORSION_DEGREES = {
+    (2, 3): [2, 2, 4, 6, 48, 8, 6],
+    (3, 5): [3, 8, 3, 5, 48, 6, 24],
+    (6, 1): [2, 2, 4, 10, 48, 4, 6],
+    (12, 34): [1, 8, 2, 6, 6, 4, 24],
+}
+
+
+def test_torsion_extension_degree_frozen():
+    for (a4, a6), degrees in _FROZEN_TORSION_DEGREES.items():
+        E = curve_over(101, a4, a6)
+        got = [torsion_extension_degree(E, m) for m in (2, 3, 4, 5, 7, 8, 9)]
+        assert got == degrees, (a4, a6)
 
 
 def test_torsion_extension_degree_vs_brute_force():
@@ -139,7 +191,7 @@ def test_sample_and_basis():
     P5 = sample_m_torsion(Er, 5, Nr, rng)
     assert scalar_mul(Er, 5, P5).is_infinity() and not P5.is_infinity()
     # psi_5 of the base curve: Er has the same coefficients
-    assert division_polynomial(E, 5)(P5.x).is_zero()
+    assert peval(division_polynomial(E, 5), P5.x).is_zero()
     P, Q = torsion_basis(Er, 5, Nr, rng)
     # independence: the span has m^2 elements
     span = set()

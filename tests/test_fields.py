@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from weilchar.fields import (FieldElement, FieldTower, Poly, _is_irreducible,
-                             _is_prime, _pdivmod, _pmul, _psub, _ptrim,
-                             dlog_in_mu_m, element_order, get_tower,
-                             legendre_symbol)
+from weilchar.fields import (FieldElement, FieldTower, _is_irreducible,
+                             _is_prime, _pdivmod, _pgcd, _pmul, _ppowmod,
+                             _psub, _ptrim, dlog_in_mu_m, element_order,
+                             get_tower, legendre_symbol)
 
 
 def rand_elt(tower, rng):
@@ -101,21 +101,36 @@ def test_sqrt_on_extension():
     assert 15 <= hits <= 50
 
 
+def _peval(p, coeffs, v):
+    return sum(c * v ** i for i, c in enumerate(coeffs)) % p
+
+
 def test_poly_arithmetic_and_roots():
-    t13 = get_tower(13, 1)
+    p = 13
     rng = random.Random(4)
     for _ in range(25):
-        coeffs = [rng.randrange(13) for _ in range(4)] + [1]
-        f = Poly(t13, coeffs)
-        for v in range(13):
-            assert f(t13(v)).value == sum(
-                c * v ** i for i, c in enumerate(coeffs)) % 13
+        f = [rng.randrange(p) for _ in range(4)] + [1]
+        g = _ptrim([rng.randrange(p) for _ in range(3)])
+        fg = _pmul(p, f, g)
+        for v in range(p):
+            assert _peval(p, fg, v) == _peval(p, f, v) * _peval(p, g, v) % p
+            assert _peval(p, _psub(p, f, g), v) == \
+                (_peval(p, f, v) - _peval(p, g, v)) % p
+        if g != [0]:
+            assert _pdivmod(p, fg, g) == (f, [0])
+        # square-and-multiply against repeated products
+        e = rng.randrange(1, 40)
+        acc = [1]
+        for _ in range(e):
+            acc = _pdivmod(p, _pmul(p, acc, g), f)[1]
+        assert _ppowmod(p, g, e, f) == acc
+        # f is monic and divides fg
+        assert _pgcd(p, f, fg) == f
     # degree bookkeeping through products
-    f = Poly(t13, [1, 2, 1])
-    g = Poly(t13, [3, 1])
-    assert (f * g).degree() == 3
-    q, r = (f * g).divmod(g)
-    assert q == f and r.is_zero()
+    f, g = [1, 2, 1], [3, 1]
+    assert len(_pmul(p, f, g)) == 4
+    assert _pgcd(p, f, _pmul(p, g, [1, 1])) == [1, 1]
+    assert _pgcd(p, f, g) == [1]
 
 
 def test_element_order_and_dlog():
@@ -172,8 +187,9 @@ def test_int_equality_only_for_canonical_representative():
     assert b == 5 and b != 12 and len({b, 5}) == 1
 
 
-# Recorded before the field layer was flattened: the defining polynomial of
-# each extension, the root that sqrt picks for seeded squares (in
+# Recorded before the field layer was flattened (the last three before
+# polynomials over F_p became int lists): the defining polynomial of each
+# extension, the root that sqrt picks for seeded squares (in
 # fields with q = 3 mod 4 and with q = 1 mod 4), and so the representation of
 # every value an artifact is derived from.
 _FROZEN_MODULI = {
@@ -182,6 +198,9 @@ _FROZEN_MODULI = {
     (13, 12): (2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
     (101, 2): (2, 0, 1),
     (2221, 4): (2, 0, 0, 0, 1),
+    (23, 12): (5, 9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (17, 9): (3, 1, 0, 0, 0, 0, 0, 0, 0, 1),
+    (120121, 13): (2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
 }
 
 # (p, r): [(rank of a, a * a, sqrt(a * a))] for a = unrank(n), n drawn
@@ -371,7 +390,7 @@ def _cubic_at_p_max():
     # the lex-first cubic search would first scan all p binomials x^3 + c,
     # none irreducible since p = 2 mod 3; x^3 + x + 3 is
     modulus = (3, 1, 0, 1)
-    assert _is_irreducible(get_tower(_P_MAX), modulus, 3)
+    assert _is_irreducible(_P_MAX, modulus)
     return FieldTower(_P_MAX, 3, modulus)
 
 

@@ -7,7 +7,7 @@ from weilchar.quadforms import (Character, Discriminant, QuadForm,
                                 assigned_characters, char_eval_class,
                                 char_eval_norm, class_number, compose,
                                 enumerate_class_group, factorize,
-                                find_coprime_value, form_pow, principal_form,
+                                find_coprime_value, principal_form,
                                 reduce_form, relation_characters,
                                 two_torsion_and_sqrt,
                                 verify_character_relation)
@@ -76,17 +76,6 @@ def test_group_axioms_via_enumeration():
         for _ in range(10):
             a, b, c = (rng.choice(group) for _ in range(3))
             assert compose(compose(a, b), c) == compose(a, compose(b, c))
-
-
-def test_form_pow_matches_iterated_compose():
-    for D in (56, 120, 420):
-        group = enumerate_class_group(D)
-        for g in group:
-            acc = principal_form(D)
-            for e in range(6):
-                assert form_pow(g, e, D) == acc
-                acc = compose(acc, g)
-            assert form_pow(g, -1, D) == reduce_form(g.inverse())
 
 
 def test_assigned_characters_table():
