@@ -62,8 +62,10 @@ class OrientedCurve:
     def group_order(self, r: int = 1) -> int:
         return extension_order(self.q, self.t, r)
 
+    @memo
     def curve_in(self, r: int) -> Curve:
-        """The instance curve base-changed to F_{q^r}."""
+        """The instance curve base-changed to F_{q^r}, built once per
+        model and degree."""
         return self.curve.over(get_tower(self.q, r))
 
     def sigma_eval(self, P: CurvePoint, E_amb: Optional[Curve] = None) -> CurvePoint:

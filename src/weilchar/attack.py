@@ -76,17 +76,29 @@ def _torsion_basis(oc: OrientedCurve, m: int, r: int) -> tuple:
     return torsion_basis(oc.curve_in(r), m, oc.group_order(r), rng)
 
 
+@memo
+def _torsion_point(oc: OrientedCurve, m: int, r: int, a: int, b: int):
+    """a B1 + b B2 on the memoized basis (B1, B2) of E[m] over F_{q^r}."""
+    E = oc.curve_in(r)
+    B1, B2 = _torsion_basis(oc, m, r)
+    return point_add(E, scalar_mul(E, a, B1), scalar_mul(E, b, B2))
+
+
 def _noneigen_draw(oc, m: int, tower, rng, stats=None):
     """Rejection-sample P uniform over E[m] until (P, sigma P) generates.
 
     For odd m that is certified by e_m(P, sigma P) being primitive; for
-    m = 4 and 8 by sigma moving (m/2)P. Returns (E, P, sigma P, pairing or
-    None) so the caller reuses the work."""
-    E = oc.curve.over(tower)
-    B1, B2 = _torsion_basis(oc, m, tower.r)
+    m = 4 and 8 by sigma moving (m/2)P.  P = aB1 + bB2 is drawn as its
+    coefficients, a first, and read from the _torsion_point memo, so each
+    of the m^2 points of E[m] is computed at most once per basis; (m/2)P is
+    the cell ((m/2)a, (m/2)b) since the group law is exact.  Returns (E, P,
+    sigma P, pairing or None) so the caller reuses the work."""
+    r = tower.r
+    E = oc.curve_in(r)
     for _ in range(64):
-        P = point_add(E, scalar_mul(E, rng.randrange(m), B1),
-                      scalar_mul(E, rng.randrange(m), B2))
+        a = rng.randrange(m)
+        b = rng.randrange(m)
+        P = _torsion_point(oc, m, r, a, b)
         if P.is_infinity():
             continue
         if m % 2:
@@ -97,7 +109,8 @@ def _noneigen_draw(oc, m: int, tower, rng, stats=None):
             if element_order(z.value, m) == m:
                 return E, P, sP, z.value
         else:
-            T = scalar_mul(E, m // 2, P)
+            h = m // 2
+            T = _torsion_point(oc, m, r, h * a % m, h * b % m)
             if T.is_infinity():
                 continue
             if stats is not None:

@@ -13,6 +13,7 @@
 import random
 import time
 
+from weilchar import curves, fields
 from weilchar.action import (SmoothIdeal, apply_smooth_ideal,
                              gen_supersingular_instance, make_instance,
                              random_smooth_class, split_prime)
@@ -361,3 +362,33 @@ def test_criterion_7_complexity_sanity():
         assert gl2_order(m) % r == 0
         assert r <= 2 * m * m
     assert walls == sorted(walls), [f"{w:.3f}" for w in walls]
+
+
+def test_criterion_7_op_counts(monkeypatch):
+    """Beside the wall-clock gate, a count that does not depend on the
+    machine: the F_p polynomial products (fields._pmul) of each rung of the
+    same ladder, counted from outside with the memos cold, grow strictly
+    with m.  They cover the division polynomial, the torsion degree and,
+    when the process has not built it yet, the modulus of F_{q^r}: a fresh
+    process reads 272/416/560/846/988, one with the towers built
+    191/308/425/657/772.  F_{q^r} products are not counted, as they do not
+    grow with m (the m = 3 pairings take more than the m = 5 ones)."""
+    calls = [0]
+    pmul = fields._pmul
+
+    def counted(*args):
+        calls[0] += 1
+        return pmul(*args)
+
+    # the library imports by name, so both namespaces hold the function
+    monkeypatch.setattr(fields, "_pmul", counted)
+    monkeypatch.setattr(curves, "_pmul", counted)
+    clear_caches()
+    oc = make_instance(120121, 2, random.Random(0))
+    rng = random.Random(4)
+    counts = []
+    for m in (3, 5, 7, 11, 13):
+        before = calls[0]
+        assert eval_character(oc, oc, Character("chi", m), rng).value == 1
+        counts.append(calls[0] - before)
+    assert all(a < b for a, b in zip(counts, counts[1:])), counts

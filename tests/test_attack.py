@@ -5,8 +5,9 @@ import pytest
 
 from weilchar.action import (OrientedCurve, SmoothIdeal, apply_smooth_ideal,
                              random_smooth_class, split_prime)
-from weilchar.attack import (_noneigen_draw, adjust_generator, base_side,
-                             eval_character, usable_characters)
+from weilchar.attack import (_noneigen_draw, _torsion_basis, _torsion_point,
+                             adjust_generator, base_side, eval_character,
+                             usable_characters)
 from weilchar.curves import (frobenius_map, point_add, scalar_mul,
                              torsion_basis, torsion_extension_degree)
 from weilchar.fields import element_order, get_tower, legendre_symbol
@@ -190,6 +191,23 @@ def test_imprimitive_rejected(oc24, oc52):
         _noneigen_draw(_Imprimitive(oc52, 4, 1), 4, get_tower(13, r4), rng)
 
 
+@pytest.mark.parametrize("name,m", [("oc24", 3), ("oc52", 4)])
+def test_torsion_cells_are_the_basis_combinations(request, name, m):
+    """Each memoized cell (a, b) is a B1 + b B2 on the memoized basis, so a
+    draw read from the memo is the point the two multiples would give."""
+    oc = request.getfixturevalue(name)
+    r = torsion_extension_degree(oc.curve, m)
+    E = oc.curve_in(r)
+    B1, B2 = _torsion_basis(oc, m, r)
+    cells = {_torsion_point(oc, m, r, a, b)
+             for a in range(m) for b in range(m)}
+    for a in range(m):
+        for b in range(m):
+            want = point_add(E, scalar_mul(E, a, B1), scalar_mul(E, b, B2))
+            assert _torsion_point(oc, m, r, a, b) == want, (a, b)
+    assert len(cells) == m * m, "a basis spans E[m] without repeats"
+
+
 def _frobenius_order_mod(q: int, t: int, m: int, cap: int) -> int:
     """Order of the Frobenius companion matrix in GL2(Z/m), capped: the
     torsion extension degree when the orientation is primitive at m."""
@@ -247,8 +265,10 @@ def test_cold_and_warm_caches_agree(request):
     assert all(s["entries"] == 0 for s in cache_stats().values())
     cold = [_frozen_eval(request, *case[:4]) for case in _FROZEN_EVALS]
     assert cache_stats()["attack._extension_degree"]["misses"] == 3
+    cells = cache_stats()["attack._torsion_point"]
     warm = [_frozen_eval(request, *case[:4]) for case in _FROZEN_EVALS]
     assert cache_stats()["attack._extension_degree"]["misses"] == 3
+    assert cache_stats()["attack._torsion_point"]["hits"] > cells["hits"]
     assert cold == warm == [case[4] for case in _FROZEN_EVALS]
 
 

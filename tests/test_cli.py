@@ -423,3 +423,55 @@ def test_ddh_config_takes_json_booleans(tmp_path, capsys):
                                 "--json"])
     assert code == 0
     assert cli._destring(json.loads(out))["squares_only"] is True
+
+
+# every key of an instance record that the loader reads; norm, factors and
+# sigma.kind are derived from these and not read back
+_READ_KEYS = ("p", "D", "trace", "curve", "curve.a4", "curve.a6", "sigma",
+              "sigma.k")
+_RETYPES = {"deleted": None, "null": None, "list": [1], "object": {},
+            "bool": True, "float": 1.5, "word": "x", "negative": -1,
+            "huge": 10 ** 30}
+
+
+@pytest.mark.parametrize("retype", list(_RETYPES))
+@pytest.mark.parametrize("key", _READ_KEYS)
+@pytest.mark.parametrize("half", ["base", "target"])
+def test_fuzzed_pair_record_exits_2(readme_pair, tmp_path, capsys, half, key,
+                                    retype):
+    data = json.loads(readme_pair.read_text())
+    *outer, last = key.split(".")
+    record = data[half]
+    for part in outer:
+        record = record[part]
+    if retype == "deleted":
+        del record[last]
+    else:
+        record[last] = _RETYPES[retype]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, _, err = run(capsys, ["eval-char", str(bad), "--chars", "epsilon",
+                                "--seed", "7"])
+    assert code == 2 and err, err
+
+
+@pytest.mark.parametrize("fraction", [0, 0.01, 0.25, 0.5, 0.75, 0.99])
+def test_truncated_pair_file_exits_2(readme_pair, tmp_path, capsys, fraction):
+    text = readme_pair.read_text()
+    bad = tmp_path / "bad.json"
+    bad.write_text(text[:int(len(text) * fraction)])
+    code, _, err = run(capsys, ["eval-char", str(bad), "--seed", "7"])
+    assert code == 2 and "not valid JSON" in err, err
+
+
+@pytest.mark.parametrize("instance", [
+    None, 13, True, 1.5, [], ["inst.json"], {}, {"p": 13}, "missing.json", ".",
+], ids=["null", "number", "bool", "float", "empty-list", "path-list",
+        "empty-object", "partial-record", "missing-file", "directory"])
+def test_mistyped_ddh_instance_exits_2(tmp_path, capsys, monkeypatch,
+                                      instance):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "ddh.json"
+    cfg.write_text(json.dumps({"instance": instance, "trials": 4}))
+    code, _, err = run(capsys, ["ddh-experiment", "--config", str(cfg)])
+    assert code == 2 and err, err

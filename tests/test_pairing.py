@@ -4,11 +4,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weilchar.curves import (Curve, CurvePoint, count_points, extension_order,
-                             frobenius_map, point_add, sample_m_torsion,
-                             scalar_mul, torsion_basis,
+from weilchar.curves import (Curve, CurvePoint, _add_raw, _raw, count_points,
+                             extension_order, frobenius_map, point_add,
+                             sample_m_torsion, scalar_mul, torsion_basis,
                              torsion_extension_degree, velu_isogeny)
-from weilchar.fields import element_order, get_tower
+from weilchar.fields import FieldElement, element_order, get_tower
 from weilchar.pairing import PairingValue, weil_pairing
 
 
@@ -158,3 +158,125 @@ def test_pairing_laws_on_the_raw_walk(curve, u, v, a):
     z = weil_pairing(E, P, Q, m, rng).value
     assert weil_pairing(E, scalar_mul(E, a, P), Q, m, rng).value == z ** a
     assert weil_pairing(E, P, P, m, rng).value == 1
+
+
+# -- the shifted pairing on FieldElement ratios, as the reference ----------
+
+def _oracle_ratio(E, P, m, X1, X2):
+    """f_{m,P}(X1) / f_{m,P}(X2) as a FieldElement, or None where a line or
+    vertical of the walk vanishes at X1 or X2; ValueError unless [m]P = O."""
+    f = E.field
+    a4 = E.a4.value
+    P = _raw(f, P)
+    x1, y1 = _raw(f, X1)
+    x2, y2 = _raw(f, X2)
+    num = den = f.one
+    T = P
+    for bit in bin(m)[3:]:
+        num, den = f.vmul(num, num), f.vmul(den, den)
+        for U in ((T, P) if bit == "1" else (T,)):
+            if T is None and U is None:
+                continue
+            S, lam = _add_raw(f, a4, T, U)
+            if lam is None:
+                vx = (U if T is None else T)[0]
+                num = f.vmul(num, f.vsub(x1, vx))
+                den = f.vmul(den, f.vsub(x2, vx))
+            else:
+                tx, ty = T
+                num = f.vmul(num, f.vsub(f.vsub(y1, ty),
+                                         f.vmul(lam, f.vsub(x1, tx))))
+                den = f.vmul(den, f.vsub(f.vsub(y2, ty),
+                                         f.vmul(lam, f.vsub(x2, tx))))
+            if S is not None:
+                num = f.vmul(num, f.vsub(x2, S[0]))
+                den = f.vmul(den, f.vsub(x1, S[0]))
+            T = S
+    if T is not None:
+        raise ValueError(f"base point does not have order dividing {m}")
+    if num == f.zero or den == f.zero:
+        return None
+    return FieldElement(f, f.vmul(num, f.vinv(den)))
+
+
+def _oracle_pairing(E, P, Q, m, rng):
+    """(e_m(P, Q), shift draws retried) with every shift point and ratio a
+    CurvePoint or FieldElement, S - R drawn by its own addition and three
+    divisions."""
+    if P.is_infinity() or Q.is_infinity():
+        for T in (P, Q):
+            if not T.is_infinity():
+                _oracle_ratio(E, T, m, T, T)
+        return E.field(1), 0
+    for retries in range(200):
+        R = E.random_point(rng)
+        S = E.random_point(rng)
+        e1 = point_add(E, point_add(E, Q, R), -S)
+        e2 = point_add(E, R, -S)
+        e3 = point_add(E, point_add(E, P, S), -R)
+        e4 = point_add(E, S, -R)
+        if any(T.is_infinity() or T == P or T == Q for T in (e1, e2, e3, e4)):
+            continue
+        top = _oracle_ratio(E, P, m, e1, e2)
+        bot = _oracle_ratio(E, Q, m, e3, e4)
+        if top is None or bot is None:
+            continue
+        return top / bot, retries
+    raise RuntimeError("could not find nondegenerate shift points")
+
+
+def _torsion_pairs(q, a4, a6, m, rng):
+    """E over the field of E[m], a basis, and pairs of E[m] that include
+    equal, opposite, infinite and lower-order arguments."""
+    E, B1, B2 = _basis(q, a4, a6, m, rng)
+    inf = CurvePoint.infinity()
+    pairs = [(B1, B2), (B2, B1), (B1, B1), (B1, -B1), (B1, inf), (inf, B2),
+             (inf, inf)]
+    for _ in range(12):
+        P = point_add(E, scalar_mul(E, rng.randrange(m), B1),
+                      scalar_mul(E, rng.randrange(m), B2))
+        Q = point_add(E, scalar_mul(E, rng.randrange(m), B1),
+                      scalar_mul(E, rng.randrange(m), B2))
+        pairs.append((P, Q))
+    return E, pairs
+
+
+@pytest.mark.parametrize("q,a4,a6,m,retrying", [
+    (13, 2, 3, 3, False),
+    (13, 2, 3, 4, False),
+    (11, 3, 4, 7, False),
+    (13, 2, 3, 8, False),
+    # curves where the reference retries its shift draws: about 5 calls in
+    # 200 here and 1 in 200 over F_{7^3}, so these run ten rounds
+    (13, 1, 1, 2, True),
+    (7, 3, 2, 3, True),
+])
+def test_pairing_matches_the_reference_and_its_draws(q, a4, a6, m, retrying):
+    """Same value and same generator state after each call as the
+    reference, retried shift draws included."""
+    rng = random.Random(31)
+    E, pairs = _torsion_pairs(q, a4, a6, m, rng)
+    ours, ref = random.Random(37), random.Random(37)
+    retried = 0
+    for _ in range(10 if retrying else 1):
+        for P, Q in pairs:
+            z = weil_pairing(E, P, Q, m, ours).value
+            want, retries = _oracle_pairing(E, P, Q, m, ref)
+            assert z == want, (P, Q)
+            assert ours.getstate() == ref.getstate(), (P, Q)
+            retried += retries
+    assert retried > 0 or not retrying, "no call retried its shift draws"
+
+
+def test_pairing_errors_match_the_reference():
+    """Outside E[m] both raise ValueError, with or without an argument at
+    infinity, and leave the generator in the same state."""
+    E, P, Q = _basis(13, 2, 3, 5, random.Random(19))
+    inf = CurvePoint.infinity()
+    for args in ((P, Q), (inf, Q), (P, inf), (P, P)):
+        ours, ref = random.Random(41), random.Random(41)
+        with pytest.raises(ValueError):
+            weil_pairing(E, *args, 3, ours)
+        with pytest.raises(ValueError):
+            _oracle_pairing(E, *args, 3, ref)
+        assert ours.getstate() == ref.getstate()
