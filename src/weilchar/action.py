@@ -112,8 +112,11 @@ class OrientedCurve:
         """The instance a record describes, after checking that the record
         is one that to_json of a generated instance could have written."""
         q = data["p"]
-        tw = get_tower(q, 1)
         k = data["sigma"]["k"]
+        for name, v in (("p", q), ("trace", data["trace"]), ("sigma.k", k)):
+            if type(v) is not int:
+                raise ValueError(f"{name} = {v!r} is not an int")
+        tw = get_tower(q, 1)
         t = data["trace"] - 2 * k
         a4, a6 = data["curve"]["a4"], data["curve"]["a6"]
         for name, v in (("a4", a4), ("a6", a6)):
@@ -125,8 +128,14 @@ class OrientedCurve:
             raise ValueError("j-invariant 0 or 1728: the instance generators "
                              "never produce these curves")
         oc = cls(E, q, t, k)
-        if oc.D != data["D"]:
-            raise ValueError("inconsistent instance data: discriminant mismatch")
+        # every key, the derived D, norm, factors and sigma kind included,
+        # must hold what to_json writes for this instance, types included
+        want = oc.to_json()
+        for key in sorted(set(data) | set(want)):
+            if key not in data or key not in want or not _same(data[key],
+                                                               want[key]):
+                raise ValueError(f"inconsistent instance data: {key!r} is "
+                                 f"not what to_json writes for the instance")
         # the trace must be the curve's own, not its twist's: a few points,
         # drawn from a generator seeded by the record, must be killed by
         # the group order
@@ -136,6 +145,18 @@ class OrientedCurve:
                 raise ValueError(f"trace {t} does not match the curve: "
                                  f"#E(F_q) is not {q + 1 - t}")
         return oc
+
+
+def _same(a, b) -> bool:
+    """a == b with equal types throughout, so True is not 1 and [1] is not
+    (1,); lists and dicts compare item by item."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
 
 
 @dataclass(frozen=True)

@@ -99,18 +99,31 @@ class Curve:
         away from its own field the coefficients must lie in F_p."""
         return self if field is self.field else Curve(field, self.a4, self.a6)
 
-    def random_point(self, rng) -> CurvePoint:
+    def draw_point(self, rng) -> tuple:
+        """What random_point takes from rng, without its square root:
+        (x, c, sign) as raw values of the field, x uniform among those
+        with c = x^3 + a4 x + a6 a square or zero, and sign the bit that
+        picks the root of c (see _lift)."""
         f = self.field
         a4, a6 = self.a4.value, self.a6.value
         for _ in range(10000):
             x = f.random_value(rng)
-            y = f.vsqrt(f.vadd(f.vmul(f.vadd(f.vmul(x, x), a4), x), a6))
-            if y is None:
+            c = f.vadd(f.vmul(f.vadd(f.vmul(x, x), a4), x), a6)
+            if c != f.zero and not f.vis_square(c):
                 continue
-            if rng.randrange(2):
-                y = f.vneg(y)
-            return CurvePoint(FieldElement(f, x), FieldElement(f, y))
+            return x, c, rng.randrange(2)
         raise RuntimeError("failed to sample a curve point")
+
+    def random_point(self, rng) -> CurvePoint:
+        return _point(self.field, _lift(self.field, self.draw_point(rng)))
+
+
+def _lift(f: FieldTower, drawn: tuple):
+    """The raw point of a draw_point triple: (x, y) with y the square root
+    of c that vsqrt returns, negated when the sign bit is set."""
+    x, c, sign = drawn
+    y = f.vsqrt(c)
+    return x, f.vneg(y) if sign else y
 
 
 def _raw(f: FieldTower, P: CurvePoint):

@@ -139,7 +139,9 @@ _towers: dict = {}
 def get_tower(p: int, r: int = 1) -> "FieldTower":
     """F_p for r = 1, else F_{p^r}: one shared object per (p, r), so fields
     compare by identity and each builds its modulus, Frobenius basis and
-    square-root non-residue once."""
+    square-root non-residue once.  The table is not a memo.memo and
+    clear_caches() leaves it alone: a tower built again would be a second
+    field that elements of the first do not embed in."""
     tower = _towers.get((p, r))
     if tower is None:
         if r < 1:

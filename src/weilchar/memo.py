@@ -3,6 +3,14 @@
 Every function the library memoizes goes through ``memo``, so all of the
 caches can be inspected and emptied together.  Memoized results never
 depend on the cache: a cold call returns what a warm one does.
+
+One table stays outside it on purpose: the fields of ``fields.get_tower``.
+Curves and field elements compare fields by identity, so a tower must live
+as long as the process.  If ``clear_caches()`` dropped it, the next
+``get_tower`` would build a second F_p, and ``Curve.over`` would raise
+TypeError on an element of the old one.  So ``clear_caches()`` leaves the
+towers built, ``cache_stats()`` does not list them, and work after it skips
+``make_extension`` where a fresh process does not.
 """
 
 from functools import lru_cache

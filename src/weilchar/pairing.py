@@ -1,28 +1,39 @@
 """Weil pairing on m-torsion via Miller's algorithm.
 
-e_m(P, Q) is computed as f_{D_P}(D_Q) / f_{D_Q}(D_P) with shifted divisors
-D_P = (P+S) - (S) and D_Q = (Q+R) - (R); the function for a shifted divisor
-is the translated Miller function, so every evaluation happens at honest
-affine points, scalar normalizations cancel in the ratios, and no
-correction-at-infinity bookkeeping is needed.
+The value is Miller's unshifted formula (Miller, J. Cryptology 17, 2004):
+for finite P != Q in E[m], e_m(P, Q) = (-1)^m f_{m,P}(Q) / f_{m,Q}(P),
+where div(f_{m,P}) = m(P) - m(O) and f_{m,P} is the product of the
+lines of its Miller walk over the product of the verticals.  Lines and
+verticals are monic in y and x, so f_{m,P} is normalized at infinity as
+the formula needs.  Each walk evaluates at the other point once
+(_miller_values) and the value costs one inversion.  A line or vertical of
+the walk of P vanishes only at multiples of P, so a zero factor means Q is
+in <P> or P in <Q>, and the value is 1.
 
-Everything after the draw of R and S runs on raw field values: the four
-shift points come from the group law (curves._add_raw), with S - R taken as
-the negative of R - S since the group law is exact, and the degeneracy
-checks compare raw points.  Each base point is walked once: the walk over
-[k]P takes its slopes from the group law, evaluates every line and
-vertical at both evaluation points into one numerator and one denominator,
-and hands back the pair.  The value num_P den_Q / (den_P num_Q) then costs
-one inversion for the whole pairing.  A line or vertical that vanishes at
-an evaluation point zeroes its accumulator, and the pairing draws fresh
-shift points.
+The pairing makes the random draws of the shifted-divisor pairing it
+replaced.  That one evaluated f_{D_P}(D_Q) / f_{D_Q}(D_P) with
+D_P = (P+S) - (S) and D_Q = (Q+R) - (R) for random points R and S, and
+drew again until the points e1 = Q + D, e2 = D, e3 = P - D and e4 = -D,
+with D = R - S, were finite, differed from P and Q, and were zeros of no
+line or vertical of either walk.  For P, Q in E[m] every one of those
+failures puts D in E[m], since a zero of the walk of P is a multiple of
+P and one of the walk of Q a multiple of Q.  So [m]R = [m]S, and
+x([m]R) != x([m]S) certifies the attempt.  Each draw is
+Curve.draw_point (x, squareness test, sign bit; no square root), and
+_x_multiple takes x([m]R) x-only in projective form, with no inversion.
+
+Only when the certificate is inconclusive are the roots taken and the
+shifted attempt run exactly (_shifted_value), to decide whether to draw
+again.  Arguments outside E[m] make the unshifted walks raise; every
+attempt then runs the exact path, which raises ValueError on the attempt
+where the shifted pairing did.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curves import Curve, CurvePoint, _add_raw, _raw
+from .curves import Curve, CurvePoint, _add_raw, _lift, _raw
 from .fields import FieldElement, FieldTower
 
 
@@ -36,82 +47,193 @@ class PairingValue:
             raise ValueError("pairing value is not a root of unity of the stated order")
 
 
-def _miller_ratio(f: FieldTower, a4, P, m: int, X1, X2) -> tuple:
-    """(num, den) with num / den = f_{m,P}(X1) / f_{m,P}(X2), where
-    div(f_{m,P}) = m(P) - m(infinity), for a finite raw point P and affine
-    raw points X1, X2 of f; num or den is zero if a line or vertical of the
-    walk vanishes at X1 or X2.  Raises ValueError unless [m]P = O.
+def _miller_values(f: FieldTower, a4, P, m: int, X) -> tuple:
+    """(lines, verticals): the products of the lines and of the verticals
+    of the walk for f_{m,P} at the affine raw point X of f, for a finite
+    raw point P, so f_{m,P}(X) = lines / verticals when neither is zero.
+    Raises ValueError unless [m]P = O.
 
     f_{2k} = f_k^2 l_{T,T} / v_{2T} and f_{k+1} = f_k l_{T,P} / v_{T+P},
     where the line through a point and infinity is the vertical through the
     point, and the line or vertical through infinity alone is 1.
     """
-    x1, y1 = X1
-    x2, y2 = X2
-    # num = f(X1) times the verticals at X2; den = f(X2) times those at X1
-    num = den = f.one
+    x, y = X
+    lines = verticals = f.one
     T = P
     for i, bit in enumerate(bin(m)[3:]):
         if i:
-            num, den = f.vmul(num, num), f.vmul(den, den)
+            lines, verticals = f.vmul(lines, lines), f.vmul(verticals, verticals)
         # a doubling with the current T, then an addition of P on a 1 bit
         for U in ((T, P) if bit == "1" else (T,)):
             if T is None and U is None:
                 continue
             S, lam = _add_raw(f, a4, T, U)
             if lam is None:
-                vx = (U if T is None else T)[0]
-                num = f.vmul(num, f.vsub(x1, vx))
-                den = f.vmul(den, f.vsub(x2, vx))
+                line = f.vsub(x, (U if T is None else T)[0])
             else:
                 tx, ty = T
-                num = f.vmul(num, f.vsub(f.vsub(y1, ty),
-                                         f.vmul(lam, f.vsub(x1, tx))))
-                den = f.vmul(den, f.vsub(f.vsub(y2, ty),
-                                         f.vmul(lam, f.vsub(x2, tx))))
+                line = f.vsub(f.vsub(y, ty), f.vmul(lam, f.vsub(x, tx)))
+            lines = f.vmul(lines, line)
             if S is not None:
-                num = f.vmul(num, f.vsub(x2, S[0]))
-                den = f.vmul(den, f.vsub(x1, S[0]))
+                verticals = f.vmul(verticals, f.vsub(x, S[0]))
             T = S
     if T is not None:
         raise ValueError(f"base point does not have order dividing {m}")
-    return num, den
+    return lines, verticals
+
+
+def _unshifted_value(f: FieldTower, a4, P, Q, m: int):
+    """e_m(P, Q) for finite raw P, Q by the unshifted formula; raises
+    ValueError unless both lie in E[m]."""
+    lp, vp = _miller_values(f, a4, P, m, Q)
+    lq, vq = _miller_values(f, a4, Q, m, P)
+    if f.zero in (lp, vp, lq, vq):
+        return f.one
+    value = f.vmul(f.vmul(lp, vq), f.vinv(f.vmul(vp, lq)))
+    return f.vneg(value) if m % 2 else value
+
+
+def _shifted_value(f: FieldTower, a4, P, Q, m: int, R, S):
+    """e_m(P, Q) = f_P(e1) / f_P(e2) / (f_Q(e3) / f_Q(e4)) for the shift
+    points R, S, or None when they are degenerate (see the module
+    docstring); raises ValueError unless P and Q lie in E[m]."""
+    mR = (R[0], f.vneg(R[1]))
+    mS = (S[0], f.vneg(S[1]))
+    e1 = _add_raw(f, a4, _add_raw(f, a4, Q, R)[0], mS)[0]   # (Q+R) - S
+    e2 = _add_raw(f, a4, R, mS)[0]                          # R - S
+    e3 = _add_raw(f, a4, _add_raw(f, a4, P, S)[0], mR)[0]   # (P+S) - R
+    if e2 is None:
+        return None
+    e4 = (e2[0], f.vneg(e2[1]))                             # S - R
+    if any(T is None or T == P or T == Q for T in (e1, e2, e3, e4)):
+        return None
+    l1, v1 = _miller_values(f, a4, P, m, e1)
+    l2, v2 = _miller_values(f, a4, P, m, e2)
+    l3, v3 = _miller_values(f, a4, Q, m, e3)
+    l4, v4 = _miller_values(f, a4, Q, m, e4)
+    # f_P(e1) / f_P(e2) = num_p / den_p, f_Q(e3) / f_Q(e4) = num_q / den_q
+    num_p, den_p = f.vmul(l1, v2), f.vmul(v1, l2)
+    num_q, den_q = f.vmul(l3, v4), f.vmul(v3, l4)
+    if f.zero in (num_p, den_p, num_q, den_q):
+        return None
+    return f.vmul(f.vmul(num_p, den_q), f.vinv(f.vmul(den_p, num_q)))
+
+
+def _lin(f: FieldTower, const: int, terms):
+    """const + the sum of c v over the (c, v) in terms: raw values v of f
+    scaled by ints c, reduced once."""
+    p = f.p
+    if f.r == 1:
+        return (const + sum(c * v for c, v in terms)) % p
+    acc = [const] + [0] * (f.r - 1)
+    for c, v in terms:
+        for j, a in enumerate(v):
+            acc[j] += c * a
+    return tuple([a % p for a in acc])
+
+
+def _x_multiple(f: FieldTower, a4: int, a6: int, m: int, x, c) -> tuple:
+    """x([m]R) as (X, Z) with X / Z = x([m]R), for R = (x, y) on
+    y^2 = x^3 + a4 x + a6 with c = y^2, a4 and a6 given as ints of F_p.
+    Z = 0 exactly when [m]R = O, and then X != 0.  No inversion.
+
+    For m = 2^k n with n odd, x([n]R) = x - psi_{n-1} psi_{n+1} / psi_n^2
+    from the division values at x, then k x-only doublings:
+    x(2R) = ((x^2 - a4)^2 - 8 a6 x) / (4 (x^3 + a4 x + a6))."""
+    k = (m & -m).bit_length() - 1
+    n = m >> k
+    if n == 1:
+        X, Z = x, f.one
+    else:
+        fm1, fn, fp1 = _division_values(f, a4, a6, n, x, c)
+        # psi_n = f_n and psi_{n-1} psi_{n+1} = (2y)^2 f_{n-1} f_{n+1}
+        Z = f.vmul(fn, fn)
+        X = _lin(f, 0, ((1, f.vmul(x, Z)),
+                        (-4, f.vmul(c, f.vmul(fm1, fp1)))))
+    for _ in range(k):
+        XX, ZZ, XZ = f.vmul(X, X), f.vmul(Z, Z), f.vmul(X, Z)
+        XZ3 = f.vmul(XZ, ZZ)
+        t = _lin(f, 0, ((1, XX), (-a4, ZZ)))
+        X, Z = (_lin(f, 0, ((1, f.vmul(t, t)), (-8 * a6, XZ3))),
+                _lin(f, 0, ((4, f.vmul(XZ, XX)), (4 * a4, XZ3),
+                            (4 * a6, f.vmul(ZZ, ZZ)))))
+    return X, Z
+
+
+def _division_values(f: FieldTower, a4: int, a6: int, n: int, x, c) -> tuple:
+    """(f_{n-1}, f_n, f_{n+1}) at x for odd n >= 3, where psi_j = f_j for
+    odd j and 2y f_j for even j, by the recurrences of
+    curves._division_f on values, with F = (2y)^2 = 4c."""
+    x2 = f.vmul(x, x)
+    x3 = f.vmul(x2, x)
+    x4 = f.vmul(x2, x2)
+    vals = {
+        0: f.zero, 1: f.one, 2: f.one,
+        3: _lin(f, -a4 * a4, ((3, x4), (6 * a4, x2), (12 * a6, x))),
+        4: _lin(f, -2 * (8 * a6 * a6 + a4 ** 3),
+                ((2, f.vmul(x3, x3)), (10 * a4, x4), (40 * a6, x3),
+                 (-10 * a4 * a4, x2), (-8 * a4 * a6, x))),
+    }
+    F = _lin(f, 0, ((4, c),))
+    F2 = f.vmul(F, F)
+    mul = f.vmul
+
+    def get(j: int):
+        if j in vals:
+            return vals[j]
+        h = j // 2
+        if j % 2:
+            u = mul(get(h + 2), mul(get(h), mul(get(h), get(h))))
+            v = mul(get(h - 1), mul(get(h + 1), mul(get(h + 1), get(h + 1))))
+            if h % 2:
+                v = mul(F2, v)
+            else:
+                u = mul(F2, u)
+            val = f.vsub(u, v)
+        else:
+            val = mul(get(h), f.vsub(
+                mul(get(h + 2), mul(get(h - 1), get(h - 1))),
+                mul(get(h - 2), mul(get(h + 1), get(h + 1)))))
+        vals[j] = val
+        return val
+
+    return get(n - 1), get(n), get(n + 1)
+
+
+def _separated(f: FieldTower, a4: int, a6: int, m: int, R, S) -> bool:
+    """Whether x([m]R) != x([m]S) for the draw_point triples R and S,
+    which certifies their shifted attempt nondegenerate."""
+    XR, ZR = _x_multiple(f, a4, a6, m, R[0], R[1])
+    XS, ZS = _x_multiple(f, a4, a6, m, S[0], S[1])
+    return f.vmul(XR, ZS) != f.vmul(XS, ZR)
 
 
 def weil_pairing(E: Curve, P: CurvePoint, Q: CurvePoint, m: int, rng) -> PairingValue:
     """e_m(P, Q) for P, Q in E[m]; the value is a root of unity of order
-    dividing m, primitive exactly when (P, Q) is a basis of E[m].  The
-    walks raise ValueError unless both arguments lie in E[m]."""
+    dividing m, primitive exactly when (P, Q) is a basis of E[m].  Raises
+    ValueError unless both arguments lie in E[m]."""
     f = E.field
     a4 = E.a4.value
     P, Q = _raw(f, P), _raw(f, Q)
     if P is None or Q is None:
-        # e_m is 1 here and no shift points are drawn; each line of a walk
-        # at its own base point vanishes there, so it only checks the order
+        # e_m is 1 here and no shift points are drawn; the walk only
+        # checks the order
         for T in (P, Q):
             if T is not None:
-                _miller_ratio(f, a4, T, m, T, T)
+                _miller_values(f, a4, T, m, T)
         return PairingValue(FieldElement(f, f.one), m)
+    try:
+        value = _unshifted_value(f, a4, P, Q, m)
+        # the certificate scales by the coefficients as ints of F_p
+        A, B = E.a4.descend().value, E.a6.descend().value
+    except ValueError:
+        value = None   # every attempt runs the exact path
     for _ in range(200):
-        R = _raw(f, E.random_point(rng))
-        S = _raw(f, E.random_point(rng))
-        mR = (R[0], f.vneg(R[1]))
-        mS = (S[0], f.vneg(S[1]))
-        # evaluation points for the two shifted divisors
-        e1 = _add_raw(f, a4, _add_raw(f, a4, Q, R)[0], mS)[0]   # (Q+R) - S
-        e2 = _add_raw(f, a4, R, mS)[0]                          # R - S
-        e3 = _add_raw(f, a4, _add_raw(f, a4, P, S)[0], mR)[0]   # (P+S) - R
-        if e2 is None:
-            continue
-        e4 = (e2[0], f.vneg(e2[1]))                             # S - R
-        if any(T is None or T == P or T == Q for T in (e1, e2, e3, e4)):
-            continue
-        num_p, den_p = _miller_ratio(f, a4, P, m, e1, e2)
-        num_q, den_q = _miller_ratio(f, a4, Q, m, e3, e4)
-        # a factor that vanished once keeps its accumulator at zero
-        if f.zero in (num_p, den_p, num_q, den_q):
-            continue
-        value = f.vmul(f.vmul(num_p, den_q),
-                       f.vinv(f.vmul(den_p, num_q)))
-        return PairingValue(FieldElement(f, value), m)
+        R = E.draw_point(rng)
+        S = E.draw_point(rng)
+        if value is not None and _separated(f, A, B, m, R, S):
+            return PairingValue(FieldElement(f, value), m)
+        shifted = _shifted_value(f, a4, P, Q, m, _lift(f, R), _lift(f, S))
+        if shifted is not None:
+            return PairingValue(FieldElement(f, shifted), m)
     raise RuntimeError("could not find nondegenerate shift points for the pairing")

@@ -371,8 +371,11 @@ def test_criterion_7_op_counts(monkeypatch):
     with m.  They cover the division polynomial, the torsion degree and,
     when the process has not built it yet, the modulus of F_{q^r}: a fresh
     process reads 272/416/560/846/988, one with the towers built
-    191/308/425/657/772.  F_{q^r} products are not counted, as they do not
-    grow with m (the m = 3 pairings take more than the m = 5 ones)."""
+    191/308/425/657/772.  clear_caches() does not make the process fresh
+    again, since fields.get_tower keeps its towers outside the memo (field
+    identity must outlive it), so the counts depend on what ran before.
+    F_{q^r} products are not counted, as they do not grow with m (the m = 3
+    pairings take more than the m = 5 ones)."""
     calls = [0]
     pmul = fields._pmul
 

@@ -425,10 +425,10 @@ def test_ddh_config_takes_json_booleans(tmp_path, capsys):
     assert cli._destring(json.loads(out))["squares_only"] is True
 
 
-# every key of an instance record that the loader reads; norm, factors and
-# sigma.kind are derived from these and not read back
+# every key of an instance record; the loader checks the derived norm,
+# factors and sigma.kind against what to_json writes for the instance
 _READ_KEYS = ("p", "D", "trace", "curve", "curve.a4", "curve.a6", "sigma",
-              "sigma.k")
+              "sigma.k", "norm", "factors", "sigma.kind")
 _RETYPES = {"deleted": None, "null": None, "list": [1], "object": {},
             "bool": True, "float": 1.5, "word": "x", "negative": -1,
             "huge": 10 ** 30}

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from weilchar.curves import (Curve, CurvePoint, _add_raw, _raw, count_points,
                              extension_order, frobenius_map, point_add,
                              sample_m_torsion, scalar_mul, torsion_basis,
                              torsion_extension_degree, velu_isogeny)
+from weilchar import pairing
 from weilchar.fields import FieldElement, element_order, get_tower
 from weilchar.pairing import PairingValue, weil_pairing
 
@@ -280,3 +282,144 @@ def test_pairing_errors_match_the_reference():
         with pytest.raises(ValueError):
             _oracle_pairing(E, *args, 3, ref)
         assert ours.getstate() == ref.getstate()
+
+
+def _all_of_torsion(E, B1, B2, m):
+    """Every point of E[m] = <B1, B2>."""
+    pts = []
+    for a in range(m):
+        A = scalar_mul(E, a, B1)
+        for b in range(m):
+            pts.append(point_add(E, A, scalar_mul(E, b, B2)))
+    return pts
+
+
+@pytest.mark.parametrize("q,a4,a6,m", [
+    (13, 2, 3, 3), (13, 2, 3, 4), (11, 3, 4, 7), (13, 2, 3, 8),
+    (13, 1, 1, 2), (7, 3, 2, 3),
+])
+def test_pairing_matches_the_reference_on_all_of_the_torsion(q, a4, a6, m):
+    """Every (P, Q) in E[m]^2, in one generator stream: the same value and
+    the same generator state after each call as the reference."""
+    E, B1, B2 = _basis(q, a4, a6, m, random.Random(31))
+    pts = _all_of_torsion(E, B1, B2, m)
+    ours, ref = random.Random(37), random.Random(37)
+    for P in pts:
+        for Q in pts:
+            assert weil_pairing(E, P, Q, m, ours).value == \
+                _oracle_pairing(E, P, Q, m, ref)[0], (P, Q)
+            assert ours.getstate() == ref.getstate(), (P, Q)
+
+
+def test_pairing_runs_the_exact_path_when_the_certificate_is_inconclusive(
+        monkeypatch):
+    """On y^2 = x^3 + x + 1 over F_13 at m = 2 the shift draws often have
+    x([2]R) = x([2]S), so the roots are taken and the shifted attempt runs;
+    values and generator states still match the reference."""
+    calls = [0]
+    shifted = pairing._shifted_value
+
+    def counted(*args):
+        calls[0] += 1
+        return shifted(*args)
+
+    monkeypatch.setattr(pairing, "_shifted_value", counted)
+    E, B1, B2 = _basis(13, 1, 1, 2, random.Random(31))
+    pts = [T for T in _all_of_torsion(E, B1, B2, 2) if not T.is_infinity()]
+    ours, ref = random.Random(47), random.Random(47)
+    for _ in range(10):
+        for P in pts:
+            for Q in pts:
+                assert weil_pairing(E, P, Q, 2, ours).value == \
+                    _oracle_pairing(E, P, Q, 2, ref)[0]
+                assert ours.getstate() == ref.getstate()
+    assert calls[0] > 0, "the certificate never failed to decide"
+
+
+@pytest.mark.parametrize("q,a4,a6,m", [
+    (11, 1, 9, 2), (11, 1, 9, 3), (11, 1, 9, 4), (11, 1, 9, 5),
+    (11, 3, 4, 7), (11, 1, 9, 8),
+])
+def test_x_only_multiple_matches_scalar_mul(q, a4, a6, m):
+    """X / Z = x([m]R), and Z = 0 exactly when [m]R = O (then X != 0),
+    over F_q and over the field of E[m], for random R, every R in E[m],
+    and the rational 2-torsion."""
+    rng = random.Random(43)
+    E, B1, B2 = _basis(q, a4, a6, m, rng)
+    E0 = curve_over(q, a4, a6)
+    cases = [(C, C.random_point(rng)) for C in (E0, E) for _ in range(10)]
+    cases += [(E, T) for T in _all_of_torsion(E, B1, B2, m)]
+    cases += [(C, C.point(x, 0)) for C in (E0, E) for x in range(q)
+              if (x ** 3 + a4 * x + a6) % q == 0]
+    assert any(T.y == 0 for _, T in cases)
+    for C, R in cases:
+        if R.is_infinity():
+            continue
+        f = C.field
+        x, y = _raw(f, R)
+        X, Z = pairing._x_multiple(f, a4, a6, m, x, f.vmul(y, y))
+        T = scalar_mul(C, m, R)
+        assert (Z == f.zero) == T.is_infinity(), R
+        if T.is_infinity():
+            assert X != f.zero
+        else:
+            assert X == f.vmul(_raw(f, T)[0], Z), R
+
+
+# random_point(random.Random(2024)) twenty times, as (rank x, rank y), and
+# the SHA-256 of repr(getstate()) after them, recorded before the draw and
+# the square root were split: the stream must not move
+_FROZEN_STREAMS = {
+    (101, 4, 1, 3): (
+        [(24388171, 12604133), (101631958, 92169758), (71562272, 61132245),
+         (85382317, 47145668), (55817408, 8507212), (41544307, 11296777),
+         (69706074, 43969715), (103934715, 35350533), (92505884, 102827903),
+         (87579827, 80696858), (55285684, 34140945), (103440128, 76029495),
+         (97350372, 72321668), (102382782, 71452067), (52385989, 9715426),
+         (26997570, 3792942), (57285048, 30553574), (76193838, 60482266),
+         (54623280, 8812931), (30228474, 34155065)],
+        "0114c68121e98143012c623429da42cae9c4351f9f3c95cc89b9a74d2ea8f6d2"),
+    # the fifth point has y = 0: a zero right-hand side still draws a sign
+    (7, 3, 3, 2): (
+        [(155, 95), (272, 153), (325, 166), (181, 256), (315, 0), (169, 300),
+         (105, 54), (334, 105), (272, 153), (210, 263), (178, 78), (63, 149),
+         (169, 50), (162, 120), (104, 82), (115, 148), (132, 189), (291, 84),
+         (314, 220), (169, 300)],
+        "36e2f838f92387650cc2f1c840f7acb2c8ef1d19c961cfff8c61c75c1796ed5e"),
+}
+
+
+@pytest.mark.parametrize("curve", sorted(_FROZEN_STREAMS))
+def test_frozen_random_point_stream(curve):
+    p, r, a4, a6 = curve
+    E = curve_over(p, a4, a6, r=r)
+    rng = random.Random(2024)
+    got = []
+    for _ in range(20):
+        P = E.random_point(rng)
+        got.append((P.x.rank(), P.y.rank()))
+    want, state = _FROZEN_STREAMS[curve]
+    assert got == want
+    assert hashlib.sha256(repr(rng.getstate()).encode()).hexdigest() == state
+
+
+def test_pairing_on_a_curve_with_coefficients_outside_the_prime_field():
+    """y^2 = x^3 + (2 + t) x + 1 over F_{11^2}, whose E[3] is rational:
+    the x-only certificate needs a4 and a6 in F_11, so every attempt runs
+    the exact path, and values and states still match the reference."""
+    f = get_tower(11, 2)
+    E = Curve(f, FieldElement(f, (2, 1)), 1)
+    pts = [CurvePoint.infinity()]
+    for i in range(f.size):
+        x = FieldElement(f, f.unrank(i))
+        y = E.rhs(x).sqrt()
+        if y is not None:
+            pts += [T for T in (E.point(x, y), E.point(x, -y))
+                    if scalar_mul(E, 3, T).is_infinity() and T not in pts]
+    assert len(pts) == 9
+    ours, ref = random.Random(53), random.Random(53)
+    for P in pts:
+        for Q in pts:
+            assert weil_pairing(E, P, Q, 3, ours).value == \
+                _oracle_pairing(E, P, Q, 3, ref)[0]
+            assert ours.getstate() == ref.getstate()
