@@ -101,17 +101,21 @@ class Curve:
 
     def draw_point(self, rng) -> tuple:
         """What random_point takes from rng, without its square root:
-        (x, c, sign) as raw values of the field, x uniform among those
-        with c = x^3 + a4 x + a6 a square or zero, and sign the bit that
-        picks the root of c (see _lift)."""
+        (x, c, sign, norm) with x and c = x^3 + a4 x + a6 raw values of the
+        field, x uniform among those with c a square or zero, sign the bit
+        that picks the root of c (see _lift), and norm the int N(c) that
+        decided squareness, kept for the root."""
         f = self.field
+        p = f.p
         a4, a6 = self.a4.value, self.a6.value
         for _ in range(10000):
             x = f.random_value(rng)
             c = f.vadd(f.vmul(f.vadd(f.vmul(x, x), a4), x), a6)
-            if c != f.zero and not f.vis_square(c):
+            # N(c) = 0 exactly when c = 0; else Euler's criterion in F_p
+            norm = 0 if c == f.zero else f.vnorm(c)
+            if norm and pow(norm, (p - 1) // 2, p) != 1:
                 continue
-            return x, c, rng.randrange(2)
+            return x, c, rng.randrange(2), norm
         raise RuntimeError("failed to sample a curve point")
 
     def random_point(self, rng) -> CurvePoint:
@@ -119,10 +123,10 @@ class Curve:
 
 
 def _lift(f: FieldTower, drawn: tuple):
-    """The raw point of a draw_point triple: (x, y) with y the square root
+    """The raw point of a draw_point tuple: (x, y) with y the square root
     of c that vsqrt returns, negated when the sign bit is set."""
-    x, c, sign = drawn
-    y = f.vsqrt(c)
+    x, c, sign, norm = drawn
+    y = f.vsqrt(c, norm)
     return x, f.vneg(y) if sign else y
 
 

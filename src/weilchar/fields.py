@@ -5,11 +5,24 @@ Everything is plain-integer arithmetic: an element of F_p is an int in
 coefficients (constant first) of a polynomial modulo the field's monic
 defining polynomial.  F_p sits inside every F_{p^r} as the constants.
 
-Products go by Kronecker substitution (Harvey, J. Symbolic Comput. 44,
-2009): both operands pack into one int each, one bigint product carries
-every coefficient product in its own slot, and the 2r - 1 slots reduce
-through the nonzero low terms of the modulus only.  Inverses are extended
-Euclid on int lists, updated in place.
+Each F_{p^r} compiles its own kernels once, when it is built: straight-line
+Python formatted from p, r and the modulus, as in field code generated per
+modulus (fiat-crypto; Erbsen et al., IEEE S&P 2019).  Sums and differences
+are unrolled at every r.  Products take one of two paths, fixed by r alone:
+
+- up to UNROLLED_MUL_MAX_R, the unrolled schoolbook product, which reduces
+  from the top through the nonzero low terms of the modulus only;
+- above it, Kronecker substitution (Harvey, J. Symbolic Comput. 44, 2009):
+  both operands pack into one int each, one bigint product carries every
+  coefficient product in its own slot, and the 2r - 1 slots reduce the
+  same way.
+
+The unrolled product makes r^2 small-int products against one bigint
+product and the packing, so it wins at small r (4x at (101, 4), 2x at
+(120121, 7)) and loses at large r: the two tie near r = 14-16 for
+p >= 101, and at r = 42, the README's chi_7 run, Kronecker is about 1.8x
+faster (bench/fields.py).  Inverses are extended Euclid on int lists,
+updated in place.
 
 Square roots lean on the Frobenius x -> x^p, a linear map on coefficients;
 each power phi^k in use is kept as one sparse matrix per field.
@@ -135,6 +148,11 @@ def _ppowmod(p: int, a: list, e: int, f: list) -> list:
 
 _towers: dict = {}
 
+# vmul runs the unrolled schoolbook product up to this degree and Kronecker
+# substitution above it; the two tie near r = 14-16 for p >= 101 and near
+# r = 20-24 for p = 23 (bench/fields.py)
+UNROLLED_MUL_MAX_R = 14
+
 
 def get_tower(p: int, r: int = 1) -> "FieldTower":
     """F_p for r = 1, else F_{p^r}: one shared object per (p, r), so fields
@@ -177,14 +195,24 @@ class FieldTower:
         self.one = 1 if r == 1 else (1,) + (0,) * (r - 1)
         self._frob_rows = {}      # power k -> sparse rows of phi^k, lazy
         self._sqrt_consts = None  # lazy: _sqrt_setup()
-        if r > 1:
-            # vmul: a slot holds a product coefficient, at most r (p-1)^2
-            w = 2 * (p - 1).bit_length() + r.bit_length()
-            self._slot, self._slot_mask = w, (1 << w) - 1
-            self._slot_shifts = tuple(w * i for i in range(2 * r - 1))
-            # x^r = sum of these (j, -f_j) over the nonzero low terms f_j
-            self._low_terms = tuple((j, -c % p)
-                                    for j, c in enumerate(modulus[:r]) if c)
+        if r == 1:
+            self._mul = lambda u, v: u * v % p
+            self._add = lambda u, v: (u + v) % p
+            self._sub = lambda u, v: (u - v) % p
+            return
+        # _kron_mul: a slot holds a product coefficient, at most r (p-1)^2
+        w = 2 * (p - 1).bit_length() + r.bit_length()
+        self._slot, self._slot_mask = w, (1 << w) - 1
+        self._slot_shifts = tuple(w * i for i in range(2 * r - 1))
+        # x^r = sum of these (j, -f_j) over the nonzero low terms f_j
+        self._low_terms = tuple((j, -c % p)
+                                for j, c in enumerate(modulus[:r]) if c)
+        self._mul = (_unrolled_mul(p, r, self._low_terms)
+                     if r <= UNROLLED_MUL_MAX_R else self._kron_mul)
+        self._add = _unrolled(r, "    return (" + "".join(
+            f"(u{i} + v{i}) % {p}, " for i in range(r)) + ")\n")
+        self._sub = _unrolled(r, "    return (" + "".join(
+            f"(u{i} - v{i}) % {p}, " for i in range(r)) + ")\n")
 
     def __repr__(self):
         return f"FieldTower(p={self.p}, r={self.r})"
@@ -209,17 +237,14 @@ class FieldTower:
             return n % self.p
         return (n % self.p,) + self.zero[1:]
 
+    # vadd, vsub and vmul stay methods of the class, so a wrapper set on
+    # the class sees every call; each runs the kernel built for the tower
+
     def vadd(self, u, v):
-        p = self.p
-        if self.r == 1:
-            return (u + v) % p
-        return tuple([(a + b) % p for a, b in zip(u, v)])
+        return self._add(u, v)
 
     def vsub(self, u, v):
-        p = self.p
-        if self.r == 1:
-            return (u - v) % p
-        return tuple([(a - b) % p for a, b in zip(u, v)])
+        return self._sub(u, v)
 
     def vneg(self, u):
         p = self.p
@@ -228,6 +253,11 @@ class FieldTower:
         return tuple([(-a) % p for a in u])
 
     def vmul(self, u, v):
+        """u v: the unrolled schoolbook product for r up to
+        UNROLLED_MUL_MAX_R, Kronecker substitution (_kron_mul) above."""
+        return self._mul(u, v)
+
+    def _kron_mul(self, u, v):
         """u v by Kronecker substitution: each operand packs into one int
         with a coefficient per slot of 2 bitlen(p - 1) + bitlen(r) bits,
         wide enough for r (p - 1)^2, so one bigint product holds the 2r - 1
@@ -236,8 +266,6 @@ class FieldTower:
         modulus only (one or two for the lex-first moduli used here)."""
         p = self.p
         r = self.r
-        if r == 1:
-            return u * v % p
         w = self._slot
         a = b = 0
         for c in reversed(u):
@@ -425,10 +453,11 @@ class FieldTower:
         digits = None if r % 2 else self.unrank((t - 1) // 2)
         return s, c, digits
 
-    def vsqrt(self, v):
+    def vsqrt(self, v, norm: Optional[int] = None):
         """A square root of v, or None if v is a non-square.
 
-        Squareness is decided first, by the norm in F_p (see vis_square).
+        Squareness is decided first, by the norm in F_p (see vis_square);
+        a caller that has taken N(v) already passes it as norm.
         The root is the Tonelli-Shanks one for q - 1 = 2^s t, t odd: the
         guess v^((t+1)/2) times the corrections that bring its error
         u = v^t to 1, which are powers of c = n^t for a fixed non-residue
@@ -446,7 +475,8 @@ class FieldTower:
         if v == self.zero:
             return v
         p, r = self.p, self.r
-        norm = self.vnorm(v)
+        if norm is None:
+            norm = self.vnorm(v)
         if pow(norm, (p - 1) // 2, p) != 1:
             return None
         if self._sqrt_consts is None:
@@ -467,6 +497,32 @@ class FieldTower:
         guess = self.vmul(v, w)
         return _tonelli_shanks(self.vmul, self.one, s, c,
                                self.vmul(guess, w), guess)
+
+
+def _unrolled(r: int, body: str):
+    """Compile a kernel on two raw values of F_{p^r}: the given
+    straight-line body, after u and v are unpacked into u0.. and v0.."""
+    us = "".join(f"u{i}, " for i in range(r))
+    vs = "".join(f"v{i}, " for i in range(r))
+    scope = {}
+    exec(f"def kernel(u, v):\n    {us}= u\n    {vs}= v\n{body}", scope)
+    return scope["kernel"]
+
+
+def _unrolled_mul(p: int, r: int, low_terms: tuple):
+    """The schoolbook product as straight-line code: the 2r - 1 product
+    coefficients c_k, then from the top each c_k (k >= r), taken mod p,
+    folded down through the low terms (j, f) of x^r = sum f x^j.  The
+    source holds only the ints p, r and those terms."""
+    body = "".join(
+        f"    c{k} = " + " + ".join(f"u{i} * v{k - i}" for i in
+                                    range(max(0, k - r + 1), min(k, r - 1) + 1))
+        + "\n" for k in range(2 * r - 1))
+    for k in range(2 * r - 2, r - 1, -1):
+        body += f"    t = c{k} % {p}\n" + "".join(
+            f"    c{k - r + j} += {f} * t\n" for j, f in low_terms)
+    return _unrolled(r, body + "    return (" + "".join(
+        f"c{i} % {p}, " for i in range(r)) + ")\n")
 
 
 def _linear_map(rows, v, p: int) -> tuple:
@@ -649,35 +705,40 @@ def _is_irreducible(p: int, coeffs) -> bool:
 
 def element_order(z: FieldElement, bound: int) -> int:
     """Exact multiplicative order of z, given a multiple `bound` of it."""
-    if (z ** bound) != 1:
+    f, v = z.field, z.value
+    if f.vpow(v, bound) != f.one:
         raise ValueError(f"element order does not divide {bound}")
     order = bound
     for q, _ in factorize(bound):
-        while order % q == 0 and (z ** (order // q)) == 1:
+        while order % q == 0 and f.vpow(v, order // q) == f.one:
             order //= q
     return order
 
 
 def dlog_in_mu_m(base: FieldElement, target: FieldElement, m: int) -> int:
     """Discrete log of target to the given base inside the order-m roots of
-    unity, by baby-step giant-step."""
-    if (target ** m) != 1:
+    unity, by baby-step giant-step on raw values of their common field."""
+    pair = base._pair(target)
+    if pair is NotImplemented:
+        raise TypeError(f"{target!r} and {base!r} share no field")
+    f, b, t = pair
+    if f.vpow(t, m) != f.one:
         raise ValueError("target is not an m-th root of unity")
-    if element_order(base, m) != m:
+    if element_order(FieldElement(f, b), m) != m:
         raise ValueError("base does not have exact order m")
     step = 1
     while step * step < m:
         step += 1
     table = {}
-    cur = FieldElement(base.field, base.field.one)
+    cur = f.one
     for j in range(step):
         table.setdefault(cur, j)
-        cur = cur * base
-    giant = base.inverse() ** step
-    cur = target
+        cur = f.vmul(cur, b)
+    giant = f.vpow(f.vinv(b), step)
+    cur = t
     for i in range(step + 1):
         j = table.get(cur)
         if j is not None:
             return (i * step + j) % m
-        cur = cur * giant
+        cur = f.vmul(cur, giant)
     raise ValueError("discrete log not found in the root-of-unity subgroup")

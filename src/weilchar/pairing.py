@@ -43,7 +43,8 @@ class PairingValue:
     modulus: int
 
     def __post_init__(self):
-        if self.value ** self.modulus != 1:
+        f = self.value.field
+        if f.vpow(self.value.value, self.modulus) != f.one:
             raise ValueError("pairing value is not a root of unity of the stated order")
 
 
@@ -201,7 +202,7 @@ def _division_values(f: FieldTower, a4: int, a6: int, n: int, x, c) -> tuple:
 
 
 def _separated(f: FieldTower, a4: int, a6: int, m: int, R, S) -> bool:
-    """Whether x([m]R) != x([m]S) for the draw_point triples R and S,
+    """Whether x([m]R) != x([m]S) for the draw_point tuples R and S,
     which certifies their shifted attempt nondegenerate."""
     XR, ZR = _x_multiple(f, a4, a6, m, R[0], R[1])
     XS, ZS = _x_multiple(f, a4, a6, m, S[0], S[1])

@@ -333,6 +333,33 @@ def test_frozen_random_points():
             assert (P.x.value, P.y.value) == (x, y)
 
 
+# x^3 + x + a6 has no root in F_p, nor in F_{p^r} unless 3 divides r, so
+# no draw has c = 0, the one case that needs no norm
+@pytest.mark.parametrize("p,r,a6", [(7, 1, 1), (13, 5, 5), (101, 4, 3),
+                                    (23, 8, 3)])
+def test_random_point_takes_one_norm_per_x(monkeypatch, p, r, a6):
+    # the norm that decides squareness in the draw also serves the root
+    E = curve_over(p, 1, a6, r=r)
+    E.random_point(random.Random(0))     # the root's constants, built once
+    counts = {"x": 0, "norm": 0}
+    field_type = type(E.field)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(field_type, "random_value",
+                        counted("x", field_type.random_value))
+    monkeypatch.setattr(field_type, "vnorm", counted("norm", field_type.vnorm))
+    rng = random.Random(f"norms{p},{r}")
+    for _ in range(20):
+        E.random_point(rng)
+    assert counts["x"] >= 20
+    assert counts["norm"] == counts["x"]
+
+
 def _add_with_slope_oracle(E, P, Q):
     """The tangent and chord formulas on FieldElement arithmetic, as
     add_with_slope computed them before it moved to raw values."""

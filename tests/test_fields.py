@@ -1,11 +1,17 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from weilchar.fields import (FieldElement, FieldTower, _is_irreducible,
-                             _is_prime, _pdivmod, _pgcd, _pmul, _ppowmod,
-                             _psub, _ptrim, dlog_in_mu_m, element_order,
-                             get_tower, legendre_symbol)
+import weilchar
+from weilchar.fields import (UNROLLED_MUL_MAX_R, FieldElement, FieldTower,
+                             _is_irreducible, _is_prime, _pdivmod, _pgcd,
+                             _pmul, _ppowmod, _psub, _ptrim, _unrolled_mul,
+                             dlog_in_mu_m, element_order, get_tower,
+                             legendre_symbol)
 
 
 def rand_elt(tower, rng):
@@ -394,30 +400,122 @@ def _cubic_at_p_max():
     return FieldTower(_P_MAX, 3, modulus)
 
 
-@pytest.mark.parametrize("field,count", [
-    (lambda: get_tower(17, 3), 60),
-    (lambda: get_tower(101, 4), 60),
-    (lambda: get_tower(101, 12), 30),
-    (lambda: get_tower(23, 42), 4),
-    (lambda: get_tower(_P_MAX, 2), 60),
-    (_cubic_at_p_max, 60),
-], ids=["17^3", "101^4", "101^12", "23^42", "pmax^2", "pmax^3"])
-def test_kernels_match_the_schoolbook_oracles(field, count):
-    field = field()
+def _reducible_ring():
+    # x^2 - 1 = (x - 1)(x + 1): not a field, so some inverses do not exist
+    return FieldTower(7, 2, (6, 0, 1))
+
+
+def _inverse_or_none(inverse, u):
+    try:
+        return inverse(u)
+    except ZeroDivisionError:
+        return None
+
+
+def _kernel_mismatches(field, count: int) -> list:
+    """The (kernel, u, v) where a kernel of field disagrees with its oracle:
+    the product on every path (vmul, Kronecker, the unrolled code) against
+    the schoolbook one, vadd and vsub against the coefficient-wise
+    formulas, and vinv against Euclid by polynomial division."""
     p, r = field.p, field.r
-    # binomial and trinomial moduli: one or two nonzero low terms
-    assert 1 <= sum(1 for c in field.modulus[:r] if c) <= 2
     rng = random.Random(f"kernels{p},{r}")
     top = (p - 1,) * r      # every product slot at its largest, r (p-1)^2
-    cases = [(top, top), (top, field.one), (field.one, field.zero)]
+    cases = [(top, top), (top, field.one), (field.one, field.zero),
+             (field.zero, top), (field.zero, field.zero)]
     cases += [(field.random_value(rng), field.random_value(rng))
               for _ in range(count)]
+    unrolled = _unrolled_mul(p, r, field._low_terms)
+    bad = []
     for u, v in cases:
-        assert field.vmul(u, v) == _schoolbook_mul(field, u, v)
-        if u != field.zero:
-            inv = field.vinv(u)
-            assert inv == _euclid_inv(field, u)
-            assert field.vmul(u, inv) == field.one
+        want = _schoolbook_mul(field, u, v)
+        if not (field.vmul(u, v) == field._kron_mul(u, v) == unrolled(u, v)
+                == want):
+            bad.append(("mul", u, v))
+        if field.vadd(u, v) != tuple([(a + b) % p for a, b in zip(u, v)]):
+            bad.append(("add", u, v))
+        if field.vsub(u, v) != tuple([(a - b) % p for a, b in zip(u, v)]):
+            bad.append(("sub", u, v))
+        inv = _inverse_or_none(field.vinv, u)
+        if (inv != _inverse_or_none(lambda a: _euclid_inv(field, a), u)
+                or inv is not None and field.vmul(u, inv) != field.one):
+            bad.append(("inv", u, v))
+    return bad
+
+
+# the towers the tests and workloads build, both sides of the product
+# crossover, and the two largest supported characteristics
+_KERNEL_FIELDS = {
+    "7^2": (lambda: get_tower(7, 2), 60),
+    "5^3": (lambda: get_tower(5, 3), 60),
+    "13^3": (lambda: get_tower(13, 3), 60),
+    "17^3": (lambda: get_tower(17, 3), 60),
+    "101^2": (lambda: get_tower(101, 2), 60),
+    "101^4": (lambda: get_tower(101, 4), 60),
+    "101^12": (lambda: get_tower(101, 12), 30),
+    "2221^3": (lambda: get_tower(2221, 3), 60),
+    "2221^5": (lambda: get_tower(2221, 5), 60),
+    "2221^12": (lambda: get_tower(2221, 12), 30),
+    "120121^7": (lambda: get_tower(120121, 7), 60),
+    "23^max": (lambda: get_tower(23, UNROLLED_MUL_MAX_R), 20),
+    "23^max+1": (lambda: get_tower(23, UNROLLED_MUL_MAX_R + 1), 20),
+    "23^42": (lambda: get_tower(23, 42), 4),
+    "pmax^2": (lambda: get_tower(_P_MAX, 2), 60),
+    "pmax^3": (_cubic_at_p_max, 60),
+    "x^2-1": (_reducible_ring, 60),
+}
+
+
+@pytest.mark.parametrize("name", list(_KERNEL_FIELDS))
+def test_kernels_match_the_schoolbook_oracles(name):
+    make, count = _KERNEL_FIELDS[name]
+    field = make()
+    # binomial and trinomial moduli: one or two nonzero low terms
+    assert 1 <= sum(1 for c in field.modulus[:field.r] if c) <= 2
+    # one product path per degree, chosen by the crossover alone
+    kron = field._mul == field._kron_mul
+    assert kron == (field.r > UNROLLED_MUL_MAX_R)
+    assert _kernel_mismatches(field, count) == []
+
+
+def test_kernels_match_the_oracles_under_optimize():
+    # the same check with asserts stripped: it reports through its result
+    script = (
+        "import sys\n"
+        "if __debug__:\n"
+        "    sys.exit('asserts are on')\n"
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+        "from test_fields import _KERNEL_FIELDS, _kernel_mismatches\n"
+        "for name in ('101^4', '2221^5', '120121^7', '23^max',\n"
+        "             '23^max+1', 'pmax^3', 'x^2-1'):\n"
+        "    make, count = _KERNEL_FIELDS[name]\n"
+        "    bad = _kernel_mismatches(make(), count)\n"
+        "    if bad:\n"
+        "        sys.exit(f'{name}: {bad[:3]}')\n")
+    proc = _run_python(["-O", "-c", script])
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_field_bench_smoke():
+    # one tower on each side of the product crossover, one call per run
+    bench = Path(__file__).resolve().parents[1] / "bench" / "fields.py"
+    proc = _run_python([str(bench), "--repeat", "1", "101,4", "23,15"])
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[1].split() == ["p", "r", "unrolled_mul", "kron_mul", "vadd",
+                                "vsub", "vinv"]
+    rows = [line.split() for line in lines[2:]]
+    assert [row[:2] for row in rows] == [["101", "4"], ["23", "15"]]
+    assert all(float(t) > 0 for row in rows for t in row[2:])
+
+
+def _run_python(args):
+    """A fresh interpreter on args, importing weilchar from this tree."""
+    src = str(Path(weilchar.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable] + args, env=env,
+                          capture_output=True, text=True, timeout=300)
 
 
 @pytest.mark.parametrize("p,r", [(7, 2), (17, 3), (101, 4), (13, 12),
