@@ -5,10 +5,11 @@ Everything is plain-integer arithmetic: an element of F_p is an int in
 coefficients (constant first) of a polynomial modulo the field's monic
 defining polynomial.  F_p sits inside every F_{p^r} as the constants.
 
-Each F_{p^r} compiles its own kernels once, when it is built: straight-line
-Python formatted from p, r and the modulus, as in field code generated per
-modulus (fiat-crypto; Erbsen et al., IEEE S&P 2019).  Sums and differences
-are unrolled at every r.  Products take one of two paths, fixed by r alone:
+Each F_{p^r} compiles its own kernels: straight-line Python formatted from
+p, r and the modulus, as in field code generated per modulus (fiat-crypto;
+Erbsen et al., IEEE S&P 2019).  Sums, differences and negations are
+unrolled at every r and built with the field, as is the product, which
+takes one of two paths fixed by r alone:
 
 - up to UNROLLED_MUL_MAX_R, the unrolled schoolbook product, which reduces
   from the top through the nonzero low terms of the modulus only;
@@ -22,10 +23,12 @@ product and the packing, so it wins at small r (4x at (101, 4), 2x at
 (120121, 7)) and loses at large r: the two tie near r = 14-16 for
 p >= 101, and at r = 42, the README's chi_7 run, Kronecker is about 1.8x
 faster (bench/fields.py).  Inverses are extended Euclid on int lists,
-updated in place.
+updated in place.  Two more kinds are compiled on first use, at any r: each
+Frobenius power phi^k in use, from its sparse rows, and the linear
+combination const + sum of c v at each term count (lin_kernel, for the
+pairing's x-only certificate).
 
-Square roots lean on the Frobenius x -> x^p, a linear map on coefficients;
-each power phi^k in use is kept as one sparse matrix per field.
+Square roots lean on the Frobenius x -> x^p, a linear map on coefficients.
 The norm N(v) = v^(1 + p + ... + p^(r-1)) lies in F_p and decides
 squareness there, since v^((q-1)/2) = N(v)^((p-1)/2).  For odd r the
 Tonelli-Shanks loop also runs in F_p, on ints, and only its first guess is
@@ -193,12 +196,14 @@ class FieldTower:
         self.base = self if r == 1 else get_tower(p, 1)
         self.zero = 0 if r == 1 else (0,) * r
         self.one = 1 if r == 1 else (1,) + (0,) * (r - 1)
-        self._frob_rows = {}      # power k -> sparse rows of phi^k, lazy
+        self._frob = {}           # power k -> compiled phi^k, lazy
+        self._lins = {}           # term count -> compiled lin_kernel, lazy
         self._sqrt_consts = None  # lazy: _sqrt_setup()
         if r == 1:
             self._mul = lambda u, v: u * v % p
             self._add = lambda u, v: (u + v) % p
             self._sub = lambda u, v: (u - v) % p
+            self._neg = lambda u: -u % p
             return
         # _kron_mul: a slot holds a product coefficient, at most r (p-1)^2
         w = 2 * (p - 1).bit_length() + r.bit_length()
@@ -209,10 +214,13 @@ class FieldTower:
                                 for j, c in enumerate(modulus[:r]) if c)
         self._mul = (_unrolled_mul(p, r, self._low_terms)
                      if r <= UNROLLED_MUL_MAX_R else self._kron_mul)
-        self._add = _unrolled(r, "    return (" + "".join(
-            f"(u{i} + v{i}) % {p}, " for i in range(r)) + ")\n")
-        self._sub = _unrolled(r, "    return (" + "".join(
-            f"(u{i} - v{i}) % {p}, " for i in range(r)) + ")\n")
+        uv = _unpack(r, "u") + _unpack(r, "v")
+        self._add = _compile("u, v", uv + _returns(
+            f"(u{i} + v{i}) % {p}" for i in range(r)))
+        self._sub = _compile("u, v", uv + _returns(
+            f"(u{i} - v{i}) % {p}" for i in range(r)))
+        self._neg = _compile("u", _unpack(r, "u") + _returns(
+            f"-u{i} % {p}" for i in range(r)))
 
     def __repr__(self):
         return f"FieldTower(p={self.p}, r={self.r})"
@@ -237,8 +245,8 @@ class FieldTower:
             return n % self.p
         return (n % self.p,) + self.zero[1:]
 
-    # vadd, vsub and vmul stay methods of the class, so a wrapper set on
-    # the class sees every call; each runs the kernel built for the tower
+    # vadd, vsub, vneg and vmul stay methods of the class, so a wrapper set
+    # on the class sees every call; each runs the kernel built for the tower
 
     def vadd(self, u, v):
         return self._add(u, v)
@@ -247,10 +255,7 @@ class FieldTower:
         return self._sub(u, v)
 
     def vneg(self, u):
-        p = self.p
-        if self.r == 1:
-            return (-u) % p
-        return tuple([(-a) % p for a in u])
+        return self._neg(u)
 
     def vmul(self, u, v):
         """u v: the unrolled schoolbook product for r up to
@@ -356,32 +361,49 @@ class FieldTower:
     # -- frobenius ----------------------------------------------------------
 
     def frobenius(self, v, power: int = 1):
-        """v^(p^power), a linear map on the coefficients.  phi^k for
-        k = power mod r is kept per field as sparse rows, row j holding
-        the nonzero coefficients of phi^k(x^j), built on first use; for a
-        binomial modulus every row has one entry."""
+        """v^(p^power), a linear map on the coefficients: phi^k for
+        k = power mod r runs as straight-line code, compiled on first use
+        (_frobenius_kernel)."""
         k = power % self.r
         if not k:
             return v
-        rows = self._frob_rows.get(k) or self._frobenius_rows(k)
-        return _linear_map(rows, v, self.p)
+        return (self._frob.get(k) or self._frobenius_kernel(k))(v)
 
-    def _frobenius_rows(self, k: int) -> tuple:
-        """Sparse rows of phi^k, cached: the powers of y = phi^k(x), with
-        y = x^p for k = 1 and y = phi(phi(...phi(x))) otherwise."""
+    def _frobenius_kernel(self, k: int):
+        """phi^k compiled from its sparse rows, cached: row j holds the
+        nonzero coefficients of phi^k(x^j) = y^j, with y = x^p for k = 1
+        and y = phi(phi(...phi(x))) by phi's kernel otherwise; for a
+        binomial modulus every row has one entry."""
+        x = (0, 1) + self.zero[2:]
         if k == 1:
-            y = self.vpow((0, 1) + self.zero[2:], self.p)
+            y = self.vpow(x, self.p)
         else:
-            step = self._frob_rows.get(1) or self._frobenius_rows(1)
-            y = (0, 1) + self.zero[2:]
+            step, y = self._frob.get(1) or self._frobenius_kernel(1), x
             for _ in range(k):
-                y = _linear_map(step, y, self.p)
+                y = step(y)
         powers = [self.one, y]
         for _ in range(self.r - 2):
             powers.append(self.vmul(powers[-1], y))
-        rows = self._frob_rows[k] = tuple(
-            tuple((i, c) for i, c in enumerate(g) if c) for g in powers)
-        return rows
+        sums = ([(g[i], f"v{j}") for j, g in enumerate(powers)]
+                for i in range(self.r))
+        self._frob[k] = kernel = _compile("v", _unpack(self.r, "v") + _returns(
+            _reduced(self.p, terms) for terms in sums))
+        return kernel
+
+    def lin_kernel(self, n: int):
+        """For r > 1, kernel(const, terms): const + the sum of c w over the
+        n pairs (c, w) in terms, ints c and raw values w, reduced once;
+        compiled on first use for each n."""
+        kernel = self._lins.get(n)
+        if kernel is None:
+            r, ts = self.r, range(n)
+            body = "    " + "".join(f"(c{t}, w{t}), " for t in ts) + "= terms\n"
+            body += "".join(_unpack(r, f"w{t}_", f"w{t}") for t in ts)
+            sums = [[(f"c{t}", f"w{t}_{i}") for t in ts] for i in range(r)]
+            sums[0].insert(0, (1, "const"))
+            body += _returns(_reduced(self.p, terms) for terms in sums)
+            self._lins[n] = kernel = _compile("const, terms", body)
+        return kernel
 
     # -- norm and square roots ----------------------------------------------
 
@@ -499,14 +521,29 @@ class FieldTower:
                                self.vmul(guess, w), guess)
 
 
-def _unrolled(r: int, body: str):
-    """Compile a kernel on two raw values of F_{p^r}: the given
-    straight-line body, after u and v are unpacked into u0.. and v0.."""
-    us = "".join(f"u{i}, " for i in range(r))
-    vs = "".join(f"v{i}, " for i in range(r))
+def _compile(args: str, body: str):
+    """kernel(args) with the given straight-line body."""
     scope = {}
-    exec(f"def kernel(u, v):\n    {us}= u\n    {vs}= v\n{body}", scope)
+    exec(f"def kernel({args}):\n{body}", scope)
     return scope["kernel"]
+
+
+def _unpack(r: int, name: str, value: str = "") -> str:
+    """The line unpacking the r coefficients of value (default name) into
+    name0, name1, ..."""
+    return ("    " + "".join(f"{name}{i}, " for i in range(r))
+            + f"= {value or name}\n")
+
+
+def _returns(coefficients) -> str:
+    return "    return (" + "".join(f"{c}, " for c in coefficients) + ")\n"
+
+
+def _reduced(p: int, terms: list) -> str:
+    """The source of the sum of c * name over the (c, name) in terms with
+    c != 0, mod p."""
+    terms = [name if c == 1 else f"{c} * {name}" for c, name in terms if c]
+    return f"({' + '.join(terms)}) % {p}" if terms else "0"
 
 
 def _unrolled_mul(p: int, r: int, low_terms: tuple):
@@ -521,19 +558,8 @@ def _unrolled_mul(p: int, r: int, low_terms: tuple):
     for k in range(2 * r - 2, r - 1, -1):
         body += f"    t = c{k} % {p}\n" + "".join(
             f"    c{k - r + j} += {f} * t\n" for j, f in low_terms)
-    return _unrolled(r, body + "    return (" + "".join(
-        f"c{i} % {p}, " for i in range(r)) + ")\n")
-
-
-def _linear_map(rows, v, p: int) -> tuple:
-    """The image of v under the F_p-linear map with the given sparse rows:
-    the sum of v_j times row j."""
-    acc = [0] * len(v)
-    for c, row in zip(v, rows):
-        if c:
-            for i, x in row:
-                acc[i] += c * x
-    return tuple([a % p for a in acc])
+    return _compile("u, v", _unpack(r, "u") + _unpack(r, "v") + body
+                    + _returns(f"c{i} % {p}" for i in range(r)))
 
 
 def _tonelli_shanks(mul, one, m: int, c, u, acc):

@@ -27,6 +27,15 @@ shifted attempt run exactly (_shifted_value), to decide whether to draw
 again.  Arguments outside E[m] make the unshifted walks raise; every
 attempt then runs the exact path, which raises ValueError on the attempt
 where the shifted pairing did.
+
+The unshifted value is memoized (memo.memo) on the tower, a4 and the raw
+P, Q and m: the attack pairs few distinct arguments, one of them a cell of
+the memoized E[m], so its calls repeat (fixed-argument reuse: Costello and
+Stebila, LATINCRYPT 2010).  A finite P and a4 fix a6, so the key is whole.
+A hit skips only the two walks and their inversion.  Every draw, the
+certificate and the exact fallback still run, since they decide what the
+generator yields, and arguments outside E[m] raise on every call, since
+lru_cache keeps no exception.
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ from dataclasses import dataclass
 
 from .curves import Curve, CurvePoint, _add_raw, _lift, _raw
 from .fields import FieldElement, FieldTower
+from .memo import memo
 
 
 @dataclass(frozen=True)
@@ -83,6 +93,7 @@ def _miller_values(f: FieldTower, a4, P, m: int, X) -> tuple:
     return lines, verticals
 
 
+@memo
 def _unshifted_value(f: FieldTower, a4, P, Q, m: int):
     """e_m(P, Q) for finite raw P, Q by the unshifted formula; raises
     ValueError unless both lie in E[m]."""
@@ -122,15 +133,10 @@ def _shifted_value(f: FieldTower, a4, P, Q, m: int, R, S):
 
 def _lin(f: FieldTower, const: int, terms):
     """const + the sum of c v over the (c, v) in terms: raw values v of f
-    scaled by ints c, reduced once."""
-    p = f.p
+    scaled by ints c, reduced once; by f's compiled kernel for r > 1."""
     if f.r == 1:
-        return (const + sum(c * v for c, v in terms)) % p
-    acc = [const] + [0] * (f.r - 1)
-    for c, v in terms:
-        for j, a in enumerate(v):
-            acc[j] += c * a
-    return tuple([a % p for a in acc])
+        return (const + sum(c * v for c, v in terms)) % f.p
+    return f.lin_kernel(len(terms))(const, terms)
 
 
 def _x_multiple(f: FieldTower, a4: int, a6: int, m: int, x, c) -> tuple:

@@ -12,6 +12,7 @@ from weilchar.fields import (UNROLLED_MUL_MAX_R, FieldElement, FieldTower,
                              _pmul, _ppowmod, _psub, _ptrim, _unrolled_mul,
                              dlog_in_mu_m, element_order, get_tower,
                              legendre_symbol)
+from weilchar.pairing import _lin
 
 
 def rand_elt(tower, rng):
@@ -357,9 +358,10 @@ def test_norm_outside_the_prime_field_raises():
         ring.vnorm((1, 1))
 
 
-# The kernels that vmul and vinv replaced, kept as oracles: the schoolbook
-# product reduced by the whole modulus, and extended Euclid by polynomial
-# division.
+# The kernels that vmul, vinv, frobenius and pairing._lin replaced, kept as
+# oracles: the schoolbook product reduced by the whole modulus, extended
+# Euclid by polynomial division, the sparse-row product, and the nested-loop
+# linear combination.
 
 def _schoolbook_mul(field, u, v):
     p, d = field.p, field.r
@@ -389,6 +391,36 @@ def _euclid_inv(field, u):
     return tuple(c * inv_lead % p for c in s1) + field.zero[len(s1):]
 
 
+def _linear_map(rows, v, p: int) -> tuple:
+    """The image of v under the F_p-linear map with the given sparse rows:
+    the sum of v_j times row j."""
+    acc = [0] * len(v)
+    for c, row in zip(v, rows):
+        if c:
+            for i, x in row:
+                acc[i] += c * x
+    return tuple([a % p for a in acc])
+
+
+def _frobenius_rows(field, k: int) -> list:
+    """Sparse rows of phi^k: row j holds the nonzero (i, c) of x^(j p^k),
+    with x^(p^k) taken by vpow."""
+    y = field.vpow((0, 1) + field.zero[2:], field.p ** k)
+    rows, g = [], field.one
+    for _ in range(field.r):
+        rows.append(tuple((i, c) for i, c in enumerate(g) if c))
+        g = field.vmul(g, y)
+    return rows
+
+
+def _lin_oracle(field, const: int, terms) -> tuple:
+    acc = [const] + [0] * (field.r - 1)
+    for c, v in terms:
+        for j, a in enumerate(v):
+            acc[j] += c * a
+    return tuple([a % field.p for a in acc])
+
+
 _P_MAX = 4294967291     # the largest prime below 2^32, the supported bound
 
 
@@ -415,8 +447,11 @@ def _inverse_or_none(inverse, u):
 def _kernel_mismatches(field, count: int) -> list:
     """The (kernel, u, v) where a kernel of field disagrees with its oracle:
     the product on every path (vmul, Kronecker, the unrolled code) against
-    the schoolbook one, vadd and vsub against the coefficient-wise
-    formulas, and vinv against Euclid by polynomial division."""
+    the schoolbook one, vadd, vsub and vneg against the coefficient-wise
+    formulas, vinv against Euclid by polynomial division, phi^k for every
+    k in 1..r-1 against the sparse-row product (and against vpow by p^k on
+    two operands), and pairing._lin at 1, 2, 3 and 5 terms, with scalars
+    negative and out of range, against the nested loop."""
     p, r = field.p, field.r
     rng = random.Random(f"kernels{p},{r}")
     top = (p - 1,) * r      # every product slot at its largest, r (p-1)^2
@@ -425,8 +460,9 @@ def _kernel_mismatches(field, count: int) -> list:
     cases += [(field.random_value(rng), field.random_value(rng))
               for _ in range(count)]
     unrolled = _unrolled_mul(p, r, field._low_terms)
+    frob_rows = {k: _frobenius_rows(field, k) for k in range(1, r)}
     bad = []
-    for u, v in cases:
+    for n, (u, v) in enumerate(cases):
         want = _schoolbook_mul(field, u, v)
         if not (field.vmul(u, v) == field._kron_mul(u, v) == unrolled(u, v)
                 == want):
@@ -435,10 +471,24 @@ def _kernel_mismatches(field, count: int) -> list:
             bad.append(("add", u, v))
         if field.vsub(u, v) != tuple([(a - b) % p for a, b in zip(u, v)]):
             bad.append(("sub", u, v))
+        if field.vneg(u) != tuple([-a % p for a in u]):
+            bad.append(("neg", u, v))
         inv = _inverse_or_none(field.vinv, u)
         if (inv != _inverse_or_none(lambda a: _euclid_inv(field, a), u)
                 or inv is not None and field.vmul(u, inv) != field.one):
             bad.append(("inv", u, v))
+        for k, rows in frob_rows.items():
+            image = field.frobenius(u, k)
+            if (image != _linear_map(rows, u, p) or n in (0, 5)
+                    and image != field.vpow(u, p ** k)):
+                bad.append((f"frobenius^{k}", u, v))
+        values = (u, v, top, v, u)
+        for terms in (1, 2, 3, 5):
+            const = rng.randrange(-p ** 3, p ** 3)
+            scaled = tuple((rng.randrange(-p ** 3, p ** 3), w)
+                           for w in values[:terms])
+            if _lin(field, const, scaled) != _lin_oracle(field, const, scaled):
+                bad.append((f"lin{terms}", u, v))
     return bad
 
 
@@ -502,7 +552,8 @@ def test_field_bench_smoke():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[1].split() == ["p", "r", "unrolled_mul", "kron_mul", "vadd",
-                                "vsub", "vinv"]
+                                "vsub", "vneg", "vinv", "frobenius", "vnorm",
+                                "lin"]
     rows = [line.split() for line in lines[2:]]
     assert [row[:2] for row in rows] == [["101", "4"], ["23", "15"]]
     assert all(float(t) > 0 for row in rows for t in row[2:])

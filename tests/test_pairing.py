@@ -11,6 +11,7 @@ from weilchar.curves import (Curve, CurvePoint, _add_raw, _raw, count_points,
                              torsion_extension_degree, velu_isogeny)
 from weilchar import pairing
 from weilchar.fields import FieldElement, element_order, get_tower
+from weilchar.memo import cache_stats, clear_caches
 from weilchar.pairing import PairingValue, weil_pairing
 
 
@@ -334,6 +335,71 @@ def test_pairing_runs_the_exact_path_when_the_certificate_is_inconclusive(
                     _oracle_pairing(E, P, Q, 2, ref)[0]
                 assert ours.getstate() == ref.getstate()
     assert calls[0] > 0, "the certificate never failed to decide"
+
+
+# -- the memo on the unshifted value --------------------------------------
+
+@pytest.mark.parametrize("q,a4,a6,m,seeds", [
+    (13, 2, 3, 3, 2),
+    (11, 3, 4, 7, 2),
+    # the certificate often fails here, so warm calls take the exact path
+    (13, 1, 1, 2, 10),
+])
+def test_pairing_memo_changes_no_value_or_draw(q, a4, a6, m, seeds,
+                                               monkeypatch):
+    """A cold call (memo emptied by clear_caches) and a warm one from the
+    same generator state return the same value and leave the same state:
+    a hit skips only the Miller walks, never a draw, the certificate or
+    the exact fallback."""
+    calls = [0]
+    shifted = pairing._shifted_value
+
+    def counted(*args):
+        calls[0] += 1
+        return shifted(*args)
+
+    monkeypatch.setattr(pairing, "_shifted_value", counted)
+    E, pairs = _torsion_pairs(q, a4, a6, m, random.Random(31))
+    warm_fallbacks = hits = 0
+    for seed in range(seeds):
+        for P, Q in pairs:
+            clear_caches()
+            runs = []
+            for _ in range(2):
+                before = calls[0]
+                rng = random.Random(seed)
+                runs.append((weil_pairing(E, P, Q, m, rng).value,
+                             rng.getstate()))
+            warm_fallbacks += calls[0] - before
+            hits += cache_stats()["pairing._unshifted_value"]["hits"]
+            assert runs[0] == runs[1], (P, Q)
+    assert hits > 0
+    assert warm_fallbacks > 0 or m != 2, "no warm call ran the exact path"
+
+
+def test_pairing_memo_hits_on_repeated_calls():
+    E, P, Q = _basis(13, 2, 3, 5, random.Random(19))
+    clear_caches()
+    rng = random.Random(5)
+    values = {weil_pairing(E, P, Q, 5, rng).value for _ in range(3)}
+    stats = cache_stats()["pairing._unshifted_value"]
+    assert len(values) == 1
+    assert (stats["hits"], stats["misses"], stats["entries"]) == (2, 1, 1)
+
+
+def test_pairing_outside_the_torsion_raises_on_every_call():
+    """lru_cache keeps no exception: the second call raises as the first
+    did, after the same draws."""
+    E, P, Q = _basis(13, 2, 3, 5, random.Random(19))
+    clear_caches()
+    states = []
+    for _ in range(2):
+        rng = random.Random(41)
+        with pytest.raises(ValueError):
+            weil_pairing(E, P, Q, 3, rng)
+        states.append(rng.getstate())
+    assert states[0] == states[1]
+    assert cache_stats()["pairing._unshifted_value"]["entries"] == 0
 
 
 @pytest.mark.parametrize("q,a4,a6,m", [
