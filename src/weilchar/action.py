@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .curves import (Curve, CurvePoint, count_points, extension_order,
-                     frobenius_map, point_add, sample_m_torsion, scalar_mul,
-                     velu_isogeny)
+from .curves import (Curve, CurvePoint, _check_countable, _draw, _lift,
+                     _mul_fp, count_points, extension_order, frobenius_map,
+                     point_add, sample_m_torsion, scalar_mul, velu_isogeny)
 from .fields import FieldElement, _is_prime, get_tower
 from .memo import memo
 from .quadforms import (Discriminant, QuadForm, compose, enumerate_class_group,
@@ -233,27 +233,24 @@ def make_instance(q: int, t: int, rng) -> OrientedCurve:
         raise ValueError("ordinary instances need a trace coprime to q")
     if t * t >= 4 * q:
         raise ValueError("trace outside the Hasse interval")
+    _check_countable(q)
     tw = get_tower(q, 1)
-    nonsquare = None
-    for c in range(2, q):
-        if pow(c, (q - 1) // 2, q) == q - 1:
-            nonsquare = c
-            break
+    nonsquare = next(c for c in range(2, q)
+                     if pow(c, (q - 1) // 2, q) == q - 1)
+    order = (q + 1 - t) * (q + 1 + t)
     for _ in range(40 * q):
+        # a4, a6 != 0 also keeps the j-invariant off 0 and 1728
         a4 = rng.randrange(1, q)
         a6 = rng.randrange(1, q)
-        try:
-            E = Curve(tw, a4, a6)
-        except ValueError:
+        if (4 * a4 ** 3 + 27 * a6 * a6) % q == 0:
             continue
-        if E.j_invariant().value in (0, 1728 % q):
-            continue
-        # cheap filter before the O(q) exact count: a random point's order
-        # must divide (q+1-t)(q+1+t) on the sought curve or its twist
+        # cheap filter before the O(q) exact count: the point random_point
+        # would draw must have order dividing (q+1-t)(q+1+t) on the sought
+        # curve or its twist
         frng = random.Random(_fold_seed((q, t, a4, a6)))
-        P = E.random_point(frng)
-        if not scalar_mul(E, (q + 1 - t) * (q + 1 + t), P).is_infinity():
+        if _mul_fp(q, a4, order, _lift(tw, _draw(tw, a4, a6, frng))):
             continue
+        E = Curve(tw, a4, a6)
         N, tc = count_points(E)
         if tc == -t:
             a4, a6 = (a4 * nonsquare**2) % q, (a6 * nonsquare**3) % q

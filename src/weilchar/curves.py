@@ -3,10 +3,13 @@ with division polynomials, torsion sampling, and Velu isogenies.
 
 Characteristic is always at least 5 here, so the short form loses nothing.
 
-The group law is written once, in _add_raw, on raw field values: a point is
-an (x, y) pair of raw coordinates or None for infinity.  point_add,
-add_with_slope, scalar_mul and the Miller walk in pairing run on it and
-build FieldElement and CurvePoint objects only for what they return.
+The group law is written once for every field, in _add_raw, on raw field
+values: a point is an (x, y) pair of raw coordinates or None for infinity.
+point_add, add_with_slope, scalar_mul and the Miller walk in pairing run on
+it and build FieldElement and CurvePoint objects only for what they return.
+Over F_p, scalar_mul runs _mul_fp, the same formulas written out on ints: it
+is the instance search's inner loop, and a call per field operation costs it
+three times the arithmetic.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from typing import Optional
 
 from .fields import (FieldElement, FieldTower, _is_prime, _pdivmod, _pgcd,
                      _pmul, _ppowmod, _psub, factorize)
+from .memo import memo
 
 
 class CurvePoint:
@@ -100,26 +104,28 @@ class Curve:
         return self if field is self.field else Curve(field, self.a4, self.a6)
 
     def draw_point(self, rng) -> tuple:
-        """What random_point takes from rng, without its square root:
-        (x, c, sign, norm) with x and c = x^3 + a4 x + a6 raw values of the
-        field, x uniform among those with c a square or zero, sign the bit
-        that picks the root of c (see _lift), and norm the int N(c) that
-        decided squareness, kept for the root."""
-        f = self.field
-        p = f.p
-        a4, a6 = self.a4.value, self.a6.value
-        for _ in range(10000):
-            x = f.random_value(rng)
-            c = f.vadd(f.vmul(f.vadd(f.vmul(x, x), a4), x), a6)
-            # N(c) = 0 exactly when c = 0; else Euler's criterion in F_p
-            norm = 0 if c == f.zero else f.vnorm(c)
-            if norm and pow(norm, (p - 1) // 2, p) != 1:
-                continue
-            return x, c, rng.randrange(2), norm
-        raise RuntimeError("failed to sample a curve point")
+        """What random_point takes from rng, without its root (_draw)."""
+        return _draw(self.field, self.a4.value, self.a6.value, rng)
 
     def random_point(self, rng) -> CurvePoint:
         return _point(self.field, _lift(self.field, self.draw_point(rng)))
+
+
+def _draw(f: FieldTower, a4, a6, rng) -> tuple:
+    """(x, c, sign, norm) for y^2 = x^3 + a4 x + a6 with raw a4, a6: x and
+    c = x^3 + a4 x + a6 raw values of f, x uniform among those with c a
+    square or zero, sign the bit that picks the root of c (see _lift), and
+    norm the int N(c) that decided squareness, kept for the root."""
+    p = f.p
+    for _ in range(10000):
+        x = f.random_value(rng)
+        c = f.vadd(f.vmul(f.vadd(f.vmul(x, x), a4), x), a6)
+        # N(c) = 0 exactly when c = 0; else Euler's criterion in F_p
+        norm = 0 if c == f.zero else f.vnorm(c)
+        if norm and pow(norm, (p - 1) // 2, p) != 1:
+            continue
+        return x, c, rng.randrange(2), norm
+    raise RuntimeError("failed to sample a curve point")
 
 
 def _lift(f: FieldTower, drawn: tuple):
@@ -185,9 +191,11 @@ def point_add(E: Curve, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
 
 
 def scalar_mul(E: Curve, n: int, P: CurvePoint) -> CurvePoint:
+    f = E.field
+    if f.r == 1:
+        return _point(f, _mul_fp(f.p, E.a4.value, n, _raw(f, P)))
     if n < 0:
         return scalar_mul(E, -n, -P)
-    f = E.field
     a4 = E.a4.value
     acc = None
     add = _raw(f, P)
@@ -198,6 +206,37 @@ def scalar_mul(E: Curve, n: int, P: CurvePoint) -> CurvePoint:
         if n:
             add = _add_raw(f, a4, add, add)[0]
     return _point(f, acc)
+
+
+def _mul_fp(p: int, a4: int, n: int, A):
+    """[n]A for a raw point A of F_p on y^2 = x^3 + a4 x + a6: scalar_mul's
+    double-and-add with _add_raw's formulas on ints.  A base with y = 0
+    has order 2, so the doublings stop there."""
+    if n < 0 and A is not None:
+        A = A[0], -A[1] % p
+    n = abs(n)
+    acc = None
+    while n and A is not None:
+        x2, y2 = A
+        if n & 1:
+            if acc is None:
+                acc = A
+            elif acc[0] == x2 and (acc[1] + y2) % p == 0:
+                acc = None
+            else:
+                x1, y1 = acc
+                lam = ((y2 - y1) * pow(x2 - x1, -1, p) if x1 != x2 else
+                       (3 * x1 * x1 + a4) * pow(2 * y1, -1, p)) % p
+                x3 = (lam * lam - x1 - x2) % p
+                acc = x3, (lam * (x1 - x3) - y1) % p
+        n >>= 1
+        if n:
+            if not y2:
+                break
+            lam = (3 * x2 * x2 + a4) * pow(2 * y2, -1, p) % p
+            x3 = (lam * lam - 2 * x2) % p
+            A = x3, (lam * (x2 - x3) - y2) % p
+    return acc
 
 
 def frobenius_map(P: CurvePoint, q: int) -> CurvePoint:
@@ -216,26 +255,33 @@ def frobenius_map(P: CurvePoint, q: int) -> CurvePoint:
     return CurvePoint(P.x.frobenius(k), P.y.frobenius(k))
 
 
+@memo
+def _root_counts(p: int) -> bytes:
+    """Entry c is 1 + chi(c), the number of y in F_p with y^2 = c."""
+    table = bytearray(p)
+    for y in range(1, (p + 1) // 2):
+        table[y * y % p] = 2
+    table[0] = 1
+    return bytes(table)
+
+
+def _check_countable(size: int) -> None:
+    """count_points sweeps every x, so it refuses fields above 10^6."""
+    if size > 10**6:
+        raise ValueError("field too large for exhaustive point counting")
+
+
 def count_points(E: Curve) -> tuple:
-    """(group order, trace) by exhaustive x-sweep. Field size capped at 10^6."""
+    """(group order, trace) by exhaustive x-sweep (see _check_countable)."""
     field = E.field
     S = field.size
-    if S > 10**6:
-        raise ValueError("field too large for exhaustive point counting")
+    _check_countable(S)
     n = 1  # infinity
     if field.r == 1:
         p = field.p
-        squares = set()
-        for v in range(p):
-            squares.add((v * v) % p)
-        a4 = E.a4.value
-        a6 = E.a6.value
-        for x in range(p):
-            c = (x * x * x + a4 * x + a6) % p
-            if c == 0:
-                n += 1
-            elif c in squares:
-                n += 2
+        roots = _root_counts(p)
+        a4, a6 = E.a4.value, E.a6.value
+        n += sum([roots[(x * (x * x + a4) + a6) % p] for x in range(p)])
     else:
         for i in range(S):
             x = field.unrank(i)

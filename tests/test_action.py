@@ -256,3 +256,42 @@ def test_canonical_model(oc56, oc52):
                int(Et.a6.value) * pow(d, 3, 13) % 13)
     assert count_points(tw) == count_points(Et) == (14, 0)
     assert canonical_model(tw) != canonical_model(Et)
+
+
+# (q, t, seed) -> ((a4, a6), count_points calls) of make_instance: every
+# instance of conftest.py, the oc120 twin at t = 4, and the roster of the
+# sqrt-recover benchmark workload, frozen from the search that built a
+# Curve and a FieldElement point for every candidate
+_FROZEN_INSTANCES = {
+    (7, 2, 1): ((1, 3), 1), (11, 2, 1): ((2, 5), 1),
+    (23, 6, 1): ((6, 21), 2), (17, 3, 1): ((4, 11), 2),
+    (31, 2, 1): ((4, 20), 2), (2221, 92, 0): ((1668, 2145), 10),
+    (239, 30, 1): ((130, 115), 12), (31, 4, 1): ((11, 29), 2),
+    (120121, 2, 0): ((108144, 71009), 2),
+}
+
+
+def test_make_instance_frozen_with_its_counts(monkeypatch):
+    calls = []
+
+    def counted(E):
+        calls.append(E)
+        return count_points(E)
+
+    monkeypatch.setattr(weilchar.action, "count_points", counted)
+    for (q, t, seed), (coeffs, count) in _FROZEN_INSTANCES.items():
+        calls.clear()
+        oc = make_instance(q, t, random.Random(seed))
+        assert (oc.curve.a4.value, oc.curve.a6.value) == coeffs, (q, t, seed)
+        assert len(calls) == count, (q, t, seed)
+    for p, coeffs in ((13, (1, 4)), (101, (1, 19)), (1009, (1, 7))):
+        oc = gen_supersingular_instance(p)
+        assert (oc.curve.a4.value, oc.curve.a6.value) == coeffs, p
+
+
+def test_make_instance_refuses_uncountable_fields_up_front():
+    rng = random.Random(5)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="field too large for exhaustive"):
+        make_instance(1000003, 2, rng)
+    assert rng.getstate() == state      # no candidate drawn

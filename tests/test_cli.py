@@ -120,6 +120,11 @@ def test_gen_instance_rejects_bad_params(tmp_path, capsys):
     cfg.write_text(json.dumps({"mode": "montgomery", "p": 101}))
     code, _, err = run(capsys, ["gen-instance", "--config", str(cfg)])
     assert code == 2 and "unknown mode" in err
+    # above the point-count cap the search is refused before it starts
+    cfg.write_text(json.dumps({"mode": "ordinary", "q": 1000003, "t": 2}))
+    code, _, err = run(capsys, ["gen-instance", "--config", str(cfg)])
+    assert code == 2
+    assert "field too large for exhaustive point counting" in err
 
 
 def test_eval_char_identity_pair(tmp_path, capsys):

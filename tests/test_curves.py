@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from weilchar.curves import (Curve, CurvePoint, add_with_slope, count_points,
+from weilchar.curves import (Curve, CurvePoint, _add_raw, _mul_fp, _point,
+                             _raw, add_with_slope, count_points,
                              division_polynomial, extension_order,
                              frobenius_map, gl2_order, point_add,
                              sample_m_torsion, scalar_mul, torsion_basis,
                              torsion_extension_degree, velu_isogeny)
-from weilchar.fields import FieldElement, get_tower
+from weilchar.fields import FieldElement, _is_prime, factorize, get_tower
 
 
 def curve_over(p, a4, a6, r=1):
@@ -420,3 +421,99 @@ def test_point_from_an_unrelated_field_raises():
     # and a curve over F_p does not take points of an extension
     with pytest.raises((TypeError, ValueError)):
         point_add(curve_over(7, 1, 3), R, R)
+
+
+def _scalar_mul_oracle(E, n, P):
+    """scalar_mul's double-and-add on _add_raw, the one path it took at
+    every r before the F_p path _mul_fp."""
+    if n < 0:
+        return _scalar_mul_oracle(E, -n, -P)
+    f, a4 = E.field, E.a4.value
+    acc, add = None, _raw(f, P)
+    while n:
+        if n & 1:
+            acc = _add_raw(f, a4, acc, add)[0]
+        n >>= 1
+        if n:
+            add = _add_raw(f, a4, add, add)[0]
+    return _point(f, acc)
+
+
+def _exact_order(E, P, N):
+    """The order of P, given the group order N."""
+    d = N
+    for ell, _ in factorize(N):
+        while (d % ell == 0
+               and _scalar_mul_oracle(E, d // ell, P).is_infinity()):
+            d //= ell
+    return d
+
+
+def _mul_fp_cases(rng, p):
+    """(E, P, scalars) over F_p: a random curve with a 2-torsion point
+    (x0, 0), and the points and scalars that reach every branch of the
+    double-and-add."""
+    x0, a4 = rng.randrange(p), rng.randrange(1, p)
+    a6 = -(x0 ** 3 + a4 * x0) % p
+    while (4 * a4 ** 3 + 27 * a6 * a6) % p == 0:
+        a4 += 1
+        a6 = -(x0 ** 3 + a4 * x0) % p
+    E = curve_over(p, a4, a6)
+    N = count_points(E)[0]
+    O = CurvePoint.infinity()
+    points = [O, E.point(x0, 0)] + [E.random_point(rng) for _ in range(3)]
+    for P in points:
+        m = _exact_order(E, P, N)
+        top = 1 << m.bit_length()
+        scalars = [0, 1, 2, -1, N - 1, N, N + 1, -N - 1, m, m - 1, 2 * m + 1]
+        scalars += [rng.randrange(3 * p) for _ in range(4)]
+        for s in (0, 2, 5):
+            # bits of m below a higher one: the sum reaches acc = -B, where
+            # acc + B = [m]P = O, and goes on adding above it
+            scalars.append(m + (top << s))
+            # acc = [top - m]P = [top]P = B: the addition doubles
+            scalars.append(2 * top - m + (top << (s + 1)))
+        yield E, P, scalars
+
+
+@pytest.mark.parametrize("p", [5, 7, 13, 101, 2221, 120121])
+def test_mul_fp_matches_the_add_raw_oracle(p):
+    rng = random.Random(f"mul_fp{p}")
+    for _ in range(3):
+        for E, P, scalars in _mul_fp_cases(rng, p):
+            for n in scalars:
+                want = _scalar_mul_oracle(E, n, P)
+                assert scalar_mul(E, n, P) == want, (p, E, P, n)
+                assert _mul_fp(p, E.a4.value, n, _raw(E.field, P)) == \
+                    _raw(E.field, want)
+                assert E.contains(want)
+
+
+def _count_points_oracle(E, squares):
+    """count_points' sweep over F_p against the set of squares mod p, as
+    it ran before the table of root counts."""
+    p, a4, a6 = E.field.p, E.a4.value, E.a6.value
+    n = 1
+    for x in range(p):
+        c = (x * x * x + a4 * x + a6) % p
+        if c == 0:
+            n += 1
+        elif c in squares:
+            n += 2
+    return n, p + 1 - n
+
+
+def test_count_points_matches_the_square_set_sweep():
+    cases = [(p, a4, a6) for p in range(5, 60) if _is_prime(p)
+             for a4 in range(p) for a6 in range(p)]
+    rng = random.Random(37)
+    cases += [(p, rng.randrange(p), rng.randrange(p))
+              for p in (2221, 120121) for _ in range(3)]
+    squares = {}
+    for p, a4, a6 in cases:
+        if (4 * a4 ** 3 + 27 * a6 * a6) % p == 0:
+            continue
+        if p not in squares:
+            squares[p] = {v * v % p for v in range(p)}
+        E = curve_over(p, a4, a6)
+        assert count_points(E) == _count_points_oracle(E, squares[p]), E

@@ -559,6 +559,24 @@ def test_field_bench_smoke():
     assert all(float(t) > 0 for row in rows for t in row[2:])
 
 
+def test_curve_bench_smoke():
+    # one call per run; the search counts are the frozen ones of the roster
+    bench = Path(__file__).resolve().parents[1] / "bench" / "curves.py"
+    proc = _run_python([str(bench), "--repeat", "1"])
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()]
+    assert [row[0] for row in rows if not row[0][0].isdigit()] == [
+        "scalar_mul", "count_points", "make_instance"]
+    assert [row[:2] for row in rows[1:3]] == [["2221", "23-bit"],
+                                              ["2221", "40-bit"]]
+    assert [row[0] for row in rows[4:6]] == ["2221", "120121"]
+    assert [row[:3] + row[4:] for row in rows[7:]] == [
+        ["17", "3", "1", "2"], ["7", "2", "1", "1"], ["31", "2", "1", "2"],
+        ["2221", "92", "0", "10"]]
+    assert all(float(row[-1]) > 0 for row in rows[1:3] + rows[4:6])
+    assert all(float(row[3]) > 0 for row in rows[7:])
+
+
 def _run_python(args):
     """A fresh interpreter on args, importing weilchar from this tree."""
     src = str(Path(weilchar.__file__).resolve().parents[1])
