@@ -19,7 +19,7 @@ from .curves import (Curve, CurvePoint, _check_countable, _draw, _lift,
                      point_add, sample_m_torsion, scalar_mul, velu_isogeny)
 from .fields import FieldElement, _is_prime, get_tower
 from .memo import memo
-from .quadforms import (Discriminant, QuadForm, compose, enumerate_class_group,
+from .quadforms import (Discriminant, QuadForm, class_group, compose,
                         principal_form, reduce_form)
 
 # the split primes the action uses: odd, at most SMOOTH_BOUND, with both
@@ -176,16 +176,19 @@ class SmoothIdeal:
 
     @classmethod
     def from_factors(cls, factors, oc: OrientedCurve) -> "SmoothIdeal":
-        form = principal_form(oc.D)
+        group = class_group(oc.D)
+        k = 0
         for ell, lam, e in factors:
-            f = prime_ideal_form(oc, ell, lam)
-            if e < 0:
-                f = f.inverse()
+            # the conjugate eigenvalue gives the inverse class
+            use = lam if e > 0 else (oc.sigma_trace - lam) % ell
+            f = group.index[prime_ideal_form(oc, ell, use)]
             for _ in range(abs(e)):
-                form = compose(form, f)
-        return cls(tuple((ell, lam, e) for ell, lam, e in factors), form)
+                k = group.mul(k, f)
+        return cls(tuple((ell, lam, e) for ell, lam, e in factors),
+                   group.forms[k])
 
 
+@memo
 def prime_ideal_form(oc: OrientedCurve, ell: int, lam: int) -> QuadForm:
     """Reduced form of the ideal (ell, sigma - lam): (ell, b, *) with
     b = 2*lam - tr(sigma) mod 2*ell."""
@@ -382,19 +385,22 @@ def canonical_model(curve: Curve) -> Curve:
     the scalings reaching it multiply a6 by x^3 = w x for the square roots
     x of w that are squares themselves, and the least product is a6'.
     When a4 = 0 the least a6' is the least k >= 1 with k/a6 a sixth power."""
-    field = curve.field
-    p = field.p
     a4, a6 = int(curve.a4.value), int(curve.a6.value)
-    if a4:
-        k, w = _least_power_multiple(a4, 4, p)
-        x = field.vsqrt(w)
-        best = (k, min(a6 * w * y % p for y in (x, p - x)
-                       if field.vis_square(y)))
-    else:
-        best = (0, _least_power_multiple(a6, 6, p)[0])
+    best = _least_model(curve.field.p, a4, a6)
     if best == (a4, a6):
         return curve
-    return Curve(field, best[0], best[1])
+    return Curve(curve.field, best[0], best[1])
+
+
+@memo
+def _least_model(p: int, a4: int, a6: int) -> tuple:
+    """canonical_model's (a4, a6), keyed on ints since Curve does not hash."""
+    if not a4:
+        return 0, _least_power_multiple(a6, 6, p)[0]
+    field = get_tower(p)
+    k, w = _least_power_multiple(a4, 4, p)
+    x = field.vsqrt(w)
+    return k, min(a6 * w * y % p for y in (x, p - x) if field.vis_square(y))
 
 
 def _least_power_multiple(a: int, d: int, p: int) -> tuple:
@@ -472,6 +478,7 @@ def _class_words(oc: OrientedCurve) -> dict:
     return words
 
 
+@memo
 def smooth_in_class(oc: OrientedCurve, form: QuadForm) -> SmoothIdeal:
     """A smooth ideal in the given class, as a short word in the usable split
     primes."""
@@ -501,33 +508,23 @@ def sampler_primes(oc: OrientedCurve, exp_bound: int = 5):
     candidates = _usable_split_primes(oc)
     if len(candidates) < 2:
         raise RuntimeError("fewer than two usable split primes below the bound")
-    group = enumerate_class_group(oc.D)
-    h = len(group)
-    index = {f: i for i, f in enumerate(group)}
-    table = [[index[compose(a, b)] for b in group] for a in group]
+    group = class_group(oc.D)
+    h = len(group.forms)
 
     def exact_stat_distance(primes):
         dist = [0] * h
-        dist[index[principal_form(oc.D)]] = 1
+        dist[0] = 1
         total = 1
         for _, ell, lam in primes:
-            f = prime_ideal_form(oc, ell, lam)
-            finv = f.inverse()
-            steps = {0: index[principal_form(oc.D)]}
-            cur = principal_form(oc.D)
-            for e in range(1, exp_bound + 1):
-                cur = compose(cur, f)
-                steps[e] = index[cur]
-            cur = principal_form(oc.D)
-            for e in range(1, exp_bound + 1):
-                cur = compose(cur, finv)
-                steps[-e] = index[cur]
+            steps = [group.index[SmoothIdeal.from_factors([(ell, lam, e)],
+                                                          oc).class_form]
+                     for e in range(-exp_bound, exp_bound + 1)]
             new = [0] * h
             for c, w in enumerate(dist):
                 if not w:
                     continue
-                for e in range(-exp_bound, exp_bound + 1):
-                    new[table[c][steps[e]]] += w
+                for s in steps:
+                    new[group.mul(c, s)] += w
             dist = new
             total *= 2 * exp_bound + 1
         full = all(dist)

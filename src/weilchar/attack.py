@@ -21,8 +21,8 @@ from .fields import (FieldElement, FieldTower, dlog_in_mu_m, element_order,
                      get_tower)
 from .memo import memo
 from .pairing import weil_pairing
-from .quadforms import (Character, assigned_characters, char_eval_class,
-                        char_eval_norm, enumerate_class_group)
+from .quadforms import (Character, assigned_characters, char_eval_norm,
+                        char_table)
 
 
 @dataclass
@@ -236,11 +236,5 @@ def eval_character(ocE: OrientedCurve, ocE2: OrientedCurve, char: Character,
 def usable_characters(oc: OrientedCurve) -> list:
     """Assigned characters that are both evaluable (modulus coprime to q)
     and nontrivial on the class group, per enumeration."""
-    group = enumerate_class_group(oc.D)
-    out = []
-    for ch in assigned_characters(oc.D):
-        if math.gcd(ch.modulus, oc.q) != 1:
-            continue
-        if any(char_eval_class(ch, g, oc.D) == -1 for g in group):
-            out.append(ch)
-    return out
+    return [ch for ch in assigned_characters(oc.D)
+            if math.gcd(ch.modulus, oc.q) == 1 and -1 in char_table(oc.D, ch)]

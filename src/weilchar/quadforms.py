@@ -27,7 +27,7 @@ def _xgcd(a: int, b: int):
     return old_r, old_s, old_t
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuadForm:
     a: int
     b: int
@@ -61,7 +61,8 @@ def reduce_form(form: QuadForm) -> QuadForm:
     """Gauss reduction. Preserves the class, lands on the unique reduced
     representative."""
     a, b, c = form.a, form.b, form.c
-    if a <= 0 or form.disc() >= 0:
+    disc = b * b - 4 * a * c
+    if a <= 0 or disc >= 0:
         raise ValueError("only positive definite forms of negative discriminant")
     while True:
         if a > c:
@@ -71,7 +72,7 @@ def reduce_form(form: QuadForm) -> QuadForm:
             # translate b into (-a, a]
             r = (a - b) // (2 * a)
             b2 = b + 2 * a * r
-            c2 = (b2 * b2 - form.disc()) // (4 * a)
+            c2 = (b2 * b2 - disc) // (4 * a)
             b, c = b2, c2
             continue
         break
@@ -91,7 +92,8 @@ def principal_form(D: int) -> QuadForm:
 def compose(f1: QuadForm, f2: QuadForm) -> QuadForm:
     """Dirichlet composition of primitive forms of one discriminant,
     returned reduced."""
-    if f1.disc() != f2.disc():
+    disc = f1.disc()
+    if disc != f2.disc():
         raise ValueError("cannot compose forms of different discriminants")
     a1, b1, c1 = f1.a, f1.b, f1.c
     a2, b2, c2 = f2.a, f2.b, f2.c
@@ -103,7 +105,7 @@ def compose(f1: QuadForm, f2: QuadForm) -> QuadForm:
     v2 = x * w
     b3 = b2 + 2 * (a2 // g) * (v2 * ((b1 - b2) // 2) - t * c2)
     b3 %= 2 * a3
-    c3 = (b3 * b3 + (-f1.disc())) // (4 * a3)
+    c3 = (b3 * b3 - disc) // (4 * a3)
     return reduce_form(QuadForm(a3, b3, c3))
 
 
@@ -128,6 +130,60 @@ def enumerate_class_group(D: int) -> tuple:
 
 def class_number(D: int) -> int:
     return len(enumerate_class_group(D))
+
+
+class ClassGroup:
+    """cl(O) for one discriminant -D, classes named by their index in
+    ``enumerate_class_group(D)``.  Index 0 is the principal class, the only
+    reduced form with a = 1.
+
+    - ``forms[i]`` and ``index[form]`` translate between the two;
+    - ``square[i]`` is the index of class i squared;
+    - ``root[j]`` is the first i with ``square[i] == j``, None off the
+      squares;
+    - ``basis`` takes each 2-torsion class, in enumeration order, that the
+      classes before it do not generate; ``span`` lists the subgroup they
+      generate, each basis class times the span so far appended in turn;
+    - ``mul(i, j)`` composes on first use only, so the products of a group
+      are never built eagerly."""
+
+    __slots__ = ("forms", "index", "square", "root", "basis", "span", "_rows")
+
+    def __init__(self, D: int):
+        self.forms = forms = enumerate_class_group(D)
+        self.index = index = {f: i for i, f in enumerate(forms)}
+        # tuples, and no product rows until mul: the genus sweep keeps one
+        # record for each of its 2,500 discriminants
+        self.square = tuple(index[compose(g, g)] for g in forms)
+        root = [None] * len(forms)
+        for i in reversed(range(len(forms))):
+            root[self.square[i]] = i
+        self.root = tuple(root)
+        basis, span = [], [0]
+        for i, s in enumerate(self.square):
+            if s == 0 and i not in span:
+                basis.append(i)
+                span += [index[compose(forms[i], forms[k])] for k in span]
+        self.basis, self.span = tuple(basis), tuple(span)
+        self._rows = None
+
+    def mul(self, i: int, j: int) -> int:
+        """Index of the product of classes i and j."""
+        if self._rows is None:
+            self._rows = [None] * len(self.forms)
+        row = self._rows[i]
+        if row is None:
+            row = self._rows[i] = [None] * len(self.forms)
+        k = row[j]
+        if k is None:
+            k = row[j] = self.index[compose(self.forms[i], self.forms[j])]
+        return k
+
+
+@memo
+def class_group(D: int) -> ClassGroup:
+    """The class group of discriminant -D, built on first use."""
+    return ClassGroup(D)
 
 
 @dataclass(frozen=True)
@@ -222,6 +278,14 @@ def char_eval_class(char: Character, form: QuadForm, D: int) -> int:
     return char_eval_norm(char, n)
 
 
+@memo
+def char_table(D: int, char: Character) -> tuple:
+    """The values of an assigned character on the classes of discriminant
+    -D, by class index."""
+    return tuple(char_eval_class(char, g, D)
+                 for g in enumerate_class_group(D))
+
+
 def relation_characters(D) -> list:
     """The assigned characters whose product is trivial on every class.
 
@@ -249,26 +313,24 @@ def verify_character_relation(D: int) -> dict:
     Returns a report dict with an 'ok' flag.
     """
     disc = Discriminant(D)
-    group = enumerate_class_group(D)
+    group = class_group(D)
     chars = assigned_characters(D)
     mu = len(chars)
+    norms = [find_coprime_value(g, 2 * D) for g in group.forms]
 
     rel = relation_characters(disc)
-    relation_ok = all(
-        math.prod(char_eval_norm(ch, n) for ch in rel) == 1
-        for n in (find_coprime_value(g, 2 * D) for g in group))
+    relation_ok = all(math.prod(char_eval_norm(ch, n) for ch in rel) == 1
+                      for n in norms)
 
-    squares = sorted({compose(g, g) for g in group},
-                     key=lambda q: (q.a, q.b, q.c))
-    two_torsion = [g for g in group if compose(g, g) == principal_form(D)]
+    squares = sorted(set(group.square))
     # every valid -D has at least one assigned character, so mu >= 1
-    counts_ok = (len(group) == len(squares) * 2 ** (mu - 1)
-                 and len(two_torsion) == 2 ** (mu - 1))
+    counts_ok = (len(group.forms) == len(squares) * 2 ** (mu - 1)
+                 and len(group.span) == 2 ** (mu - 1))
 
     # joint kernel of the assigned characters equals the squares
-    kernel = [g for g in group
-              if all(char_eval_class(ch, g, D) == 1 for ch in chars)]
-    kernel_ok = sorted(kernel, key=lambda q: (q.a, q.b, q.c)) == list(squares)
+    kernel = [i for i, n in enumerate(norms)
+              if all(char_eval_norm(ch, n) == 1 for ch in chars)]
+    kernel_ok = kernel == squares
 
     return {
         "D": D,
@@ -276,32 +338,18 @@ def verify_character_relation(D: int) -> dict:
         "relation_ok": relation_ok,
         "counts_ok": counts_ok,
         "kernel_is_squares": kernel_ok,
-        "h": len(group),
+        "h": len(group.forms),
         "mu": mu,
         "squares": len(squares),
-        "two_torsion": len(two_torsion),
+        "two_torsion": len(group.span),
     }
 
 
 def two_torsion_and_sqrt(D: int, target: QuadForm):
-    """Basis of the 2-torsion subgroup and one square root of target (or None),
-    both found by scanning the enumerated class group."""
-    group = enumerate_class_group(D)
-    one = principal_form(D)
-    target = reduce_form(target)
-    two_torsion = [g for g in group if compose(g, g) == one]
-
-    basis = []
-    span = {one}
-    for g in two_torsion:
-        if g in span:
-            continue
-        basis.append(g)
-        span |= {compose(g, s) for s in span}
-
-    root = None
-    for g in group:
-        if compose(g, g) == target:
-            root = g
-            break
-    return basis, root
+    """Basis of the 2-torsion subgroup and the first square root of target
+    in enumeration order (or None), read off ``class_group(D)``."""
+    group = class_group(D)
+    i = group.index.get(reduce_form(target))
+    root = None if i is None else group.root[i]
+    return ([group.forms[b] for b in group.basis],
+            None if root is None else group.forms[root])

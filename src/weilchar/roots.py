@@ -16,9 +16,8 @@ from dataclasses import dataclass, field as dc_field
 from .action import (OrientedCurve, apply_smooth_ideal, canonical_model,
                      smooth_in_class)
 from .attack import eval_character
-from .quadforms import (Character, Discriminant, QuadForm, char_eval_class,
-                        compose, principal_form, reduce_form,
-                        two_torsion_and_sqrt)
+from .quadforms import (Character, Discriminant, QuadForm, char_table,
+                        class_group, reduce_form, two_torsion_and_sqrt)
 
 
 @dataclass
@@ -68,13 +67,6 @@ def choose_bound(factorization) -> int:
     return min(cap, max(fitting))
 
 
-def _span(basis, D: int) -> list:
-    out = [principal_form(D)]
-    for g in basis:
-        out += [compose(g, s) for s in out]
-    return out
-
-
 def recover_root(ocE: OrientedCurve, ocE2: OrientedCurve, c_squared: QuadForm,
                  B="auto", rng=None, use_two_adic: bool = False) -> RootRecovery:
     """Find the class [c] with [c]E = E' among the square roots of c_squared.
@@ -111,24 +103,20 @@ def recover_root(ocE: OrientedCurve, ocE2: OrientedCurve, c_squared: QuadForm,
     timings["characters_ms"] = (time.perf_counter() - t0) * 1000.0
 
     t0 = time.perf_counter()
-    basis, root = two_torsion_and_sqrt(D, c_squared)
+    _, root = two_torsion_and_sqrt(D, c_squared)
     if root is None:
         raise ValueError("the target class is not a square in cl(O)")
-    two_torsion = _span(basis, D)
-
-    adjusted = None
-    for g in two_torsion:
-        cand = compose(root, g)
-        if all(char_eval_class(ch, cand, D) == values[ch.label]
-               for ch in filter_chars):
-            adjusted = cand
-            break
+    # class indices throughout: the record's products and character tables
+    group = class_group(D)
+    tables = [(char_table(D, ch), values[ch.label]) for ch in filter_chars]
+    r = group.index[root]
+    adjusted = next((k for k in (group.mul(r, s) for s in group.span)
+                     if all(tab[k] == v for tab, v in tables)), None)
     if adjusted is None:
         raise RuntimeError("no candidate matched the character filter: "
                            "the pair is not connected by a root of the target")
 
-    G = [g for g in two_torsion
-         if all(char_eval_class(ch, g, D) == 1 for ch in filter_chars)]
+    G = [s for s in group.span if all(tab[s] == 1 for tab, _ in tables)]
     if len(G) > 2 ** (len(P2) + 1):
         raise RuntimeError(
             f"{len(G)} two-torsion classes survive the character filter, "
@@ -140,8 +128,9 @@ def recover_root(ocE: OrientedCurve, ocE2: OrientedCurve, c_squared: QuadForm,
     # canonical model per F_q-isomorphism class keeps the match unique
     target_model = canonical_model(ocE2.curve)
     matches = []
-    candidates = sorted((compose(adjusted, g) for g in G),
-                        key=lambda f: (f.a, f.b, f.c))
+    # indices follow the (a, b, c) order of the enumeration
+    candidates = [group.forms[k] for k in sorted(group.mul(adjusted, s)
+                                                 for s in G)]
     for cand in candidates:
         moved = apply_smooth_ideal(ocE, smooth_in_class(ocE, cand))
         if canonical_model(moved.curve) == target_model:

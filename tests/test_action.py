@@ -12,9 +12,10 @@ from weilchar.action import (OrientedCurve, SmoothIdeal, apply_prime_ideal,
 from weilchar.curves import (Curve, count_points, frobenius_map, point_add,
                              scalar_mul)
 from weilchar.fields import get_tower
-from weilchar.memo import clear_caches
+from weilchar.memo import cache_stats, clear_caches
 from weilchar.quadforms import (QuadForm, assigned_characters, class_number,
-                                enumerate_class_group)
+                                compose, enumerate_class_group,
+                                principal_form)
 
 
 def test_supersingular_generation(oc52):
@@ -121,6 +122,27 @@ def test_step_consistency(oc56):
     two_step = SmoothIdeal.from_factors([(3, 1, 2)], oc56)
     assert two_step.class_form == QuadForm(2, 0, 7) and two_step.norm == 9
     assert apply_smooth_ideal(oc56, two_step).j_invariant().value == js[2]
+
+
+def test_from_factors_matches_composition(oc56, oc120, oc420):
+    # the class of a word, read through the record's products and the
+    # conjugate eigenvalue, is the one the composition chain of the word's
+    # forms gives
+    rng = random.Random(12)
+    for oc in (oc56, oc120, oc420):
+        primes, _ = sampler_primes(oc, 7)
+        for ell, lam in primes:
+            conj = (oc.sigma_trace - lam) % ell
+            assert prime_ideal_form(oc, ell, conj) == \
+                prime_ideal_form(oc, ell, lam).inverse()
+        for _ in range(20):
+            factors = [(ell, lam, rng.randint(-7, 7)) for ell, lam in primes]
+            form = principal_form(oc.D)
+            for ell, lam, e in factors:
+                f = prime_ideal_form(oc, ell, lam)
+                for _ in range(abs(e)):
+                    form = compose(form, f if e > 0 else f.inverse())
+            assert SmoothIdeal.from_factors(factors, oc).class_form == form
 
 
 def test_shifted_orientation(oc56):
@@ -235,6 +257,21 @@ def test_canonical_model_is_the_least_scaling():
         C = canonical_model(Curve(get_tower(p, 1), a4, a6))
         assert (C.a4.value, C.a6.value) == _least_scaling(p, a4, a6), \
             (p, a4, a6)
+
+
+def test_canonical_model_memo_cold_equals_warm(oc56):
+    # the memo is keyed on (p, a4, a6): a warm call returns an equal curve,
+    # and a model that is already canonical comes back as the same object
+    # 5 * 2^4 and 7 * 2^6 mod 23: a scaling of (5, 7), so not the least
+    E = Curve(oc56.curve.field, 11, 11)
+    clear_caches()
+    cold = canonical_model(E)
+    assert cache_stats()["action._least_model"]["entries"] == 1
+    assert (cold.a4.value, cold.a6.value) != (11, 11)
+    warm = canonical_model(Curve(E.field, 11, 11))
+    assert warm == cold and warm is not cold
+    assert cache_stats()["action._least_model"]["hits"] == 1
+    assert canonical_model(cold) is cold
 
 
 def test_canonical_model(oc56, oc52):

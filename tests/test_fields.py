@@ -577,6 +577,22 @@ def test_curve_bench_smoke():
     assert all(float(row[3]) > 0 for row in rows[7:])
 
 
+def test_quadforms_bench_smoke():
+    # one call per run, and a genus sweep up to D = 200 only
+    bench = Path(__file__).resolve().parents[1] / "bench" / "quadforms.py"
+    proc = _run_python([str(bench), "--repeat", "1", "--max-D", "200"])
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()]
+    assert [row[0] for row in rows if not row[0][0].isdigit()] == [
+        "form_op", "compose", "reduce_form", "class_group", "genus_sweep"]
+    assert rows[3][1:] == ["D", "sqrt_cold", "sqrt_warm", "root_cold",
+                           "root_warm"]
+    assert [row[0] for row in rows[4:8]] == ["59", "24", "120", "420"]
+    assert rows[9][0] == "200"
+    assert all(float(t) > 0 for row in rows[1:3] for t in row[1:])
+    assert all(float(t) > 0 for row in rows[4:8] + rows[9:] for t in row[1:])
+
+
 def _run_python(args):
     """A fresh interpreter on args, importing weilchar from this tree."""
     src = str(Path(weilchar.__file__).resolve().parents[1])

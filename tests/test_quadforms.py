@@ -1,18 +1,27 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import weilchar
+from weilchar.memo import cache_stats, clear_caches
 from weilchar.quadforms import (Character, Discriminant, QuadForm,
                                 assigned_characters, char_eval_class,
-                                char_eval_norm, class_number, compose,
-                                enumerate_class_group, factorize,
-                                find_coprime_value, principal_form,
+                                char_eval_norm, char_table, class_group,
+                                class_number, compose, enumerate_class_group,
+                                factorize, find_coprime_value, principal_form,
                                 reduce_form, relation_characters,
                                 two_torsion_and_sqrt,
                                 verify_character_relation)
 
 SMALL_D = (23, 24, 40, 52, 56, 84, 120, 231, 420)
+# the record's checks: 2-ranks 0 to 3 and h = 14, then every 50th valid D
+RECORD_D = (24, 56, 59, 120, 404, 420) + tuple(
+    D for D in range(3, 5001) if D % 4 in (0, 3))[::50]
 
 
 def test_factorize():
@@ -190,3 +199,93 @@ def test_character_serialization():
     assert Character("chi", 7).to_json() == {"kind": "chi", "modulus": 7}
     assert Character("delta", 4).to_json() == {"kind": "delta", "modulus": 4}
     assert QuadForm(2, 0, 3).to_json() == [2, 0, 3]
+
+
+def _scan_two_torsion_and_sqrt(D, target):
+    """The linear scan two_torsion_and_sqrt ran before the class-group
+    record: the oracle for its basis and root."""
+    group = enumerate_class_group(D)
+    one = principal_form(D)
+    target = reduce_form(target)
+    two_torsion = [g for g in group if compose(g, g) == one]
+    basis = []
+    span = {one}
+    for g in two_torsion:
+        if g in span:
+            continue
+        basis.append(g)
+        span |= {compose(g, s) for s in span}
+    root = None
+    for g in group:
+        if compose(g, g) == target:
+            root = g
+            break
+    return basis, root
+
+
+@pytest.mark.parametrize("D", RECORD_D)
+def test_two_torsion_and_sqrt_matches_scan(D):
+    group = enumerate_class_group(D)
+    # every class as the target, and a form of another discriminant
+    others = QuadForm(1, 1, 1) if D != 3 else QuadForm(1, 0, 1)
+    for target in group + (others,):
+        assert two_torsion_and_sqrt(D, target) == \
+            _scan_two_torsion_and_sqrt(D, target), (D, target)
+    record = class_group(D)
+    assert [group[i] for i in record.square] == [compose(g, g) for g in group]
+    assert record.forms == group
+    assert all(record.index[g] == i for i, g in enumerate(group))
+
+
+@pytest.mark.parametrize("D", RECORD_D)
+def test_char_table_matches_direct_evaluation(D):
+    group = enumerate_class_group(D)
+    for ch in assigned_characters(D):
+        assert char_table(D, ch) == tuple(
+            char_eval_norm(ch, find_coprime_value(g, 2 * D)) for g in group)
+
+
+def test_class_group_record_cold_equals_warm():
+    D = 420
+    group = enumerate_class_group(D)
+    chars = assigned_characters(D)
+
+    def read():
+        record = class_group(D)
+        return ([two_torsion_and_sqrt(D, g) for g in group],
+                [char_table(D, ch) for ch in chars],
+                record.square, record.root, record.basis, record.span,
+                [[record.mul(i, j) for j in range(len(group))]
+                 for i in range(len(group))],
+                [verify_character_relation(D)])
+
+    clear_caches()
+    cold = read()
+    stats = cache_stats()
+    assert stats["quadforms.class_group"]["entries"] == 1
+    assert stats["quadforms.char_table"]["entries"] == len(chars)
+    assert read() == cold
+    assert cache_stats()["quadforms.class_group"]["hits"] > 0
+    clear_caches()
+    assert cache_stats()["quadforms.class_group"]["entries"] == 0
+    assert read() == cold
+
+
+def test_compose_refuses_mixed_discriminants():
+    f, g = principal_form(24), principal_form(23)
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            compose(f, g)
+    # the check is a raise, not an assert, so it holds under python -O
+    src = str(Path(weilchar.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    script = ("from weilchar.quadforms import compose, principal_form\n"
+              "for _ in range(3):\n"
+              "    try:\n"
+              "        compose(principal_form(24), principal_form(23))\n"
+              "    except ValueError:\n"
+              "        continue\n"
+              "    raise SystemExit('composed')\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
