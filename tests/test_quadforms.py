@@ -223,6 +223,15 @@ def _scan_two_torsion_and_sqrt(D, target):
     return basis, root
 
 
+def _span(basis, D):
+    """The 2-torsion list recover_root built before the class-group record:
+    the oracle for the record's span order."""
+    out = [principal_form(D)]
+    for g in basis:
+        out += [compose(g, s) for s in out]
+    return out
+
+
 @pytest.mark.parametrize("D", RECORD_D)
 def test_two_torsion_and_sqrt_matches_scan(D):
     group = enumerate_class_group(D)
@@ -235,6 +244,14 @@ def test_two_torsion_and_sqrt_matches_scan(D):
     assert [group[i] for i in record.square] == [compose(g, g) for g in group]
     assert record.forms == group
     assert all(record.index[g] == i for i, g in enumerate(group))
+    basis, _ = two_torsion_and_sqrt(D, group[0])
+    span = _span(basis, D)
+    assert [group[s] for s in record.span] == span
+    assert record.square.count(0) == len(span) == 2 ** len(basis)
+    # recover_root's candidates are a root times the span, in this order
+    for i, g in enumerate(group):
+        assert [group[record.mul(i, s)] for s in record.span] == \
+            [compose(g, s) for s in span], (D, g)
 
 
 @pytest.mark.parametrize("D", RECORD_D)

@@ -4,35 +4,9 @@ import pytest
 
 from weilchar.action import (SmoothIdeal, apply_smooth_ideal,
                              random_smooth_class, smooth_in_class)
-from weilchar.quadforms import (Discriminant, class_group, compose,
-                                enumerate_class_group, principal_form,
-                                reduce_form, two_torsion_and_sqrt)
+from weilchar.quadforms import (Discriminant, compose, enumerate_class_group,
+                                principal_form, reduce_form)
 from weilchar.roots import choose_bound, recover_root
-
-# 2-ranks 0 to 3 and h = 14, then every 50th valid D up to 5000
-RECORD_D = (24, 56, 59, 120, 404, 420) + tuple(
-    D for D in range(3, 5001) if D % 4 in (0, 3))[::50]
-
-
-def _span(basis, D):
-    """The 2-torsion list recover_root built before the class-group record:
-    the oracle for the record's span order."""
-    out = [principal_form(D)]
-    for g in basis:
-        out += [compose(g, s) for s in out]
-    return out
-
-
-@pytest.mark.parametrize("D", RECORD_D)
-def test_record_span_and_products_match_composition(D):
-    group = class_group(D)
-    basis, _ = two_torsion_and_sqrt(D, principal_form(D))
-    span = _span(basis, D)
-    assert [group.forms[s] for s in group.span] == span
-    # recover_root's candidates are a root times the span, in this order
-    for i, g in enumerate(group.forms):
-        assert [group.forms[group.mul(i, s)] for s in group.span] == \
-            [compose(g, s) for s in span], (D, g)
 
 
 def test_choose_bound_table():
