@@ -1,6 +1,7 @@
-"""Microbenchmark of the F_p curve arithmetic of the instance search.
+"""Microbenchmark of the curve arithmetic of the instance search and of
+the per-call steps of a warm pairing.
 
-    PYTHONPATH=src python3 bench/curves.py [--repeat N]
+    PYTHONPATH=src python3 bench/curves.py [--repeat N] [--pairing-steps]
 
 It prints three tables, each figure the best of five timeit runs of N
 calls in one process (100 N for scalar_mul):
@@ -12,20 +13,33 @@ calls in one process (100 N for scalar_mul):
 - milliseconds per make_instance for each (q, t, seed) of the
   sqrt-recover benchmark roster, the memo emptied before every call, with
   the number of count_points calls one search makes.
+
+With --pairing-steps it prints one table instead, with 100 N calls per
+run: at the (p, r, m) cells of the benchmark's pairings, on the instance
+curve over F_{p^r}, microseconds per Curve.draw_point and per x([m]R)
+certificate (pairing._separated), interpreted (the tower's traceable flag
+cleared) and compiled; per dlog_in_mu_m with its table built on every
+call (cold) and looked up (warm); and the milliseconds it takes to trace
+and compile the draw kernel and the certificate kernel.
 """
 
 import argparse
 import random
+import time
 import timeit
 
-from weilchar import action, curves
-from weilchar.fields import get_tower
+from weilchar import action, curves, fields, pairing
+from weilchar.fields import FieldElement, dlog_in_mu_m, get_tower
 from weilchar.memo import clear_caches
 
 # the roster of perfbench's sqrt-recover workload: (q, t, seed)
 ROSTER = ((17, 3, 1), (7, 2, 1), (31, 2, 1), (2221, 92, 0))
 # curves of the roster and of the criterion-7 ladder: (p, a4, a6)
 CURVES = ((2221, 1668, 2145), (120121, 108144, 71009))
+# the (p, r, m) the benchmark's pairings run at, with their instance curve
+# (a4, a6): the ddh base at p = 101 and the sqrt-recover roster
+CELLS = ((101, 4, 4, 1, 19), (7, 3, 3, 1, 3), (31, 3, 3, 4, 20),
+         (2221, 3, 3, 1668, 2145))
 
 
 def best(fn, repeat: int) -> float:
@@ -33,11 +47,62 @@ def best(fn, repeat: int) -> float:
     return min(timeit.repeat(fn, number=repeat, repeat=5)) / repeat
 
 
+def compile_ms(build) -> float:
+    t0 = time.perf_counter()
+    build()
+    return (time.perf_counter() - t0) * 1e3
+
+
+def pairing_steps(repeat: int) -> None:
+    print(f"{'pairing steps':<14} {'p':>7} {'r':>2} {'m':>2} "
+          f"{'draw':>13} {'certificate':>13} {'dlog':>13} {'compile ms':>11}")
+    print(f"{'':<14} {'':>7} {'':>2} {'':>2} {'interp':>6} {'comp':>6} "
+          f"{'interp':>6} {'comp':>6} {'cold':>6} {'warm':>6} "
+          f"{'draw':>5} {'cert':>5}")
+    for p, r, m, a4, a6 in CELLS:
+        f = get_tower(p, r)
+        E = curves.Curve(f, a4, a6)
+        rng = random.Random(f"bench{p},{r}")
+        R, S = E.draw_point(rng), E.draw_point(rng)
+        row = []
+        for traceable in (False, True):
+            f.traceable = traceable
+            row.append((best(lambda: E.draw_point(rng), 100 * repeat),
+                        best(lambda: pairing._separated(f, a4, a6, m, R, S),
+                             100 * repeat)))
+        # a primitive m-th root of unity, and a target in mu_m
+        while True:
+            z = f.vpow(f.random_value(rng), (f.size - 1) // m)
+            if z != f.zero and fields.element_order(FieldElement(f, z),
+                                                    m) == m:
+                break
+        b, t = FieldElement(f, z), FieldElement(f, f.vpow(z, m - 1))
+
+        def cold():
+            fields._mu_table.cache_clear()
+            return dlog_in_mu_m(b, t, m)
+
+        dlogs = (best(cold, 100 * repeat),
+                 best(lambda: dlog_in_mu_m(b, t, m), 100 * repeat))
+        ms = (compile_ms(lambda: curves._rhs_kernel.__wrapped__(f)),
+              compile_ms(lambda: pairing._separation_kernel.__wrapped__(f, m)))
+        us = [x * 1e6 for x in (row[0][0], row[1][0], row[0][1], row[1][1])
+              + dlogs]
+        print(f"{'':<14} {p:>7} {r:>2} {m:>2} "
+              + " ".join(f"{x:6.2f}" for x in us)
+              + " " + " ".join(f"{x:5.2f}" for x in ms))
+
+
 def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeat", type=int, default=20,
                     help="calls per timeit run (default 20)")
+    ap.add_argument("--pairing-steps", action="store_true",
+                    help="time the per-call steps of a warm pairing")
     args = ap.parse_args(argv)
+    if args.pairing_steps:
+        pairing_steps(args.repeat)
+        return
     p, a4, a6 = CURVES[0]
     E = curves.Curve(get_tower(p), a4, a6)
     P = E.random_point(random.Random("bench-curves"))

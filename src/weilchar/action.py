@@ -20,7 +20,7 @@ from .curves import (Curve, CurvePoint, _check_countable, _draw, _lift,
 from .fields import FieldElement, _is_prime, get_tower
 from .memo import memo
 from .quadforms import (Discriminant, QuadForm, class_group, compose,
-                        principal_form, reduce_form)
+                        discriminant, principal_form, reduce_form)
 
 # the split primes the action uses: odd, at most SMOOTH_BOUND, with both
 # eigenline extension degrees at most DEGREE_CAP
@@ -42,6 +42,8 @@ class OrientedCurve:
         if D <= 0:
             raise ValueError("trace out of the imaginary range")
         self.D = D
+        # every memo keyed by an instance hashes it, so once is enough
+        self._hash = hash((q, t, sigma_k, curve.a4.value, curve.a6.value))
 
     @property
     def sigma_kind(self) -> str:
@@ -57,7 +59,7 @@ class OrientedCurve:
 
     @property
     def order_disc(self) -> Discriminant:
-        return Discriminant(self.D)
+        return discriminant(self.D)
 
     def group_order(self, r: int = 1) -> int:
         return extension_order(self.q, self.t, r)
@@ -89,8 +91,7 @@ class OrientedCurve:
                 and other.curve == self.curve)
 
     def __hash__(self):
-        return hash((self.q, self.t, self.sigma_k, self.curve.a4.value,
-                     self.curve.a6.value))
+        return self._hash
 
     def __repr__(self):
         return (f"OrientedCurve(q={self.q}, t={self.t}, D={self.D}, "

@@ -17,8 +17,8 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from .fields import (FieldElement, FieldTower, _is_prime, _pdivmod, _pgcd,
-                     _pmul, _ppowmod, _psub, factorize)
+from .fields import (FieldElement, FieldTower, SymbolicTower, _is_prime,
+                     _pdivmod, _pgcd, _pmul, _ppowmod, _psub, factorize)
 from .memo import memo
 
 
@@ -115,17 +115,34 @@ def _draw(f: FieldTower, a4, a6, rng) -> tuple:
     """(x, c, sign, norm) for y^2 = x^3 + a4 x + a6 with raw a4, a6: x and
     c = x^3 + a4 x + a6 raw values of f, x uniform among those with c a
     square or zero, sign the bit that picks the root of c (see _lift), and
-    norm the int N(c) that decided squareness, kept for the root."""
+    norm the int N(c) that decided squareness, kept for the root.  A
+    traceable f takes c from _rhs_kernel."""
     p = f.p
+    kernel = _rhs_kernel(f) if f.traceable else None
     for _ in range(10000):
         x = f.random_value(rng)
-        c = f.vadd(f.vmul(f.vadd(f.vmul(x, x), a4), x), a6)
+        c = _rhs(f, x, a4, a6) if kernel is None else kernel(x, a4, a6)
         # N(c) = 0 exactly when c = 0; else Euler's criterion in F_p
         norm = 0 if c == f.zero else f.vnorm(c)
         if norm and pow(norm, (p - 1) // 2, p) != 1:
             continue
         return x, c, rng.randrange(2), norm
     raise RuntimeError("failed to sample a curve point")
+
+
+def _rhs(f, x, a4, a6):
+    """c = (x^2 + a4) x + a6 on raw values of a FieldTower f, or of a
+    fields.SymbolicTower standing in for one."""
+    return f.vadd(f.vmul(f.vadd(f.vmul(x, x), a4), x), a6)
+
+
+@memo
+def _rhs_kernel(f: FieldTower):
+    """_rhs compiled for the traceable f: kernel(x, a4, a6), on the raw a4
+    and a6 of any curve over f."""
+    t = SymbolicTower(f)
+    return t.compile("x, a4, a6", _rhs(t, t.value("x"), t.value("a4"),
+                                       t.value("a6")))
 
 
 def _lift(f: FieldTower, drawn: tuple):
@@ -284,9 +301,7 @@ def count_points(E: Curve) -> tuple:
         n += sum([roots[(x * (x * x + a4) + a6) % p] for x in range(p)])
     else:
         for i in range(S):
-            x = field.unrank(i)
-            c = field.vadd(field.vmul(field.vmul(x, x), x),
-                           field.vadd(field.vmul(E.a4.value, x), E.a6.value))
+            c = _rhs(field, field.unrank(i), E.a4.value, E.a6.value)
             if c == field.zero:
                 n += 1
             elif field.vis_square(c):

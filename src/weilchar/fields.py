@@ -28,6 +28,15 @@ Frobenius power phi^k in use, from its sparse rows, and the linear
 combination const + sum of c v at each term count (lin_kernel, for the
 pairing's x-only certificate).
 
+Where the product is unrolled, 2 <= r <= UNROLLED_MUL_MAX_R, whole raw
+routines compile as well.  SymbolicTower stands in for the tower and
+records, from the same source generators, what a routine run on it does;
+its compile makes one straight-line kernel of the record, with no call per
+field operation.  curves compiles the right-hand side of its point draws
+this way and pairing its x([m]R) certificate, so each formula is written
+once, in the routine.  Discrete logs in mu_m are lookups in a memoized
+table of the powers of the base.
+
 Square roots lean on the Frobenius x -> x^p, a linear map on coefficients.
 The norm N(v) = v^(1 + p + ... + p^(r-1)) lies in F_p and decides
 squareness there, since v^((q-1)/2) = N(v)^((p-1)/2).  For odd r the
@@ -39,6 +48,8 @@ taken by base-p digits over the Frobenius images.
 from __future__ import annotations
 
 from typing import Optional
+
+from .memo import memo
 
 
 def _is_prime(n: int) -> bool:
@@ -151,6 +162,11 @@ def _ppowmod(p: int, a: list, e: int, f: list) -> list:
 
 _towers: dict = {}
 
+# SymbolicTower compiles a traced kernel in segments of about this many
+# characters of source, the size of the unrolled product at r = 14: no
+# segment takes more compile memory than a tower's own kernels may
+SEGMENT_CHARS = 3000
+
 # vmul runs the unrolled schoolbook product up to this degree and Kronecker
 # substitution above it; the two tie near r = 14-16 for p >= 101 and near
 # r = 20-24 for p = 23 (bench/fields.py)
@@ -196,6 +212,8 @@ class FieldTower:
         self.base = self if r == 1 else get_tower(p, 1)
         self.zero = 0 if r == 1 else (0,) * r
         self.one = 1 if r == 1 else (1,) + (0,) * (r - 1)
+        # vmul runs the unrolled product, so SymbolicTower can stand in
+        self.traceable = 1 < r <= UNROLLED_MUL_MAX_R
         self._frob = {}           # power k -> compiled phi^k, lazy
         self._lins = {}           # term count -> compiled lin_kernel, lazy
         self._sqrt_consts = None  # lazy: _sqrt_setup()
@@ -213,12 +231,11 @@ class FieldTower:
         self._low_terms = tuple((j, -c % p)
                                 for j, c in enumerate(modulus[:r]) if c)
         self._mul = (_unrolled_mul(p, r, self._low_terms)
-                     if r <= UNROLLED_MUL_MAX_R else self._kron_mul)
+                     if self.traceable else self._kron_mul)
+        u, v = _names(r, "u"), _names(r, "v")
         uv = _unpack(r, "u") + _unpack(r, "v")
-        self._add = _compile("u, v", uv + _returns(
-            f"(u{i} + v{i}) % {p}" for i in range(r)))
-        self._sub = _compile("u, v", uv + _returns(
-            f"(u{i} - v{i}) % {p}" for i in range(r)))
+        self._add = _compile("u, v", uv + _returns(_termwise(p, u, "+", v)))
+        self._sub = _compile("u, v", uv + _returns(_termwise(p, u, "-", v)))
         self._neg = _compile("u", _unpack(r, "u") + _returns(
             f"-u{i} % {p}" for i in range(r)))
 
@@ -399,9 +416,8 @@ class FieldTower:
             r, ts = self.r, range(n)
             body = "    " + "".join(f"(c{t}, w{t}), " for t in ts) + "= terms\n"
             body += "".join(_unpack(r, f"w{t}_", f"w{t}") for t in ts)
-            sums = [[(f"c{t}", f"w{t}_{i}") for t in ts] for i in range(r)]
-            sums[0].insert(0, (1, "const"))
-            body += _returns(_reduced(self.p, terms) for terms in sums)
+            body += _returns(_combination(self.p, r, "const", [
+                (f"c{t}", _names(r, f"w{t}_")) for t in ts]))
             self._lins[n] = kernel = _compile("const, terms", body)
         return kernel
 
@@ -521,45 +537,251 @@ class FieldTower:
                                self.vmul(guess, w), guess)
 
 
-def _compile(args: str, body: str):
-    """kernel(args) with the given straight-line body."""
-    scope = {}
+def _compile(args: str, body: str, **scope):
+    """kernel(args) with the given straight-line body; scope holds the
+    globals the body calls."""
     exec(f"def kernel({args}):\n{body}", scope)
     return scope["kernel"]
+
+
+def _names(r: int, name: str) -> list:
+    """The names name0, name1, ... of r coefficients."""
+    return [f"{name}{i}" for i in range(r)]
 
 
 def _unpack(r: int, name: str, value: str = "") -> str:
     """The line unpacking the r coefficients of value (default name) into
     name0, name1, ..."""
-    return ("    " + "".join(f"{name}{i}, " for i in range(r))
+    return ("    " + "".join(f"{a}, " for a in _names(r, name))
             + f"= {value or name}\n")
 
 
-def _returns(coefficients) -> str:
-    return "    return (" + "".join(f"{c}, " for c in coefficients) + ")\n"
+def _tuple(coefficients) -> str:
+    return "(" + "".join(f"{c}, " for c in coefficients) + ")"
 
+
+def _returns(coefficients) -> str:
+    return f"    return {_tuple(coefficients)}\n"
+
+
+# Source generators: each formats one formula on coefficient names, and
+# both the kernels of a tower and SymbolicTower are built from them.  In a
+# SymbolicTower a coefficient may also be an int constant.
 
 def _reduced(p: int, terms: list) -> str:
-    """The source of the sum of c * name over the (c, name) in terms with
-    c != 0, mod p."""
-    terms = [name if c == 1 else f"{c} * {name}" for c, name in terms if c]
+    """The source of the sum of c * name over the (c, name) in terms, mod
+    p, each of c and name an int, a name or a _Scalar; terms with c = 0
+    or name = 0 drop out."""
+    terms = [f"{name}" if c == 1 else f"{c} * {name}"
+             for c, name in terms if c and name != 0]
     return f"({' + '.join(terms)}) % {p}" if terms else "0"
 
 
-def _unrolled_mul(p: int, r: int, low_terms: tuple):
-    """The schoolbook product as straight-line code: the 2r - 1 product
-    coefficients c_k, then from the top each c_k (k >= r), taken mod p,
-    folded down through the low terms (j, f) of x^r = sum f x^j.  The
-    source holds only the ints p, r and those terms."""
-    body = "".join(
-        f"    c{k} = " + " + ".join(f"u{i} * v{k - i}" for i in
+def _termwise(p: int, u, op: str, v) -> list:
+    """The coefficients of u + v or u - v (op "+" or "-")."""
+    return [f"({a} {op} {b}) % {p}" for a, b in zip(u, v)]
+
+
+def _combination(p: int, r: int, const, terms) -> list:
+    """The r coefficients of const + the sum of c w over the (c, w) in
+    terms, for const and c as _reduced takes them."""
+    sums = [[(c, w[i]) for c, w in terms] for i in range(r)]
+    sums[0].insert(0, (1, const))
+    return [_reduced(p, terms) for terms in sums]
+
+
+def _product(p: int, r: int, low_terms: tuple, u, v) -> tuple:
+    """(lines, coefficients) of the schoolbook product of u and v: lines
+    set the 2r - 1 product coefficients c0, c1, ..., then from the top
+    fold each c_k (k >= r), taken mod p, down through the low terms (j, f)
+    of x^r = sum f x^j.  The source holds only the ints p, r and those
+    terms."""
+    lines = "".join(
+        f"    c{k} = " + " + ".join(f"{u[i]} * {v[k - i]}" for i in
                                     range(max(0, k - r + 1), min(k, r - 1) + 1))
         + "\n" for k in range(2 * r - 1))
     for k in range(2 * r - 2, r - 1, -1):
-        body += f"    t = c{k} % {p}\n" + "".join(
+        lines += f"    t = c{k} % {p}\n" + "".join(
             f"    c{k - r + j} += {f} * t\n" for j, f in low_terms)
-    return _compile("u, v", _unpack(r, "u") + _unpack(r, "v") + body
-                    + _returns(f"c{i} % {p}" for i in range(r)))
+    return lines, [f"c{i} % {p}" for i in range(r)]
+
+
+def _unrolled_mul(p: int, r: int, low_terms: tuple):
+    """The schoolbook product (_product) as a kernel."""
+    lines, coefficients = _product(p, r, low_terms, _names(r, "u"),
+                                   _names(r, "v"))
+    return _compile("u, v", _unpack(r, "u") + _unpack(r, "v") + lines
+                    + _returns(coefficients))
+
+
+class SymbolicTower:
+    """A stand-in for a traceable FieldTower f (2 <= r <=
+    UNROLLED_MUL_MAX_R) that records instead of computing.
+
+    Its values are tuples of r coefficient names, besides the constants one
+    and zero of f, and its scalars (_Scalar) name int expressions.  vmul,
+    vadd, vsub and lin_kernel each record their result as one step: its
+    source, formatted by the generators f's kernels are compiled from, and
+    the names it reads and writes.  So a raw routine of f, run once here on
+    inputs declared by value and scalar, leaves the straight-line body of a
+    kernel of f, which compile returns.  Products and sums with one or zero
+    fold away."""
+
+    def __init__(self, f: FieldTower):
+        if not f.traceable:
+            raise ValueError(f"{f!r} has no unrolled product to trace")
+        self.p, self.r = f.p, f.r
+        self.zero, self.one = f.zero, f.one
+        self._low_terms = f._low_terms
+        self._inputs = []       # the lines unpacking the value arguments
+        self._steps = []        # (source, names read, names written)
+        self._scalars = {}      # expression -> its _Scalar
+        self._count = 0
+
+    def _fresh(self) -> str:
+        self._count += 1
+        return f"_{self._count}"
+
+    def _bind(self, coefficients, operands, lines: str = "") -> tuple:
+        """Record lines, then the fresh names of the result's coefficients,
+        as a step reading operands."""
+        names = tuple(_names(self.r, self._fresh() + "_"))
+        self._steps.append((lines + "".join(
+            f"    {a} = {c}\n" for a, c in zip(names, coefficients)),
+            _read(*operands), names))
+        return names
+
+    def _scalar(self, expression: str, *operands) -> "_Scalar":
+        s = self._scalars.get(expression)
+        if s is None:
+            s = self._scalars[expression] = _Scalar(self, self._fresh())
+            self._steps.append((f"    {s} = {expression}\n",
+                                _read(*operands), (s.name,)))
+        return s
+
+    # -- kernel arguments ---------------------------------------------------
+
+    def value(self, name: str) -> tuple:
+        """The raw value passed as argument name."""
+        self._inputs.append(_unpack(self.r, name + "_", name))
+        return tuple(_names(self.r, name + "_"))
+
+    def scalar(self, name: str) -> "_Scalar":
+        """The int passed as argument name."""
+        return _Scalar(self, name)
+
+    # -- the FieldTower methods the traced routines call ---------------------
+
+    def vmul(self, u, v):
+        if self.zero in (u, v):
+            return self.zero
+        if self.one in (u, v):
+            return v if u == self.one else u
+        # the product's own names c0, c1, ... and t die in its step, so
+        # every product reuses them
+        lines, coefficients = _product(self.p, self.r, self._low_terms, u, v)
+        return self._bind(coefficients, (u, v), lines)
+
+    def vadd(self, u, v):
+        if self.zero in (u, v):
+            return v if u == self.zero else u
+        return self._bind(_termwise(self.p, u, "+", v), (u, v))
+
+    def vsub(self, u, v):
+        if v == self.zero:
+            return u
+        return self._bind(_termwise(self.p, u, "-", v), (u, v))
+
+    def lin_kernel(self, n: int):
+        def kernel(const, terms):
+            return self._bind(_combination(self.p, self.r, const, terms),
+                              (const, *terms))
+        return kernel
+
+    # -- what FieldTower callers do in Python on the values ------------------
+
+    def differ(self, u, v) -> "_Scalar":
+        """The bool u != v."""
+        return self._scalar(" or ".join(f"{a} != {b}" for a, b in zip(u, v)),
+                            u, v)
+
+    def compile(self, args: str, *results):
+        """kernel(args) running the recorded steps and returning results,
+        values or scalars.
+
+        Compiling takes peak memory in proportion to the source compiled at
+        once, about 130 bytes a character, so the steps go in segments of
+        about SEGMENT_CHARS: each but the last is a function of the names
+        it reads from earlier ones, returning the names later ones read,
+        and the kernel calls them in turn, then runs the last inline.  A
+        segment whose names nothing reads is left out."""
+        segments = [["", set(), set()]]     # source, names read, written
+        for source, reads, writes in self._steps:
+            if segments[-1][0] and (len(segments[-1][0]) + len(source)
+                                    > SEGMENT_CHARS):
+                segments.append(["", set(), set()])
+            segments[-1][0] += source
+            segments[-1][1] |= reads
+            segments[-1][2].update(writes)
+        last = segments.pop()
+        needed = _read(*results) | last[1]
+        calls = []
+        scope = {}
+        for i in range(len(segments) - 1, -1, -1):
+            source, reads, writes = segments[i]
+            outs = sorted(writes & needed)
+            if outs:
+                ins = ", ".join(sorted(reads - writes))
+                scope[f"_segment{i}"] = _compile(ins, source + _returns(outs))
+                calls.append(f"    {''.join(f'{o}, ' for o in outs)}"
+                             f"= _segment{i}({ins})\n")
+                needed |= reads
+        out = ", ".join(_tuple(x) if isinstance(x, tuple) else str(x)
+                        for x in results)
+        return _compile(args, "".join(self._inputs) + "".join(reversed(calls))
+                        + last[0] + f"    return {out}\n", **scope)
+
+
+class _Scalar:
+    """An int of a SymbolicTower kernel, by name: an argument, or an
+    expression the tower binds on first use."""
+
+    __slots__ = ("tower", "name")
+
+    def __init__(self, tower: SymbolicTower, name: str):
+        self.tower = tower
+        self.name = name
+
+    def __str__(self):
+        return self.name
+
+    def __add__(self, other):
+        return self.tower._scalar(f"{self} + {other}", self, other)
+
+    def __mul__(self, other):
+        return self.tower._scalar(f"{self} * {other}", self, other)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __neg__(self):
+        return self.tower._scalar(f"-{self}", self)
+
+    def __pow__(self, e: int):
+        return self.tower._scalar(f"{self} ** {e}", self)
+
+
+def _read(*operands) -> set:
+    """The names among operands: coefficient names of values (in pairs or
+    tuples of them, as lin_kernel's terms) and scalars."""
+    names = set()
+    for x in operands:
+        if isinstance(x, _Scalar):
+            names.add(x.name)
+        elif isinstance(x, tuple):
+            names |= _read(*x)
+        elif isinstance(x, str):
+            names.add(x)
+    return names
 
 
 def _tonelli_shanks(mul, one, m: int, c, u, acc):
@@ -743,28 +965,27 @@ def element_order(z: FieldElement, bound: int) -> int:
 
 def dlog_in_mu_m(base: FieldElement, target: FieldElement, m: int) -> int:
     """Discrete log of target to the given base inside the order-m roots of
-    unity, by baby-step giant-step on raw values of their common field."""
+    unity, looked up in the table of the powers of base (_mu_table)."""
     pair = base._pair(target)
     if pair is NotImplemented:
         raise TypeError(f"{target!r} and {base!r} share no field")
     f, b, t = pair
     if f.vpow(t, m) != f.one:
         raise ValueError("target is not an m-th root of unity")
+    return _mu_table(f, b, m)[t]
+
+
+@memo
+def _mu_table(f: FieldTower, b, m: int) -> dict:
+    """{b^j: j for 0 <= j < m} for a raw value b of f of exact order m,
+    checked first (ValueError otherwise).  The m powers are distinct roots
+    of x^m - 1, so they are all of them: every m-th root of unity of f has
+    its log here."""
     if element_order(FieldElement(f, b), m) != m:
         raise ValueError("base does not have exact order m")
-    step = 1
-    while step * step < m:
-        step += 1
     table = {}
     cur = f.one
-    for j in range(step):
-        table.setdefault(cur, j)
+    for j in range(m):
+        table[cur] = j
         cur = f.vmul(cur, b)
-    giant = f.vpow(f.vinv(b), step)
-    cur = t
-    for i in range(step + 1):
-        j = table.get(cur)
-        if j is not None:
-            return (i * step + j) % m
-        cur = f.vmul(cur, giant)
-    raise ValueError("discrete log not found in the root-of-unity subgroup")
+    return table

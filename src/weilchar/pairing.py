@@ -36,6 +36,14 @@ A hit skips only the two walks and their inversion.  Every draw, the
 certificate and the exact fallback still run, since they decide what the
 generator yields, and arguments outside E[m] raise on every call, since
 lru_cache keeps no exception.
+
+Those per-call steps run as straight-line code where the tower's product
+is unrolled (fields.SymbolicTower, 2 <= r <= UNROLLED_MUL_MAX_R): the draws
+take c = x^3 + a4 x + a6 from a kernel of curves, and the certificate is
+one kernel per tower and m (_separation_kernel), _x_multiple traced for
+both points with a4 and a6 as int arguments, so one kernel serves every
+curve over the tower.  It returns the decision x([m]R) != x([m]S).  Other
+towers run the same routines interpreted.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .curves import Curve, CurvePoint, _add_raw, _lift, _raw
-from .fields import FieldElement, FieldTower
+from .fields import FieldElement, FieldTower, SymbolicTower
 from .memo import memo
 
 
@@ -209,10 +217,25 @@ def _division_values(f: FieldTower, a4: int, a6: int, n: int, x, c) -> tuple:
 
 def _separated(f: FieldTower, a4: int, a6: int, m: int, R, S) -> bool:
     """Whether x([m]R) != x([m]S) for the draw_point tuples R and S,
-    which certifies their shifted attempt nondegenerate."""
+    which certifies their shifted attempt nondegenerate; by
+    _separation_kernel for a traceable f."""
+    if f.traceable:
+        return _separation_kernel(f, m)(a4, a6, R[0], R[1], S[0], S[1])
     XR, ZR = _x_multiple(f, a4, a6, m, R[0], R[1])
     XS, ZS = _x_multiple(f, a4, a6, m, S[0], S[1])
     return f.vmul(XR, ZS) != f.vmul(XS, ZR)
+
+
+@memo
+def _separation_kernel(f: FieldTower, m: int):
+    """_separated compiled for the traceable f and m: kernel(A, B, xR, cR,
+    xS, cS) traces _x_multiple on the ints A, B of every curve over f."""
+    t = SymbolicTower(f)
+    A, B = t.scalar("A"), t.scalar("B")
+    XR, ZR = _x_multiple(t, A, B, m, t.value("xR"), t.value("cR"))
+    XS, ZS = _x_multiple(t, A, B, m, t.value("xS"), t.value("cS"))
+    return t.compile("A, B, xR, cR, xS, cS",
+                     t.differ(t.vmul(XR, ZS), t.vmul(XS, ZR)))
 
 
 def weil_pairing(E: Curve, P: CurvePoint, Q: CurvePoint, m: int, rng) -> PairingValue:

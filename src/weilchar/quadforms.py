@@ -221,9 +221,16 @@ class Discriminant:
         return f"Discriminant(-{self.D})"
 
 
+@memo
+def discriminant(D: int) -> Discriminant:
+    """The Discriminant of -D, built once per D and shared: read it, never
+    change it."""
+    return Discriminant(D)
+
+
 def assigned_characters(D: int) -> list:
     """The assigned characters of the order of discriminant -D = -2^f * d."""
-    disc = Discriminant(D) if not isinstance(D, Discriminant) else D
+    disc = discriminant(D) if not isinstance(D, Discriminant) else D
     f, d = disc.two_exp, disc.odd_part
     chars = [Character("chi", p) for (p, _) in disc.odd_primes]
     if f == 2 and d % 4 == 1:
@@ -292,7 +299,7 @@ def relation_characters(D) -> list:
     Odd-prime characters enter when their prime divides D to an odd power;
     the even-part member is delta for d = 1 mod 4, epsilon for odd f, fused
     into delta_epsilon when f = 3 brings in both."""
-    disc = D if isinstance(D, Discriminant) else Discriminant(D)
+    disc = D if isinstance(D, Discriminant) else discriminant(D)
     f, d = disc.two_exp, disc.odd_part
     rel = [Character("chi", p) for (p, e) in disc.odd_primes if e % 2]
     if f == 3:
@@ -314,7 +321,7 @@ def verify_character_relation(D: int) -> dict:
     """
     disc = Discriminant(D)
     group = class_group(D)
-    chars = assigned_characters(D)
+    chars = assigned_characters(disc)
     mu = len(chars)
     norms = [find_coprime_value(g, 2 * D) for g in group.forms]
 

@@ -17,7 +17,8 @@ from .action import (OrientedCurve, apply_smooth_ideal, canonical_model,
                      smooth_in_class)
 from .attack import eval_character
 from .quadforms import (Character, Discriminant, QuadForm, char_table,
-                        class_group, reduce_form, two_torsion_and_sqrt)
+                        class_group, discriminant, reduce_form,
+                        two_torsion_and_sqrt)
 
 
 @dataclass
@@ -80,7 +81,8 @@ def recover_root(ocE: OrientedCurve, ocE2: OrientedCurve, c_squared: QuadForm,
     if rng is None:
         rng = random.Random()
     D = ocE.D
-    factors = Discriminant(D).factors
+    disc = discriminant(D)
+    factors = disc.factors
     bound = choose_bound(factors) if B == "auto" else int(B)
 
     timings: dict = {}
@@ -95,7 +97,7 @@ def recover_root(ocE: OrientedCurve, ocE2: OrientedCurve, c_squared: QuadForm,
 
     filter_chars = [Character("chi", ell) for ell in P1]
     if use_two_adic:
-        filter_chars += [ch for ch in Discriminant(D).characters()
+        filter_chars += [ch for ch in disc.characters()
                          if ch.kind != "chi"]
     values = {}
     for ch in filter_chars:

@@ -272,6 +272,25 @@ def test_cold_and_warm_caches_agree(request):
     assert cold == warm == [case[4] for case in _FROZEN_EVALS]
 
 
+def test_kernel_and_table_memos_cold_and_warm(request):
+    """The draw and certificate kernels, the mu_m dlog tables and the
+    discriminant records are memo.memo entries: clear_caches() empties
+    them, a cold evaluation builds them, and a warm one reuses them and
+    returns what the cold one did."""
+    names = ("curves._rhs_kernel", "pairing._separation_kernel",
+             "fields._mu_table", "quadforms.discriminant")
+    clear_caches()
+    assert all(cache_stats()[name]["entries"] == 0 for name in names)
+    cold = [_frozen_eval(request, *case[:4]) for case in _FROZEN_EVALS]
+    built = {name: cache_stats()[name]["misses"] for name in names}
+    assert all(built.values()), built
+    warm = [_frozen_eval(request, *case[:4]) for case in _FROZEN_EVALS]
+    for name in names:
+        assert cache_stats()[name]["misses"] == built[name], name
+        assert cache_stats()[name]["hits"] > 0, name
+    assert cold == warm == [case[4] for case in _FROZEN_EVALS]
+
+
 def test_shared_base_side(oc24, oc40):
     rng = random.Random(7)
     side = base_side(oc24, CHI3, rng)

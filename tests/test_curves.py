@@ -2,13 +2,16 @@ import random
 
 import pytest
 
+from weilchar import curves
 from weilchar.curves import (Curve, CurvePoint, _add_raw, _mul_fp, _point,
                              _raw, add_with_slope, count_points,
                              division_polynomial, extension_order,
                              frobenius_map, gl2_order, point_add,
                              sample_m_torsion, scalar_mul, torsion_basis,
                              torsion_extension_degree, velu_isogeny)
-from weilchar.fields import FieldElement, _is_prime, factorize, get_tower
+from weilchar.fields import (FieldElement, SymbolicTower, _is_prime,
+                             factorize, get_tower)
+from weilchar.memo import cache_stats, clear_caches
 
 
 def curve_over(p, a4, a6, r=1):
@@ -359,6 +362,45 @@ def test_random_point_takes_one_norm_per_x(monkeypatch, p, r, a6):
         E.random_point(rng)
     assert counts["x"] >= 20
     assert counts["norm"] == counts["x"]
+
+
+# the perfbench cells and two towers of the ddh roster; (101, 2) also takes
+# an a4 outside F_101, which the kernel reads as any raw value
+@pytest.mark.parametrize("p,r,a4,a6", [
+    (7, 3, 3, 3), (31, 3, 2, 11), (2221, 3, 1668, 2145), (101, 2, 3, 7),
+    (101, 2, (2, 1), 5), (101, 4, 1, 3),
+])
+def test_draw_kernel_matches_the_interpreted_draw(monkeypatch, p, r, a4, a6):
+    """Over 1,000 draws the compiled right-hand side (_rhs_kernel) gives
+    the draw tuples and generator states the interpreted _rhs gives."""
+    f = get_tower(p, r)
+    E = Curve(f, FieldElement(f, a4) if isinstance(a4, tuple) else a4, a6)
+    runs = []
+    for traceable in (True, False):
+        monkeypatch.setattr(f, "traceable", traceable)
+        clear_caches()
+        rng = random.Random(f"draws{p},{r}")
+        runs.append([(E.draw_point(rng), rng.getstate())
+                     for _ in range(1000)])
+        built = cache_stats()["curves._rhs_kernel"]["misses"]
+        assert built == (1 if traceable else 0)
+    assert runs[0] == runs[1]
+
+
+def test_draw_kernel_only_where_the_product_is_unrolled():
+    """r = 1 and r above UNROLLED_MUL_MAX_R draw interpreted and compile
+    nothing; SymbolicTower refuses those towers."""
+    clear_caches()
+    for p, r in ((101, 1), (5, 15)):
+        f = get_tower(p, r)
+        assert not f.traceable
+        Curve(f, 1, 3).random_point(random.Random(0))
+        with pytest.raises(ValueError, match="no unrolled product"):
+            SymbolicTower(f)
+    assert cache_stats()["curves._rhs_kernel"]["entries"] == 0
+    assert curves._rhs_kernel(get_tower(101, 4))(
+        (1, 2, 3, 4), (1, 0, 0, 0), (3, 0, 0, 0)) == curves._rhs(
+        get_tower(101, 4), (1, 2, 3, 4), (1, 0, 0, 0), (3, 0, 0, 0))
 
 
 def _add_with_slope_oracle(E, P, Q):

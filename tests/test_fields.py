@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -10,8 +11,9 @@ import weilchar
 from weilchar.fields import (UNROLLED_MUL_MAX_R, FieldElement, FieldTower,
                              _is_irreducible, _is_prime, _pdivmod, _pgcd,
                              _pmul, _ppowmod, _psub, _ptrim, _unrolled_mul,
-                             dlog_in_mu_m, element_order, get_tower,
-                             legendre_symbol)
+                             dlog_in_mu_m, element_order, factorize,
+                             get_tower, legendre_symbol)
+from weilchar.memo import cache_stats, clear_caches
 from weilchar.pairing import _lin
 
 
@@ -166,6 +168,77 @@ def test_element_order_and_dlog():
             w = cand
     for k in range(8):
         assert dlog_in_mu_m(w, w ** k, 8) == k
+
+
+def _bsgs(f, b, t, m):
+    """Discrete log of t to the base b in mu_m by baby-step giant-step on
+    raw values, the way dlog_in_mu_m took it before its table."""
+    step = 1
+    while step * step < m:
+        step += 1
+    table = {}
+    cur = f.one
+    for j in range(step):
+        table.setdefault(cur, j)
+        cur = f.vmul(cur, b)
+    giant = f.vpow(f.vinv(b), step)
+    cur = t
+    for i in range(step + 1):
+        j = table.get(cur)
+        if j is not None:
+            return (i * step + j) % m
+        cur = f.vmul(cur, giant)
+    raise ValueError("discrete log not found")
+
+
+def _of_order(f, m, rng):
+    """A raw value of f of exact multiplicative order m (m | q - 1)."""
+    assert (f.size - 1) % m == 0
+    while True:
+        v = f.vpow(f.random_value(rng), (f.size - 1) // m)
+        if v != f.zero and all(f.vpow(v, m // ell) != f.one
+                               for ell, _ in factorize(m)):
+            return v
+
+
+@pytest.mark.parametrize("p,r,m", [(7, 2, 3), (7, 2, 8), (101, 4, 4),
+                                   (101, 2, 17), (31, 3, 9), (2221, 3, 37)])
+def test_dlog_table_matches_baby_step_giant_step(p, r, m):
+    """Every element of mu_m, against every generator of it: the table
+    lookup returns the BSGS log."""
+    f = get_tower(p, r)
+    b = _of_order(f, m, random.Random(f"mu{p},{r},{m}"))
+    gens = [f.vpow(b, k) for k in range(1, m) if math.gcd(k, m) == 1]
+    clear_caches()
+    for g in gens:
+        for k in range(m):
+            t = f.vpow(g, k)
+            assert dlog_in_mu_m(FieldElement(f, g), FieldElement(f, t), m) \
+                == _bsgs(f, g, t, m) == k
+    stats = cache_stats()["fields._mu_table"]
+    assert (stats["misses"], stats["entries"]) == (len(gens), len(gens))
+
+
+def test_dlog_errors_keep_their_messages_and_order():
+    """The target is checked before the base, and a base of the wrong
+    order raises on every call, since no table is kept for it."""
+    f = get_tower(101, 4)
+    rng = random.Random(3)
+    b = FieldElement(f, _of_order(f, 4, rng))
+    square = b * b                       # order 2
+    outside = FieldElement(f, _of_order(f, 3, rng))
+    clear_caches()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="target is not an m-th root"):
+            dlog_in_mu_m(b, outside, 4)
+        with pytest.raises(ValueError, match="target is not an m-th root"):
+            dlog_in_mu_m(square, outside, 4)
+        with pytest.raises(ValueError, match="base does not have exact order"):
+            dlog_in_mu_m(square, b, 4)
+        with pytest.raises(ValueError, match="element order does not divide"):
+            dlog_in_mu_m(outside, b * b, 4)
+    assert cache_stats()["fields._mu_table"]["entries"] == 0
+    assert dlog_in_mu_m(b, square, 4) == 2
 
 
 def test_hash_agrees_with_equality():
@@ -575,6 +648,19 @@ def test_curve_bench_smoke():
         ["2221", "92", "0", "10"]]
     assert all(float(row[-1]) > 0 for row in rows[1:3] + rows[4:6])
     assert all(float(row[3]) > 0 for row in rows[7:])
+
+
+def test_pairing_steps_bench_smoke():
+    bench = Path(__file__).resolve().parents[1] / "bench" / "curves.py"
+    proc = _run_python([str(bench), "--repeat", "1", "--pairing-steps"])
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()]
+    assert rows[0][:2] == ["pairing", "steps"]
+    assert [row[:3] for row in rows[2:]] == [
+        ["101", "4", "4"], ["7", "3", "3"], ["31", "3", "3"],
+        ["2221", "3", "3"]]
+    assert all(len(row) == 11 and all(float(x) > 0 for x in row[3:])
+               for row in rows[2:])
 
 
 def test_quadforms_bench_smoke():

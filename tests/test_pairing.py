@@ -432,6 +432,36 @@ def test_x_only_multiple_matches_scalar_mul(q, a4, a6, m):
             assert X == f.vmul(_raw(f, T)[0], Z), R
 
 
+@pytest.mark.parametrize("m", [3, 4, 5, 8])
+def test_certificate_kernel_matches_the_interpreted_one(m, monkeypatch):
+    """_separation_kernel decides as the interpreted _separated does on
+    random draw pairs, and on degenerate pairs S = R + T with T in E[m],
+    where [m]S = [m]R and the decision must be False."""
+    q, a4, a6 = 13, 2, 3
+    rng = random.Random(59)
+    E, B1, B2 = _basis(q, a4, a6, m, rng)
+    f = E.field
+    assert f.traceable
+    torsion = [T for T in _all_of_torsion(E, B1, B2, m) if not T.is_infinity()]
+    pairs = [(E.draw_point(rng), E.draw_point(rng)) for _ in range(200)]
+    degenerate = []
+    for _ in range(100):
+        R = E.random_point(rng)
+        S = point_add(E, R, rng.choice(torsion))
+        if not (R.is_infinity() or S.is_infinity()):
+            degenerate.append(tuple((x, f.vmul(y, y))
+                                    for x, y in (_raw(f, R), _raw(f, S))))
+    assert len(degenerate) > 90
+    decide = functools.partial(pairing._separated, f, a4, a6, m)
+    clear_caches()
+    compiled = [decide(R, S) for R, S in pairs + degenerate]
+    assert cache_stats()["pairing._separation_kernel"]["misses"] == 1
+    monkeypatch.setattr(f, "traceable", False)
+    assert compiled == [decide(R, S) for R, S in pairs + degenerate]
+    assert not any(compiled[len(pairs):])
+    assert sum(compiled[:len(pairs)]) > len(pairs) // 2
+
+
 # random_point(random.Random(2024)) twenty times, as (rank x, rank y), and
 # the SHA-256 of repr(getstate()) after them, recorded before the draw and
 # the square root were split: the stream must not move

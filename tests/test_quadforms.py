@@ -12,7 +12,8 @@ from weilchar.memo import cache_stats, clear_caches
 from weilchar.quadforms import (Character, Discriminant, QuadForm,
                                 assigned_characters, char_eval_class,
                                 char_eval_norm, char_table, class_group,
-                                class_number, compose, enumerate_class_group,
+                                class_number, compose, discriminant,
+                                enumerate_class_group,
                                 factorize, find_coprime_value, principal_form,
                                 reduce_form, relation_characters,
                                 two_torsion_and_sqrt,
@@ -286,6 +287,23 @@ def test_class_group_record_cold_equals_warm():
     clear_caches()
     assert cache_stats()["quadforms.class_group"]["entries"] == 0
     assert read() == cold
+
+
+def test_discriminant_record_is_shared():
+    """One Discriminant per D, equal to a fresh one; an invalid D raises on
+    every call and leaves no entry."""
+    clear_caches()
+    for D in (24, 420, 8784):
+        disc = discriminant(D)
+        fresh = Discriminant(D)
+        assert discriminant(D) is disc
+        assert (disc.factors, disc.two_exp, disc.odd_part, disc.odd_primes) \
+            == (fresh.factors, fresh.two_exp, fresh.odd_part, fresh.odd_primes)
+        assert assigned_characters(D) == fresh.characters()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="is not a discriminant"):
+            discriminant(25)
+    assert cache_stats()["quadforms.discriminant"]["entries"] == 3
 
 
 def test_compose_refuses_mixed_discriminants():
