@@ -84,7 +84,7 @@ def pairing_steps(repeat: int) -> None:
 
         dlogs = (best(cold, 100 * repeat),
                  best(lambda: dlog_in_mu_m(b, t, m), 100 * repeat))
-        ms = (compile_ms(lambda: curves._rhs_kernel.__wrapped__(f)),
+        ms = (compile_ms(lambda: curves._draw_kernel.__wrapped__(f)),
               compile_ms(lambda: pairing._separation_kernel.__wrapped__(f, m)))
         us = [x * 1e6 for x in (row[0][0], row[1][0], row[0][1], row[1][1])
               + dlogs]

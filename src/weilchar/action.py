@@ -42,8 +42,9 @@ class OrientedCurve:
         if D <= 0:
             raise ValueError("trace out of the imaginary range")
         self.D = D
-        # every memo keyed by an instance hashes it, so once is enough
-        self._hash = hash((q, t, sigma_k, curve.a4.value, curve.a6.value))
+        # every memo keyed by an instance hashes it and compares it on a hit
+        self._key = (q, t, sigma_k, curve.a4.value, curve.a6.value)
+        self._hash = hash(self._key)
 
     @property
     def sigma_kind(self) -> str:
@@ -86,9 +87,8 @@ class OrientedCurve:
         return self.curve.j_invariant()
 
     def __eq__(self, other):
-        return (isinstance(other, OrientedCurve) and other.q == self.q
-                and other.t == self.t and other.sigma_k == self.sigma_k
-                and other.curve == self.curve)
+        return (isinstance(other, OrientedCurve) and other._key == self._key
+                and other.curve.field is self.curve.field)
 
     def __hash__(self):
         return self._hash
@@ -506,6 +506,8 @@ def sampler_primes(oc: OrientedCurve, exp_bound: int = 5):
     distribution is computed exactly by convolving the per-prime uniform
     exponent laws through the enumerated class group; the empirical
     10h-sample check the tests run is implied by it."""
+    if exp_bound < 1:
+        raise ValueError(f"exp_bound must be a positive int, not {exp_bound}")
     candidates = _usable_split_primes(oc)
     if len(candidates) < 2:
         raise RuntimeError("fewer than two usable split primes below the bound")

@@ -84,6 +84,15 @@ def _torsion_point(oc: OrientedCurve, m: int, r: int, a: int, b: int):
     return point_add(E, scalar_mul(E, a, B1), scalar_mul(E, b, B2))
 
 
+@memo
+def _sigma_cell(oc: OrientedCurve, trace: int, norm: int, m: int, r: int,
+                a: int, b: int):
+    """sigma of the _torsion_point cell (a, b).  sigma's trace and norm
+    are in the key because equality does not see an orientation that
+    overrides sigma_eval (one scaled by s > 1) on the same curve."""
+    return oc.sigma_eval(_torsion_point(oc, m, r, a, b), oc.curve_in(r))
+
+
 def _noneigen_draw(oc, m: int, tower, rng, stats=None):
     """Rejection-sample P uniform over E[m] until (P, sigma P) generates.
 
@@ -91,10 +100,13 @@ def _noneigen_draw(oc, m: int, tower, rng, stats=None):
     m = 4 and 8 by sigma moving (m/2)P.  P = aB1 + bB2 is drawn as its
     coefficients, a first, and read from the _torsion_point memo, so each
     of the m^2 points of E[m] is computed at most once per basis; (m/2)P is
-    the cell ((m/2)a, (m/2)b) since the group law is exact.  Returns (E, P,
-    sigma P, pairing or None) so the caller reuses the work."""
+    the cell ((m/2)a, (m/2)b) since the group law is exact.  sigma of a
+    cell is read from the _sigma_cell memo, each read counted in stats.
+    Returns (E, P, sigma P, pairing or None) so the caller reuses the
+    work."""
     r = tower.r
     E = oc.curve_in(r)
+    key = (oc, oc.sigma_trace, oc.sigma_norm, m, r)
     for _ in range(64):
         a = rng.randrange(m)
         b = rng.randrange(m)
@@ -102,7 +114,7 @@ def _noneigen_draw(oc, m: int, tower, rng, stats=None):
         if P.is_infinity():
             continue
         if m % 2:
-            sP = oc.sigma_eval(P, E)
+            sP = _sigma_cell(*key, a, b)
             if stats is not None:
                 stats["sigma_evals"] += 1
             z = weil_pairing(E, P, sP, m, rng)
@@ -115,9 +127,9 @@ def _noneigen_draw(oc, m: int, tower, rng, stats=None):
                 continue
             if stats is not None:
                 stats["sigma_evals"] += 1
-            if oc.sigma_eval(T, E) == T:
+            if _sigma_cell(*key, h * a % m, h * b % m) == T:
                 continue
-            sP = oc.sigma_eval(P, E)
+            sP = _sigma_cell(*key, a, b)
             if stats is not None:
                 stats["sigma_evals"] += 1
             return E, P, sP, None

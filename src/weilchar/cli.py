@@ -455,6 +455,14 @@ def cmd_sqrt_recover(args) -> int:
         raise CommandError(EXIT_INFEASIBLE,
                            f"target square has discriminant {square.disc()}, "
                            f"instance needs {-base.D}")
+    planted = oracle.get("planted_class") if oracle else None
+    if planted:
+        planted = _form_from_triple(planted)
+        if planted.a <= 0 or planted.disc() != -base.D:
+            raise CommandError(EXIT_INFEASIBLE, "oracle planted_class "
+                               f"{planted} is not positive definite of "
+                               f"discriminant {-base.D}")
+        planted = reduce_form(planted)
     bound = "auto" if args.bound == "auto" else int(args.bound)
     rng = random.Random(args.seed)
     try:
@@ -473,9 +481,8 @@ def cmd_sqrt_recover(args) -> int:
     if rec.char_values:
         vals = "  ".join(f"{k}={v:+d}" for k, v in sorted(rec.char_values.items()))
         print(f"  filter values: {vals}")
-    if oracle and oracle.get("planted_class"):
-        planted = _form_from_triple(oracle["planted_class"])
-        ok = reduce_form(planted) == got
+    if planted:
+        ok = planted == got
         print("  matches the planted class" if ok
               else "  DOES NOT match the planted class")
         if not ok:

@@ -18,7 +18,8 @@ import math
 from typing import Optional
 
 from .fields import (FieldElement, FieldTower, SymbolicTower, _is_prime,
-                     _pdivmod, _pgcd, _pmul, _ppowmod, _psub, factorize)
+                     _norm_int, _pdivmod, _pgcd, _pmul, _ppowmod, _psub,
+                     factorize)
 from .memo import memo
 
 
@@ -116,14 +117,18 @@ def _draw(f: FieldTower, a4, a6, rng) -> tuple:
     c = x^3 + a4 x + a6 raw values of f, x uniform among those with c a
     square or zero, sign the bit that picks the root of c (see _lift), and
     norm the int N(c) that decided squareness, kept for the root.  A
-    traceable f takes c from _rhs_kernel."""
+    traceable f maps each randrange(size) to x, c and N(c) in one
+    _draw_kernel call; other towers run the same steps interpreted."""
     p = f.p
-    kernel = _rhs_kernel(f) if f.traceable else None
+    kernel = _draw_kernel(f) if f.traceable else None
     for _ in range(10000):
-        x = f.random_value(rng)
-        c = _rhs(f, x, a4, a6) if kernel is None else kernel(x, a4, a6)
-        # N(c) = 0 exactly when c = 0; else Euler's criterion in F_p
-        norm = 0 if c == f.zero else f.vnorm(c)
+        if kernel is None:
+            x = f.random_value(rng)
+            c = _rhs(f, x, a4, a6)
+            norm = f.vnorm(c)
+        else:
+            x, c, a = kernel(rng.randrange(f.size), a4, a6)
+            norm = _norm_int(c, a)
         if norm and pow(norm, (p - 1) // 2, p) != 1:
             continue
         return x, c, rng.randrange(2), norm
@@ -137,12 +142,14 @@ def _rhs(f, x, a4, a6):
 
 
 @memo
-def _rhs_kernel(f: FieldTower):
-    """_rhs compiled for the traceable f: kernel(x, a4, a6), on the raw a4
-    and a6 of any curve over f."""
+def _draw_kernel(f: FieldTower):
+    """One candidate of _draw compiled for the traceable f: kernel(n, a4,
+    a6) is (x, c, N(c)) for x of rank n, c = _rhs and N(c) as a raw value,
+    on the raw a4 and a6 of any curve over f."""
     t = SymbolicTower(f)
-    return t.compile("x, a4, a6", _rhs(t, t.value("x"), t.value("a4"),
-                                       t.value("a6")))
+    x = t.unrank(t.scalar("n"))
+    c = _rhs(t, x, t.value("a4"), t.value("a6"))
+    return t.compile("n, a4, a6", x, c, t._frobenius_sum_power(c, f.r))
 
 
 def _lift(f: FieldTower, drawn: tuple):

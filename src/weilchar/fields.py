@@ -30,12 +30,13 @@ pairing's x-only certificate).
 
 Where the product is unrolled, 2 <= r <= UNROLLED_MUL_MAX_R, whole raw
 routines compile as well.  SymbolicTower stands in for the tower and
-records, from the same source generators, what a routine run on it does;
-its compile makes one straight-line kernel of the record, with no call per
-field operation.  curves compiles the right-hand side of its point draws
-this way and pairing its x([m]R) certificate, so each formula is written
-once, in the routine.  Discrete logs in mu_m are lookups in a memoized
-table of the powers of the base.
+records, from the same source generators, what a routine run on it does,
+phi^k included, so the norm traces as it runs; its compile makes one
+straight-line kernel of the steps a result reads, with no call per field
+operation.  curves compiles each candidate of its point draws this way
+(x from its rank, c = x^3 + a4 x + a6 and N(c)) and pairing its x([m]R)
+certificate, so each formula is written once, in the routine.  Discrete
+logs in mu_m are lookups in a memoized table of the powers of the base.
 
 Square roots lean on the Frobenius x -> x^p, a linear map on coefficients.
 The norm N(v) = v^(1 + p + ... + p^(r-1)) lies in F_p and decides
@@ -401,10 +402,8 @@ class FieldTower:
         powers = [self.one, y]
         for _ in range(self.r - 2):
             powers.append(self.vmul(powers[-1], y))
-        sums = ([(g[i], f"v{j}") for j, g in enumerate(powers)]
-                for i in range(self.r))
         self._frob[k] = kernel = _compile("v", _unpack(self.r, "v") + _returns(
-            _reduced(self.p, terms) for terms in sums))
+            _linear_map(self.p, powers, _names(self.r, "v"))))
         return kernel
 
     def lin_kernel(self, n: int):
@@ -458,10 +457,7 @@ class FieldTower:
         in [0, p), by about log2 r multiplications and r Frobenius maps."""
         if self.r == 1:
             return v
-        a = self._frobenius_sum_power(v, self.r)
-        if any(a[1:]):
-            raise RuntimeError(f"norm of {v} does not lie in the prime field")
-        return a[0]
+        return _norm_int(v, self._frobenius_sum_power(v, self.r))
 
     def vis_square(self, v) -> bool:
         """Whether v is a nonzero square, by Euler's criterion in F_p:
@@ -479,7 +475,7 @@ class FieldTower:
         e = p - 1 if r % 2 else self.size - 1
         s = (e & -e).bit_length() - 1
         t = (self.size - 1) >> s
-        n = 2
+        n = 2 if r % 2 else p     # for even r every n < p is a square
         while s > 1 and self.vis_square(self.unrank(n)):
             n += 1
         if s == 1:
@@ -537,6 +533,14 @@ class FieldTower:
                                self.vmul(guess, w), guess)
 
 
+def _norm_int(v, a) -> int:
+    """N(v) as an int, given as the raw value a of F_{p^r};
+    RuntimeError if a lies outside F_p."""
+    if any(a[1:]):
+        raise RuntimeError(f"norm of {v} does not lie in the prime field")
+    return a[0]
+
+
 def _compile(args: str, body: str, **scope):
     """kernel(args) with the given straight-line body; scope holds the
     globals the body calls."""
@@ -590,6 +594,12 @@ def _combination(p: int, r: int, const, terms) -> list:
     return [_reduced(p, terms) for terms in sums]
 
 
+def _linear_map(p: int, images: list, v) -> list:
+    """The coefficients of the linear map sending x^j to images[j], at v."""
+    return [_reduced(p, [(g[i], v[j]) for j, g in enumerate(images)])
+            for i in range(len(images))]
+
+
 def _product(p: int, r: int, low_terms: tuple, u, v) -> tuple:
     """(lines, coefficients) of the schoolbook product of u and v: lines
     set the 2r - 1 product coefficients c0, c1, ..., then from the top
@@ -620,12 +630,12 @@ class SymbolicTower:
 
     Its values are tuples of r coefficient names, besides the constants one
     and zero of f, and its scalars (_Scalar) name int expressions.  vmul,
-    vadd, vsub and lin_kernel each record their result as one step: its
-    source, formatted by the generators f's kernels are compiled from, and
-    the names it reads and writes.  So a raw routine of f, run once here on
-    inputs declared by value and scalar, leaves the straight-line body of a
-    kernel of f, which compile returns.  Products and sums with one or zero
-    fold away."""
+    vadd, vsub, frobenius, unrank and lin_kernel each record their result
+    as one step: its source, formatted by the generators f's kernels are
+    compiled from, and the names it reads and writes.  So a raw routine of
+    f, run once here on inputs declared by value and scalar, leaves the
+    straight-line body of a kernel of f, which compile returns.  Products
+    and sums with one or zero fold away."""
 
     def __init__(self, f: FieldTower):
         if not f.traceable:
@@ -633,6 +643,7 @@ class SymbolicTower:
         self.p, self.r = f.p, f.r
         self.zero, self.one = f.zero, f.one
         self._low_terms = f._low_terms
+        self._frobenius = f.frobenius
         self._inputs = []       # the lines unpacking the value arguments
         self._steps = []        # (source, names read, names written)
         self._scalars = {}      # expression -> its _Scalar
@@ -698,6 +709,24 @@ class SymbolicTower:
                               (const, *terms))
         return kernel
 
+    def frobenius(self, v, power: int = 1):
+        """phi^k for k = power mod r, one linear step: the images of the
+        powers of x under f's phi^k are its rows."""
+        k = power % self.r
+        if not k:
+            return v
+        images = [self._frobenius(tuple(int(i == j) for i in range(self.r)),
+                                  k) for j in range(self.r)]
+        return self._bind(_linear_map(self.p, images, v), (v,))
+
+    def unrank(self, n: "_Scalar") -> tuple:
+        """The value of rank n, its base-p digits."""
+        p = self.p
+        return self._bind([f"{n} // {p ** i} % {p}" if i else f"{n} % {p}"
+                           for i in range(self.r)], (n,))
+
+    _frobenius_sum_power = FieldTower._frobenius_sum_power
+
     # -- what FieldTower callers do in Python on the values ------------------
 
     def differ(self, u, v) -> "_Scalar":
@@ -714,9 +743,14 @@ class SymbolicTower:
         about SEGMENT_CHARS: each but the last is a function of the names
         it reads from earlier ones, returning the names later ones read,
         and the kernel calls them in turn, then runs the last inline.  A
-        segment whose names nothing reads is left out."""
+        step whose names nothing reads is left out."""
+        live, needed = [], _read(*results)
+        for source, reads, writes in reversed(self._steps):
+            if needed.intersection(writes):
+                live.append((source, reads, writes))
+                needed |= reads
         segments = [["", set(), set()]]     # source, names read, written
-        for source, reads, writes in self._steps:
+        for source, reads, writes in reversed(live):
             if segments[-1][0] and (len(segments[-1][0]) + len(source)
                                     > SEGMENT_CHARS):
                 segments.append(["", set(), set()])
@@ -730,12 +764,11 @@ class SymbolicTower:
         for i in range(len(segments) - 1, -1, -1):
             source, reads, writes = segments[i]
             outs = sorted(writes & needed)
-            if outs:
-                ins = ", ".join(sorted(reads - writes))
-                scope[f"_segment{i}"] = _compile(ins, source + _returns(outs))
-                calls.append(f"    {''.join(f'{o}, ' for o in outs)}"
-                             f"= _segment{i}({ins})\n")
-                needed |= reads
+            ins = ", ".join(sorted(reads - writes))
+            scope[f"_segment{i}"] = _compile(ins, source + _returns(outs))
+            calls.append(f"    {''.join(f'{o}, ' for o in outs)}"
+                         f"= _segment{i}({ins})\n")
+            needed |= reads
         out = ", ".join(_tuple(x) if isinstance(x, tuple) else str(x)
                         for x in results)
         return _compile(args, "".join(self._inputs) + "".join(reversed(calls))

@@ -38,12 +38,13 @@ generator yields, and arguments outside E[m] raise on every call, since
 lru_cache keeps no exception.
 
 Those per-call steps run as straight-line code where the tower's product
-is unrolled (fields.SymbolicTower, 2 <= r <= UNROLLED_MUL_MAX_R): the draws
-take c = x^3 + a4 x + a6 from a kernel of curves, and the certificate is
-one kernel per tower and m (_separation_kernel), _x_multiple traced for
-both points with a4 and a6 as int arguments, so one kernel serves every
-curve over the tower.  It returns the decision x([m]R) != x([m]S).  Other
-towers run the same routines interpreted.
+is unrolled (fields.SymbolicTower, 2 <= r <= UNROLLED_MUL_MAX_R): each
+draw candidate is one call of a kernel of curves (_draw_kernel: x from its
+rank, c = x^3 + a4 x + a6 and the norm N(c) that decides squareness), and
+the certificate is one kernel per tower and m (_separation_kernel),
+_x_multiple traced for both points with a4 and a6 as int arguments, so
+one kernel serves every curve over the tower.  It returns the decision
+x([m]R) != x([m]S).  Other towers run the same routines interpreted.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from weilchar.action import (OrientedCurve, SmoothIdeal, apply_prime_ideal,
                              random_smooth_class, sampler_primes, split_prime)
 from weilchar.curves import (Curve, count_points, frobenius_map, point_add,
                              scalar_mul)
-from weilchar.fields import get_tower
+from weilchar.fields import FieldTower, get_tower
 from weilchar.memo import cache_stats, clear_caches
 from weilchar.quadforms import (QuadForm, assigned_characters, class_number,
                                 compose, enumerate_class_group,
@@ -214,6 +214,27 @@ def test_oriented_curve_hash_agrees_with_equality(oc56, oc120):
     assert sh != oc56 and sh == oc56.shifted(1)
     assert hash(sh) == hash(oc56.shifted(1))
     assert len({oc56, sh, oc120, *copies}) == 3
+
+
+def test_oriented_curve_equality_reads_every_field(oc56):
+    """Instances differing in any one of q, t, sigma_k, a4 and a6, or over
+    another object for the same prime field, are unequal; equal ones hash
+    alike."""
+    a4, a6 = oc56.curve.a4.value, oc56.curve.a6.value
+    f = get_tower(23, 1)
+    others = [
+        OrientedCurve(Curve(get_tower(29, 1), a4, a6), 29, 6),
+        OrientedCurve(oc56.curve, 23, 4),
+        oc56.shifted(1),
+        OrientedCurve(Curve(f, a4 + 1, a6), 23, 6),
+        OrientedCurve(Curve(f, a4, a6 + 1), 23, 6),
+        OrientedCurve(Curve(FieldTower(23, 1, None), a4, a6), 23, 6),
+    ]
+    for other in others:
+        assert other != oc56 and oc56 != other
+    assert len(set(others + [oc56])) == len(others) + 1
+    same = OrientedCurve(Curve(f, a4, a6), 23, 6)
+    assert same == oc56 and hash(same) == hash(oc56)
 
 
 def test_sampler_keys_on_the_whole_instance(oc120):

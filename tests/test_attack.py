@@ -5,9 +5,9 @@ import pytest
 
 from weilchar.action import (OrientedCurve, SmoothIdeal, apply_smooth_ideal,
                              random_smooth_class, split_prime)
-from weilchar.attack import (_noneigen_draw, _torsion_basis, _torsion_point,
-                             adjust_generator, base_side, eval_character,
-                             usable_characters)
+from weilchar.attack import (_noneigen_draw, _sigma_cell, _torsion_basis,
+                             _torsion_point, adjust_generator, base_side,
+                             eval_character, usable_characters)
 from weilchar.curves import (frobenius_map, point_add, scalar_mul,
                              torsion_basis, torsion_extension_degree)
 from weilchar.fields import element_order, get_tower, legendre_symbol
@@ -191,6 +191,38 @@ def test_imprimitive_rejected(oc24, oc52):
         _noneigen_draw(_Imprimitive(oc52, 4, 1), 4, get_tower(13, r4), rng)
 
 
+def test_imprimitive_rejected_after_a_frobenius_draw(oc24, oc52):
+    """A draw for the Frobenius sigma fills the sigma cells first; the
+    imprimitive sigma on the same curve, an equal instance, reads its own
+    cells and is still rejected."""
+    for oc, m in ((oc24, 3), (oc52, 4)):
+        tower = get_tower(oc.q, torsion_extension_degree(oc.curve, m))
+        _noneigen_draw(oc, m, tower, random.Random(7))
+        with pytest.raises(RuntimeError, match="imprimitive"):
+            _noneigen_draw(_Imprimitive(oc, m, 1), m, tower,
+                           random.Random(7))
+
+
+@pytest.mark.parametrize("name,k,m", [("oc24", 0, 3), ("oc52", 0, 4),
+                                      ("oc24", 1, 3), ("oc52", 1, 4)])
+def test_sigma_cells_are_sigma_of_the_cells(request, name, k, m):
+    """_sigma_cell is sigma_eval on every cell of E[m], for Frobenius and
+    for a shifted sigma; an imprimitive sigma on the same curve, which
+    equals the Frobenius instance, reads its own cells."""
+    oc = request.getfixturevalue(name).shifted(k)
+    r = torsion_extension_degree(oc.curve, m)
+    E = oc.curve_in(r)
+    imp = _Imprimitive(oc, 2, 1)
+    assert (k == 0) == (imp == oc and hash(imp) == hash(oc))
+    for inst in (oc, imp):
+        for a in range(m):
+            for b in range(m):
+                P = _torsion_point(oc, m, r, a, b)
+                cell = _sigma_cell(inst, inst.sigma_trace, inst.sigma_norm,
+                                   m, r, a, b)
+                assert cell == inst.sigma_eval(P, E), (a, b)
+
+
 @pytest.mark.parametrize("name,m", [("oc24", 3), ("oc52", 4)])
 def test_torsion_cells_are_the_basis_combinations(request, name, m):
     """Each memoized cell (a, b) is a B1 + b B2 on the memoized basis, so a
@@ -277,8 +309,9 @@ def test_kernel_and_table_memos_cold_and_warm(request):
     discriminant records are memo.memo entries: clear_caches() empties
     them, a cold evaluation builds them, and a warm one reuses them and
     returns what the cold one did."""
-    names = ("curves._rhs_kernel", "pairing._separation_kernel",
-             "fields._mu_table", "quadforms.discriminant")
+    names = ("curves._draw_kernel", "pairing._separation_kernel",
+             "fields._mu_table", "quadforms.discriminant",
+             "attack._sigma_cell")
     clear_caches()
     assert all(cache_stats()[name]["entries"] == 0 for name in names)
     cold = [_frozen_eval(request, *case[:4]) for case in _FROZEN_EVALS]

@@ -275,6 +275,35 @@ def test_sqrt_recover_rejects_wrong_disc(pair24, capsys):
     assert code == 2 and "discriminant" in err
 
 
+@pytest.mark.parametrize("planted", [["-2", "0", "-7"], ["0", "0", "7"],
+                                     ["1", "0", "7"]],
+                         ids=["negative-definite", "zero-a", "wrong-disc"])
+def test_sqrt_recover_rejects_a_planted_class_off_the_group(
+        pair24, tmp_path, capsys, planted):
+    data = json.loads(pair24.read_text())
+    data["oracle"]["planted_class"] = planted
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, _, err = run(capsys, ["sqrt-recover", str(bad)])
+    assert code == 2 and "planted_class" in err, err
+    assert "not positive definite of discriminant -24" in err, err
+
+
+@pytest.mark.parametrize("exp_bound", [0, -3])
+def test_nonpositive_exp_bound_exits_2(tmp_path, capsys, exp_bound):
+    message = f"exp_bound must be a positive int, not {exp_bound}"
+    cfg = _write_instance_config(tmp_path, capsys,
+                                 {"mode": "ordinary", "q": 7, "t": 2},
+                                 trials=4, exp_bound=exp_bound)
+    code, _, err = run(capsys, ["ddh-experiment", "--config", str(cfg)])
+    assert code == 2 and message in err, err
+    gen = tmp_path / "plant.json"
+    gen.write_text(json.dumps({"mode": "ordinary", "q": 7, "t": 2,
+                               "plant": True, "exp_bound": exp_bound}))
+    code, _, err = run(capsys, ["gen-instance", "--config", str(gen)])
+    assert code == 2 and message in err, err
+
+
 @pytest.fixture()
 def readme_pair(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"

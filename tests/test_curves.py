@@ -9,8 +9,8 @@ from weilchar.curves import (Curve, CurvePoint, _add_raw, _mul_fp, _point,
                              frobenius_map, gl2_order, point_add,
                              sample_m_torsion, scalar_mul, torsion_basis,
                              torsion_extension_degree, velu_isogeny)
-from weilchar.fields import (FieldElement, SymbolicTower, _is_prime,
-                             factorize, get_tower)
+from weilchar.fields import (FieldElement, FieldTower, SymbolicTower,
+                             _is_prime, factorize, get_tower)
 from weilchar.memo import cache_stats, clear_caches
 
 
@@ -342,22 +342,31 @@ def test_frozen_random_points():
 @pytest.mark.parametrize("p,r,a6", [(7, 1, 1), (13, 5, 5), (101, 4, 3),
                                     (23, 8, 3)])
 def test_random_point_takes_one_norm_per_x(monkeypatch, p, r, a6):
-    # the norm that decides squareness in the draw also serves the root
+    # the norm that decides squareness in the draw also serves the root;
+    # a traceable tower takes it from the draw kernel, with x and c
     E = curve_over(p, 1, a6, r=r)
     E.random_point(random.Random(0))     # the root's constants, built once
     counts = {"x": 0, "norm": 0}
     field_type = type(E.field)
+    size = E.field.size
 
-    def counted(name, fn):
+    class Counted(random.Random):
+        def randrange(self, *args):
+            if args == (size,):
+                counts["x"] += 1
+            return super().randrange(*args)
+
+    def counted(fn):
         def wrapper(*args):
-            counts[name] += 1
+            counts["norm"] += 1
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(field_type, "random_value",
-                        counted("x", field_type.random_value))
-    monkeypatch.setattr(field_type, "vnorm", counted("norm", field_type.vnorm))
-    rng = random.Random(f"norms{p},{r}")
+    draw_kernel = curves._draw_kernel
+    monkeypatch.setattr(curves, "_draw_kernel",
+                        lambda f: counted(draw_kernel(f)))
+    monkeypatch.setattr(field_type, "vnorm", counted(field_type.vnorm))
+    rng = Counted(f"norms{p},{r}")
     for _ in range(20):
         E.random_point(rng)
     assert counts["x"] >= 20
@@ -371,8 +380,9 @@ def test_random_point_takes_one_norm_per_x(monkeypatch, p, r, a6):
     (101, 2, (2, 1), 5), (101, 4, 1, 3),
 ])
 def test_draw_kernel_matches_the_interpreted_draw(monkeypatch, p, r, a4, a6):
-    """Over 1,000 draws the compiled right-hand side (_rhs_kernel) gives
-    the draw tuples and generator states the interpreted _rhs gives."""
+    """Over 1,000 draws the compiled candidate step (_draw_kernel: rank,
+    right-hand side and norm) gives the draw tuples and generator states
+    the interpreted unrank, _rhs and vnorm give."""
     f = get_tower(p, r)
     E = Curve(f, FieldElement(f, a4) if isinstance(a4, tuple) else a4, a6)
     runs = []
@@ -382,7 +392,7 @@ def test_draw_kernel_matches_the_interpreted_draw(monkeypatch, p, r, a4, a6):
         rng = random.Random(f"draws{p},{r}")
         runs.append([(E.draw_point(rng), rng.getstate())
                      for _ in range(1000)])
-        built = cache_stats()["curves._rhs_kernel"]["misses"]
+        built = cache_stats()["curves._draw_kernel"]["misses"]
         assert built == (1 if traceable else 0)
     assert runs[0] == runs[1]
 
@@ -397,10 +407,23 @@ def test_draw_kernel_only_where_the_product_is_unrolled():
         Curve(f, 1, 3).random_point(random.Random(0))
         with pytest.raises(ValueError, match="no unrolled product"):
             SymbolicTower(f)
-    assert cache_stats()["curves._rhs_kernel"]["entries"] == 0
-    assert curves._rhs_kernel(get_tower(101, 4))(
-        (1, 2, 3, 4), (1, 0, 0, 0), (3, 0, 0, 0)) == curves._rhs(
-        get_tower(101, 4), (1, 2, 3, 4), (1, 0, 0, 0), (3, 0, 0, 0))
+    assert cache_stats()["curves._draw_kernel"]["entries"] == 0
+    f = get_tower(101, 4)
+    x = f.unrank(40712)
+    c = curves._rhs(f, x, (1, 0, 0, 0), (3, 0, 0, 0))
+    assert curves._draw_kernel(f)(40712, (1, 0, 0, 0), (3, 0, 0, 0)) == (
+        x, c, (f.vnorm(c), 0, 0, 0))
+
+
+@pytest.mark.parametrize("traceable", [True, False])
+def test_draw_keeps_the_norm_check(monkeypatch, traceable):
+    """A norm outside F_p (a reducible modulus) raises on both paths."""
+    ring = FieldTower(7, 2, (6, 0, 1))      # x^2 - 1, not a field
+    monkeypatch.setattr(ring, "traceable", traceable)
+    E = Curve(ring, 1, 3)
+    with pytest.raises(RuntimeError, match="prime field"):
+        for seed in range(20):
+            E.draw_point(random.Random(seed))
 
 
 def _add_with_slope_oracle(E, P, Q):

@@ -9,7 +9,7 @@ import pytest
 
 import weilchar
 from weilchar.fields import (UNROLLED_MUL_MAX_R, FieldElement, FieldTower,
-                             _is_irreducible, _is_prime, _pdivmod, _pgcd,
+                             SymbolicTower, _is_irreducible, _is_prime, _pdivmod, _pgcd,
                              _pmul, _ppowmod, _psub, _ptrim, _unrolled_mul,
                              dlog_in_mu_m, element_order, factorize,
                              get_tower, legendre_symbol)
@@ -700,6 +700,68 @@ def test_frobenius_powers_are_p_powers(p, r):
             assert field.frobenius(v, k) == field.vpow(v, p ** k)
     # powers wrap modulo r, phi^r being the identity
     assert field.frobenius(v, r + 1) == field.frobenius(v, 1)
+
+
+@pytest.mark.parametrize("p,r", [(7, 2), (17, 3), (101, 4), (13, 12),
+                                 (2221, 3), (23, UNROLLED_MUL_MAX_R)])
+def test_traced_frobenius_and_unrank_match_the_tower(p, r):
+    """SymbolicTower's phi^k and unrank, compiled, give what the tower's
+    own frobenius and unrank give, and the norm traces as it runs."""
+    field = get_tower(p, r)
+    t = SymbolicTower(field)
+    n = t.scalar("n")
+    x = t.unrank(n)
+    images = [t.frobenius(x, k) for k in range(r + 1)]
+    kernel = t.compile("n", x, *images, t._frobenius_sum_power(x, r))
+    rng = random.Random(f"traced{p},{r}")
+    for _ in range(10):
+        rank = rng.randrange(field.size)
+        v = field.unrank(rank)
+        want = [field.frobenius(v, k) for k in range(r + 1)]
+        norm = field.vnorm(v)
+        assert kernel(rank) == (v, *want, (norm,) + field.zero[1:])
+
+
+def test_compile_drops_unread_steps():
+    """A traced product that no result reads leaves the kernel, and the
+    results stay those of the kernel traced without it."""
+    field = get_tower(101, 4)
+    kernels, unread = [], []
+    for dead in (True, False):
+        t = SymbolicTower(field)
+        u, v = t.value("u"), t.value("v")
+        if dead:
+            unread = t.vmul(u, u)
+        kernels.append(t.compile("u, v", t.vadd(t.vmul(u, v), v)))
+    assert unread and not set(unread) & set(kernels[0].__code__.co_varnames)
+    assert kernels[0].__code__.co_code == kernels[1].__code__.co_code
+    rng = random.Random(4)
+    for _ in range(20):
+        u, v = field.random_value(rng), field.random_value(rng)
+        want = field.vadd(field.vmul(u, v), v)
+        assert kernels[0](u, v) == kernels[1](u, v) == want
+
+
+@pytest.mark.parametrize("p,r", [(13, 12), (101, 2), (7, 4), (2221, 2)])
+def test_even_degree_non_residue_search_starts_at_p(monkeypatch, p, r):
+    """For even r every n < p is a square, so the search for the
+    non-residue of vsqrt tests none of them, and finds the n a search from
+    2 finds."""
+    field = FieldTower(p, r, get_tower(p, r).modulus)
+    n = 2
+    while field.vis_square(field.unrank(n)):
+        n += 1
+    ranks = []
+    vis_square = FieldTower.vis_square
+
+    def counted(self, v):
+        ranks.append(self.rank(v))
+        return vis_square(self, v)
+
+    monkeypatch.setattr(FieldTower, "vis_square", counted)
+    s, c, _ = field._sqrt_setup()
+    assert min(ranks) == p and max(ranks) == n
+    assert c == field.vpow(field.unrank(n), (field.size - 1) >> s)
 
 
 def test_inverse_over_a_reducible_modulus_raises():
