@@ -18,9 +18,10 @@ With --pairing-steps it prints one table instead, with 100 N calls per
 run: at the (p, r, m) cells of the benchmark's pairings, on the instance
 curve over F_{p^r}, microseconds per Curve.draw_point and per x([m]R)
 certificate (pairing._separated), interpreted (the tower's traceable flag
-cleared) and compiled; per dlog_in_mu_m with its table built on every
-call (cold) and looked up (warm); and the milliseconds it takes to trace
-and compile the draw kernel and the certificate kernel.
+cleared) and compiled; per dlog_in_mu_m with its table and the base's
+order computed on every call (cold) and looked up (warm); and the
+milliseconds it takes to trace and compile the draw kernel and the
+certificate kernel.
 """
 
 import argparse
@@ -79,7 +80,8 @@ def pairing_steps(repeat: int) -> None:
         b, t = FieldElement(f, z), FieldElement(f, f.vpow(z, m - 1))
 
         def cold():
-            fields._mu_table.cache_clear()
+            for cached in (fields._mu_table, fields.element_order):
+                cached.cache_clear()
             return dlog_in_mu_m(b, t, m)
 
         dlogs = (best(cold, 100 * repeat),

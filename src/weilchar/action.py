@@ -80,6 +80,7 @@ class OrientedCurve:
             raise ValueError("the shifted evaluation needs the ambient curve")
         return point_add(E_amb, fP, scalar_mul(E_amb, self.sigma_k, P))
 
+    @memo
     def shifted(self, extra_k: int) -> "OrientedCurve":
         return OrientedCurve(self.curve, self.q, self.t, self.sigma_k + extra_k)
 
@@ -417,10 +418,19 @@ def _least_power_multiple(a: int, d: int, p: int) -> tuple:
 @memo
 def apply_prime_ideal(oc: OrientedCurve, ell: int, lam: int) -> OrientedCurve:
     """The action of the class of (ell, sigma - lam): quotient by the
-    eigenline and carry the orientation over to the codomain."""
+    eigenline and carry the orientation over to the codomain, interned."""
+    _interned(oc)
     K = eigen_kernel(oc, ell, lam)
     phi = velu_isogeny(oc.curve, K, ell)
-    return OrientedCurve(canonical_model(phi.codomain), oc.q, oc.t, oc.sigma_k)
+    return _interned(OrientedCurve(canonical_model(phi.codomain), oc.q, oc.t,
+                                   oc.sigma_k))
+
+
+@memo
+def _interned(oc: OrientedCurve) -> OrientedCurve:
+    """The first instance equal to oc, so memos keyed by it hit by
+    identity: a class reached by two ideal paths is one object."""
+    return oc
 
 
 def apply_smooth_ideal(oc: OrientedCurve, ideal: SmoothIdeal) -> OrientedCurve:

@@ -220,7 +220,7 @@ def eval_character(ocE: OrientedCurve, ocE2: OrientedCurve, char: Character,
     if base is None:
         base = base_side(ocE, char, rng)
         times = dict(base.timings_ms)
-    elif base.char != char or base.oc != ocE:
+    elif base.char != char or (base.oc is not ocE and base.oc != ocE):
         raise ValueError(
             "the base side was built for another base curve or character")
     else:

@@ -22,7 +22,10 @@ The unrolled product makes r^2 small-int products against one bigint
 product and the packing, so it wins at small r (4x at (101, 4), 2x at
 (120121, 7)) and loses at large r: the two tie near r = 14-16 for
 p >= 101, and at r = 42, the README's chi_7 run, Kronecker is about 1.8x
-faster (bench/fields.py).  Inverses are extended Euclid on int lists,
+faster (bench/fields.py).  It folds the high coefficients down unreduced,
+by the modulus terms in [0, p); signed terms (c0 -= 2 c4) ran 3-5% slower
+at p = 120121, a negative multi-digit sum costing Python's % more.
+Inverses are extended Euclid on int lists,
 updated in place.  Two more kinds are compiled on first use, at any r: each
 Frobenius power phi^k in use, from its sparse rows, and the linear
 combination const + sum of c v at each term count (lin_kernel, for the
@@ -35,8 +38,12 @@ phi^k included, so the norm traces as it runs; its compile makes one
 straight-line kernel of the steps a result reads, with no call per field
 operation.  curves compiles each candidate of its point draws this way
 (x from its rank, c = x^3 + a4 x + a6 and N(c)) and pairing its x([m]R)
-certificate, so each formula is written once, in the routine.  Discrete
-logs in mu_m are lookups in a memoized table of the powers of the base.
+certificate, so each formula is written once, in the routine.  A traced
+square takes the squaring form (Hankerson, Menezes and Vanstone, Guide to
+ECC, 2.3), r (r + 1)/2 products for r^2; lazy reduction of traced sums
+and maps was prototyped and left out, as it gained nothing above noise.
+Discrete logs in mu_m are lookups in a memoized table of the powers of
+the base.
 
 Square roots lean on the Frobenius x -> x^p, a linear map on coefficients.
 The norm N(v) = v^(1 + p + ... + p^(r-1)) lies in F_p and decides
@@ -603,16 +610,20 @@ def _linear_map(p: int, images: list, v) -> list:
 def _product(p: int, r: int, low_terms: tuple, u, v) -> tuple:
     """(lines, coefficients) of the schoolbook product of u and v: lines
     set the 2r - 1 product coefficients c0, c1, ..., then from the top
-    fold each c_k (k >= r), taken mod p, down through the low terms (j, f)
-    of x^r = sum f x^j.  The source holds only the ints p, r and those
-    terms."""
-    lines = "".join(
-        f"    c{k} = " + " + ".join(f"{u[i]} * {v[k - i]}" for i in
-                                    range(max(0, k - r + 1), min(k, r - 1) + 1))
-        + "\n" for k in range(2 * r - 1))
+    fold each c_k (k >= r), unreduced, down through the low terms (j, f)
+    of x^r = sum f x^j.  For u = v, c_k = sum over i < j of d_i u_j, plus
+    u_(k/2)^2, with d_i = 2 u_i.  The source holds only the ints p, r and
+    those terms."""
+    sq = u == v
+    lines = "".join(f"    d{i} = 2 * {u[i]}\n" for i in range(r - 1) if sq)
+    for k in range(2 * r - 1):
+        top = k // 2 if sq else min(k, r - 1)
+        lines += f"    c{k} = " + " + ".join(
+            f"{f'd{i}' if sq and 2 * i < k else u[i]} * {v[k - i]}"
+            for i in range(max(0, k - r + 1), top + 1)) + "\n"
     for k in range(2 * r - 2, r - 1, -1):
-        lines += f"    t = c{k} % {p}\n" + "".join(
-            f"    c{k - r + j} += {f} * t\n" for j, f in low_terms)
+        lines += "".join(f"    c{k - r + j} += {f} * c{k}\n"
+                         for j, f in low_terms)
     return lines, [f"c{i} % {p}" for i in range(r)]
 
 
@@ -688,8 +699,8 @@ class SymbolicTower:
             return self.zero
         if self.one in (u, v):
             return v if u == self.one else u
-        # the product's own names c0, c1, ... and t die in its step, so
-        # every product reuses them
+        # the product's own names c0, c1, ... and d0, d1, ... die in its
+        # step, so every product reuses them
         lines, coefficients = _product(self.p, self.r, self._low_terms, u, v)
         return self._bind(coefficients, (u, v), lines)
 
@@ -984,8 +995,10 @@ def _is_irreducible(p: int, coeffs) -> bool:
     return True
 
 
+@memo
 def element_order(z: FieldElement, bound: int) -> int:
-    """Exact multiplicative order of z, given a multiple `bound` of it."""
+    """Exact multiplicative order of z, given a multiple `bound` of it
+    (the same in every field holding z)."""
     f, v = z.field, z.value
     if f.vpow(v, bound) != f.one:
         raise ValueError(f"element order does not divide {bound}")

@@ -20,7 +20,8 @@ failures puts D in E[m], since a zero of the walk of P is a multiple of
 P and one of the walk of Q a multiple of Q.  So [m]R = [m]S, and
 x([m]R) != x([m]S) certifies the attempt.  Each draw is
 Curve.draw_point (x, squareness test, sign bit; no square root), and
-_x_multiple takes x([m]R) x-only in projective form, with no inversion.
+_x_multiple takes x([m]R) x-only in projective form, with no inversion,
+for m = 2^k starting from the draw's c (Brier and Joye, PKC 2002).
 
 Only when the certificate is inconclusive are the roots taken and the
 shifted attempt run exactly (_shifted_value), to decide whether to draw
@@ -35,7 +36,8 @@ Stebila, LATINCRYPT 2010).  A finite P and a4 fix a6, so the key is whole.
 A hit skips only the two walks and their inversion.  Every draw, the
 certificate and the exact fallback still run, since they decide what the
 generator yields, and arguments outside E[m] raise on every call, since
-lru_cache keeps no exception.
+lru_cache keeps no exception.  The PairingValue is memoized too
+(_checked), so its check runs once per value, cold or warm.
 
 Those per-call steps run as straight-line code where the tower's product
 is unrolled (fields.SymbolicTower, 2 <= r <= UNROLLED_MUL_MAX_R): each
@@ -65,6 +67,12 @@ class PairingValue:
         f = self.value.field
         if f.vpow(self.value.value, self.modulus) != f.one:
             raise ValueError("pairing value is not a root of unity of the stated order")
+
+
+@memo
+def _checked(f: FieldTower, value, m: int) -> PairingValue:
+    """The PairingValue of the raw value of f, checked when first built."""
+    return PairingValue(FieldElement(f, value), m)
 
 
 def _miller_values(f: FieldTower, a4, P, m: int, X) -> tuple:
@@ -149,17 +157,20 @@ def _lin(f: FieldTower, const: int, terms):
 
 
 def _x_multiple(f: FieldTower, a4: int, a6: int, m: int, x, c) -> tuple:
-    """x([m]R) as (X, Z) with X / Z = x([m]R), for R = (x, y) on
+    """x([m]R) as (X, Z) with X / Z = x([m]R), m >= 2, for R = (x, y) on
     y^2 = x^3 + a4 x + a6 with c = y^2, a4 and a6 given as ints of F_p.
     Z = 0 exactly when [m]R = O, and then X != 0.  No inversion.
 
     For m = 2^k n with n odd, x([n]R) = x - psi_{n-1} psi_{n+1} / psi_n^2
     from the division values at x, then k x-only doublings:
-    x(2R) = ((x^2 - a4)^2 - 8 a6 x) / (4 (x^3 + a4 x + a6))."""
+    x(2R) = ((x^2 - a4)^2 - 8 a6 x) / (4c), taken from x and c for n = 1."""
     k = (m & -m).bit_length() - 1
     n = m >> k
     if n == 1:
-        X, Z = x, f.one
+        t = _lin(f, -a4, ((1, f.vmul(x, x)),))
+        X, Z = (_lin(f, 0, ((1, f.vmul(t, t)), (-8 * a6, x))),
+                _lin(f, 0, ((4, c),)))
+        k -= 1
     else:
         fm1, fn, fp1 = _division_values(f, a4, a6, n, x, c)
         # psi_n = f_n and psi_{n-1} psi_{n+1} = (2y)^2 f_{n-1} f_{n+1}
@@ -252,7 +263,7 @@ def weil_pairing(E: Curve, P: CurvePoint, Q: CurvePoint, m: int, rng) -> Pairing
         for T in (P, Q):
             if T is not None:
                 _miller_values(f, a4, T, m, T)
-        return PairingValue(FieldElement(f, f.one), m)
+        return _checked(f, f.one, m)
     try:
         value = _unshifted_value(f, a4, P, Q, m)
         # the certificate scales by the coefficients as ints of F_p
@@ -263,8 +274,8 @@ def weil_pairing(E: Curve, P: CurvePoint, Q: CurvePoint, m: int, rng) -> Pairing
         R = E.draw_point(rng)
         S = E.draw_point(rng)
         if value is not None and _separated(f, A, B, m, R, S):
-            return PairingValue(FieldElement(f, value), m)
+            return _checked(f, value, m)
         shifted = _shifted_value(f, a4, P, Q, m, _lift(f, R), _lift(f, S))
         if shifted is not None:
-            return PairingValue(FieldElement(f, shifted), m)
+            return _checked(f, shifted, m)
     raise RuntimeError("could not find nondegenerate shift points for the pairing")

@@ -124,6 +124,27 @@ def test_step_consistency(oc56):
     assert apply_smooth_ideal(oc56, two_step).j_invariant().value == js[2]
 
 
+def test_one_class_by_two_paths_is_one_object(oc56):
+    """The class that (3, sigma - 1) and (5, sigma - 2) both reach, alone
+    or composed in either order, is one interned instance, a walk round
+    the class group ends at its start itself, and a shift is one object
+    too, so the memos keyed by them hit by identity."""
+    clear_caches()
+    via3, via5 = apply_prime_ideal(oc56, 3, 1), apply_prime_ideal(oc56, 5, 2)
+    assert via3 is via5 and via3 is not oc56
+    start = walk = OrientedCurve(canonical_model(oc56.curve), 23, 6)
+    for _ in range(4):
+        walk = apply_prime_ideal(walk, 3, 1)
+    assert walk is start
+    ab = apply_smooth_ideal(
+        oc56, SmoothIdeal.from_factors([(3, 1, 1), (5, 2, 1)], oc56))
+    ba = apply_smooth_ideal(
+        oc56, SmoothIdeal.from_factors([(5, 2, 1), (3, 1, 1)], oc56))
+    assert ab is ba
+    assert via3.shifted(1) is via5.shifted(1)
+    assert via3.shifted(1) == OrientedCurve(via3.curve, 23, 6, 1)
+
+
 def test_from_factors_matches_composition(oc56, oc120, oc420):
     # the class of a word, read through the record's products and the
     # conjugate eigenvalue, is the one the composition chain of the word's

@@ -305,13 +305,15 @@ def test_cold_and_warm_caches_agree(request):
 
 
 def test_kernel_and_table_memos_cold_and_warm(request):
-    """The draw and certificate kernels, the mu_m dlog tables and the
+    """The draw and certificate kernels, the mu_m dlog tables, the checked
+    pairing values, the element orders and the
     discriminant records are memo.memo entries: clear_caches() empties
     them, a cold evaluation builds them, and a warm one reuses them and
     returns what the cold one did."""
     names = ("curves._draw_kernel", "pairing._separation_kernel",
              "fields._mu_table", "quadforms.discriminant",
-             "attack._sigma_cell")
+             "attack._sigma_cell", "pairing._checked",
+             "fields.element_order")
     clear_caches()
     assert all(cache_stats()[name]["entries"] == 0 for name in names)
     cold = [_frozen_eval(request, *case[:4]) for case in _FROZEN_EVALS]

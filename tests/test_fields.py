@@ -722,6 +722,43 @@ def test_traced_frobenius_and_unrank_match_the_tower(p, r):
         assert kernel(rank) == (v, *want, (norm,) + field.zero[1:])
 
 
+@pytest.mark.parametrize("p,r", [(7, 3), (101, 4), (2221, 3), (13, 12),
+                                 (120121, 7), (101, 14)])
+def test_traced_square_matches_the_tower_in_fewer_products(p, r):
+    """A traced vmul(u, u) takes the squaring form: it gives what the
+    tower's vmul(u, u) gives, and its step has fewer multiplications than
+    the step of a traced vmul(u, v)."""
+    field = get_tower(p, r)
+    t = SymbolicTower(field)
+    u, v = t.value("u"), t.value("v")
+    square, product = t.vmul(u, u), t.vmul(u, v)
+    sources = {names: source for source, _, names in t._steps}
+    assert sources[square].count("*") < sources[product].count("*")
+    kernel = t.compile("u, v", square, product)
+    rng = random.Random(f"square{p},{r}")
+    for _ in range(20):
+        a, b = field.random_value(rng), field.random_value(rng)
+        assert kernel(a, b) == (field.vmul(a, a), field.vmul(a, b))
+        assert field.vmul(a, a) == field._kron_mul(a, a)
+
+
+def test_element_order_is_memoized_across_fields():
+    """element_order is one memo entry per value and bound: the lift of an
+    F_p value to F_{p^r} hits the entry of the F_p value, and an order
+    that does not divide the bound raises on every call."""
+    clear_caches()
+    base, ext = get_tower(13, 1), get_tower(13, 2)
+    z = FieldElement(base, 2)                 # 2 has order 12 mod 13
+    assert element_order(z, 12) == 12
+    assert element_order(ext(z), 12) == 12
+    stats = cache_stats()["fields.element_order"]
+    assert (stats["misses"], stats["hits"]) == (1, 1)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="does not divide"):
+            element_order(z, 8)
+    assert cache_stats()["fields.element_order"]["entries"] == 1
+
+
 def test_compile_drops_unread_steps():
     """A traced product that no result reads leaves the kernel, and the
     results stay those of the kernel traced without it."""

@@ -387,6 +387,27 @@ def test_pairing_memo_hits_on_repeated_calls():
     assert (stats["hits"], stats["misses"], stats["entries"]) == (2, 1, 1)
 
 
+def test_checked_value_is_built_and_checked_once(monkeypatch):
+    """A warm pairing returns the PairingValue built, and checked, by the
+    first call with its value; emptying the memos builds and checks it
+    again."""
+    checks = [0]
+    post_init = PairingValue.__post_init__
+
+    def counted(self):
+        checks[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(PairingValue, "__post_init__", counted)
+    E, P, Q = _basis(13, 2, 3, 5, random.Random(19))
+    rng = random.Random(5)
+    for cold_checks in (1, 2):
+        clear_caches()
+        first = weil_pairing(E, P, Q, 5, rng)
+        assert weil_pairing(E, P, Q, 5, rng) is first
+        assert checks[0] == cold_checks
+
+
 def test_pairing_outside_the_torsion_raises_on_every_call():
     """lru_cache keeps no exception: the second call raises as the first
     did, after the same draws."""
