@@ -16,8 +16,9 @@ calls in one process (100 N for scalar_mul):
 
 With --pairing-steps it prints one table instead, with 100 N calls per
 run: at the (p, r, m) cells of the benchmark's pairings, on the instance
-curve over F_{p^r}, microseconds per Curve.draw_point and per x([m]R)
-certificate (pairing._separated), interpreted (the tower's traceable flag
+curve over F_{p^r}, microseconds per Curve.draw_point, per x([m]R)
+certificate (pairing._separated) and per shift attempt (pairing._replay:
+two draws and the certificate), interpreted (the tower's traceable flag
 cleared) and compiled; per dlog_in_mu_m with its table and the base's
 order computed on every call (cold) and looked up (warm); and the
 milliseconds it takes to trace and compile the draw kernel and the
@@ -56,10 +57,11 @@ def compile_ms(build) -> float:
 
 def pairing_steps(repeat: int) -> None:
     print(f"{'pairing steps':<14} {'p':>7} {'r':>2} {'m':>2} "
-          f"{'draw':>13} {'certificate':>13} {'dlog':>13} {'compile ms':>11}")
-    print(f"{'':<14} {'':>7} {'':>2} {'':>2} {'interp':>6} {'comp':>6} "
-          f"{'interp':>6} {'comp':>6} {'cold':>6} {'warm':>6} "
-          f"{'draw':>5} {'cert':>5}")
+          f"{'draw':>13} {'certificate':>13} {'attempt':>13} {'dlog':>13} "
+          f"{'compile ms':>11}")
+    print(f"{'':<14} {'':>7} {'':>2} {'':>2} "
+          + f"{'interp':>6} {'comp':>6} " * 3
+          + f"{'cold':>6} {'warm':>6} {'draw':>5} {'cert':>5}")
     for p, r, m, a4, a6 in CELLS:
         f = get_tower(p, r)
         E = curves.Curve(f, a4, a6)
@@ -70,6 +72,9 @@ def pairing_steps(repeat: int) -> None:
             f.traceable = traceable
             row.append((best(lambda: E.draw_point(rng), 100 * repeat),
                         best(lambda: pairing._separated(f, a4, a6, m, R, S),
+                             100 * repeat),
+                        best(lambda: pairing._replay(f, E.a4.value, E.a6.value,
+                                                     a4, a6, m, rng),
                              100 * repeat)))
         # a primitive m-th root of unity, and a target in mu_m
         while True:
@@ -88,8 +93,8 @@ def pairing_steps(repeat: int) -> None:
                  best(lambda: dlog_in_mu_m(b, t, m), 100 * repeat))
         ms = (compile_ms(lambda: curves._draw_kernel.__wrapped__(f)),
               compile_ms(lambda: pairing._separation_kernel.__wrapped__(f, m)))
-        us = [x * 1e6 for x in (row[0][0], row[1][0], row[0][1], row[1][1])
-              + dlogs]
+        us = [x * 1e6 for x in (row[0][0], row[1][0], row[0][1], row[1][1],
+                                row[0][2], row[1][2]) + dlogs]
         print(f"{'':<14} {p:>7} {r:>2} {m:>2} "
               + " ".join(f"{x:6.2f}" for x in us)
               + " " + " ".join(f"{x:5.2f}" for x in ms))

@@ -183,7 +183,7 @@ class SmoothIdeal:
         for ell, lam, e in factors:
             # the conjugate eigenvalue gives the inverse class
             use = lam if e > 0 else (oc.sigma_trace - lam) % ell
-            f = group.index[prime_ideal_form(oc, ell, use)]
+            f = _prime_ideal_class(oc, ell, use)
             for _ in range(abs(e)):
                 k = group.mul(k, f)
         return cls(tuple((ell, lam, e) for ell, lam, e in factors),
@@ -202,6 +202,13 @@ def prime_ideal_form(oc: OrientedCurve, ell: int, lam: int) -> QuadForm:
     if c4 % (4 * ell):
         raise RuntimeError("form dictionary arithmetic broke")
     return reduce_form(QuadForm(ell, b, c4 // (4 * ell)))
+
+
+@memo
+def _prime_ideal_class(oc: OrientedCurve, ell: int, lam: int) -> int:
+    """The class index of prime_ideal_form(oc, ell, lam), memoized so that
+    a warm lookup compares no forms."""
+    return class_group(oc.D).index[prime_ideal_form(oc, ell, lam)]
 
 
 def gen_supersingular_instance(p: int) -> OrientedCurve:

@@ -77,62 +77,58 @@ def _torsion_basis(oc: OrientedCurve, m: int, r: int) -> tuple:
 
 
 @memo
-def _torsion_point(oc: OrientedCurve, m: int, r: int, a: int, b: int):
-    """a B1 + b B2 on the memoized basis (B1, B2) of E[m] over F_{q^r}."""
+def _cell(oc: OrientedCurve, trace: int, norm: int, m: int, r: int, a: int,
+          b: int) -> tuple:
+    """The record of the cell (a, b) of E[m] over F_{q^r}: (P, sigma P, n,
+    accepted), P = a B1 + b B2 on the memoized basis and n the sigma
+    evaluations a draw of the cell counts.  A draw rejects P when it is
+    infinite, or for even m when (m/2)P, read from its own cell, is
+    infinite (n = 0) or fixed by sigma (n = 1); sigma P is then None but
+    for P in E[2], whose sigma the cells over it read.  sigma's trace and
+    norm are in the key because equality does not see an orientation that
+    overrides sigma_eval (one scaled by s > 1) on the same curve."""
     E = oc.curve_in(r)
     B1, B2 = _torsion_basis(oc, m, r)
-    return point_add(E, scalar_mul(E, a, B1), scalar_mul(E, b, B2))
-
-
-@memo
-def _sigma_cell(oc: OrientedCurve, trace: int, norm: int, m: int, r: int,
-                a: int, b: int):
-    """sigma of the _torsion_point cell (a, b).  sigma's trace and norm
-    are in the key because equality does not see an orientation that
-    overrides sigma_eval (one scaled by s > 1) on the same curve."""
-    return oc.sigma_eval(_torsion_point(oc, m, r, a, b), oc.curve_in(r))
+    P = point_add(E, scalar_mul(E, a, B1), scalar_mul(E, b, B2))
+    if P.is_infinity():
+        return P, None, 0, False
+    if m % 2 == 0:
+        h = m // 2
+        if a % h == b % h == 0:
+            return P, oc.sigma_eval(P, E), 0, False
+        T, sT, _, _ = _cell(oc, trace, norm, m, r, h * a % m, h * b % m)
+        if T.is_infinity():
+            return P, None, 0, False
+        if sT == T:
+            return P, None, 1, False
+    return P, oc.sigma_eval(P, E), 2 - m % 2, True
 
 
 def _noneigen_draw(oc, m: int, tower, rng, stats=None):
     """Rejection-sample P uniform over E[m] until (P, sigma P) generates.
 
-    For odd m that is certified by e_m(P, sigma P) being primitive; for
-    m = 4 and 8 by sigma moving (m/2)P.  P = aB1 + bB2 is drawn as its
-    coefficients, a first, and read from the _torsion_point memo, so each
-    of the m^2 points of E[m] is computed at most once per basis; (m/2)P is
-    the cell ((m/2)a, (m/2)b) since the group law is exact.  sigma of a
-    cell is read from the _sigma_cell memo, each read counted in stats.
-    Returns (E, P, sigma P, pairing or None) so the caller reuses the
-    work."""
-    r = tower.r
-    E = oc.curve_in(r)
-    key = (oc, oc.sigma_trace, oc.sigma_norm, m, r)
+    P = aB1 + bB2 is drawn as its coefficients, a first, and each draw
+    reads one memoized record of its cell (_cell), so each of the m^2
+    points of E[m] and its sigma image are computed at most once per
+    basis and orientation.  The record counts its sigma evaluations in
+    stats and, for m = 4 and 8, has already decided whether sigma moves
+    (m/2)P; for odd m a finite P generates when e_m(P, sigma P) is
+    primitive.  Returns (E, P, sigma P, pairing or None) so the caller
+    reuses the work."""
+    E = oc.curve_in(tower.r)
+    key = (oc, oc.sigma_trace, oc.sigma_norm, m, tower.r)
     for _ in range(64):
-        a = rng.randrange(m)
-        b = rng.randrange(m)
-        P = _torsion_point(oc, m, r, a, b)
-        if P.is_infinity():
+        P, sP, evals, accepted = _cell(*key, rng.randrange(m),
+                                       rng.randrange(m))
+        if stats is not None:
+            stats["sigma_evals"] += evals
+        if not accepted:
             continue
-        if m % 2:
-            sP = _sigma_cell(*key, a, b)
-            if stats is not None:
-                stats["sigma_evals"] += 1
-            z = weil_pairing(E, P, sP, m, rng)
-            if element_order(z.value, m) == m:
-                return E, P, sP, z.value
-        else:
-            h = m // 2
-            T = _torsion_point(oc, m, r, h * a % m, h * b % m)
-            if T.is_infinity():
-                continue
-            if stats is not None:
-                stats["sigma_evals"] += 1
-            if _sigma_cell(*key, h * a % m, h * b % m) == T:
-                continue
-            sP = _sigma_cell(*key, a, b)
-            if stats is not None:
-                stats["sigma_evals"] += 1
+        if m % 2 == 0:
             return E, P, sP, None
+        z = weil_pairing(E, P, sP, m, rng)
+        if element_order(z.value, m) == m:
+            return E, P, sP, z.value
     raise RuntimeError(
         f"no independent point in 64 draws: the orientation acts by a scalar "
         f"on the {m}-torsion (imprimitive sigma or wrong modulus)")

@@ -149,7 +149,8 @@ def _draw_kernel(f: FieldTower):
     t = SymbolicTower(f)
     x = t.unrank(t.scalar("n"))
     c = _rhs(t, x, t.value("a4"), t.value("a6"))
-    return t.compile("n, a4, a6", x, c, t._frobenius_sum_power(c, f.r))
+    return t.compile("n, a4, a6", x, c, t._frobenius_sum_power(c, f.r),
+                     role="draw")
 
 
 def _lift(f: FieldTower, drawn: tuple):

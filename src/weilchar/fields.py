@@ -242,9 +242,10 @@ class FieldTower:
                      if self.traceable else self._kron_mul)
         u, v = _names(r, "u"), _names(r, "v")
         uv = _unpack(r, "u") + _unpack(r, "v")
-        self._add = _compile("u, v", uv + _returns(_termwise(p, u, "+", v)))
-        self._sub = _compile("u, v", uv + _returns(_termwise(p, u, "-", v)))
-        self._neg = _compile("u", _unpack(r, "u") + _returns(
+        self._add, self._sub = (_compile(f"{name} {p}^{r}", "u, v", uv
+                                         + _returns(_termwise(p, u, op, v)))
+                                for name, op in (("add", "+"), ("sub", "-")))
+        self._neg = _compile(f"neg {p}^{r}", "u", _unpack(r, "u") + _returns(
             f"-u{i} % {p}" for i in range(r)))
 
     def __repr__(self):
@@ -409,8 +410,9 @@ class FieldTower:
         powers = [self.one, y]
         for _ in range(self.r - 2):
             powers.append(self.vmul(powers[-1], y))
-        self._frob[k] = kernel = _compile("v", _unpack(self.r, "v") + _returns(
-            _linear_map(self.p, powers, _names(self.r, "v"))))
+        self._frob[k] = kernel = _compile(
+            f"frobenius^{k} {self.p}^{self.r}", "v", _unpack(self.r, "v")
+            + _returns(_linear_map(self.p, powers, _names(self.r, "v"))))
         return kernel
 
     def lin_kernel(self, n: int):
@@ -424,7 +426,8 @@ class FieldTower:
             body += "".join(_unpack(r, f"w{t}_", f"w{t}") for t in ts)
             body += _returns(_combination(self.p, r, "const", [
                 (f"c{t}", _names(r, f"w{t}_")) for t in ts]))
-            self._lins[n] = kernel = _compile("const, terms", body)
+            self._lins[n] = kernel = _compile(
+                f"lin{n} {self.p}^{r}", "const, terms", body)
         return kernel
 
     # -- norm and square roots ----------------------------------------------
@@ -548,10 +551,12 @@ def _norm_int(v, a) -> int:
     return a[0]
 
 
-def _compile(args: str, body: str, **scope):
+def _compile(role: str, args: str, body: str, **scope):
     """kernel(args) with the given straight-line body; scope holds the
-    globals the body calls."""
-    exec(f"def kernel({args}):\n{body}", scope)
+    globals the body calls.  Its code is filed as <kernel role>, so
+    profilers and tracebacks tell kernels apart."""
+    exec(compile(f"def kernel({args}):\n{body}", f"<kernel {role}>", "exec"),
+         scope)
     return scope["kernel"]
 
 
@@ -631,8 +636,8 @@ def _unrolled_mul(p: int, r: int, low_terms: tuple):
     """The schoolbook product (_product) as a kernel."""
     lines, coefficients = _product(p, r, low_terms, _names(r, "u"),
                                    _names(r, "v"))
-    return _compile("u, v", _unpack(r, "u") + _unpack(r, "v") + lines
-                    + _returns(coefficients))
+    return _compile(f"mul {p}^{r}", "u, v", _unpack(r, "u") + _unpack(r, "v")
+                    + lines + _returns(coefficients))
 
 
 class SymbolicTower:
@@ -745,9 +750,9 @@ class SymbolicTower:
         return self._scalar(" or ".join(f"{a} != {b}" for a, b in zip(u, v)),
                             u, v)
 
-    def compile(self, args: str, *results):
+    def compile(self, args: str, *results, role: str = "traced"):
         """kernel(args) running the recorded steps and returning results,
-        values or scalars.
+        values or scalars, filed under role and the tower (see _compile).
 
         Compiling takes peak memory in proportion to the source compiled at
         once, about 130 bytes a character, so the steps go in segments of
@@ -755,6 +760,7 @@ class SymbolicTower:
         it reads from earlier ones, returning the names later ones read,
         and the kernel calls them in turn, then runs the last inline.  A
         step whose names nothing reads is left out."""
+        name = f"{role} {self.p}^{self.r}"
         live, needed = [], _read(*results)
         for source, reads, writes in reversed(self._steps):
             if needed.intersection(writes):
@@ -776,13 +782,15 @@ class SymbolicTower:
             source, reads, writes = segments[i]
             outs = sorted(writes & needed)
             ins = ", ".join(sorted(reads - writes))
-            scope[f"_segment{i}"] = _compile(ins, source + _returns(outs))
+            scope[f"_segment{i}"] = _compile(f"{name} segment {i}", ins,
+                                             source + _returns(outs))
             calls.append(f"    {''.join(f'{o}, ' for o in outs)}"
                          f"= _segment{i}({ins})\n")
             needed |= reads
         out = ", ".join(_tuple(x) if isinstance(x, tuple) else str(x)
                         for x in results)
-        return _compile(args, "".join(self._inputs) + "".join(reversed(calls))
+        return _compile(name, args, "".join(self._inputs)
+                        + "".join(reversed(calls))
                         + last[0] + f"    return {out}\n", **scope)
 
 

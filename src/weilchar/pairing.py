@@ -37,13 +37,16 @@ A hit skips only the two walks and their inversion.  Every draw, the
 certificate and the exact fallback still run, since they decide what the
 generator yields, and arguments outside E[m] raise on every call, since
 lru_cache keeps no exception.  The PairingValue is memoized too
-(_checked), so its check runs once per value, cold or warm.
+(_checked), so its check runs once per value, cold or warm, and so are
+the curve's a4 and a6 as ints of F_p (_prime_field_ints).
 
-Those per-call steps run as straight-line code where the tower's product
-is unrolled (fields.SymbolicTower, 2 <= r <= UNROLLED_MUL_MAX_R): each
-draw candidate is one call of a kernel of curves (_draw_kernel: x from its
-rank, c = x^3 + a4 x + a6 and the norm N(c) that decides squareness), and
-the certificate is one kernel per tower and m (_separation_kernel),
+Each attempt is one call of _replay, which draws R, then S, as
+Curve.draw_point does, and certifies them.  Those steps run as
+straight-line code where the tower's product is unrolled
+(fields.SymbolicTower, 2 <= r <= UNROLLED_MUL_MAX_R): each draw candidate
+is one call of a kernel of curves (_draw_kernel: x from its rank,
+c = x^3 + a4 x + a6 and the norm N(c) that decides squareness), and the
+certificate is one kernel per tower and m (_separation_kernel),
 _x_multiple traced for both points with a4 and a6 as int arguments, so
 one kernel serves every curve over the tower.  It returns the decision
 x([m]R) != x([m]S).  Other towers run the same routines interpreted.
@@ -53,7 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curves import Curve, CurvePoint, _add_raw, _lift, _raw
+from .curves import Curve, CurvePoint, _add_raw, _draw, _lift, _raw
 from .fields import FieldElement, FieldTower, SymbolicTower
 from .memo import memo
 
@@ -247,7 +250,23 @@ def _separation_kernel(f: FieldTower, m: int):
     XR, ZR = _x_multiple(t, A, B, m, t.value("xR"), t.value("cR"))
     XS, ZS = _x_multiple(t, A, B, m, t.value("xS"), t.value("cS"))
     return t.compile("A, B, xR, cR, xS, cS",
-                     t.differ(t.vmul(XR, ZS), t.vmul(XS, ZR)))
+                     t.differ(t.vmul(XR, ZS), t.vmul(XS, ZR)),
+                     role=f"certificate m={m}")
+
+
+@memo
+def _prime_field_ints(f: FieldTower, a4, a6) -> tuple:
+    """The raw coefficients a4, a6 of a curve over f as ints of F_p;
+    ValueError, which the memo does not keep, if either lies outside."""
+    return tuple(FieldElement(f, v).descend().value for v in (a4, a6))
+
+
+def _replay(f: FieldTower, a4, a6, A, B, m: int, rng) -> tuple:
+    """One attempt of weil_pairing: R, then S, drawn as Curve.draw_point
+    draws them, and whether x([m]R) != x([m]S) (_separated) for the ints
+    A, B of F_p of a4, a6, or False when A is None."""
+    R, S = _draw(f, a4, a6, rng), _draw(f, a4, a6, rng)
+    return R, S, A is not None and _separated(f, A, B, m, R, S)
 
 
 def weil_pairing(E: Curve, P: CurvePoint, Q: CurvePoint, m: int, rng) -> PairingValue:
@@ -255,7 +274,7 @@ def weil_pairing(E: Curve, P: CurvePoint, Q: CurvePoint, m: int, rng) -> Pairing
     dividing m, primitive exactly when (P, Q) is a basis of E[m].  Raises
     ValueError unless both arguments lie in E[m]."""
     f = E.field
-    a4 = E.a4.value
+    a4, a6 = E.a4.value, E.a6.value
     P, Q = _raw(f, P), _raw(f, Q)
     if P is None or Q is None:
         # e_m is 1 here and no shift points are drawn; the walk only
@@ -267,13 +286,12 @@ def weil_pairing(E: Curve, P: CurvePoint, Q: CurvePoint, m: int, rng) -> Pairing
     try:
         value = _unshifted_value(f, a4, P, Q, m)
         # the certificate scales by the coefficients as ints of F_p
-        A, B = E.a4.descend().value, E.a6.descend().value
+        A, B = _prime_field_ints(f, a4, a6)
     except ValueError:
-        value = None   # every attempt runs the exact path
+        A = B = None   # every attempt runs the exact path
     for _ in range(200):
-        R = E.draw_point(rng)
-        S = E.draw_point(rng)
-        if value is not None and _separated(f, A, B, m, R, S):
+        R, S, certified = _replay(f, a4, a6, A, B, m, rng)
+        if certified:
             return _checked(f, value, m)
         shifted = _shifted_value(f, a4, P, Q, m, _lift(f, R), _lift(f, S))
         if shifted is not None:

@@ -166,6 +166,33 @@ def test_from_factors_matches_composition(oc56, oc120, oc420):
             assert SmoothIdeal.from_factors(factors, oc).class_form == form
 
 
+def test_from_factors_cold_and_warm_compare_no_forms(oc56, oc120, oc420,
+                                                   monkeypatch):
+    """A warm SmoothIdeal.from_factors reads each prime ideal's class index
+    from its memo, so it compares no forms, and it gives the SmoothIdeal
+    the cold call gave."""
+    rng = random.Random(13)
+    words = []
+    for oc in (oc56, oc120, oc420):
+        primes, _ = sampler_primes(oc, 7)
+        words += [(oc, [(ell, lam, rng.randint(-7, 7)) for ell, lam in primes])
+                  for _ in range(10)]
+    clear_caches()
+    cold = [SmoothIdeal.from_factors(factors, oc) for oc, factors in words]
+    compared = [0]
+    eq = QuadForm.__eq__
+
+    def counted(self, other):
+        compared[0] += 1
+        return eq(self, other)
+
+    monkeypatch.setattr(QuadForm, "__eq__", counted)
+    warm = [SmoothIdeal.from_factors(factors, oc) for oc, factors in words]
+    assert compared[0] == 0
+    monkeypatch.undo()
+    assert warm == cold
+
+
 def test_shifted_orientation(oc56):
     rng = random.Random(11)
     oc_sh = oc56.shifted(1)

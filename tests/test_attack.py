@@ -5,9 +5,9 @@ import pytest
 
 from weilchar.action import (OrientedCurve, SmoothIdeal, apply_smooth_ideal,
                              random_smooth_class, split_prime)
-from weilchar.attack import (_noneigen_draw, _sigma_cell, _torsion_basis,
-                             _torsion_point, adjust_generator, base_side,
-                             eval_character, usable_characters)
+from weilchar.attack import (_cell, _noneigen_draw, _torsion_basis,
+                             adjust_generator, base_side, eval_character,
+                             usable_characters)
 from weilchar.curves import (frobenius_map, point_add, scalar_mul,
                              torsion_basis, torsion_extension_degree)
 from weilchar.fields import element_order, get_tower, legendre_symbol
@@ -206,8 +206,10 @@ def test_imprimitive_rejected_after_a_frobenius_draw(oc24, oc52):
 @pytest.mark.parametrize("name,k,m", [("oc24", 0, 3), ("oc52", 0, 4),
                                       ("oc24", 1, 3), ("oc52", 1, 4)])
 def test_sigma_cells_are_sigma_of_the_cells(request, name, k, m):
-    """_sigma_cell is sigma_eval on every cell of E[m], for Frobenius and
-    for a shifted sigma; an imprimitive sigma on the same curve, which
+    """The sigma P of a cell record (_cell) is sigma_eval on every cell of
+    E[m] that a draw accepts, for Frobenius and for a shifted sigma, and
+    the record rejects exactly the cells the draw must, with the sigma
+    evaluations it counts; an imprimitive sigma on the same curve, which
     equals the Frobenius instance, reads its own cells."""
     oc = request.getfixturevalue(name).shifted(k)
     r = torsion_extension_degree(oc.curve, m)
@@ -217,26 +219,38 @@ def test_sigma_cells_are_sigma_of_the_cells(request, name, k, m):
     for inst in (oc, imp):
         for a in range(m):
             for b in range(m):
-                P = _torsion_point(oc, m, r, a, b)
-                cell = _sigma_cell(inst, inst.sigma_trace, inst.sigma_norm,
-                                   m, r, a, b)
-                assert cell == inst.sigma_eval(P, E), (a, b)
+                P = _cell(oc, oc.sigma_trace, oc.sigma_norm, m, r, a, b)[0]
+                got, cell, evals, accepted = _cell(
+                    inst, inst.sigma_trace, inst.sigma_norm, m, r, a, b)
+                assert got == P, (a, b)
+                T = scalar_mul(E, m // 2, P)
+                if P.is_infinity() or (m % 2 == 0 and T.is_infinity()):
+                    assert (evals, accepted) == (0, False), (a, b)
+                    if not scalar_mul(E, 2, P).is_infinity():
+                        assert cell is None, (a, b)
+                elif m % 2 == 0 and inst.sigma_eval(T, E) == T:
+                    assert (cell, evals, accepted) == (None, 1, False), (a, b)
+                else:
+                    assert (evals, accepted) == (2 - m % 2, True), (a, b)
+                if cell is not None:
+                    assert cell == inst.sigma_eval(P, E), (a, b)
 
 
 @pytest.mark.parametrize("name,m", [("oc24", 3), ("oc52", 4)])
 def test_torsion_cells_are_the_basis_combinations(request, name, m):
-    """Each memoized cell (a, b) is a B1 + b B2 on the memoized basis, so a
-    draw read from the memo is the point the two multiples would give."""
+    """The P of each cell record (a, b) is a B1 + b B2 on the memoized
+    basis, so a draw read from the memo is the point the two multiples
+    would give."""
     oc = request.getfixturevalue(name)
     r = torsion_extension_degree(oc.curve, m)
     E = oc.curve_in(r)
     B1, B2 = _torsion_basis(oc, m, r)
-    cells = {_torsion_point(oc, m, r, a, b)
-             for a in range(m) for b in range(m)}
+    key = (oc, oc.sigma_trace, oc.sigma_norm, m, r)
+    cells = {_cell(*key, a, b)[0] for a in range(m) for b in range(m)}
     for a in range(m):
         for b in range(m):
             want = point_add(E, scalar_mul(E, a, B1), scalar_mul(E, b, B2))
-            assert _torsion_point(oc, m, r, a, b) == want, (a, b)
+            assert _cell(*key, a, b)[0] == want, (a, b)
     assert len(cells) == m * m, "a basis spans E[m] without repeats"
 
 
@@ -297,23 +311,25 @@ def test_cold_and_warm_caches_agree(request):
     assert all(s["entries"] == 0 for s in cache_stats().values())
     cold = [_frozen_eval(request, *case[:4]) for case in _FROZEN_EVALS]
     assert cache_stats()["attack._extension_degree"]["misses"] == 3
-    cells = cache_stats()["attack._torsion_point"]
+    cells = cache_stats()["attack._cell"]
     warm = [_frozen_eval(request, *case[:4]) for case in _FROZEN_EVALS]
     assert cache_stats()["attack._extension_degree"]["misses"] == 3
-    assert cache_stats()["attack._torsion_point"]["hits"] > cells["hits"]
+    assert cache_stats()["attack._cell"]["hits"] > cells["hits"]
     assert cold == warm == [case[4] for case in _FROZEN_EVALS]
 
 
 def test_kernel_and_table_memos_cold_and_warm(request):
-    """The draw and certificate kernels, the mu_m dlog tables, the checked
-    pairing values, the element orders and the
-    discriminant records are memo.memo entries: clear_caches() empties
-    them, a cold evaluation builds them, and a warm one reuses them and
-    returns what the cold one did."""
+    """The draw and certificate kernels, the mu_m dlog tables, the cell
+    records, the checked pairing values, the curves' ints of F_p, the
+    element orders, the prime ideals' class indices and the discriminant
+    records are memo.memo entries: clear_caches() empties them, a cold
+    evaluation builds them, and a warm one reuses them and returns what
+    the cold one did."""
     names = ("curves._draw_kernel", "pairing._separation_kernel",
              "fields._mu_table", "quadforms.discriminant",
-             "attack._sigma_cell", "pairing._checked",
-             "fields.element_order")
+             "attack._cell", "pairing._checked",
+             "pairing._prime_field_ints", "fields.element_order",
+             "action._prime_ideal_class")
     clear_caches()
     assert all(cache_stats()[name]["entries"] == 0 for name in names)
     cold = [_frozen_eval(request, *case[:4]) for case in _FROZEN_EVALS]

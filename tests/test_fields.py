@@ -1,5 +1,7 @@
+import cProfile
 import math
 import os
+import pstats
 import random
 import subprocess
 import sys
@@ -8,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import weilchar
+from weilchar import curves, pairing
 from weilchar.fields import (UNROLLED_MUL_MAX_R, FieldElement, FieldTower,
                              SymbolicTower, _is_irreducible, _is_prime, _pdivmod, _pgcd,
                              _pmul, _ppowmod, _psub, _ptrim, _unrolled_mul,
@@ -808,3 +811,26 @@ def test_inverse_over_a_reducible_modulus_raises():
         with pytest.raises(ZeroDivisionError):
             ring.vinv(u)
     assert ring.vinv((0, 1)) == (0, 1)      # x^2 = 1 here
+
+
+def test_kernels_are_filed_by_role_and_tower():
+    """Each compiled kernel's code is filed under its role and tower, so a
+    profile keeps one row per kernel rather than one for them all."""
+    f, g = get_tower(101, 4), get_tower(7, 3)
+    draw = curves._draw_kernel(f)
+    kernels = (draw, pairing._separation_kernel(f, 4), f._mul, g._mul,
+               f._frobenius_kernel(1), f.lin_kernel(2))
+    assert [k.__code__.co_filename for k in kernels] == [
+        "<kernel draw 101^4>", "<kernel certificate m=4 101^4>",
+        "<kernel mul 101^4>", "<kernel mul 7^3>", "<kernel frobenius^1 101^4>",
+        "<kernel lin2 101^4>"]
+    profile = cProfile.Profile()
+    profile.enable()
+    for _ in range(200):
+        draw(5, f.one, f.one)
+    for _ in range(10):
+        g._mul(g.one, g.one)
+    profile.disable()
+    calls = {key[0]: row[0] for key, row in pstats.Stats(profile).stats.items()}
+    assert calls["<kernel draw 101^4>"] == 200
+    assert calls["<kernel mul 7^3>"] == 10

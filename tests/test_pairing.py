@@ -483,6 +483,34 @@ def test_certificate_kernel_matches_the_interpreted_one(m, monkeypatch):
     assert sum(compiled[:len(pairs)]) > len(pairs) // 2
 
 
+# the (p, r, m, a4, a6) of the benchmark's pairings; y^2 = x^3 + 3x + 2
+# at m = 3 over F_{7^3}, where the certificate is at times inconclusive
+# and the exact fallback runs; and a4 = 2 + t over F_{11^2}, outside F_11,
+# where no attempt is certified
+@pytest.mark.parametrize("p,r,m,a4,a6", [
+    (101, 4, 4, 1, 19), (7, 3, 3, 1, 3), (31, 3, 3, 4, 20),
+    (2221, 3, 3, 1668, 2145), (7, 3, 3, 3, 2), (11, 2, 3, (2, 1), 1),
+])
+def test_replay_matches_two_draws_and_the_certificate(p, r, m, a4, a6):
+    """Over 1,000 attempts _replay returns the (R, S, decision) that two
+    Curve.draw_point calls and _separated give, and leaves the generator
+    in the state they leave it in."""
+    f = get_tower(p, r)
+    E = Curve(f, FieldElement(f, a4) if isinstance(a4, tuple) else a4, a6)
+    ints = (a4, a6) if isinstance(a4, int) else (None, None)
+    ours, ref = random.Random(f"replay{p},{r}"), random.Random(f"replay{p},{r}")
+    decisions = []
+    for _ in range(1000):
+        R, S = E.draw_point(ref), E.draw_point(ref)
+        want = ints[0] is not None and pairing._separated(f, *ints, m, R, S)
+        got = pairing._replay(f, E.a4.value, E.a6.value, *ints, m, ours)
+        assert got == (R, S, want)
+        assert ours.getstate() == ref.getstate()
+        decisions.append(want)
+    assert any(decisions) == (ints[0] is not None)
+    assert p != 7 or not all(decisions), "no inconclusive certificate"
+
+
 # random_point(random.Random(2024)) twenty times, as (rank x, rank y), and
 # the SHA-256 of repr(getstate()) after them, recorded before the draw and
 # the square root were split: the stream must not move
