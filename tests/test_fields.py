@@ -662,7 +662,7 @@ def test_pairing_steps_bench_smoke():
     assert [row[:3] for row in rows[2:]] == [
         ["101", "4", "4"], ["7", "3", "3"], ["31", "3", "3"],
         ["2221", "3", "3"]]
-    assert all(len(row) == 11 and all(float(x) > 0 for x in row[3:])
+    assert all(len(row) == 13 and all(float(x) > 0 for x in row[3:])
                for row in rows[2:])
 
 
@@ -818,8 +818,9 @@ def test_kernels_are_filed_by_role_and_tower():
     profile keeps one row per kernel rather than one for them all."""
     f, g = get_tower(101, 4), get_tower(7, 3)
     draw = curves._draw_kernel(f)
+    f.frobenius(f.one)
     kernels = (draw, pairing._separation_kernel(f, 4), f._mul, g._mul,
-               f._frobenius_kernel(1), f.lin_kernel(2))
+               f._frob[1], f.lin_kernel(2))
     assert [k.__code__.co_filename for k in kernels] == [
         "<kernel draw 101^4>", "<kernel certificate m=4 101^4>",
         "<kernel mul 101^4>", "<kernel mul 7^3>", "<kernel frobenius^1 101^4>",
