@@ -16,13 +16,15 @@ calls in one process (100 N for scalar_mul):
 
 With --pairing-steps it prints one table instead, with 100 N calls per
 run: at the (p, r, m) cells of the benchmark's pairings, on the instance
-curve over F_{p^r}, microseconds per Curve.draw_point, per x([m]R)
-certificate (pairing._separated) and per shift attempt (pairing._replay:
-two draws and the certificate), interpreted (the tower's traceable flag
-cleared) and compiled; per dlog_in_mu_m with its table and the base's
-order computed on every call (cold) and looked up (warm); and the
-milliseconds it takes to trace and compile the draw kernel and the
-certificate kernel.
+curve over F_{p^r}, microseconds per Curve.draw_point (the draw kernel's
+whole rejection loop when compiled), per x([m]R) certificate
+(pairing._separated), per shift attempt (pairing._replay: two draws and
+the certificate) and per warm side pairing (attack._side_pairing: cells
+drawn from their memoized records until one is accepted, and the plan of
+its pairing settled), interpreted (the tower's traceable flag cleared)
+and compiled; per dlog_in_mu_m with its table and the base's order
+computed on every call (cold) and looked up (warm); and the milliseconds
+it takes to trace and compile the draw kernel and the certificate kernel.
 """
 
 import argparse
@@ -30,7 +32,7 @@ import random
 import time
 import timeit
 
-from weilchar import action, curves, fields, pairing
+from weilchar import action, attack, curves, fields, pairing
 from weilchar.fields import FieldElement, dlog_in_mu_m, get_tower
 from weilchar.memo import clear_caches
 
@@ -42,6 +44,14 @@ CURVES = ((2221, 1668, 2145), (120121, 108144, 71009))
 # (a4, a6): the ddh base at p = 101 and the sqrt-recover roster
 CELLS = ((101, 4, 4, 1, 19), (7, 3, 3, 1, 3), (31, 3, 3, 4, 20),
          (2221, 3, 3, 1668, 2145))
+
+
+def instance(p: int):
+    """The instance of a cell: the ddh base at p = 101, else the roster's."""
+    if p == 101:
+        return action.gen_supersingular_instance(101)
+    q, t, seed = next(row for row in ROSTER if row[0] == p)
+    return action.make_instance(q, t, random.Random(seed))
 
 
 def best(fn, repeat: int) -> float:
@@ -57,16 +67,21 @@ def compile_ms(build) -> float:
 
 def pairing_steps(repeat: int) -> None:
     print(f"{'pairing steps':<14} {'p':>7} {'r':>2} {'m':>2} "
-          f"{'draw':>13} {'certificate':>13} {'attempt':>13} {'dlog':>13} "
-          f"{'compile ms':>11}")
+          f"{'draw':>13} {'certificate':>13} {'attempt':>13} {'side':>13} "
+          f"{'dlog':>13} {'compile ms':>11}")
     print(f"{'':<14} {'':>7} {'':>2} {'':>2} "
-          + f"{'interp':>6} {'comp':>6} " * 3
+          + f"{'interp':>6} {'comp':>6} " * 4
           + f"{'cold':>6} {'warm':>6} {'draw':>5} {'cert':>5}")
     for p, r, m, a4, a6 in CELLS:
         f = get_tower(p, r)
         E = curves.Curve(f, a4, a6)
         rng = random.Random(f"bench{p},{r}")
         R, S = E.draw_point(rng), E.draw_point(rng)
+        oc = instance(p)
+        k = attack.adjust_generator(oc, m)
+        side = oc if k == 0 else oc.shifted(k)
+        stats = {"sigma_evals": 0}
+        attack._side_pairing(side, m, f, rng, stats)    # the cell records
         row = []
         for traceable in (False, True):
             f.traceable = traceable
@@ -75,6 +90,9 @@ def pairing_steps(repeat: int) -> None:
                              100 * repeat),
                         best(lambda: pairing._replay(f, E.a4.value, E.a6.value,
                                                      a4, a6, m, rng),
+                             100 * repeat),
+                        best(lambda: attack._side_pairing(side, m, f, rng,
+                                                          stats),
                              100 * repeat)))
         # a primitive m-th root of unity, and a target in mu_m
         while True:
@@ -93,8 +111,8 @@ def pairing_steps(repeat: int) -> None:
                  best(lambda: dlog_in_mu_m(b, t, m), 100 * repeat))
         ms = (compile_ms(lambda: curves._draw_kernel.__wrapped__(f)),
               compile_ms(lambda: pairing._separation_kernel.__wrapped__(f, m)))
-        us = [x * 1e6 for x in (row[0][0], row[1][0], row[0][1], row[1][1],
-                                row[0][2], row[1][2]) + dlogs]
+        us = [x * 1e6 for pair in zip(*row) for x in pair] + [
+            x * 1e6 for x in dlogs]
         print(f"{'':<14} {p:>7} {r:>2} {m:>2} "
               + " ".join(f"{x:6.2f}" for x in us)
               + " " + " ".join(f"{x:5.2f}" for x in ms))

@@ -15,12 +15,12 @@ from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple, Optional
 
 from .action import OrientedCurve, _fold_seed
-from .curves import (gl2_order, point_add, scalar_mul, torsion_basis,
+from .curves import (_raw, gl2_order, point_add, scalar_mul, torsion_basis,
                      torsion_extension_degree)
 from .fields import (FieldElement, FieldTower, dlog_in_mu_m, element_order,
                      get_tower)
 from .memo import memo
-from .pairing import weil_pairing
+from .pairing import _plan, _settle
 from .quadforms import (Character, assigned_characters, char_eval_norm,
                         char_table)
 
@@ -80,8 +80,9 @@ def _torsion_basis(oc: OrientedCurve, m: int, r: int) -> tuple:
 def _cell(oc: OrientedCurve, trace: int, norm: int, m: int, r: int, a: int,
           b: int) -> tuple:
     """The record of the cell (a, b) of E[m] over F_{q^r}: (P, sigma P, n,
-    accepted), P = a B1 + b B2 on the memoized basis and n the sigma
-    evaluations a draw of the cell counts.  A draw rejects P when it is
+    plan), P = a B1 + b B2 on the memoized basis, n the sigma evaluations
+    a draw of the cell counts and plan the pairing._plan of e_m(P, sigma P)
+    when a draw accepts P, else None.  A draw rejects P when it is
     infinite, or for even m when (m/2)P, read from its own cell, is
     infinite (n = 0) or fixed by sigma (n = 1); sigma P is then None but
     for P in E[2], whose sigma the cells over it read.  sigma's trace and
@@ -91,17 +92,20 @@ def _cell(oc: OrientedCurve, trace: int, norm: int, m: int, r: int, a: int,
     B1, B2 = _torsion_basis(oc, m, r)
     P = point_add(E, scalar_mul(E, a, B1), scalar_mul(E, b, B2))
     if P.is_infinity():
-        return P, None, 0, False
+        return P, None, 0, None
     if m % 2 == 0:
         h = m // 2
         if a % h == b % h == 0:
-            return P, oc.sigma_eval(P, E), 0, False
+            return P, oc.sigma_eval(P, E), 0, None
         T, sT, _, _ = _cell(oc, trace, norm, m, r, h * a % m, h * b % m)
         if T.is_infinity():
-            return P, None, 0, False
+            return P, None, 0, None
         if sT == T:
-            return P, None, 1, False
-    return P, oc.sigma_eval(P, E), 2 - m % 2, True
+            return P, None, 1, None
+    sP = oc.sigma_eval(P, E)
+    f = E.field
+    return P, sP, 2 - m % 2, _plan(f, E.a4.value, E.a6.value, _raw(f, P),
+                                   _raw(f, sP), m)
 
 
 def _noneigen_draw(oc, m: int, tower, rng, stats=None):
@@ -109,26 +113,24 @@ def _noneigen_draw(oc, m: int, tower, rng, stats=None):
 
     P = aB1 + bB2 is drawn as its coefficients, a first, and each draw
     reads one memoized record of its cell (_cell), so each of the m^2
-    points of E[m] and its sigma image are computed at most once per
-    basis and orientation.  The record counts its sigma evaluations in
-    stats and, for m = 4 and 8, has already decided whether sigma moves
-    (m/2)P; for odd m a finite P generates when e_m(P, sigma P) is
-    primitive.  Returns (E, P, sigma P, pairing or None) so the caller
-    reuses the work."""
-    E = oc.curve_in(tower.r)
+    points of E[m], its sigma image and the plan of their pairing are
+    computed at most once per basis and orientation.  The record counts
+    its sigma evaluations in stats and, for m = 4 and 8, has already
+    decided whether sigma moves (m/2)P; for odd m a finite P generates
+    when e_m(P, sigma P), settled from the record's plan, is primitive.
+    Returns (plan, pairing or None) so the caller reuses the work."""
     key = (oc, oc.sigma_trace, oc.sigma_norm, m, tower.r)
     for _ in range(64):
-        P, sP, evals, accepted = _cell(*key, rng.randrange(m),
-                                       rng.randrange(m))
+        _, _, evals, plan = _cell(*key, rng.randrange(m), rng.randrange(m))
         if stats is not None:
             stats["sigma_evals"] += evals
-        if not accepted:
+        if plan is None:
             continue
         if m % 2 == 0:
-            return E, P, sP, None
-        z = weil_pairing(E, P, sP, m, rng)
-        if element_order(z.value, m) == m:
-            return E, P, sP, z.value
+            return plan, None
+        z = _settle(plan, rng).value
+        if element_order(z, m) == m:
+            return plan, z
     raise RuntimeError(
         f"no independent point in 64 draws: the orientation acts by a scalar "
         f"on the {m}-torsion (imprimitive sigma or wrong modulus)")
@@ -159,8 +161,8 @@ class BaseSide(NamedTuple):
 
 
 def _side_pairing(oc, m: int, tower, rng, stats):
-    E, P, sP, z = _noneigen_draw(oc, m, tower, rng, stats)
-    return z if z is not None else weil_pairing(E, P, sP, m, rng).value
+    plan, z = _noneigen_draw(oc, m, tower, rng, stats)
+    return z if z is not None else _settle(plan, rng).value
 
 
 def base_side(ocE: OrientedCurve, char: Character, rng) -> BaseSide:

@@ -15,6 +15,7 @@ three times the arithmetic.
 from __future__ import annotations
 
 import math
+import random
 from typing import Optional
 
 from .fields import (FieldElement, FieldTower, SymbolicTower, _is_prime,
@@ -114,21 +115,22 @@ class Curve:
 
 def _draw(f: FieldTower, a4, a6, rng) -> tuple:
     """(x, c, sign, norm) for y^2 = x^3 + a4 x + a6 with raw a4, a6: x and
-    c = x^3 + a4 x + a6 raw values of f, x uniform among those with c a
-    square or zero, sign the bit that picks the root of c (see _lift), and
-    norm the int N(c) that decided squareness, kept for the root.  A
-    traceable f maps each randrange(size) to x, c and N(c) in one
-    _draw_kernel call; other towers run the same steps interpreted."""
+    c = x^3 + a4 x + a6 raw values of f, x of rank randrange(size), drawn
+    again until c is a square or zero, sign = randrange(2) the bit that
+    picks the root of c (see _lift), and norm the int N(c) that decided
+    squareness, kept for the root.  For a traceable f and an rng whose
+    randrange is random.Random's, the whole loop is one _draw_kernel call,
+    which reads rng as randrange does; any other tower or rng runs the
+    same steps interpreted."""
+    cls = type(rng)
+    if (f.traceable and cls.randrange is random.Random.randrange
+            and cls._randbelow is random.Random._randbelow_with_getrandbits):
+        return _draw_kernel(f)(rng, a4, a6)
     p = f.p
-    kernel = _draw_kernel(f) if f.traceable else None
     for _ in range(10000):
-        if kernel is None:
-            x = f.random_value(rng)
-            c = _rhs(f, x, a4, a6)
-            norm = f.vnorm(c)
-        else:
-            x, c, a = kernel(rng.randrange(f.size), a4, a6)
-            norm = _norm_int(c, a)
+        x = f.random_value(rng)
+        c = _rhs(f, x, a4, a6)
+        norm = f.vnorm(c)
         if norm and pow(norm, (p - 1) // 2, p) != 1:
             continue
         return x, c, rng.randrange(2), norm
@@ -143,14 +145,32 @@ def _rhs(f, x, a4, a6):
 
 @memo
 def _draw_kernel(f: FieldTower):
-    """One candidate of _draw compiled for the traceable f: kernel(n, a4,
-    a6) is (x, c, N(c)) for x of rank n, c = _rhs and N(c) as a raw value,
-    on the raw a4 and a6 of any curve over f."""
+    """_draw compiled for the traceable f: kernel(rng, a4, a6) is the
+    (x, c, sign, norm) of _draw on the raw a4 and a6 of any curve over f.
+    Each candidate's x from its rank, c = _rhs and N(c) run straight-line,
+    the norm is checked by _norm_int, and the rank and the sign are read
+    by rng.getrandbits exactly as randrange(size) and randrange(2) read
+    them."""
     t = SymbolicTower(f)
     x = t.unrank(t.scalar("n"))
     c = _rhs(t, x, t.value("a4"), t.value("a6"))
-    return t.compile("n, a4, a6", x, c, t._frobenius_sum_power(c, f.r),
-                     role="draw")
+    p, size, bits = f.p, f.size, f.size.bit_length()
+    return t.compile("rng, a4, a6", x, c, t._frobenius_sum_power(c, f.r),
+                     role="draw", _norm_int=_norm_int, loop=f"""\
+    getrandbits = rng.getrandbits
+    for _ in range(10000):
+        n = getrandbits({bits})
+        while n >= {size}:
+            n = getrandbits({bits})
+{{steps}}        norm = _norm_int({{1}}, {{2}})
+        if norm and pow(norm, {(p - 1) // 2}, {p}) != 1:
+            continue
+        sign = getrandbits(2)
+        while sign >= 2:
+            sign = getrandbits(2)
+        return {{0}}, {{1}}, sign, norm
+    raise RuntimeError("failed to sample a curve point")
+""")
 
 
 def _lift(f: FieldTower, drawn: tuple):

@@ -36,12 +36,13 @@ routines compile as well.  SymbolicTower stands in for the tower and
 records, from the same source generators, what a routine run on it does,
 phi^k included, so the norm traces as it runs; its compile makes one
 straight-line kernel of the steps a result reads, with no call per field
-operation.  curves compiles each candidate of its point draws this way
-(x from its rank, c = x^3 + a4 x + a6 and N(c)) and pairing its x([m]R)
-certificate, so each formula is written once, in the routine.  A traced
-square takes the squaring form (Hankerson, Menezes and Vanstone, Guide to
-ECC, 2.3), r (r + 1)/2 products for r^2; lazy reduction of traced sums
-and maps was prototyped and left out, as it gained nothing above noise.
+operation.  curves compiles its whole point draw this way, the rejection
+loop around each candidate's x from its rank, c = x^3 + a4 x + a6 and
+N(c), and pairing its x([m]R) certificate, so each formula is written
+once, in the routine.  A traced square takes the squaring form (Hankerson,
+Menezes and Vanstone, Guide to ECC, 2.3), r (r + 1)/2 products for r^2;
+lazy reduction of traced sums and maps was prototyped and left out, as it
+gained nothing above noise.
 Discrete logs in mu_m are lookups in a memoized table of the powers of
 the base.
 
@@ -55,6 +56,7 @@ taken by base-p digits over the Frobenius images.
 
 from __future__ import annotations
 
+import textwrap
 from typing import Optional
 
 from .memo import memo
@@ -750,9 +752,15 @@ class SymbolicTower:
         return self._scalar(" or ".join(f"{a} != {b}" for a, b in zip(u, v)),
                             u, v)
 
-    def compile(self, args: str, *results, role: str = "traced"):
+    def compile(self, args: str, *results, role: str = "traced",
+                loop: Optional[str] = None, **scope):
         """kernel(args) running the recorded steps and returning results,
         values or scalars, filed under role and the tower (see _compile).
+
+        loop, when given, is the kernel's body instead: source with one
+        loop, whose body holds the field {steps}, where the steps run one
+        level deeper than the kernel's own body, and the fields {0}, {1},
+        ... for the results; scope holds the globals it calls.
 
         Compiling takes peak memory in proportion to the source compiled at
         once, about 130 bytes a character, so the steps go in segments of
@@ -777,7 +785,6 @@ class SymbolicTower:
         last = segments.pop()
         needed = _read(*results) | last[1]
         calls = []
-        scope = {}
         for i in range(len(segments) - 1, -1, -1):
             source, reads, writes = segments[i]
             outs = sorted(writes & needed)
@@ -787,11 +794,12 @@ class SymbolicTower:
             calls.append(f"    {''.join(f'{o}, ' for o in outs)}"
                          f"= _segment{i}({ins})\n")
             needed |= reads
-        out = ", ".join(_tuple(x) if isinstance(x, tuple) else str(x)
-                        for x in results)
-        return _compile(name, args, "".join(self._inputs)
-                        + "".join(reversed(calls))
-                        + last[0] + f"    return {out}\n", **scope)
+        outs = [_tuple(x) if isinstance(x, tuple) else str(x)
+                for x in results]
+        steps = "".join(reversed(calls)) + last[0]
+        body = (f"{steps}    return {', '.join(outs)}\n" if loop is None else
+                loop.format(*outs, steps=textwrap.indent(steps, "    ")))
+        return _compile(name, args, "".join(self._inputs) + body, **scope)
 
 
 class _Scalar:

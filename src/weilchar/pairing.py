@@ -29,27 +29,30 @@ again.  Arguments outside E[m] make the unshifted walks raise; every
 attempt then runs the exact path, which raises ValueError on the attempt
 where the shifted pairing did.
 
-The unshifted value is memoized (memo.memo) on the tower, a4 and the raw
-P, Q and m: the attack pairs few distinct arguments, one of them a cell of
-the memoized E[m], so its calls repeat (fixed-argument reuse: Costello and
-Stebila, LATINCRYPT 2010).  A finite P and a4 fix a6, so the key is whole.
-A hit skips only the two walks and their inversion.  Every draw, the
-certificate and the exact fallback still run, since they decide what the
-generator yields, and arguments outside E[m] raise on every call, since
-lru_cache keeps no exception.  The PairingValue is memoized too
-(_checked), so its check runs once per value, cold or warm, and so are
-the curve's a4 and a6 as ints of F_p (_prime_field_ints).
+A pairing is a plan (_plan: the raw P, Q, a4 and a6, the checked
+unshifted value, and a4, a6 as the ints of F_p the certificate scales by)
+that _settle settles.  Settling makes every draw, the certificate and the
+exact fallback, since they decide what the generator yields, and
+arguments outside E[m] raise on every call.  weil_pairing builds a plan
+and settles it; attack keeps the plan of each accepted cell of E[m] in the
+cell's record, so a warm side pairing converts no point and looks up no
+memo.  The unshifted value is memoized (memo.memo) on the tower, a4 and
+the raw P, Q and m, as the attack pairs few distinct arguments
+(fixed-argument reuse: Costello and Stebila, LATINCRYPT 2010); a finite P
+and a4 fix a6, so the key is whole.  So are the checked PairingValue
+(_checked) and the curve's a4, a6 as ints of F_p (_prime_field_ints).
 
 Each attempt is one call of _replay, which draws R, then S, as
-Curve.draw_point does, and certifies them.  Those steps run as
-straight-line code where the tower's product is unrolled
-(fields.SymbolicTower, 2 <= r <= UNROLLED_MUL_MAX_R): each draw candidate
-is one call of a kernel of curves (_draw_kernel: x from its rank,
-c = x^3 + a4 x + a6 and the norm N(c) that decides squareness), and the
-certificate is one kernel per tower and m (_separation_kernel),
-_x_multiple traced for both points with a4 and a6 as int arguments, so
-one kernel serves every curve over the tower.  It returns the decision
-x([m]R) != x([m]S).  Other towers run the same routines interpreted.
+Curve.draw_point does, and certifies them.  Where the tower's product is
+unrolled (fields.SymbolicTower, 2 <= r <= UNROLLED_MUL_MAX_R), each draw is
+one call of a kernel of curves (_draw_kernel: the rejection loop, reading
+the generator as randrange does, around each candidate's x, c = x^3 +
+a4 x + a6 and the norm N(c) that decides squareness), and the certificate
+is one kernel per tower and m (_separation_kernel), _x_multiple traced
+for both points with a4 and a6 as int arguments, so one kernel serves
+every curve over the tower.  It returns the decision x([m]R) != x([m]S).
+Other towers, and generators with a randrange of their own, run the same
+routines interpreted.
 """
 
 from __future__ import annotations
@@ -269,31 +272,51 @@ def _replay(f: FieldTower, a4, a6, A, B, m: int, rng) -> tuple:
     return R, S, A is not None and _separated(f, A, B, m, R, S)
 
 
+def _plan(f: FieldTower, a4, a6, P, Q, m: int) -> tuple:
+    """The plan of e_m(P, Q) for raw points P, Q of f on y^2 = x^3 + a4 x
+    + a6 (raw a4, a6): (f, a4, a6, P, Q, m, value, A, B), value the
+    checked unshifted value and A, B the ints of F_p of a4, a6 that the
+    certificate scales by.  A and B are None, and so is value unless P or
+    Q is infinity, when no attempt can be certified: the walks raised (P
+    or Q outside E[m]) or a4 or a6 lies outside F_p.  Raises ValueError
+    when P or Q is infinity and the other lies outside E[m]."""
+    head = (f, a4, a6, P, Q, m)
+    if P is None or Q is None:
+        # e_m is 1 here; the walk only checks the order
+        for T in (P, Q):
+            if T is not None:
+                _miller_values(f, a4, T, m, T)
+        return head + (_checked(f, f.one, m), None, None)
+    try:
+        value = _unshifted_value(f, a4, P, Q, m)
+        A, B = _prime_field_ints(f, a4, a6)
+    except ValueError:
+        return head + (None, None, None)
+    return head + (_checked(f, value, m), A, B)
+
+
+def _settle(plan: tuple, rng) -> PairingValue:
+    """e_m(P, Q) of a _plan, drawing from rng: none for P or Q infinite,
+    else attempts (_replay) until one is certified, which gives the
+    unshifted value, or its exact shifted value is defined.  Raises
+    ValueError unless P and Q lie in E[m]."""
+    f, a4, a6, P, Q, m, value, A, B = plan
+    if P is None or Q is None:
+        return value
+    for _ in range(200):
+        R, S, certified = _replay(f, a4, a6, A, B, m, rng)
+        if certified:
+            return value
+        shifted = _shifted_value(f, a4, P, Q, m, _lift(f, R), _lift(f, S))
+        if shifted is not None:
+            return _checked(f, shifted, m)
+    raise RuntimeError("could not find nondegenerate shift points for the pairing")
+
+
 def weil_pairing(E: Curve, P: CurvePoint, Q: CurvePoint, m: int, rng) -> PairingValue:
     """e_m(P, Q) for P, Q in E[m]; the value is a root of unity of order
     dividing m, primitive exactly when (P, Q) is a basis of E[m].  Raises
     ValueError unless both arguments lie in E[m]."""
     f = E.field
-    a4, a6 = E.a4.value, E.a6.value
-    P, Q = _raw(f, P), _raw(f, Q)
-    if P is None or Q is None:
-        # e_m is 1 here and no shift points are drawn; the walk only
-        # checks the order
-        for T in (P, Q):
-            if T is not None:
-                _miller_values(f, a4, T, m, T)
-        return _checked(f, f.one, m)
-    try:
-        value = _unshifted_value(f, a4, P, Q, m)
-        # the certificate scales by the coefficients as ints of F_p
-        A, B = _prime_field_ints(f, a4, a6)
-    except ValueError:
-        A = B = None   # every attempt runs the exact path
-    for _ in range(200):
-        R, S, certified = _replay(f, a4, a6, A, B, m, rng)
-        if certified:
-            return _checked(f, value, m)
-        shifted = _shifted_value(f, a4, P, Q, m, _lift(f, R), _lift(f, S))
-        if shifted is not None:
-            return _checked(f, shifted, m)
-    raise RuntimeError("could not find nondegenerate shift points for the pairing")
+    return _settle(_plan(f, E.a4.value, E.a6.value, _raw(f, P), _raw(f, Q),
+                         m), rng)

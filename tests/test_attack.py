@@ -5,10 +5,10 @@ import pytest
 
 from weilchar.action import (OrientedCurve, SmoothIdeal, apply_smooth_ideal,
                              random_smooth_class, split_prime)
-from weilchar.attack import (_cell, _noneigen_draw, _torsion_basis,
-                             adjust_generator, base_side, eval_character,
-                             usable_characters)
-from weilchar.curves import (frobenius_map, point_add, scalar_mul,
+from weilchar.attack import (_cell, _noneigen_draw, _side_pairing,
+                             _torsion_basis, adjust_generator, base_side,
+                             eval_character, usable_characters)
+from weilchar.curves import (_raw, frobenius_map, point_add, scalar_mul,
                              torsion_basis, torsion_extension_degree)
 from weilchar.fields import element_order, get_tower, legendre_symbol
 from weilchar.memo import cache_stats, clear_caches
@@ -209,19 +209,23 @@ def test_sigma_cells_are_sigma_of_the_cells(request, name, k, m):
     """The sigma P of a cell record (_cell) is sigma_eval on every cell of
     E[m] that a draw accepts, for Frobenius and for a shifted sigma, and
     the record rejects exactly the cells the draw must, with the sigma
-    evaluations it counts; an imprimitive sigma on the same curve, which
-    equals the Frobenius instance, reads its own cells."""
+    evaluations it counts; an accepted record's plan holds the raw P and
+    sigma P, the checked value e_m(P, sigma P) and, for a finite sigma P,
+    the curve's ints of F_p.  An imprimitive sigma on the same curve, which equals the
+    Frobenius instance, reads its own cells."""
     oc = request.getfixturevalue(name).shifted(k)
     r = torsion_extension_degree(oc.curve, m)
     E = oc.curve_in(r)
+    f = E.field
     imp = _Imprimitive(oc, 2, 1)
     assert (k == 0) == (imp == oc and hash(imp) == hash(oc))
     for inst in (oc, imp):
         for a in range(m):
             for b in range(m):
                 P = _cell(oc, oc.sigma_trace, oc.sigma_norm, m, r, a, b)[0]
-                got, cell, evals, accepted = _cell(
+                got, cell, evals, plan = _cell(
                     inst, inst.sigma_trace, inst.sigma_norm, m, r, a, b)
+                accepted = plan is not None
                 assert got == P, (a, b)
                 T = scalar_mul(E, m // 2, P)
                 if P.is_infinity() or (m % 2 == 0 and T.is_infinity()):
@@ -234,6 +238,15 @@ def test_sigma_cells_are_sigma_of_the_cells(request, name, k, m):
                     assert (evals, accepted) == (2 - m % 2, True), (a, b)
                 if cell is not None:
                     assert cell == inst.sigma_eval(P, E), (a, b)
+                if accepted:
+                    assert plan[:6] == (f, E.a4.value, E.a6.value,
+                                        _raw(f, P), _raw(f, cell), m), (a, b)
+                    assert plan[6] == weil_pairing(
+                        E, P, cell, m, random.Random(0)), (a, b)
+                    # sigma P = O pairs to 1 with no certificate
+                    ints = ((None, None) if cell.is_infinity() else
+                            (oc.curve.a4.value, oc.curve.a6.value))
+                    assert plan[7:] == ints, (a, b)
 
 
 @pytest.mark.parametrize("name,m", [("oc24", 3), ("oc52", 4)])
@@ -252,6 +265,37 @@ def test_torsion_cells_are_the_basis_combinations(request, name, m):
             want = point_add(E, scalar_mul(E, a, B1), scalar_mul(E, b, B2))
             assert _cell(*key, a, b)[0] == want, (a, b)
     assert len(cells) == m * m, "a basis spans E[m] without repeats"
+
+
+def _reference_side(oc, m, r, rng):
+    """_side_pairing as weil_pairing gives it: each draw reads its cell's
+    P and sigma P, skips the cells the record rejects, and pairs them by
+    weil_pairing, drawing again at odd m unless the value is primitive."""
+    E = oc.curve_in(r)
+    key = (oc, oc.sigma_trace, oc.sigma_norm, m, r)
+    while True:
+        P, sP, _, plan = _cell(*key, rng.randrange(m), rng.randrange(m))
+        if plan is not None:
+            z = weil_pairing(E, P, sP, m, rng).value
+            if m % 2 == 0 or element_order(z, m) == m:
+                return z
+
+
+@pytest.mark.parametrize("name,m", [("oc24", 3), ("oc52", 4)])
+def test_side_pairing_from_the_plan_matches_weil_pairing(request, name, m):
+    """Over 1,000 warm side pairings, settling the plan of the drawn cell
+    record gives the value and generator state that weil_pairing on its
+    P and sigma P gives."""
+    oc = request.getfixturevalue(name)
+    r = torsion_extension_degree(oc.curve, m)
+    tower = get_tower(oc.q, r)
+    stats = {"sigma_evals": 0}
+    _side_pairing(oc, m, tower, random.Random(0), stats)
+    ours, ref = random.Random(f"side{m}"), random.Random(f"side{m}")
+    for _ in range(1000):
+        z = _side_pairing(oc, m, tower, ours, stats)
+        assert z == _reference_side(oc, m, r, ref)
+        assert ours.getstate() == ref.getstate()
 
 
 def _frobenius_order_mod(q: int, t: int, m: int, cap: int) -> int:
@@ -324,21 +368,28 @@ def test_kernel_and_table_memos_cold_and_warm(request):
     element orders, the prime ideals' class indices and the discriminant
     records are memo.memo entries: clear_caches() empties them, a cold
     evaluation builds them, and a warm one reuses them and returns what
-    the cold one did."""
+    the cold one did.  The checked values and the ints of F_p are reused
+    through the pairing plans of the cell records, so a warm evaluation
+    looks neither up."""
     names = ("curves._draw_kernel", "pairing._separation_kernel",
              "fields._mu_table", "quadforms.discriminant",
              "attack._cell", "pairing._checked",
              "pairing._prime_field_ints", "fields.element_order",
              "action._prime_ideal_class")
+    planned = ("pairing._checked", "pairing._prime_field_ints")
     clear_caches()
     assert all(cache_stats()[name]["entries"] == 0 for name in names)
     cold = [_frozen_eval(request, *case[:4]) for case in _FROZEN_EVALS]
     built = {name: cache_stats()[name]["misses"] for name in names}
     assert all(built.values()), built
+    hits = {name: cache_stats()[name]["hits"] for name in planned}
     warm = [_frozen_eval(request, *case[:4]) for case in _FROZEN_EVALS]
     for name in names:
         assert cache_stats()[name]["misses"] == built[name], name
-        assert cache_stats()[name]["hits"] > 0, name
+        if name in planned:
+            assert cache_stats()[name]["hits"] == hits[name], name
+        else:
+            assert cache_stats()[name]["hits"] > 0, name
     assert cold == warm == [case[4] for case in _FROZEN_EVALS]
 
 

@@ -343,7 +343,9 @@ def test_frozen_random_points():
                                     (23, 8, 3)])
 def test_random_point_takes_one_norm_per_x(monkeypatch, p, r, a6):
     # the norm that decides squareness in the draw also serves the root;
-    # a traceable tower takes it from the draw kernel, with x and c
+    # a generator with its own randrange draws interpreted, by vnorm, and
+    # on a traceable tower random.Random's draws by the kernel, whose
+    # check of each candidate's norm is _norm_int
     E = curve_over(p, 1, a6, r=r)
     E.random_point(random.Random(0))     # the root's constants, built once
     counts = {"x": 0, "norm": 0}
@@ -356,50 +358,95 @@ def test_random_point_takes_one_norm_per_x(monkeypatch, p, r, a6):
                 counts["x"] += 1
             return super().randrange(*args)
 
+    class Bits(random.Random):
+        def getrandbits(self, k):
+            n = super().getrandbits(k)
+            if k == size.bit_length() and n < size:
+                counts["x"] += 1
+            return n
+
     def counted(fn):
         def wrapper(*args):
             counts["norm"] += 1
             return fn(*args)
         return wrapper
 
-    draw_kernel = curves._draw_kernel
-    monkeypatch.setattr(curves, "_draw_kernel",
-                        lambda f: counted(draw_kernel(f)))
+    monkeypatch.setattr(curves, "_norm_int", counted(curves._norm_int))
     monkeypatch.setattr(field_type, "vnorm", counted(field_type.vnorm))
-    rng = Counted(f"norms{p},{r}")
-    for _ in range(20):
-        E.random_point(rng)
-    assert counts["x"] >= 20
-    assert counts["norm"] == counts["x"]
+    clear_caches()      # the kernel compiles with the counted _norm_int
+    for kind in (Counted, Bits) if E.field.traceable else (Counted,):
+        counts.update(x=0, norm=0)
+        rng = kind(f"norms{p},{r}")
+        for _ in range(20):
+            E.random_point(rng)
+        assert counts["x"] >= 20
+        assert counts["norm"] == counts["x"]
+        built = cache_stats()["curves._draw_kernel"]["misses"]
+        assert built == (kind is Bits)
 
 
 # the perfbench cells and two towers of the ddh roster; (101, 2) also takes
-# an a4 outside F_101, which the kernel reads as any raw value
+# an a4 outside F_101, which the kernel reads as any raw value; at
+# (31, 10) the kernel runs in segments
 @pytest.mark.parametrize("p,r,a4,a6", [
     (7, 3, 3, 3), (31, 3, 2, 11), (2221, 3, 1668, 2145), (101, 2, 3, 7),
-    (101, 2, (2, 1), 5), (101, 4, 1, 3),
+    (101, 2, (2, 1), 5), (101, 4, 1, 3), (31, 10, 2, 11),
 ])
 def test_draw_kernel_matches_the_interpreted_draw(monkeypatch, p, r, a4, a6):
-    """Over 1,000 draws the compiled candidate step (_draw_kernel: rank,
-    right-hand side and norm) gives the draw tuples and generator states
-    the interpreted unrank, _rhs and vnorm give."""
+    """Over 1,000 draws the compiled draw (_draw_kernel: the rejection
+    loop over rank, right-hand side and norm, then the sign) gives the
+    draw tuples and generator states the interpreted loop gives.  A
+    generator whose randrange is its own draws interpreted on a traceable
+    tower too, and its randrange sees every call."""
     f = get_tower(p, r)
     E = Curve(f, FieldElement(f, a4) if isinstance(a4, tuple) else a4, a6)
+    seed = f"draws{p},{r}"
+    calls = []
+
+    class Seen(random.Random):
+        def randrange(self, *args):
+            n = super().randrange(*args)
+            calls.append((args, n))
+            return n
+
     runs = []
-    for traceable in (True, False):
+    for traceable, rng in ((True, random.Random(seed)),
+                           (False, random.Random(seed)), (True, Seen(seed))):
         monkeypatch.setattr(f, "traceable", traceable)
         clear_caches()
-        rng = random.Random(f"draws{p},{r}")
         runs.append([(E.draw_point(rng), rng.getstate())
                      for _ in range(1000)])
         built = cache_stats()["curves._draw_kernel"]["misses"]
-        assert built == (1 if traceable else 0)
-    assert runs[0] == runs[1]
+        assert built == (1 if traceable and type(rng) is random.Random else 0)
+    assert runs[0] == runs[1] == runs[2]
+    replay = random.Random(seed)
+    assert all(replay.randrange(*args) == n for args, n in calls)
+    assert replay.getstate() == runs[2][-1][1]
+    if (p, r) == (31, 10):
+        assert "_segment0" in curves._draw_kernel(f).__code__.co_names
 
 
-def test_draw_kernel_only_where_the_product_is_unrolled():
+class _Scripted(random.Random):
+    """getrandbits gives the scripted (bits, value) pairs in turn, each
+    asked for with its own bit count."""
+
+    def __init__(self, script):
+        super().__init__(0)
+        self.script = list(script)
+
+    def getrandbits(self, k):
+        bits, value = self.script.pop(0)
+        assert k == bits
+        return value
+
+
+def test_draw_kernel_only_where_the_product_is_unrolled(monkeypatch):
     """r = 1 and r above UNROLLED_MUL_MAX_R draw interpreted and compile
-    nothing; SymbolicTower refuses those towers."""
+    nothing; SymbolicTower refuses those towers.  At (101, 4) the kernel
+    reads its ranks and sign bit as randrange does: ranks of 27 bits until
+    one is below 101^4, sign bits of 2 until one is below 2, and a rank
+    whose c is a non-square, 40712, draws again, as the interpreted loop
+    does."""
     clear_caches()
     for p, r in ((101, 1), (5, 15)):
         f = get_tower(p, r)
@@ -409,10 +456,23 @@ def test_draw_kernel_only_where_the_product_is_unrolled():
             SymbolicTower(f)
     assert cache_stats()["curves._draw_kernel"]["entries"] == 0
     f = get_tower(101, 4)
-    x = f.unrank(40712)
-    c = curves._rhs(f, x, (1, 0, 0, 0), (3, 0, 0, 0))
-    assert curves._draw_kernel(f)(40712, (1, 0, 0, 0), (3, 0, 0, 0)) == (
-        x, c, (f.vnorm(c), 0, 0, 0))
+    a4, a6 = (1, 0, 0, 0), (3, 0, 0, 0)
+
+    def norm(n):
+        return f.vnorm(curves._rhs(f, f.unrank(n), a4, a6))
+
+    assert pow(norm(40712), 50, 101) != 1
+    n = next(n for n in range(40713, f.size) if pow(norm(n), 50, 101) == 1)
+    x = f.unrank(n)
+    want = (x, curves._rhs(f, x, a4, a6), 1, norm(n))
+    script = [(27, f.size), (27, 40712), (27, n), (2, 3), (2, 1)]
+    rng = _Scripted(script)
+    assert curves._draw_kernel(f)(rng, a4, a6) == want
+    assert not rng.script
+    monkeypatch.setattr(f, "traceable", False)
+    rng = _Scripted(script)
+    assert curves._draw(f, a4, a6, rng) == want
+    assert not rng.script
 
 
 @pytest.mark.parametrize("traceable", [True, False])

@@ -511,6 +511,51 @@ def test_replay_matches_two_draws_and_the_certificate(p, r, m, a4, a6):
     assert p != 7 or not all(decisions), "no inconclusive certificate"
 
 
+def test_a_settled_plan_matches_the_reference(monkeypatch):
+    """A plan built once per pair of E[3] on y^2 = x^3 + 3x + 2 over
+    F_{7^3}, where the certificate is at times inconclusive, and settled
+    over and over, as a cell record's is, gives over 1,000 calls the
+    value and generator state of the reference.  The plan of arguments
+    outside E[m] raises ValueError on every settle, after the reference's
+    draws, and one with an argument at infinity raises when it is built."""
+    E, B1, B2 = _basis(7, 3, 2, 3, random.Random(31))
+    f = E.field
+    assert f.r == 3
+    pts = _all_of_torsion(E, B1, B2, 3)
+    pairs = [(P, Q) for P in pts for Q in pts]
+    plans = [pairing._plan(f, E.a4.value, E.a6.value, _raw(f, P), _raw(f, Q),
+                           3) for P, Q in pairs]
+    calls = [0]
+    shifted = pairing._shifted_value
+
+    def counted(*args):
+        calls[0] += 1
+        return shifted(*args)
+
+    monkeypatch.setattr(pairing, "_shifted_value", counted)
+    ours, ref = random.Random(61), random.Random(61)
+    for i in range(1000):
+        P, Q = pairs[i % len(pairs)]
+        assert pairing._settle(plans[i % len(pairs)], ours).value == \
+            _oracle_pairing(E, P, Q, 3, ref)[0], (P, Q)
+        assert ours.getstate() == ref.getstate(), (P, Q)
+    assert calls[0] > 0, "the certificate never failed to decide"
+
+    E, P, Q = _basis(13, 2, 3, 5, random.Random(19))
+    f = E.field
+    plan = pairing._plan(f, E.a4.value, E.a6.value, _raw(f, P), _raw(f, Q), 3)
+    ours, ref = random.Random(41), random.Random(41)
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            pairing._settle(plan, ours)
+        with pytest.raises(ValueError):
+            _oracle_pairing(E, P, Q, 3, ref)
+        assert ours.getstate() == ref.getstate()
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            pairing._plan(f, E.a4.value, E.a6.value, None, _raw(f, Q), 3)
+
+
 # random_point(random.Random(2024)) twenty times, as (rank x, rank y), and
 # the SHA-256 of repr(getstate()) after them, recorded before the draw and
 # the square root were split: the stream must not move
