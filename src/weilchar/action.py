@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .curves import (Curve, CurvePoint, _check_countable, _draw, _lift,
                      _mul_fp, count_points, extension_order, frobenius_map,
@@ -161,8 +160,7 @@ def _same(a, b) -> bool:
     return a == b
 
 
-@dataclass(frozen=True)
-class SmoothIdeal:
+class SmoothIdeal(NamedTuple):
     """Product of split prime ideals (ell, sigma - lambda)^e with its reduced
     form image; negative exponents mean the conjugate ideal."""
 

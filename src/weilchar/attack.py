@@ -11,7 +11,6 @@ ideal), so one small discrete log in mu_m yields the character value.
 import math
 import random
 import time
-from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple, Optional
 
 from .action import OrientedCurve, _fold_seed
@@ -25,17 +24,16 @@ from .quadforms import (Character, assigned_characters, char_eval_norm,
                         char_table)
 
 
-@dataclass
 class CharEvalResult:
     """One character value together with the dlog it came from."""
 
-    char: Character
-    value: int
-    dlog_a: int
-    extension_degree_used: int
-    gamma_mod8: Optional[int] = None
-    sigma_evals: int = 0
-    timings_ms: dict = dc_field(default_factory=dict)
+    def __init__(self, char: Character, value: int, dlog_a: int,
+                 extension_degree_used: int, gamma_mod8: Optional[int],
+                 sigma_evals: int, timings_ms: dict):
+        self.char, self.value, self.dlog_a = char, value, dlog_a
+        self.extension_degree_used = extension_degree_used
+        self.gamma_mod8, self.sigma_evals = gamma_mod8, sigma_evals
+        self.timings_ms = timings_ms
 
     def to_json(self) -> dict:
         return {

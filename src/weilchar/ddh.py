@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from collections import namedtuple
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .action import (OrientedCurve, SmoothIdeal, apply_smooth_ideal,
                      random_smooth_class)
@@ -22,8 +22,7 @@ from .quadforms import Character, char_eval_norm, class_number
 PublicTriple = namedtuple("PublicTriple", ["base", "t1", "t2", "t3"])
 
 
-@dataclass(frozen=True)
-class DdhTriple:
+class DdhTriple(NamedTuple):
     base: OrientedCurve
     t1: OrientedCurve
     t2: OrientedCurve

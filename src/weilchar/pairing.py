@@ -57,22 +57,22 @@ routines interpreted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .curves import Curve, CurvePoint, _add_raw, _draw, _lift, _raw
 from .fields import FieldElement, FieldTower, SymbolicTower
 from .memo import memo
 
 
-@dataclass(frozen=True)
-class PairingValue:
-    value: FieldElement
-    modulus: int
+class PairingValue(NamedTuple("PairingValue", [("value", FieldElement),
+                                                ("modulus", int)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        f = self.value.field
-        if f.vpow(self.value.value, self.modulus) != f.one:
+    def __new__(cls, value: FieldElement, modulus: int):
+        f = value.field
+        if f.vpow(value.value, modulus) != f.one:
             raise ValueError("pairing value is not a root of unity of the stated order")
+        return super().__new__(cls, value, modulus)
 
 
 @memo

@@ -9,7 +9,7 @@ forms, which is the honest ground truth at this scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fields import factorize, legendre_symbol
 from .memo import memo
@@ -27,8 +27,7 @@ def _xgcd(a: int, b: int):
     return old_r, old_s, old_t
 
 
-@dataclass(frozen=True, slots=True)
-class QuadForm:
+class QuadForm(NamedTuple):
     a: int
     b: int
     c: int
@@ -186,8 +185,7 @@ def class_group(D: int) -> ClassGroup:
     return ClassGroup(D)
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(NamedTuple):
     """One assigned character of the order of discriminant -D."""
 
     kind: str      # 'chi' | 'delta' | 'epsilon' | 'delta_epsilon'

@@ -11,18 +11,18 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
-from .action import (OrientedCurve, apply_smooth_ideal, canonical_model,
+from .action import (OrientedCurve, _least_model, apply_smooth_ideal,
                      smooth_in_class)
 from .attack import eval_character
+from .memo import memo
 from .quadforms import (Character, Discriminant, QuadForm, char_table,
                         class_group, discriminant, reduce_form,
                         two_torsion_and_sqrt)
 
 
-@dataclass
-class RootRecovery:
+class RootRecovery(NamedTuple):
     target_square: QuadForm
     bound_B: int
     P1: tuple                      # odd primes filtered by characters
@@ -30,8 +30,8 @@ class RootRecovery:
     residual_group_size: int
     recovered: QuadForm
     candidates_tested: int
-    char_values: dict = dc_field(default_factory=dict)
-    timings_ms: dict = dc_field(default_factory=dict)
+    char_values: dict
+    timings_ms: dict
 
     def to_json(self) -> dict:
         return {
@@ -45,6 +45,18 @@ class RootRecovery:
             "char_values": self.char_values,
             "timings_ms": self.timings_ms,
         }
+
+
+def _model(oc: OrientedCurve) -> tuple:
+    """The (a4, a6) of the canonical model of oc's curve."""
+    E = oc.curve
+    return _least_model(E.field.p, int(E.a4.value), int(E.a6.value))
+
+
+@memo
+def _class_model(oc: OrientedCurve, form: QuadForm) -> tuple:
+    """_model of the class of form applied to oc."""
+    return _model(apply_smooth_ideal(oc, smooth_in_class(oc, form)))
 
 
 def _normalize_factors(factorization) -> list:
@@ -128,15 +140,12 @@ def recover_root(ocE: OrientedCurve, ocE2: OrientedCurve, c_squared: QuadForm,
     t0 = time.perf_counter()
     # twists share a j-invariant when t = 0, so compare full models: one
     # canonical model per F_q-isomorphism class keeps the match unique
-    target_model = canonical_model(ocE2.curve)
-    matches = []
+    target_model = _model(ocE2)
     # indices follow the (a, b, c) order of the enumeration
     candidates = [group.forms[k] for k in sorted(group.mul(adjusted, s)
                                                  for s in G)]
-    for cand in candidates:
-        moved = apply_smooth_ideal(ocE, smooth_in_class(ocE, cand))
-        if canonical_model(moved.curve) == target_model:
-            matches.append(cand)
+    matches = [cand for cand in candidates
+               if _class_model(ocE, cand) == target_model]
     timings["verify_ms"] = (time.perf_counter() - t0) * 1000.0
 
     if not matches:

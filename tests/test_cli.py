@@ -186,6 +186,23 @@ def test_attack_guard_survives_optimize(pair24):
     assert "does not divide #GL2(Z/3)" in proc.stderr
 
 
+def test_cli_import_loads_no_dataclasses():
+    """Every CLI run pays the library import, so it loads neither
+    dataclasses nor the introspection modules that come with it."""
+    script = ("import sys\n"
+              "before = set(sys.modules)\n"
+              "import weilchar.cli\n"
+              "print(' '.join(sorted(set(sys.modules) - before)))\n")
+    src = str(Path(weilchar.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "weilchar.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis"}, loaded
+
+
 def test_eval_char_rejects_bad_moduli(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"mode": "supersingular", "p": 13}))

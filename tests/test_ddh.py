@@ -3,10 +3,13 @@ import random
 
 import pytest
 
-from weilchar.action import make_instance
+from weilchar.action import SmoothIdeal, make_instance
 from weilchar.attack import eval_character, usable_characters
-from weilchar.ddh import PublicTriple, distinguish, run_experiment, sample_triple
-from weilchar.quadforms import Character
+from weilchar.ddh import (DdhTriple, PublicTriple, distinguish, run_experiment,
+                          sample_triple)
+from weilchar.fields import get_tower
+from weilchar.pairing import PairingValue
+from weilchar.quadforms import Character, QuadForm
 
 
 def test_triple_invariants(oc52):
@@ -98,3 +101,39 @@ def test_trivial_character_null_result():
     rep = run_experiment(oc48, 16, [chi3], seed=5)
     assert rep["advantage"] == 0.0 and rep["false_negatives"] == 0
     assert rep["oracle_mismatches"] == 0
+
+
+def _records(oc52, oc56):
+    """(record type, field names, fields, other values field by field)."""
+    f = get_tower(13, 1)
+    return [
+        (QuadForm, "a b c", (1, 0, 7), (2, 1, 8)),
+        (Character, "kind modulus", ("chi", 3), ("delta", 5)),
+        (SmoothIdeal, "factors class_form", (((5, 2, 1),), QuadForm(2, 1, 3)),
+         (((5, 2, -1),), QuadForm(2, -1, 3))),
+        (PairingValue, "value modulus", (f(12), 2), (f(1), 4)),
+        (DdhTriple, "base t1 t2 t3 ground_truth hidden_norms",
+         (oc52, oc52, oc52, oc52, "dh", (5, 7, 35)),
+         (oc56, oc56, oc56, oc56, "random", (5, 7, 3))),
+    ]
+
+
+def test_records_compare_hash_and_print_by_their_fields(oc52, oc56):
+    """Records are equal exactly when their fields are, hash as the tuple
+    of their fields (so set and dict orders follow the fields), print as
+    Name(field=value, ...) and refuse assignment to a field."""
+    assert repr(QuadForm(1, 0, 7)) == "QuadForm(a=1, b=0, c=7)"
+    for cls, names, fields, others in _records(oc52, oc56):
+        names = names.split()
+        x = cls(*fields)
+        assert x == cls(*fields) and hash(x) == hash(fields)
+        assert repr(x) == f"{cls.__name__}(" + ", ".join(
+            f"{n}={v!r}" for n, v in zip(names, fields)) + ")"
+        for i, name in enumerate(names):
+            changed = fields[:i] + (others[i],) + fields[i + 1:]
+            assert x != cls(*changed), (cls, name)
+            with pytest.raises(AttributeError):
+                setattr(x, name, others[i])
+            assert getattr(x, name) == fields[i]
+    with pytest.raises(ValueError):
+        PairingValue(get_tower(13, 1)(2), 4)  # 2^4 = 3 != 1 mod 13
