@@ -48,9 +48,10 @@ class RootRecovery(NamedTuple):
 
 
 def _model(oc: OrientedCurve) -> tuple:
-    """The (a4, a6) of the canonical model of oc's curve."""
+    """p and the (a4, a6) of the canonical model of oc's curve over F_p."""
     E = oc.curve
-    return _least_model(E.field.p, int(E.a4.value), int(E.a6.value))
+    p = E.field.p
+    return p, _least_model(p, int(E.a4.value), int(E.a6.value))
 
 
 @memo
