@@ -5,7 +5,7 @@
 For each tower it times both product paths, the unrolled schoolbook
 product and Kronecker substitution, whichever of them vmul selects, then
 vadd, vsub, vneg, vinv, the Frobenius map (k = 1), vnorm, and the
-two-term linear combination pairing._lin(f, 0, ((1, u), (-4, v))).  Each
+two-term linear combination fields._lin(f, 0, ((1, u), (-4, v))).  Each
 figure is the best of five timeit runs of N calls each on one fixed random
 pair of operands, in one process.  The default towers are the five of the
 field-layer baseline in ROADMAP.md, then p = 23 at r = 12, 16, 20, 24, 30
@@ -18,7 +18,7 @@ import argparse
 import random
 import timeit
 
-from weilchar import fields, pairing
+from weilchar import fields
 
 TOWERS = ((101, 2), (101, 4), (101, 12), (120121, 7), (23, 42),
           (23, 12), (23, 16), (23, 20), (23, 24), (23, 30),
@@ -46,7 +46,7 @@ def row(p: int, r: int, repeat: int) -> dict:
         "vinv": time_us(lambda a, _: f.vinv(a), u, v, repeat),
         "frobenius": time_us(lambda a, _: f.frobenius(a), u, v, repeat),
         "vnorm": time_us(lambda a, _: f.vnorm(a), u, v, repeat),
-        "lin": time_us(lambda a, b: pairing._lin(f, 0, ((1, a), (-4, b))),
+        "lin": time_us(lambda a, b: fields._lin(f, 0, ((1, a), (-4, b))),
                        u, v, repeat),
     }
 

@@ -26,7 +26,9 @@ reported as the median and the list of its timed runs.  One more process
 per side and workload counts operations with perfbench's ``Tracer``, which
 wraps library functions from outside, so the timed runs carry no counting
 cost; the counts are deterministic.  The JSON on stdout holds each side's
-git sha, the machine, and per workload and side the timings and counts.
+git sha and ``src_lines``, the lines of its ``src/weilchar/*.py`` (as
+``wc -l`` counts them), the machine, and per workload and side the
+timings and counts.
 """
 
 import argparse
@@ -184,6 +186,12 @@ def _git_sha(src: Path) -> str:
     return sha + ("-dirty" if dirty else "")
 
 
+def _src_lines(src: Path) -> int:
+    """The newlines of the checkout's src/weilchar/*.py, as wc -l counts."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (src / "src" / "weilchar").glob("*.py"))
+
+
 def _machine() -> dict:
     model = ""
     try:
@@ -227,6 +235,7 @@ def main(argv=None) -> None:
     sides = {label: Path(d).resolve() for label, d in sides.items()}
     report = {"machine": _machine(), "rounds": RUNS,
               "sides": {label: _git_sha(d) for label, d in sides.items()},
+              "src_lines": {label: _src_lines(d) for label, d in sides.items()},
               "workloads": {}}
     with tempfile.TemporaryDirectory() as tmp:
         pair = str(Path(tmp) / "pair.json")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import random
-from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .curves import (Curve, CurvePoint, _check_countable, _draw, _lift,
@@ -529,7 +528,7 @@ def sampler_primes(oc: OrientedCurve, exp_bound: int = 5):
     group = class_group(oc.D)
     h = len(group.forms)
 
-    def exact_stat_distance(primes):
+    def deviation(primes):
         dist = [0] * h
         dist[0] = 1
         total = 1
@@ -545,15 +544,15 @@ def sampler_primes(oc: OrientedCurve, exp_bound: int = 5):
                     new[group.mul(c, s)] += w
             dist = new
             total *= 2 * exp_bound + 1
-        full = all(dist)
-        sd = sum(abs(Fraction(w, total) - Fraction(1, h)) for w in dist) / 2
-        return sd, full
+        # class c has weight dist[c] / total, so the distance from uniform,
+        # S / (2 total h) with S = sum |dist[c] h - total|, rounds only once
+        return sum(abs(w * h - total) for w in dist), total, all(dist)
 
     for take in range(1, len(candidates) + 1):
         chosen = candidates[:take]
-        sd, full = exact_stat_distance(chosen)
-        if full and sd < Fraction(5, 100):
-            return [(ell, lam) for _, ell, lam in chosen], float(sd)
+        S, total, full = deviation(chosen)
+        if full and 10 * S < total * h:     # the distance is below 5/100
+            return [(ell, lam) for _, ell, lam in chosen], S / (2 * total * h)
     raise RuntimeError(
         "the usable split primes only reach a skewed or proper part of cl(O)")
 

@@ -10,6 +10,10 @@ it and build FieldElement and CurvePoint objects only for what they return.
 Over F_p, scalar_mul runs _mul_fp, the same formulas written out on ints: it
 is the instance search's inner loop, and a call per field operation costs it
 three times the arithmetic.
+
+The division-polynomial recurrences are written once too (_division_chain),
+for int-list polynomials (_division_f, the torsion degree) and for values at
+a point (_division_values, x([m]R) in _x_multiple, pairing's certificate).
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import math
 import random
 from typing import Optional
 
-from .fields import (FieldElement, FieldTower, SymbolicTower, _is_prime,
+from .fields import (FieldElement, FieldTower, SymbolicTower, _is_prime, _lin,
                      _norm_int, _pdivmod, _pgcd, _pmul, _ppowmod, _psub,
                      factorize)
 from .memo import memo
@@ -356,24 +360,20 @@ def gl2_order(m: int) -> int:
     return out
 
 
-def _division_f(p: int, A: int, B: int, m: int) -> list:
-    """f_m over F_p for y^2 = x^3 + A x + B, where the m-th division
-    polynomial is psi_m = f_m for odd m and 2y f_m for even m.  With
-    F = (2y)^2 = 4 (x^3 + A x + B) the recurrences stay in x alone
-    (Washington, Elliptic Curves, section 3.2)."""
-    F = [4 * B % p, 4 * A % p, 0, 4]
-    F2 = _pmul(p, F, F)
-    f = {
-        0: [0], 1: [1], 2: [1],
-        3: [c % p for c in (-A * A, 12 * B, 6 * A, 0, 3)],
-        4: [c % p for c in (-2 * (8 * B * B + A ** 3), -8 * A * B, -10 * A * A,
-                            40 * B, 10 * A, 0, 2)],
-    }
+def _division_seeds(A, B) -> tuple:
+    """f_3 and f_4 for y^2 = x^3 + A x + B, each as (constant, terms), terms
+    the (power, coefficient) pairs of its other nonzero coefficients; A and
+    B are ints, or the ints of a traced kernel (fields._Scalar)."""
+    return ((-A * A, ((1, 12 * B), (2, 6 * A), (4, 3))),
+            (-2 * (8 * B * B + A ** 3), ((1, -8 * A * B), (2, -10 * A * A),
+                                         (3, 40 * B), (4, 10 * A), (6, 2))))
 
-    def mul(a, b):
-        return _pmul(p, a, b)
 
-    def get(n: int) -> list:
+def _division_chain(mul, sub, F2, f: dict):
+    """get(n) = f_n by the recurrences, kept in f, which holds f_0 ... f_4;
+    mul, sub and F2 = F^2 = (2y)^4 are of the ring the f_j lie in: int-list
+    polynomials over F_p (_division_f) or values at x (_division_values)."""
+    def get(n: int):
         if n in f:
             return f[n]
         k = n // 2
@@ -386,17 +386,78 @@ def _division_f(p: int, A: int, B: int, m: int) -> list:
                 v = mul(F2, v)
             else:
                 u = mul(F2, u)
-            val = _psub(p, u, v)
+            val = sub(u, v)
         else:
             # psi_{2k} = psi_k (psi_{k+2} psi_{k-1}^2 - psi_{k-2} psi_{k+1}^2)
             # / (2y); the factors of 2y cancel for either parity of k
-            val = mul(get(k), _psub(
-                p, mul(get(k + 2), mul(get(k - 1), get(k - 1))),
+            val = mul(get(k), sub(
+                mul(get(k + 2), mul(get(k - 1), get(k - 1))),
                 mul(get(k - 2), mul(get(k + 1), get(k + 1)))))
         f[n] = val
         return val
 
-    return get(m)
+    return get
+
+
+def _division_f(p: int, A: int, B: int, m: int) -> list:
+    """f_m over F_p for y^2 = x^3 + A x + B, where the m-th division
+    polynomial is psi_m = f_m for odd m and 2y f_m for even m.  With
+    F = (2y)^2 = 4 (x^3 + A x + B) the recurrences stay in x alone
+    (Washington, Elliptic Curves, section 3.2)."""
+    F = [4 * B % p, 4 * A % p, 0, 4]
+    f = {0: [0], 1: [1], 2: [1]}
+    for j, (const, terms) in enumerate(_division_seeds(A, B), 3):
+        f[j] = [const % p] + [0] * terms[-1][0]
+        for k, c in terms:
+            f[j][k] = c % p
+    # _pmul is looked up here on each call, so a patched one counts them all
+    return _division_chain(lambda a, b: _pmul(p, a, b),
+                           lambda a, b: _psub(p, a, b), _pmul(p, F, F), f)(m)
+
+
+def _division_values(f: FieldTower, a4, a6, n: int, x, c) -> tuple:
+    """(f_{n-1}, f_n, f_{n+1}) at x, for odd n >= 3, c = x^3 + a4 x + a6 and
+    ints a4, a6 of F_p, on raw values of f or of a SymbolicTower for it."""
+    x2 = f.vmul(x, x)
+    x3 = f.vmul(x2, x)
+    powers = {1: x, 2: x2, 3: x3, 4: f.vmul(x2, x2), 6: f.vmul(x3, x3)}
+    vals = {0: f.zero, 1: f.one, 2: f.one}
+    for j, (const, terms) in enumerate(_division_seeds(a4, a6), 3):
+        vals[j] = _lin(f, const, tuple((a, powers[k]) for k, a in terms))
+    F = _lin(f, 0, ((4, c),))
+    get = _division_chain(f.vmul, f.vsub, f.vmul(F, F), vals)
+    return get(n - 1), get(n), get(n + 1)
+
+
+def _x_multiple(f: FieldTower, a4: int, a6: int, m: int, x, c) -> tuple:
+    """x([m]R) as (X, Z) with X / Z = x([m]R), m >= 2, for R = (x, y) on
+    y^2 = x^3 + a4 x + a6 with c = y^2, a4 and a6 given as ints of F_p.
+    Z = 0 exactly when [m]R = O, and then X != 0.  No inversion.
+
+    For m = 2^k n with n odd, x([n]R) = x - psi_{n-1} psi_{n+1} / psi_n^2
+    from the division values at x, then k x-only doublings:
+    x(2R) = ((x^2 - a4)^2 - 8 a6 x) / (4c), taken from x and c for n = 1."""
+    k = (m & -m).bit_length() - 1
+    n = m >> k
+    if n == 1:
+        t = _lin(f, -a4, ((1, f.vmul(x, x)),))
+        X, Z = (_lin(f, 0, ((1, f.vmul(t, t)), (-8 * a6, x))),
+                _lin(f, 0, ((4, c),)))
+        k -= 1
+    else:
+        fm1, fn, fp1 = _division_values(f, a4, a6, n, x, c)
+        # psi_n = f_n and psi_{n-1} psi_{n+1} = (2y)^2 f_{n-1} f_{n+1}
+        Z = f.vmul(fn, fn)
+        X = _lin(f, 0, ((1, f.vmul(x, Z)),
+                        (-4, f.vmul(c, f.vmul(fm1, fp1)))))
+    for _ in range(k):
+        XX, ZZ, XZ = f.vmul(X, X), f.vmul(Z, Z), f.vmul(X, Z)
+        XZ3 = f.vmul(XZ, ZZ)
+        t = _lin(f, 0, ((1, XX), (-a4, ZZ)))
+        X, Z = (_lin(f, 0, ((1, f.vmul(t, t)), (-8 * a6, XZ3))),
+                _lin(f, 0, ((4, f.vmul(XZ, XX)), (4 * a4, XZ3),
+                            (4 * a6, f.vmul(ZZ, ZZ)))))
+    return X, Z
 
 
 def division_polynomial(E: Curve, m: int) -> list:

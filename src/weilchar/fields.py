@@ -28,8 +28,8 @@ at p = 120121, a negative multi-digit sum costing Python's % more.
 Inverses are extended Euclid on int lists,
 updated in place.  Two more kinds are compiled on first use, at any r: each
 Frobenius power phi^k in use, from its sparse rows, and the linear
-combination const + sum of c v at each term count (lin_kernel, for the
-pairing's x-only certificate).
+combination const + sum of c v at each term count (lin_kernel, behind
+_lin, for the x-only multiples of curves that the pairing certifies by).
 
 Where the product is unrolled, 2 <= r <= UNROLLED_MUL_MAX_R, whole raw
 routines compile as well.  SymbolicTower stands in for the tower and
@@ -543,6 +543,14 @@ class FieldTower:
         guess = self.vmul(v, w)
         return _tonelli_shanks(self.vmul, self.one, s, c,
                                self.vmul(guess, w), guess)
+
+
+def _lin(f, const: int, terms):
+    """const + the sum of c v over the (c, v) in terms: raw values v of f
+    scaled by ints c, reduced once; by f's lin_kernel for r > 1."""
+    if f.r == 1:
+        return (const + sum(c * v for c, v in terms)) % f.p
+    return f.lin_kernel(len(terms))(const, terms)
 
 
 def _norm_int(v, a) -> int:

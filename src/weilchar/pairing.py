@@ -20,8 +20,8 @@ failures puts D in E[m], since a zero of the walk of P is a multiple of
 P and one of the walk of Q a multiple of Q.  So [m]R = [m]S, and
 x([m]R) != x([m]S) certifies the attempt.  Each draw is
 Curve.draw_point (x, squareness test, sign bit; no square root), and
-_x_multiple takes x([m]R) x-only in projective form, with no inversion,
-for m = 2^k starting from the draw's c (Brier and Joye, PKC 2002).
+curves._x_multiple takes x([m]R) x-only in projective form, with no
+inversion, from the draw's x and c (Brier and Joye, PKC 2002).
 
 Only when the certificate is inconclusive are the roots taken and the
 shifted attempt run exactly (_shifted_value), to decide whether to draw
@@ -36,11 +36,9 @@ exact fallback, since they decide what the generator yields, and
 arguments outside E[m] raise on every call.  weil_pairing builds a plan
 and settles it; attack keeps the plan of each accepted cell of E[m] in the
 cell's record, so a warm side pairing converts no point and looks up no
-memo.  The unshifted value is memoized (memo.memo) on the tower, a4 and
-the raw P, Q and m, as the attack pairs few distinct arguments
-(fixed-argument reuse: Costello and Stebila, LATINCRYPT 2010); a finite P
-and a4 fix a6, so the key is whole.  So are the checked PairingValue
-(_checked) and the curve's a4, a6 as ints of F_p (_prime_field_ints).
+memo.  Nothing else asks twice for one pairing's unshifted value, so it
+is not memoized; the checked PairingValue (_checked) and the curve's a4,
+a6 as ints of F_p (_prime_field_ints) are memoized (memo.memo).
 
 Each attempt is one call of _replay, which draws R, then S, as
 Curve.draw_point does, and certifies them.  Where the tower's product is
@@ -48,9 +46,9 @@ unrolled (fields.SymbolicTower, 2 <= r <= UNROLLED_MUL_MAX_R), each draw is
 one call of a kernel of curves (_draw_kernel: the rejection loop, reading
 the generator as randrange does, around each candidate's x, c = x^3 +
 a4 x + a6 and the norm N(c) that decides squareness), and the certificate
-is one kernel per tower and m (_separation_kernel), _x_multiple traced
-for both points with a4 and a6 as int arguments, so one kernel serves
-every curve over the tower.  It returns the decision x([m]R) != x([m]S).
+is one kernel per tower and m (_separation_kernel): curves._x_multiple
+traced for both points with a4 and a6 as int arguments, so one kernel
+serves every curve over the tower, returning x([m]R) != x([m]S).
 Other towers, and generators with a randrange of their own, run the same
 routines interpreted.
 """
@@ -59,7 +57,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .curves import Curve, CurvePoint, _add_raw, _draw, _lift, _raw
+from .curves import (Curve, CurvePoint, _add_raw, _draw, _lift, _raw,
+                     _x_multiple)
 from .fields import FieldElement, FieldTower, SymbolicTower
 from .memo import memo
 
@@ -116,7 +115,6 @@ def _miller_values(f: FieldTower, a4, P, m: int, X) -> tuple:
     return lines, verticals
 
 
-@memo
 def _unshifted_value(f: FieldTower, a4, P, Q, m: int):
     """e_m(P, Q) for finite raw P, Q by the unshifted formula; raises
     ValueError unless both lie in E[m]."""
@@ -152,85 +150,6 @@ def _shifted_value(f: FieldTower, a4, P, Q, m: int, R, S):
     if f.zero in (num_p, den_p, num_q, den_q):
         return None
     return f.vmul(f.vmul(num_p, den_q), f.vinv(f.vmul(den_p, num_q)))
-
-
-def _lin(f: FieldTower, const: int, terms):
-    """const + the sum of c v over the (c, v) in terms: raw values v of f
-    scaled by ints c, reduced once; by f's compiled kernel for r > 1."""
-    if f.r == 1:
-        return (const + sum(c * v for c, v in terms)) % f.p
-    return f.lin_kernel(len(terms))(const, terms)
-
-
-def _x_multiple(f: FieldTower, a4: int, a6: int, m: int, x, c) -> tuple:
-    """x([m]R) as (X, Z) with X / Z = x([m]R), m >= 2, for R = (x, y) on
-    y^2 = x^3 + a4 x + a6 with c = y^2, a4 and a6 given as ints of F_p.
-    Z = 0 exactly when [m]R = O, and then X != 0.  No inversion.
-
-    For m = 2^k n with n odd, x([n]R) = x - psi_{n-1} psi_{n+1} / psi_n^2
-    from the division values at x, then k x-only doublings:
-    x(2R) = ((x^2 - a4)^2 - 8 a6 x) / (4c), taken from x and c for n = 1."""
-    k = (m & -m).bit_length() - 1
-    n = m >> k
-    if n == 1:
-        t = _lin(f, -a4, ((1, f.vmul(x, x)),))
-        X, Z = (_lin(f, 0, ((1, f.vmul(t, t)), (-8 * a6, x))),
-                _lin(f, 0, ((4, c),)))
-        k -= 1
-    else:
-        fm1, fn, fp1 = _division_values(f, a4, a6, n, x, c)
-        # psi_n = f_n and psi_{n-1} psi_{n+1} = (2y)^2 f_{n-1} f_{n+1}
-        Z = f.vmul(fn, fn)
-        X = _lin(f, 0, ((1, f.vmul(x, Z)),
-                        (-4, f.vmul(c, f.vmul(fm1, fp1)))))
-    for _ in range(k):
-        XX, ZZ, XZ = f.vmul(X, X), f.vmul(Z, Z), f.vmul(X, Z)
-        XZ3 = f.vmul(XZ, ZZ)
-        t = _lin(f, 0, ((1, XX), (-a4, ZZ)))
-        X, Z = (_lin(f, 0, ((1, f.vmul(t, t)), (-8 * a6, XZ3))),
-                _lin(f, 0, ((4, f.vmul(XZ, XX)), (4 * a4, XZ3),
-                            (4 * a6, f.vmul(ZZ, ZZ)))))
-    return X, Z
-
-
-def _division_values(f: FieldTower, a4: int, a6: int, n: int, x, c) -> tuple:
-    """(f_{n-1}, f_n, f_{n+1}) at x for odd n >= 3, where psi_j = f_j for
-    odd j and 2y f_j for even j, by the recurrences of
-    curves._division_f on values, with F = (2y)^2 = 4c."""
-    x2 = f.vmul(x, x)
-    x3 = f.vmul(x2, x)
-    x4 = f.vmul(x2, x2)
-    vals = {
-        0: f.zero, 1: f.one, 2: f.one,
-        3: _lin(f, -a4 * a4, ((3, x4), (6 * a4, x2), (12 * a6, x))),
-        4: _lin(f, -2 * (8 * a6 * a6 + a4 ** 3),
-                ((2, f.vmul(x3, x3)), (10 * a4, x4), (40 * a6, x3),
-                 (-10 * a4 * a4, x2), (-8 * a4 * a6, x))),
-    }
-    F = _lin(f, 0, ((4, c),))
-    F2 = f.vmul(F, F)
-    mul = f.vmul
-
-    def get(j: int):
-        if j in vals:
-            return vals[j]
-        h = j // 2
-        if j % 2:
-            u = mul(get(h + 2), mul(get(h), mul(get(h), get(h))))
-            v = mul(get(h - 1), mul(get(h + 1), mul(get(h + 1), get(h + 1))))
-            if h % 2:
-                v = mul(F2, v)
-            else:
-                u = mul(F2, u)
-            val = f.vsub(u, v)
-        else:
-            val = mul(get(h), f.vsub(
-                mul(get(h + 2), mul(get(h - 1), get(h - 1))),
-                mul(get(h - 2), mul(get(h + 1), get(h + 1)))))
-        vals[j] = val
-        return val
-
-    return get(n - 1), get(n), get(n + 1)
 
 
 def _separated(f: FieldTower, a4: int, a6: int, m: int, R, S) -> bool:

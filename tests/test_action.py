@@ -221,11 +221,11 @@ def test_eigen_kernel(oc56):
 def test_sampler_configs(oc24, oc56, oc52, monkeypatch):
     """Statistical distances frozen by hand convolution over the group."""
     primes24, sd24 = sampler_primes(oc24)
-    assert primes24 == [(5, 3)] and abs(sd24 - Fraction(1, 22)) < 1e-12
+    assert primes24 == [(5, 3)] and sd24 == float(Fraction(1, 22))
     primes56, sd56 = sampler_primes(oc56)
-    assert primes56 == [(3, 1), (5, 2)] and abs(sd56 - Fraction(3, 484)) < 1e-12
+    assert primes56 == [(3, 1), (5, 2)] and sd56 == float(Fraction(3, 484))
     primes52, sd52 = sampler_primes(oc52)
-    assert primes52 == [(7, 1)] and abs(sd52 - Fraction(1, 22)) < 1e-12
+    assert primes52 == [(7, 1)] and sd52 == float(Fraction(1, 22))
     primes52b, sd52b = sampler_primes(oc52, exp_bound=2)
     assert sd52b < 0.05 and len(primes52b) >= 2
     # the memo key does not carry the cap, so the cached config must go

@@ -1,5 +1,6 @@
 """Smoke test of bench/run.py: the m = 3 rung of its ladder, timed and
-counted, each in a child process as the harness runs it."""
+counted, each in a child process as the harness runs it, and the line
+count it reports per side."""
 
 import importlib.util
 from pathlib import Path
@@ -19,3 +20,10 @@ def test_ladder_m3_rung_times_and_counts():
     assert set(counts) == {name for name, _, _ in bench_run.COUNTED}
     assert counts["fields.vmul"] > 0 and counts["curves._add_raw"] > 0
     assert counts["fields._pmul"] > 0 and counts["curves.draw_point"] > 0
+
+
+def test_src_lines_counts_every_library_line():
+    lines = bench_run._src_lines(bench_run.ROOT)
+    files = sorted((bench_run.ROOT / "src" / "weilchar").glob("*.py"))
+    assert files and type(lines) is int and lines > 0
+    assert lines == sum(len(path.read_text().splitlines()) for path in files)

@@ -186,21 +186,34 @@ def test_attack_guard_survives_optimize(pair24):
     assert "does not divide #GL2(Z/3)" in proc.stderr
 
 
-def test_cli_import_loads_no_dataclasses():
-    """Every CLI run pays the library import, so it loads neither
-    dataclasses nor the introspection modules that come with it."""
+def _cli_import(script: str) -> set:
+    """The names script prints, run in a fresh process that imports
+    weilchar.cli from this checkout after setting before = set(sys.modules)."""
     script = ("import sys\n"
               "before = set(sys.modules)\n"
-              "import weilchar.cli\n"
-              "print(' '.join(sorted(set(sys.modules) - before)))\n")
+              "import weilchar.cli\n" + script)
     src = str(Path(weilchar.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.split())
+    return set(proc.stdout.split())
+
+
+def test_cli_import_loads_no_dataclasses():
+    """Every CLI run pays the library import, so it loads neither
+    dataclasses nor the introspection modules that come with it."""
+    loaded = _cli_import("print(' '.join(sorted(set(sys.modules) - before)))")
     assert "weilchar.cli" in loaded
     assert not loaded & {"dataclasses", "inspect", "ast", "dis"}, loaded
+
+
+def test_cli_import_loads_no_fractions():
+    """The sampler's distance is exact in ints, so the import holds none
+    of fractions and the decimal and numbers modules it brings."""
+    loaded = _cli_import("print(' '.join(sorted(sys.modules)))")
+    assert "weilchar.cli" in loaded
+    assert not loaded & {"fractions", "decimal", "numbers"}, loaded
 
 
 def test_eval_char_rejects_bad_moduli(tmp_path, capsys):

@@ -135,6 +135,32 @@ def test_division_polynomials_need_a_prime_field():
         torsion_extension_degree(E, 3)
 
 
+@pytest.mark.parametrize("r", [1, 3])
+@pytest.mark.parametrize("a4,a6", [(2, 3), (0, 5), (7, 0)])
+def test_division_values_match_the_polynomials(r, a4, a6):
+    """Both sides of the one recurrence agree: _division_values at a random
+    x of F_{13^r}, interpreted and, for r > 1, traced into a kernel, equals
+    Horner's evaluation at x of _division_f for j = n - 1, n, n + 1, for
+    every odd n from 3 to 13."""
+    f = get_tower(13, r)
+    rng = random.Random(f"division{r},{a4},{a6}")
+    for n in range(3, 14, 2):
+        polys = [curves._division_f(13, a4, a6, j) for j in (n - 1, n, n + 1)]
+        if r > 1:
+            t = SymbolicTower(f)
+            kernel = t.compile("A, B, x, c", *curves._division_values(
+                t, t.scalar("A"), t.scalar("B"), n, t.value("x"),
+                t.value("c")))
+        for _ in range(8):
+            x = f.random_value(rng)
+            c = curves._rhs(f, x, f.from_int(a4), f.from_int(a6))
+            want = tuple(peval(poly, FieldElement(f, x)).value
+                         for poly in polys)
+            assert curves._division_values(f, a4, a6, n, x, c) == want, n
+            if r > 1:
+                assert kernel(a4, a6, x, c) == want, n
+
+
 # Recorded before division polynomials moved to int lists: r for
 # m = 2, 3, 4, 5, 7, 8, 9 over F_101.  At m = 2 the monic psi is the cubic
 # itself, so the y-coordinate test runs modulo a constant.

@@ -12,12 +12,12 @@ import pytest
 import weilchar
 from weilchar import curves, pairing
 from weilchar.fields import (UNROLLED_MUL_MAX_R, FieldElement, FieldTower,
-                             SymbolicTower, _is_irreducible, _is_prime, _pdivmod, _pgcd,
-                             _pmul, _ppowmod, _psub, _ptrim, _unrolled_mul,
+                             SymbolicTower, _is_irreducible, _is_prime, _lin,
+                             _pdivmod, _pgcd, _pmul, _ppowmod, _psub, _ptrim,
+                             _unrolled_mul,
                              dlog_in_mu_m, element_order, factorize,
                              get_tower, legendre_symbol)
 from weilchar.memo import cache_stats, clear_caches
-from weilchar.pairing import _lin
 
 
 def rand_elt(tower, rng):
@@ -434,7 +434,7 @@ def test_norm_outside_the_prime_field_raises():
         ring.vnorm((1, 1))
 
 
-# The kernels that vmul, vinv, frobenius and pairing._lin replaced, kept as
+# The kernels that vmul, vinv, frobenius and _lin replaced, kept as
 # oracles: the schoolbook product reduced by the whole modulus, extended
 # Euclid by polynomial division, the sparse-row product, and the nested-loop
 # linear combination.
@@ -526,7 +526,7 @@ def _kernel_mismatches(field, count: int) -> list:
     the schoolbook one, vadd, vsub and vneg against the coefficient-wise
     formulas, vinv against Euclid by polynomial division, phi^k for every
     k in 1..r-1 against the sparse-row product (and against vpow by p^k on
-    two operands), and pairing._lin at 1, 2, 3 and 5 terms, with scalars
+    two operands), and _lin at 1, 2, 3 and 5 terms, with scalars
     negative and out of range, against the nested loop."""
     p, r = field.p, field.r
     rng = random.Random(f"kernels{p},{r}")
