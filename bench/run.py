@@ -235,7 +235,8 @@ def main(argv=None) -> None:
     sides = {label: Path(d).resolve() for label, d in sides.items()}
     report = {"machine": _machine(), "rounds": RUNS,
               "sides": {label: _git_sha(d) for label, d in sides.items()},
-              "src_lines": {label: _src_lines(d) for label, d in sides.items()},
+              "src_lines": {label: _src_lines(d)
+                            for label, d in sides.items()},
               "workloads": {}}
     with tempfile.TemporaryDirectory() as tmp:
         pair = str(Path(tmp) / "pair.json")

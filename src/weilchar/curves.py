@@ -362,8 +362,8 @@ def gl2_order(m: int) -> int:
 
 def _division_seeds(A, B) -> tuple:
     """f_3 and f_4 for y^2 = x^3 + A x + B, each as (constant, terms), terms
-    the (power, coefficient) pairs of its other nonzero coefficients; A and
-    B are ints, or the ints of a traced kernel (fields._Scalar)."""
+    the (power, coefficient) pairs of x^1 and up, identically zero ones left
+    out; A and B are ints, or the ints of a traced kernel (fields._Scalar)."""
     return ((-A * A, ((1, 12 * B), (2, 6 * A), (4, 3))),
             (-2 * (8 * B * B + A ** 3), ((1, -8 * A * B), (2, -10 * A * A),
                                          (3, 40 * B), (4, 10 * A), (6, 2))))

@@ -28,8 +28,8 @@ at p = 120121, a negative multi-digit sum costing Python's % more.
 Inverses are extended Euclid on int lists,
 updated in place.  Two more kinds are compiled on first use, at any r: each
 Frobenius power phi^k in use, from its sparse rows, and the linear
-combination const + sum of c v at each term count (lin_kernel, behind
-_lin, for the x-only multiples of curves that the pairing certifies by).
+combination const + sum of c v at each term count (lin_kernel, run by
+_lin for the x-only multiples in curves behind the pairing's certificate).
 
 Where the product is unrolled, 2 <= r <= UNROLLED_MUL_MAX_R, whole raw
 routines compile as well.  SymbolicTower stands in for the tower and
