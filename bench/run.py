@@ -16,7 +16,10 @@ Workloads, each timed in fresh processes:
   with m, which is the test's gate;
 - ``make-extension``: ``fields.make_extension(23, 42)``;
 - ``sqrt-fill``: perfbench's sqrt-recover set-up at seed 3 plus its 60
-  warm-up operations, the cold fill of the action caches.
+  warm-up operations, the cold fill of the action caches;
+- ``instance-search``: perfbench's sqrt-recover set-up at seed 3 alone,
+  four ``make_instance`` searches, then the ladder's
+  ``make_instance(120121, 2, Random(0))``, each timed.
 
 A side is a checkout whose ``src/`` the child processes import (default:
 this one, labelled ``this``).  Each workload runs RUNS rounds; a round
@@ -47,7 +50,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("readme-chi7", "ladder", "make-extension", "sqrt-fill")
+WORKLOADS = ("readme-chi7", "ladder", "make-extension", "sqrt-fill",
+             "instance-search")
 LADDER = (3, 5, 7, 11, 13)
 RUNS = 10           # timed rounds of each workload
 
@@ -61,16 +65,21 @@ COUNTED = (
     ("curves._add_raw", "curves", "_add_raw"),
     ("curves.draw_point", "curves", "Curve.draw_point"),
     ("curves.sample_m_torsion", "curves", "sample_m_torsion"),
+    ("curves.count_points", "curves", "count_points"),
+    ("curves._mul_fp", "curves", "_mul_fp"),
 )
 
 
 def count_ops(run) -> dict:
     """The calls of the COUNTED functions while run() runs, wrapped by
     perfbench's Tracer as its traced runs are.  The wrappers stay on: a
-    count runs in a process of its own."""
+    count runs in a process of its own.  action is loaded first, so the
+    names it imports from curves (count_points, _mul_fp) are wrapped in it
+    as well."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     from tracing import Tracer
     tracer = Tracer()
+    importlib.import_module("weilchar.action")
     modules = {mod: importlib.import_module("weilchar." + mod)
                for _, mod, _ in COUNTED}
     for name, mod, path in COUNTED:
@@ -151,13 +160,25 @@ def sqrt_fill() -> dict:
     return {"wall_ms": _timed(fill)[0]}
 
 
+def instance_search() -> dict:
+    """perfbench's sqrt-recover set-up at seed 3, then the ladder's
+    instance, each timed on its own."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import SqrtRecover
+    from weilchar.action import make_instance
+    return {"setup_ms": _timed(lambda: SqrtRecover().setup(3))[0],
+            "q120121_ms": _timed(lambda: make_instance(
+                120121, 2, random.Random(0)))[0]}
+
+
 def child(name: str, count: bool, args: list) -> dict:
     """One run of a workload in this process, or with count its op counts.
     args: the pair's path for readme-chi7, the moduli for the ladder
     (default: LADDER)."""
     run = {"readme-chi7": lambda: readme_chi7(*args),
            "ladder": lambda: ladder(tuple(map(int, args)) or LADDER),
-           "make-extension": make_extension, "sqrt-fill": sqrt_fill}[name]
+           "make-extension": make_extension, "sqrt-fill": sqrt_fill,
+           "instance-search": instance_search}[name]
     return count_ops(run) if count else run()
 
 

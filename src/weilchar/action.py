@@ -12,9 +12,9 @@ import math
 import random
 from typing import NamedTuple, Optional
 
-from .curves import (Curve, CurvePoint, _check_countable, _draw, _lift,
-                     _mul_fp, count_points, extension_order, frobenius_map,
-                     point_add, sample_m_torsion, scalar_mul, velu_isogeny)
+from .curves import (Curve, CurvePoint, _check_countable, _mul_fp,
+                     count_points, extension_order, frobenius_map, point_add,
+                     sample_m_torsion, scalar_mul, velu_isogeny)
 from .fields import FieldElement, _is_prime, get_tower
 from .memo import memo
 from .quadforms import (Discriminant, QuadForm, class_group, compose,
@@ -235,7 +235,14 @@ def gen_supersingular_instance(p: int) -> OrientedCurve:
 
 def make_instance(q: int, t: int, rng) -> OrientedCurve:
     """Random-search a curve over F_q with exact trace t (using the quadratic
-    twist when the negated trace shows up)."""
+    twist when the negated trace shows up).  Before the O(q) exact count, a
+    candidate must pass _order_filter: the point random_point would draw
+    has order dividing (q+1-t)(q+1+t), as on the sought curve or its
+    twist.  No square root is taken: for c = x^3 + a4 x + a6 a nonzero
+    square, (x, y) -> (u^2 x, u^3 y) with u^2 = c maps the curve
+    isomorphically onto y^2 = x^3 + a4 c^2 x + a6 c^3 and the point
+    (x, sqrt(c)) to (c x, +-c^2), so the filter multiplies that point,
+    whose order, and so the verdict, is the same."""
     if not _is_prime(q) or q < 5:
         raise ValueError("q must be a prime of at least 5")
     if t == 0 or t % q == 0:
@@ -246,18 +253,13 @@ def make_instance(q: int, t: int, rng) -> OrientedCurve:
     tw = get_tower(q, 1)
     nonsquare = next(c for c in range(2, q)
                      if pow(c, (q - 1) // 2, q) == q - 1)
-    order = (q + 1 - t) * (q + 1 + t)
     for _ in range(40 * q):
         # a4, a6 != 0 also keeps the j-invariant off 0 and 1728
         a4 = rng.randrange(1, q)
         a6 = rng.randrange(1, q)
         if (4 * a4 ** 3 + 27 * a6 * a6) % q == 0:
             continue
-        # cheap filter before the O(q) exact count: the point random_point
-        # would draw must have order dividing (q+1-t)(q+1+t) on the sought
-        # curve or its twist
-        frng = random.Random(_fold_seed((q, t, a4, a6)))
-        if _mul_fp(q, a4, order, _lift(tw, _draw(tw, a4, a6, frng))):
+        if not _order_filter(q, t, a4, a6):
             continue
         E = Curve(tw, a4, a6)
         N, tc = count_points(E)
@@ -268,6 +270,27 @@ def make_instance(q: int, t: int, rng) -> OrientedCurve:
         if tc == t:
             return OrientedCurve(E, q, t)
     raise RuntimeError(f"no curve with trace {t} found over F_{q}")
+
+
+def _order_filter(q: int, t: int, a4: int, a6: int) -> bool:
+    """Whether the point P that random_point would draw on y^2 = x^3 +
+    a4 x + a6 from Random(_fold_seed((q, t, a4, a6))) has order dividing
+    (q+1-t)(q+1+t), as every point of the curve with trace t or of its
+    twist does.  x is read as _draw reads it, randrange(q) until c = x^3 +
+    a4 x + a6 is 0 or a square, and the sign bit is left unread.  For
+    c = 0, P = (x, 0) has order 2; otherwise the multiple runs on the
+    root-free model of make_instance's docstring."""
+    frng = random.Random(_fold_seed((q, t, a4, a6)))
+    half, order = (q - 1) // 2, (q + 1 - t) * (q + 1 + t)
+    for _ in range(10000):
+        x = frng.randrange(q)
+        c = ((x * x + a4) * x + a6) % q
+        if not c:
+            return order % 2 == 0
+        if pow(c, half, q) == 1:
+            return _mul_fp(q, a4 * c * c % q, order,
+                           (c * x % q, c * c % q)) is None
+    raise RuntimeError("failed to sample a curve point")
 
 
 def gen_ordinary_instance(q_range, m_target: Optional[int] = None, rng=None,

@@ -14,8 +14,8 @@ import time
 from typing import NamedTuple, Optional
 
 from .action import OrientedCurve, _fold_seed
-from .curves import (_raw, gl2_order, point_add, scalar_mul, torsion_basis,
-                     torsion_extension_degree)
+from .curves import (_raw, _reads_by_getrandbits, gl2_order, point_add,
+                     scalar_mul, torsion_basis, torsion_extension_degree)
 from .fields import (FieldElement, FieldTower, dlog_in_mu_m, element_order,
                      get_tower)
 from .memo import memo
@@ -118,8 +118,19 @@ def _noneigen_draw(oc, m: int, tower, rng, stats=None):
     when e_m(P, sigma P), settled from the record's plan, is primitive.
     Returns (plan, pairing or None) so the caller reuses the work."""
     key = (oc, oc.sigma_trace, oc.sigma_norm, m, tower.r)
+    plain, getrandbits, bits = (_reads_by_getrandbits(rng), rng.getrandbits,
+                                m.bit_length())
     for _ in range(64):
-        _, _, evals, plan = _cell(*key, rng.randrange(m), rng.randrange(m))
+        if plain:       # randrange(m) twice, as randrange reads them
+            a = getrandbits(bits)
+            while a >= m:
+                a = getrandbits(bits)
+            b = getrandbits(bits)
+            while b >= m:
+                b = getrandbits(bits)
+        else:
+            a, b = rng.randrange(m), rng.randrange(m)
+        _, _, evals, plan = _cell(*key, a, b)
         if stats is not None:
             stats["sigma_evals"] += evals
         if plan is None:

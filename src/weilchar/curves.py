@@ -7,9 +7,12 @@ The group law is written once for every field, in _add_raw, on raw field
 values: a point is an (x, y) pair of raw coordinates or None for infinity.
 point_add, add_with_slope, scalar_mul and the Miller walk in pairing run on
 it and build FieldElement and CurvePoint objects only for what they return.
-Over F_p, scalar_mul runs _mul_fp, the same formulas written out on ints: it
-is the instance search's inner loop, and a call per field operation costs it
-three times the arithmetic.
+Over F_p, scalar_mul runs _mul_fp, the same formulas written out on ints,
+each inverse read from a table per p (_inverses) filled on first use.  It is
+the inner loop of the instance search (action._order_filter), which runs it on
+y^2 = x^3 + a4 c^2 x + a6 c^3: (x, y) -> (c x, c^(3/2) y) is an isomorphism
+onto that model and takes the drawn point (x, sqrt c) to (c x, +-c^2), of the
+same order, so the verdict needs no square root.
 
 The division-polynomial recurrences are written once too (_division_chain),
 for int-list polynomials (_division_f, the torsion degree) and for values at
@@ -126,9 +129,7 @@ def _draw(f: FieldTower, a4, a6, rng) -> tuple:
     randrange is random.Random's, the whole loop is one _draw_kernel call,
     which reads rng as randrange does; any other tower or rng runs the
     same steps interpreted."""
-    cls = type(rng)
-    if (f.traceable and cls.randrange is random.Random.randrange
-            and cls._randbelow is random.Random._randbelow_with_getrandbits):
+    if f.traceable and _reads_by_getrandbits(rng):
         return _draw_kernel(f)(rng, a4, a6)
     p = f.p
     for _ in range(10000):
@@ -139,6 +140,15 @@ def _draw(f: FieldTower, a4, a6, rng) -> tuple:
             continue
         return x, c, rng.randrange(2), norm
     raise RuntimeError("failed to sample a curve point")
+
+
+def _reads_by_getrandbits(rng) -> bool:
+    """Whether rng.randrange(n) is random.Random's, which for n > 0 reads
+    rng.getrandbits(n.bit_length()) until the value is below n: then a
+    caller may read it so itself, with no Python frames per draw."""
+    cls = type(rng)
+    return (cls.randrange is random.Random.randrange
+            and cls._randbelow is random.Random._randbelow_with_getrandbits)
 
 
 def _rhs(f, x, a4, a6):
@@ -259,11 +269,14 @@ def scalar_mul(E: Curve, n: int, P: CurvePoint) -> CurvePoint:
 
 def _mul_fp(p: int, a4: int, n: int, A):
     """[n]A for a raw point A of F_p on y^2 = x^3 + a4 x + a6: scalar_mul's
-    double-and-add with _add_raw's formulas on ints.  A base with y = 0
-    has order 2, so the doublings stop there."""
+    double-and-add with _add_raw's formulas on ints, each slope's inverse
+    read from _inverses(p).  A base with y = 0 has order 2, so the
+    doublings stop there; no inverse is of 0, since a sum reaching
+    infinity and a y = 0 doubling are settled first."""
     if n < 0 and A is not None:
         A = A[0], -A[1] % p
     n = abs(n)
+    inv = _inverses(p)
     acc = None
     while n and A is not None:
         x2, y2 = A
@@ -274,18 +287,51 @@ def _mul_fp(p: int, a4: int, n: int, A):
                 acc = None
             else:
                 x1, y1 = acc
-                lam = ((y2 - y1) * pow(x2 - x1, -1, p) if x1 != x2 else
-                       (3 * x1 * x1 + a4) * pow(2 * y1, -1, p)) % p
+                if x1 != x2:
+                    num, d = y2 - y1, (x2 - x1) % p
+                else:
+                    num, d = 3 * x1 * x1 + a4, 2 * y1 % p
+                v = inv[d]
+                if not v:
+                    v = inv[d] = pow(d, -1, p)
+                lam = num * v % p
                 x3 = (lam * lam - x1 - x2) % p
                 acc = x3, (lam * (x1 - x3) - y1) % p
         n >>= 1
         if n:
             if not y2:
                 break
-            lam = (3 * x2 * x2 + a4) * pow(2 * y2, -1, p) % p
+            d = 2 * y2 % p
+            v = inv[d]
+            if not v:
+                v = inv[d] = pow(d, -1, p)
+            lam = (3 * x2 * x2 + a4) * v % p
             x3 = (lam * lam - 2 * x2) % p
             A = x3, (lam * (x2 - x3) - y2) % p
     return acc
+
+
+class _Uncached:
+    """The inverse table of a field above 10^6: every entry reads 0, so
+    _mul_fp computes each inverse, and nothing is kept."""
+
+    __slots__ = ()
+
+    def __getitem__(self, d):
+        return 0
+
+    def __setitem__(self, d, v):
+        pass
+
+
+@memo
+def _inverses(p: int):
+    """Entry d is 0 until _mul_fp first needs 1/d in F_p, then pow(d, -1,
+    p): 4 bytes per element of F_p, filled lazily, as _root_counts holds
+    its table per p.  Fields above 10^6 get no table (_Uncached)."""
+    if p > 10**6:
+        return _Uncached()
+    return memoryview(bytearray(4 * p)).cast("I")
 
 
 def frobenius_map(P: CurvePoint, q: int) -> CurvePoint:

@@ -1,16 +1,18 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 import weilchar.action
-from weilchar.action import (OrientedCurve, SmoothIdeal, apply_prime_ideal,
+from weilchar.action import (OrientedCurve, SmoothIdeal, _fold_seed,
+                             _order_filter, apply_prime_ideal,
                              apply_smooth_ideal, canonical_model, eigen_kernel,
                              gen_ordinary_instance, gen_supersingular_instance,
                              make_instance, prime_ideal_form,
                              random_smooth_class, sampler_primes, split_prime)
-from weilchar.curves import (Curve, count_points, frobenius_map, point_add,
-                             scalar_mul)
+from weilchar.curves import (Curve, _draw, _lift, count_points, frobenius_map,
+                             point_add, scalar_mul)
 from weilchar.fields import FieldTower, get_tower
 from weilchar.memo import cache_stats, clear_caches
 from weilchar.quadforms import (QuadForm, assigned_characters, class_number,
@@ -401,3 +403,111 @@ def test_make_instance_refuses_uncountable_fields_up_front():
     with pytest.raises(ValueError, match="field too large for exhaustive"):
         make_instance(1000003, 2, rng)
     assert rng.getstate() == state      # no candidate drawn
+
+
+def _mul_fp_by_pow(p, a4, n, A):
+    """[n]A on raw points of F_p as curves._mul_fp computed it with a
+    pow(d, -1, p) per slope, before its table of inverses."""
+    if n < 0 and A is not None:
+        A = A[0], -A[1] % p
+    n = abs(n)
+    acc = None
+    while n and A is not None:
+        x2, y2 = A
+        if n & 1:
+            if acc is None:
+                acc = A
+            elif acc[0] == x2 and (acc[1] + y2) % p == 0:
+                acc = None
+            else:
+                x1, y1 = acc
+                lam = ((y2 - y1) * pow(x2 - x1, -1, p) if x1 != x2 else
+                       (3 * x1 * x1 + a4) * pow(2 * y1, -1, p)) % p
+                x3 = (lam * lam - x1 - x2) % p
+                acc = x3, (lam * (x1 - x3) - y1) % p
+        n >>= 1
+        if n:
+            if not y2:
+                break
+            lam = (3 * x2 * x2 + a4) * pow(2 * y2, -1, p) % p
+            x3 = (lam * lam - 2 * x2) % p
+            A = x3, (lam * (x2 - x3) - y2) % p
+    return acc
+
+
+def _order_filter_oracle(q, t, a4, a6):
+    """(verdict, c) of make_instance's order filter as it ran with a
+    square root per candidate: the point random_point draws from the
+    candidate's own generator, lifted by _lift, multiplied by the whole
+    order (q+1-t)(q+1+t); c is the drawn x^3 + a4 x + a6."""
+    tw = get_tower(q, 1)
+    frng = random.Random(_fold_seed((q, t, a4, a6)))
+    drawn = _draw(tw, a4, a6, frng)
+    order = (q + 1 - t) * (q + 1 + t)
+    return _mul_fp_by_pow(q, a4, order, _lift(tw, drawn)) is None, drawn[1]
+
+
+def test_order_filter_matches_the_rooted_filter_on_every_search(monkeypatch):
+    """Candidate by candidate, every search of _FROZEN_INSTANCES gets the
+    rooted filter's verdict, and with that filter in its place the search
+    leaves the caller's generator in the same state."""
+    seen = []
+
+    def compared(q, t, a4, a6):
+        verdict = _order_filter(q, t, a4, a6)
+        assert verdict == _order_filter_oracle(q, t, a4, a6)[0], (q, t, a4, a6)
+        seen.append(verdict)
+        return verdict
+
+    def rooted(q, t, a4, a6):
+        return _order_filter_oracle(q, t, a4, a6)[0]
+
+    for (q, t, seed), (coeffs, _) in _FROZEN_INSTANCES.items():
+        states = []
+        for filt in (compared, rooted):
+            monkeypatch.setattr(weilchar.action, "_order_filter", filt)
+            rng = random.Random(seed)
+            oc = make_instance(q, t, rng)
+            assert (oc.curve.a4.value, oc.curve.a6.value) == coeffs
+            states.append(rng.getstate())
+        assert states[0] == states[1], (q, t, seed)
+    assert len(seen) > 1000 and 0 < sum(seen) < len(seen)
+
+
+def _filter_cases():
+    """Every nonsingular (a4, a6) and usable t over F_5, F_7 and F_13,
+    and 2,000 random candidates each over F_101 and F_2221."""
+    for q in (5, 7, 13):
+        for t in range(-q, q + 1):
+            if t == 0 or t * t >= 4 * q:
+                continue
+            for a4 in range(q):
+                for a6 in range(q):
+                    if (4 * a4 ** 3 + 27 * a6 * a6) % q:
+                        yield q, t, a4, a6
+    rng = random.Random("order filter")
+    for q in (101, 2221):
+        bound = math.isqrt(4 * q - 1)
+        n = 0
+        while n < 2000:
+            t = rng.choice([s for s in range(-bound, bound + 1) if s])
+            a4, a6 = rng.randrange(1, q), rng.randrange(1, q)
+            if (4 * a4 ** 3 + 27 * a6 * a6) % q:
+                n += 1
+                yield q, t, a4, a6
+
+
+def test_order_filter_matches_the_rooted_filter():
+    """The root-free filter on the model (c x, c^2) gives the rooted
+    filter's verdict on every case of _filter_cases, among them drawn
+    points with c = 0 under an odd and an even order."""
+    zero_c = set()
+    verdicts = []
+    for q, t, a4, a6 in _filter_cases():
+        want, c = _order_filter_oracle(q, t, a4, a6)
+        assert _order_filter(q, t, a4, a6) == want, (q, t, a4, a6)
+        verdicts.append(want)
+        if c == 0:
+            zero_c.add((q + 1 - t) * (q + 1 + t) % 2)
+    assert zero_c == {0, 1}
+    assert 0 < sum(verdicts) < len(verdicts)

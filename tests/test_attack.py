@@ -1,7 +1,10 @@
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
+
+import weilchar.attack
 
 from weilchar.action import (OrientedCurve, SmoothIdeal, apply_smooth_ideal,
                              random_smooth_class, split_prime)
@@ -158,6 +161,39 @@ def test_noneigen_frequency(oc24):
             hits += 1
     freq = hits / n_draws
     assert abs(freq - (1 - 1 / 3)) < 0.05, freq
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 8])
+def test_noneigen_draw_reads_coefficients_as_randrange(monkeypatch, m):
+    """Over 10,000 coefficients, _noneigen_draw reads from a
+    random.Random what two randrange(m) calls per cell read, leaving the
+    same state; a generator whose randrange is its own sees every call."""
+    drawn = []
+
+    def rejected(*key):
+        drawn.extend(key[-2:])
+        return None, None, 0, None         # P infinite: draw again
+
+    monkeypatch.setattr(weilchar.attack, "_cell", rejected)
+    oc = SimpleNamespace(sigma_trace=0, sigma_norm=1)
+    tower = SimpleNamespace(r=1)
+    calls = []
+
+    class Seen(random.Random):
+        def randrange(self, *args):
+            calls.append(args)
+            return super().randrange(*args)
+
+    for kind in (random.Random, Seen):
+        drawn.clear()
+        rng = kind(f"coefficients{m}")
+        while len(drawn) < 10000:
+            with pytest.raises(RuntimeError, match="no independent point"):
+                _noneigen_draw(oc, m, tower, rng)
+        replay = random.Random(f"coefficients{m}")
+        assert drawn == [replay.randrange(m) for _ in drawn]
+        assert rng.getstate() == replay.getstate()
+    assert calls == [(m,)] * len(drawn)
 
 
 class _Imprimitive(OrientedCurve):

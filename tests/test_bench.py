@@ -1,6 +1,6 @@
-"""Smoke test of bench/run.py: the m = 3 rung of its ladder, timed and
-counted, each in a child process as the harness runs it, and the line
-count it reports per side."""
+"""Smoke test of bench/run.py: the m = 3 rung of its ladder and the
+instance search, timed and counted, each in a child process as the
+harness runs it, and the line count it reports per side."""
 
 import importlib.util
 from pathlib import Path
@@ -20,6 +20,17 @@ def test_ladder_m3_rung_times_and_counts():
     assert set(counts) == {name for name, _, _ in bench_run.COUNTED}
     assert counts["fields.vmul"] > 0 and counts["curves._add_raw"] > 0
     assert counts["fields._pmul"] > 0 and counts["curves.draw_point"] > 0
+
+
+def test_instance_search_times_and_counts():
+    run = bench_run._spawn(bench_run.ROOT, "instance-search", False)
+    assert set(run) == {"setup_ms", "q120121_ms"}
+    assert run["setup_ms"] > 0 and run["q120121_ms"] > 0
+    counts = bench_run._spawn(bench_run.ROOT, "instance-search", True)
+    # one count per candidate that passes the filter, and the filter's
+    # multiples are counted through the name action imported
+    assert counts["curves.count_points"] >= 16
+    assert counts["curves._mul_fp"] > counts["curves.count_points"]
 
 
 def test_src_lines_counts_every_library_line():

@@ -216,6 +216,13 @@ def test_cli_import_loads_no_fractions():
     assert not loaded & {"fractions", "decimal", "numbers"}, loaded
 
 
+def test_cli_import_loads_no_array():
+    """The F_p inverses of curves._inverses live in a bytearray's
+    memoryview, so the import that set-up times holds no array module."""
+    loaded = _cli_import("print(' '.join(sorted(sys.modules)))")
+    assert "weilchar.cli" in loaded and "array" not in loaded, loaded
+
+
 def test_eval_char_rejects_bad_moduli(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"mode": "supersingular", "p": 13}))

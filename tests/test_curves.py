@@ -629,15 +629,39 @@ def _mul_fp_cases(rng, p):
 
 @pytest.mark.parametrize("p", [5, 7, 13, 101, 2221, 120121])
 def test_mul_fp_matches_the_add_raw_oracle(p):
-    rng = random.Random(f"mul_fp{p}")
+    """_mul_fp equals the _add_raw double-and-add from a cold table of
+    inverses and from a warm one, and every entry the table holds is an
+    inverse."""
+    for cold in (True, False):
+        if cold:
+            clear_caches()
+            assert cache_stats()["curves._inverses"]["entries"] == 0
+        rng = random.Random(f"mul_fp{p}")
+        for _ in range(3):
+            for E, P, scalars in _mul_fp_cases(rng, p):
+                for n in scalars:
+                    want = _scalar_mul_oracle(E, n, P)
+                    assert scalar_mul(E, n, P) == want, (p, E, P, n)
+                    assert _mul_fp(p, E.a4.value, n, _raw(E.field, P)) == \
+                        _raw(E.field, want)
+                    assert E.contains(want)
+    filled = [(d, v) for d, v in enumerate(curves._inverses(p)) if v]
+    assert filled and all(d * v % p == 1 for d, v in filled)
+    assert cache_stats()["curves._inverses"]["entries"] == 1
+
+
+def test_mul_fp_keeps_no_inverses_above_a_million():
+    p = 1000003
+    rng = random.Random("mul_fp above 10^6")
     for _ in range(3):
-        for E, P, scalars in _mul_fp_cases(rng, p):
-            for n in scalars:
-                want = _scalar_mul_oracle(E, n, P)
-                assert scalar_mul(E, n, P) == want, (p, E, P, n)
-                assert _mul_fp(p, E.a4.value, n, _raw(E.field, P)) == \
-                    _raw(E.field, want)
-                assert E.contains(want)
+        x, y, a4 = (rng.randrange(1, p) for _ in range(3))
+        E = curve_over(p, a4, (y * y - x ** 3 - a4 * x) % p)
+        P = E.point(x, y)
+        for n in (2, 3, rng.randrange(p), -rng.randrange(p)):
+            assert scalar_mul(E, n, P) == _scalar_mul_oracle(E, n, P)
+    table = curves._inverses(p)
+    table[5] = 3
+    assert table[5] == 0
 
 
 def _count_points_oracle(E, squares):
