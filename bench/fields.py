@@ -5,7 +5,7 @@
 For each tower it times both product paths, the unrolled schoolbook
 product and Kronecker substitution, whichever of them vmul selects, then
 vadd, vsub, vneg, vinv, the Frobenius map (k = 1), vnorm, and the
-two-term linear combination fields._lin(f, 0, ((1, u), (-4, v))).  Each
+two-term linear combination f.vlin(0, ((1, u), (-4, v))).  Each
 figure is the best of five timeit runs of N calls each on one fixed random
 pair of operands, in one process.  The default towers are the five of the
 field-layer baseline in ROADMAP.md, then p = 23 at r = 12, 16, 20, 24, 30
@@ -46,8 +46,8 @@ def row(p: int, r: int, repeat: int) -> dict:
         "vinv": time_us(lambda a, _: f.vinv(a), u, v, repeat),
         "frobenius": time_us(lambda a, _: f.frobenius(a), u, v, repeat),
         "vnorm": time_us(lambda a, _: f.vnorm(a), u, v, repeat),
-        "lin": time_us(lambda a, b: fields._lin(f, 0, ((1, a), (-4, b))),
-                       u, v, repeat),
+        "vlin": time_us(lambda a, b: f.vlin(0, ((1, a), (-4, b))),
+                        u, v, repeat),
     }
 
 
@@ -61,7 +61,7 @@ def main(argv=None) -> None:
     towers = ([tuple(int(n) for n in t.split(",")) for t in args.towers]
               or TOWERS)
     names = ("unrolled_mul", "kron_mul", "vadd", "vsub", "vneg", "vinv",
-             "frobenius", "vnorm", "lin")
+             "frobenius", "vnorm", "vlin")
     print(f"vmul runs unrolled_mul for r <= {fields.UNROLLED_MUL_MAX_R}, "
           "kron_mul above; us per call")
     print(f"{'p':>7} {'r':>3} " + " ".join(f"{n:>12}" for n in names))

@@ -28,7 +28,10 @@ rounds, so two sides give RUNS alternating pairs.  Each workload is
 reported as the median and the list of its timed runs.  One more process
 per side and workload counts operations with perfbench's ``Tracer``, which
 wraps library functions from outside, so the timed runs carry no counting
-cost; the counts are deterministic.  The JSON on stdout holds each side's
+cost; the counts are deterministic.  That process also reports, as
+``memo.<name>.entries``, how many entries each memo of ``cache_stats()``
+holds after the run: the kernels, root constants and class products a cold
+workload built.  The JSON on stdout holds each side's
 git sha and ``src_lines``, the lines of its ``src/weilchar/*.py`` (as
 ``wc -l`` counts them), the machine, and per workload and side the
 timings and counts.
@@ -72,12 +75,13 @@ COUNTED = (
 
 def count_ops(run) -> dict:
     """The calls of the COUNTED functions while run() runs, wrapped by
-    perfbench's Tracer as its traced runs are.  The wrappers stay on: a
-    count runs in a process of its own.  action is loaded first, so the
-    names it imports from curves (count_points, _mul_fp) are wrapped in it
-    as well."""
+    perfbench's Tracer as its traced runs are, then the entries of every
+    memo.  The wrappers stay on: a count runs in a process of its own.
+    action is loaded first, so the names it imports from curves
+    (count_points, _mul_fp) are wrapped in it as well."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     from tracing import Tracer
+    from weilchar.memo import cache_stats
     tracer = Tracer()
     importlib.import_module("weilchar.action")
     modules = {mod: importlib.import_module("weilchar." + mod)
@@ -86,7 +90,10 @@ def count_ops(run) -> dict:
         tracer._patch(modules, name, mod, path,
                       lambda fn, n=name: tracer._count(n, fn))
     run()
-    return {name: tracer.counts[name] for name, _, _ in COUNTED}
+    counts = {name: tracer.counts[name] for name, _, _ in COUNTED}
+    counts.update((f"memo.{name}.entries", stats["entries"])
+                  for name, stats in cache_stats().items())
+    return counts
 
 
 def _timed(fn) -> tuple:

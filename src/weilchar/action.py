@@ -516,7 +516,6 @@ def _class_words(oc: OrientedCurve) -> dict:
     return words
 
 
-@memo
 def smooth_in_class(oc: OrientedCurve, form: QuadForm) -> SmoothIdeal:
     """A smooth ideal in the given class, as a short word in the usable split
     primes."""

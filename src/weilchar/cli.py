@@ -463,7 +463,11 @@ def cmd_sqrt_recover(args) -> int:
                                f"{planted} is not positive definite of "
                                f"discriminant {-base.D}")
         planted = reduce_form(planted)
-    bound = "auto" if args.bound == "auto" else int(args.bound)
+    try:
+        bound = "auto" if args.bound == "auto" else int(args.bound)
+    except ValueError:
+        raise CommandError(EXIT_INFEASIBLE,
+                           "--bound must be 'auto' or an integer")
     rng = random.Random(args.seed)
     try:
         rec = roots.recover_root(base, target, square, B=bound, rng=rng,

@@ -5,8 +5,8 @@ Characteristic is always at least 5 here, so the short form loses nothing.
 
 The group law is written once for every field, in _add_raw, on raw field
 values: a point is an (x, y) pair of raw coordinates or None for infinity.
-point_add, add_with_slope, scalar_mul and the Miller walk in pairing run on
-it and build FieldElement and CurvePoint objects only for what they return.
+point_add, scalar_mul and the Miller walk in pairing run on it and build
+FieldElement and CurvePoint objects only for what they return.
 Over F_p, scalar_mul runs _mul_fp, the same formulas written out on ints,
 each inverse read from a table per p (_inverses) filled on first use.  It is
 the inner loop of the instance search (action._order_filter), which runs it on
@@ -25,7 +25,7 @@ import math
 import random
 from typing import Optional
 
-from .fields import (FieldElement, FieldTower, SymbolicTower, _is_prime, _lin,
+from .fields import (FieldElement, FieldTower, SymbolicTower, _is_prime,
                      _norm_int, _pdivmod, _pgcd, _pmul, _ppowmod, _psub,
                      factorize)
 from .memo import memo
@@ -236,17 +236,10 @@ def _add_raw(f: FieldTower, a4, A, B) -> tuple:
     return (x3, f.vsub(f.vmul(lam, f.vsub(x1, x3)), y1)), lam
 
 
-def add_with_slope(E: Curve, P: CurvePoint, Q: CurvePoint) -> tuple:
-    """(P + Q, slope of the line through P and Q), the tangent's when
-    P == Q; the slope is None when that line is vertical or P or Q is
-    infinity.  Points over E's prime field embed in E's field."""
-    f = E.field
-    S, lam = _add_raw(f, E.a4.value, _raw(f, P), _raw(f, Q))
-    return _point(f, S), None if lam is None else FieldElement(f, lam)
-
-
 def point_add(E: Curve, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
-    return add_with_slope(E, P, Q)[0]
+    """P + Q; points over E's prime field embed in E's field."""
+    f = E.field
+    return _point(f, _add_raw(f, E.a4.value, _raw(f, P), _raw(f, Q))[0])
 
 
 def scalar_mul(E: Curve, n: int, P: CurvePoint) -> CurvePoint:
@@ -469,8 +462,8 @@ def _division_values(f: FieldTower, a4, a6, n: int, x, c) -> tuple:
     powers = {1: x, 2: x2, 3: x3, 4: f.vmul(x2, x2), 6: f.vmul(x3, x3)}
     vals = {0: f.zero, 1: f.one, 2: f.one}
     for j, (const, terms) in enumerate(_division_seeds(a4, a6), 3):
-        vals[j] = _lin(f, const, tuple((a, powers[k]) for k, a in terms))
-    F = _lin(f, 0, ((4, c),))
+        vals[j] = f.vlin(const, tuple((a, powers[k]) for k, a in terms))
+    F = f.vlin(0, ((4, c),))
     get = _division_chain(f.vmul, f.vsub, f.vmul(F, F), vals)
     return get(n - 1), get(n), get(n + 1)
 
@@ -486,23 +479,23 @@ def _x_multiple(f: FieldTower, a4: int, a6: int, m: int, x, c) -> tuple:
     k = (m & -m).bit_length() - 1
     n = m >> k
     if n == 1:
-        t = _lin(f, -a4, ((1, f.vmul(x, x)),))
-        X, Z = (_lin(f, 0, ((1, f.vmul(t, t)), (-8 * a6, x))),
-                _lin(f, 0, ((4, c),)))
+        t = f.vlin(-a4, ((1, f.vmul(x, x)),))
+        X, Z = (f.vlin(0, ((1, f.vmul(t, t)), (-8 * a6, x))),
+                f.vlin(0, ((4, c),)))
         k -= 1
     else:
         fm1, fn, fp1 = _division_values(f, a4, a6, n, x, c)
         # psi_n = f_n and psi_{n-1} psi_{n+1} = (2y)^2 f_{n-1} f_{n+1}
         Z = f.vmul(fn, fn)
-        X = _lin(f, 0, ((1, f.vmul(x, Z)),
-                        (-4, f.vmul(c, f.vmul(fm1, fp1)))))
+        X = f.vlin(0, ((1, f.vmul(x, Z)),
+                       (-4, f.vmul(c, f.vmul(fm1, fp1)))))
     for _ in range(k):
         XX, ZZ, XZ = f.vmul(X, X), f.vmul(Z, Z), f.vmul(X, Z)
         XZ3 = f.vmul(XZ, ZZ)
-        t = _lin(f, 0, ((1, XX), (-a4, ZZ)))
-        X, Z = (_lin(f, 0, ((1, f.vmul(t, t)), (-8 * a6, XZ3))),
-                _lin(f, 0, ((4, f.vmul(XZ, XX)), (4 * a4, XZ3),
-                            (4 * a6, f.vmul(ZZ, ZZ)))))
+        t = f.vlin(0, ((1, XX), (-a4, ZZ)))
+        X, Z = (f.vlin(0, ((1, f.vmul(t, t)), (-8 * a6, XZ3))),
+                f.vlin(0, ((4, f.vmul(XZ, XX)), (4 * a4, XZ3),
+                           (4 * a6, f.vmul(ZZ, ZZ)))))
     return X, Z
 
 

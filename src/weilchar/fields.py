@@ -26,10 +26,9 @@ faster (bench/fields.py).  It folds the high coefficients down unreduced,
 by the modulus terms in [0, p); signed terms (c0 -= 2 c4) ran 3-5% slower
 at p = 120121, a negative multi-digit sum costing Python's % more.
 Inverses are extended Euclid on int lists,
-updated in place.  Two more kinds are compiled on first use, at any r: each
-Frobenius power phi^k in use, from its sparse rows, and the linear
-combination const + sum of c v at each term count (lin_kernel, run by
-_lin for the x-only multiples in curves behind the pairing's certificate).
+updated in place.  Each Frobenius power phi^k in use compiles on first use,
+at any r, from its sparse rows.  These kernels and the square-root constants
+are memo entries: a tower keeps no state beyond what its constructor sets.
 
 Where the product is unrolled, 2 <= r <= UNROLLED_MUL_MAX_R, whole raw
 routines compile as well.  SymbolicTower stands in for the tower and
@@ -224,9 +223,6 @@ class FieldTower:
         self.one = 1 if r == 1 else (1,) + (0,) * (r - 1)
         # vmul runs the unrolled product, so SymbolicTower can stand in
         self.traceable = 1 < r <= UNROLLED_MUL_MAX_R
-        self._frob = {}           # power k -> compiled phi^k, lazy
-        self._lins = {}           # term count -> compiled lin_kernel, lazy
-        self._sqrt_consts = None  # lazy: _sqrt_setup()
         if r == 1:
             self._mul = lambda u, v: u * v % p
             self._add = lambda u, v: (u + v) % p
@@ -364,15 +360,6 @@ class FieldTower:
         lead = pow(b[0], -1, p)
         return tuple([c * lead % p for c in sb])
 
-    def rank(self, v) -> int:
-        """Position of v in the constant-first enumeration of the field."""
-        if self.r == 1:
-            return v
-        n = 0
-        for c in reversed(v):
-            n = n * self.p + c
-        return n
-
     def unrank(self, n: int):
         p = self.p
         if self.r == 1:
@@ -395,10 +382,11 @@ class FieldTower:
         k = power % self.r
         if not k:
             return v
-        return (self._frob.get(k) or self._frobenius_kernel(k))(v)
+        return self._frobenius_kernel(k)(v)
 
+    @memo
     def _frobenius_kernel(self, k: int):
-        """phi^k compiled from its sparse rows, cached: row j holds the
+        """phi^k compiled from its sparse rows: row j holds the
         nonzero coefficients of phi^k(x^j) = y^j, with y = x^p for k = 1
         and y = phi(phi(...phi(x))) by phi's kernel otherwise; for a
         binomial modulus every row has one entry."""
@@ -406,31 +394,25 @@ class FieldTower:
         if k == 1:
             y = self.vpow(x, self.p)
         else:
-            step, y = self._frob.get(1) or self._frobenius_kernel(1), x
+            step, y = self._frobenius_kernel(1), x
             for _ in range(k):
                 y = step(y)
         powers = [self.one, y]
         for _ in range(self.r - 2):
             powers.append(self.vmul(powers[-1], y))
-        self._frob[k] = kernel = _compile(
+        return _compile(
             f"frobenius^{k} {self.p}^{self.r}", "v", _unpack(self.r, "v")
             + _returns(_linear_map(self.p, powers, _names(self.r, "v"))))
-        return kernel
 
-    def lin_kernel(self, n: int):
-        """For r > 1, kernel(const, terms): const + the sum of c w over the
-        n pairs (c, w) in terms, ints c and raw values w, reduced once;
-        compiled on first use for each n."""
-        kernel = self._lins.get(n)
-        if kernel is None:
-            r, ts = self.r, range(n)
-            body = "    " + "".join(f"(c{t}, w{t}), " for t in ts) + "= terms\n"
-            body += "".join(_unpack(r, f"w{t}_", f"w{t}") for t in ts)
-            body += _returns(_combination(self.p, r, "const", [
-                (f"c{t}", _names(r, f"w{t}_")) for t in ts]))
-            self._lins[n] = kernel = _compile(
-                f"lin{n} {self.p}^{r}", "const, terms", body)
-        return kernel
+    def vlin(self, const: int, terms):
+        """const + the sum of c w over the (c, w) in terms: raw values w
+        scaled by ints c, reduced once."""
+        p = self.p
+        if self.r == 1:
+            return (const + sum(c * w for c, w in terms)) % p
+        sums = [sum(c * w[i] for c, w in terms) for i in range(self.r)]
+        sums[0] += const
+        return tuple([a % p for a in sums])
 
     # -- norm and square roots ----------------------------------------------
 
@@ -477,6 +459,7 @@ class FieldTower:
         p = self.p
         return pow(self.vnorm(v), (p - 1) // 2, p) == 1
 
+    @memo
     def _sqrt_setup(self) -> tuple:
         """(s, c, digits) for vsqrt: q - 1 = 2^s t with t odd; c = n^t for
         the first non-residue n in rank order (None when s = 1), an int for
@@ -525,9 +508,7 @@ class FieldTower:
             norm = self.vnorm(v)
         if pow(norm, (p - 1) // 2, p) != 1:
             return None
-        if self._sqrt_consts is None:
-            self._sqrt_consts = self._sqrt_setup()
-        s, c, digits = self._sqrt_consts
+        s, c, digits = self._sqrt_setup()
         if r % 2:
             tp = (p - 1) >> s
             scale = _tonelli_shanks(lambda a, b: a * b % p, 1, s, c,
@@ -543,14 +524,6 @@ class FieldTower:
         guess = self.vmul(v, w)
         return _tonelli_shanks(self.vmul, self.one, s, c,
                                self.vmul(guess, w), guess)
-
-
-def _lin(f, const: int, terms):
-    """const + the sum of c v over the (c, v) in terms: raw values v of f
-    scaled by ints c, reduced once; by f's lin_kernel for r > 1."""
-    if f.r == 1:
-        return (const + sum(c * v for c, v in terms)) % f.p
-    return f.lin_kernel(len(terms))(const, terms)
 
 
 def _norm_int(v, a) -> int:
@@ -656,7 +629,7 @@ class SymbolicTower:
 
     Its values are tuples of r coefficient names, besides the constants one
     and zero of f, and its scalars (_Scalar) name int expressions.  vmul,
-    vadd, vsub, frobenius, unrank and lin_kernel each record their result
+    vadd, vsub, vlin, frobenius and unrank each record their result
     as one step: its source, formatted by the generators f's kernels are
     compiled from, and the names it reads and writes.  So a raw routine of
     f, run once here on inputs declared by value and scalar, leaves the
@@ -729,11 +702,9 @@ class SymbolicTower:
             return u
         return self._bind(_termwise(self.p, u, "-", v), (u, v))
 
-    def lin_kernel(self, n: int):
-        def kernel(const, terms):
-            return self._bind(_combination(self.p, self.r, const, terms),
-                              (const, *terms))
-        return kernel
+    def vlin(self, const, terms):
+        return self._bind(_combination(self.p, self.r, const, terms),
+                          (const, *terms))
 
     def frobenius(self, v, power: int = 1):
         """phi^k for k = power mod r, one linear step: the images of the
@@ -840,7 +811,7 @@ class _Scalar:
 
 def _read(*operands) -> set:
     """The names among operands: coefficient names of values (in pairs or
-    tuples of them, as lin_kernel's terms) and scalars."""
+    tuples of them, as vlin's terms) and scalars."""
     names = set()
     for x in operands:
         if isinstance(x, _Scalar):
@@ -983,9 +954,6 @@ class FieldElement:
         if r is None:
             return None
         return FieldElement(self.field, r)
-
-    def rank(self) -> int:
-        return self.field.rank(self.value)
 
 
 def make_extension(p: int, r: int) -> tuple:

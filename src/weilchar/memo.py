@@ -2,9 +2,13 @@
 
 Every function the library memoizes goes through ``memo``, so all of the
 caches can be inspected and emptied together.  Memoized results never
-depend on the cache: a cold call returns what a warm one does.
+depend on the cache: a cold call returns what a warm one does.  Methods
+are memoized too, keyed on their object: a field's Frobenius kernels and
+square-root constants and a class group's products are entries here, so
+neither object changes after its constructor returns.
 
-One table stays outside it on purpose: the fields of ``fields.get_tower``.
+One table stays outside it on purpose, the one state the library keeps
+beyond this memo: the fields of ``fields.get_tower``.
 Curves and field elements compare fields by identity, so a tower must live
 as long as the process.  If ``clear_caches()`` dropped it, the next
 ``get_tower`` would build a second F_p, and ``Curve.over`` would raise

@@ -143,15 +143,15 @@ class ClassGroup:
     - ``basis`` takes each 2-torsion class, in enumeration order, that the
       classes before it do not generate; ``span`` lists the subgroup they
       generate, each basis class times the span so far appended in turn;
-    - ``mul(i, j)`` composes on first use only, so the products of a group
-      are never built eagerly."""
+    - ``mul(i, j)`` composes on first use only, a memo entry, so the
+      products of a group are never built eagerly."""
 
-    __slots__ = ("forms", "index", "square", "root", "basis", "span", "_rows")
+    __slots__ = ("forms", "index", "square", "root", "basis", "span")
 
     def __init__(self, D: int):
         self.forms = forms = enumerate_class_group(D)
         self.index = index = {f: i for i, f in enumerate(forms)}
-        # tuples, and no product rows until mul: the genus sweep keeps one
+        # tuples, and no products until mul: the genus sweep keeps one
         # record for each of its 2,500 discriminants
         self.square = tuple(index[compose(g, g)] for g in forms)
         root = [None] * len(forms)
@@ -164,19 +164,11 @@ class ClassGroup:
                 basis.append(i)
                 span += [index[compose(forms[i], forms[k])] for k in span]
         self.basis, self.span = tuple(basis), tuple(span)
-        self._rows = None
 
+    @memo
     def mul(self, i: int, j: int) -> int:
         """Index of the product of classes i and j."""
-        if self._rows is None:
-            self._rows = [None] * len(self.forms)
-        row = self._rows[i]
-        if row is None:
-            row = self._rows[i] = [None] * len(self.forms)
-        k = row[j]
-        if k is None:
-            k = row[j] = self.index[compose(self.forms[i], self.forms[j])]
-        return k
+        return self.index[compose(self.forms[i], self.forms[j])]
 
 
 @memo
@@ -212,9 +204,6 @@ class Discriminant:
         self.odd_part = D >> self.two_exp
         self.odd_primes = [(p, e) for (p, e) in self.factors if p != 2]
 
-    def characters(self) -> list:
-        return assigned_characters(self.D)
-
     def __repr__(self):
         return f"Discriminant(-{self.D})"
 
@@ -228,7 +217,7 @@ def discriminant(D: int) -> Discriminant:
 
 def assigned_characters(D: int) -> list:
     """The assigned characters of the order of discriminant -D = -2^f * d."""
-    disc = discriminant(D) if not isinstance(D, Discriminant) else D
+    disc = discriminant(D)
     f, d = disc.two_exp, disc.odd_part
     chars = [Character("chi", p) for (p, _) in disc.odd_primes]
     if f == 2 and d % 4 == 1:
@@ -291,13 +280,13 @@ def char_table(D: int, char: Character) -> tuple:
                  for g in enumerate_class_group(D))
 
 
-def relation_characters(D) -> list:
+def relation_characters(D: int) -> list:
     """The assigned characters whose product is trivial on every class.
 
     Odd-prime characters enter when their prime divides D to an odd power;
     the even-part member is delta for d = 1 mod 4, epsilon for odd f, fused
     into delta_epsilon when f = 3 brings in both."""
-    disc = D if isinstance(D, Discriminant) else discriminant(D)
+    disc = discriminant(D)
     f, d = disc.two_exp, disc.odd_part
     rel = [Character("chi", p) for (p, e) in disc.odd_primes if e % 2]
     if f == 3:
@@ -317,13 +306,12 @@ def verify_character_relation(D: int) -> dict:
 
     Returns a report dict with an 'ok' flag.
     """
-    disc = Discriminant(D)
     group = class_group(D)
-    chars = assigned_characters(disc)
+    chars = assigned_characters(D)
     mu = len(chars)
     norms = [find_coprime_value(g, 2 * D) for g in group.forms]
 
-    rel = relation_characters(disc)
+    rel = relation_characters(D)
     relation_ok = all(math.prod(char_eval_norm(ch, n) for ch in rel) == 1
                       for n in norms)
 

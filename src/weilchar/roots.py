@@ -17,8 +17,8 @@ from .action import (OrientedCurve, _least_model, apply_smooth_ideal,
                      smooth_in_class)
 from .attack import eval_character
 from .memo import memo
-from .quadforms import (Character, Discriminant, QuadForm, char_table,
-                        class_group, discriminant, reduce_form,
+from .quadforms import (Character, QuadForm, assigned_characters,
+                        char_table, class_group, discriminant, reduce_form,
                         two_torsion_and_sqrt)
 
 
@@ -60,17 +60,11 @@ def _class_model(oc: OrientedCurve, form: QuadForm) -> tuple:
     return _model(apply_smooth_ideal(oc, smooth_in_class(oc, form)))
 
 
-def _normalize_factors(factorization) -> list:
-    if isinstance(factorization, Discriminant):
-        return list(factorization.factors)
-    return [(int(p), int(e)) for p, e in factorization]
-
-
 def choose_bound(factorization) -> int:
     """B = min(2^omega, max(ell_i | ell_i <= 2^(omega - i))) where omega
     counts every distinct prime of D, the ell_i are the odd ones in
     increasing order, and max of an empty set is +infinity."""
-    factors = _normalize_factors(factorization)
+    factors = [(int(p), int(e)) for p, e in factorization]
     omega = len(factors)
     odd = sorted(p for p, _ in factors if p % 2)
     cap = 2 ** omega
@@ -94,8 +88,7 @@ def recover_root(ocE: OrientedCurve, ocE2: OrientedCurve, c_squared: QuadForm,
     if rng is None:
         rng = random.Random()
     D = ocE.D
-    disc = discriminant(D)
-    factors = disc.factors
+    factors = discriminant(D).factors
     bound = choose_bound(factors) if B == "auto" else int(B)
 
     timings: dict = {}
@@ -110,7 +103,7 @@ def recover_root(ocE: OrientedCurve, ocE2: OrientedCurve, c_squared: QuadForm,
 
     filter_chars = [Character("chi", ell) for ell in P1]
     if use_two_adic:
-        filter_chars += [ch for ch in disc.characters()
+        filter_chars += [ch for ch in assigned_characters(D)
                          if ch.kind != "chi"]
     values = {}
     for ch in filter_chars:

@@ -17,9 +17,16 @@ def test_ladder_m3_rung_times_and_counts():
                          "gate_holds"}
     assert rung["m3.wall_ms"] > 0 and rung["gate_holds"]
     counts = bench_run._spawn(bench_run.ROOT, "ladder", True, "3")
-    assert set(counts) == {name for name, _, _ in bench_run.COUNTED}
+    ops = {name for name, _, _ in bench_run.COUNTED}
+    memos = set(counts) - ops
+    assert ops <= set(counts) and memos
+    assert all(k.startswith("memo.") and k.endswith(".entries") for k in memos)
     assert counts["fields.vmul"] > 0 and counts["curves._add_raw"] > 0
     assert counts["fields._pmul"] > 0 and counts["curves.draw_point"] > 0
+    # the kernels a cold rung compiles are memo entries, counted
+    for name in ("curves._draw_kernel", "pairing._separation_kernel",
+                 "fields.FieldTower._frobenius_kernel"):
+        assert counts[f"memo.{name}.entries"] >= 1, name
 
 
 def test_instance_search_times_and_counts():

@@ -306,6 +306,16 @@ def test_sqrt_recover_rejects_nonsquare(pair24, capsys):
     assert code == 2 and "square" in err
 
 
+def test_sqrt_recover_bound_is_auto_or_an_integer(pair24, capsys):
+    code, out, _ = run(capsys, ["sqrt-recover", str(pair24), "--bound", "3"])
+    assert code == 0 and "B=3 " in out and "matches the planted class" in out
+    for bound in ("x", "2.5", ""):
+        code, out, err = run(capsys, ["sqrt-recover", str(pair24),
+                                      "--bound", bound])
+        assert code == 2 and not out, (bound, out)
+        assert "--bound must be 'auto' or an integer" in err, err
+
+
 def test_sqrt_recover_rejects_wrong_disc(pair24, capsys):
     code, _, err = run(capsys, ["sqrt-recover", str(pair24),
                                 "--square", "1,0,1"])

@@ -1,3 +1,4 @@
+import copy
 import cProfile
 import math
 import os
@@ -12,12 +13,13 @@ import pytest
 import weilchar
 from weilchar import curves, pairing
 from weilchar.fields import (UNROLLED_MUL_MAX_R, FieldElement, FieldTower,
-                             SymbolicTower, _is_irreducible, _is_prime, _lin,
+                             SymbolicTower, _is_irreducible, _is_prime,
                              _pdivmod, _pgcd, _pmul, _ppowmod, _psub, _ptrim,
                              _unrolled_mul,
                              dlog_in_mu_m, element_order, factorize,
                              get_tower, legendre_symbol)
 from weilchar.memo import cache_stats, clear_caches
+from weilchar.quadforms import class_group
 
 
 def rand_elt(tower, rng):
@@ -434,7 +436,7 @@ def test_norm_outside_the_prime_field_raises():
         ring.vnorm((1, 1))
 
 
-# The kernels that vmul, vinv, frobenius and _lin replaced, kept as
+# The kernels that vmul, vinv, frobenius and vlin replaced, kept as
 # oracles: the schoolbook product reduced by the whole modulus, extended
 # Euclid by polynomial division, the sparse-row product, and the nested-loop
 # linear combination.
@@ -526,7 +528,7 @@ def _kernel_mismatches(field, count: int) -> list:
     the schoolbook one, vadd, vsub and vneg against the coefficient-wise
     formulas, vinv against Euclid by polynomial division, phi^k for every
     k in 1..r-1 against the sparse-row product (and against vpow by p^k on
-    two operands), and _lin at 1, 2, 3 and 5 terms, with scalars
+    two operands), and vlin at 1, 2, 3 and 5 terms, with scalars
     negative and out of range, against the nested loop."""
     p, r = field.p, field.r
     rng = random.Random(f"kernels{p},{r}")
@@ -563,7 +565,7 @@ def _kernel_mismatches(field, count: int) -> list:
             const = rng.randrange(-p ** 3, p ** 3)
             scaled = tuple((rng.randrange(-p ** 3, p ** 3), w)
                            for w in values[:terms])
-            if _lin(field, const, scaled) != _lin_oracle(field, const, scaled):
+            if field.vlin(const, scaled) != _lin_oracle(field, const, scaled):
                 bad.append((f"lin{terms}", u, v))
     return bad
 
@@ -629,7 +631,7 @@ def test_field_bench_smoke():
     lines = proc.stdout.splitlines()
     assert lines[1].split() == ["p", "r", "unrolled_mul", "kron_mul", "vadd",
                                 "vsub", "vneg", "vinv", "frobenius", "vnorm",
-                                "lin"]
+                                "vlin"]
     rows = [line.split() for line in lines[2:]]
     assert [row[:2] for row in rows] == [["101", "4"], ["23", "15"]]
     assert all(float(t) > 0 for row in rows for t in row[2:])
@@ -762,6 +764,56 @@ def test_element_order_is_memoized_across_fields():
     assert cache_stats()["fields.element_order"]["entries"] == 1
 
 
+def _snapshot(obj, names) -> list:
+    """(name, value, copy) per attribute: the value to compare by identity,
+    and for a list, dict or set a copy that shows a change in place."""
+    return [(n, v, copy.copy(v) if isinstance(v, (list, dict, set)) else v)
+            for n, v in ((n, getattr(obj, n)) for n in names)]
+
+
+def _unchanged(obj, snapshot) -> bool:
+    return all(getattr(obj, n) is v and v == c for n, v, c in snapshot)
+
+
+@pytest.mark.parametrize("p,r", [(101, 1), (101, 4), (13, 5), (23, 15)])
+def test_towers_and_class_groups_build_lazily_into_the_memo(p, r):
+    """frobenius, vsqrt, vlin and ClassGroup.mul leave a tower's attributes
+    and a class group's slots as their constructors set them: the Frobenius
+    kernels, root constants and products they build are memo entries, and
+    after clear_caches() the same calls rebuild them and return the same
+    values."""
+    f, group = get_tower(p, r), class_group(420)
+    tower, slots = _snapshot(f, list(f.__dict__)), _snapshot(group,
+                                                             group.__slots__)
+    rng = random.Random(f"lazy{p},{r}")
+    u, v = f.random_value(rng), f.random_value(rng)
+    assert u != f.zero
+    h = len(group.forms)
+
+    def calls():
+        return ([f.frobenius(u, k) for k in range(r + 1)],
+                f.vsqrt(f.vmul(u, u)), f.vlin(-3, ((2, u), (p + 5, v))),
+                [group.mul(i, j) for i in range(h) for j in range(h)])
+
+    clear_caches()
+    cold = calls()
+    kernels = [f._frobenius_kernel(k) for k in range(1, r)]
+    constants = f._sqrt_setup()
+    stats = cache_stats()
+    assert stats["fields.FieldTower._frobenius_kernel"]["entries"] == r - 1
+    assert stats["fields.FieldTower._sqrt_setup"]["entries"] == 1
+    assert stats["quadforms.ClassGroup.mul"]["entries"] == h * h
+    assert calls() == cold
+    assert _unchanged(f, tower) and set(f.__dict__) == {n for n, _, _ in tower}
+    assert _unchanged(group, slots)
+    clear_caches()
+    assert calls() == cold
+    assert all(f._frobenius_kernel(k) is not kernel
+               for k, kernel in enumerate(kernels, 1))
+    assert f._sqrt_setup() == constants and f._sqrt_setup() is not constants
+    assert _unchanged(f, tower) and _unchanged(group, slots)
+
+
 def test_compile_drops_unread_steps():
     """A traced product that no result reads leaves the kernel, and the
     results stay those of the kernel traced without it."""
@@ -795,7 +847,7 @@ def test_even_degree_non_residue_search_starts_at_p(monkeypatch, p, r):
     vis_square = FieldTower.vis_square
 
     def counted(self, v):
-        ranks.append(self.rank(v))
+        ranks.append(sum(c * p ** i for i, c in enumerate(v)))
         return vis_square(self, v)
 
     monkeypatch.setattr(FieldTower, "vis_square", counted)
@@ -818,13 +870,11 @@ def test_kernels_are_filed_by_role_and_tower():
     profile keeps one row per kernel rather than one for them all."""
     f, g = get_tower(101, 4), get_tower(7, 3)
     draw = curves._draw_kernel(f)
-    f.frobenius(f.one)
     kernels = (draw, pairing._separation_kernel(f, 4), f._mul, g._mul,
-               f._frob[1], f.lin_kernel(2))
+               f._frobenius_kernel(1))
     assert [k.__code__.co_filename for k in kernels] == [
         "<kernel draw 101^4>", "<kernel certificate m=4 101^4>",
-        "<kernel mul 101^4>", "<kernel mul 7^3>", "<kernel frobenius^1 101^4>",
-        "<kernel lin2 101^4>"]
+        "<kernel mul 101^4>", "<kernel mul 7^3>", "<kernel frobenius^1 101^4>"]
     rng = random.Random(5)
     profile = cProfile.Profile()
     profile.enable()

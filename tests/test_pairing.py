@@ -575,7 +575,9 @@ def test_frozen_random_point_stream(curve):
     got = []
     for _ in range(20):
         P = E.random_point(rng)
-        got.append((P.x.rank(), P.y.rank()))
+        # the rank of a value is its base-p digits, constant first
+        got.append(tuple(sum(c * p ** i for i, c in enumerate(z.value))
+                         for z in (P.x, P.y)))
     want, state = _FROZEN_STREAMS[curve]
     assert got == want
     assert hashlib.sha256(repr(rng.getstate()).encode()).hexdigest() == state

@@ -299,7 +299,6 @@ def test_discriminant_record_is_shared():
         assert discriminant(D) is disc
         assert (disc.factors, disc.two_exp, disc.odd_part, disc.odd_primes) \
             == (fresh.factors, fresh.two_exp, fresh.odd_part, fresh.odd_primes)
-        assert assigned_characters(D) == fresh.characters()
     for _ in range(2):
         with pytest.raises(ValueError, match="is not a discriminant"):
             discriminant(25)

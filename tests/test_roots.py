@@ -17,7 +17,7 @@ def test_choose_bound_table():
     assert choose_bound([(2, 2), (13, 1)]) == 4
     assert choose_bound([(59, 1)]) == 2
     assert choose_bound([(2, 2), (3, 1), (5, 1), (7, 1), (11, 1)]) == 5
-    assert choose_bound(Discriminant(420)) == 3
+    assert choose_bound(Discriminant(420).factors) == 3
     assert choose_bound([(2, 2), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1)]) == 7
 
 
