@@ -64,6 +64,8 @@ COUNTED = (
     ("fields.vinv", "fields", "FieldTower.vinv"),
     ("fields.vsqrt", "fields", "FieldTower.vsqrt"),
     ("fields.frobenius", "fields", "FieldTower.frobenius"),
+    ("fields._frobenius_sum_power", "fields",
+     "FieldTower._frobenius_sum_power"),
     ("fields._pmul", "fields", "_pmul"),
     ("curves._add_raw", "curves", "_add_raw"),
     ("curves.draw_point", "curves", "Curve.draw_point"),

@@ -43,7 +43,6 @@ class CharEvalResult:
             "r": self.extension_degree_used,
             "gamma": self.gamma_mod8,
             "sigma_evals": self.sigma_evals,
-            "timings_ms": self.timings_ms,
         }
 
 

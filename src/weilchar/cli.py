@@ -97,15 +97,6 @@ def read_json(path) -> dict:
     return _destring(data)
 
 
-def _strip_key(obj, key):
-    """Drop a key recursively; used to keep written artifacts byte-stable."""
-    if isinstance(obj, dict):
-        return {k: _strip_key(v, key) for k, v in obj.items() if k != key}
-    if isinstance(obj, list):
-        return [_strip_key(v, key) for v in obj]
-    return obj
-
-
 # ------------------------------------------------------------ shared loaders
 
 def _config_value(config: dict, key: str, kind: type, default=None):
@@ -337,8 +328,7 @@ def cmd_eval_char(args) -> int:
         write_json(args.out, {
             "schema": EVAL_SCHEMA,
             "pair": {"base": base.to_json(), "target": target.to_json()},
-            "values": {k: _strip_key(v.to_json(), "timings_ms")
-                       for k, v in values.items()},
+            "values": {k: v.to_json() for k, v in values.items()},
             "oracle_match": matches or None,
         })
         print(f"wrote {EVAL_SCHEMA} to {args.out}")
@@ -493,7 +483,7 @@ def cmd_sqrt_recover(args) -> int:
             raise CommandError(EXIT_ATTACK,
                                "recovered class differs from the planted one")
     if args.out:
-        out = _strip_key(rec.to_json(), "timings_ms")
+        out = rec.to_json()
         out["schema"] = RECOVERY_SCHEMA
         write_json(args.out, out)
         print(f"wrote {RECOVERY_SCHEMA} to {args.out}")
@@ -747,7 +737,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--square", help="target square as a,b,c "
                                     "(default: the file's square_class)")
     r.add_argument("--bound", default="auto",
-                   help="odd-prime filter bound B (default: auto)")
+                   help="odd-prime filter bound B >= 0 (default: auto)")
     r.add_argument("--two-adic", action="store_true", dest="two_adic",
                    help="also filter by the assigned two-adic characters")
     r.add_argument("--seed", type=int, default=0)

@@ -25,8 +25,8 @@ p >= 101, and at r = 42, the README's chi_7 run, Kronecker is about 1.8x
 faster (bench/fields.py).  It folds the high coefficients down unreduced,
 by the modulus terms in [0, p); signed terms (c0 -= 2 c4) ran 3-5% slower
 at p = 120121, a negative multi-digit sum costing Python's % more.
-Inverses are extended Euclid on int lists,
-updated in place.  Each Frobenius power phi^k in use compiles on first use,
+Inverses go through the norm, on the Frobenius chain the square roots use.
+Each Frobenius power phi^k in use compiles on first use,
 at any r, from its sparse rows.  These kernels and the square-root constants
 are memo entries: a tower keeps no state beyond what its constructor sets.
 
@@ -326,39 +326,22 @@ class FieldTower:
         return acc
 
     def vinv(self, u):
-        """1/u by extended Euclid against the modulus on int lists over F_p,
-        with s_a u = a and s_b u = b (mod the modulus) throughout; each
-        elimination of a's leading term by b updates a and s_a in place.
-        ZeroDivisionError for zero, or when the gcd is not a unit (a
-        reducible modulus)."""
+        """1/u by the norm (Itoh and Tsujii, Inform. and Comput. 78, 1988):
+        b = phi(u^(1 + p + ... + p^(r-2))) makes u b = N(u), an int, so
+        1/u = b / N(u).  ZeroDivisionError for zero, or when u b is not a
+        nonzero int (a reducible modulus), so a returned value times u is
+        always one."""
         if u == self.zero:
             raise ZeroDivisionError("inverse of zero")
         p = self.p
-        r = self.r
-        if r == 1:
+        if self.r == 1:
             return pow(u, -1, p)
-        a, b = list(self.modulus), list(u)
-        while not b[-1]:
-            b.pop()
-        sa, sb = [0] * r, [1] + [0] * (r - 1)
-        while len(b) > 1:
-            db = len(b) - 1
-            lead = pow(b[-1], -1, p)
-            while len(a) > db:
-                c = a.pop() * lead % p
-                k = len(a) - db
-                for j in range(db):
-                    a[k + j] = (a[k + j] - c * b[j]) % p
-                for j in range(r - k):
-                    if sb[j]:
-                        sa[k + j] = (sa[k + j] - c * sb[j]) % p
-                while a and not a[-1]:
-                    a.pop()
-            a, b, sa, sb = b, a, sb, sa
-        if not b:
+        b = self.frobenius(self._frobenius_sum_power(u, self.r - 1))
+        n = self.vmul(u, b)
+        if any(n[1:]) or not n[0]:
             raise ZeroDivisionError("value not invertible")
-        lead = pow(b[0], -1, p)
-        return tuple([c * lead % p for c in sb])
+        s = pow(n[0], -1, p)
+        return tuple([c * s % p for c in b])
 
     def unrank(self, n: int):
         p = self.p

@@ -43,7 +43,6 @@ class RootRecovery(NamedTuple):
             "recovered": self.recovered.to_json(),
             "candidates_tested": self.candidates_tested,
             "char_values": self.char_values,
-            "timings_ms": self.timings_ms,
         }
 
 
@@ -90,6 +89,8 @@ def recover_root(ocE: OrientedCurve, ocE2: OrientedCurve, c_squared: QuadForm,
     D = ocE.D
     factors = discriminant(D).factors
     bound = choose_bound(factors) if B == "auto" else int(B)
+    if bound < 0:
+        raise ValueError(f"the bound B must be 'auto' or at least 0, not {B}")
 
     timings: dict = {}
     t0 = time.perf_counter()

@@ -357,7 +357,7 @@ def test_frobenius_order_frozen(oc24, oc52):
 
 
 # single-pair evaluations at fixed seeds, pinned byte for byte: fixture,
-# connecting ideal, character, rng seed, to_json() without timings
+# connecting ideal, character, rng seed, to_json() (which holds no timings)
 _FROZEN_EVALS = (
     ("oc24", (5, 3, 1), CHI3, 11,
      {"a": 2, "char": {"kind": "chi", "modulus": 3}, "gamma": None, "r": 3,
@@ -374,9 +374,7 @@ _FROZEN_EVALS = (
 def _frozen_eval(request, name, factor, ch, seed):
     oc = request.getfixturevalue(name)
     target = apply_smooth_ideal(oc, SmoothIdeal.from_factors([factor], oc))
-    got = eval_character(oc, target, ch, random.Random(seed)).to_json()
-    del got["timings_ms"]
-    return got
+    return eval_character(oc, target, ch, random.Random(seed)).to_json()
 
 
 def test_eval_character_frozen(request):

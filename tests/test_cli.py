@@ -314,6 +314,11 @@ def test_sqrt_recover_bound_is_auto_or_an_integer(pair24, capsys):
                                       "--bound", bound])
         assert code == 2 and not out, (bound, out)
         assert "--bound must be 'auto' or an integer" in err, err
+    code, out, err = run(capsys, ["sqrt-recover", str(pair24),
+                                  "--bound", "-3"])
+    assert code == 2 and not out and "at least 0, not -3" in err, (out, err)
+    code, out, _ = run(capsys, ["sqrt-recover", str(pair24), "--bound", "0"])
+    assert code == 0 and "B=0 " in out and "matches the planted class" in out
 
 
 def test_sqrt_recover_rejects_wrong_disc(pair24, capsys):

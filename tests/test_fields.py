@@ -469,6 +469,38 @@ def _euclid_inv(field, u):
     return tuple(c * inv_lead % p for c in s1) + field.zero[len(s1):]
 
 
+def _inplace_euclid_inv(field, u):
+    """The library's former vinv: extended Euclid against the modulus on int
+    lists over F_p, with s_a u = a and s_b u = b (mod the modulus)
+    throughout; each elimination of a's leading term by b updates a and s_a
+    in place.  ZeroDivisionError for zero, or when the gcd is not a unit."""
+    if u == field.zero:
+        raise ZeroDivisionError("inverse of zero")
+    p, r = field.p, field.r
+    a, b = list(field.modulus), list(u)
+    while not b[-1]:
+        b.pop()
+    sa, sb = [0] * r, [1] + [0] * (r - 1)
+    while len(b) > 1:
+        db = len(b) - 1
+        lead = pow(b[-1], -1, p)
+        while len(a) > db:
+            c = a.pop() * lead % p
+            k = len(a) - db
+            for j in range(db):
+                a[k + j] = (a[k + j] - c * b[j]) % p
+            for j in range(r - k):
+                if sb[j]:
+                    sa[k + j] = (sa[k + j] - c * sb[j]) % p
+            while a and not a[-1]:
+                a.pop()
+        a, b, sa, sb = b, a, sb, sa
+    if not b:
+        raise ZeroDivisionError("value not invertible")
+    lead = pow(b[0], -1, p)
+    return tuple([c * lead % p for c in sb])
+
+
 def _linear_map(rows, v, p: int) -> tuple:
     """The image of v under the F_p-linear map with the given sparse rows:
     the sum of v_j times row j."""
@@ -529,8 +561,12 @@ def _kernel_mismatches(field, count: int) -> list:
     formulas, vinv against Euclid by polynomial division, phi^k for every
     k in 1..r-1 against the sparse-row product (and against vpow by p^k on
     two operands), and vlin at 1, 2, 3 and 5 terms, with scalars
-    negative and out of range, against the nested loop."""
+    negative and out of range, against the nested loop.  Over a reducible
+    modulus vinv may raise where Euclid finds a unit, since u phi(...) need
+    not lie in F_p there; it must still raise where Euclid does, and what
+    it returns must be Euclid's inverse."""
     p, r = field.p, field.r
+    is_field = _is_irreducible(p, field.modulus)
     rng = random.Random(f"kernels{p},{r}")
     top = (p - 1,) * r      # every product slot at its largest, r (p-1)^2
     cases = [(top, top), (top, field.one), (field.one, field.zero),
@@ -552,7 +588,8 @@ def _kernel_mismatches(field, count: int) -> list:
         if field.vneg(u) != tuple([-a % p for a in u]):
             bad.append(("neg", u, v))
         inv = _inverse_or_none(field.vinv, u)
-        if (inv != _inverse_or_none(lambda a: _euclid_inv(field, a), u)
+        ref = _inverse_or_none(lambda a: _euclid_inv(field, a), u)
+        if ((inv != ref if is_field else inv not in (None, ref))
                 or inv is not None and field.vmul(u, inv) != field.one):
             bad.append(("inv", u, v))
         for k, rows in frob_rows.items():
@@ -854,6 +891,16 @@ def test_even_degree_non_residue_search_starts_at_p(monkeypatch, p, r):
     s, c, _ = field._sqrt_setup()
     assert min(ranks) == p and max(ranks) == n
     assert c == field.vpow(field.unrank(n), (field.size - 1) >> s)
+
+
+@pytest.mark.parametrize("p, r", [(7, 3), (5, 4)])
+def test_inverse_by_the_norm_matches_euclid_on_every_value(p, r):
+    field = get_tower(p, r)
+    for n in range(1, field.size):
+        u = field.unrank(n)
+        inv = field.vinv(u)
+        assert inv == _inplace_euclid_inv(field, u), u
+        assert field.vmul(u, inv) == field.one, u
 
 
 def test_inverse_over_a_reducible_modulus_raises():
