@@ -1,6 +1,8 @@
 import filecmp
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -84,6 +86,59 @@ def pair24(tmp_path, capsys):
                               "--seed", "3", "--out", str(out)])
     assert code == 0
     return out
+
+
+# the README's command sequence, each with the name its output is kept
+# under; eval-char's per-character milliseconds are dropped before hashing
+_README_RUNS = [
+    ("gen-pair", ["gen-instance", "--config", "cfg.json", "--out",
+                  "pair.json"]),
+    ("eval-char", ["eval-char", "pair.json", "--chars", "chi_7,epsilon",
+                   "--seed", "7", "--out", "eval.json"]),
+    ("gen-instance", ["gen-instance", "--config", "ss.json", "--out",
+                      "inst.json"]),
+    ("ddh-experiment", ["ddh-experiment", "--config", "ddh.json", "--trials",
+                        "500", "--json", "--out", "report.json"]),
+    ("sqrt-recover", ["sqrt-recover", "pair.json", "--square", "1,0,14",
+                      "--seed", "9", "--out", "sqrt.json"]),
+    ("selftest", ["selftest"]),
+]
+_README_DIGESTS = {
+    "gen-pair": "99c44265b18af982b43ef989ab9da27a9b5510d6b37e96d2a71e45d689abcc5c",
+    "eval-char": "b5d32a602fff8d18e334757fe44cee716d510ded133fb3caf5f830ed71d076ac",
+    "gen-instance": "96360a4358f6a1e47f4480cdb1e3e978de3ff276d5aea80f77ccfcb24da07e0c",
+    "ddh-experiment": "5890164d4ed0760969ba86dc4a719c562b82250b15407ce70941201f96beb334",
+    "sqrt-recover": "004035d853a70f452cc4f43e8c014ae2f7e2c52f9e7b56c9a74badc8910157b1",
+    "selftest": "8779e196f5524c968f7aa294725fa630b99d1ece5e2317b3b47f6078e34c3b31",
+    "pair.json": "20e424e48c83f5302fc29d857a382723f44ab8451fc1d060484efe3f63ea8104",
+    "eval.json": "6db01f399373ee24d40104fc4d0d4c4d6817a6f5c1628d05546c63aa80c6f0a9",
+    "inst.json": "30809a43f2de1be6e119ae773deaaf76a3b9b26a3c5a204e8536bfa2fe07aa94",
+    "report.json": "303a64528836d50b00036cd7e3c981085074181ddff9206cd905dc508458ab9f",
+    "sqrt.json": "aea1a5baaad757c41116843f74b47da71368cff9d72542393e7edfd269463eaa",
+}
+
+
+def test_readme_artifacts_are_byte_identical(tmp_path, capsys, monkeypatch):
+    """The README runs, with its configs, print the same reports and write
+    the same files, byte for byte, as the recorded sha256 digests say."""
+    monkeypatch.chdir(tmp_path)
+    for name, config in (
+            ("cfg.json", {"mode": "ordinary", "q": "23", "t": "6",
+                          "plant": True}),
+            ("ss.json", {"mode": "supersingular", "p": "101"}),
+            ("ddh.json", {"instance": "inst.json", "seed": "11",
+                          "chars": ["delta"]})):
+        (tmp_path / name).write_text(json.dumps(config))
+    outputs = {}
+    for name, argv in _README_RUNS:
+        code, out, err = run(capsys, argv)
+        assert code == 0 and not err, (name, err)
+        outputs[name] = re.sub(r"\d+ ms\b", "ms", out)
+    for path in ("pair.json", "eval.json", "inst.json", "report.json",
+                 "sqrt.json"):
+        outputs[path] = (tmp_path / path).read_text()
+    assert {name: hashlib.sha256(text.encode()).hexdigest()
+            for name, text in outputs.items()} == _README_DIGESTS
 
 
 def test_gen_instance_byte_identical(tmp_path, capsys):
