@@ -29,15 +29,20 @@ it takes to trace and compile the draw kernel and the certificate kernel.
 
 import argparse
 import random
+import sys
 import time
 import timeit
+from pathlib import Path
 
 from weilchar import action, attack, curves, fields, pairing
 from weilchar.fields import FieldElement, dlog_in_mu_m, get_tower
 from weilchar.memo import clear_caches
 
-# the roster of perfbench's sqrt-recover workload: (q, t, seed)
-ROSTER = ((17, 3, 1), (7, 2, 1), (31, 2, 1), (2221, 92, 0))
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import SqrtRecover
+
+# the roster of perfbench's sqrt-recover workload: (q, t, seed, exp_bound)
+ROSTER = SqrtRecover.ROSTER
 # curves of the roster and of the criterion-7 ladder: (p, a4, a6)
 CURVES = ((2221, 1668, 2145), (120121, 108144, 71009))
 # the (p, r, m) the benchmark's pairings run at, with their instance curve
@@ -50,7 +55,7 @@ def instance(p: int):
     """The instance of a cell: the ddh base at p = 101, else the roster's."""
     if p == 101:
         return action.gen_supersingular_instance(101)
-    q, t, seed = next(row for row in ROSTER if row[0] == p)
+    q, t, seed, _ = next(row for row in ROSTER if row[0] == p)
     return action.make_instance(q, t, random.Random(seed))
 
 
@@ -80,8 +85,7 @@ def pairing_steps(repeat: int) -> None:
         oc = instance(p)
         k = attack.adjust_generator(oc, m)
         side = oc if k == 0 else oc.shifted(k)
-        stats = {"sigma_evals": 0}
-        attack._side_pairing(side, m, f, rng, stats)    # the cell records
+        attack._side_pairing(side, m, f, rng)    # the cell records
         row = []
         for traceable in (False, True):
             f.traceable = traceable
@@ -91,8 +95,7 @@ def pairing_steps(repeat: int) -> None:
                         best(lambda: pairing._replay(f, E.a4.value, E.a6.value,
                                                      a4, a6, m, rng),
                              100 * repeat),
-                        best(lambda: attack._side_pairing(side, m, f, rng,
-                                                          stats),
+                        best(lambda: attack._side_pairing(side, m, f, rng),
                              100 * repeat)))
         # a primitive m-th root of unity, and a target in mu_m
         while True:
@@ -159,7 +162,7 @@ def main(argv=None) -> None:
     action.count_points = counted
     print(f"{'make_instance':<14} {'q':>7} {'t':>4} {'seed':>4} {'ms':>10} "
           f"{'counts':>6}")
-    for q, t, seed in ROSTER:
+    for q, t, seed, _ in ROSTER:
         ms = best(search, args.repeat) * 1e3
         print(f"{'':<14} {q:>7} {t:>4} {seed:>4} {ms:10.3f} {len(calls):>6}")
 

@@ -17,14 +17,19 @@ in one process (100 N for compose and reduce_form):
 import argparse
 import random
 import resource
+import sys
 import time
 import timeit
+from pathlib import Path
 
 from weilchar import action, quadforms, roots
 from weilchar.quadforms import QuadForm, compose, reduce_form
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import SqrtRecover
+
 # the roster of perfbench's sqrt-recover workload: (q, t, seed, exp_bound)
-ROSTER = ((17, 3, 1, 5), (7, 2, 1, 5), (31, 2, 1, 5), (2221, 92, 0, 7))
+ROSTER = SqrtRecover.ROSTER
 
 
 def best(fn, repeat: int) -> float:

@@ -105,20 +105,21 @@ def _cell(oc: OrientedCurve, trace: int, norm: int, m: int, r: int, a: int,
                                    _raw(f, sP), m)
 
 
-def _noneigen_draw(oc, m: int, tower, rng, stats=None):
-    """Rejection-sample P uniform over E[m] until (P, sigma P) generates.
+def _side_pairing(oc, m: int, tower, rng) -> tuple:
+    """(z, n): z = e_m(P, sigma P) for P rejection-sampled uniform over
+    E[m] until (P, sigma P) generates, n the sigma evaluations counted.
 
     P = aB1 + bB2 is drawn as its coefficients, a first, and each draw
     reads one memoized record of its cell (_cell), so each of the m^2
     points of E[m], its sigma image and the plan of their pairing are
-    computed at most once per basis and orientation.  The record counts
-    its sigma evaluations in stats and, for m = 4 and 8, has already
-    decided whether sigma moves (m/2)P; for odd m a finite P generates
-    when e_m(P, sigma P), settled from the record's plan, is primitive.
-    Returns (plan, pairing or None) so the caller reuses the work."""
+    computed at most once per basis and orientation.  For m = 4 and 8 the
+    record has already decided whether sigma moves (m/2)P; for odd m a
+    finite P generates when e_m(P, sigma P), settled from the record's
+    plan, is primitive."""
     key = (oc, oc.sigma_trace, oc.sigma_norm, m, tower.r)
     plain, getrandbits, bits = (_reads_by_getrandbits(rng), rng.getrandbits,
                                 m.bit_length())
+    sigma_evals = 0
     for _ in range(64):
         if plain:       # randrange(m) twice, as randrange reads them
             a = getrandbits(bits)
@@ -130,15 +131,12 @@ def _noneigen_draw(oc, m: int, tower, rng, stats=None):
         else:
             a, b = rng.randrange(m), rng.randrange(m)
         _, _, evals, plan = _cell(*key, a, b)
-        if stats is not None:
-            stats["sigma_evals"] += evals
+        sigma_evals += evals
         if plan is None:
             continue
-        if m % 2 == 0:
-            return plan, None
         z = _settle(plan, rng).value
-        if element_order(z, m) == m:
-            return plan, z
+        if m % 2 == 0 or element_order(z, m) == m:
+            return z, sigma_evals
     raise RuntimeError(
         f"no independent point in 64 draws: the orientation acts by a scalar "
         f"on the {m}-torsion (imprimitive sigma or wrong modulus)")
@@ -168,11 +166,6 @@ class BaseSide(NamedTuple):
     timings_ms: dict
 
 
-def _side_pairing(oc, m: int, tower, rng, stats):
-    plan, z = _noneigen_draw(oc, m, tower, rng, stats)
-    return z if z is not None else _settle(plan, rng).value
-
-
 def base_side(ocE: OrientedCurve, char: Character, rng) -> BaseSide:
     """Base half of eval_character: its checks on the base and character,
     the shift, the torsion degree, and the base pairing, drawn from rng in
@@ -186,7 +179,6 @@ def base_side(ocE: OrientedCurve, char: Character, rng) -> BaseSide:
     if char not in assigned_characters(ocE.D):
         raise ValueError(f"{char.label} is not assigned to discriminant -{ocE.D}")
 
-    stats = {"sigma_evals": 0}
     times = {}
     t0 = time.perf_counter()
     k = adjust_generator(ocE, m)
@@ -205,9 +197,9 @@ def base_side(ocE: OrientedCurve, char: Character, rng) -> BaseSide:
     t2 = time.perf_counter()
     times["extension_ms"] = (t2 - t1) * 1000
 
-    z = _side_pairing(A, m, tower, rng, stats)
+    z, sigma_evals = _side_pairing(A, m, tower, rng)
     times["side_base_ms"] = (time.perf_counter() - t2) * 1000
-    return BaseSide(ocE, char, k, r, tower, z, stats["sigma_evals"], times)
+    return BaseSide(ocE, char, k, r, tower, z, sigma_evals, times)
 
 
 def eval_character(ocE: OrientedCurve, ocE2: OrientedCurve, char: Character,
@@ -232,10 +224,9 @@ def eval_character(ocE: OrientedCurve, ocE2: OrientedCurve, char: Character,
     else:
         times = {}
 
-    stats = {"sigma_evals": 0}
     t1 = time.perf_counter()
     B = ocE2 if base.k == 0 else ocE2.shifted(base.k)
-    z2 = _side_pairing(B, m, base.tower, rng, stats)
+    z2, sigma_evals = _side_pairing(B, m, base.tower, rng)
     t2 = time.perf_counter()
     times["side_target_ms"] = (t2 - t1) * 1000
 
@@ -248,7 +239,7 @@ def eval_character(ocE: OrientedCurve, ocE2: OrientedCurve, char: Character,
     times["dlog_ms"] = (t3 - t2) * 1000
     times["total_ms"] = (t3 - t0) * 1000
     return CharEvalResult(char, value, a % m, base.r, gamma,
-                          base.sigma_evals + stats["sigma_evals"], times)
+                          base.sigma_evals + sigma_evals, times)
 
 
 def usable_characters(oc: OrientedCurve) -> list:

@@ -82,6 +82,12 @@ def write_json(path, payload) -> None:
             fh.write(text)
 
 
+def write_record(path, schema: str, payload: dict) -> None:
+    """Write payload, stamped with schema, as the --out record at path."""
+    write_json(path, {**payload, "schema": schema})
+    print(f"wrote {schema} to {path}")
+
+
 def read_json(path) -> dict:
     """The JSON object in the file at path; every input file holds one."""
     try:
@@ -124,6 +130,18 @@ def parse_char_label(label: str) -> Character:
         return Character("delta_epsilon", 8)
     raise CommandError(EXIT_INFEASIBLE, f"unknown character label {label!r} "
                        "(expected chi_<m>, delta, epsilon or delta_epsilon)")
+
+
+def read_chars(flag, listed, allowed, refusal: str) -> list:
+    """The characters named in flag, a comma-separated --chars, or else in
+    listed, a file's label list; one whose label is not in allowed exits
+    2 with its label and refusal."""
+    labels = [s for s in flag.split(",") if s.strip()] if flag else listed
+    chars = [parse_char_label(s) for s in labels or ()]
+    for ch in chars:
+        if ch.label not in allowed:
+            raise CommandError(EXIT_INFEASIBLE, f"{ch.label} {refusal}")
+    return chars
 
 
 def character_inventory(oc) -> dict:
@@ -267,22 +285,6 @@ def cmd_gen_instance(args) -> int:
 
 # ---------------------------------------------------------------- eval-char
 
-def _select_chars(args_chars, base, payload_usable) -> list:
-    if args_chars:
-        labels = [s for s in args_chars.split(",") if s.strip()]
-    else:
-        labels = payload_usable
-    if not labels:
-        raise CommandError(EXIT_INFEASIBLE, "no characters requested or usable")
-    chars = [parse_char_label(s) for s in labels]
-    assigned = {ch.label for ch in quadforms.assigned_characters(base.D)}
-    for ch in chars:
-        if ch.label not in assigned:
-            raise CommandError(EXIT_INFEASIBLE,
-                               f"{ch.label} is not assigned for D={base.D}")
-    return chars
-
-
 def cmd_eval_char(args) -> int:
     payload = read_json(args.input)
     base, target, oracle = load_pair(payload)
@@ -294,7 +296,11 @@ def cmd_eval_char(args) -> int:
         raise CommandError(EXIT_INFEASIBLE,
                            "'characters' must be an object whose 'usable' is "
                            "a list of character labels")
-    chars = _select_chars(args.chars, base, usable)
+    assigned = {ch.label for ch in quadforms.assigned_characters(base.D)}
+    chars = read_chars(args.chars, usable, assigned,
+                       f"is not assigned for D={base.D}")
+    if not chars:
+        raise CommandError(EXIT_INFEASIBLE, "no characters requested or usable")
     for ch in chars:
         if math.gcd(ch.modulus, base.q) != 1:
             raise CommandError(
@@ -325,13 +331,11 @@ def cmd_eval_char(args) -> int:
                     f"   ORACLE MISMATCH (file says {want:+d})"
         print(line)
     if args.out:
-        write_json(args.out, {
-            "schema": EVAL_SCHEMA,
+        write_record(args.out, EVAL_SCHEMA, {
             "pair": {"base": base.to_json(), "target": target.to_json()},
             "values": {k: v.to_json() for k, v in values.items()},
             "oracle_match": matches or None,
         })
-        print(f"wrote {EVAL_SCHEMA} to {args.out}")
     if matches and not all(matches.values()):
         bad = [k for k, ok in matches.items() if not ok]
         raise CommandError(EXIT_ATTACK,
@@ -358,27 +362,16 @@ def cmd_ddh_experiment(args) -> int:
                     or args.squares_only)
     exp_bound = _config_value(config, "exp_bound", int, 5)
 
-    if args.chars:
-        labels = [s for s in args.chars.split(",") if s.strip()]
-    else:
-        labels = config.get("chars")
-        if not (labels is None or isinstance(labels, list)
-                and all(isinstance(s, str) for s in labels)):
-            raise CommandError(EXIT_INFEASIBLE,
-                               "config key 'chars' must be a list of "
-                               f"character labels, not {labels!r}")
+    listed = config.get("chars")
+    if not (args.chars or listed is None or isinstance(listed, list)
+            and all(isinstance(s, str) for s in listed)):
+        raise CommandError(EXIT_INFEASIBLE,
+                           "config key 'chars' must be a list of "
+                           f"character labels, not {listed!r}")
     usable = attack.usable_characters(base)
-    if labels:
-        chars = [parse_char_label(s) for s in labels]
-        usable_labels = {ch.label for ch in usable}
-        for ch in chars:
-            if ch.label not in usable_labels:
-                raise CommandError(
-                    EXIT_INFEASIBLE,
-                    f"{ch.label} is unusable on this instance (must be "
-                    "assigned, prime to q, and nontrivial on the class group)")
-    else:
-        chars = usable
+    chars = read_chars(args.chars, listed, {ch.label for ch in usable},
+                       "is unusable on this instance (must be assigned, prime "
+                       "to q, and nontrivial on the class group)") or usable
 
     if class_number(base.D) == 1:
         raise CommandError(EXIT_INFEASIBLE,
@@ -388,25 +381,21 @@ def cmd_ddh_experiment(args) -> int:
         raise CommandError(EXIT_INFEASIBLE,
                            "no nontrivial usable characters on this instance")
     try:
-        report = ddh.run_experiment(base, trials, chars, seed,
-                                    squares_only=squares_only,
-                                    exp_bound=exp_bound)
+        report = {**ddh.run_experiment(base, trials, chars, seed,
+                                       squares_only=squares_only,
+                                       exp_bound=exp_bound),
+                  "schema": REPORT_SCHEMA}
     except ValueError as exc:
         raise CommandError(EXIT_INFEASIBLE, str(exc))
     except RuntimeError as exc:
         raise CommandError(EXIT_ATTACK, f"experiment failed: {exc}")
 
     if args.json:
-        out_report = dict(report)
-        out_report["schema"] = REPORT_SCHEMA
-        sys.stdout.write(render_json(out_report))
+        sys.stdout.write(render_json(report))
     else:
         _print_ddh_table(report)
     if args.out:
-        out_report = dict(report)
-        out_report["schema"] = REPORT_SCHEMA
-        write_json(args.out, out_report)
-        print(f"wrote {REPORT_SCHEMA} to {args.out}")
+        write_record(args.out, REPORT_SCHEMA, report)
     return EXIT_OK
 
 
@@ -483,10 +472,7 @@ def cmd_sqrt_recover(args) -> int:
             raise CommandError(EXIT_ATTACK,
                                "recovered class differs from the planted one")
     if args.out:
-        out = rec.to_json()
-        out["schema"] = RECOVERY_SCHEMA
-        write_json(args.out, out)
-        print(f"wrote {RECOVERY_SCHEMA} to {args.out}")
+        write_record(args.out, RECOVERY_SCHEMA, rec.to_json())
     return EXIT_OK
 
 
@@ -703,6 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "'plant':true for a pair file with an oracle field")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", default="-", help="output path ('-' for stdout)")
+    g.set_defaults(run=cmd_gen_instance)
 
     e = sub.add_parser("eval-char",
                        help="evaluate assigned characters at the unknown "
@@ -713,6 +700,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "(default: the file's usable list)")
     e.add_argument("--seed", type=int, default=0)
     e.add_argument("--out", help="also write the result JSON here")
+    e.set_defaults(run=cmd_eval_char)
 
     d = sub.add_parser("ddh-experiment",
                        help="run a balanced dh/random distinguishing "
@@ -729,6 +717,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the full report as JSON instead of the "
                         "summary table")
     d.add_argument("--out", help="also write the report JSON here")
+    d.set_defaults(run=cmd_ddh_experiment)
 
     r = sub.add_parser("sqrt-recover",
                        help="disambiguate a class-group square root using "
@@ -742,23 +731,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also filter by the assigned two-adic characters")
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--out", help="also write the recovery JSON here")
+    r.set_defaults(run=cmd_sqrt_recover)
 
-    sub.add_parser("selftest",
-                   help="run the invariant suite at small parameters")
+    sub.add_parser("selftest", help="run the invariant suite at small "
+                   "parameters").set_defaults(run=cmd_selftest)
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "gen-instance": cmd_gen_instance,
-        "eval-char": cmd_eval_char,
-        "ddh-experiment": cmd_ddh_experiment,
-        "sqrt-recover": cmd_sqrt_recover,
-        "selftest": cmd_selftest,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except CommandError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.code

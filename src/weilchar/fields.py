@@ -848,21 +848,22 @@ class FieldElement:
             return f, self.value, f.from_int(other)
         return NotImplemented
 
-    def __add__(self, other):
+    # op(f, u, v) on the coerced values; each op is looked up on FieldTower
+    # per call, so a wrapper set on the class sees every call
+    def _apply(self, other, op):
         pr = self._pair(other)
         if pr is NotImplemented:
             return NotImplemented
         f, u, v = pr
-        return FieldElement(f, f.vadd(u, v))
+        return FieldElement(f, op(f, u, v))
+
+    def __add__(self, other):
+        return self._apply(other, FieldTower.vadd)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        pr = self._pair(other)
-        if pr is NotImplemented:
-            return NotImplemented
-        f, u, v = pr
-        return FieldElement(f, f.vsub(u, v))
+        return self._apply(other, FieldTower.vsub)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -871,20 +872,12 @@ class FieldElement:
         return FieldElement(self.field, self.field.vneg(self.value))
 
     def __mul__(self, other):
-        pr = self._pair(other)
-        if pr is NotImplemented:
-            return NotImplemented
-        f, u, v = pr
-        return FieldElement(f, f.vmul(u, v))
+        return self._apply(other, FieldTower.vmul)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        pr = self._pair(other)
-        if pr is NotImplemented:
-            return NotImplemented
-        f, u, v = pr
-        return FieldElement(f, f.vmul(u, f.vinv(v)))
+        return self._apply(other, lambda f, u, v: f.vmul(u, f.vinv(v)))
 
     def __rtruediv__(self, other):
         return self.inverse() * other

@@ -235,7 +235,10 @@ def _settle(plan: tuple, rng) -> PairingValue:
 def weil_pairing(E: Curve, P: CurvePoint, Q: CurvePoint, m: int, rng) -> PairingValue:
     """e_m(P, Q) for P, Q in E[m]; the value is a root of unity of order
     dividing m, primitive exactly when (P, Q) is a basis of E[m].  Raises
-    ValueError unless both arguments lie in E[m]."""
+    ValueError unless m is an int at least 1 and both arguments lie in
+    E[m]."""
+    if type(m) is not int or m < 1:
+        raise ValueError(f"the order m must be an int at least 1, not {m!r}")
     f = E.field
     return _settle(_plan(f, E.a4.value, E.a6.value, _raw(f, P), _raw(f, Q),
                          m), rng)

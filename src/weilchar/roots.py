@@ -88,9 +88,10 @@ def recover_root(ocE: OrientedCurve, ocE2: OrientedCurve, c_squared: QuadForm,
         rng = random.Random()
     D = ocE.D
     factors = discriminant(D).factors
-    bound = choose_bound(factors) if B == "auto" else int(B)
-    if bound < 0:
-        raise ValueError(f"the bound B must be 'auto' or at least 0, not {B}")
+    if B != "auto" and (type(B) is not int or B < 0):
+        raise ValueError("the bound B must be 'auto' or an int at least 0, "
+                         f"not {B!r}")
+    bound = choose_bound(factors) if B == "auto" else B
 
     timings: dict = {}
     t0 = time.perf_counter()

@@ -8,9 +8,9 @@ import weilchar.attack
 
 from weilchar.action import (OrientedCurve, SmoothIdeal, apply_smooth_ideal,
                              random_smooth_class, split_prime)
-from weilchar.attack import (_cell, _noneigen_draw, _side_pairing,
-                             _torsion_basis, adjust_generator, base_side,
-                             eval_character, usable_characters)
+from weilchar.attack import (_cell, _side_pairing, _torsion_basis,
+                             adjust_generator, base_side, eval_character,
+                             usable_characters)
 from weilchar.curves import (_raw, frobenius_map, point_add, scalar_mul,
                              torsion_basis, torsion_extension_degree)
 from weilchar.fields import element_order, get_tower, legendre_symbol
@@ -165,7 +165,7 @@ def test_noneigen_frequency(oc24):
 
 @pytest.mark.parametrize("m", [3, 4, 5, 8])
 def test_noneigen_draw_reads_coefficients_as_randrange(monkeypatch, m):
-    """Over 10,000 coefficients, _noneigen_draw reads from a
+    """Over 10,000 coefficients, _side_pairing reads from a
     random.Random what two randrange(m) calls per cell read, leaving the
     same state; a generator whose randrange is its own sees every call."""
     drawn = []
@@ -189,7 +189,7 @@ def test_noneigen_draw_reads_coefficients_as_randrange(monkeypatch, m):
         rng = kind(f"coefficients{m}")
         while len(drawn) < 10000:
             with pytest.raises(RuntimeError, match="no independent point"):
-                _noneigen_draw(oc, m, tower, rng)
+                _side_pairing(oc, m, tower, rng)
         replay = random.Random(f"coefficients{m}")
         assert drawn == [replay.randrange(m) for _ in drawn]
         assert rng.getstate() == replay.getstate()
@@ -221,10 +221,10 @@ def test_imprimitive_rejected(oc24, oc52):
     rng = random.Random(7)
     r3 = torsion_extension_degree(oc24.curve, 3)
     with pytest.raises(RuntimeError, match="imprimitive"):
-        _noneigen_draw(_Imprimitive(oc24, 3, 1), 3, get_tower(7, r3), rng)
+        _side_pairing(_Imprimitive(oc24, 3, 1), 3, get_tower(7, r3), rng)
     r4 = torsion_extension_degree(oc52.curve, 4)
     with pytest.raises(RuntimeError, match="imprimitive"):
-        _noneigen_draw(_Imprimitive(oc52, 4, 1), 4, get_tower(13, r4), rng)
+        _side_pairing(_Imprimitive(oc52, 4, 1), 4, get_tower(13, r4), rng)
 
 
 def test_imprimitive_rejected_after_a_frobenius_draw(oc24, oc52):
@@ -233,10 +233,10 @@ def test_imprimitive_rejected_after_a_frobenius_draw(oc24, oc52):
     cells and is still rejected."""
     for oc, m in ((oc24, 3), (oc52, 4)):
         tower = get_tower(oc.q, torsion_extension_degree(oc.curve, m))
-        _noneigen_draw(oc, m, tower, random.Random(7))
+        _side_pairing(oc, m, tower, random.Random(7))
         with pytest.raises(RuntimeError, match="imprimitive"):
-            _noneigen_draw(_Imprimitive(oc, m, 1), m, tower,
-                           random.Random(7))
+            _side_pairing(_Imprimitive(oc, m, 1), m, tower,
+                          random.Random(7))
 
 
 @pytest.mark.parametrize("name,k,m", [("oc24", 0, 3), ("oc52", 0, 4),
@@ -325,11 +325,10 @@ def test_side_pairing_from_the_plan_matches_weil_pairing(request, name, m):
     oc = request.getfixturevalue(name)
     r = torsion_extension_degree(oc.curve, m)
     tower = get_tower(oc.q, r)
-    stats = {"sigma_evals": 0}
-    _side_pairing(oc, m, tower, random.Random(0), stats)
+    _side_pairing(oc, m, tower, random.Random(0))
     ours, ref = random.Random(f"side{m}"), random.Random(f"side{m}")
     for _ in range(1000):
-        z = _side_pairing(oc, m, tower, ours, stats)
+        z, _ = _side_pairing(oc, m, tower, ours)
         assert z == _reference_side(oc, m, r, ref)
         assert ours.getstate() == ref.getstate()
 

@@ -143,6 +143,24 @@ def test_pairing_rejects_points_outside_the_torsion():
         weil_pairing(E, CurvePoint.infinity(), Q, 3, rng)
 
 
+@pytest.mark.parametrize("m", [0, -1, -3])
+def test_pairing_order_must_be_at_least_1(m):
+    """An order m below 1 raises, at infinity as on a basis of E[3], where
+    1^m = 1 once let any m through."""
+    rng = random.Random(19)
+    E = curve_over(19, 2, 12)      # full rational 3-torsion, order 18
+    O = CurvePoint.infinity()
+    for P, Q in ((O, O), torsion_basis(E, 3, 18, rng)):
+        with pytest.raises(ValueError, match="an int at least 1"):
+            weil_pairing(E, P, Q, m, rng)
+
+
+def test_pairing_of_order_1_at_infinity_is_1():
+    E = curve_over(19, 2, 12)
+    O = CurvePoint.infinity()
+    assert weil_pairing(E, O, O, 1, random.Random(19)).value == E.field(1)
+
+
 @functools.lru_cache(maxsize=None)
 def _cached_basis(q, a4, a6, m):
     return _basis(q, a4, a6, m, random.Random(23))

@@ -110,6 +110,23 @@ def test_explicit_bound_override(oc420):
     assert d["B"] == 7 and d["recovered"] == rec.recovered.to_json()
 
 
+@pytest.mark.parametrize("B", [-0.5, 2.5, "3", True],
+                         ids=["negative-float", "float", "string", "bool"])
+def test_bound_is_auto_or_an_int_at_least_0(oc24, B):
+    """A bound that is not 'auto' or an int at least 0 raises, where it
+    was once truncated by int() (-0.5 to 0, 2.5 to 2, "3" to 3, True
+    to 1)."""
+    with pytest.raises(ValueError, match="'auto' or an int at least 0"):
+        recover_root(oc24, oc24, principal_form(24), B=B,
+                     rng=random.Random(5))
+
+
+@pytest.mark.parametrize("B", [0, 3])
+def test_integer_bounds_run(oc24, B):
+    rec = plant_and_recover(oc24, random.Random(5), B=B)
+    assert rec.bound_B == B
+
+
 def test_nonsquare_target_rejected(oc56):
     rng = random.Random(5)
     group = enumerate_class_group(56)
