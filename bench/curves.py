@@ -17,14 +17,16 @@ calls in one process (100 N for scalar_mul):
 With --pairing-steps it prints one table instead, with 100 N calls per
 run: at the (p, r, m) cells of the benchmark's pairings, on the instance
 curve over F_{p^r}, microseconds per Curve.draw_point (the draw kernel's
-whole rejection loop when compiled), per x([m]R) certificate
-(pairing._separated), per shift attempt (pairing._replay: two draws and
-the certificate) and per warm side pairing (attack._side_pairing: cells
-drawn from their memoized records until one is accepted, and the plan of
-its pairing settled), interpreted (the tower's traceable flag cleared)
-and compiled; per dlog_in_mu_m with its table and the base's order
-computed on every call (cold) and looked up (warm); and the milliseconds
-it takes to trace and compile the draw kernel and the certificate kernel.
+whole rejection loop when compiled), per x([m]R) certificate (interpreted,
+pairing._separated; compiled, the attempt kernel's certificate fed each
+x^2), per shift attempt (interpreted, pairing._replay: two draws and the
+certificate; compiled, one call of pairing._attempt_kernel) and per warm
+side pairing (attack._side_pairing: cells drawn from their memoized
+records until one is accepted, and the plan of its pairing settled),
+interpreted (the tower's traceable flag cleared) and compiled; per
+dlog_in_mu_m with its table, root check and the base's order computed on every
+call (cold) and looked up (warm); and the milliseconds it takes to trace
+and compile the draw kernel and the attempt kernel.
 """
 
 import argparse
@@ -76,7 +78,7 @@ def pairing_steps(repeat: int) -> None:
           f"{'dlog':>13} {'compile ms':>11}")
     print(f"{'':<14} {'':>7} {'':>2} {'':>2} "
           + f"{'interp':>6} {'comp':>6} " * 4
-          + f"{'cold':>6} {'warm':>6} {'draw':>5} {'cert':>5}")
+          + f"{'cold':>6} {'warm':>6} {'draw':>5} {'att':>5}")
     for p, r, m, a4, a6 in CELLS:
         f = get_tower(p, r)
         E = curves.Curve(f, a4, a6)
@@ -86,17 +88,21 @@ def pairing_steps(repeat: int) -> None:
         k = attack.adjust_generator(oc, m)
         side = oc if k == 0 else oc.shifted(k)
         attack._side_pairing(side, m, f, rng)    # the cell records
+        kernel = pairing._attempt_kernel(f, m)
+        certificate = kernel.__globals__["_certificate"]
+        xxR, xxS = f.vmul(R[0], R[0]), f.vmul(S[0], S[0])
+        steps = {False: (lambda: pairing._separated(f, a4, a6, m, R, S),
+                         lambda: pairing._replay(f, E.a4.value, E.a6.value,
+                                                 a4, a6, m, rng)),
+                 True: (lambda: certificate(a4, a6, R[0], R[1], xxR, S[0],
+                                            S[1], xxS),
+                        lambda: kernel(rng, E.a4.value, E.a6.value, a4, a6))}
         row = []
         for traceable in (False, True):
             f.traceable = traceable
-            row.append((best(lambda: E.draw_point(rng), 100 * repeat),
-                        best(lambda: pairing._separated(f, a4, a6, m, R, S),
-                             100 * repeat),
-                        best(lambda: pairing._replay(f, E.a4.value, E.a6.value,
-                                                     a4, a6, m, rng),
-                             100 * repeat),
-                        best(lambda: attack._side_pairing(side, m, f, rng),
-                             100 * repeat)))
+            row.append(tuple(best(fn, 100 * repeat) for fn in (
+                lambda: E.draw_point(rng), *steps[traceable],
+                lambda: attack._side_pairing(side, m, f, rng))))
         # a primitive m-th root of unity, and a target in mu_m
         while True:
             z = f.vpow(f.random_value(rng), (f.size - 1) // m)
@@ -106,14 +112,15 @@ def pairing_steps(repeat: int) -> None:
         b, t = FieldElement(f, z), FieldElement(f, f.vpow(z, m - 1))
 
         def cold():
-            for cached in (fields._mu_table, fields.element_order):
+            for cached in (fields._in_mu_m, fields._mu_table,
+                           fields.element_order):
                 cached.cache_clear()
             return dlog_in_mu_m(b, t, m)
 
         dlogs = (best(cold, 100 * repeat),
                  best(lambda: dlog_in_mu_m(b, t, m), 100 * repeat))
         ms = (compile_ms(lambda: curves._draw_kernel.__wrapped__(f)),
-              compile_ms(lambda: pairing._separation_kernel.__wrapped__(f, m)))
+              compile_ms(lambda: pairing._attempt_kernel.__wrapped__(f, m)))
         us = [x * 1e6 for pair in zip(*row) for x in pair] + [
             x * 1e6 for x in dlogs]
         print(f"{'':<14} {p:>7} {r:>2} {m:>2} "

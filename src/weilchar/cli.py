@@ -132,15 +132,26 @@ def parse_char_label(label: str) -> Character:
                        "(expected chi_<m>, delta, epsilon or delta_epsilon)")
 
 
-def read_chars(flag, listed, allowed, refusal: str) -> list:
+def read_chars(flag, listed, allowed, refusal: str):
     """The characters named in flag, a comma-separated --chars, or else in
-    listed, a file's label list; one whose label is not in allowed exits
-    2 with its label and refusal."""
-    labels = [s for s in flag.split(",") if s.strip()] if flag else listed
-    chars = [parse_char_label(s) for s in labels or ()]
-    for ch in chars:
-        if ch.label not in allowed:
-            raise CommandError(EXIT_INFEASIBLE, f"{ch.label} {refusal}")
+    listed, a file's label list, or None when both are absent, so that the
+    caller keeps its default.  Every command reads a list alike: an empty
+    one exits 2, then a repeated label, then one not in allowed, with its
+    label and refusal."""
+    if flag is not None:
+        listed = [s for s in flag.split(",") if s.strip()]
+    elif listed is None:
+        return None
+    if not listed:
+        raise CommandError(EXIT_INFEASIBLE, "the character list is empty")
+    chars = [parse_char_label(s) for s in listed]
+    labels = [ch.label for ch in chars]
+    for label in labels:
+        if labels.count(label) > 1:
+            raise CommandError(EXIT_INFEASIBLE, f"{label} is listed twice")
+    for label in labels:
+        if label not in allowed:
+            raise CommandError(EXIT_INFEASIBLE, f"{label} {refusal}")
     return chars
 
 
@@ -297,9 +308,9 @@ def cmd_eval_char(args) -> int:
                            "'characters' must be an object whose 'usable' is "
                            "a list of character labels")
     assigned = {ch.label for ch in quadforms.assigned_characters(base.D)}
-    chars = read_chars(args.chars, usable, assigned,
+    chars = read_chars(args.chars, usable or None, assigned,
                        f"is not assigned for D={base.D}")
-    if not chars:
+    if chars is None:
         raise CommandError(EXIT_INFEASIBLE, "no characters requested or usable")
     for ch in chars:
         if math.gcd(ch.modulus, base.q) != 1:
@@ -363,7 +374,8 @@ def cmd_ddh_experiment(args) -> int:
     exp_bound = _config_value(config, "exp_bound", int, 5)
 
     listed = config.get("chars")
-    if not (args.chars or listed is None or isinstance(listed, list)
+    if not (args.chars is not None or listed is None
+            or isinstance(listed, list)
             and all(isinstance(s, str) for s in listed)):
         raise CommandError(EXIT_INFEASIBLE,
                            "config key 'chars' must be a list of "

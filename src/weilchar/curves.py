@@ -26,8 +26,7 @@ import random
 from typing import Optional
 
 from .fields import (FieldElement, FieldTower, SymbolicTower, _is_prime,
-                     _norm_int, _pdivmod, _pgcd, _pmul, _ppowmod, _psub,
-                     factorize)
+                     _pdivmod, _pgcd, _pmul, _ppowmod, _psub, factorize)
 from .memo import memo
 
 
@@ -159,32 +158,52 @@ def _rhs(f, x, a4, a6):
 
 @memo
 def _draw_kernel(f: FieldTower):
-    """_draw compiled for the traceable f: kernel(rng, a4, a6) is the
-    (x, c, sign, norm) of _draw on the raw a4 and a6 of any curve over f.
-    Each candidate's x from its rank, c = _rhs and N(c) run straight-line,
-    the norm is checked by _norm_int, and the rank and the sign are read
-    by rng.getrandbits exactly as randrange(size) and randrange(2) read
-    them."""
+    """_draw compiled for the traceable f (_compile_draw): kernel(rng, a4,
+    a6) is the (x, c, sign, norm) of _draw on the raw a4 and a6 of any
+    curve over f."""
+    return _compile_draw(f, "rng, a4, a6", "draw", """\
+        return {0}, {1}, sign, norm
+""")
+
+
+def _compile_draw(f: FieldTower, args: str, role: str, accepted: str,
+                  before: str = "", **scope):
+    """A kernel of args, rng, a4 and a6 among them, running _draw's
+    rejection loop for the traceable f: each candidate's x from its rank,
+    c = _rhs and N(c) run straight-line, the norm is checked to lie in F_p
+    (the RuntimeError of fields._norm_int) and by Euler's test inline, and
+    the rank and the sign are read by rng.getrandbits exactly as
+    randrange(size) and randrange(2) read them.  accepted is the source
+    run, one level inside the loop, on each candidate taken, with sign and
+    norm bound and the fields {0}, {1} and {2} standing for x, c and x^2;
+    it returns, or resets tries for a next draw.  before runs first;
+    scope holds the globals accepted calls."""
     t = SymbolicTower(f)
     x = t.unrank(t.scalar("n"))
     c = _rhs(t, x, t.value("a4"), t.value("a6"))
+    norm = t._frobenius_sum_power(c, f.r)
     p, size, bits = f.p, f.size, f.size.bit_length()
-    return t.compile("rng, a4, a6", x, c, t._frobenius_sum_power(c, f.r),
-                     role="draw", _norm_int=_norm_int, loop=f"""\
-    getrandbits = rng.getrandbits
-    for _ in range(10000):
+    # the fields {3}, {4}, ... are the coefficients of N(c)
+    outside = " or ".join(f"{{{i}}}" for i in range(4, 3 + f.r))
+    return t.compile(args, x, c, t.vmul(x, x), *norm, role=role, loop=f"""\
+{before}    getrandbits = rng.getrandbits
+    tries = 10000
+    while tries:
+        tries -= 1
         n = getrandbits({bits})
         while n >= {size}:
             n = getrandbits({bits})
-{{steps}}        norm = _norm_int({{1}}, {{2}})
+{{steps}}        if {outside}:
+            raise RuntimeError("norm of %s does not lie in the prime field"
+                               % ({{1}},))
+        norm = {{3}}
         if norm and pow(norm, {(p - 1) // 2}, {p}) != 1:
             continue
         sign = getrandbits(2)
         while sign >= 2:
             sign = getrandbits(2)
-        return {{0}}, {{1}}, sign, norm
-    raise RuntimeError("failed to sample a curve point")
-""")
+{accepted}    raise RuntimeError("failed to sample a curve point")
+""", **scope)
 
 
 def _lift(f: FieldTower, drawn: tuple):
@@ -454,11 +473,13 @@ def _division_f(p: int, A: int, B: int, m: int) -> list:
                            lambda a, b: _psub(p, a, b), _pmul(p, F, F), f)(m)
 
 
-def _division_values(f: FieldTower, a4, a6, n: int, x, c) -> tuple:
+def _division_values(f: FieldTower, a4, a6, n: int, x, c,
+                     xx=None) -> tuple:
     """(f_{n-1}, f_n, f_{n+1}) at x, for odd n >= 3, c = x^3 + a4 x + a6 and
-    ints a4, a6 of F_p, on raw values of f or of a SymbolicTower for it."""
-    x2 = f.vmul(x, x)
-    x3 = f.vmul(x2, x)
+    ints a4, a6 of F_p, on raw values of f or of a SymbolicTower for it;
+    xx, when given, is x^2.  x^3 = c - a4 x - a6 takes no product."""
+    x2 = f.vmul(x, x) if xx is None else xx
+    x3 = f.vlin(-a6, ((1, c), (-a4, x)))
     powers = {1: x, 2: x2, 3: x3, 4: f.vmul(x2, x2), 6: f.vmul(x3, x3)}
     vals = {0: f.zero, 1: f.one, 2: f.one}
     for j, (const, terms) in enumerate(_division_seeds(a4, a6), 3):
@@ -468,9 +489,11 @@ def _division_values(f: FieldTower, a4, a6, n: int, x, c) -> tuple:
     return get(n - 1), get(n), get(n + 1)
 
 
-def _x_multiple(f: FieldTower, a4: int, a6: int, m: int, x, c) -> tuple:
+def _x_multiple(f: FieldTower, a4: int, a6: int, m: int, x, c,
+                xx=None) -> tuple:
     """x([m]R) as (X, Z) with X / Z = x([m]R), m >= 2, for R = (x, y) on
-    y^2 = x^3 + a4 x + a6 with c = y^2, a4 and a6 given as ints of F_p.
+    y^2 = x^3 + a4 x + a6 with c = y^2, a4 and a6 given as ints of F_p;
+    xx, when given, is x^2, as a draw has it from c.
     Z = 0 exactly when [m]R = O, and then X != 0.  No inversion.
 
     For m = 2^k n with n odd, x([n]R) = x - psi_{n-1} psi_{n+1} / psi_n^2
@@ -479,12 +502,12 @@ def _x_multiple(f: FieldTower, a4: int, a6: int, m: int, x, c) -> tuple:
     k = (m & -m).bit_length() - 1
     n = m >> k
     if n == 1:
-        t = f.vlin(-a4, ((1, f.vmul(x, x)),))
+        t = f.vlin(-a4, ((1, f.vmul(x, x) if xx is None else xx),))
         X, Z = (f.vlin(0, ((1, f.vmul(t, t)), (-8 * a6, x))),
                 f.vlin(0, ((4, c),)))
         k -= 1
     else:
-        fm1, fn, fp1 = _division_values(f, a4, a6, n, x, c)
+        fm1, fn, fp1 = _division_values(f, a4, a6, n, x, c, xx)
         # psi_n = f_n and psi_{n-1} psi_{n+1} = (2y)^2 f_{n-1} f_{n+1}
         Z = f.vmul(fn, fn)
         X = f.vlin(0, ((1, f.vmul(x, Z)),

@@ -37,13 +37,14 @@ phi^k included, so the norm traces as it runs; its compile makes one
 straight-line kernel of the steps a result reads, with no call per field
 operation.  curves compiles its whole point draw this way, the rejection
 loop around each candidate's x from its rank, c = x^3 + a4 x + a6 and
-N(c), and pairing its x([m]R) certificate, so each formula is written
-once, in the routine.  A traced square takes the squaring form (Hankerson,
-Menezes and Vanstone, Guide to ECC, 2.3), r (r + 1)/2 products for r^2;
-lazy reduction of traced sums and maps was prototyped and left out, as it
-gained nothing above noise.
+N(c), and pairing a whole shift attempt, that loop run twice and the
+x([m]R) certificate, so each formula is written once, in the routine.  A
+traced product asked for twice is one step, and a traced square takes
+the squaring form (Hankerson, Menezes and Vanstone, Guide to ECC, 2.3),
+r (r + 1)/2 products for r^2; lazy reduction of traced sums and maps was
+prototyped and left out, as it gained nothing above noise.
 Discrete logs in mu_m are lookups in a memoized table of the powers of
-the base.
+the base, after a memoized check that the target lies in mu_m.
 
 Square roots lean on the Frobenius x -> x^p, a linear map on coefficients.
 The norm N(v) = v^(1 + p + ... + p^(r-1)) lies in F_p and decides
@@ -55,7 +56,6 @@ taken by base-p digits over the Frobenius images.
 
 from __future__ import annotations
 
-import textwrap
 from typing import Optional
 
 from .memo import memo
@@ -617,7 +617,8 @@ class SymbolicTower:
     compiled from, and the names it reads and writes.  So a raw routine of
     f, run once here on inputs declared by value and scalar, leaves the
     straight-line body of a kernel of f, which compile returns.  Products
-    and sums with one or zero fold away."""
+    and sums with one or zero fold away, and a product asked for again
+    reads the names of its first step."""
 
     def __init__(self, f: FieldTower):
         if not f.traceable:
@@ -629,6 +630,7 @@ class SymbolicTower:
         self._inputs = []       # the lines unpacking the value arguments
         self._steps = []        # (source, names read, names written)
         self._scalars = {}      # expression -> its _Scalar
+        self._products = {}     # (u, v) -> the names of u v
         self._count = 0
 
     def _fresh(self) -> str:
@@ -670,10 +672,14 @@ class SymbolicTower:
             return self.zero
         if self.one in (u, v):
             return v if u == self.one else u
-        # the product's own names c0, c1, ... and d0, d1, ... die in its
-        # step, so every product reuses them
-        lines, coefficients = _product(self.p, self.r, self._low_terms, u, v)
-        return self._bind(coefficients, (u, v), lines)
+        uv = self._products.get((u, v))
+        if uv is None:
+            # the product's own names c0, c1, ... and d0, d1, ... die in its
+            # step, so every product reuses them
+            lines, coefficients = _product(self.p, self.r, self._low_terms,
+                                           u, v)
+            uv = self._products[u, v] = self._bind(coefficients, (u, v), lines)
+        return uv
 
     def vadd(self, u, v):
         if self.zero in (u, v):
@@ -760,7 +766,8 @@ class SymbolicTower:
                 for x in results]
         steps = "".join(reversed(calls)) + last[0]
         body = (f"{steps}    return {', '.join(outs)}\n" if loop is None else
-                loop.format(*outs, steps=textwrap.indent(steps, "    ")))
+                loop.format(*outs, steps="".join(
+                    "    " + line for line in steps.splitlines(True))))
         return _compile(name, args, "".join(self._inputs) + body, **scope)
 
 
@@ -979,14 +986,23 @@ def element_order(z: FieldElement, bound: int) -> int:
 
 def dlog_in_mu_m(base: FieldElement, target: FieldElement, m: int) -> int:
     """Discrete log of target to the given base inside the order-m roots of
-    unity, looked up in the table of the powers of base (_mu_table)."""
+    unity, looked up in the table of the powers of base (_mu_table) once
+    target is checked to lie there (_in_mu_m), so a target outside is
+    reported before a base of the wrong order, and builds no table."""
     pair = base._pair(target)
     if pair is NotImplemented:
         raise TypeError(f"{target!r} and {base!r} share no field")
     f, b, t = pair
-    if f.vpow(t, m) != f.one:
+    if not _in_mu_m(f, t, m):
         raise ValueError("target is not an m-th root of unity")
     return _mu_table(f, b, m)[t]
+
+
+@memo
+def _in_mu_m(f: FieldTower, t, m: int) -> bool:
+    """Whether the raw value t of f is an m-th root of unity, kept per
+    value, so a warm dlog takes no power."""
+    return f.vpow(t, m) == f.one
 
 
 @memo

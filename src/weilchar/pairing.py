@@ -40,25 +40,27 @@ memo.  Nothing else asks twice for one pairing's unshifted value, so it
 is not memoized; the checked PairingValue (_checked) and the curve's a4,
 a6 as ints of F_p (_prime_field_ints) are memoized (memo.memo).
 
-Each attempt is one call of _replay, which draws R, then S, as
-Curve.draw_point does, and certifies them.  Where the tower's product is
-unrolled (fields.SymbolicTower, 2 <= r <= UNROLLED_MUL_MAX_R), each draw is
-one call of a kernel of curves (_draw_kernel: the rejection loop, reading
-the generator as randrange does, around each candidate's x, c = x^3 +
-a4 x + a6 and the norm N(c) that decides squareness), and the certificate
-is one kernel per tower and m (_separation_kernel): curves._x_multiple
-traced for both points with a4 and a6 as int arguments, so one kernel
-serves every curve over the tower, returning x([m]R) != x([m]S).
-Other towers, and generators with a randrange of their own, run the same
-routines interpreted.
+Where the tower's product is unrolled (fields.SymbolicTower, 2 <= r <=
+UNROLLED_MUL_MAX_R) and the generator's randrange is random.Random's,
+_settle fetches one kernel per tower and m (_attempt_kernel) and each
+attempt is one call of it: one copy of the draw kernel's rejection loop
+(curves._compile_draw) run twice, drawing R, then S, and reading the
+generator as Curve.draw_point does, then the certificate, curves._x_multiple
+traced for both points with a4 and a6 as int arguments, so one kernel serves
+every curve over the tower.  The certificate takes each draw's x^2 from its
+c, and _x_multiple takes x^3 = c - a4 x - a6 without a product.  Other
+towers, and generators with a randrange of their own, run each attempt
+interpreted (_replay: two draws and _separated), with the same draws and
+the same verdict.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
-from .curves import (Curve, CurvePoint, _add_raw, _draw, _lift, _raw,
-                     _x_multiple)
+from .curves import (Curve, CurvePoint, _add_raw, _compile_draw, _draw,
+                     _lift, _raw, _reads_by_getrandbits, _x_multiple)
 from .fields import FieldElement, FieldTower, SymbolicTower
 from .memo import memo
 
@@ -154,26 +156,37 @@ def _shifted_value(f: FieldTower, a4, P, Q, m: int, R, S):
 
 def _separated(f: FieldTower, a4: int, a6: int, m: int, R, S) -> bool:
     """Whether x([m]R) != x([m]S) for the draw_point tuples R and S,
-    which certifies their shifted attempt nondegenerate; by
-    _separation_kernel for a traceable f."""
-    if f.traceable:
-        return _separation_kernel(f, m)(a4, a6, R[0], R[1], S[0], S[1])
+    which certifies their shifted attempt nondegenerate."""
     XR, ZR = _x_multiple(f, a4, a6, m, R[0], R[1])
     XS, ZS = _x_multiple(f, a4, a6, m, S[0], S[1])
     return f.vmul(XR, ZS) != f.vmul(XS, ZR)
 
 
 @memo
-def _separation_kernel(f: FieldTower, m: int):
-    """_separated compiled for the traceable f and m: kernel(A, B, xR, cR,
-    xS, cS) traces _x_multiple on the ints A, B of every curve over f."""
+def _attempt_kernel(f: FieldTower, m: int):
+    """_replay compiled for the traceable f and m: kernel(rng, a4, a6, A,
+    B) is the (R, S, certified) of _replay for a generator whose randrange
+    is random.Random's.  The certificate, _x_multiple traced on the ints A,
+    B and each draw's x^2, is a kernel of its own that the attempt calls,
+    so its source never compiles together with the draw loop's."""
     t = SymbolicTower(f)
     A, B = t.scalar("A"), t.scalar("B")
-    XR, ZR = _x_multiple(t, A, B, m, t.value("xR"), t.value("cR"))
-    XS, ZS = _x_multiple(t, A, B, m, t.value("xS"), t.value("cS"))
-    return t.compile("A, B, xR, cR, xS, cS",
-                     t.differ(t.vmul(XR, ZS), t.vmul(XS, ZR)),
-                     role=f"certificate m={m}")
+    XR, ZR = _x_multiple(t, A, B, m, t.value("xR"), t.value("cR"),
+                         t.value("xxR"))
+    XS, ZS = _x_multiple(t, A, B, m, t.value("xS"), t.value("cS"),
+                         t.value("xxS"))
+    certificate = t.compile("A, B, xR, cR, xxR, xS, cS, xxS",
+                            t.differ(t.vmul(XR, ZS), t.vmul(XS, ZR)),
+                            role=f"certificate m={m}")
+    return _compile_draw(f, "rng, a4, a6, A, B", f"attempt m={m}", """\
+        if R is None:
+            xR, cR, xxR = {0}, {1}, {2}
+            R, tries = (xR, cR, sign, norm), 10000
+            continue
+        xS, cS = {0}, {1}
+        return R, (xS, cS, sign, norm), A is not None and _certificate(
+            A, B, xR, cR, xxR, xS, cS, {2})
+""", before="    R = None\n", _certificate=certificate)
 
 
 @memo
@@ -216,14 +229,19 @@ def _plan(f: FieldTower, a4, a6, P, Q, m: int) -> tuple:
 
 def _settle(plan: tuple, rng) -> PairingValue:
     """e_m(P, Q) of a _plan, drawing from rng: none for P or Q infinite,
-    else attempts (_replay) until one is certified, which gives the
-    unshifted value, or its exact shifted value is defined.  Raises
-    ValueError unless P and Q lie in E[m]."""
+    else attempts (_attempt_kernel, or _replay where it does not apply)
+    until one is certified, which gives the unshifted value, or its exact
+    shifted value is defined.  Raises ValueError unless P and Q lie in
+    E[m]."""
     f, a4, a6, P, Q, m, value, A, B = plan
     if P is None or Q is None:
         return value
+    if f.traceable and _reads_by_getrandbits(rng):
+        attempt = functools.partial(_attempt_kernel(f, m), rng, a4, a6, A, B)
+    else:
+        attempt = functools.partial(_replay, f, a4, a6, A, B, m, rng)
     for _ in range(200):
-        R, S, certified = _replay(f, a4, a6, A, B, m, rng)
+        R, S, certified = attempt()
         if certified:
             return value
         shifted = _shifted_value(f, a4, P, Q, m, _lift(f, R), _lift(f, S))

@@ -396,7 +396,7 @@ def test_cold_and_warm_caches_agree(request):
 
 
 def test_kernel_and_table_memos_cold_and_warm(request):
-    """The draw and certificate kernels, the mu_m dlog tables, the cell
+    """The draw and attempt kernels, the mu_m dlog tables and root checks, the cell
     records, the checked pairing values, the curves' ints of F_p, the
     element orders, the prime ideals' class indices and the discriminant
     records are memo.memo entries: clear_caches() empties them, a cold
@@ -404,8 +404,8 @@ def test_kernel_and_table_memos_cold_and_warm(request):
     the cold one did.  The checked values and the ints of F_p are reused
     through the pairing plans of the cell records, so a warm evaluation
     looks neither up."""
-    names = ("curves._draw_kernel", "pairing._separation_kernel",
-             "fields._mu_table", "quadforms.discriminant",
+    names = ("curves._draw_kernel", "pairing._attempt_kernel",
+             "fields._mu_table", "fields._in_mu_m", "quadforms.discriminant",
              "attack._cell", "pairing._checked",
              "pairing._prime_field_ints", "fields.element_order",
              "action._prime_ideal_class")

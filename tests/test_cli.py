@@ -278,6 +278,41 @@ def test_cli_import_loads_no_array():
     assert "weilchar.cli" in loaded and "array" not in loaded, loaded
 
 
+def test_cli_import_loads_no_textwrap():
+    """SymbolicTower indents a kernel's steps itself, so the import that
+    set-up times compiles none of textwrap's patterns."""
+    loaded = _cli_import("print(' '.join(sorted(sys.modules)))")
+    assert "weilchar.cli" in loaded and "textwrap" not in loaded, loaded
+
+
+def test_a_character_list_is_read_alike(tmp_path, capsys):
+    """eval-char and ddh-experiment read a character list by one rule: a
+    repeated label exits 2 and names it, an empty --chars or an empty
+    list given in the file exits 2, and an absent list keeps each
+    command's default."""
+    cfg = _write_instance_config(tmp_path, capsys,
+                                 {"mode": "supersingular", "p": 13},
+                                 trials=4)
+    inst = tmp_path / "inst.json"
+    for argv in (["eval-char", str(inst)], ["ddh-experiment", "--config",
+                                            str(cfg)]):
+        code, _, err = run(capsys, argv + ["--chars", "delta, delta"])
+        assert code == 2 and "delta is listed twice" in err, err
+        for flag in (",", "", " , "):
+            code, _, err = run(capsys, argv + ["--chars", flag])
+            assert code == 2 and "the character list is empty" in err, err
+        code, _, err = run(capsys, argv)
+        assert code == 0, err
+    cfg.write_text(json.dumps({"instance": str(inst), "chars": []}))
+    code, _, err = run(capsys, ["ddh-experiment", "--config", str(cfg)])
+    assert code == 2 and "the character list is empty" in err, err
+    data = json.loads(inst.read_text())
+    data["characters"]["usable"] = []
+    inst.write_text(json.dumps(data))
+    code, _, err = run(capsys, ["eval-char", str(inst)])
+    assert code == 2 and "no characters requested or usable" in err, err
+
+
 def test_eval_char_rejects_bad_moduli(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"mode": "supersingular", "p": 13}))

@@ -119,3 +119,34 @@ def test_fuzzed_pair_sqrt_recover(records, case):
 def test_fuzzed_ddh_experiment(records, case):
     _run(records, case, ["ddh-experiment", "--config", "{}",
                          "--trials", "3"])
+
+
+# labels assigned to the p = 101 instance (delta) or not, with spaces,
+# one unknown, and blanks, which a comma-separated list skips
+LABELS = ("delta", " delta", "epsilon", "chi_3", "delta_epsilon", "zeta",
+          "", " ")
+
+
+@props
+@given(st.lists(st.sampled_from(LABELS), max_size=4).map(",".join))
+def test_fuzzed_chars_mean_one_thing(records, flag):
+    """One --chars string through eval-char (the p = 101 instance, its
+    identity pair) and ddh-experiment (the README config): each exits 0
+    or 2 with no traceback, and a list one command refuses as empty or
+    repeated, the other refuses with the same words.  A list of known
+    labels that is empty or repeats one is refused."""
+    root, base = records
+    config = root / "ddh.json"
+    config.write_text(json.dumps(base["ddh"]))
+    refusals = []
+    for argv in (["eval-char", str(root / "inst.json"), "--seed", "7"],
+                 ["ddh-experiment", "--config", str(config), "--trials", "2"]):
+        code, err = _main(argv + ["--chars", flag])
+        assert code in (0, 2), (argv[0], flag, code, err)
+        assert "Traceback" not in err, err
+        refused = "is empty" in err or "listed twice" in err
+        refusals.append(err if refused else None)
+    assert refusals[0] == refusals[1], (flag, refusals)
+    names = [s.strip() for s in flag.split(",") if s.strip()]
+    if not names or "zeta" not in names and len(set(names)) < len(names):
+        assert refusals[0], flag

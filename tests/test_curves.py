@@ -370,8 +370,9 @@ def test_frozen_random_points():
 def test_random_point_takes_one_norm_per_x(monkeypatch, p, r, a6):
     # the norm that decides squareness in the draw also serves the root;
     # a generator with its own randrange draws interpreted, by vnorm, and
-    # on a traceable tower random.Random's draws by the kernel, whose
-    # check of each candidate's norm is _norm_int
+    # on a traceable tower random.Random's draws by the kernel, which
+    # takes each candidate's norm inline and, the norm being nonzero here,
+    # makes one Euler test of it, a call of the pow in its globals
     E = curve_over(p, 1, a6, r=r)
     counts = {"x": 0, "norm": 0}
     field_type = type(E.field)
@@ -396,11 +397,13 @@ def test_random_point_takes_one_norm_per_x(monkeypatch, p, r, a6):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(curves, "_norm_int", counted(curves._norm_int))
     monkeypatch.setattr(field_type, "vnorm", counted(field_type.vnorm))
-    clear_caches()      # the kernel compiles with the counted _norm_int
+    clear_caches()
     E.field._sqrt_setup()       # the root's constants, built once
     for kind in (Counted, Bits) if E.field.traceable else (Counted,):
+        if kind is Bits:
+            monkeypatch.setitem(curves._draw_kernel(E.field).__globals__,
+                                "pow", counted(pow))
         counts.update(x=0, norm=0)
         rng = kind(f"norms{p},{r}")
         for _ in range(20):

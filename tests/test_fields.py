@@ -246,6 +246,30 @@ def test_dlog_errors_keep_their_messages_and_order():
     assert dlog_in_mu_m(b, square, 4) == 2
 
 
+@pytest.mark.parametrize("p,r,m", [(101, 4, 4), (7, 2, 8), (2221, 3, 37)])
+def test_a_target_outside_mu_m_raises_cold_and_warm(p, r, m):
+    """A target that is no m-th root of unity raises before any table is
+    built, and again once the base's table and the check of every root
+    are kept."""
+    f = get_tower(p, r)
+    rng = random.Random(f"outside{p},{r},{m}")
+    b = FieldElement(f, _of_order(f, m, rng))
+    outside = FieldElement(f, f.zero)
+    while outside.is_zero() or outside ** m == f(1):
+        outside = FieldElement(f, f.random_value(rng))
+    clear_caches()
+    with pytest.raises(ValueError, match="target is not an m-th root"):
+        dlog_in_mu_m(b, outside, m)
+    assert cache_stats()["fields._mu_table"]["entries"] == 0
+    assert [dlog_in_mu_m(b, b ** k, m) for k in range(m)] == list(range(m))
+    assert cache_stats()["fields._mu_table"]["entries"] == 1
+    assert cache_stats()["fields._in_mu_m"]["entries"] == m + 1
+    for _ in range(2):
+        with pytest.raises(ValueError, match="target is not an m-th root"):
+            dlog_in_mu_m(b, outside, m)
+    assert cache_stats()["fields._in_mu_m"]["hits"] >= 2
+
+
 def test_hash_agrees_with_equality():
     tower = get_tower(13, 2)
     a = get_tower(13, 1)(5)
@@ -917,10 +941,10 @@ def test_kernels_are_filed_by_role_and_tower():
     profile keeps one row per kernel rather than one for them all."""
     f, g = get_tower(101, 4), get_tower(7, 3)
     draw = curves._draw_kernel(f)
-    kernels = (draw, pairing._separation_kernel(f, 4), f._mul, g._mul,
+    kernels = (draw, pairing._attempt_kernel(f, 4), f._mul, g._mul,
                f._frobenius_kernel(1))
     assert [k.__code__.co_filename for k in kernels] == [
-        "<kernel draw 101^4>", "<kernel certificate m=4 101^4>",
+        "<kernel draw 101^4>", "<kernel attempt m=4 101^4>",
         "<kernel mul 101^4>", "<kernel mul 7^3>", "<kernel frobenius^1 101^4>"]
     rng = random.Random(5)
     profile = cProfile.Profile()

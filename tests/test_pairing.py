@@ -459,11 +459,28 @@ def test_x_only_multiple_matches_scalar_mul(q, a4, a6, m):
             assert X == f.vmul(_raw(f, T)[0], Z), R
 
 
+class _Ranks(random.Random):
+    """getrandbits gives, for each scripted draw (x, sign), the rank of x
+    and then the sign bit, as the attempt kernel reads them."""
+
+    def __init__(self, f, draws):
+        super().__init__(0)
+        self.script = [n for x, sign in draws
+                       for n in (sum(a * f.p ** i for i, a in enumerate(x)),
+                                 sign)]
+
+    def getrandbits(self, k):
+        return self.script.pop(0)
+
+
 @pytest.mark.parametrize("m", [3, 4, 5, 8])
-def test_certificate_kernel_matches_the_interpreted_one(m, monkeypatch):
-    """_separation_kernel decides as the interpreted _separated does on
+def test_certificate_kernel_matches_the_interpreted_one(m):
+    """The certificate of the attempt kernel (_attempt_kernel: fed each
+    draw's x^2 from the draw) decides as the interpreted _separated does on
     random draw pairs, and on degenerate pairs S = R + T with T in E[m],
-    where [m]S = [m]R and the decision must be False."""
+    where [m]S = [m]R and the decision must be False.  A scripted
+    generator makes the kernel draw each pair: every x lies on the curve,
+    so each draw takes its first candidate."""
     q, a4, a6 = 13, 2, 3
     rng = random.Random(59)
     E, B1, B2 = _basis(q, a4, a6, m, rng)
@@ -479,12 +496,17 @@ def test_certificate_kernel_matches_the_interpreted_one(m, monkeypatch):
             degenerate.append(tuple((x, f.vmul(y, y))
                                     for x, y in (_raw(f, R), _raw(f, S))))
     assert len(degenerate) > 90
-    decide = functools.partial(pairing._separated, f, a4, a6, m)
     clear_caches()
-    compiled = [decide(R, S) for R, S in pairs + degenerate]
-    assert cache_stats()["pairing._separation_kernel"]["misses"] == 1
-    monkeypatch.setattr(f, "traceable", False)
-    assert compiled == [decide(R, S) for R, S in pairs + degenerate]
+    compiled = []
+    for R, S in pairs + degenerate:
+        kernel = pairing._attempt_kernel(f, m)
+        got = kernel(_Ranks(f, [(R[0], 1), (S[0], 0)]), E.a4.value,
+                     E.a6.value, a4, a6)
+        assert (got[0][:2], got[1][:2]) == (R[:2], S[:2])
+        compiled.append(got[2])
+    assert cache_stats()["pairing._attempt_kernel"]["misses"] == 1
+    assert compiled == [pairing._separated(f, a4, a6, m, R, S)
+                        for R, S in pairs + degenerate]
     assert not any(compiled[len(pairs):])
     assert sum(compiled[:len(pairs)]) > len(pairs) // 2
 
@@ -500,11 +522,14 @@ def test_certificate_kernel_matches_the_interpreted_one(m, monkeypatch):
 def test_replay_matches_two_draws_and_the_certificate(p, r, m, a4, a6):
     """Over 1,000 attempts _replay returns the (R, S, decision) that two
     Curve.draw_point calls and _separated give, and leaves the generator
-    in the state they leave it in."""
+    in the state they leave it in; so does the attempt kernel
+    (_attempt_kernel), which _settle runs on these towers."""
     f = get_tower(p, r)
     E = Curve(f, FieldElement(f, a4) if isinstance(a4, tuple) else a4, a6)
     ints = (a4, a6) if isinstance(a4, int) else (None, None)
     ours, ref = random.Random(f"replay{p},{r}"), random.Random(f"replay{p},{r}")
+    compiled = random.Random(f"replay{p},{r}")
+    kernel = pairing._attempt_kernel(f, m)
     decisions = []
     for _ in range(1000):
         R, S = E.draw_point(ref), E.draw_point(ref)
@@ -512,6 +537,8 @@ def test_replay_matches_two_draws_and_the_certificate(p, r, m, a4, a6):
         got = pairing._replay(f, E.a4.value, E.a6.value, *ints, m, ours)
         assert got == (R, S, want)
         assert ours.getstate() == ref.getstate()
+        assert kernel(compiled, E.a4.value, E.a6.value, *ints) == got
+        assert compiled.getstate() == ref.getstate()
         decisions.append(want)
     assert any(decisions) == (ints[0] is not None)
     assert p != 7 or not all(decisions), "no inconclusive certificate"
