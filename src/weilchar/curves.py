@@ -129,7 +129,7 @@ def _draw(f: FieldTower, a4, a6, rng) -> tuple:
     which reads rng as randrange does; any other tower or rng runs the
     same steps interpreted."""
     if f.traceable and _reads_by_getrandbits(rng):
-        return _draw_kernel(f)(rng, a4, a6)
+        return _draw_kernel(f)(rng, a4, a6)[:4]
     p = f.p
     for _ in range(10000):
         x = f.random_value(rng)
@@ -158,26 +158,13 @@ def _rhs(f, x, a4, a6):
 
 @memo
 def _draw_kernel(f: FieldTower):
-    """_draw compiled for the traceable f (_compile_draw): kernel(rng, a4,
-    a6) is the (x, c, sign, norm) of _draw on the raw a4 and a6 of any
-    curve over f."""
-    return _compile_draw(f, "rng, a4, a6", "draw", """\
-        return {0}, {1}, sign, norm
-""")
-
-
-def _compile_draw(f: FieldTower, args: str, role: str, accepted: str,
-                  before: str = "", **scope):
-    """A kernel of args, rng, a4 and a6 among them, running _draw's
-    rejection loop for the traceable f: each candidate's x from its rank,
-    c = _rhs and N(c) run straight-line, the norm is checked to lie in F_p
-    (the RuntimeError of fields._norm_int) and by Euler's test inline, and
-    the rank and the sign are read by rng.getrandbits exactly as
-    randrange(size) and randrange(2) read them.  accepted is the source
-    run, one level inside the loop, on each candidate taken, with sign and
-    norm bound and the fields {0}, {1} and {2} standing for x, c and x^2;
-    it returns, or resets tries for a next draw.  before runs first;
-    scope holds the globals accepted calls."""
+    """_draw compiled for the traceable f: kernel(rng, a4, a6) is the
+    (x, c, sign, norm) of _draw on the raw a4 and a6 of any curve over f,
+    then x^2, which pairing's certificate takes.  Each candidate's x from
+    its rank, c = _rhs and N(c) run straight-line, the norm is checked to
+    lie in F_p (the RuntimeError of fields._norm_int) and by Euler's test
+    inline, and the rank and the sign are read by rng.getrandbits exactly
+    as randrange(size) and randrange(2) read them."""
     t = SymbolicTower(f)
     x = t.unrank(t.scalar("n"))
     c = _rhs(t, x, t.value("a4"), t.value("a6"))
@@ -185,11 +172,10 @@ def _compile_draw(f: FieldTower, args: str, role: str, accepted: str,
     p, size, bits = f.p, f.size, f.size.bit_length()
     # the fields {3}, {4}, ... are the coefficients of N(c)
     outside = " or ".join(f"{{{i}}}" for i in range(4, 3 + f.r))
-    return t.compile(args, x, c, t.vmul(x, x), *norm, role=role, loop=f"""\
-{before}    getrandbits = rng.getrandbits
-    tries = 10000
-    while tries:
-        tries -= 1
+    return t.compile("rng, a4, a6", x, c, t.vmul(x, x), *norm, role="draw",
+                     loop=f"""\
+    getrandbits = rng.getrandbits
+    for _ in range(10000):
         n = getrandbits({bits})
         while n >= {size}:
             n = getrandbits({bits})
@@ -202,8 +188,9 @@ def _compile_draw(f: FieldTower, args: str, role: str, accepted: str,
         sign = getrandbits(2)
         while sign >= 2:
             sign = getrandbits(2)
-{accepted}    raise RuntimeError("failed to sample a curve point")
-""", **scope)
+        return {{0}}, {{1}}, sign, norm, {{2}}
+    raise RuntimeError("failed to sample a curve point")
+""")
 
 
 def _lift(f: FieldTower, drawn: tuple):

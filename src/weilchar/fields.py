@@ -37,8 +37,8 @@ phi^k included, so the norm traces as it runs; its compile makes one
 straight-line kernel of the steps a result reads, with no call per field
 operation.  curves compiles its whole point draw this way, the rejection
 loop around each candidate's x from its rank, c = x^3 + a4 x + a6 and
-N(c), and pairing a whole shift attempt, that loop run twice and the
-x([m]R) certificate, so each formula is written once, in the routine.  A
+N(c), and pairing the x([m]R) certificate of a shift attempt, so each
+formula is written once, in the routine.  A
 traced product asked for twice is one step, and a traced square takes
 the squaring form (Hankerson, Menezes and Vanstone, Guide to ECC, 2.3),
 r (r + 1)/2 products for r^2; lazy reduction of traced sums and maps was

@@ -43,15 +43,16 @@ a6 as ints of F_p (_prime_field_ints) are memoized (memo.memo).
 Where the tower's product is unrolled (fields.SymbolicTower, 2 <= r <=
 UNROLLED_MUL_MAX_R) and the generator's randrange is random.Random's,
 _settle fetches one kernel per tower and m (_attempt_kernel) and each
-attempt is one call of it: one copy of the draw kernel's rejection loop
-(curves._compile_draw) run twice, drawing R, then S, and reading the
-generator as Curve.draw_point does, then the certificate, curves._x_multiple
-traced for both points with a4 and a6 as int arguments, so one kernel serves
-every curve over the tower.  The certificate takes each draw's x^2 from its
-c, and _x_multiple takes x^3 = c - a4 x - a6 without a product.  Other
-towers, and generators with a randrange of their own, run each attempt
-interpreted (_replay: two draws and _separated), with the same draws and
-the same verdict.
+attempt is one call of it.  It draws R, then S, by the draw kernel of
+curves (_draw_kernel: the rejection loop, reading the generator as
+randrange does, around each candidate's x, c = x^3 + a4 x + a6 and the
+norm N(c) that decides squareness), then runs the certificate,
+curves._x_multiple traced for both points with a4 and a6 as int
+arguments, so one kernel serves every curve over the tower.  The
+certificate takes each draw's x^2 from its c, and _x_multiple takes
+x^3 = c - a4 x - a6 without a product.  Other towers, and generators with
+a randrange of their own, run each attempt interpreted (_replay: two
+draws and _separated), with the same draws and the same verdict.
 """
 
 from __future__ import annotations
@@ -59,9 +60,9 @@ from __future__ import annotations
 import functools
 from typing import NamedTuple
 
-from .curves import (Curve, CurvePoint, _add_raw, _compile_draw, _draw,
+from .curves import (Curve, CurvePoint, _add_raw, _draw, _draw_kernel,
                      _lift, _raw, _reads_by_getrandbits, _x_multiple)
-from .fields import FieldElement, FieldTower, SymbolicTower
+from .fields import FieldElement, FieldTower, SymbolicTower, _compile
 from .memo import memo
 
 
@@ -166,9 +167,10 @@ def _separated(f: FieldTower, a4: int, a6: int, m: int, R, S) -> bool:
 def _attempt_kernel(f: FieldTower, m: int):
     """_replay compiled for the traceable f and m: kernel(rng, a4, a6, A,
     B) is the (R, S, certified) of _replay for a generator whose randrange
-    is random.Random's.  The certificate, _x_multiple traced on the ints A,
-    B and each draw's x^2, is a kernel of its own that the attempt calls,
-    so its source never compiles together with the draw loop's."""
+    is random.Random's.  It draws R, then S, by curves._draw_kernel, and
+    certifies them by _x_multiple traced on the ints A, B and each draw's
+    x^2, a kernel of its own; so the draw loop compiles once per tower, and
+    its source never compiles together with the certificate's."""
     t = SymbolicTower(f)
     A, B = t.scalar("A"), t.scalar("B")
     XR, ZR = _x_multiple(t, A, B, m, t.value("xR"), t.value("cR"),
@@ -178,15 +180,12 @@ def _attempt_kernel(f: FieldTower, m: int):
     certificate = t.compile("A, B, xR, cR, xxR, xS, cS, xxS",
                             t.differ(t.vmul(XR, ZS), t.vmul(XS, ZR)),
                             role=f"certificate m={m}")
-    return _compile_draw(f, "rng, a4, a6, A, B", f"attempt m={m}", """\
-        if R is None:
-            xR, cR, xxR = {0}, {1}, {2}
-            R, tries = (xR, cR, sign, norm), 10000
-            continue
-        xS, cS = {0}, {1}
-        return R, (xS, cS, sign, norm), A is not None and _certificate(
-            A, B, xR, cR, xxR, xS, cS, {2})
-""", before="    R = None\n", _certificate=certificate)
+    return _compile(f"attempt m={m} {f.p}^{f.r}", "rng, a4, a6, A, B", """\
+    R = _draw(rng, a4, a6)
+    S = _draw(rng, a4, a6)
+    return R[:4], S[:4], A is not None and _certificate(
+        A, B, R[0], R[1], R[4], S[0], S[1], S[4])
+""", _draw=_draw_kernel(f), _certificate=certificate)
 
 
 @memo
