@@ -24,9 +24,10 @@ certificate; compiled, one call of pairing._attempt_kernel) and per warm
 side pairing (attack._side_pairing: cells drawn from their memoized
 records until one is accepted, and the plan of its pairing settled),
 interpreted (the tower's traceable flag cleared) and compiled; per
-dlog_in_mu_m with its table, root check and the base's order computed on every
-call (cold) and looked up (warm); and the milliseconds it takes to trace
-and compile the draw kernel and the attempt kernel.
+dlog_in_mu_m with its table, root check and the base's order computed on
+every call (cold) and looked up (warm); and the milliseconds it takes to
+trace and compile the draw kernel and the attempt kernel (its certificate
+and the call of the memoized draw kernel).
 """
 
 import argparse

@@ -396,10 +396,10 @@ def test_cold_and_warm_caches_agree(request):
 
 
 def test_kernel_and_table_memos_cold_and_warm(request):
-    """The draw and attempt kernels, the mu_m dlog tables and root checks, the cell
-    records, the checked pairing values, the curves' ints of F_p, the
-    element orders, the prime ideals' class indices and the discriminant
-    records are memo.memo entries: clear_caches() empties them, a cold
+    """The draw and attempt kernels, the mu_m dlog tables and root
+    checks, the cell records, the checked pairing values, the curves' ints
+    of F_p, the element orders, the prime ideals' class indices and the
+    discriminant records are memo.memo entries: clear_caches() empties them, a cold
     evaluation builds them, and a warm one reuses them and returns what
     the cold one did.  The checked values and the ints of F_p are reused
     through the pairing plans of the cell records, so a warm evaluation
