@@ -18,8 +18,8 @@ With --pairing-steps it prints one table instead, with 100 N calls per
 run: at the (p, r, m) cells of the benchmark's pairings, on the instance
 curve over F_{p^r}, microseconds per Curve.draw_point (the draw kernel's
 whole rejection loop when compiled), per x([m]R) certificate (interpreted,
-pairing._separated; compiled, the attempt kernel's certificate fed each
-x^2), per shift attempt (interpreted, pairing._replay: two draws and the
+pairing._separated; compiled, the attempt kernel's certificate), per
+shift attempt (interpreted, pairing._replay: two draws and the
 certificate; compiled, one call of pairing._attempt_kernel) and per warm
 side pairing (attack._side_pairing: cells drawn from their memoized
 records until one is accepted, and the plan of its pairing settled),
@@ -91,12 +91,10 @@ def pairing_steps(repeat: int) -> None:
         attack._side_pairing(side, m, f, rng)    # the cell records
         kernel = pairing._attempt_kernel(f, m)
         certificate = kernel.__globals__["_certificate"]
-        xxR, xxS = f.vmul(R[0], R[0]), f.vmul(S[0], S[0])
         steps = {False: (lambda: pairing._separated(f, a4, a6, m, R, S),
                          lambda: pairing._replay(f, E.a4.value, E.a6.value,
                                                  a4, a6, m, rng)),
-                 True: (lambda: certificate(a4, a6, R[0], R[1], xxR, S[0],
-                                            S[1], xxS),
+                 True: (lambda: certificate(a4, a6, R[0], R[1], S[0], S[1]),
                         lambda: kernel(rng, E.a4.value, E.a6.value, a4, a6))}
         row = []
         for traceable in (False, True):
@@ -113,7 +111,7 @@ def pairing_steps(repeat: int) -> None:
         b, t = FieldElement(f, z), FieldElement(f, f.vpow(z, m - 1))
 
         def cold():
-            for cached in (fields._in_mu_m, fields._mu_table,
+            for cached in (fields._dlog, fields._mu_table,
                            fields.element_order):
                 cached.cache_clear()
             return dlog_in_mu_m(b, t, m)

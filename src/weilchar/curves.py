@@ -129,7 +129,7 @@ def _draw(f: FieldTower, a4, a6, rng) -> tuple:
     which reads rng as randrange does; any other tower or rng runs the
     same steps interpreted."""
     if f.traceable and _reads_by_getrandbits(rng):
-        return _draw_kernel(f)(rng, a4, a6)[:4]
+        return _draw_kernel(f)(rng, a4, a6)
     p = f.p
     for _ in range(10000):
         x = f.random_value(rng)
@@ -159,21 +159,20 @@ def _rhs(f, x, a4, a6):
 @memo
 def _draw_kernel(f: FieldTower):
     """_draw compiled for the traceable f: kernel(rng, a4, a6) is the
-    (x, c, sign, norm) of _draw on the raw a4 and a6 of any curve over f,
-    then x^2, which pairing's certificate takes.  Each candidate's x from
-    its rank, c = _rhs and N(c) run straight-line, the norm is checked to
-    lie in F_p (the RuntimeError of fields._norm_int) and by Euler's test
-    inline, and the rank and the sign are read by rng.getrandbits exactly
-    as randrange(size) and randrange(2) read them."""
+    (x, c, sign, norm) of _draw on the raw a4 and a6 of any curve over f.
+    Each candidate's x from its rank, c = _rhs and N(c) run straight-line,
+    the norm is checked to lie in F_p (the RuntimeError of fields._norm_int)
+    and by Euler's test inline, and the rank and the sign are read by
+    rng.getrandbits exactly as randrange(size) and randrange(2) read
+    them."""
     t = SymbolicTower(f)
     x = t.unrank(t.scalar("n"))
     c = _rhs(t, x, t.value("a4"), t.value("a6"))
     norm = t._frobenius_sum_power(c, f.r)
     p, size, bits = f.p, f.size, f.size.bit_length()
-    # the fields {3}, {4}, ... are the coefficients of N(c)
-    outside = " or ".join(f"{{{i}}}" for i in range(4, 3 + f.r))
-    return t.compile("rng, a4, a6", x, c, t.vmul(x, x), *norm, role="draw",
-                     loop=f"""\
+    # the fields {2}, {3}, ... are the coefficients of N(c)
+    outside = " or ".join(f"{{{i}}}" for i in range(3, 2 + f.r))
+    return t.compile("rng, a4, a6", x, c, *norm, role="draw", loop=f"""\
     getrandbits = rng.getrandbits
     for _ in range(10000):
         n = getrandbits({bits})
@@ -182,13 +181,13 @@ def _draw_kernel(f: FieldTower):
 {{steps}}        if {outside}:
             raise RuntimeError("norm of %s does not lie in the prime field"
                                % ({{1}},))
-        norm = {{3}}
+        norm = {{2}}
         if norm and pow(norm, {(p - 1) // 2}, {p}) != 1:
             continue
         sign = getrandbits(2)
         while sign >= 2:
             sign = getrandbits(2)
-        return {{0}}, {{1}}, sign, norm, {{2}}
+        return {{0}}, {{1}}, sign, norm
     raise RuntimeError("failed to sample a curve point")
 """)
 
@@ -460,12 +459,11 @@ def _division_f(p: int, A: int, B: int, m: int) -> list:
                            lambda a, b: _psub(p, a, b), _pmul(p, F, F), f)(m)
 
 
-def _division_values(f: FieldTower, a4, a6, n: int, x, c,
-                     xx=None) -> tuple:
+def _division_values(f: FieldTower, a4, a6, n: int, x, c) -> tuple:
     """(f_{n-1}, f_n, f_{n+1}) at x, for odd n >= 3, c = x^3 + a4 x + a6 and
-    ints a4, a6 of F_p, on raw values of f or of a SymbolicTower for it;
-    xx, when given, is x^2.  x^3 = c - a4 x - a6 takes no product."""
-    x2 = f.vmul(x, x) if xx is None else xx
+    ints a4, a6 of F_p, on raw values of f or of a SymbolicTower for it.
+    x^3 = c - a4 x - a6 takes no product."""
+    x2 = f.vmul(x, x)
     x3 = f.vlin(-a6, ((1, c), (-a4, x)))
     powers = {1: x, 2: x2, 3: x3, 4: f.vmul(x2, x2), 6: f.vmul(x3, x3)}
     vals = {0: f.zero, 1: f.one, 2: f.one}
@@ -476,11 +474,9 @@ def _division_values(f: FieldTower, a4, a6, n: int, x, c,
     return get(n - 1), get(n), get(n + 1)
 
 
-def _x_multiple(f: FieldTower, a4: int, a6: int, m: int, x, c,
-                xx=None) -> tuple:
+def _x_multiple(f: FieldTower, a4: int, a6: int, m: int, x, c) -> tuple:
     """x([m]R) as (X, Z) with X / Z = x([m]R), m >= 2, for R = (x, y) on
-    y^2 = x^3 + a4 x + a6 with c = y^2, a4 and a6 given as ints of F_p;
-    xx, when given, is x^2, as a draw has it from c.
+    y^2 = x^3 + a4 x + a6 with c = y^2, a4 and a6 given as ints of F_p.
     Z = 0 exactly when [m]R = O, and then X != 0.  No inversion.
 
     For m = 2^k n with n odd, x([n]R) = x - psi_{n-1} psi_{n+1} / psi_n^2
@@ -489,12 +485,12 @@ def _x_multiple(f: FieldTower, a4: int, a6: int, m: int, x, c,
     k = (m & -m).bit_length() - 1
     n = m >> k
     if n == 1:
-        t = f.vlin(-a4, ((1, f.vmul(x, x) if xx is None else xx),))
+        t = f.vlin(-a4, ((1, f.vmul(x, x)),))
         X, Z = (f.vlin(0, ((1, f.vmul(t, t)), (-8 * a6, x))),
                 f.vlin(0, ((4, c),)))
         k -= 1
     else:
-        fm1, fn, fp1 = _division_values(f, a4, a6, n, x, c, xx)
+        fm1, fn, fp1 = _division_values(f, a4, a6, n, x, c)
         # psi_n = f_n and psi_{n-1} psi_{n+1} = (2y)^2 f_{n-1} f_{n+1}
         Z = f.vmul(fn, fn)
         X = f.vlin(0, ((1, f.vmul(x, Z)),

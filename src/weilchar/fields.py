@@ -38,13 +38,13 @@ straight-line kernel of the steps a result reads, with no call per field
 operation.  curves compiles its whole point draw this way, the rejection
 loop around each candidate's x from its rank, c = x^3 + a4 x + a6 and
 N(c), and pairing the x([m]R) certificate of a shift attempt, so each
-formula is written once, in the routine.  A
-traced product asked for twice is one step, and a traced square takes
-the squaring form (Hankerson, Menezes and Vanstone, Guide to ECC, 2.3),
-r (r + 1)/2 products for r^2; lazy reduction of traced sums and maps was
-prototyped and left out, as it gained nothing above noise.
+formula is written once, in the routine.  A traced product asked for
+twice is one step, and a traced square takes the squaring form
+(Hankerson, Menezes and Vanstone, Guide to ECC, 2.3), r (r + 1)/2
+products for r^2; lazy reduction of traced sums and maps was prototyped
+and left out, as it gained nothing above noise.
 Discrete logs in mu_m are lookups in a memoized table of the powers of
-the base, after a memoized check that the target lies in mu_m.
+the base, each log kept once it is found.
 
 Square roots lean on the Frobenius x -> x^p, a linear map on coefficients.
 The norm N(v) = v^(1 + p + ... + p^(r-1)) lies in F_p and decides
@@ -986,23 +986,24 @@ def element_order(z: FieldElement, bound: int) -> int:
 
 def dlog_in_mu_m(base: FieldElement, target: FieldElement, m: int) -> int:
     """Discrete log of target to the given base inside the order-m roots of
-    unity, looked up in the table of the powers of base (_mu_table) once
-    target is checked to lie there (_in_mu_m), so a target outside is
-    reported before a base of the wrong order, and builds no table."""
+    unity (_dlog)."""
     pair = base._pair(target)
     if pair is NotImplemented:
         raise TypeError(f"{target!r} and {base!r} share no field")
-    f, b, t = pair
-    if not _in_mu_m(f, t, m):
-        raise ValueError("target is not an m-th root of unity")
-    return _mu_table(f, b, m)[t]
+    return _dlog(*pair, m)
 
 
 @memo
-def _in_mu_m(f: FieldTower, t, m: int) -> bool:
-    """Whether the raw value t of f is an m-th root of unity, kept per
-    value, so a warm dlog takes no power."""
-    return f.vpow(t, m) == f.one
+def _dlog(f: FieldTower, b, t, m: int) -> int:
+    """The log of the raw value t to the raw base b in mu_m, looked up in
+    the table of the powers of b (_mu_table) once t^m = 1 is checked, so a
+    target outside is reported before a base of the wrong order, and
+    builds no table (answered from the table first, it would build one).
+    Kept per (b, t), so a warm dlog takes one lookup; a call that raises
+    keeps nothing, so the entries are at most m per base."""
+    if f.vpow(t, m) != f.one:
+        raise ValueError("target is not an m-th root of unity")
+    return _mu_table(f, b, m)[t]
 
 
 @memo

@@ -48,11 +48,11 @@ curves (_draw_kernel: the rejection loop, reading the generator as
 randrange does, around each candidate's x, c = x^3 + a4 x + a6 and the
 norm N(c) that decides squareness), then runs the certificate,
 curves._x_multiple traced for both points with a4 and a6 as int
-arguments, so one kernel serves every curve over the tower.  The
-certificate takes each draw's x^2 from its c, and _x_multiple takes
-x^3 = c - a4 x - a6 without a product.  Other towers, and generators with
-a randrange of their own, run each attempt interpreted (_replay: two
-draws and _separated), with the same draws and the same verdict.
+arguments, so one kernel serves every curve over the tower;
+_x_multiple takes x^3 = c - a4 x - a6 without a product.  Other towers,
+and generators with a randrange of their own, run each attempt
+interpreted (_replay: two draws and _separated), with the same draws and
+the same verdict.
 """
 
 from __future__ import annotations
@@ -168,23 +168,20 @@ def _attempt_kernel(f: FieldTower, m: int):
     """_replay compiled for the traceable f and m: kernel(rng, a4, a6, A,
     B) is the (R, S, certified) of _replay for a generator whose randrange
     is random.Random's.  It draws R, then S, by curves._draw_kernel, and
-    certifies them by _x_multiple traced on the ints A, B and each draw's
-    x^2, a kernel of its own; so the draw loop compiles once per tower, and
-    its source never compiles together with the certificate's."""
+    certifies them by _x_multiple traced on the ints A, B, a kernel of its
+    own; so the draw loop compiles once per tower, and its source never
+    compiles together with the certificate's."""
     t = SymbolicTower(f)
     A, B = t.scalar("A"), t.scalar("B")
-    XR, ZR = _x_multiple(t, A, B, m, t.value("xR"), t.value("cR"),
-                         t.value("xxR"))
-    XS, ZS = _x_multiple(t, A, B, m, t.value("xS"), t.value("cS"),
-                         t.value("xxS"))
-    certificate = t.compile("A, B, xR, cR, xxR, xS, cS, xxS",
+    XR, ZR = _x_multiple(t, A, B, m, t.value("xR"), t.value("cR"))
+    XS, ZS = _x_multiple(t, A, B, m, t.value("xS"), t.value("cS"))
+    certificate = t.compile("A, B, xR, cR, xS, cS",
                             t.differ(t.vmul(XR, ZS), t.vmul(XS, ZR)),
                             role=f"certificate m={m}")
     return _compile(f"attempt m={m} {f.p}^{f.r}", "rng, a4, a6, A, B", """\
     R = _draw(rng, a4, a6)
     S = _draw(rng, a4, a6)
-    return R[:4], S[:4], A is not None and _certificate(
-        A, B, R[0], R[1], R[4], S[0], S[1], S[4])
+    return R, S, A is not None and _certificate(A, B, R[0], R[1], S[0], S[1])
 """, _draw=_draw_kernel(f), _certificate=certificate)
 
 

@@ -396,20 +396,22 @@ def test_cold_and_warm_caches_agree(request):
 
 
 def test_kernel_and_table_memos_cold_and_warm(request):
-    """The draw and attempt kernels, the mu_m dlog tables and root
-    checks, the cell records, the checked pairing values, the curves' ints
-    of F_p, the element orders, the prime ideals' class indices and the
-    discriminant records are memo.memo entries: clear_caches() empties them, a cold
+    """The draw and attempt kernels, the mu_m dlog tables and logs, the
+    cell records, the checked pairing values, the curves' ints of F_p, the
+    element orders, the prime ideals' class indices and the discriminant
+    records are memo.memo entries: clear_caches() empties them, a cold
     evaluation builds them, and a warm one reuses them and returns what
     the cold one did.  The checked values and the ints of F_p are reused
-    through the pairing plans of the cell records, so a warm evaluation
-    looks neither up."""
+    through the pairing plans of the cell records, and the dlog tables
+    through the logs kept from them, so a warm evaluation looks none of
+    them up."""
     names = ("curves._draw_kernel", "pairing._attempt_kernel",
-             "fields._mu_table", "fields._in_mu_m", "quadforms.discriminant",
+             "fields._mu_table", "fields._dlog", "quadforms.discriminant",
              "attack._cell", "pairing._checked",
              "pairing._prime_field_ints", "fields.element_order",
              "action._prime_ideal_class")
-    planned = ("pairing._checked", "pairing._prime_field_ints")
+    planned = ("pairing._checked", "pairing._prime_field_ints",
+               "fields._mu_table")
     clear_caches()
     assert all(cache_stats()[name]["entries"] == 0 for name in names)
     cold = [_frozen_eval(request, *case[:4]) for case in _FROZEN_EVALS]

@@ -249,8 +249,8 @@ def test_dlog_errors_keep_their_messages_and_order():
 @pytest.mark.parametrize("p,r,m", [(101, 4, 4), (7, 2, 8), (2221, 3, 37)])
 def test_a_target_outside_mu_m_raises_cold_and_warm(p, r, m):
     """A target that is no m-th root of unity raises before any table is
-    built, and again once the base's table and the check of every root
-    are kept."""
+    built, and again once the base's table and the log of every root are
+    kept, and keeps no entry."""
     f = get_tower(p, r)
     rng = random.Random(f"outside{p},{r},{m}")
     b = FieldElement(f, _of_order(f, m, rng))
@@ -263,11 +263,13 @@ def test_a_target_outside_mu_m_raises_cold_and_warm(p, r, m):
     assert cache_stats()["fields._mu_table"]["entries"] == 0
     assert [dlog_in_mu_m(b, b ** k, m) for k in range(m)] == list(range(m))
     assert cache_stats()["fields._mu_table"]["entries"] == 1
-    assert cache_stats()["fields._in_mu_m"]["entries"] == m + 1
+    assert cache_stats()["fields._dlog"]["entries"] == m
     for _ in range(2):
         with pytest.raises(ValueError, match="target is not an m-th root"):
             dlog_in_mu_m(b, outside, m)
-    assert cache_stats()["fields._in_mu_m"]["hits"] >= 2
+    assert [dlog_in_mu_m(b, b ** k, m) for k in range(m)] == list(range(m))
+    stats = cache_stats()["fields._dlog"]
+    assert (stats["entries"], stats["hits"]) == (m, m)
 
 
 def test_hash_agrees_with_equality():

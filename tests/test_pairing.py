@@ -475,12 +475,11 @@ class _Ranks(random.Random):
 
 @pytest.mark.parametrize("m", [3, 4, 5, 8])
 def test_certificate_kernel_matches_the_interpreted_one(m):
-    """The certificate of the attempt kernel (_attempt_kernel: fed each
-    draw's x^2 from the draw) decides as the interpreted _separated does on
-    random draw pairs, and on degenerate pairs S = R + T with T in E[m],
-    where [m]S = [m]R and the decision must be False.  A scripted
-    generator makes the kernel draw each pair: every x lies on the curve,
-    so each draw takes its first candidate."""
+    """The certificate of the attempt kernel (_attempt_kernel) decides as
+    the interpreted _separated does on random draw pairs, and on degenerate
+    pairs S = R + T with T in E[m], where [m]S = [m]R and the decision
+    must be False.  A scripted generator makes the kernel draw each pair:
+    every x lies on the curve, so each draw takes its first candidate."""
     q, a4, a6 = 13, 2, 3
     rng = random.Random(59)
     E, B1, B2 = _basis(q, a4, a6, m, rng)
