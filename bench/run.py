@@ -72,7 +72,6 @@ COUNTED = (
     ("curves.sample_m_torsion", "curves", "sample_m_torsion"),
     ("curves.count_points", "curves", "count_points"),
     ("curves._mul_fp", "curves", "_mul_fp"),
-    ("pairing._settle", "pairing", "_settle"),
 )
 
 
