@@ -24,10 +24,10 @@ certificate; compiled, one call of pairing._attempt_kernel) and per warm
 side pairing (attack._side_pairing: cells drawn from their memoized
 records until one is accepted, and the plan of its pairing settled),
 interpreted (the tower's traceable flag cleared) and compiled; per
-dlog_in_mu_m with its table, root check and the base's order computed on
-every call (cold) and looked up (warm); and the milliseconds it takes to
-trace and compile the draw kernel and the attempt kernel (its certificate
-and the call of the memoized draw kernel).
+dlog_in_mu_m with its root check, the base's order and the walk over its
+powers computed on every call (cold) and looked up (warm); and the
+milliseconds it takes to trace and compile the draw kernel and the attempt
+kernel (its certificate and the call of the memoized draw kernel).
 """
 
 import argparse
@@ -111,8 +111,7 @@ def pairing_steps(repeat: int) -> None:
         b, t = FieldElement(f, z), FieldElement(f, f.vpow(z, m - 1))
 
         def cold():
-            for cached in (fields._dlog, fields._mu_table,
-                           fields.element_order):
+            for cached in (fields._dlog, fields.element_order):
                 cached.cache_clear()
             return dlog_in_mu_m(b, t, m)
 

@@ -297,8 +297,10 @@ def gen_ordinary_instance(q_range, m_target: Optional[int] = None, rng=None,
                           budget: int = 4000) -> OrientedCurve:
     """Random search over primes in q_range for an ordinary instance whose
     discriminant has a usable odd prime divisor (m exactly dividing D, m != q,
-    and m <= m_target when a bound is given)."""
+    and m <= m_target when a bound is given).  A range reaching above the
+    fields count_points sweeps is refused before any prime is listed."""
     lo, hi = q_range
+    _check_countable(hi)
     primes = [q for q in range(max(lo, 5), hi + 1) if _is_prime(q)]
     if not primes:
         raise ValueError("no usable primes in the requested range")

@@ -161,7 +161,7 @@ def _draw_kernel(f: FieldTower):
     """_draw compiled for the traceable f: kernel(rng, a4, a6) is the
     (x, c, sign, norm) of _draw on the raw a4 and a6 of any curve over f.
     Each candidate's x from its rank, c = _rhs and N(c) run straight-line,
-    the norm is checked to lie in F_p (the RuntimeError of fields._norm_int)
+    the norm is checked to lie in F_p (the RuntimeError of FieldTower.vnorm)
     and by Euler's test inline, and the rank and the sign are read by
     rng.getrandbits exactly as randrange(size) and randrange(2) read
     them."""

@@ -43,15 +43,14 @@ twice is one step, and a traced square takes the squaring form
 (Hankerson, Menezes and Vanstone, Guide to ECC, 2.3), r (r + 1)/2
 products for r^2; lazy reduction of traced sums and maps was prototyped
 and left out, as it gained nothing above noise.
-Discrete logs in mu_m are lookups in a memoized table of the powers of
-the base, each log kept once it is found.
+A discrete log in mu_m walks the powers of the base once, and is kept per
+base and target.
 
 Square roots lean on the Frobenius x -> x^p, a linear map on coefficients.
 The norm N(v) = v^(1 + p + ... + p^(r-1)) lies in F_p and decides
-squareness there, since v^((q-1)/2) = N(v)^((p-1)/2).  For odd r the
-Tonelli-Shanks loop also runs in F_p, on ints, and only its first guess is
-a power in F_{p^r}; for even r the loop stays in F_{p^r} and its power is
-taken by base-p digits over the Frobenius images.
+squareness there, since v^((q-1)/2) = N(v)^((p-1)/2).  The root is then
+Tonelli-Shanks in F_{p^r} at every r, its one power taken by base-p digits
+over the Frobenius images.
 """
 
 from __future__ import annotations
@@ -314,15 +313,17 @@ class FieldTower:
         return tuple([c % p for c in out[:r]])
 
     def vpow(self, u, e: int):
+        """u^e left to right from u: bit_length(e) - 1 squarings and
+        popcount(e) - 1 products."""
         if e < 0:
             return self.vpow(self.vinv(u), -e)
-        acc = self.one
-        base = u
-        while e:
-            if e & 1:
-                acc = self.vmul(acc, base)
-            base = self.vmul(base, base)
-            e >>= 1
+        if not e:
+            return self.one
+        acc = u
+        for bit in bin(e)[3:]:
+            acc = self.vmul(acc, acc)
+            if bit == "1":
+                acc = self.vmul(acc, u)
         return acc
 
     def vinv(self, u):
@@ -399,17 +400,17 @@ class FieldTower:
 
     # -- norm and square roots ----------------------------------------------
 
-    def _frobenius_sum_power(self, v, k: int, step: int = 1):
-        """v^(1 + p^step + p^(2 step) + ... + p^((k-1) step)) for k >= 1.
+    def _frobenius_sum_power(self, v, k: int):
+        """v^(1 + p + ... + p^(k-1)) for k >= 1.
 
-        a_j = v^(1 + ... + p^((j-1) step)) follows the bits of k:
-        a_2j = a_j * phi^(j step)(a_j) and a_(j+1) = v * phi^step(a_j)."""
+        a_j = v^(1 + ... + p^(j-1)) follows the bits of k:
+        a_2j = a_j * phi^j(a_j) and a_(j+1) = v * phi(a_j)."""
         a, j = v, 1
         for bit in bin(k)[3:]:
-            a = self.vmul(a, self.frobenius(a, j * step))
+            a = self.vmul(a, self.frobenius(a, j))
             j *= 2
             if bit == "1":
-                a = self.vmul(v, self.frobenius(a, step))
+                a = self.vmul(v, self.frobenius(a))
                 j += 1
         return a
 
@@ -431,10 +432,14 @@ class FieldTower:
 
     def vnorm(self, v) -> int:
         """N(v) = v^(1 + p + ... + p^(r-1)), the norm of v to F_p, as an int
-        in [0, p), by about log2 r multiplications and r Frobenius maps."""
+        in [0, p), by about log2 r multiplications and r Frobenius maps;
+        RuntimeError if it lies outside F_p (a reducible modulus)."""
         if self.r == 1:
             return v
-        return _norm_int(v, self._frobenius_sum_power(v, self.r))
+        a = self._frobenius_sum_power(v, self.r)
+        if any(a[1:]):
+            raise RuntimeError(f"norm of {v} does not lie in the prime field")
+        return a[0]
 
     def vis_square(self, v) -> bool:
         """Whether v is a nonzero square, by Euler's criterion in F_p:
@@ -445,76 +450,53 @@ class FieldTower:
     @memo
     def _sqrt_setup(self) -> tuple:
         """(s, c, digits) for vsqrt: q - 1 = 2^s t with t odd; c = n^t for
-        the first non-residue n in rank order (None when s = 1), an int for
-        odd r; for even r the base-p digits of (t - 1)/2, least first."""
+        the first non-residue n in rank order (None when s = 1); the r
+        base-p digits of (t - 1)/2, least first."""
         p, r = self.p, self.r
-        # for odd r, (q - 1)/(p - 1) = 1 + p + ... + p^(r-1) is odd, so
-        # q - 1 and p - 1 have the same 2-part
-        e = p - 1 if r % 2 else self.size - 1
+        e = self.size - 1
         s = (e & -e).bit_length() - 1
-        t = (self.size - 1) >> s
+        t = e >> s
         n = 2 if r % 2 else p     # for even r every n < p is a square
         while s > 1 and self.vis_square(self.unrank(n)):
             n += 1
-        if s == 1:
-            c = None
-        elif r % 2:
-            c = pow(n, t, p)    # n < p: a non-residue of F_p stays one
-        else:
-            c = self.vpow(self.unrank(n), t)
-        digits = None if r % 2 else self.unrank((t - 1) // 2)
-        return s, c, digits
+        c = None if s == 1 else self.vpow(self.unrank(n), t)
+        return s, c, tuple((t - 1) // 2 // p ** i % p for i in range(r))
 
     def vsqrt(self, v, norm: Optional[int] = None):
         """A square root of v, or None if v is a non-square.
 
         Squareness is decided first, by the norm in F_p (see vis_square);
         a caller that has taken N(v) already passes it as norm.
-        The root is the Tonelli-Shanks one for q - 1 = 2^s t, t odd: the
-        guess v^((t+1)/2) times the corrections that bring its error
-        u = v^t to 1, which are powers of c = n^t for a fixed non-residue
-        n.  Two paths compute that same root:
-
-        - odd r (r = 1 included): q - 1 = (p - 1) M with M odd, so
-          t = t' M with t' = (p - 1)/2^s.  u = N(v)^t' and c lie in F_p,
-          so the loop runs on ints.  Only the guess lives in F_{p^r}:
-          v^((t+1)/2) = v * (v^((p+1)/2))^(p (1 + p^2 + ... + p^(r-3)))
-          * N(v)^((t'-1)/2), one power by (p + 1)/2 and a Frobenius chain,
-          scaled at the end by an int.
-        - even r: the loop runs in F_{p^r} from w = v^((t-1)/2), guess
-          v w and error u = v w^2; w is taken by the base-p digits of its
-          exponent over the r Frobenius images of v (_digit_power)."""
+        The root is the Tonelli-Shanks one for q - 1 = 2^s t, t odd (Cohen,
+        A Course in Computational Algebraic Number Theory, Alg. 1.5.1):
+        from w = v^((t-1)/2), taken by the base-p digits of its exponent
+        over the r Frobenius images of v (_digit_power), the guess v w
+        times the corrections that bring its error u = v w^2 = v^t to 1,
+        which are powers of c = n^t for a fixed non-residue n."""
         if v == self.zero:
             return v
-        p, r = self.p, self.r
+        p = self.p
         if norm is None:
             norm = self.vnorm(v)
         if pow(norm, (p - 1) // 2, p) != 1:
             return None
         s, c, digits = self._sqrt_setup()
-        if r % 2:
-            tp = (p - 1) >> s
-            scale = _tonelli_shanks(lambda a, b: a * b % p, 1, s, c,
-                                    pow(norm, tp, p),
-                                    pow(norm, (tp - 1) // 2, p))
-            if r == 1:
-                return v * scale % p
-            y = self.vpow(v, (p + 1) // 2)
-            guess = self.vmul(v, self.frobenius(
-                self._frobenius_sum_power(y, (r - 1) // 2, 2)))
-            return tuple(a * scale % p for a in guess)
         w = self._digit_power(v, digits)
-        guess = self.vmul(v, w)
-        return _tonelli_shanks(self.vmul, self.one, s, c,
-                               self.vmul(guess, w), guess)
-
-
-def _norm_int(v, a) -> int:
-    """N(v) as an int, given as the raw value a of F_{p^r};
-    RuntimeError if a lies outside F_p."""
-    if any(a[1:]):
-        raise RuntimeError(f"norm of {v} does not lie in the prime field")
-    return a[0]
+        root = self.vmul(v, w)
+        u = self.vmul(root, w)
+        # c has order 2^s and u an order dividing 2^(s-1)
+        while u != self.one:
+            i, z = 0, u
+            while z != self.one:
+                z = self.vmul(z, z)
+                i += 1
+            b = c
+            for _ in range(s - i - 1):
+                b = self.vmul(b, b)
+            s, c = i, self.vmul(b, b)
+            u = self.vmul(u, c)
+            root = self.vmul(root, b)
+        return root
 
 
 def _compile(role: str, args: str, body: str, **scope):
@@ -626,7 +608,7 @@ class SymbolicTower:
         self.p, self.r = f.p, f.r
         self.zero, self.one = f.zero, f.one
         self._low_terms = f._low_terms
-        self._frobenius = f.frobenius
+        self._frobenius_kernel = f._frobenius_kernel
         self._inputs = []       # the lines unpacking the value arguments
         self._steps = []        # (source, names read, names written)
         self._scalars = {}      # expression -> its _Scalar
@@ -697,12 +679,13 @@ class SymbolicTower:
 
     def frobenius(self, v, power: int = 1):
         """phi^k for k = power mod r, one linear step: the images of the
-        powers of x under f's phi^k are its rows."""
+        powers of x under f's phi^k kernel are its rows."""
         k = power % self.r
         if not k:
             return v
-        images = [self._frobenius(tuple(int(i == j) for i in range(self.r)),
-                                  k) for j in range(self.r)]
+        phi = self._frobenius_kernel(k)
+        images = [phi(tuple(int(i == j) for i in range(self.r)))
+                  for j in range(self.r)]
         return self._bind(_linear_map(self.p, images, v), (v,))
 
     def unrank(self, n: "_Scalar") -> tuple:
@@ -721,14 +704,14 @@ class SymbolicTower:
                             u, v)
 
     def compile(self, args: str, *results, role: str = "traced",
-                loop: Optional[str] = None, **scope):
+                loop: Optional[str] = None):
         """kernel(args) running the recorded steps and returning results,
         values or scalars, filed under role and the tower (see _compile).
 
         loop, when given, is the kernel's body instead: source with one
         loop, whose body holds the field {steps}, where the steps run one
         level deeper than the kernel's own body, and the fields {0}, {1},
-        ... for the results; scope holds the globals it calls.
+        ... for the results.
 
         Compiling takes peak memory in proportion to the source compiled at
         once, about 130 bytes a character, so the steps go in segments of
@@ -752,7 +735,7 @@ class SymbolicTower:
             segments[-1][2].update(writes)
         last = segments.pop()
         needed = _read(*results) | last[1]
-        calls = []
+        calls, scope = [], {}
         for i in range(len(segments) - 1, -1, -1):
             source, reads, writes = segments[i]
             outs = sorted(writes & needed)
@@ -811,23 +794,6 @@ def _read(*operands) -> set:
         elif isinstance(x, str):
             names.add(x)
     return names
-
-
-def _tonelli_shanks(mul, one, m: int, c, u, acc):
-    """The Tonelli-Shanks loop: acc times the corrections b that bring the
-    error u to one.  c has order 2^m and u an order dividing 2^(m-1)."""
-    while u != one:
-        i, z = 0, u
-        while z != one:
-            z = mul(z, z)
-            i += 1
-        b = c
-        for _ in range(m - i - 1):
-            b = mul(b, b)
-        m, c = i, mul(b, b)
-        u = mul(u, c)
-        acc = mul(acc, b)
-    return acc
 
 
 class FieldElement:
@@ -995,28 +961,17 @@ def dlog_in_mu_m(base: FieldElement, target: FieldElement, m: int) -> int:
 
 @memo
 def _dlog(f: FieldTower, b, t, m: int) -> int:
-    """The log of the raw value t to the raw base b in mu_m, looked up in
-    the table of the powers of b (_mu_table) once t^m = 1 is checked, so a
-    target outside is reported before a base of the wrong order, and
-    builds no table (answered from the table first, it would build one).
+    """The log of the raw value t to the raw base b in mu_m: t^m = 1 is
+    checked, then b's exact order m (element_order), in that order, so a
+    target outside is reported before a base of the wrong order; then b's
+    powers are walked to t, which they reach, being all m roots of x^m - 1.
     Kept per (b, t), so a warm dlog takes one lookup; a call that raises
     keeps nothing, so the entries are at most m per base."""
     if f.vpow(t, m) != f.one:
         raise ValueError("target is not an m-th root of unity")
-    return _mu_table(f, b, m)[t]
-
-
-@memo
-def _mu_table(f: FieldTower, b, m: int) -> dict:
-    """{b^j: j for 0 <= j < m} for a raw value b of f of exact order m,
-    checked first (ValueError otherwise).  The m powers are distinct roots
-    of x^m - 1, so they are all of them: every m-th root of unity of f has
-    its log here."""
     if element_order(FieldElement(f, b), m) != m:
         raise ValueError("base does not have exact order m")
-    table = {}
-    cur = f.one
-    for j in range(m):
-        table[cur] = j
-        cur = f.vmul(cur, b)
-    return table
+    j, cur = 0, f.one
+    while cur != t:
+        j, cur = j + 1, f.vmul(cur, b)
+    return j

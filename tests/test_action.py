@@ -406,6 +406,25 @@ def test_make_instance_refuses_uncountable_fields_up_front():
     assert rng.getstate() == state      # no candidate drawn
 
 
+def test_ordinary_search_refuses_uncountable_ranges_up_front(monkeypatch):
+    """A q_range reaching above the countable fields is refused before a
+    prime is listed or a candidate drawn."""
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        if len(calls) > 10_000:
+            raise RuntimeError("primes listed before the range was checked")
+        return True
+
+    monkeypatch.setattr(weilchar.action, "_is_prime", counted)
+    rng = random.Random(5)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="field too large for exhaustive"):
+        gen_ordinary_instance((5, 10**7), rng=rng)
+    assert calls == [] and rng.getstate() == state
+
+
 def _mul_fp_by_pow(p, a4, n, A):
     """[n]A on raw points of F_p as curves._mul_fp computed it with a
     pow(d, -1, p) per slope, before its table of inverses."""

@@ -395,30 +395,39 @@ def test_cold_and_warm_caches_agree(request):
     assert cold == warm == [case[4] for case in _FROZEN_EVALS]
 
 
-def test_kernel_and_table_memos_cold_and_warm(request):
-    """The draw and attempt kernels, the mu_m dlog tables and logs, the
-    cell records, the checked pairing values, the curves' ints of F_p, the
-    element orders, the prime ideals' class indices and the discriminant
-    records are memo.memo entries: clear_caches() empties them, a cold
-    evaluation builds them, and a warm one reuses them and returns what
-    the cold one did.  The checked values and the ints of F_p are reused
-    through the pairing plans of the cell records, and the dlog tables
-    through the logs kept from them, so a warm evaluation looks none of
-    them up."""
+def test_kernel_and_table_memos_cold_and_warm(request, monkeypatch):
+    """The draw and attempt kernels, the mu_m logs, the cell records, the
+    checked pairing values, the curves' ints of F_p, the element orders,
+    the prime ideals' class indices and the discriminant records are
+    memo.memo entries: clear_caches() empties them, a cold evaluation
+    builds them, and a warm one reuses them and returns what the cold one
+    did.  The checked values and the ints of F_p are reused through the
+    pairing plans of the cell records, so a warm evaluation looks none of
+    them up, and a warm log takes no element order: the warm hits of the
+    orders are the side pairing's own calls."""
     names = ("curves._draw_kernel", "pairing._attempt_kernel",
-             "fields._mu_table", "fields._dlog", "quadforms.discriminant",
+             "fields._dlog", "quadforms.discriminant",
              "attack._cell", "pairing._checked",
              "pairing._prime_field_ints", "fields.element_order",
              "action._prime_ideal_class")
-    planned = ("pairing._checked", "pairing._prime_field_ints",
-               "fields._mu_table")
+    planned = ("pairing._checked", "pairing._prime_field_ints")
     clear_caches()
     assert all(cache_stats()[name]["entries"] == 0 for name in names)
     cold = [_frozen_eval(request, *case[:4]) for case in _FROZEN_EVALS]
     built = {name: cache_stats()[name]["misses"] for name in names}
     assert all(built.values()), built
-    hits = {name: cache_stats()[name]["hits"] for name in planned}
+    hits = {name: cache_stats()[name]["hits"]
+            for name in planned + ("fields.element_order",)}
+    orders = []
+
+    def counted(z, bound):
+        orders.append(z)
+        return element_order(z, bound)
+
+    monkeypatch.setattr(weilchar.attack, "element_order", counted)
     warm = [_frozen_eval(request, *case[:4]) for case in _FROZEN_EVALS]
+    assert orders and (cache_stats()["fields.element_order"]["hits"]
+                       == hits["fields.element_order"] + len(orders))
     for name in names:
         assert cache_stats()[name]["misses"] == built[name], name
         if name in planned:

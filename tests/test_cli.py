@@ -591,6 +591,13 @@ def test_mistyped_gen_config_exits_2(tmp_path, capsys, config):
     assert code == 2 and "config key" in err, err
 
 
+def test_uncountable_q_range_exits_2_at_once(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": "ordinary", "q_range": [5, 10**8]}))
+    code, _, err = run(capsys, ["gen-instance", "--config", str(cfg)])
+    assert code == 2 and "field too large for exhaustive" in err, err
+
+
 def test_ddh_config_takes_json_booleans(tmp_path, capsys):
     cfg = _write_instance_config(tmp_path, capsys,
                                  {"mode": "supersingular", "p": 13},

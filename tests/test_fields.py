@@ -209,8 +209,9 @@ def _of_order(f, m, rng):
 @pytest.mark.parametrize("p,r,m", [(7, 2, 3), (7, 2, 8), (101, 4, 4),
                                    (101, 2, 17), (31, 3, 9), (2221, 3, 37)])
 def test_dlog_table_matches_baby_step_giant_step(p, r, m):
-    """Every element of mu_m, against every generator of it: the table
-    lookup returns the BSGS log."""
+    """Every element of mu_m, against every generator of it: the walk over
+    the generator's powers returns the BSGS log, each generator's order is
+    taken once, and each keeps its m logs."""
     f = get_tower(p, r)
     b = _of_order(f, m, random.Random(f"mu{p},{r},{m}"))
     gens = [f.vpow(b, k) for k in range(1, m) if math.gcd(k, m) == 1]
@@ -220,13 +221,15 @@ def test_dlog_table_matches_baby_step_giant_step(p, r, m):
             t = f.vpow(g, k)
             assert dlog_in_mu_m(FieldElement(f, g), FieldElement(f, t), m) \
                 == _bsgs(f, g, t, m) == k
-    stats = cache_stats()["fields._mu_table"]
+    stats = cache_stats()["fields.element_order"]
     assert (stats["misses"], stats["entries"]) == (len(gens), len(gens))
+    assert cache_stats()["fields._dlog"]["entries"] == len(gens) * m
 
 
 def test_dlog_errors_keep_their_messages_and_order():
     """The target is checked before the base, and a base of the wrong
-    order raises on every call, since no table is kept for it."""
+    order raises on every call, since no log is kept for a call that
+    raises: only the order of the base of order 2 is kept."""
     f = get_tower(101, 4)
     rng = random.Random(3)
     b = FieldElement(f, _of_order(f, 4, rng))
@@ -242,15 +245,16 @@ def test_dlog_errors_keep_their_messages_and_order():
             dlog_in_mu_m(square, b, 4)
         with pytest.raises(ValueError, match="element order does not divide"):
             dlog_in_mu_m(outside, b * b, 4)
-    assert cache_stats()["fields._mu_table"]["entries"] == 0
+    assert cache_stats()["fields._dlog"]["entries"] == 0
+    assert cache_stats()["fields.element_order"]["entries"] == 1
     assert dlog_in_mu_m(b, square, 4) == 2
 
 
 @pytest.mark.parametrize("p,r,m", [(101, 4, 4), (7, 2, 8), (2221, 3, 37)])
 def test_a_target_outside_mu_m_raises_cold_and_warm(p, r, m):
-    """A target that is no m-th root of unity raises before any table is
-    built, and again once the base's table and the log of every root are
-    kept, and keeps no entry."""
+    """A target that is no m-th root of unity raises before the base's
+    order is taken, and again once that order and the log of every root
+    are kept, and keeps no entry."""
     f = get_tower(p, r)
     rng = random.Random(f"outside{p},{r},{m}")
     b = FieldElement(f, _of_order(f, m, rng))
@@ -260,9 +264,10 @@ def test_a_target_outside_mu_m_raises_cold_and_warm(p, r, m):
     clear_caches()
     with pytest.raises(ValueError, match="target is not an m-th root"):
         dlog_in_mu_m(b, outside, m)
-    assert cache_stats()["fields._mu_table"]["entries"] == 0
+    assert cache_stats()["fields._dlog"]["entries"] == 0
+    assert cache_stats()["fields.element_order"]["entries"] == 0
     assert [dlog_in_mu_m(b, b ** k, m) for k in range(m)] == list(range(m))
-    assert cache_stats()["fields._mu_table"]["entries"] == 1
+    assert cache_stats()["fields.element_order"]["entries"] == 1
     assert cache_stats()["fields._dlog"]["entries"] == m
     for _ in range(2):
         with pytest.raises(ValueError, match="target is not an m-th root"):
@@ -451,6 +456,139 @@ _FROZEN_SQRT_NORM_PATHS = {
 
 def test_frozen_square_roots_on_both_paths():
     _check_frozen_square_roots(_FROZEN_SQRT_NORM_PATHS)
+
+
+# The square root vsqrt took at odd r before every r ran Tonelli-Shanks in
+# F_{p^r}, kept as the oracle: q - 1 = (p - 1) M with M odd, so t = t' M
+# with t' = (p - 1)/2^s, and the loop runs in F_p on u = N(v)^t'; only the
+# guess v^((t+1)/2) = v (v^((p+1)/2))^(p (1 + p^2 + ... + p^(r-3)))
+# N(v)^((t'-1)/2) lives in F_{p^r}, one power by (p + 1)/2 and a Frobenius
+# chain by steps of phi^2, scaled at the end by an int.
+
+def _frobenius_sum_power_by(field, v, k, step):
+    """v^(1 + p^step + ... + p^((k-1) step)) for k >= 1."""
+    a, j = v, 1
+    for bit in bin(k)[3:]:
+        a = field.vmul(a, field.frobenius(a, j * step))
+        j *= 2
+        if bit == "1":
+            a = field.vmul(v, field.frobenius(a, step))
+            j += 1
+    return a
+
+
+def _int_tonelli_shanks(p, m, c, u, acc):
+    """acc times the corrections b in F_p that bring the error u to 1."""
+    while u != 1:
+        i, z = 0, u
+        while z != 1:
+            z = z * z % p
+            i += 1
+        b = c
+        for _ in range(m - i - 1):
+            b = b * b % p
+        m, c = i, b * b % p
+        u = u * c % p
+        acc = acc * b % p
+    return acc
+
+
+def _norm_path_sqrt(field, v):
+    p, r = field.p, field.r
+    assert r % 2
+    if v == field.zero:
+        return v
+    norm = field.vnorm(v)
+    if pow(norm, (p - 1) // 2, p) != 1:
+        return None
+    s = ((p - 1) & -(p - 1)).bit_length() - 1
+    t = (field.size - 1) >> s
+    n = 2
+    while s > 1 and field.vis_square(field.unrank(n)):
+        n += 1
+    c = None if s == 1 else pow(n, t, p)
+    tp = (p - 1) >> s
+    scale = _int_tonelli_shanks(p, s, c, pow(norm, tp, p),
+                                pow(norm, (tp - 1) // 2, p))
+    if r == 1:
+        return v * scale % p
+    y = field.vpow(v, (p + 1) // 2)
+    guess = field.vmul(v, field.frobenius(
+        _frobenius_sum_power_by(field, y, (r - 1) // 2, 2)))
+    return tuple(a * scale % p for a in guess)
+
+
+@pytest.mark.parametrize("p,r,count", [
+    (7, 3, None), (17, 3, None), (5, 5, None), (13, 1, None), (101, 1, None),
+    (2221, 3, 200), (120121, 7, 40)])
+def test_odd_degree_roots_match_the_norm_path(p, r, count):
+    """At odd r the one Tonelli-Shanks loop in F_{p^r} returns the root
+    the norm path returned: on every value of the small fields, and on
+    random squares of the larger ones."""
+    field = get_tower(p, r)
+    if count is None:
+        values = [field.unrank(n) for n in range(field.size)]
+    else:
+        rng = random.Random(f"odd{p},{r}")
+        values = [field.vmul(u, u) for u in (field.random_value(rng)
+                                             for _ in range(count))]
+    squares = 0
+    for v in values:
+        root = field.vsqrt(v)
+        assert root == _norm_path_sqrt(field, v), v
+        if root is not None:
+            assert field.vmul(root, root) == v
+            squares += 1
+    assert squares == (len(values) if count else (field.size + 1) // 2)
+
+
+@pytest.mark.parametrize("p,r", [(101, 4), (13, 1)])
+def test_vpow_squares_once_per_bit(monkeypatch, p, r):
+    """vpow(u, e) makes bit_length(e) - 1 squarings and popcount(e) - 1
+    products, and returns what repeated products do."""
+    field = get_tower(p, r)
+    calls = []
+    vmul = FieldTower.vmul
+
+    def counted(self, u, v):
+        calls.append(1)
+        return vmul(self, u, v)
+
+    u = field.random_value(random.Random(f"vpow{p},{r}"))
+    monkeypatch.setattr(FieldTower, "vmul", counted)
+    for e in (1, 2, 3, 4, 37, p, (1 << 59) + 12345):
+        calls.clear()
+        got = field.vpow(u, e)
+        assert len(calls) == e.bit_length() - 1 + bin(e).count("1") - 1, e
+        if e < 64:
+            want = field.one
+            for _ in range(e):
+                want = vmul(field, want, u)
+            assert got == want
+        else:
+            assert got == field.vmul(field.vpow(u, e >> 1),
+                                     field.vpow(u, e - (e >> 1)))
+
+
+def test_compiling_a_kernel_makes_no_frobenius_call(monkeypatch):
+    """A traced phi^k reads its rows from the tower's phi^k kernel, so
+    building the draw and attempt kernels calls no FieldTower.frobenius,
+    the method the benchmarks count."""
+    towers = [get_tower(120121, 3), get_tower(120121, 7), get_tower(101, 4)]
+    calls = []
+    frobenius = FieldTower.frobenius
+
+    def counted(self, v, power=1):
+        calls.append(power)
+        return frobenius(self, v, power)
+
+    clear_caches()
+    monkeypatch.setattr(FieldTower, "frobenius", counted)
+    for f in towers[:2]:
+        curves._draw_kernel(f)
+    pairing._attempt_kernel(towers[2], 4)
+    assert calls == []
+    assert cache_stats()["curves._draw_kernel"]["misses"] == 3
 
 
 def test_norm_outside_the_prime_field_raises():
