@@ -19,15 +19,21 @@ run: at the (p, r, m) cells of the benchmark's pairings, on the instance
 curve over F_{p^r}, microseconds per Curve.draw_point (the draw kernel's
 whole rejection loop when compiled), per x([m]R) certificate (interpreted,
 pairing._separated; compiled, the attempt kernel's certificate), per
-shift attempt (interpreted, pairing._replay: two draws and the
+descent test (interpreted, pairing._descent_separates; compiled,
+pairing._descent_kernel), per shift attempt (interpreted, pairing._replay:
+two draws, the descent test and, when it does not separate them, the
 certificate; compiled, one call of pairing._attempt_kernel) and per warm
 side pairing (attack._side_pairing: cells drawn from their memoized
 records until one is accepted, and the plan of its pairing settled),
 interpreted (the tower's traceable flag cleared) and compiled; per
 dlog_in_mu_m with its root check, the base's order and the walk over its
-powers computed on every call (cold) and looked up (warm); and the
+powers computed on every call (cold) and looked up (warm); the
 milliseconds it takes to trace and compile the draw kernel and the attempt
-kernel (its certificate and the call of the memoized draw kernel).
+kernel (its certificate, and the calls of the memoized draw and descent
+kernels); and the percentage of 100 N attempts, drawn for the plans of the
+accepted cell records in turn, that the descent test with the plan's root
+certifies.  The descent columns take the root of the first plan that
+keeps one, or else the least root of the cubic.
 """
 
 import argparse
@@ -73,13 +79,26 @@ def compile_ms(build) -> float:
     return (time.perf_counter() - t0) * 1e3
 
 
+def descent_share(f, E, plans, attempts: int, rng) -> float:
+    """The percentage of attempts, drawn for the plans in turn, that the
+    descent test with the plan's root certifies."""
+    certified = 0
+    for i in range(attempts):
+        e = plans[i % len(plans)][9]
+        R, S = E.draw_point(rng), E.draw_point(rng)
+        certified += e is not None and pairing._descent_separates(
+            f, e, R[0], S[0])
+    return 100 * certified / attempts
+
+
 def pairing_steps(repeat: int) -> None:
     print(f"{'pairing steps':<14} {'p':>7} {'r':>2} {'m':>2} "
-          f"{'draw':>13} {'certificate':>13} {'attempt':>13} {'side':>13} "
-          f"{'dlog':>13} {'compile ms':>11}")
+          f"{'draw':>13} {'certificate':>13} {'descent':>13} "
+          f"{'attempt':>13} {'side':>13} {'dlog':>13} {'compile ms':>11} "
+          f"{'descent':>7}")
     print(f"{'':<14} {'':>7} {'':>2} {'':>2} "
-          + f"{'interp':>6} {'comp':>6} " * 4
-          + f"{'cold':>6} {'warm':>6} {'draw':>5} {'att':>5}")
+          + f"{'interp':>6} {'comp':>6} " * 5
+          + f"{'cold':>6} {'warm':>6} {'draw':>5} {'att':>5} {'share%':>7}")
     for p, r, m, a4, a6 in CELLS:
         f = get_tower(p, r)
         E = curves.Curve(f, a4, a6)
@@ -89,13 +108,22 @@ def pairing_steps(repeat: int) -> None:
         k = attack.adjust_generator(oc, m)
         side = oc if k == 0 else oc.shifted(k)
         attack._side_pairing(side, m, f, rng)    # the cell records
+        key = (side, side.sigma_trace, side.sigma_norm, m, r)
+        plans = [plan for a in range(m) for b in range(m)
+                 if (plan := attack._cell(*key, a, b)[3]) is not None]
+        e = next((plan[9] for plan in plans if plan[9] is not None),
+                 pairing._rational_roots(p, a4, a6)[0])
         kernel = pairing._attempt_kernel(f, m)
         certificate = kernel.__globals__["_certificate"]
+        descent = kernel.__globals__["_descent"]
         steps = {False: (lambda: pairing._separated(f, a4, a6, m, R, S),
+                         lambda: pairing._descent_separates(f, e, R[0], S[0]),
                          lambda: pairing._replay(f, E.a4.value, E.a6.value,
-                                                 a4, a6, m, rng)),
+                                                 a4, a6, e, m, rng)),
                  True: (lambda: certificate(a4, a6, R[0], R[1], S[0], S[1]),
-                        lambda: kernel(rng, E.a4.value, E.a6.value, a4, a6))}
+                        lambda: descent(e, R[0], S[0]),
+                        lambda: kernel(rng, E.a4.value, E.a6.value, a4, a6,
+                                       e))}
         row = []
         for traceable in (False, True):
             f.traceable = traceable
@@ -121,9 +149,10 @@ def pairing_steps(repeat: int) -> None:
               compile_ms(lambda: pairing._attempt_kernel.__wrapped__(f, m)))
         us = [x * 1e6 for pair in zip(*row) for x in pair] + [
             x * 1e6 for x in dlogs]
+        share = descent_share(f, E, plans, 100 * repeat, rng)
         print(f"{'':<14} {p:>7} {r:>2} {m:>2} "
               + " ".join(f"{x:6.2f}" for x in us)
-              + " " + " ".join(f"{x:5.2f}" for x in ms))
+              + " " + " ".join(f"{x:5.2f}" for x in ms) + f" {share:7.1f}")
 
 
 def main(argv=None) -> None:

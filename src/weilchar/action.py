@@ -293,6 +293,19 @@ def _order_filter(q: int, t: int, a4: int, a6: int) -> bool:
     raise RuntimeError("failed to sample a curve point")
 
 
+def _primes_between(lo: int, hi: int) -> list:
+    """The primes q with lo <= q <= hi, in order, by a sieve of
+    Eratosthenes over a bytearray."""
+    if hi < max(lo, 2):
+        return []
+    sieve = bytearray([1]) * (hi + 1)
+    sieve[:2] = b"\0\0"
+    for d in range(2, math.isqrt(hi) + 1):
+        if sieve[d]:
+            sieve[d * d::d] = bytes(len(range(d * d, hi + 1, d)))
+    return [q for q in range(max(lo, 2), hi + 1) if sieve[q]]
+
+
 def gen_ordinary_instance(q_range, m_target: Optional[int] = None, rng=None,
                           budget: int = 4000) -> OrientedCurve:
     """Random search over primes in q_range for an ordinary instance whose
@@ -301,7 +314,7 @@ def gen_ordinary_instance(q_range, m_target: Optional[int] = None, rng=None,
     fields count_points sweeps is refused before any prime is listed."""
     lo, hi = q_range
     _check_countable(hi)
-    primes = [q for q in range(max(lo, 5), hi + 1) if _is_prime(q)]
+    primes = _primes_between(max(lo, 5), hi)
     if not primes:
         raise ValueError("no usable primes in the requested range")
     best_D = 0

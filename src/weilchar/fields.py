@@ -447,11 +447,19 @@ class FieldTower:
         p = self.p
         return pow(self.vnorm(v), (p - 1) // 2, p) == 1
 
+    def vis_nonsquare(self, v) -> bool:
+        """Whether v is a non-square (zero is not one), by Euler's
+        criterion on N(v) as in vis_square."""
+        p = self.p
+        return pow(self.vnorm(v), (p - 1) // 2, p) == p - 1
+
     @memo
     def _sqrt_setup(self) -> tuple:
         """(s, c, digits) for vsqrt: q - 1 = 2^s t with t odd; c = n^t for
         the first non-residue n in rank order (None when s = 1); the r
-        base-p digits of (t - 1)/2, least first."""
+        base-p digits of (t - 1)/2, least first.  At odd r, n < p and c
+        is the int n^t mod p; at even r, c is the power by the base-p
+        digits of t over the Frobenius images of n (_digit_power)."""
         p, r = self.p, self.r
         e = self.size - 1
         s = (e & -e).bit_length() - 1
@@ -459,7 +467,10 @@ class FieldTower:
         n = 2 if r % 2 else p     # for even r every n < p is a square
         while s > 1 and self.vis_square(self.unrank(n)):
             n += 1
-        c = None if s == 1 else self.vpow(self.unrank(n), t)
+        c = None
+        if s > 1:
+            c = (self.from_int(pow(n, t, p)) if r % 2 else self._digit_power(
+                self.unrank(n), [t // p ** i % p for i in range(r)]))
         return s, c, tuple((t - 1) // 2 // p ** i % p for i in range(r))
 
     def vsqrt(self, v, norm: Optional[int] = None):
@@ -695,6 +706,21 @@ class SymbolicTower:
                            for i in range(self.r)], (n,))
 
     _frobenius_sum_power = FieldTower._frobenius_sum_power
+
+    def vis_nonsquare(self, v) -> "_Scalar":
+        """The bool of FieldTower.vis_nonsquare, its RuntimeError included:
+        the norm's steps, then one step that checks the norm lies in F_p
+        and runs Euler's test on it."""
+        p = self.p
+        n = self._frobenius_sum_power(v, self.r)
+        s = _Scalar(self, self._fresh())
+        self._steps.append((
+            f"    if {' or '.join(map(str, n[1:]))}:\n"
+            f"        raise RuntimeError('norm of %s does not lie in the prime"
+            f" field' % ({_tuple(v)},))\n"
+            f"    {s} = pow({n[0]}, {(p - 1) // 2}, {p}) == {p - 1}\n",
+            _read(n, v), (s.name,)))
+        return s
 
     # -- what FieldTower callers do in Python on the values ------------------
 

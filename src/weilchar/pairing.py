@@ -15,30 +15,47 @@ replaced.  That one evaluated f_{D_P}(D_Q) / f_{D_Q}(D_P) with
 D_P = (P+S) - (S) and D_Q = (Q+R) - (R) for random points R and S, and
 drew again until the points e1 = Q + D, e2 = D, e3 = P - D and e4 = -D,
 with D = R - S, were finite, differed from P and Q, and were zeros of no
-line or vertical of either walk.  For P, Q in E[m] every one of those
-failures puts D in E[m], since a zero of the walk of P is a multiple of
-P and one of the walk of Q a multiple of Q.  So [m]R = [m]S, and
-x([m]R) != x([m]S) certifies the attempt.  Each draw is
-Curve.draw_point (x, squareness test, sign bit; no square root), and
-curves._x_multiple takes x([m]R) x-only in projective form, with no
-inversion, from the draw's x and c (Brier and Joye, PKC 2002).
+line or vertical of either walk.  Every one of those failures puts D in
+<P, Q>, since a zero of the walk of P is a multiple of P and one of the
+walk of Q a multiple of Q.  A nondegenerate attempt gives the unshifted
+value and reads nothing more, so one certified nondegenerate returns it
+with every value, draw and generator state unchanged.  Two certificates
+run, cheaper first:
 
-Only when the certificate is inconclusive are the roots taken and the
+- The descent test (_descent_separates).  For a root e in F_p of the
+  cubic, the order-2 Tate pairing with (e, 0), R -> (x_R - e)^((q-1)/2)
+  on E(F_q), q = p^r, is a homomorphism to +-1 that needs no y, and is
+  nontrivial as (e, 0) is a nonzero point of E(F_q)[2] (2-isogeny
+  descent: Silverman, AEC X.4; Castryck, Sotakova and Vercauteren,
+  CRYPTO 2020); Euler's test on the norm N(x_R - e) decides it.  The
+  plan keeps e only where x - e is a nonzero square at P and at Q, so it
+  is 1 on <P, Q> (for odd m every root is kept: P, Q lie in 2E).  A
+  degenerate attempt, D in <P, Q>, thus has equal values at R and S, and
+  N((x_R - e)(x_S - e)) a non-residue certifies the attempt, as it does
+  for about half of all attempts.
+- The x-multiple certificate (_separated): D in <P, Q> lies in E[m], so
+  [m]R = [m]S, and x([m]R) != x([m]S) certifies the attempt.
+  curves._x_multiple takes x([m]R) x-only in projective form, with no
+  inversion, from the draw's x and c (Brier and Joye, PKC 2002).
+
+Each draw is Curve.draw_point (x, squareness test, sign bit; no square
+root).  Only when both are inconclusive are the roots taken and the
 shifted attempt run exactly (_shifted_value), to decide whether to draw
 again.  Arguments outside E[m] make the unshifted walks raise; every
 attempt then runs the exact path, which raises ValueError on the attempt
 where the shifted pairing did.
 
 A pairing is a plan (_plan: the raw P, Q, a4 and a6, the checked
-unshifted value, and a4, a6 as the ints of F_p the certificate scales by)
-that _settle settles.  Settling makes every draw, the certificate and the
-exact fallback, since they decide what the generator yields, and
-arguments outside E[m] raise on every call.  weil_pairing builds a plan
-and settles it; attack keeps the plan of each accepted cell of E[m] in the
-cell's record, so a warm side pairing converts no point and looks up no
-memo.  Nothing else asks twice for one pairing's unshifted value, so it
-is not memoized; the checked PairingValue (_checked) and the curve's a4,
-a6 as ints of F_p (_prime_field_ints) are memoized (memo.memo).
+unshifted value, a4, a6 as the ints of F_p the certificate scales by, and
+the descent root e) that _settle settles.  Settling makes every draw, the
+certificates and the exact fallback, since they decide what the generator
+yields, and arguments outside E[m] raise on every call.  weil_pairing
+builds a plan and settles it; attack keeps the plan of each accepted cell
+of E[m] in the cell's record, so a warm side pairing converts no point
+and looks up no memo.  Nothing else asks twice for one pairing's
+unshifted value, so it is not memoized; the checked PairingValue
+(_checked), the curve's a4, a6 as ints of F_p (_prime_field_ints) and the
+cubic's roots in F_p (_rational_roots) are memoized (memo.memo).
 
 Where the tower's product is unrolled (fields.SymbolicTower, 2 <= r <=
 UNROLLED_MUL_MAX_R) and the generator's randrange is random.Random's,
@@ -46,13 +63,13 @@ _settle fetches one kernel per tower and m (_attempt_kernel) and each
 attempt is one call of it.  It draws R, then S, by the draw kernel of
 curves (_draw_kernel: the rejection loop, reading the generator as
 randrange does, around each candidate's x, c = x^3 + a4 x + a6 and the
-norm N(c) that decides squareness), then runs the certificate,
-curves._x_multiple traced for both points with a4 and a6 as int
-arguments, so one kernel serves every curve over the tower;
-_x_multiple takes x^3 = c - a4 x - a6 without a product.  Other towers,
-and generators with a randrange of their own, run each attempt
-interpreted (_replay: two draws and _separated), with the same draws and
-the same verdict.
+norm N(c) that decides squareness), then the descent test
+(_descent_kernel, traced once per tower) and, unless it certified the
+attempt, the certificate, curves._x_multiple traced for both points; e,
+a4 and a6 are int arguments, so one kernel serves every curve over the
+tower, and _x_multiple takes x^3 = c - a4 x - a6 without a product.
+Other towers, and generators with a randrange of their own, run each
+attempt interpreted (_replay), with the same draws and the same verdict.
 """
 
 from __future__ import annotations
@@ -62,7 +79,8 @@ from typing import NamedTuple
 
 from .curves import (Curve, CurvePoint, _add_raw, _draw, _draw_kernel,
                      _lift, _raw, _reads_by_getrandbits, _x_multiple)
-from .fields import FieldElement, FieldTower, SymbolicTower, _compile
+from .fields import (FieldElement, FieldTower, SymbolicTower, _compile,
+                     _pdivmod, _pgcd, _ppowmod, _psub)
 from .memo import memo
 
 
@@ -163,14 +181,34 @@ def _separated(f: FieldTower, a4: int, a6: int, m: int, R, S) -> bool:
     return f.vmul(XR, ZS) != f.vmul(XS, ZR)
 
 
+def _descent_separates(f: FieldTower, e, xR, xS) -> bool:
+    """Whether N((xR - e)(xS - e)) is a nonzero non-residue of F_p, for
+    the x of two draws and a root e of the cubic (an int, or a scalar of
+    a SymbolicTower for f): the order-2 Tate pairing with (e, 0) then
+    differs at R and S (see the module docstring).  RuntimeError if the
+    norm lies outside F_p (a reducible modulus)."""
+    u = f.vlin(e * e, ((1, f.vmul(xR, xS)), (-e, xR), (-e, xS)))
+    return f.vis_nonsquare(u)
+
+
+@memo
+def _descent_kernel(f: FieldTower):
+    """_descent_separates traced for the traceable f: kernel(e, xR, xS)
+    is its bool for any root e, so one kernel serves every curve over f."""
+    t = SymbolicTower(f)
+    return t.compile("e, xR, xS", _descent_separates(
+        t, t.scalar("e"), t.value("xR"), t.value("xS")), role="descent")
+
+
 @memo
 def _attempt_kernel(f: FieldTower, m: int):
     """_replay compiled for the traceable f and m: kernel(rng, a4, a6, A,
-    B) is the (R, S, certified) of _replay for a generator whose randrange
-    is random.Random's.  It draws R, then S, by curves._draw_kernel, and
-    certifies them by _x_multiple traced on the ints A, B, a kernel of its
-    own; so the draw loop compiles once per tower, and its source never
-    compiles together with the certificate's."""
+    B, e) is the (R, S, certified) of _replay for a generator whose
+    randrange is random.Random's.  It draws R, then S, by
+    curves._draw_kernel, tests them by _descent_kernel when e is given,
+    and if that does not certify them, by _x_multiple traced on the ints
+    A, B, a kernel of its own; so the draw loop and the descent test
+    compile once per tower, apart from the certificate."""
     t = SymbolicTower(f)
     A, B = t.scalar("A"), t.scalar("B")
     XR, ZR = _x_multiple(t, A, B, m, t.value("xR"), t.value("cR"))
@@ -178,11 +216,14 @@ def _attempt_kernel(f: FieldTower, m: int):
     certificate = t.compile("A, B, xR, cR, xS, cS",
                             t.differ(t.vmul(XR, ZS), t.vmul(XS, ZR)),
                             role=f"certificate m={m}")
-    return _compile(f"attempt m={m} {f.p}^{f.r}", "rng, a4, a6, A, B", """\
+    return _compile(f"attempt m={m} {f.p}^{f.r}", "rng, a4, a6, A, B, e", """\
     R = _draw(rng, a4, a6)
     S = _draw(rng, a4, a6)
-    return R, S, A is not None and _certificate(A, B, R[0], R[1], S[0], S[1])
-""", _draw=_draw_kernel(f), _certificate=certificate)
+    return R, S, A is not None and (
+        e is not None and _descent(e, R[0], S[0])
+        or _certificate(A, B, R[0], R[1], S[0], S[1]))
+""", _draw=_draw_kernel(f), _descent=_descent_kernel(f),
+                    _certificate=certificate)
 
 
 @memo
@@ -192,50 +233,90 @@ def _prime_field_ints(f: FieldTower, a4, a6) -> tuple:
     return tuple(FieldElement(f, v).descend().value for v in (a4, a6))
 
 
-def _replay(f: FieldTower, a4, a6, A, B, m: int, rng) -> tuple:
+def _replay(f: FieldTower, a4, a6, A, B, e, m: int, rng) -> tuple:
     """One attempt of weil_pairing: R, then S, drawn as Curve.draw_point
-    draws them, and whether x([m]R) != x([m]S) (_separated) for the ints
-    A, B of F_p of a4, a6, or False when A is None."""
+    draws them, and whether the descent test with the root e separates
+    them (_descent_separates, when e is given) or x([m]R) != x([m]S)
+    (_separated) for the ints A, B of F_p of a4, a6; False when A is
+    None."""
     R, S = _draw(f, a4, a6, rng), _draw(f, a4, a6, rng)
-    return R, S, A is not None and _separated(f, A, B, m, R, S)
+    return R, S, A is not None and (
+        e is not None and _descent_separates(f, e, R[0], S[0])
+        or _separated(f, A, B, m, R, S))
+
+
+@memo
+def _rational_roots(p: int, A: int, B: int) -> tuple:
+    """The roots in F_p of x^3 + A x + B, least first: g = gcd(x^p - x,
+    the cubic) has one linear factor per root, and splits by
+    gcd((x + a)^((p-1)/2) - 1, g) for a = 0, 1, ... in turn (Cantor and
+    Zassenhaus, Math. Comp. 36, 1981), which reads no generator."""
+    cubic, x = [B, A, 0, 1], [0, 1]
+    factors = [_pgcd(p, cubic, _psub(p, _ppowmod(p, x, p, cubic), x))]
+    roots = []
+    for g in factors:
+        a = 0
+        while len(g) > 2:
+            h = _ppowmod(p, [a, 1], (p - 1) // 2, g)
+            h = _pgcd(p, g, _psub(p, h, [1]))
+            if 1 < len(h) < len(g):
+                factors.append(h)
+                g = _pdivmod(p, g, h)[0]
+            a += 1
+        roots += [-g[0] % p] if len(g) == 2 else []
+    return tuple(sorted(roots))
+
+
+def _descent_root(f: FieldTower, A: int, B: int, P, Q):
+    """The least root e in F_p of x^3 + A x + B with x - e a nonzero
+    square at the finite raw points P and Q, so the descent test may
+    certify their attempts; None if there is none."""
+    for e in _rational_roots(f.p, A, B):
+        if all(f.vis_square(f.vlin(-e, ((1, T[0]),))) for T in (P, Q)):
+            return e
+    return None
 
 
 def _plan(f: FieldTower, a4, a6, P, Q, m: int) -> tuple:
     """The plan of e_m(P, Q) for raw points P, Q of f on y^2 = x^3 + a4 x
-    + a6 (raw a4, a6): (f, a4, a6, P, Q, m, value, A, B), value the
-    checked unshifted value and A, B the ints of F_p of a4, a6 that the
-    certificate scales by.  A and B are None, and so is value unless P or
-    Q is infinity, when no attempt can be certified: the walks raised (P
-    or Q outside E[m]) or a4 or a6 lies outside F_p.  Raises ValueError
-    when P or Q is infinity and the other lies outside E[m]."""
+    + a6 (raw a4, a6): (f, a4, a6, P, Q, m, value, A, B, e), value the
+    checked unshifted value, A, B the ints of F_p of a4, a6 that the
+    certificate scales by and e the root of the descent test
+    (_descent_root), or None.  A, B and e are None, and so is value
+    unless P or Q is infinity, when no attempt can be certified: the
+    walks raised (P or Q outside E[m]) or a4 or a6 lies outside F_p.
+    Raises ValueError when P or Q is infinity and the other lies outside
+    E[m]."""
     head = (f, a4, a6, P, Q, m)
     if P is None or Q is None:
         # e_m is 1 here; the walk only checks the order
         for T in (P, Q):
             if T is not None:
                 _miller_values(f, a4, T, m, T)
-        return head + (_checked(f, f.one, m), None, None)
+        return head + (_checked(f, f.one, m), None, None, None)
     try:
         value = _unshifted_value(f, a4, P, Q, m)
         A, B = _prime_field_ints(f, a4, a6)
     except ValueError:
-        return head + (None, None, None)
-    return head + (_checked(f, value, m), A, B)
+        return head + (None, None, None, None)
+    return head + (_checked(f, value, m), A, B, _descent_root(f, A, B, P, Q))
 
 
 def _settle(plan: tuple, rng) -> PairingValue:
     """e_m(P, Q) of a _plan, drawing from rng: none for P or Q infinite,
     else attempts (_attempt_kernel, or _replay where it does not apply)
-    until one is certified, which gives the unshifted value, or its exact
-    shifted value is defined.  Raises ValueError unless P and Q lie in
+    until one is certified, by the descent test or the x-multiple
+    certificate, which gives the unshifted value, or its exact shifted
+    value is defined.  Raises ValueError unless P and Q lie in
     E[m]."""
-    f, a4, a6, P, Q, m, value, A, B = plan
+    f, a4, a6, P, Q, m, value, A, B, e = plan
     if P is None or Q is None:
         return value
     if f.traceable and _reads_by_getrandbits(rng):
-        attempt = functools.partial(_attempt_kernel(f, m), rng, a4, a6, A, B)
+        attempt = functools.partial(_attempt_kernel(f, m), rng, a4, a6, A, B,
+                                    e)
     else:
-        attempt = functools.partial(_replay, f, a4, a6, A, B, m, rng)
+        attempt = functools.partial(_replay, f, a4, a6, A, B, e, m, rng)
     for _ in range(200):
         R, S, certified = attempt()
         if certified:
@@ -248,9 +329,11 @@ def _settle(plan: tuple, rng) -> PairingValue:
 
 def weil_pairing(E: Curve, P: CurvePoint, Q: CurvePoint, m: int, rng) -> PairingValue:
     """e_m(P, Q) for P, Q in E[m]; the value is a root of unity of order
-    dividing m, primitive exactly when (P, Q) is a basis of E[m].  Raises
-    ValueError unless m is an int at least 1 and both arguments lie in
-    E[m]."""
+    dividing m, primitive exactly when (P, Q) is a basis of E[m].  It
+    draws shift points from rng until an attempt is certified, by the
+    descent test or by x([m]R) != x([m]S), or its exact shifted value is
+    defined (see the module docstring).  Raises ValueError unless m is an
+    int at least 1 and both arguments lie in E[m]."""
     if type(m) is not int or m < 1:
         raise ValueError(f"the order m must be an int at least 1, not {m!r}")
     f = E.field

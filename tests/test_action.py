@@ -425,6 +425,27 @@ def test_ordinary_search_refuses_uncountable_ranges_up_front(monkeypatch):
     assert calls == [] and rng.getstate() == state
 
 
+def _primes_by_trial_division(lo, hi):
+    """The primes of a q_range as gen_ordinary_instance listed them before
+    its sieve: every q from max(lo, 5) to hi that passes _is_prime."""
+    return [q for q in range(max(lo, 5), hi + 1)
+            if weilchar.fields._is_prime(q)]
+
+
+def test_prime_sieve_lists_what_trial_division_lists():
+    """The sieve's list, which rng.choice draws from, equals the trial
+    division one on edge ranges, on random ranges below 3,000 and at the
+    top of the countable fields."""
+    rng = random.Random(17)
+    ranges = [(5, 5), (0, 4), (-10, 3), (5, 6), (4, 100), (24, 24),
+              (25, 29), (90, 97), (1000, 20000), (999_000, 1_000_000)]
+    ranges += [tuple(sorted((rng.randrange(3000), rng.randrange(3000))))
+               for _ in range(200)]
+    for lo, hi in ranges:
+        assert weilchar.action._primes_between(max(lo, 5), hi) == \
+            _primes_by_trial_division(lo, hi), (lo, hi)
+
+
 def _mul_fp_by_pow(p, a4, n, A):
     """[n]A on raw points of F_p as curves._mul_fp computed it with a
     pow(d, -1, p) per slope, before its table of inverses."""

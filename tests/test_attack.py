@@ -247,8 +247,9 @@ def test_sigma_cells_are_sigma_of_the_cells(request, name, k, m):
     the record rejects exactly the cells the draw must, with the sigma
     evaluations it counts; an accepted record's plan holds the raw P and
     sigma P, the checked value e_m(P, sigma P) and, for a finite sigma P,
-    the curve's ints of F_p.  An imprimitive sigma on the same curve, which equals the
-    Frobenius instance, reads its own cells."""
+    the curve's ints of F_p and the root of its descent test.  An
+    imprimitive sigma on the same curve, which equals the Frobenius
+    instance, reads its own cells."""
     oc = request.getfixturevalue(name).shifted(k)
     r = torsion_extension_degree(oc.curve, m)
     E = oc.curve_in(r)
@@ -282,7 +283,15 @@ def test_sigma_cells_are_sigma_of_the_cells(request, name, k, m):
                     # sigma P = O pairs to 1 with no certificate
                     ints = ((None, None) if cell.is_infinity() else
                             (oc.curve.a4.value, oc.curve.a6.value))
-                    assert plan[7:] == ints, (a, b)
+                    assert plan[7:9] == ints, (a, b)
+                    # the descent root: the least root of the cubic in F_q
+                    # where x - e is a nonzero square at P and sigma P
+                    half = (f.size - 1) // 2
+                    roots = [x for x in range(oc.q) if E.rhs(E.field(x)) == 0]
+                    usable = [x for x in roots if not cell.is_infinity()
+                              and all((T.x - x) ** half == 1
+                                      for T in (P, cell))]
+                    assert plan[9] == (usable[0] if usable else None), (a, b)
 
 
 @pytest.mark.parametrize("name,m", [("oc24", 3), ("oc52", 4)])

@@ -154,6 +154,24 @@ def test_gen_instance_byte_identical(tmp_path, capsys):
     assert not filecmp.cmp(a, c, shallow=False)
 
 
+def test_gen_instance_q_range_output_is_frozen(tmp_path, capsys):
+    """An ordinary search over a q_range draws q from the range's primes,
+    so the instance a seed makes is fixed by that list: the file and the
+    report are the ones recorded when the primes were listed by trial
+    division."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"mode": "ordinary", "q_range": [1000, 300000], "m_target": 11}))
+    out = tmp_path / "inst.json"
+    code, stdout, _ = run(capsys, ["gen-instance", "--config", str(cfg),
+                                   "--seed", "4", "--out", str(out)])
+    assert code == 0
+    assert stdout == (f"wrote instance to {out}: q=271939 t=-748 D=528252 "
+                      "h=210 usable=chi_3,chi_44021\n")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "0522aa732519b6b17a0b16192e975b4f3324bd4dd7cf6e5e8aa88d4a8b281ead"
+
+
 def test_gen_instance_inventory(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"mode": "supersingular", "p": 101}))

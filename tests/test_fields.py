@@ -865,7 +865,7 @@ def test_pairing_steps_bench_smoke():
     assert [row[:3] for row in rows[2:]] == [
         ["101", "4", "4"], ["7", "3", "3"], ["31", "3", "3"],
         ["2221", "3", "3"]]
-    assert all(len(row) == 15 and all(float(x) > 0 for x in row[3:])
+    assert all(len(row) == 18 and all(float(x) > 0 for x in row[3:])
                for row in rows[2:])
 
 
@@ -1055,6 +1055,32 @@ def test_even_degree_non_residue_search_starts_at_p(monkeypatch, p, r):
     s, c, _ = field._sqrt_setup()
     assert min(ranks) == p and max(ranks) == n
     assert c == field.vpow(field.unrank(n), (field.size - 1) >> s)
+
+
+def _sqrt_setup_by_vpow(field):
+    """FieldTower._sqrt_setup as it took c = n^t before, by vpow in
+    F_{p^r} at every r."""
+    p, r = field.p, field.r
+    e = field.size - 1
+    s = (e & -e).bit_length() - 1
+    t = e >> s
+    n = 2 if r % 2 else p
+    while s > 1 and field.vis_square(field.unrank(n)):
+        n += 1
+    c = None if s == 1 else field.vpow(field.unrank(n), t)
+    return s, c, tuple((t - 1) // 2 // p ** i % p for i in range(r))
+
+
+@pytest.mark.parametrize("p,r", [
+    (5, 1), (13, 1), (101, 1), (7, 2), (13, 2), (7, 3), (13, 3), (5, 4),
+    (101, 4), (17, 5), (7, 6), (13, 12), (2221, 3), (2221, 12),
+    (120121, 7), (120121, 11), (120121, 13)])
+def test_sqrt_setup_matches_the_power_by_vpow(p, r):
+    """c = n^t taken as an int power at odd r and by the base-p digits of
+    t at even r is the vpow power, and s and the digits are unchanged;
+    the sweep holds towers with s = 1 (no c) and s > 1 at both parities."""
+    field = get_tower(p, r)
+    assert field._sqrt_setup() == _sqrt_setup_by_vpow(field)
 
 
 @pytest.mark.parametrize("p, r", [(7, 3), (5, 4)])

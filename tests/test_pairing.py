@@ -5,11 +5,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weilchar.curves import (Curve, CurvePoint, _add_raw, _raw, _x_multiple,
-                             count_points, extension_order, frobenius_map,
-                             point_add, sample_m_torsion, scalar_mul,
-                             torsion_basis, torsion_extension_degree,
-                             velu_isogeny)
+from weilchar.curves import (Curve, CurvePoint, _add_raw, _point, _raw,
+                             _x_multiple, count_points, extension_order,
+                             frobenius_map, point_add, sample_m_torsion,
+                             scalar_mul, torsion_basis,
+                             torsion_extension_degree, velu_isogeny)
 from weilchar import pairing
 from weilchar.fields import FieldElement, element_order, get_tower
 from weilchar.memo import cache_stats, clear_caches
@@ -500,7 +500,7 @@ def test_certificate_kernel_matches_the_interpreted_one(m):
     for R, S in pairs + degenerate:
         kernel = pairing._attempt_kernel(f, m)
         got = kernel(_Ranks(f, [(R[0], 1), (S[0], 0)]), E.a4.value,
-                     E.a6.value, a4, a6)
+                     E.a6.value, a4, a6, None)
         assert (got[0][:2], got[1][:2]) == (R[:2], S[:2])
         compiled.append(got[2])
     assert cache_stats()["pairing._attempt_kernel"]["misses"] == 1
@@ -510,33 +510,41 @@ def test_certificate_kernel_matches_the_interpreted_one(m):
     assert sum(compiled[:len(pairs)]) > len(pairs) // 2
 
 
-# the (p, r, m, a4, a6) of the benchmark's pairings; y^2 = x^3 + 3x + 2
-# at m = 3 over F_{7^3}, where the certificate is at times inconclusive
-# and the exact fallback runs; and a4 = 2 + t over F_{11^2}, outside F_11,
-# where no attempt is certified
+# the (p, r, m, a4, a6) of the benchmark's pairings, each cubic with one
+# root in F_p; y^2 = x^3 + 3x + 2 at m = 3 over F_{7^3}, where the cubic
+# has no root in F_7 and the certificate is at times inconclusive, so the
+# exact fallback runs; and a4 = 2 + t over F_{11^2}, outside F_11, where
+# no attempt is certified
 @pytest.mark.parametrize("p,r,m,a4,a6", [
     (101, 4, 4, 1, 19), (7, 3, 3, 1, 3), (31, 3, 3, 4, 20),
     (2221, 3, 3, 1668, 2145), (7, 3, 3, 3, 2), (11, 2, 3, (2, 1), 1),
 ])
 def test_replay_matches_two_draws_and_the_certificate(p, r, m, a4, a6):
     """Over 1,000 attempts _replay returns the (R, S, decision) that two
-    Curve.draw_point calls and _separated give, and leaves the generator
-    in the state they leave it in; so does the attempt kernel
-    (_attempt_kernel), which _settle runs on these towers."""
+    Curve.draw_point calls, the descent test with the least root of the
+    cubic in F_p (none at (7, 3, 3, 3, 2)) and _separated give, and leaves
+    the generator in the state they leave it in; so does the attempt
+    kernel (_attempt_kernel), which _settle runs on these towers."""
     f = get_tower(p, r)
     E = Curve(f, FieldElement(f, a4) if isinstance(a4, tuple) else a4, a6)
     ints = (a4, a6) if isinstance(a4, int) else (None, None)
+    roots = [x for x in range(p) if ints[0] is not None
+             and (x ** 3 + a4 * x + a6) % p == 0]
+    e = roots[0] if roots else None
+    assert (e is None) == (a6 == 2 or ints[0] is None)
     ours, ref = random.Random(f"replay{p},{r}"), random.Random(f"replay{p},{r}")
     compiled = random.Random(f"replay{p},{r}")
     kernel = pairing._attempt_kernel(f, m)
     decisions = []
     for _ in range(1000):
         R, S = E.draw_point(ref), E.draw_point(ref)
-        want = ints[0] is not None and pairing._separated(f, *ints, m, R, S)
-        got = pairing._replay(f, E.a4.value, E.a6.value, *ints, m, ours)
+        want = ints[0] is not None and (
+            e is not None and pairing._descent_separates(f, e, R[0], S[0])
+            or pairing._separated(f, *ints, m, R, S))
+        got = pairing._replay(f, E.a4.value, E.a6.value, *ints, e, m, ours)
         assert got == (R, S, want)
         assert ours.getstate() == ref.getstate()
-        assert kernel(compiled, E.a4.value, E.a6.value, *ints) == got
+        assert kernel(compiled, E.a4.value, E.a6.value, *ints, e) == got
         assert compiled.getstate() == ref.getstate()
         decisions.append(want)
     assert any(decisions) == (ints[0] is not None)
@@ -586,6 +594,133 @@ def test_a_settled_plan_matches_the_reference(monkeypatch):
     for _ in range(2):
         with pytest.raises(ValueError):
             pairing._plan(f, E.a4.value, E.a6.value, None, _raw(f, Q), 3)
+
+
+# curves whose cubic has a root in F_q, with m and a tower F_{q^r}, r = 2-4,
+# holding E[m]: one root at (11, 0, 1) and (7, 1, 3), three at (11, 1, 9),
+# (13, 7, 9) and (11, 1, 2).  For even m a root qualifies only when x - e
+# is a nonzero square at both arguments: at (11, 1, 2), E[2] over F_{11^3},
+# a pair of the points (e', 0) keeps at most the third root
+_DESCENT_CURVES = [(11, 0, 1, 3, 2), (11, 1, 9, 5, 3), (7, 1, 3, 4, 4),
+                   (13, 7, 9, 4, 2), (11, 1, 2, 2, 3)]
+
+
+def _descent_plans(q, a4, a6, m, r, rng):
+    """E over F_{q^r}, and the plans that keep a descent root among those
+    of the basis pair of E[m] and of 12 random pairs of finite points of
+    E[m].  Each plan's root is checked against the least root of the
+    cubic in F_q at which (x - e)^((q^r - 1)/2) = 1 at both points."""
+    E = curve_over(q, a4, a6, r)
+    B1, B2 = torsion_basis(E, m, extension_order(
+        q, count_points(curve_over(q, a4, a6))[1], r), rng)
+    pairs = [(B1, B2)]
+    while len(pairs) < 13:
+        P, Q = (point_add(E, scalar_mul(E, rng.randrange(m), B1),
+                          scalar_mul(E, rng.randrange(m), B2))
+                for _ in range(2))
+        if not (P.is_infinity() or Q.is_infinity()):
+            pairs.append((P, Q))
+    f = E.field
+    roots = [x for x in range(q) if (x ** 3 + a4 * x + a6) % q == 0]
+    plans = []
+    for P, Q in pairs:
+        plan = pairing._plan(f, E.a4.value, E.a6.value, _raw(f, P),
+                             _raw(f, Q), m)
+        usable = [x for x in roots if all(
+            (T.x - x) ** ((f.size - 1) // 2) == 1 for T in (P, Q))]
+        assert plan[9] == (usable[0] if usable else None), (P, Q)
+        if plan[9] is not None:
+            plans.append(plan)
+    assert plans
+    return E, plans
+
+
+@pytest.mark.parametrize("q,a4,a6,m,r", _DESCENT_CURVES)
+def test_descent_never_certifies_a_planted_degenerate_pair(q, a4, a6, m, r):
+    """For P, Q in E[m] whose plan keeps the descent root e, S = R - D with
+    D in <P, Q> (O, +-P, +-Q, P - Q and random combinations) is never
+    separated by the descent test, interpreted or traced: the order-2
+    Tate pairing with (e, 0) is trivial on <P, Q>.  Random pairs are
+    separated about half the time, by both alike."""
+    rng = random.Random(f"planted{q},{m}")
+    E, plans = _descent_plans(q, a4, a6, m, r, rng)
+    f = E.field
+    assert 2 <= f.r <= 4 and f.traceable
+    kernel = pairing._descent_kernel(f)
+    planted = separated = drawn = 0
+    for plan in plans:
+        e = plan[9]
+        P, Q = (_point(f, T) for T in plan[3:5])
+        shifts = [CurvePoint.infinity(), P, -P, Q, -Q, point_add(E, P, -Q)]
+        shifts += [point_add(E, scalar_mul(E, rng.randrange(m), P),
+                             scalar_mul(E, rng.randrange(m), Q))
+                   for _ in range(10)]
+        for _ in range(10):
+            R = E.random_point(rng)
+            xR = _raw(f, R)[0]
+            for D in shifts:
+                S = point_add(E, R, -D)
+                if S.is_infinity():
+                    continue
+                xS = _raw(f, S)[0]
+                assert not pairing._descent_separates(f, e, xR, xS), (R, D)
+                assert not kernel(e, xR, xS), (R, D)
+                planted += 1
+            xS = _raw(f, E.random_point(rng))[0]
+            got = pairing._descent_separates(f, e, xR, xS)
+            assert kernel(e, xR, xS) == got
+            separated += got
+            drawn += 1
+    assert planted > 150
+    assert 0.25 < separated / drawn < 0.75, (separated, drawn)
+
+
+class _OwnRandrange(random.Random):
+    """random.Random's stream through a randrange of its own, so _settle
+    runs each attempt interpreted (_replay)."""
+
+    def randrange(self, *args):
+        return super().randrange(*args)
+
+
+@pytest.mark.parametrize("q,a4,a6,m,r", _DESCENT_CURVES)
+def test_descent_settles_as_the_x_multiple_certificate_alone(
+        q, a4, a6, m, r, monkeypatch):
+    """Over 2,000 interpreted attempts, settling plans that keep their
+    descent root returns the value, and leaves the generator state, of
+    settling them with e = None (the x-multiple certificate alone), by
+    the attempt kernel and interpreted alike; the descent test certifies
+    a share of the attempts."""
+    E, plans = _descent_plans(q, a4, a6, m, r,
+                              random.Random(f"settle{q},{m}"))
+    attempts, certified = [0], [0]
+    replay, separates = pairing._replay, pairing._descent_separates
+
+    def counted_replay(*args):
+        attempts[0] += 1
+        return replay(*args)
+
+    def counted_separates(*args):
+        got = separates(*args)
+        certified[0] += got
+        return got
+
+    monkeypatch.setattr(pairing, "_replay", counted_replay)
+    monkeypatch.setattr(pairing, "_descent_separates", counted_separates)
+    seed = f"settle{q},{a4},{a6},{m}"
+    rngs = [kind(seed) for kind in (random.Random, random.Random,
+                                    _OwnRandrange, _OwnRandrange)]
+    i = 0
+    while attempts[0] < 2000:
+        plan = plans[i % len(plans)]
+        alone = plan[:9] + (None,)
+        got = [pairing._settle(pl, rng)
+               for pl, rng in zip((plan, alone, plan, alone), rngs)]
+        assert got[0] == got[1] == got[2] == got[3], i
+        assert len({repr(rng.getstate()) for rng in rngs}) == 1, i
+        i += 1
+    # the descent test ran on the first and third streams' attempts only
+    assert 0.2 < certified[0] / (attempts[0] / 2) < 0.8, (certified, attempts)
 
 
 # random_point(random.Random(2024)) twenty times, as (rank x, rank y), and
