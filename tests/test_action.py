@@ -417,7 +417,12 @@ def test_ordinary_search_refuses_uncountable_ranges_up_front(monkeypatch):
             raise RuntimeError("primes listed before the range was checked")
         return True
 
+    def listed(lo, hi):
+        calls.append((lo, hi))
+        raise RuntimeError("primes listed before the range was checked")
+
     monkeypatch.setattr(weilchar.action, "_is_prime", counted)
+    monkeypatch.setattr(weilchar.action, "_primes_between", listed)
     rng = random.Random(5)
     state = rng.getstate()
     with pytest.raises(ValueError, match="field too large for exhaustive"):

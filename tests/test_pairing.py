@@ -686,11 +686,11 @@ class _OwnRandrange(random.Random):
 @pytest.mark.parametrize("q,a4,a6,m,r", _DESCENT_CURVES)
 def test_descent_settles_as_the_x_multiple_certificate_alone(
         q, a4, a6, m, r, monkeypatch):
-    """Over 2,000 interpreted attempts, settling plans that keep their
-    descent root returns the value, and leaves the generator state, of
-    settling them with e = None (the x-multiple certificate alone), by
-    the attempt kernel and interpreted alike; the descent test certifies
-    a share of the attempts."""
+    """Over 2,000 attempts of each interpreted stream, settling plans that
+    keep their descent root returns the value, and leaves the generator
+    state, of settling them with e = None (the x-multiple certificate
+    alone), by the attempt kernel and interpreted alike; the descent test
+    certifies a share of the attempts."""
     E, plans = _descent_plans(q, a4, a6, m, r,
                               random.Random(f"settle{q},{m}"))
     attempts, certified = [0], [0]
@@ -711,7 +711,7 @@ def test_descent_settles_as_the_x_multiple_certificate_alone(
     rngs = [kind(seed) for kind in (random.Random, random.Random,
                                     _OwnRandrange, _OwnRandrange)]
     i = 0
-    while attempts[0] < 2000:
+    while attempts[0] < 4000:
         plan = plans[i % len(plans)]
         alone = plan[:9] + (None,)
         got = [pairing._settle(pl, rng)
@@ -719,7 +719,8 @@ def test_descent_settles_as_the_x_multiple_certificate_alone(
         assert got[0] == got[1] == got[2] == got[3], i
         assert len({repr(rng.getstate()) for rng in rngs}) == 1, i
         i += 1
-    # the descent test ran on the first and third streams' attempts only
+    # the interpreted descent tests are the third stream's, half of the
+    # attempts counted
     assert 0.2 < certified[0] / (attempts[0] / 2) < 0.8, (certified, attempts)
 
 
