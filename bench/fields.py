@@ -8,10 +8,12 @@ vadd, vsub, vneg, vinv, the Frobenius map (k = 1), vnorm, and the
 two-term linear combination f.vlin(0, ((1, u), (-4, v))).  Each
 figure is the best of five timeit runs of N calls each on one fixed random
 pair of operands, in one process.  The default towers are the five of the
-field-layer baseline in ROADMAP.md, then p = 23 at r = 12, 16, 20, 24, 30
-and p = 101 and 120121 at r = 14, 16, which bracket the product crossover
-fields.UNROLLED_MUL_MAX_R; building (23, 30) and (23, 42) searches their
-moduli for about 1.5 s each.
+field-layer baseline in ROADMAP.md; then (2221, 3) and (2221, 12), Kummer
+towers (binomial moduli, so vnorm descends through their subfields) at
+r = 3 and 12, beside (101, 2) and (101, 4) at r = 2 and 4; then p = 23
+at r = 12, 16, 20, 24, 30 and p = 101 and 120121 at r = 14, 16, which
+bracket the product crossover fields.UNROLLED_MUL_MAX_R; building
+(23, 30) and (23, 42) searches their moduli for about 1.5 s each.
 """
 
 import argparse
@@ -21,7 +23,7 @@ import timeit
 from weilchar import fields
 
 TOWERS = ((101, 2), (101, 4), (101, 12), (120121, 7), (23, 42),
-          (23, 12), (23, 16), (23, 20), (23, 24), (23, 30),
+          (2221, 3), (2221, 12), (23, 12), (23, 16), (23, 20), (23, 24), (23, 30),
           (101, 14), (101, 16), (120121, 14), (120121, 16))
 
 

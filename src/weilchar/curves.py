@@ -160,28 +160,22 @@ def _rhs(f, x, a4, a6):
 def _draw_kernel(f: FieldTower):
     """_draw compiled for the traceable f: kernel(rng, a4, a6) is the
     (x, c, sign, norm) of _draw on the raw a4 and a6 of any curve over f.
-    Each candidate's x from its rank, c = _rhs and N(c) run straight-line,
-    the norm is checked to lie in F_p (the RuntimeError of FieldTower.vnorm)
-    and by Euler's test inline, and the rank and the sign are read by
-    rng.getrandbits exactly as randrange(size) and randrange(2) read
-    them."""
+    Each candidate's x from its rank, c = _rhs and N(c) (SymbolicTower.vnorm:
+    by descent on a Kummer tower, else the chain and its check that the
+    norm lies in F_p) run straight-line, Euler's test inline, and the rank
+    and the sign are read by rng.getrandbits exactly as randrange(size)
+    and randrange(2) read them."""
     t = SymbolicTower(f)
     x = t.unrank(t.scalar("n"))
     c = _rhs(t, x, t.value("a4"), t.value("a6"))
-    norm = t._frobenius_sum_power(c, f.r)
     p, size, bits = f.p, f.size, f.size.bit_length()
-    # the fields {2}, {3}, ... are the coefficients of N(c)
-    outside = " or ".join(f"{{{i}}}" for i in range(3, 2 + f.r))
-    return t.compile("rng, a4, a6", x, c, *norm, role="draw", loop=f"""\
+    return t.compile("rng, a4, a6", x, c, t.vnorm(c), role="draw", loop=f"""\
     getrandbits = rng.getrandbits
     for _ in range(10000):
         n = getrandbits({bits})
         while n >= {size}:
             n = getrandbits({bits})
-{{steps}}        if {outside}:
-            raise RuntimeError("norm of %s does not lie in the prime field"
-                               % ({{1}},))
-        norm = {{2}}
+{{steps}}        norm = {{2}}
         if norm and pow(norm, {(p - 1) // 2}, {p}) != 1:
             continue
         sign = getrandbits(2)

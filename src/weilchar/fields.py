@@ -51,10 +51,16 @@ The norm N(v) = v^(1 + p + ... + p^(r-1)) lies in F_p and decides
 squareness there, since v^((q-1)/2) = N(v)^((p-1)/2).  The root is then
 Tonelli-Shanks in F_{p^r} at every r, its one power taken by base-p digits
 over the Frobenius images.
+
+On a Kummer tower, x^r - w with r = 2^a 3^b irreducible by Serret's
+criterion (the lex-first modulus wherever such a binomial exists, as at
+every tower of the warm pairings), the norm descends through the
+subfields F_p[x^l] by closed forms, traced; elsewhere it is vinv's chain.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Optional
 
 from .memo import memo
@@ -157,15 +163,31 @@ def _pgcd(p: int, a: list, b: list) -> list:
 
 
 def _ppowmod(p: int, a: list, e: int, f: list) -> list:
-    """a^e mod f by square-and-multiply."""
-    acc = [1]
-    base = _pdivmod(p, a, f)[1]
-    while e:
-        if e & 1:
+    """a^e mod f left to right from a mod f: bit_length(e) - 1 squarings
+    and popcount(e) - 1 products."""
+    if not e:
+        return [1]
+    base = acc = _pdivmod(p, a, f)[1]
+    for bit in bin(e)[3:]:
+        acc = _pdivmod(p, _pmul(p, acc, acc), f)[1]
+        if bit == "1":
             acc = _pdivmod(p, _pmul(p, acc, base), f)[1]
-        base = _pdivmod(p, _pmul(p, base, base), f)[1]
-        e >>= 1
     return acc
+
+
+def _serret(p: int, r: int, w: int) -> bool:
+    """Whether x^r - w is irreducible over F_p, on ints, by Serret's
+    criterion (Lidl and Niederreiter, Finite Fields, Thm 3.75): w != 0 has
+    an order e in F_p^* that every prime of r divides and (p - 1)/e does
+    not, and p = 1 mod 4 if 4 divides r."""
+    if not w % p:
+        return False
+    e = p - 1
+    for q, _ in factorize(e):
+        while e % q == 0 and pow(w, e // q, p) == 1:
+            e //= q
+    return (all(e % q == 0 and (p - 1) // e % q for q, _ in factorize(r))
+            and (r % 4 != 0 or p % 4 == 1))
 
 
 _towers: dict = {}
@@ -222,6 +244,7 @@ class FieldTower:
         self.one = 1 if r == 1 else (1,) + (0,) * (r - 1)
         # vmul runs the unrolled product, so SymbolicTower can stand in
         self.traceable = 1 < r <= UNROLLED_MUL_MAX_R
+        self._kummer = None     # w of a Kummer tower x^r = w (vnorm)
         if r == 1:
             self._mul = lambda u, v: u * v % p
             self._add = lambda u, v: (u + v) % p
@@ -235,6 +258,11 @@ class FieldTower:
         # x^r = sum of these (j, -f_j) over the nonzero low terms f_j
         self._low_terms = tuple((j, -c % p)
                                 for j, c in enumerate(modulus[:r]) if c)
+        # x^r = w with r = 2^a 3^b, a field by Serret's criterion
+        w = -modulus[0] % p
+        if (self._low_terms == ((0, w),) and _serret(p, r, w)
+                and {q for q, _ in factorize(r)} <= {2, 3}):
+            self._kummer = w
         self._mul = (_unrolled_mul(p, r, self._low_terms)
                      if self.traceable else self._kron_mul)
         u, v = _names(r, "u"), _names(r, "v")
@@ -432,14 +460,27 @@ class FieldTower:
 
     def vnorm(self, v) -> int:
         """N(v) = v^(1 + p + ... + p^(r-1)), the norm of v to F_p, as an int
-        in [0, p), by about log2 r multiplications and r Frobenius maps;
-        RuntimeError if it lies outside F_p (a reducible modulus)."""
+        in [0, p): by descent on a Kummer tower (_norm_kernel), else by
+        about log2 r multiplications and r Frobenius maps.  The descent is
+        the determinant of multiplication by v, an int of F_p on any ring
+        F_p[x]/(x^r - w), and the norm exactly where x^r - w is
+        irreducible, so only towers Serret's criterion proves fields take
+        it.  The chain raises RuntimeError if its power lies outside F_p
+        (a reducible modulus, such as x^2 - 1 or x^2 - 2 over F_7)."""
         if self.r == 1:
             return v
+        if self._kummer:
+            return self._norm_kernel()(v)
         a = self._frobenius_sum_power(v, self.r)
         if any(a[1:]):
             raise RuntimeError(f"norm of {v} does not lie in the prime field")
         return a[0]
+
+    @memo
+    def _norm_kernel(self):
+        """SymbolicTower.vnorm compiled on the first norm: kernel(v) = N(v)."""
+        t = SymbolicTower(self)
+        return t.compile("v", t.vnorm(t.value("v")), role="norm")
 
     def vis_square(self, v) -> bool:
         """Whether v is a nonzero square, by Euler's criterion in F_p:
@@ -508,6 +549,15 @@ class FieldTower:
             u = self.vmul(u, c)
             root = self.vmul(root, b)
         return root
+
+
+def _times_y(c: int, z: tuple, w: int, k: int) -> tuple:
+    """The vlin terms of c y^k z for an s-tuple z of F_p[y]/(y^s - w), k < s
+    or s = 1: z shifts up k places, wrapping past y^(s-1) times w."""
+    s = len(z)
+    if s == 1:
+        return ((c * w ** k, z),)
+    return ((c, (0,) * k + z[:s - k]), (c * w, z[s - k:] + (0,) * (s - k)))
 
 
 def _compile(role: str, args: str, body: str, **scope):
@@ -601,7 +651,8 @@ def _unrolled_mul(p: int, r: int, low_terms: tuple):
 
 class SymbolicTower:
     """A stand-in for a traceable FieldTower f (2 <= r <=
-    UNROLLED_MUL_MAX_R) that records instead of computing.
+    UNROLLED_MUL_MAX_R), or for a Kummer tower of any r whose norm it
+    traces, that records instead of computing.
 
     Its values are tuples of r coefficient names, besides the constants one
     and zero of f, and its scalars (_Scalar) name int expressions.  vmul,
@@ -614,21 +665,20 @@ class SymbolicTower:
     reads the names of its first step."""
 
     def __init__(self, f: FieldTower):
-        if not f.traceable:
+        if not (f.traceable or f._kummer):
             raise ValueError(f"{f!r} has no unrolled product to trace")
         self.p, self.r = f.p, f.r
         self.zero, self.one = f.zero, f.one
-        self._low_terms = f._low_terms
+        self._low_terms, self._kummer = f._low_terms, f._kummer
         self._frobenius_kernel = f._frobenius_kernel
         self._inputs = []       # the lines unpacking the value arguments
         self._steps = []        # (source, names read, names written)
         self._scalars = {}      # expression -> its _Scalar
         self._products = {}     # (u, v) -> the names of u v
-        self._count = 0
+        self._count = itertools.count(1)
 
     def _fresh(self) -> str:
-        self._count += 1
-        return f"_{self._count}"
+        return f"_{next(self._count)}"
 
     def _bind(self, coefficients, operands, lines: str = "") -> tuple:
         """Record lines, then the fresh names of the result's coefficients,
@@ -707,20 +757,53 @@ class SymbolicTower:
 
     _frobenius_sum_power = FieldTower._frobenius_sum_power
 
-    def vis_nonsquare(self, v) -> "_Scalar":
-        """The bool of FieldTower.vis_nonsquare, its RuntimeError included:
-        the norm's steps, then one step that checks the norm lies in F_p
-        and runs Euler's test on it."""
-        p = self.p
+    def vnorm(self, v) -> "_Scalar":
+        """The int of FieldTower.vnorm: the descent on a Kummer tower, in
+        F_p by construction, else the chain and a step raising
+        FieldTower.vnorm's RuntimeError if it lies outside F_p."""
+        if self._kummer:
+            return _Scalar(self, self._descent_norm(v))
         n = self._frobenius_sum_power(v, self.r)
         s = _Scalar(self, self._fresh())
         self._steps.append((
             f"    if {' or '.join(map(str, n[1:]))}:\n"
             f"        raise RuntimeError('norm of %s does not lie in the prime"
             f" field' % ({_tuple(v)},))\n"
-            f"    {s} = pow({n[0]}, {(p - 1) // 2}, {p}) == {p - 1}\n",
-            _read(n, v), (s.name,)))
+            f"    {s} = {n[0]}\n", _read(n, v), (s.name,)))
         return s
+
+    def vis_nonsquare(self, v) -> "_Scalar":
+        """The bool of FieldTower.vis_nonsquare: Euler's test on vnorm."""
+        p = self.p
+        n = self.vnorm(v)
+        return self._scalar(f"pow({n}, {(p - 1) // 2}, {p}) == {p - 1}", n)
+
+    def _descent_norm(self, v) -> str:
+        """The name of N(v) on a Kummer tower x^r = w: while r > 1, with
+        l = 2 while r is even, then 3, v = a + b x (+ c x^2) for a, b, c of
+        L = F_p[y]/(y^(r/l) - w), y = x^l, the subfield F_{p^(r/l)}, and
+        N(v) = N_L(a^2 - y b^2), or N_L(a^3 + y b^3 + y^2 c^3 - 3 y a b c):
+        the determinant of multiplication by v over L."""
+        w, s = self._kummer, self.r
+        while s > 1:
+            l = 2 if s % 2 == 0 else 3
+            s //= l
+            # L, as a copy that records into this tower's steps and names
+            g = object.__new__(SymbolicTower)
+            g.__dict__.update(self.__dict__, r=s, zero=(0,) * s,
+                              one=(1,) + (0,) * (s - 1),
+                              _low_terms=((0, w),))
+            a = [v[i::l] for i in range(l)]
+            sq = [g.vmul(b, b) for b in a]
+            if l == 2:
+                v = g.vlin(0, ((1, sq[0]), *_times_y(-1, sq[1], w, 1)))
+            else:
+                abc = g.vmul(a[0], g.vmul(a[1], a[2]))
+                v = g.vlin(0, ((1, g.vmul(sq[0], a[0])),
+                               *_times_y(1, g.vmul(sq[1], a[1]), w, 1),
+                               *_times_y(1, g.vmul(sq[2], a[2]), w, 2),
+                               *_times_y(-3, abc, w, 1)))
+        return v[0]
 
     # -- what FieldTower callers do in Python on the values ------------------
 

@@ -380,8 +380,11 @@ def test_criterion_7_op_counts(monkeypatch):
     with m.  They cover the division polynomial, the torsion degree and,
     when the process has not built it yet, the modulus of F_{q^r}, and in
     the first rung the search for the curve's roots in F_p that the
-    pairing's descent test takes (27 products): a fresh process reads
-    299/416/560/846/988, one with the towers built 218/308/425/657/772.  clear_caches() does not make the process fresh
+    pairing's descent test takes (25 products).  Since _ppowmod runs left
+    to right, a fresh process reads 277/386/520/786/918 and one with the
+    towers built 202/286/395/611/718; right to left, with two needless
+    products per power, they read 299/416/560/846/988 and
+    218/308/425/657/772.  clear_caches() does not make the process fresh
     again, since fields.get_tower keeps its towers outside the memo (field
     identity must outlive it), so the counts depend on what ran before.
     F_{q^r} products are not counted, as they do not grow with m (the m = 3

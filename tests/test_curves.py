@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from weilchar import curves
+from weilchar import curves, pairing
 from weilchar.curves import (Curve, CurvePoint, _add_raw, _mul_fp, _point,
                              _raw, count_points,
                              division_polynomial, extension_order,
@@ -414,15 +414,17 @@ def test_random_point_takes_one_norm_per_x(monkeypatch, p, r, a6):
         assert built == (kind is Bits)
 
 
-# the perfbench cells and two towers of the ddh roster; (101, 2) also takes
-# an a4 outside F_101, which the kernel reads as any raw value; at
-# (31, 10) the kernel runs in segments
+# the perfbench cells, two towers of the ddh roster and the sqrt fill's
+# (2221, 12); all but (31, 10) are Kummer towers, whose norm descends;
+# (101, 2) also takes an a4 outside F_101, which the kernel reads as any
+# raw value; at (31, 10) the kernel runs in segments
 @pytest.mark.parametrize("p,r,a4,a6", [
     (7, 3, 3, 3), (31, 3, 2, 11), (2221, 3, 1668, 2145), (101, 2, 3, 7),
     (101, 2, (2, 1), 5), (101, 4, 1, 3), (31, 10, 2, 11),
+    (2221, 12, 1668, 2145),
 ])
 def test_draw_kernel_matches_the_interpreted_draw(monkeypatch, p, r, a4, a6):
-    """Over 1,000 draws the compiled draw (_draw_kernel: the rejection
+    """Over 2,000 draws the compiled draw (_draw_kernel: the rejection
     loop over rank, right-hand side and norm, then the sign) gives the
     draw tuples and generator states the interpreted loop gives.  A
     generator whose randrange is its own draws interpreted on a traceable
@@ -444,7 +446,7 @@ def test_draw_kernel_matches_the_interpreted_draw(monkeypatch, p, r, a4, a6):
         monkeypatch.setattr(f, "traceable", traceable)
         clear_caches()
         runs.append([(E.draw_point(rng), rng.getstate())
-                     for _ in range(1000)])
+                     for _ in range(2000)])
         built = cache_stats()["curves._draw_kernel"]["misses"]
         assert built == (1 if traceable and type(rng) is random.Random else 0)
     assert runs[0] == runs[1] == runs[2]
@@ -505,14 +507,28 @@ def test_draw_kernel_only_where_the_product_is_unrolled(monkeypatch):
 
 
 @pytest.mark.parametrize("traceable", [True, False])
-def test_draw_keeps_the_norm_check(monkeypatch, traceable):
-    """A norm outside F_p (a reducible modulus) raises on both paths."""
-    ring = FieldTower(7, 2, (6, 0, 1))      # x^2 - 1, not a field
+@pytest.mark.parametrize("modulus", [(6, 0, 1), (5, 0, 1)])
+def test_draw_keeps_the_norm_check(monkeypatch, traceable, modulus):
+    """A norm outside F_p (a reducible modulus) raises on both paths: over
+    x^2 - 1, and over x^2 - 2 = (x - 3)(x + 3), a binomial that is no
+    Kummer tower (w = 2 has order 3 in F_7^*), so it keeps the chain and
+    its check.  The descent test and vis_nonsquare raise there too, on
+    (1 + x) x: phi fixes x on both rings, so the chain's power is the
+    square, which has an x term."""
+    ring = FieldTower(7, 2, modulus)
+    assert ring._kummer is None
     monkeypatch.setattr(ring, "traceable", traceable)
     E = Curve(ring, 1, 3)
     with pytest.raises(RuntimeError, match="prime field"):
         for seed in range(20):
             E.draw_point(random.Random(seed))
+    u, x = (1, 1), (0, 1)
+    for test in ([lambda: pairing._descent_kernel(ring)(0, u, x)]
+                 if traceable else []) + [
+            lambda: pairing._descent_separates(ring, 0, u, x),
+            lambda: ring.vis_nonsquare(ring.vmul(u, x))]:
+        with pytest.raises(RuntimeError, match="prime field"):
+            test()
 
 
 def _add_with_slope_oracle(E, P, Q):

@@ -11,11 +11,11 @@ from pathlib import Path
 import pytest
 
 import weilchar
-from weilchar import curves, pairing
+from weilchar import curves, fields, pairing
 from weilchar.fields import (UNROLLED_MUL_MAX_R, FieldElement, FieldTower,
                              SymbolicTower, _is_irreducible, _is_prime,
                              _pdivmod, _pgcd, _pmul, _ppowmod, _psub, _ptrim,
-                             _unrolled_mul,
+                             _serret, _unrolled_mul,
                              dlog_in_mu_m, element_order, factorize,
                              get_tower, legendre_symbol)
 from weilchar.memo import cache_stats, clear_caches
@@ -145,6 +145,49 @@ def test_poly_arithmetic_and_roots():
     assert len(_pmul(p, f, g)) == 4
     assert _pgcd(p, f, _pmul(p, g, [1, 1])) == [1, 1]
     assert _pgcd(p, f, g) == [1]
+
+
+def _ppowmod_oracle(p, a, e, f):
+    """a^e mod f right to left, as _ppowmod ran before it went left to
+    right: from [1], with a product by [1] first and a last squaring of
+    the base that nothing reads."""
+    acc = [1]
+    base = _pdivmod(p, a, f)[1]
+    while e:
+        if e & 1:
+            acc = _pdivmod(p, _pmul(p, acc, base), f)[1]
+        base = _pdivmod(p, _pmul(p, base, base), f)[1]
+        e >>= 1
+    return acc
+
+
+def test_ppowmod_matches_the_right_to_left_oracle(monkeypatch):
+    """_ppowmod gives the oracle's power, for e = 0 and 1 among others and
+    for a of degree below, at and above deg f, in bit_length(e) - 1
+    squarings and popcount(e) - 1 products."""
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return _pmul(*args)
+
+    rng = random.Random(12)
+    cases = []
+    for p in (5, 13, 2221, 120121):
+        for _ in range(25):
+            f = _ptrim([rng.randrange(p) for _ in range(rng.randrange(1, 7))]
+                       + [1])
+            a = _ptrim([rng.randrange(p)
+                        for _ in range(rng.randrange(1, 2 * len(f) + 2))])
+            for e in (0, 1, 2, 3, p, rng.randrange(4, 10 ** 9)):
+                cases.append((p, a, e, f, _ppowmod_oracle(p, a, e, f)))
+    assert any(len(a) > len(f) for _, a, _, f, _ in cases)
+    monkeypatch.setattr(fields, "_pmul", counted)
+    for p, a, e, f, want in cases:
+        calls[0] = 0
+        assert _ppowmod(p, a, e, f) == want, (p, a, e, f)
+        assert calls[0] == (e.bit_length() + bin(e).count("1") - 2 if e
+                            else 0)
 
 
 def test_element_order_and_dlog():
@@ -591,6 +634,54 @@ def test_compiling_a_kernel_makes_no_frobenius_call(monkeypatch):
     assert cache_stats()["curves._draw_kernel"]["misses"] == 3
 
 
+def test_serret_matches_irreducibility_on_every_binomial():
+    """Serret's criterion (_serret, ints only) agrees with _is_irreducible
+    on every x^r - w, w = 0 included, for p in 5, 7, 13, 31, 101 and
+    2 <= r <= 6; a tower built on one is a Kummer tower, whose norm
+    descends, exactly where the binomial is irreducible and r = 2^a 3^b."""
+    for p in (5, 7, 13, 31, 101):
+        for r in range(2, 7):
+            for w in range(p):
+                modulus = (-w % p,) + (0,) * (r - 1) + (1,)
+                irreducible = _is_irreducible(p, modulus)
+                assert _serret(p, r, w) == irreducible, (p, r, w)
+                kummer = FieldTower(p, r, modulus)._kummer
+                assert kummer == (w if irreducible and r != 5 else None)
+
+
+# the Kummer towers of the warm pairings and of the sqrt fill, two with
+# p = 1 mod 4 at r = 12, one with l = 3 twice, and one above
+# UNROLLED_MUL_MAX_R
+@pytest.mark.parametrize("p,r", [(101, 4), (7, 3), (31, 3), (2221, 3),
+                                 (2221, 12), (120121, 12), (37, 9), (13, 16)])
+def test_descent_norm_matches_the_frobenius_chain(p, r):
+    """On a Kummer tower vnorm descends through the subfields.  It equals
+    the Frobenius chain (_frobenius_sum_power, kept as the oracle) on
+    zero, one, values of F_p and random values, both as FieldTower.vnorm
+    and traced in a kernel of other steps, with Euler's test on it."""
+    f = get_tower(p, r)
+    assert f._kummer == -f.modulus[0] % p and not any(f.modulus[1:r])
+    rng = random.Random(f"descent{p},{r}")
+    values = ([f.zero, f.one] + [f.from_int(n) for n in (2, p - 1)]
+              + [f.from_int(rng.randrange(p)) for _ in range(5)]
+              + [f.random_value(rng) for _ in range(100)])
+    t = SymbolicTower(f)
+    u, v = t.value("u"), t.value("v")
+    kernel = t.compile("u, v", t.vnorm(t.vadd(u, v)), t.vnorm(u),
+                       t.vis_nonsquare(u))
+
+    def chain(a):
+        n = f._frobenius_sum_power(a, r)
+        assert not any(n[1:])
+        return n[0]
+
+    for a, b in zip(values, values[1:] + values[:1]):
+        n = chain(a)
+        assert f.vnorm(a) == n
+        assert kernel(a, b) == (chain(f.vadd(a, b)), n,
+                                pow(n, (p - 1) // 2, p) == p - 1)
+
+
 def test_norm_outside_the_prime_field_raises():
     # over x^2 - 1 = (x - 1)(x + 1), not a field, x^p = x and the "norm"
     # of 1 + x is (1 + x)^2 = 2 + 2x; the check must survive python -O
@@ -1003,6 +1094,9 @@ def test_towers_and_class_groups_build_lazily_into_the_memo(p, r):
     stats = cache_stats()
     assert stats["fields.FieldTower._frobenius_kernel"]["entries"] == r - 1
     assert stats["fields.FieldTower._sqrt_setup"]["entries"] == 1
+    # (101, 4) is a Kummer tower: its norm kernel too, from the first norm
+    assert stats["fields.FieldTower._norm_kernel"]["entries"] == (
+        f._kummer is not None)
     assert stats["quadforms.ClassGroup.mul"]["entries"] == h * h
     assert calls() == cold
     assert _unchanged(f, tower) and set(f.__dict__) == {n for n, _, _ in tower}
