@@ -31,9 +31,9 @@ powers computed on every call (cold) and looked up (warm); the
 milliseconds it takes to trace and compile the draw kernel and the attempt
 kernel (its certificate, and the calls of the memoized draw and descent
 kernels); and the percentage of 100 N attempts, drawn for the plans of the
-accepted cell records in turn, that the descent test with the plan's root
-certifies.  The descent columns take the root of the first plan that
-keeps one, or else the least root of the cubic.
+accepted cell records in turn, that the descent tests with the plan's
+roots certify.  The descent and attempt columns take the roots of the
+first plan that keeps a root in F_p, or else the least root of the cubic.
 """
 
 import argparse
@@ -81,13 +81,13 @@ def compile_ms(build) -> float:
 
 def descent_share(f, E, plans, attempts: int, rng) -> float:
     """The percentage of attempts, drawn for the plans in turn, that the
-    descent test with the plan's root certifies."""
+    descent tests with the plan's roots certify."""
     certified = 0
     for i in range(attempts):
-        e = plans[i % len(plans)][9]
+        roots = plans[i % len(plans)][9:]
         R, S = E.draw_point(rng), E.draw_point(rng)
-        certified += e is not None and pairing._descent_separates(
-            f, e, R[0], S[0])
+        certified += any(e is not None and pairing._descent_separates(
+            f, e, R[0], S[0]) for e in roots)
     return 100 * certified / attempts
 
 
@@ -111,19 +111,19 @@ def pairing_steps(repeat: int) -> None:
         key = (side, side.sigma_trace, side.sigma_norm, m, r)
         plans = [plan for a in range(m) for b in range(m)
                  if (plan := attack._cell(*key, a, b)[3]) is not None]
-        e = next((plan[9] for plan in plans if plan[9] is not None),
-                 pairing._rational_roots(p, a4, a6)[0])
-        kernel = pairing._attempt_kernel(f, m)
+        e, e2 = next((plan[9:] for plan in plans if plan[9] is not None),
+                     (pairing._rational_roots(p, a4, a6)[0], None))
+        kernel = pairing._attempt_kernel(f, m, e2 is not None)
         certificate = kernel.__globals__["_certificate"]
         descent = kernel.__globals__["_descent"]
         steps = {False: (lambda: pairing._separated(f, a4, a6, m, R, S),
                          lambda: pairing._descent_separates(f, e, R[0], S[0]),
                          lambda: pairing._replay(f, E.a4.value, E.a6.value,
-                                                 a4, a6, e, m, rng)),
+                                                 a4, a6, e, e2, m, rng)),
                  True: (lambda: certificate(a4, a6, R[0], R[1], S[0], S[1]),
                         lambda: descent(e, R[0], S[0]),
                         lambda: kernel(rng, E.a4.value, E.a6.value, a4, a6,
-                                       e))}
+                                       e, e2))}
         row = []
         for traceable in (False, True):
             f.traceable = traceable
@@ -146,7 +146,9 @@ def pairing_steps(repeat: int) -> None:
         dlogs = (best(cold, 100 * repeat),
                  best(lambda: dlog_in_mu_m(b, t, m), 100 * repeat))
         ms = (compile_ms(lambda: curves._draw_kernel.__wrapped__(f)),
-              compile_ms(lambda: pairing._attempt_kernel.__wrapped__(f, m)))
+              compile_ms(lambda: (
+                  pairing._certificate_kernel.__wrapped__(f, m),
+                  pairing._attempt_kernel.__wrapped__(f, m, e2 is not None))))
         us = [x * 1e6 for pair in zip(*row) for x in pair] + [
             x * 1e6 for x in dlogs]
         share = descent_share(f, E, plans, 100 * repeat, rng)

@@ -166,6 +166,13 @@ class BaseSide(NamedTuple):
     timings_ms: dict
 
 
+@memo
+def _assigned(D: int) -> frozenset:
+    """The assigned characters of discriminant -D as a set; ValueError,
+    which the memo does not keep, when -D is no discriminant."""
+    return frozenset(assigned_characters(D))
+
+
 def base_side(ocE: OrientedCurve, char: Character, rng) -> BaseSide:
     """Base half of eval_character: its checks on the base and character,
     the shift, the torsion degree, and the base pairing, drawn from rng in
@@ -176,7 +183,7 @@ def base_side(ocE: OrientedCurve, char: Character, rng) -> BaseSide:
         raise ValueError(
             f"modulus {m} shares a factor with the characteristic {q}; "
             f"{char.label} cannot be evaluated on this instance")
-    if char not in assigned_characters(ocE.D):
+    if char not in _assigned(ocE.D):
         raise ValueError(f"{char.label} is not assigned to discriminant -{ocE.D}")
 
     times = {}

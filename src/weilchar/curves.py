@@ -390,6 +390,7 @@ def extension_order(q: int, t: int, r: int) -> int:
     return q**r + 1 - t_cur
 
 
+@memo
 def gl2_order(m: int) -> int:
     """#GL_2(Z/mZ)."""
     out = 1

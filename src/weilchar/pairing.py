@@ -22,17 +22,19 @@ value and reads nothing more, so one certified nondegenerate returns it
 with every value, draw and generator state unchanged.  Two certificates
 run, cheaper first:
 
-- The descent test (_descent_separates).  For a root e in F_p of the
+- The descent tests (_descent_separates).  For a root e in F_q of the
   cubic, the order-2 Tate pairing with (e, 0), R -> (x_R - e)^((q-1)/2)
   on E(F_q), q = p^r, is a homomorphism to +-1 that needs no y, and is
   nontrivial as (e, 0) is a nonzero point of E(F_q)[2] (2-isogeny
   descent: Silverman, AEC X.4; Castryck, Sotakova and Vercauteren,
   CRYPTO 2020); Euler's test on the norm N(x_R - e) decides it.  The
-  plan keeps e only where x - e is a nonzero square at P and at Q, so it
-  is 1 on <P, Q> (for odd m every root is kept: P, Q lie in 2E).  A
-  degenerate attempt, D in <P, Q>, thus has equal values at R and S, and
-  N((x_R - e)(x_S - e)) a non-residue certifies the attempt, as it does
-  for about half of all attempts.
+  plan keeps up to two roots (_descent_roots), in F_p or, at even r, in
+  F_{p^2}, each only where x - e is a nonzero square at P and at Q, so
+  its character is 1 on <P, Q> (for odd m every root is kept: P, Q lie
+  in 2E).  A degenerate attempt, D in <P, Q>, thus has equal values at
+  R and S, and N((x_R - e)(x_S - e)) a non-residue certifies the
+  attempt: about half of all attempts by one root, and about half of
+  the rest by a second, whose character is independent of the first.
 - The x-multiple certificate (_separated): D in <P, Q> lies in E[m], so
   [m]R = [m]S, and x([m]R) != x([m]S) certifies the attempt.
   curves._x_multiple takes x([m]R) x-only in projective form, with no
@@ -47,7 +49,7 @@ where the shifted pairing did.
 
 A pairing is a plan (_plan: the raw P, Q, a4 and a6, the checked
 unshifted value, a4, a6 as the ints of F_p the certificate scales by, and
-the descent root e) that _settle settles.  Settling makes every draw, the
+the descent roots) that _settle settles.  Settling makes every draw, the
 certificates and the exact fallback, since they decide what the generator
 yields, and arguments outside E[m] raise on every call.  weil_pairing
 builds a plan and settles it; attack keeps the plan of each accepted cell
@@ -55,7 +57,8 @@ of E[m] in the cell's record, so a warm side pairing converts no point
 and looks up no memo.  Nothing else asks twice for one pairing's
 unshifted value, so it is not memoized; the checked PairingValue
 (_checked), the curve's a4, a6 as ints of F_p (_prime_field_ints) and the
-cubic's roots in F_p (_rational_roots) are memoized (memo.memo).
+cubic's roots (_rational_roots in F_p, _cubic_roots in F_q) are memoized
+(memo.memo).
 
 Where the tower's product is unrolled (fields.SymbolicTower, 2 <= r <=
 UNROLLED_MUL_MAX_R) and the generator's randrange is random.Random's,
@@ -63,11 +66,11 @@ _settle fetches one kernel per tower and m (_attempt_kernel) and each
 attempt is one call of it.  It draws R, then S, by the draw kernel of
 curves (_draw_kernel: the rejection loop, reading the generator as
 randrange does, around each candidate's x, c = x^3 + a4 x + a6 and the
-norm N(c) that decides squareness), then the descent test
-(_descent_kernel, traced once per tower) and, unless it certified the
-attempt, the certificate, curves._x_multiple traced for both points; e,
-a4 and a6 are int arguments, so one kernel serves every curve over the
-tower, and _x_multiple takes x^3 = c - a4 x - a6 without a product.
+norm N(c) that decides squareness), then the descent tests
+(_descent_kernel, traced once per tower) and, unless one certified the
+attempt, the certificate, curves._x_multiple traced for both points; the
+roots, a4 and a6 are arguments, so one kernel serves every curve over
+the tower, and _x_multiple takes x^3 = c - a4 x - a6 without a product.
 Other towers, and generators with a randrange of their own, run each
 attempt interpreted (_replay), with the same draws and the same verdict.
 """
@@ -183,47 +186,60 @@ def _separated(f: FieldTower, a4: int, a6: int, m: int, R, S) -> bool:
 
 def _descent_separates(f: FieldTower, e, xR, xS) -> bool:
     """Whether N((xR - e)(xS - e)) is a nonzero non-residue of F_p, for
-    the x of two draws and a root e of the cubic (an int, or a scalar of
-    a SymbolicTower for f): the order-2 Tate pairing with (e, 0) then
-    differs at R and S (see the module docstring).  RuntimeError if the
-    norm lies outside F_p (a reducible modulus)."""
-    u = f.vlin(e * e, ((1, f.vmul(xR, xS)), (-e, xR), (-e, xS)))
+    the x of two draws and a root e of the cubic, an int (or scalar) or a
+    raw value of f: the order-2 Tate pairing with (e, 0) then differs at R
+    and S (see the module docstring).  RuntimeError if the norm lies
+    outside F_p (a reducible modulus)."""
+    if isinstance(e, tuple):
+        u = f.vmul(f.vsub(xR, e), f.vsub(xS, e))
+    else:
+        u = f.vlin(e * e, ((1, f.vmul(xR, xS)), (-e, xR), (-e, xS)))
     return f.vis_nonsquare(u)
 
 
 @memo
-def _descent_kernel(f: FieldTower):
+def _descent_kernel(f: FieldTower, raw: bool = False):
     """_descent_separates traced for the traceable f: kernel(e, xR, xS)
-    is its bool for any root e, so one kernel serves every curve over f."""
+    is its bool for any root e, an int of F_p, or a raw value of f when
+    raw is set, so one kernel serves every curve over f."""
     t = SymbolicTower(f)
+    e = t.value("e") if raw else t.scalar("e")
     return t.compile("e, xR, xS", _descent_separates(
-        t, t.scalar("e"), t.value("xR"), t.value("xS")), role="descent")
+        t, e, t.value("xR"), t.value("xS")), role="descent" + " raw" * raw)
 
 
 @memo
-def _attempt_kernel(f: FieldTower, m: int):
-    """_replay compiled for the traceable f and m: kernel(rng, a4, a6, A,
-    B, e) is the (R, S, certified) of _replay for a generator whose
-    randrange is random.Random's.  It draws R, then S, by
-    curves._draw_kernel, tests them by _descent_kernel when e is given,
-    and if that does not certify them, by _x_multiple traced on the ints
-    A, B, a kernel of its own; so the draw loop and the descent test
-    compile once per tower, apart from the certificate."""
+def _certificate_kernel(f: FieldTower, m: int):
+    """_separated traced for the traceable f and m: kernel(A, B, xR, cR,
+    xS, cS) for the ints A, B of F_p and the x and c of two draws."""
     t = SymbolicTower(f)
     A, B = t.scalar("A"), t.scalar("B")
     XR, ZR = _x_multiple(t, A, B, m, t.value("xR"), t.value("cR"))
     XS, ZS = _x_multiple(t, A, B, m, t.value("xS"), t.value("cS"))
-    certificate = t.compile("A, B, xR, cR, xS, cS",
-                            t.differ(t.vmul(XR, ZS), t.vmul(XS, ZR)),
-                            role=f"certificate m={m}")
-    return _compile(f"attempt m={m} {f.p}^{f.r}", "rng, a4, a6, A, B, e", """\
+    return t.compile("A, B, xR, cR, xS, cS",
+                     t.differ(t.vmul(XR, ZS), t.vmul(XS, ZR)),
+                     role=f"certificate m={m}")
+
+
+@memo
+def _attempt_kernel(f: FieldTower, m: int, second: bool):
+    """_replay compiled for the traceable f and m: kernel(rng, a4, a6, A,
+    B, e, e2) is the (R, S, certified) of _replay for a generator whose
+    randrange is random.Random's.  It draws R, then S (curves._draw_kernel)
+    and tests them until one test certifies: by e (_descent_kernel), by e2
+    only where second is set (the raw _descent_kernel, so it compiles only
+    on towers where some plan keeps e2), and by _certificate_kernel."""
+    test = "_second(e2, R[0], S[0])\n        or " if second else ""
+    return _compile(f"attempt m={m} {f.p}^{f.r}", "rng, a4, a6, A, B, e, e2",
+                    f"""\
     R = _draw(rng, a4, a6)
     S = _draw(rng, a4, a6)
     return R, S, A is not None and (
         e is not None and _descent(e, R[0], S[0])
-        or _certificate(A, B, R[0], R[1], S[0], S[1]))
+        or {test}_certificate(A, B, R[0], R[1], S[0], S[1]))
 """, _draw=_draw_kernel(f), _descent=_descent_kernel(f),
-                    _certificate=certificate)
+                    _second=_descent_kernel(f, True) if second else None,
+                    _certificate=_certificate_kernel(f, m))
 
 
 @memo
@@ -233,15 +249,16 @@ def _prime_field_ints(f: FieldTower, a4, a6) -> tuple:
     return tuple(FieldElement(f, v).descend().value for v in (a4, a6))
 
 
-def _replay(f: FieldTower, a4, a6, A, B, e, m: int, rng) -> tuple:
+def _replay(f: FieldTower, a4, a6, A, B, e, e2, m: int, rng) -> tuple:
     """One attempt of weil_pairing: R, then S, drawn as Curve.draw_point
     draws them, and whether the descent test with the root e separates
-    them (_descent_separates, when e is given) or x([m]R) != x([m]S)
-    (_separated) for the ints A, B of F_p of a4, a6; False when A is
-    None."""
+    them (_descent_separates, when e is given), or the one with the raw
+    root e2 (when given), or x([m]R) != x([m]S) (_separated) for the ints
+    A, B of F_p of a4, a6; False when A is None."""
     R, S = _draw(f, a4, a6, rng), _draw(f, a4, a6, rng)
     return R, S, A is not None and (
         e is not None and _descent_separates(f, e, R[0], S[0])
+        or e2 is not None and _descent_separates(f, e2, R[0], S[0])
         or _separated(f, A, B, m, R, S))
 
 
@@ -267,56 +284,77 @@ def _rational_roots(p: int, A: int, B: int) -> tuple:
     return tuple(sorted(roots))
 
 
-def _descent_root(f: FieldTower, A: int, B: int, P, Q):
-    """The least root e in F_p of x^3 + A x + B with x - e a nonzero
-    square at the finite raw points P and Q, so the descent test may
-    certify their attempts; None if there is none."""
-    for e in _rational_roots(f.p, A, B):
-        if all(f.vis_square(f.vlin(-e, ((1, T[0]),))) for T in (P, Q)):
-            return e
-    return None
+@memo
+def _cubic_roots(f: FieldTower, A: int, B: int) -> tuple:
+    """Roots in F_q of x^3 + A x + B, as raw values of f: those in F_p,
+    least first (_rational_roots), then, where exactly one, e, lies in
+    F_p and r is even, the roots (-e + d)/2 and (-e - d)/2 of the
+    quadratic factor x^2 + e x + e^2 + A, d a square root of its
+    discriminant -3e^2 - 4A (f.vsqrt), which lie in F_{p^2} inside F_q.
+    An irreducible cubic has its roots in F_{p^3}, left out here."""
+    rational = _rational_roots(f.p, A, B)
+    roots = [f.from_int(e) for e in rational]
+    if len(rational) == 1 and f.r % 2 == 0:
+        e, half = rational[0], (f.p + 1) // 2
+        d = f.vsqrt(f.from_int(-3 * e * e - 4 * A))
+        roots += [f.vlin(-e * half, ((s * half, d),)) for s in (1, -1)]
+    return tuple(roots)
+
+
+def _descent_roots(f: FieldTower, A: int, B: int, P, Q) -> tuple:
+    """(e, e2): the first two roots of _cubic_roots with x - e a nonzero
+    square at the finite raw points P and Q, e as an int where the first
+    lies in F_p (else None) and e2 the other as a raw value of f (or
+    None).  The three roots' characters multiply to 1, so two distinct
+    ones are independent and a third adds nothing."""
+    ints = {f.from_int(e): e for e in _rational_roots(f.p, A, B)}
+    kept = [e for e in _cubic_roots(f, A, B)
+            if all(f.vis_square(f.vsub(T[0], e)) for T in (P, Q))][:2]
+    e = ints[kept.pop(0)] if kept and kept[0] in ints else None
+    return e, (kept[0] if kept else None)
 
 
 def _plan(f: FieldTower, a4, a6, P, Q, m: int) -> tuple:
     """The plan of e_m(P, Q) for raw points P, Q of f on y^2 = x^3 + a4 x
-    + a6 (raw a4, a6): (f, a4, a6, P, Q, m, value, A, B, e), value the
+    + a6 (raw a4, a6): (f, a4, a6, P, Q, m, value, A, B, e, e2), value the
     checked unshifted value, A, B the ints of F_p of a4, a6 that the
-    certificate scales by and e the root of the descent test
-    (_descent_root), or None.  A, B and e are None, and so is value
-    unless P or Q is infinity, when no attempt can be certified: the
-    walks raised (P or Q outside E[m]) or a4 or a6 lies outside F_p.
-    Raises ValueError when P or Q is infinity and the other lies outside
-    E[m]."""
+    certificate scales by and e, e2 the roots of the descent tests
+    (_descent_roots), each possibly None.  A, B, e and e2 are None, and
+    so is value unless P or Q is infinity, when no attempt can be
+    certified: the walks raised (P or Q outside E[m]) or a4 or a6 lies
+    outside F_p.  Raises ValueError when P or Q is infinity and the other
+    lies outside E[m]."""
     head = (f, a4, a6, P, Q, m)
     if P is None or Q is None:
         # e_m is 1 here; the walk only checks the order
         for T in (P, Q):
             if T is not None:
                 _miller_values(f, a4, T, m, T)
-        return head + (_checked(f, f.one, m), None, None, None)
+        return head + (_checked(f, f.one, m), None, None, None, None)
     try:
         value = _unshifted_value(f, a4, P, Q, m)
         A, B = _prime_field_ints(f, a4, a6)
     except ValueError:
-        return head + (None, None, None, None)
-    return head + (_checked(f, value, m), A, B, _descent_root(f, A, B, P, Q))
+        return head + (None,) * 5
+    return head + (_checked(f, value, m), A, B,
+                   *_descent_roots(f, A, B, P, Q))
 
 
 def _settle(plan: tuple, rng) -> PairingValue:
     """e_m(P, Q) of a _plan, drawing from rng: none for P or Q infinite,
     else attempts (_attempt_kernel, or _replay where it does not apply)
-    until one is certified, by the descent test or the x-multiple
+    until one is certified, by a descent test or the x-multiple
     certificate, which gives the unshifted value, or its exact shifted
     value is defined.  Raises ValueError unless P and Q lie in
     E[m]."""
-    f, a4, a6, P, Q, m, value, A, B, e = plan
+    f, a4, a6, P, Q, m, value, A, B, e, e2 = plan
     if P is None or Q is None:
         return value
     if f.traceable and _reads_by_getrandbits(rng):
-        attempt = functools.partial(_attempt_kernel(f, m), rng, a4, a6, A, B,
-                                    e)
+        attempt = functools.partial(_attempt_kernel(f, m, e2 is not None),
+                                    rng, a4, a6, A, B, e, e2)
     else:
-        attempt = functools.partial(_replay, f, a4, a6, A, B, e, m, rng)
+        attempt = functools.partial(_replay, f, a4, a6, A, B, e, e2, m, rng)
     for _ in range(200):
         R, S, certified = attempt()
         if certified:

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 import weilchar.attack
-
+from weilchar import pairing
 from weilchar.action import (OrientedCurve, SmoothIdeal, apply_smooth_ideal,
                              random_smooth_class, split_prime)
 from weilchar.attack import (_cell, _side_pairing, _torsion_basis,
@@ -13,7 +13,8 @@ from weilchar.attack import (_cell, _side_pairing, _torsion_basis,
                              usable_characters)
 from weilchar.curves import (_raw, frobenius_map, point_add, scalar_mul,
                              torsion_basis, torsion_extension_degree)
-from weilchar.fields import element_order, get_tower, legendre_symbol
+from weilchar.fields import (FieldElement, element_order, get_tower,
+                             legendre_symbol)
 from weilchar.memo import cache_stats, clear_caches
 from weilchar.pairing import weil_pairing
 from weilchar.quadforms import (Character, assigned_characters,
@@ -284,14 +285,23 @@ def test_sigma_cells_are_sigma_of_the_cells(request, name, k, m):
                     ints = ((None, None) if cell.is_infinity() else
                             (oc.curve.a4.value, oc.curve.a6.value))
                     assert plan[7:9] == ints, (a, b)
-                    # the descent root: the least root of the cubic in F_q
-                    # where x - e is a nonzero square at P and sigma P
+                    # the descent roots: the first two roots of the cubic
+                    # in F_{q^r} (pairing._cubic_roots) where x - e is a
+                    # nonzero square at P and sigma P, the first as an int
+                    # where it lies in F_q
                     half = (f.size - 1) // 2
-                    roots = [x for x in range(oc.q) if E.rhs(E.field(x)) == 0]
-                    usable = [x for x in roots if not cell.is_infinity()
-                              and all((T.x - x) ** half == 1
-                                      for T in (P, cell))]
-                    assert plan[9] == (usable[0] if usable else None), (a, b)
+                    ints = {f.from_int(x): x for x in range(oc.q)
+                            if E.rhs(E.field(x)) == 0}
+                    roots = (() if cell.is_infinity() else
+                             pairing._cubic_roots(f, *plan[7:9]))
+                    assert set(ints) <= set(roots) or cell.is_infinity()
+                    usable = [x for x in roots if all(
+                        (T.x - FieldElement(f, x)) ** half == 1
+                        for T in (P, cell))][:2]
+                    e = (ints[usable.pop(0)] if usable and usable[0] in ints
+                         else None)
+                    assert plan[9:] == (e, usable[0] if usable else None), \
+                        (a, b)
 
 
 @pytest.mark.parametrize("name,m", [("oc24", 3), ("oc52", 4)])
@@ -407,19 +417,22 @@ def test_cold_and_warm_caches_agree(request):
 def test_kernel_and_table_memos_cold_and_warm(request, monkeypatch):
     """The draw and attempt kernels, the mu_m logs, the cell records, the
     checked pairing values, the curves' ints of F_p, the element orders,
-    the prime ideals' class indices and the discriminant records are
-    memo.memo entries: clear_caches() empties them, a cold evaluation
-    builds them, and a warm one reuses them and returns what the cold one
-    did.  The checked values and the ints of F_p are reused through the
-    pairing plans of the cell records, so a warm evaluation looks none of
-    them up, and a warm log takes no element order: the warm hits of the
-    orders are the side pairing's own calls."""
+    the prime ideals' class indices, the discriminant records and their
+    assigned characters are memo.memo entries: clear_caches() empties
+    them, a cold evaluation builds them, and a warm one reuses them and
+    returns what the cold one did.  The checked values and the ints of
+    F_p are reused through the pairing plans of the cell records, and the
+    discriminant records through the sets of assigned characters, so a
+    warm evaluation looks none of them up, and a warm log takes no element
+    order: the warm hits of the orders are the side pairing's own
+    calls."""
     names = ("curves._draw_kernel", "pairing._attempt_kernel",
-             "fields._dlog", "quadforms.discriminant",
+             "fields._dlog", "quadforms.discriminant", "attack._assigned",
              "attack._cell", "pairing._checked",
              "pairing._prime_field_ints", "fields.element_order",
              "action._prime_ideal_class")
-    planned = ("pairing._checked", "pairing._prime_field_ints")
+    planned = ("pairing._checked", "pairing._prime_field_ints",
+               "quadforms.discriminant")
     clear_caches()
     assert all(cache_stats()[name]["entries"] == 0 for name in names)
     cold = [_frozen_eval(request, *case[:4]) for case in _FROZEN_EVALS]

@@ -629,7 +629,8 @@ def test_compiling_a_kernel_makes_no_frobenius_call(monkeypatch):
     monkeypatch.setattr(FieldTower, "frobenius", counted)
     for f in towers[:2]:
         curves._draw_kernel(f)
-    pairing._attempt_kernel(towers[2], 4)
+    pairing._attempt_kernel(towers[2], 4, False)
+    pairing._attempt_kernel(towers[2], 4, True)
     assert calls == []
     assert cache_stats()["curves._draw_kernel"]["misses"] == 3
 
@@ -1201,7 +1202,7 @@ def test_kernels_are_filed_by_role_and_tower():
     profile keeps one row per kernel rather than one for them all."""
     f, g = get_tower(101, 4), get_tower(7, 3)
     draw = curves._draw_kernel(f)
-    kernels = (draw, pairing._attempt_kernel(f, 4), f._mul, g._mul,
+    kernels = (draw, pairing._attempt_kernel(f, 4, False), f._mul, g._mul,
                f._frobenius_kernel(1))
     assert [k.__code__.co_filename for k in kernels] == [
         "<kernel draw 101^4>", "<kernel attempt m=4 101^4>",

@@ -498,9 +498,9 @@ def test_certificate_kernel_matches_the_interpreted_one(m):
     clear_caches()
     compiled = []
     for R, S in pairs + degenerate:
-        kernel = pairing._attempt_kernel(f, m)
+        kernel = pairing._attempt_kernel(f, m, False)
         got = kernel(_Ranks(f, [(R[0], 1), (S[0], 0)]), E.a4.value,
-                     E.a6.value, a4, a6, None)
+                     E.a6.value, a4, a6, None, None)
         assert (got[0][:2], got[1][:2]) == (R[:2], S[:2])
         compiled.append(got[2])
     assert cache_stats()["pairing._attempt_kernel"]["misses"] == 1
@@ -511,10 +511,10 @@ def test_certificate_kernel_matches_the_interpreted_one(m):
 
 
 # the (p, r, m, a4, a6) of the benchmark's pairings, each cubic with one
-# root in F_p; y^2 = x^3 + 3x + 2 at m = 3 over F_{7^3}, where the cubic
-# has no root in F_7 and the certificate is at times inconclusive, so the
-# exact fallback runs; and a4 = 2 + t over F_{11^2}, outside F_11, where
-# no attempt is certified
+# root in F_p, and at (101, 4) two more in F_{101^2}; y^2 = x^3 + 3x + 2 at
+# m = 3 over F_{7^3}, where the cubic has no root in F_7 and the
+# certificate is at times inconclusive, so the exact fallback runs; and
+# a4 = 2 + t over F_{11^2}, outside F_11, where no attempt is certified
 @pytest.mark.parametrize("p,r,m,a4,a6", [
     (101, 4, 4, 1, 19), (7, 3, 3, 1, 3), (31, 3, 3, 4, 20),
     (2221, 3, 3, 1668, 2145), (7, 3, 3, 3, 2), (11, 2, 3, (2, 1), 1),
@@ -522,9 +522,10 @@ def test_certificate_kernel_matches_the_interpreted_one(m):
 def test_replay_matches_two_draws_and_the_certificate(p, r, m, a4, a6):
     """Over 1,000 attempts _replay returns the (R, S, decision) that two
     Curve.draw_point calls, the descent test with the least root of the
-    cubic in F_p (none at (7, 3, 3, 3, 2)) and _separated give, and leaves
-    the generator in the state they leave it in; so does the attempt
-    kernel (_attempt_kernel), which _settle runs on these towers."""
+    cubic in F_p (none at (7, 3, 3, 3, 2)), the one with the next root in
+    F_q (at (101, 4) only) and _separated give, and leaves the generator
+    in the state they leave it in; so does the attempt kernel
+    (_attempt_kernel), which _settle runs on these towers."""
     f = get_tower(p, r)
     E = Curve(f, FieldElement(f, a4) if isinstance(a4, tuple) else a4, a6)
     ints = (a4, a6) if isinstance(a4, int) else (None, None)
@@ -532,19 +533,25 @@ def test_replay_matches_two_draws_and_the_certificate(p, r, m, a4, a6):
              and (x ** 3 + a4 * x + a6) % p == 0]
     e = roots[0] if roots else None
     assert (e is None) == (a6 == 2 or ints[0] is None)
+    others = pairing._cubic_roots(f, *ints)[1:] if e is not None else ()
+    e2 = others[0] if others else None
+    assert (e2 is None) == (p != 101)
     ours, ref = random.Random(f"replay{p},{r}"), random.Random(f"replay{p},{r}")
     compiled = random.Random(f"replay{p},{r}")
-    kernel = pairing._attempt_kernel(f, m)
+    kernel = pairing._attempt_kernel(f, m, e2 is not None)
     decisions = []
     for _ in range(1000):
         R, S = E.draw_point(ref), E.draw_point(ref)
         want = ints[0] is not None and (
             e is not None and pairing._descent_separates(f, e, R[0], S[0])
+            or e2 is not None and pairing._descent_separates(f, e2, R[0],
+                                                             S[0])
             or pairing._separated(f, *ints, m, R, S))
-        got = pairing._replay(f, E.a4.value, E.a6.value, *ints, e, m, ours)
+        got = pairing._replay(f, E.a4.value, E.a6.value, *ints, e, e2, m,
+                              ours)
         assert got == (R, S, want)
         assert ours.getstate() == ref.getstate()
-        assert kernel(compiled, E.a4.value, E.a6.value, *ints, e) == got
+        assert kernel(compiled, E.a4.value, E.a6.value, *ints, e, e2) == got
         assert compiled.getstate() == ref.getstate()
         decisions.append(want)
     assert any(decisions) == (ints[0] is not None)
@@ -597,19 +604,47 @@ def test_a_settled_plan_matches_the_reference(monkeypatch):
 
 
 # curves whose cubic has a root in F_q, with m and a tower F_{q^r}, r = 2-4,
-# holding E[m]: one root at (11, 0, 1) and (7, 1, 3), three at (11, 1, 9),
-# (13, 7, 9) and (11, 1, 2).  For even m a root qualifies only when x - e
-# is a nonzero square at both arguments: at (11, 1, 2), E[2] over F_{11^3},
-# a pair of the points (e', 0) keeps at most the third root
+# holding E[m]: one root at (11, 0, 1) and (7, 1, 3), whose other two lie
+# in F_{q^2}, inside F_{q^r} at r = 2 and 4; three at (11, 1, 9), (13, 7, 9)
+# and (11, 1, 2).  For even m a root qualifies only when x - e is a nonzero
+# square at both arguments: at (11, 1, 2), E[2] over F_{11^3}, a pair of
+# the points (e', 0) keeps at most the third root
 _DESCENT_CURVES = [(11, 0, 1, 3, 2), (11, 1, 9, 5, 3), (7, 1, 3, 4, 4),
                    (13, 7, 9, 4, 2), (11, 1, 2, 2, 3)]
+
+
+# the towers of _DESCENT_CURVES, and two at r = 3: (7, 1, 3), whose quadratic
+# factor splits only in F_{7^2}, and (7, 3, 2), an irreducible cubic whose
+# roots lie in F_{7^3} but are left out
+@pytest.mark.parametrize("q,a4,a6,r", [c[:3] + c[4:] for c in _DESCENT_CURVES]
+                         + [(7, 1, 3, 3), (7, 3, 2, 3)])
+def test_cubic_roots_match_a_search_of_the_field(q, a4, a6, r):
+    """_cubic_roots lists the roots in F_{q^r} of x^3 + a4 x + a6 that a
+    search of every value of the field finds, those in F_q first, least
+    first, and none where the cubic has no root in F_q."""
+    f = get_tower(q, r)
+    roots = pairing._cubic_roots(f, a4, a6)
+    found = []
+    for n in range(f.size):     # rank order: F_q first, least first
+        x = f.unrank(n)
+        if f.vlin(a6, ((1, f.vmul(f.vmul(x, x), x)), (a4, x))) == f.zero:
+            found.append(x)
+    assert len(found) == 3 or r % 2
+    rational = [x for x in found if x == f.from_int(x[0])]
+    if rational:
+        assert roots[:len(rational)] == tuple(rational)
+        assert sorted(roots) == sorted(found)
+    else:
+        assert roots == () and len(found) == 3
 
 
 def _descent_plans(q, a4, a6, m, r, rng):
     """E over F_{q^r}, and the plans that keep a descent root among those
     of the basis pair of E[m] and of 12 random pairs of finite points of
-    E[m].  Each plan's root is checked against the least root of the
-    cubic in F_q at which (x - e)^((q^r - 1)/2) = 1 at both points."""
+    E[m].  Each plan's roots (e, e2) are checked against the first two
+    roots of the cubic in F_{q^r} (_cubic_roots) at which
+    (x - e)^((q^r - 1)/2) = 1 at both points: e the first as an int
+    where it lies in F_q, e2 the other."""
     E = curve_over(q, a4, a6, r)
     B1, B2 = torsion_basis(E, m, extension_order(
         q, count_points(curve_over(q, a4, a6))[1], r), rng)
@@ -621,15 +656,17 @@ def _descent_plans(q, a4, a6, m, r, rng):
         if not (P.is_infinity() or Q.is_infinity()):
             pairs.append((P, Q))
     f = E.field
-    roots = [x for x in range(q) if (x ** 3 + a4 * x + a6) % q == 0]
+    half = (f.size - 1) // 2
+    ints = {f.from_int(x): x for x in range(q)}
     plans = []
     for P, Q in pairs:
         plan = pairing._plan(f, E.a4.value, E.a6.value, _raw(f, P),
                              _raw(f, Q), m)
-        usable = [x for x in roots if all(
-            (T.x - x) ** ((f.size - 1) // 2) == 1 for T in (P, Q))]
-        assert plan[9] == (usable[0] if usable else None), (P, Q)
-        if plan[9] is not None:
+        usable = [x for x in pairing._cubic_roots(f, a4, a6) if all(
+            (T.x - FieldElement(f, x)) ** half == 1 for T in (P, Q))][:2]
+        e = ints[usable.pop(0)] if usable and usable[0] in ints else None
+        assert plan[9:] == (e, usable[0] if usable else None), (P, Q)
+        if plan[9:] != (None, None):
             plans.append(plan)
     assert plans
     return E, plans
@@ -637,42 +674,47 @@ def _descent_plans(q, a4, a6, m, r, rng):
 
 @pytest.mark.parametrize("q,a4,a6,m,r", _DESCENT_CURVES)
 def test_descent_never_certifies_a_planted_degenerate_pair(q, a4, a6, m, r):
-    """For P, Q in E[m] whose plan keeps the descent root e, S = R - D with
-    D in <P, Q> (O, +-P, +-Q, P - Q and random combinations) is never
-    separated by the descent test, interpreted or traced: the order-2
-    Tate pairing with (e, 0) is trivial on <P, Q>.  Random pairs are
-    separated about half the time, by both alike."""
+    """For P, Q in E[m] whose plan keeps a descent root e, an int of F_q,
+    or e2, a raw value, S = R - D with D in <P, Q> (O, +-P, +-Q, P - Q
+    and random combinations) is never separated by the descent test with
+    that root, interpreted or traced: the order-2 Tate pairing with
+    (e, 0) is trivial on <P, Q>.  Random pairs are separated about half
+    the time by each root, by both alike."""
     rng = random.Random(f"planted{q},{m}")
     E, plans = _descent_plans(q, a4, a6, m, r, rng)
     f = E.field
     assert 2 <= f.r <= 4 and f.traceable
-    kernel = pairing._descent_kernel(f)
-    planted = separated = drawn = 0
+    kernels = (pairing._descent_kernel(f), pairing._descent_kernel(f, True))
+    planted, separated, drawn = [0, 0], [0, 0], [0, 0]
     for plan in plans:
-        e = plan[9]
         P, Q = (_point(f, T) for T in plan[3:5])
         shifts = [CurvePoint.infinity(), P, -P, Q, -Q, point_add(E, P, -Q)]
         shifts += [point_add(E, scalar_mul(E, rng.randrange(m), P),
                              scalar_mul(E, rng.randrange(m), Q))
                    for _ in range(10)]
-        for _ in range(10):
-            R = E.random_point(rng)
-            xR = _raw(f, R)[0]
-            for D in shifts:
-                S = point_add(E, R, -D)
-                if S.is_infinity():
-                    continue
-                xS = _raw(f, S)[0]
-                assert not pairing._descent_separates(f, e, xR, xS), (R, D)
-                assert not kernel(e, xR, xS), (R, D)
-                planted += 1
-            xS = _raw(f, E.random_point(rng))[0]
-            got = pairing._descent_separates(f, e, xR, xS)
-            assert kernel(e, xR, xS) == got
-            separated += got
-            drawn += 1
-    assert planted > 150
-    assert 0.25 < separated / drawn < 0.75, (separated, drawn)
+        for i, (e, kernel) in enumerate(zip(plan[9:], kernels)):
+            if e is None:
+                continue
+            for _ in range(10):
+                R = E.random_point(rng)
+                xR = _raw(f, R)[0]
+                for D in shifts:
+                    S = point_add(E, R, -D)
+                    if S.is_infinity():
+                        continue
+                    xS = _raw(f, S)[0]
+                    assert not pairing._descent_separates(f, e, xR, xS), \
+                        (R, D)
+                    assert not kernel(e, xR, xS), (R, D)
+                    planted[i] += 1
+                xS = _raw(f, E.random_point(rng))[0]
+                got = pairing._descent_separates(f, e, xR, xS)
+                assert kernel(e, xR, xS) == got
+                separated[i] += got
+                drawn[i] += 1
+    for i in (0, 1):
+        assert planted[i] > 150, (i, planted)
+        assert 0.25 < separated[i] / drawn[i] < 0.75, (i, separated, drawn)
 
 
 class _OwnRandrange(random.Random):
@@ -687,41 +729,45 @@ class _OwnRandrange(random.Random):
 def test_descent_settles_as_the_x_multiple_certificate_alone(
         q, a4, a6, m, r, monkeypatch):
     """Over 2,000 attempts of each interpreted stream, settling plans that
-    keep their descent root returns the value, and leaves the generator
-    state, of settling them with e = None (the x-multiple certificate
-    alone), by the attempt kernel and interpreted alike; the descent test
-    certifies a share of the attempts."""
+    keep descent roots returns the value, and leaves the generator state,
+    of settling them with the first root alone and with none (the
+    x-multiple certificate alone), by the attempt kernel and interpreted
+    alike.  Each descent test spares the certificate a share of the
+    attempts: it runs on every attempt with no root, on fewer with the
+    first root and on fewer still with both."""
     E, plans = _descent_plans(q, a4, a6, m, r,
                               random.Random(f"settle{q},{m}"))
-    attempts, certified = [0], [0]
-    replay, separates = pairing._replay, pairing._descent_separates
+    stream = [None]
+    attempts, certificates = {}, {}
+    replay, separated = pairing._replay, pairing._separated
 
     def counted_replay(*args):
-        attempts[0] += 1
+        attempts[stream[0]] = attempts.get(stream[0], 0) + 1
         return replay(*args)
 
-    def counted_separates(*args):
-        got = separates(*args)
-        certified[0] += got
-        return got
+    def counted_separated(*args):
+        certificates[stream[0]] = certificates.get(stream[0], 0) + 1
+        return separated(*args)
 
     monkeypatch.setattr(pairing, "_replay", counted_replay)
-    monkeypatch.setattr(pairing, "_descent_separates", counted_separates)
+    monkeypatch.setattr(pairing, "_separated", counted_separated)
     seed = f"settle{q},{a4},{a6},{m}"
-    rngs = [kind(seed) for kind in (random.Random, random.Random,
-                                    _OwnRandrange, _OwnRandrange)]
+    rngs = [(roots, kind(seed)) for kind in (random.Random, _OwnRandrange)
+            for roots in (2, 1, 0)]
     i = 0
-    while attempts[0] < 4000:
+    while attempts.get(2, 0) < 2000:
         plan = plans[i % len(plans)]
-        alone = plan[:9] + (None,)
-        got = [pairing._settle(pl, rng)
-               for pl, rng in zip((plan, alone, plan, alone), rngs)]
-        assert got[0] == got[1] == got[2] == got[3], i
-        assert len({repr(rng.getstate()) for rng in rngs}) == 1, i
+        got = []
+        for roots, rng in rngs:
+            stream[0] = roots
+            got.append(pairing._settle(plan[:9 + roots]
+                                       + (None,) * (2 - roots), rng))
+        assert got.count(got[0]) == len(got), i
+        assert len({repr(rng.getstate()) for _, rng in rngs}) == 1, i
         i += 1
-    # the interpreted descent tests are the third stream's, half of the
-    # attempts counted
-    assert 0.2 < certified[0] / (attempts[0] / 2) < 0.8, (certified, attempts)
+    assert attempts[0] == attempts[1] == attempts[2] == certificates[0]
+    assert certificates[0] > certificates[1] > certificates[2], certificates
+    assert 0.2 < 1 - certificates[2] / attempts[2] < 0.9, certificates
 
 
 # random_point(random.Random(2024)) twenty times, as (rank x, rank y), and
