@@ -18,22 +18,22 @@ With --pairing-steps it prints one table instead, with 100 N calls per
 run: at the (p, r, m) cells of the benchmark's pairings, on the instance
 curve over F_{p^r}, microseconds per Curve.draw_point (the draw kernel's
 whole rejection loop when compiled), per x([m]R) certificate (interpreted,
-pairing._separated; compiled, the attempt kernel's certificate), per
-descent test (interpreted, pairing._descent_separates; compiled,
-pairing._descent_kernel), per shift attempt (interpreted, pairing._replay:
-two draws, the descent test and, when it does not separate them, the
-certificate; compiled, one call of pairing._attempt_kernel) and per warm
+pairing._separated; compiled, pairing._certificate_kernel), per descent
+test (interpreted, pairing._descent_separates; compiled,
+pairing._descent_kernel), per shift attempt as pairing._settle runs it
+(two draws, the descent test with each root in turn until one separates
+them, then the certificate; interpreted parts, then kernels) and per warm
 side pairing (attack._side_pairing: cells drawn from their memoized
 records until one is accepted, and the plan of its pairing settled),
 interpreted (the tower's traceable flag cleared) and compiled; per
 dlog_in_mu_m with its root check, the base's order and the walk over its
 powers computed on every call (cold) and looked up (warm); the
-milliseconds it takes to trace and compile the draw kernel and the attempt
-kernel (its certificate, and the calls of the memoized draw and descent
-kernels); and the percentage of 100 N attempts, drawn for the plans of the
-accepted cell records in turn, that the descent tests with the plan's
-roots certify.  The descent and attempt columns take the roots of the
-first plan that keeps a root in F_p, or else the least root of the cubic.
+milliseconds it takes to trace and compile the draw kernel and the
+descent and certificate kernels; and the percentage of 100 N attempts,
+drawn for the plans of the accepted cell records in turn, that the
+descent tests with the plan's roots certify.  The descent and attempt
+columns take the roots of the first plan that keeps one, or else the
+least root of the cubic in F_p.
 """
 
 import argparse
@@ -41,6 +41,7 @@ import random
 import sys
 import time
 import timeit
+from functools import partial
 from pathlib import Path
 
 from weilchar import action, attack, curves, fields, pairing
@@ -84,11 +85,20 @@ def descent_share(f, E, plans, attempts: int, rng) -> float:
     descent tests with the plan's roots certify."""
     certified = 0
     for i in range(attempts):
-        roots = plans[i % len(plans)][9:]
         R, S = E.draw_point(rng), E.draw_point(rng)
-        certified += any(e is not None and pairing._descent_separates(
-            f, e, R[0], S[0]) for e in roots)
+        certified += any(pairing._descent_separates(f, e, R[0], S[0])
+                         for e in plans[i % len(plans)][9])
     return 100 * certified / attempts
+
+
+def attempt(draw, descent, certificate, a4, a6, A, B, roots, rng) -> bool:
+    """One shift attempt as pairing._settle runs it from its three parts:
+    whether the descent tests or the certificate certify two draws."""
+    R, S = draw(a4, a6, rng), draw(a4, a6, rng)
+    for e in roots:
+        if descent(e, R[0], S[0]):
+            return True
+    return certificate(A, B, R[0], R[1], S[0], S[1])
 
 
 def pairing_steps(repeat: int) -> None:
@@ -98,7 +108,7 @@ def pairing_steps(repeat: int) -> None:
           f"{'descent':>7}")
     print(f"{'':<14} {'':>7} {'':>2} {'':>2} "
           + f"{'interp':>6} {'comp':>6} " * 5
-          + f"{'cold':>6} {'warm':>6} {'draw':>5} {'att':>5} {'share%':>7}")
+          + f"{'cold':>6} {'warm':>6} {'draw':>5} {'test':>5} {'share%':>7}")
     for p, r, m, a4, a6 in CELLS:
         f = get_tower(p, r)
         E = curves.Curve(f, a4, a6)
@@ -111,24 +121,25 @@ def pairing_steps(repeat: int) -> None:
         key = (side, side.sigma_trace, side.sigma_norm, m, r)
         plans = [plan for a in range(m) for b in range(m)
                  if (plan := attack._cell(*key, a, b)[3]) is not None]
-        e, e2 = next((plan[9:] for plan in plans if plan[9] is not None),
-                     (pairing._rational_roots(p, a4, a6)[0], None))
-        kernel = pairing._attempt_kernel(f, m, e2 is not None)
-        certificate = kernel.__globals__["_certificate"]
-        descent = kernel.__globals__["_descent"]
-        steps = {False: (lambda: pairing._separated(f, a4, a6, m, R, S),
-                         lambda: pairing._descent_separates(f, e, R[0], S[0]),
-                         lambda: pairing._replay(f, E.a4.value, E.a6.value,
-                                                 a4, a6, e, e2, m, rng)),
-                 True: (lambda: certificate(a4, a6, R[0], R[1], S[0], S[1]),
-                        lambda: descent(e, R[0], S[0]),
-                        lambda: kernel(rng, E.a4.value, E.a6.value, a4, a6,
-                                       e, e2))}
+        roots = next((plan[9] for plan in plans if plan[9]),
+                     (f.from_int(pairing._rational_roots(p, a4, a6)[0]),))
+        parts = {False: (partial(curves._draw, f),
+                         partial(pairing._descent_separates, f),
+                         partial(pairing._separated, f, m)),
+                 True: (curves._draw_kernel(f), pairing._descent_kernel(f),
+                        pairing._certificate_kernel(f, m))}
+
+        def steps(draw, descent, certificate):
+            return (lambda: certificate(a4, a6, R[0], R[1], S[0], S[1]),
+                    lambda: descent(roots[0], R[0], S[0]),
+                    lambda: attempt(draw, descent, certificate, E.a4.value,
+                                    E.a6.value, a4, a6, roots, rng))
+
         row = []
         for traceable in (False, True):
             f.traceable = traceable
             row.append(tuple(best(fn, 100 * repeat) for fn in (
-                lambda: E.draw_point(rng), *steps[traceable],
+                lambda: E.draw_point(rng), *steps(*parts[traceable]),
                 lambda: attack._side_pairing(side, m, f, rng))))
         # a primitive m-th root of unity, and a target in mu_m
         while True:
@@ -147,8 +158,8 @@ def pairing_steps(repeat: int) -> None:
                  best(lambda: dlog_in_mu_m(b, t, m), 100 * repeat))
         ms = (compile_ms(lambda: curves._draw_kernel.__wrapped__(f)),
               compile_ms(lambda: (
-                  pairing._certificate_kernel.__wrapped__(f, m),
-                  pairing._attempt_kernel.__wrapped__(f, m, e2 is not None))))
+                  pairing._descent_kernel.__wrapped__(f),
+                  pairing._certificate_kernel.__wrapped__(f, m))))
         us = [x * 1e6 for pair in zip(*row) for x in pair] + [
             x * 1e6 for x in dlogs]
         share = descent_share(f, E, plans, 100 * repeat, rng)

@@ -58,10 +58,10 @@ def _stringify(obj):
 
 
 def _destring(obj):
-    """Tolerant inverse of _stringify: decimal strings become ints again."""
+    """Tolerant inverse of _stringify: ASCII decimal strings become ints."""
     if isinstance(obj, str):
         body = obj[1:] if obj[:1] == "-" else obj
-        return int(obj) if body.isdigit() else obj
+        return int(obj) if body.isascii() and body.isdigit() else obj
     if isinstance(obj, list):
         return [_destring(v) for v in obj]
     if isinstance(obj, dict):
@@ -92,15 +92,17 @@ def read_json(path) -> dict:
     """The JSON object in the file at path; every input file holds one."""
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            data = _destring(json.load(fh))
     except OSError as exc:
         raise CommandError(EXIT_INFEASIBLE, f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise CommandError(EXIT_INFEASIBLE, f"{path} is not valid JSON: {exc}")
+    except RecursionError:
+        raise CommandError(EXIT_INFEASIBLE, f"{path} nests too deeply")
     if not isinstance(data, dict):
         raise CommandError(EXIT_INFEASIBLE,
                            f"{path} must hold a JSON object at its top level")
-    return _destring(data)
+    return data
 
 
 # ------------------------------------------------------------ shared loaders

@@ -129,7 +129,7 @@ def _draw(f: FieldTower, a4, a6, rng) -> tuple:
     which reads rng as randrange does; any other tower or rng runs the
     same steps interpreted."""
     if f.traceable and _reads_by_getrandbits(rng):
-        return _draw_kernel(f)(rng, a4, a6)
+        return _draw_kernel(f)(a4, a6, rng)
     p = f.p
     for _ in range(10000):
         x = f.random_value(rng)
@@ -158,7 +158,7 @@ def _rhs(f, x, a4, a6):
 
 @memo
 def _draw_kernel(f: FieldTower):
-    """_draw compiled for the traceable f: kernel(rng, a4, a6) is the
+    """_draw compiled for the traceable f: kernel(a4, a6, rng) is the
     (x, c, sign, norm) of _draw on the raw a4 and a6 of any curve over f.
     Each candidate's x from its rank, c = _rhs and N(c) (SymbolicTower.vnorm:
     by descent on a Kummer tower, else the chain and its check that the
@@ -169,7 +169,7 @@ def _draw_kernel(f: FieldTower):
     x = t.unrank(t.scalar("n"))
     c = _rhs(t, x, t.value("a4"), t.value("a6"))
     p, size, bits = f.p, f.size, f.size.bit_length()
-    return t.compile("rng, a4, a6", x, c, t.vnorm(c), role="draw", loop=f"""\
+    return t.compile("a4, a6, rng", x, c, t.vnorm(c), role="draw", loop=f"""\
     getrandbits = rng.getrandbits
     for _ in range(10000):
         n = getrandbits({bits})

@@ -60,30 +60,27 @@ unshifted value, so it is not memoized; the checked PairingValue
 cubic's roots (_rational_roots in F_p, _cubic_roots in F_q) are memoized
 (memo.memo).
 
-Where the tower's product is unrolled (fields.SymbolicTower, 2 <= r <=
-UNROLLED_MUL_MAX_R) and the generator's randrange is random.Random's,
-_settle fetches one kernel per tower and m (_attempt_kernel) and each
-attempt is one call of it.  It draws R, then S, by the draw kernel of
-curves (_draw_kernel: the rejection loop, reading the generator as
-randrange does, around each candidate's x, c = x^3 + a4 x + a6 and the
-norm N(c) that decides squareness), then the descent tests
-(_descent_kernel, traced once per tower) and, unless one certified the
-attempt, the certificate, curves._x_multiple traced for both points; the
-roots, a4 and a6 are arguments, so one kernel serves every curve over
-the tower, and _x_multiple takes x^3 = c - a4 x - a6 without a product.
-Other towers, and generators with a randrange of their own, run each
-attempt interpreted (_replay), with the same draws and the same verdict.
+An attempt has three parts, which _settle picks once per pairing: the
+draw, the descent test and the certificate.  Where the tower's product is
+unrolled (fields.SymbolicTower, 2 <= r <= UNROLLED_MUL_MAX_R) and the
+generator's randrange is random.Random's, each is a kernel: the draw
+kernel of curves (_draw_kernel: the rejection loop, reading the generator
+as randrange does), _descent_kernel (one per tower) and
+_certificate_kernel (one per tower and m, _x_multiple traced for both
+points, taking x^3 = c - a4 x - a6 without a product); roots, a4 and a6
+are arguments, so each serves every curve over the tower.  Elsewhere the
+same routines run interpreted, with the same draws and the same verdict.
 """
 
 from __future__ import annotations
 
-import functools
+from functools import partial
 from typing import NamedTuple
 
 from .curves import (Curve, CurvePoint, _add_raw, _draw, _draw_kernel,
                      _lift, _raw, _reads_by_getrandbits, _x_multiple)
-from .fields import (FieldElement, FieldTower, SymbolicTower, _compile,
-                     _pdivmod, _pgcd, _ppowmod, _psub)
+from .fields import (FieldElement, FieldTower, SymbolicTower, _pdivmod,
+                     _pgcd, _ppowmod, _psub)
 from .memo import memo
 
 
@@ -176,36 +173,31 @@ def _shifted_value(f: FieldTower, a4, P, Q, m: int, R, S):
     return f.vmul(f.vmul(num_p, den_q), f.vinv(f.vmul(den_p, num_q)))
 
 
-def _separated(f: FieldTower, a4: int, a6: int, m: int, R, S) -> bool:
-    """Whether x([m]R) != x([m]S) for the draw_point tuples R and S,
-    which certifies their shifted attempt nondegenerate."""
-    XR, ZR = _x_multiple(f, a4, a6, m, R[0], R[1])
-    XS, ZS = _x_multiple(f, a4, a6, m, S[0], S[1])
+def _separated(f: FieldTower, m: int, A: int, B: int, xR, cR, xS, cS) -> bool:
+    """Whether x([m]R) != x([m]S) for the x and c of two draws and the
+    ints A, B of F_p of a4, a6, which certifies their shifted attempt
+    nondegenerate."""
+    XR, ZR = _x_multiple(f, A, B, m, xR, cR)
+    XS, ZS = _x_multiple(f, A, B, m, xS, cS)
     return f.vmul(XR, ZS) != f.vmul(XS, ZR)
 
 
 def _descent_separates(f: FieldTower, e, xR, xS) -> bool:
     """Whether N((xR - e)(xS - e)) is a nonzero non-residue of F_p, for
-    the x of two draws and a root e of the cubic, an int (or scalar) or a
-    raw value of f: the order-2 Tate pairing with (e, 0) then differs at R
-    and S (see the module docstring).  RuntimeError if the norm lies
-    outside F_p (a reducible modulus)."""
-    if isinstance(e, tuple):
-        u = f.vmul(f.vsub(xR, e), f.vsub(xS, e))
-    else:
-        u = f.vlin(e * e, ((1, f.vmul(xR, xS)), (-e, xR), (-e, xS)))
-    return f.vis_nonsquare(u)
+    the x of two draws and a root e of the cubic, raw values of f: the
+    order-2 Tate pairing with (e, 0) then differs at R and S (see the
+    module docstring).  RuntimeError if the norm lies outside F_p (a
+    reducible modulus)."""
+    return f.vis_nonsquare(f.vmul(f.vsub(xR, e), f.vsub(xS, e)))
 
 
 @memo
-def _descent_kernel(f: FieldTower, raw: bool = False):
+def _descent_kernel(f: FieldTower):
     """_descent_separates traced for the traceable f: kernel(e, xR, xS)
-    is its bool for any root e, an int of F_p, or a raw value of f when
-    raw is set, so one kernel serves every curve over f."""
+    for any root e, so one kernel serves every curve over f."""
     t = SymbolicTower(f)
-    e = t.value("e") if raw else t.scalar("e")
     return t.compile("e, xR, xS", _descent_separates(
-        t, e, t.value("xR"), t.value("xS")), role="descent" + " raw" * raw)
+        t, t.value("e"), t.value("xR"), t.value("xS")), role="descent")
 
 
 @memo
@@ -222,44 +214,10 @@ def _certificate_kernel(f: FieldTower, m: int):
 
 
 @memo
-def _attempt_kernel(f: FieldTower, m: int, second: bool):
-    """_replay compiled for the traceable f and m: kernel(rng, a4, a6, A,
-    B, e, e2) is the (R, S, certified) of _replay for a generator whose
-    randrange is random.Random's.  It draws R, then S (curves._draw_kernel)
-    and tests them until one test certifies: by e (_descent_kernel), by e2
-    only where second is set (the raw _descent_kernel, so it compiles only
-    on towers where some plan keeps e2), and by _certificate_kernel."""
-    test = "_second(e2, R[0], S[0])\n        or " if second else ""
-    return _compile(f"attempt m={m} {f.p}^{f.r}", "rng, a4, a6, A, B, e, e2",
-                    f"""\
-    R = _draw(rng, a4, a6)
-    S = _draw(rng, a4, a6)
-    return R, S, A is not None and (
-        e is not None and _descent(e, R[0], S[0])
-        or {test}_certificate(A, B, R[0], R[1], S[0], S[1]))
-""", _draw=_draw_kernel(f), _descent=_descent_kernel(f),
-                    _second=_descent_kernel(f, True) if second else None,
-                    _certificate=_certificate_kernel(f, m))
-
-
-@memo
 def _prime_field_ints(f: FieldTower, a4, a6) -> tuple:
     """The raw coefficients a4, a6 of a curve over f as ints of F_p;
     ValueError, which the memo does not keep, if either lies outside."""
     return tuple(FieldElement(f, v).descend().value for v in (a4, a6))
-
-
-def _replay(f: FieldTower, a4, a6, A, B, e, e2, m: int, rng) -> tuple:
-    """One attempt of weil_pairing: R, then S, drawn as Curve.draw_point
-    draws them, and whether the descent test with the root e separates
-    them (_descent_separates, when e is given), or the one with the raw
-    root e2 (when given), or x([m]R) != x([m]S) (_separated) for the ints
-    A, B of F_p of a4, a6; False when A is None."""
-    R, S = _draw(f, a4, a6, rng), _draw(f, a4, a6, rng)
-    return R, S, A is not None and (
-        e is not None and _descent_separates(f, e, R[0], S[0])
-        or e2 is not None and _descent_separates(f, e2, R[0], S[0])
-        or _separated(f, A, B, m, R, S))
 
 
 @memo
@@ -302,63 +260,66 @@ def _cubic_roots(f: FieldTower, A: int, B: int) -> tuple:
 
 
 def _descent_roots(f: FieldTower, A: int, B: int, P, Q) -> tuple:
-    """(e, e2): the first two roots of _cubic_roots with x - e a nonzero
-    square at the finite raw points P and Q, e as an int where the first
-    lies in F_p (else None) and e2 the other as a raw value of f (or
-    None).  The three roots' characters multiply to 1, so two distinct
-    ones are independent and a third adds nothing."""
-    ints = {f.from_int(e): e for e in _rational_roots(f.p, A, B)}
-    kept = [e for e in _cubic_roots(f, A, B)
-            if all(f.vis_square(f.vsub(T[0], e)) for T in (P, Q))][:2]
-    e = ints[kept.pop(0)] if kept and kept[0] in ints else None
-    return e, (kept[0] if kept else None)
+    """The first two roots of _cubic_roots, raw values of f, with x - e a
+    nonzero square at the finite raw points P and Q.  The three roots'
+    characters multiply to 1, so two distinct ones are independent and a
+    third adds nothing."""
+    return tuple([e for e in _cubic_roots(f, A, B)
+                  if all(f.vis_square(f.vsub(T[0], e)) for T in (P, Q))][:2])
 
 
 def _plan(f: FieldTower, a4, a6, P, Q, m: int) -> tuple:
     """The plan of e_m(P, Q) for raw points P, Q of f on y^2 = x^3 + a4 x
-    + a6 (raw a4, a6): (f, a4, a6, P, Q, m, value, A, B, e, e2), value the
-    checked unshifted value, A, B the ints of F_p of a4, a6 that the
-    certificate scales by and e, e2 the roots of the descent tests
-    (_descent_roots), each possibly None.  A, B, e and e2 are None, and
-    so is value unless P or Q is infinity, when no attempt can be
-    certified: the walks raised (P or Q outside E[m]) or a4 or a6 lies
-    outside F_p.  Raises ValueError when P or Q is infinity and the other
-    lies outside E[m]."""
+    + a6 (raw a4, a6): (f, a4, a6, P, Q, m, value, A, B, roots), value
+    the checked unshifted value, A, B the ints of F_p of a4, a6 that the
+    certificate scales by and roots those of the descent tests
+    (_descent_roots), a tuple of at most two.  Where no attempt can be
+    certified, A and B are None and roots is empty: P or Q is infinity
+    (value 1), the walks raised (P or Q outside E[m]; value None) or a4
+    or a6 lies outside F_p (value None).  Raises ValueError when P or Q
+    is infinity and the other lies outside E[m]."""
     head = (f, a4, a6, P, Q, m)
     if P is None or Q is None:
         # e_m is 1 here; the walk only checks the order
         for T in (P, Q):
             if T is not None:
                 _miller_values(f, a4, T, m, T)
-        return head + (_checked(f, f.one, m), None, None, None, None)
+        return head + (_checked(f, f.one, m), None, None, ())
     try:
         value = _unshifted_value(f, a4, P, Q, m)
         A, B = _prime_field_ints(f, a4, a6)
     except ValueError:
-        return head + (None,) * 5
+        return head + (None, None, None, ())
     return head + (_checked(f, value, m), A, B,
-                   *_descent_roots(f, A, B, P, Q))
+                   _descent_roots(f, A, B, P, Q))
 
 
 def _settle(plan: tuple, rng) -> PairingValue:
     """e_m(P, Q) of a _plan, drawing from rng: none for P or Q infinite,
-    else attempts (_attempt_kernel, or _replay where it does not apply)
-    until one is certified, by a descent test or the x-multiple
-    certificate, which gives the unshifted value, or its exact shifted
-    value is defined.  Raises ValueError unless P and Q lie in
-    E[m]."""
-    f, a4, a6, P, Q, m, value, A, B, e, e2 = plan
+    else attempts until one is certified, which gives the unshifted value,
+    or its exact shifted value is defined.  An attempt draws R, then S,
+    and runs the descent test with each root in turn, then the x-multiple
+    certificate, as kernels where the tower is traceable and rng reads as
+    random.Random does, else interpreted.  Raises ValueError unless P and
+    Q lie in E[m]."""
+    f, a4, a6, P, Q, m, value, A, B, roots = plan
     if P is None or Q is None:
         return value
     if f.traceable and _reads_by_getrandbits(rng):
-        attempt = functools.partial(_attempt_kernel(f, m, e2 is not None),
-                                    rng, a4, a6, A, B, e, e2)
+        draw, descent, certificate = (_draw_kernel(f), _descent_kernel(f),
+                                      _certificate_kernel(f, m))
     else:
-        attempt = functools.partial(_replay, f, a4, a6, A, B, e, e2, m, rng)
+        draw, descent, certificate = (partial(_draw, f),
+                                      partial(_descent_separates, f),
+                                      partial(_separated, f, m))
     for _ in range(200):
-        R, S, certified = attempt()
-        if certified:
-            return value
+        R, S = draw(a4, a6, rng), draw(a4, a6, rng)
+        if A is not None:
+            for e in roots:
+                if descent(e, R[0], S[0]):
+                    return value
+            if certificate(A, B, R[0], R[1], S[0], S[1]):
+                return value
         shifted = _shifted_value(f, a4, P, Q, m, _lift(f, R), _lift(f, S))
         if shifted is not None:
             return _checked(f, shifted, m)

@@ -287,21 +287,17 @@ def test_sigma_cells_are_sigma_of_the_cells(request, name, k, m):
                     assert plan[7:9] == ints, (a, b)
                     # the descent roots: the first two roots of the cubic
                     # in F_{q^r} (pairing._cubic_roots) where x - e is a
-                    # nonzero square at P and sigma P, the first as an int
-                    # where it lies in F_q
+                    # nonzero square at P and sigma P
                     half = (f.size - 1) // 2
-                    ints = {f.from_int(x): x for x in range(oc.q)
-                            if E.rhs(E.field(x)) == 0}
+                    rational = {f.from_int(x) for x in range(oc.q)
+                                if E.rhs(E.field(x)) == 0}
                     roots = (() if cell.is_infinity() else
                              pairing._cubic_roots(f, *plan[7:9]))
-                    assert set(ints) <= set(roots) or cell.is_infinity()
+                    assert rational <= set(roots) or cell.is_infinity()
                     usable = [x for x in roots if all(
                         (T.x - FieldElement(f, x)) ** half == 1
                         for T in (P, cell))][:2]
-                    e = (ints[usable.pop(0)] if usable and usable[0] in ints
-                         else None)
-                    assert plan[9:] == (e, usable[0] if usable else None), \
-                        (a, b)
+                    assert plan[9] == tuple(usable), (a, b)
 
 
 @pytest.mark.parametrize("name,m", [("oc24", 3), ("oc52", 4)])
@@ -415,20 +411,21 @@ def test_cold_and_warm_caches_agree(request):
 
 
 def test_kernel_and_table_memos_cold_and_warm(request, monkeypatch):
-    """The draw and attempt kernels, the mu_m logs, the cell records, the
-    checked pairing values, the curves' ints of F_p, the element orders,
-    the prime ideals' class indices, the discriminant records and their
-    assigned characters are memo.memo entries: clear_caches() empties
-    them, a cold evaluation builds them, and a warm one reuses them and
-    returns what the cold one did.  The checked values and the ints of
-    F_p are reused through the pairing plans of the cell records, and the
-    discriminant records through the sets of assigned characters, so a
-    warm evaluation looks none of them up, and a warm log takes no element
-    order: the warm hits of the orders are the side pairing's own
-    calls."""
-    names = ("curves._draw_kernel", "pairing._attempt_kernel",
-             "fields._dlog", "quadforms.discriminant", "attack._assigned",
-             "attack._cell", "pairing._checked",
+    """The draw, descent and certificate kernels, the mu_m logs, the cell
+    records, the checked pairing values, the curves' ints of F_p, the
+    element orders, the prime ideals' class indices, the discriminant
+    records and their assigned characters are memo.memo entries:
+    clear_caches() empties them, a cold evaluation builds them, and a warm
+    one reuses them and returns what the cold one did.  The checked
+    values and the ints of F_p are reused through the pairing plans of
+    the cell records, and the discriminant records through the sets of
+    assigned characters, so a warm evaluation looks none of them up, and
+    a warm log takes no element order: the warm hits of the orders are
+    the side pairing's own calls."""
+    names = ("curves._draw_kernel", "pairing._descent_kernel",
+             "pairing._certificate_kernel", "fields._dlog",
+             "quadforms.discriminant", "attack._assigned", "attack._cell",
+             "pairing._checked",
              "pairing._prime_field_ints", "fields.element_order",
              "action._prime_ideal_class")
     planned = ("pairing._checked", "pairing._prime_field_ints",

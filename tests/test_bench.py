@@ -24,7 +24,8 @@ def test_ladder_m3_rung_times_and_counts():
     assert counts["fields.vmul"] > 0 and counts["curves._add_raw"] > 0
     assert counts["fields._pmul"] > 0 and counts["curves.draw_point"] > 0
     # the kernels a cold rung compiles are memo entries, counted
-    for name in ("curves._draw_kernel", "pairing._attempt_kernel",
+    for name in ("curves._draw_kernel", "pairing._descent_kernel",
+                 "pairing._certificate_kernel",
                  "fields.FieldTower._frobenius_kernel"):
         assert counts[f"memo.{name}.entries"] >= 1, name
 

@@ -665,6 +665,33 @@ def test_truncated_pair_file_exits_2(readme_pair, tmp_path, capsys, fraction):
     assert code == 2 and "not valid JSON" in err, err
 
 
+# the JSON text of a malformed p: a string of non-ASCII digits that int()
+# refuses ("²") and one it reads as 23 (Arabic-Indic "٢٣"); lists nested
+# past the parser's recursion limit, and objects nested past the limit of
+# the reader's own walk
+_MALFORMED_P = {"superscript": '"\\u00b2"',
+                "arabic-indic": '"\\u0662\\u0663"',
+                "deep-lists": "[" * 100000 + "]" * 100000,
+                "deep-objects": '{"p": ' * 900 + "23" + "}" * 900}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED_P))
+@pytest.mark.parametrize("argv", [
+    ["eval-char", "{}", "--chars", "epsilon", "--seed", "7"],
+    ["ddh-experiment", "--config", "{}"],
+], ids=["eval-char", "ddh-experiment"])
+def test_malformed_json_value_exits_2(readme_pair, tmp_path, capsys, case,
+                                      argv):
+    data = json.loads(readme_pair.read_text())
+    if argv[0] == "ddh-experiment":
+        data = {"instance": data["base"], "trials": 4}
+    data.get("base", data.get("instance"))["p"] = "@P@"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data).replace('"@P@"', _MALFORMED_P[case]))
+    code, _, err = run(capsys, [a.format(bad) for a in argv])
+    assert code == 2 and err, err
+
+
 @pytest.mark.parametrize("instance", [
     None, 13, True, 1.5, [], ["inst.json"], {}, {"p": 13}, "missing.json", ".",
 ], ids=["null", "number", "bool", "float", "empty-list", "path-list",

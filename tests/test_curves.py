@@ -498,7 +498,7 @@ def test_draw_kernel_only_where_the_product_is_unrolled(monkeypatch):
     want = (x, curves._rhs(f, x, a4, a6), 1, norm(n))
     script = [(27, f.size), (27, 40712), (27, n), (2, 3), (2, 1)]
     rng = _Scripted(script)
-    assert curves._draw_kernel(f)(rng, a4, a6) == want
+    assert curves._draw_kernel(f)(a4, a6, rng) == want
     assert not rng.script
     monkeypatch.setattr(f, "traceable", False)
     rng = _Scripted(script)
@@ -523,9 +523,9 @@ def test_draw_keeps_the_norm_check(monkeypatch, traceable):
             for seed in range(20):
                 E.draw_point(random.Random(seed))
         u, x = (1, 1), (0, 1)
-        for test in ([lambda: pairing._descent_kernel(ring)(0, u, x)]
+        for test in ([lambda: pairing._descent_kernel(ring)(ring.zero, u, x)]
                      if traceable else []) + [
-                lambda: pairing._descent_separates(ring, 0, u, x),
+                lambda: pairing._descent_separates(ring, ring.zero, u, x),
                 lambda: ring.vis_nonsquare(ring.vmul(u, x))]:
             with pytest.raises(RuntimeError, match="prime field"):
                 test()

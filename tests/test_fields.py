@@ -615,8 +615,8 @@ def test_vpow_squares_once_per_bit(monkeypatch, p, r):
 
 def test_compiling_a_kernel_makes_no_frobenius_call(monkeypatch):
     """A traced phi^k reads its rows from the tower's phi^k kernel, so
-    building the draw and attempt kernels calls no FieldTower.frobenius,
-    the method the benchmarks count."""
+    building the draw, descent and certificate kernels calls no
+    FieldTower.frobenius, the method the benchmarks count."""
     towers = [get_tower(120121, 3), get_tower(120121, 7), get_tower(101, 4)]
     calls = []
     frobenius = FieldTower.frobenius
@@ -627,10 +627,10 @@ def test_compiling_a_kernel_makes_no_frobenius_call(monkeypatch):
 
     clear_caches()
     monkeypatch.setattr(FieldTower, "frobenius", counted)
-    for f in towers[:2]:
+    for f in towers:
         curves._draw_kernel(f)
-    pairing._attempt_kernel(towers[2], 4, False)
-    pairing._attempt_kernel(towers[2], 4, True)
+    pairing._descent_kernel(towers[2])
+    pairing._certificate_kernel(towers[2], 4)
     assert calls == []
     assert cache_stats()["curves._draw_kernel"]["misses"] == 3
 
@@ -1202,16 +1202,18 @@ def test_kernels_are_filed_by_role_and_tower():
     profile keeps one row per kernel rather than one for them all."""
     f, g = get_tower(101, 4), get_tower(7, 3)
     draw = curves._draw_kernel(f)
-    kernels = (draw, pairing._attempt_kernel(f, 4, False), f._mul, g._mul,
+    kernels = (draw, pairing._descent_kernel(f),
+               pairing._certificate_kernel(f, 4), f._mul, g._mul,
                f._frobenius_kernel(1))
     assert [k.__code__.co_filename for k in kernels] == [
-        "<kernel draw 101^4>", "<kernel attempt m=4 101^4>",
-        "<kernel mul 101^4>", "<kernel mul 7^3>", "<kernel frobenius^1 101^4>"]
+        "<kernel draw 101^4>", "<kernel descent 101^4>",
+        "<kernel certificate m=4 101^4>", "<kernel mul 101^4>",
+        "<kernel mul 7^3>", "<kernel frobenius^1 101^4>"]
     rng = random.Random(5)
     profile = cProfile.Profile()
     profile.enable()
     for _ in range(200):
-        draw(rng, f.one, f.one)
+        draw(f.one, f.one, rng)
     for _ in range(10):
         g._mul(g.one, g.one)
     profile.disable()

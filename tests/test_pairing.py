@@ -5,8 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weilchar.curves import (Curve, CurvePoint, _add_raw, _point, _raw,
-                             _x_multiple, count_points, extension_order,
+from weilchar.curves import (Curve, CurvePoint, _add_raw, _draw, _point,
+                             _raw, _x_multiple, count_points, extension_order,
                              frobenius_map, point_add, sample_m_torsion,
                              scalar_mul, torsion_basis,
                              torsion_extension_degree, velu_isogeny)
@@ -459,27 +459,12 @@ def test_x_only_multiple_matches_scalar_mul(q, a4, a6, m):
             assert X == f.vmul(_raw(f, T)[0], Z), R
 
 
-class _Ranks(random.Random):
-    """getrandbits gives, for each scripted draw (x, sign), the rank of x
-    and then the sign bit, as the attempt kernel reads them."""
-
-    def __init__(self, f, draws):
-        super().__init__(0)
-        self.script = [n for x, sign in draws
-                       for n in (sum(a * f.p ** i for i, a in enumerate(x)),
-                                 sign)]
-
-    def getrandbits(self, k):
-        return self.script.pop(0)
-
-
 @pytest.mark.parametrize("m", [3, 4, 5, 8])
 def test_certificate_kernel_matches_the_interpreted_one(m):
-    """The certificate of the attempt kernel (_attempt_kernel) decides as
-    the interpreted _separated does on random draw pairs, and on degenerate
+    """The certificate kernel (_certificate_kernel) decides as the
+    interpreted _separated does on random draw pairs, and on degenerate
     pairs S = R + T with T in E[m], where [m]S = [m]R and the decision
-    must be False.  A scripted generator makes the kernel draw each pair:
-    every x lies on the curve, so each draw takes its first candidate."""
+    must be False."""
     q, a4, a6 = 13, 2, 3
     rng = random.Random(59)
     E, B1, B2 = _basis(q, a4, a6, m, rng)
@@ -496,18 +481,34 @@ def test_certificate_kernel_matches_the_interpreted_one(m):
                                     for x, y in (_raw(f, R), _raw(f, S))))
     assert len(degenerate) > 90
     clear_caches()
-    compiled = []
-    for R, S in pairs + degenerate:
-        kernel = pairing._attempt_kernel(f, m, False)
-        got = kernel(_Ranks(f, [(R[0], 1), (S[0], 0)]), E.a4.value,
-                     E.a6.value, a4, a6, None, None)
-        assert (got[0][:2], got[1][:2]) == (R[:2], S[:2])
-        compiled.append(got[2])
-    assert cache_stats()["pairing._attempt_kernel"]["misses"] == 1
-    assert compiled == [pairing._separated(f, a4, a6, m, R, S)
+    compiled = [pairing._certificate_kernel(f, m)(a4, a6, *R[:2], *S[:2])
+                for R, S in pairs + degenerate]
+    assert cache_stats()["pairing._certificate_kernel"]["misses"] == 1
+    assert compiled == [pairing._separated(f, m, a4, a6, *R[:2], *S[:2])
                         for R, S in pairs + degenerate]
     assert not any(compiled[len(pairs):])
     assert sum(compiled[:len(pairs)]) > len(pairs) // 2
+
+
+def _int_descent(f, e, xR, xS):
+    """The descent test on a root e given as an int of F_p, as it read
+    before the roots became raw values (kept as the oracle): N(e^2 + xR xS
+    - e xR - e xS) a nonzero non-residue of F_p."""
+    return f.vis_nonsquare(f.vlin(e * e, ((1, f.vmul(xR, xS)), (-e, xR),
+                                          (-e, xS))))
+
+
+def _old_replay(f, a4, a6, A, B, e, e2, m, rng):
+    """One attempt as it ran before _settle ran the attempt's parts itself
+    (kept as the oracle): R, then S, drawn as Curve.draw_point draws them,
+    and whether the descent test with the int root e, the one with the
+    raw root e2 or the x-multiple certificate separates them; False when
+    A is None."""
+    R, S = _draw(f, a4, a6, rng), _draw(f, a4, a6, rng)
+    return R, S, A is not None and (
+        e is not None and _int_descent(f, e, R[0], S[0])
+        or e2 is not None and pairing._descent_separates(f, e2, R[0], S[0])
+        or pairing._separated(f, m, A, B, *R[:2], *S[:2]))
 
 
 # the (p, r, m, a4, a6) of the benchmark's pairings, each cubic with one
@@ -519,43 +520,52 @@ def test_certificate_kernel_matches_the_interpreted_one(m):
     (101, 4, 4, 1, 19), (7, 3, 3, 1, 3), (31, 3, 3, 4, 20),
     (2221, 3, 3, 1668, 2145), (7, 3, 3, 3, 2), (11, 2, 3, (2, 1), 1),
 ])
-def test_replay_matches_two_draws_and_the_certificate(p, r, m, a4, a6):
-    """Over 1,000 attempts _replay returns the (R, S, decision) that two
-    Curve.draw_point calls, the descent test with the least root of the
-    cubic in F_p (none at (7, 3, 3, 3, 2)), the one with the next root in
-    F_q (at (101, 4) only) and _separated give, and leaves the generator
-    in the state they leave it in; so does the attempt kernel
-    (_attempt_kernel), which _settle runs on these towers."""
+def test_replay_matches_two_draws_and_the_certificate(monkeypatch, p, r, m,
+                                                     a4, a6):
+    """Over 1,000 attempts _settle certifies the attempts that the old
+    interpreted attempt (_old_replay: two draws, the descent test with
+    the least root of the cubic in F_p as an int, the one with the next
+    root in F_q, at (101, 4) only, then the certificate) certifies, and
+    leaves the generator in the state it leaves it in: by the kernels,
+    interpreted with the tower's traceable flag cleared, and interpreted
+    for a generator with a randrange of its own.  The exact fallback is
+    stubbed inconclusive, so each settle returns at the first certified
+    attempt, or raises after 200 attempts, and the generator states tell
+    every decision apart."""
     f = get_tower(p, r)
     E = Curve(f, FieldElement(f, a4) if isinstance(a4, tuple) else a4, a6)
     ints = (a4, a6) if isinstance(a4, int) else (None, None)
-    roots = [x for x in range(p) if ints[0] is not None
-             and (x ** 3 + a4 * x + a6) % p == 0]
-    e = roots[0] if roots else None
-    assert (e is None) == (a6 == 2 or ints[0] is None)
-    others = pairing._cubic_roots(f, *ints)[1:] if e is not None else ()
-    e2 = others[0] if others else None
-    assert (e2 is None) == (p != 101)
-    ours, ref = random.Random(f"replay{p},{r}"), random.Random(f"replay{p},{r}")
-    compiled = random.Random(f"replay{p},{r}")
-    kernel = pairing._attempt_kernel(f, m, e2 is not None)
-    decisions = []
-    for _ in range(1000):
-        R, S = E.draw_point(ref), E.draw_point(ref)
-        want = ints[0] is not None and (
-            e is not None and pairing._descent_separates(f, e, R[0], S[0])
-            or e2 is not None and pairing._descent_separates(f, e2, R[0],
-                                                             S[0])
-            or pairing._separated(f, *ints, m, R, S))
-        got = pairing._replay(f, E.a4.value, E.a6.value, *ints, e, e2, m,
-                              ours)
-        assert got == (R, S, want)
-        assert ours.getstate() == ref.getstate()
-        assert kernel(compiled, E.a4.value, E.a6.value, *ints, e, e2) == got
-        assert compiled.getstate() == ref.getstate()
-        decisions.append(want)
-    assert any(decisions) == (ints[0] is not None)
-    assert p != 7 or not all(decisions), "no inconclusive certificate"
+    roots = pairing._cubic_roots(f, *ints)[:2] if ints[0] is not None else ()
+    assert len(roots) == (2 if p == 101 else 0 if a6 == 2 or not ints[0]
+                          else 1)
+    e = roots[0][0] if roots else None
+    assert e is None or roots[0] == f.from_int(e)
+    e2 = roots[1] if len(roots) > 1 else None
+    plan = (f, E.a4.value, E.a6.value, "P", "Q", m, "value", *ints, roots)
+    monkeypatch.setattr(pairing, "_shifted_value", lambda *args: None)
+    seed = f"replay{p},{r}"
+    oracle = random.Random(seed)
+    paths = [(True, random.Random(seed)), (False, random.Random(seed)),
+             (True, _OwnRandrange(seed))]
+    attempts = settles = certified = 0
+    while attempts < 1000:
+        for n in range(1, 201):
+            decision = _old_replay(f, E.a4.value, E.a6.value, *ints, e, e2, m,
+                                   oracle)[2]
+            if decision:
+                break
+        attempts, settles = attempts + n, settles + 1
+        certified += decision
+        for traceable, rng in paths:
+            monkeypatch.setattr(f, "traceable", traceable)
+            try:
+                got = pairing._settle(plan, rng)
+            except RuntimeError:
+                got = None
+            assert got == ("value" if decision else None), settles
+            assert rng.getstate() == oracle.getstate(), settles
+    assert bool(certified) == (ints[0] is not None)
+    assert p != 7 or attempts > settles, "no inconclusive certificate"
 
 
 def test_a_settled_plan_matches_the_reference(monkeypatch):
@@ -641,10 +651,9 @@ def test_cubic_roots_match_a_search_of_the_field(q, a4, a6, r):
 def _descent_plans(q, a4, a6, m, r, rng):
     """E over F_{q^r}, and the plans that keep a descent root among those
     of the basis pair of E[m] and of 12 random pairs of finite points of
-    E[m].  Each plan's roots (e, e2) are checked against the first two
-    roots of the cubic in F_{q^r} (_cubic_roots) at which
-    (x - e)^((q^r - 1)/2) = 1 at both points: e the first as an int
-    where it lies in F_q, e2 the other."""
+    E[m].  Each plan's roots are checked against the first two roots of
+    the cubic in F_{q^r} (_cubic_roots) at which (x - e)^((q^r - 1)/2) = 1
+    at both points."""
     E = curve_over(q, a4, a6, r)
     B1, B2 = torsion_basis(E, m, extension_order(
         q, count_points(curve_over(q, a4, a6))[1], r), rng)
@@ -657,34 +666,58 @@ def _descent_plans(q, a4, a6, m, r, rng):
             pairs.append((P, Q))
     f = E.field
     half = (f.size - 1) // 2
-    ints = {f.from_int(x): x for x in range(q)}
     plans = []
     for P, Q in pairs:
         plan = pairing._plan(f, E.a4.value, E.a6.value, _raw(f, P),
                              _raw(f, Q), m)
         usable = [x for x in pairing._cubic_roots(f, a4, a6) if all(
             (T.x - FieldElement(f, x)) ** half == 1 for T in (P, Q))][:2]
-        e = ints[usable.pop(0)] if usable and usable[0] in ints else None
-        assert plan[9:] == (e, usable[0] if usable else None), (P, Q)
-        if plan[9:] != (None, None):
+        assert plan[9] == tuple(usable), (P, Q)
+        if plan[9]:
             plans.append(plan)
     assert plans
     return E, plans
 
 
 @pytest.mark.parametrize("q,a4,a6,m,r", _DESCENT_CURVES)
+def test_raw_descent_matches_the_int_form(q, a4, a6, m, r):
+    """At every root e in F_q of the cubic, the descent test on the raw
+    root (_descent_separates, and its kernel) gives the verdict of the
+    int form it replaced (_int_descent, kept as the oracle) at the x of
+    200 pairs of draws and where x_R or x_S is e itself."""
+    E = curve_over(q, a4, a6, r)
+    f = E.field
+    kernel = pairing._descent_kernel(f)
+    rng = random.Random(f"int form{q},{r}")
+    roots = [x for x in range(q) if (x ** 3 + a4 * x + a6) % q == 0]
+    assert roots
+    verdicts = set()
+    for e in roots:
+        raw = f.from_int(e)
+        xs = [(E.draw_point(rng)[0], E.draw_point(rng)[0])
+              for _ in range(200)]
+        xs += [(raw, x) for x, _ in xs[:20]] + [(raw, raw)]
+        for xR, xS in xs:
+            want = _int_descent(f, e, xR, xS)
+            assert pairing._descent_separates(f, raw, xR, xS) == want
+            assert kernel(raw, xR, xS) == want
+            verdicts.add(want)
+    assert verdicts == {False, True}
+
+
+@pytest.mark.parametrize("q,a4,a6,m,r", _DESCENT_CURVES)
 def test_descent_never_certifies_a_planted_degenerate_pair(q, a4, a6, m, r):
-    """For P, Q in E[m] whose plan keeps a descent root e, an int of F_q,
-    or e2, a raw value, S = R - D with D in <P, Q> (O, +-P, +-Q, P - Q
-    and random combinations) is never separated by the descent test with
-    that root, interpreted or traced: the order-2 Tate pairing with
-    (e, 0) is trivial on <P, Q>.  Random pairs are separated about half
-    the time by each root, by both alike."""
+    """For P, Q in E[m] whose plan keeps a descent root e, S = R - D with
+    D in <P, Q> (O, +-P, +-Q, P - Q and random combinations) is never
+    separated by the descent test with that root, interpreted or traced:
+    the order-2 Tate pairing with (e, 0) is trivial on <P, Q>.  Random
+    pairs are separated about half the time by each root, the first kept
+    and the second alike."""
     rng = random.Random(f"planted{q},{m}")
     E, plans = _descent_plans(q, a4, a6, m, r, rng)
     f = E.field
     assert 2 <= f.r <= 4 and f.traceable
-    kernels = (pairing._descent_kernel(f), pairing._descent_kernel(f, True))
+    kernel = pairing._descent_kernel(f)
     planted, separated, drawn = [0, 0], [0, 0], [0, 0]
     for plan in plans:
         P, Q = (_point(f, T) for T in plan[3:5])
@@ -692,9 +725,7 @@ def test_descent_never_certifies_a_planted_degenerate_pair(q, a4, a6, m, r):
         shifts += [point_add(E, scalar_mul(E, rng.randrange(m), P),
                              scalar_mul(E, rng.randrange(m), Q))
                    for _ in range(10)]
-        for i, (e, kernel) in enumerate(zip(plan[9:], kernels)):
-            if e is None:
-                continue
+        for i, e in enumerate(plan[9]):
             for _ in range(10):
                 R = E.random_point(rng)
                 xR = _raw(f, R)[0]
@@ -719,7 +750,7 @@ def test_descent_never_certifies_a_planted_degenerate_pair(q, a4, a6, m, r):
 
 class _OwnRandrange(random.Random):
     """random.Random's stream through a randrange of its own, so _settle
-    runs each attempt interpreted (_replay)."""
+    runs each attempt interpreted."""
 
     def randrange(self, *args):
         return super().randrange(*args)
@@ -731,40 +762,40 @@ def test_descent_settles_as_the_x_multiple_certificate_alone(
     """Over 2,000 attempts of each interpreted stream, settling plans that
     keep descent roots returns the value, and leaves the generator state,
     of settling them with the first root alone and with none (the
-    x-multiple certificate alone), by the attempt kernel and interpreted
-    alike.  Each descent test spares the certificate a share of the
-    attempts: it runs on every attempt with no root, on fewer with the
-    first root and on fewer still with both."""
+    x-multiple certificate alone), by the kernels and interpreted alike.
+    Each descent test spares the certificate a share of the attempts: it
+    runs on every attempt with no root, on fewer with the first root and
+    on fewer still with both."""
     E, plans = _descent_plans(q, a4, a6, m, r,
                               random.Random(f"settle{q},{m}"))
     stream = [None]
-    attempts, certificates = {}, {}
-    replay, separated = pairing._replay, pairing._separated
+    draws, certificates = {}, {}
+    draw, separated = pairing._draw, pairing._separated
 
-    def counted_replay(*args):
-        attempts[stream[0]] = attempts.get(stream[0], 0) + 1
-        return replay(*args)
+    def counted_draw(*args):
+        draws[stream[0]] = draws.get(stream[0], 0) + 1
+        return draw(*args)
 
     def counted_separated(*args):
         certificates[stream[0]] = certificates.get(stream[0], 0) + 1
         return separated(*args)
 
-    monkeypatch.setattr(pairing, "_replay", counted_replay)
+    monkeypatch.setattr(pairing, "_draw", counted_draw)
     monkeypatch.setattr(pairing, "_separated", counted_separated)
     seed = f"settle{q},{a4},{a6},{m}"
     rngs = [(roots, kind(seed)) for kind in (random.Random, _OwnRandrange)
             for roots in (2, 1, 0)]
     i = 0
-    while attempts.get(2, 0) < 2000:
+    while draws.get(2, 0) < 4000:
         plan = plans[i % len(plans)]
         got = []
         for roots, rng in rngs:
             stream[0] = roots
-            got.append(pairing._settle(plan[:9 + roots]
-                                       + (None,) * (2 - roots), rng))
+            got.append(pairing._settle(plan[:9] + (plan[9][:roots],), rng))
         assert got.count(got[0]) == len(got), i
         assert len({repr(rng.getstate()) for _, rng in rngs}) == 1, i
         i += 1
+    attempts = {roots: n // 2 for roots, n in draws.items()}
     assert attempts[0] == attempts[1] == attempts[2] == certificates[0]
     assert certificates[0] > certificates[1] > certificates[2], certificates
     assert 0.2 < 1 - certificates[2] / attempts[2] < 0.9, certificates
