@@ -306,7 +306,7 @@ def _primes_between(lo: int, hi: int) -> list:
     return [q for q in range(max(lo, 2), hi + 1) if sieve[q]]
 
 
-def gen_ordinary_instance(q_range, m_target: Optional[int] = None, rng=None,
+def gen_ordinary_instance(q_range, m_target: Optional[int] = None, *, rng,
                           budget: int = 4000) -> OrientedCurve:
     """Random search over primes in q_range for an ordinary instance whose
     discriminant has a usable odd prime divisor (m exactly dividing D, m != q,

@@ -67,7 +67,7 @@ def sample_triple(base: OrientedCurve, mode: str, rng,
     return DdhTriple(base, t1, t2, t3, mode, norms)
 
 
-def distinguish(triple, chars: list, rng=None) -> str:
+def distinguish(triple, chars: list, rng) -> str:
     """Guess "dh" iff chi([c]) = chi([a]) chi([b]) for every supplied
     character, where each value is read off the curve pair by eval_character
     against one base side per character.
@@ -78,8 +78,6 @@ def distinguish(triple, chars: list, rng=None) -> str:
     view = triple.public_view() if isinstance(triple, DdhTriple) else triple
     if not chars:
         raise ValueError("need at least one character to test")
-    if rng is None:
-        rng = random.Random()
     for ch in chars:
         # the three targets share the base curve, so its pairing is drawn once
         side = base_side(view.base, ch, rng)

@@ -22,7 +22,7 @@ The unrolled product makes r^2 small-int products against one bigint
 product and the packing, so it wins at small r (4x at (101, 4), 2x at
 (120121, 7)) and loses at large r: the two tie near r = 14-16 for
 p >= 101, and at r = 42, the README's chi_7 run, Kronecker is about 1.8x
-faster (bench/fields.py).  It folds the high coefficients down unreduced,
+faster (bench/run.py).  It folds the high coefficients down unreduced,
 by the modulus terms in [0, p); signed terms (c0 -= 2 c4) ran 3-5% slower
 at p = 120121, a negative multi-digit sum costing Python's % more.
 Inverses go through the norm, on the Frobenius chain the square roots use.
@@ -199,7 +199,7 @@ SEGMENT_CHARS = 3000
 
 # vmul runs the unrolled schoolbook product up to this degree and Kronecker
 # substitution above it; the two tie near r = 14-16 for p >= 101 and near
-# r = 20-24 for p = 23 (bench/fields.py)
+# r = 20-24 for p = 23 (the layers workload of bench/run.py)
 UNROLLED_MUL_MAX_R = 14
 
 

@@ -251,12 +251,12 @@ def char_eval_norm(char: Character, n: int) -> int:
     raise ValueError(f"unknown character kind {char.kind!r}")
 
 
-def find_coprime_value(form: QuadForm, modulus: int, box: int = 20) -> int:
-    """Smallest-search value represented by the form and coprime to modulus."""
-    for s in range(1, 2 * box + 1):
+def find_coprime_value(form: QuadForm, modulus: int) -> int:
+    """Smallest-search value form(x, y), |x|, |y| <= 20, coprime to modulus."""
+    for s in range(1, 41):
         for x in range(0, s + 1):
             y = s - x
-            if x > box or y > box:
+            if x > 20 or y > 20:
                 continue
             for sx, sy in ((1, 1), (1, -1)):
                 n = form.represented_value(sx * x, sy * y)

@@ -9,7 +9,6 @@ each candidate class and comparing j-invariants.
 
 from __future__ import annotations
 
-import random
 import time
 from typing import NamedTuple
 
@@ -75,7 +74,7 @@ def choose_bound(factorization) -> int:
 
 
 def recover_root(ocE: OrientedCurve, ocE2: OrientedCurve, c_squared: QuadForm,
-                 B="auto", rng=None, use_two_adic: bool = False) -> RootRecovery:
+                 B="auto", *, rng, use_two_adic: bool = False) -> RootRecovery:
     """Find the class [c] with [c]E = E' among the square roots of c_squared.
 
     Odd primes ell | D up to B contribute a character value chi_ell([c])
@@ -84,8 +83,6 @@ def recover_root(ocE: OrientedCurve, ocE2: OrientedCurve, c_squared: QuadForm,
     instead of failing.  use_two_adic additionally filters by the assigned
     delta/epsilon characters.
     """
-    if rng is None:
-        rng = random.Random()
     D = ocE.D
     factors = discriminant(D).factors
     if B != "auto" and (type(B) is not int or B < 0):

@@ -3,13 +3,27 @@ import random
 
 import pytest
 
-from weilchar.action import SmoothIdeal, make_instance
+from weilchar.action import SmoothIdeal, gen_ordinary_instance, make_instance
 from weilchar.attack import eval_character, usable_characters
 from weilchar.ddh import (DdhTriple, PublicTriple, distinguish, run_experiment,
                           sample_triple)
 from weilchar.fields import get_tower
 from weilchar.pairing import PairingValue
-from weilchar.quadforms import Character, QuadForm
+from weilchar.quadforms import Character, QuadForm, principal_form
+from weilchar.roots import recover_root
+
+
+@pytest.mark.parametrize("call", [
+    lambda oc: gen_ordinary_instance((5, 60), 13),
+    lambda oc: distinguish(sample_triple(oc, "dh", random.Random(1)),
+                           [Character("delta", 4)]),
+    lambda oc: recover_root(oc, oc, principal_form(oc.D))],
+    ids=["gen_ordinary_instance", "distinguish", "recover_root"])
+def test_every_draw_needs_an_rng(oc52, call):
+    """No entry point falls back to an unseeded generator, or to none: a
+    call without rng is refused before anything is drawn."""
+    with pytest.raises(TypeError, match="'rng'"):
+        call(oc52)
 
 
 def test_triple_invariants(oc52):

@@ -916,67 +916,6 @@ def test_kernels_match_the_oracles_under_optimize():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_field_bench_smoke():
-    # one tower on each side of the product crossover, one call per run
-    bench = Path(__file__).resolve().parents[1] / "bench" / "fields.py"
-    proc = _run_python([str(bench), "--repeat", "1", "101,4", "23,15"])
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[1].split() == ["p", "r", "unrolled_mul", "kron_mul", "vadd",
-                                "vsub", "vneg", "vinv", "frobenius", "vnorm",
-                                "vlin"]
-    rows = [line.split() for line in lines[2:]]
-    assert [row[:2] for row in rows] == [["101", "4"], ["23", "15"]]
-    assert all(float(t) > 0 for row in rows for t in row[2:])
-
-
-def test_curve_bench_smoke():
-    # one call per run; the search counts are the frozen ones of the roster
-    bench = Path(__file__).resolve().parents[1] / "bench" / "curves.py"
-    proc = _run_python([str(bench), "--repeat", "1"])
-    assert proc.returncode == 0, proc.stderr
-    rows = [line.split() for line in proc.stdout.splitlines()]
-    assert [row[0] for row in rows if not row[0][0].isdigit()] == [
-        "scalar_mul", "count_points", "make_instance"]
-    assert [row[:2] for row in rows[1:3]] == [["2221", "23-bit"],
-                                              ["2221", "40-bit"]]
-    assert [row[0] for row in rows[4:6]] == ["2221", "120121"]
-    assert [row[:3] + row[4:] for row in rows[7:]] == [
-        ["17", "3", "1", "2"], ["7", "2", "1", "1"], ["31", "2", "1", "2"],
-        ["2221", "92", "0", "10"]]
-    assert all(float(row[-1]) > 0 for row in rows[1:3] + rows[4:6])
-    assert all(float(row[3]) > 0 for row in rows[7:])
-
-
-def test_pairing_steps_bench_smoke():
-    bench = Path(__file__).resolve().parents[1] / "bench" / "curves.py"
-    proc = _run_python([str(bench), "--repeat", "1", "--pairing-steps"])
-    assert proc.returncode == 0, proc.stderr
-    rows = [line.split() for line in proc.stdout.splitlines()]
-    assert rows[0][:2] == ["pairing", "steps"]
-    assert [row[:3] for row in rows[2:]] == [
-        ["101", "4", "4"], ["7", "3", "3"], ["31", "3", "3"],
-        ["2221", "3", "3"]]
-    assert all(len(row) == 18 and all(float(x) > 0 for x in row[3:])
-               for row in rows[2:])
-
-
-def test_quadforms_bench_smoke():
-    # one call per run, and a genus sweep up to D = 200 only
-    bench = Path(__file__).resolve().parents[1] / "bench" / "quadforms.py"
-    proc = _run_python([str(bench), "--repeat", "1", "--max-D", "200"])
-    assert proc.returncode == 0, proc.stderr
-    rows = [line.split() for line in proc.stdout.splitlines()]
-    assert [row[0] for row in rows if not row[0][0].isdigit()] == [
-        "form_op", "compose", "reduce_form", "class_group", "genus_sweep"]
-    assert rows[3][1:] == ["D", "sqrt_cold", "sqrt_warm", "root_cold",
-                           "root_warm"]
-    assert [row[0] for row in rows[4:8]] == ["59", "24", "120", "420"]
-    assert rows[9][0] == "200"
-    assert all(float(t) > 0 for row in rows[1:3] for t in row[1:])
-    assert all(float(t) > 0 for row in rows[4:8] + rows[9:] for t in row[1:])
-
-
 def _run_python(args):
     """A fresh interpreter on args, importing weilchar from this tree."""
     src = str(Path(weilchar.__file__).resolve().parents[1])
