@@ -313,16 +313,17 @@ def _curve_rows(calls: int) -> dict:
 
 def _cell_row(p: int, r: int, m: int, calls: int) -> dict:
     """The steps of a warm pairing at (p, r, m), on the instance's curve
-    over F_{p^r}, interpreted (the tower's traceable flag cleared) and
-    compiled: Curve.draw_point; the x([m]R) certificate and the descent
-    test with the first kept root (else the least root of the cubic in
-    F_p), as the parts pairing._settle picks; _settle on the first cell
-    record's plan that keeps a root (else the first plan); and the warm
-    side pairing, attack._side_pairing.  Then dlog_in_mu_m cold (its
-    memos emptied) and warm; the milliseconds to trace and compile the
-    draw kernel and the descent and certificate kernels; and the
-    percentage of calls attempts, drawn for the plans in turn, that the
-    descent tests with the plan's roots certify."""
+    over F_{p^r}, interpreted (the tower's traceable flag cleared, then
+    restored) and compiled: the draw (curves._draw and _draw_kernel), the
+    x([m]R) certificate and the descent test with the first kept root
+    (else the least root of the cubic in F_p), as the parts
+    pairing._settle picks; _settle on the first cell record's plan that
+    keeps a root (else the first plan); and the warm side pairing,
+    attack._side_pairing.  Then dlog_in_mu_m cold (its memos emptied)
+    and warm; the milliseconds to trace and compile the draw kernel and
+    the descent and certificate kernels; and the percentage of calls
+    attempts, drawn for the plans in turn, that the descent tests with
+    the plan's roots certify."""
     from weilchar import attack, curves, fields, pairing
     from weilchar.fields import FieldElement, dlog_in_mu_m
     f = fields.get_tower(p, r)
@@ -339,21 +340,27 @@ def _cell_row(p: int, r: int, m: int, calls: int) -> dict:
              if (plan := attack._cell(*key, a, b)[3]) is not None]
     plan = next((x for x in plans if x[9]), plans[0])
     roots = plan[9] or (f.from_int(pairing._rational_roots(p, a4, a6)[0]),)
-    parts = {"interp": (partial(pairing._descent_separates, f),
+    raw = E.a4.value, E.a6.value
+    parts = {"interp": (partial(curves._draw, f, *raw),
+                        partial(pairing._descent_separates, f),
                         partial(pairing._separated, f, m)),
-             "comp": (pairing._descent_kernel(f),
+             "comp": (partial(curves._draw_kernel(f), *raw),
+                      pairing._descent_kernel(f),
                       pairing._certificate_kernel(f, m))}
-    name, out = f"cell.{p}^{r}.m{m}.", {}
-    for path, (descent, certificate) in parts.items():
-        f.traceable = path == "comp"
-        steps = {"draw": lambda: E.draw_point(rng),
-                 "certificate": lambda: certificate(a4, a6, R[0], R[1],
-                                                    S[0], S[1]),
-                 "descent": lambda: descent(roots[0], R[0], S[0]),
-                 "attempt": lambda: pairing._settle(plan, rng),
-                 "side": lambda: attack._side_pairing(side, m, f, rng)}
-        out.update((f"{name}{step}_{path}_us", _us(fn, calls))
-                   for step, fn in steps.items())
+    name, out, traceable = f"cell.{p}^{r}.m{m}.", {}, f.traceable
+    try:
+        for path, (draw, descent, certificate) in parts.items():
+            f.traceable = path == "comp"
+            steps = {"draw": lambda: draw(rng),
+                     "certificate": lambda: certificate(a4, a6, R[0], R[1],
+                                                        S[0], S[1]),
+                     "descent": lambda: descent(roots[0], R[0], S[0]),
+                     "attempt": lambda: pairing._settle(plan, rng),
+                     "side": lambda: attack._side_pairing(side, m, f, rng)}
+            out.update((f"{name}{step}_{path}_us", _us(fn, calls))
+                       for step, fn in steps.items())
+    finally:
+        f.traceable = traceable
     # a primitive m-th root of unity, and a target in mu_m
     while True:
         z = f.vpow(f.random_value(rng), (f.size - 1) // m)

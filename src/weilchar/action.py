@@ -24,6 +24,8 @@ from .quadforms import (Discriminant, QuadForm, class_group, compose,
 # eigenline extension degrees at most DEGREE_CAP
 DEGREE_CAP = 12
 SMOOTH_BOUND = 50
+# the curves gen_ordinary_instance draws before it gives up
+SEARCH_DRAWS = 4000
 
 
 class OrientedCurve:
@@ -306,19 +308,20 @@ def _primes_between(lo: int, hi: int) -> list:
     return [q for q in range(max(lo, 2), hi + 1) if sieve[q]]
 
 
-def gen_ordinary_instance(q_range, m_target: Optional[int] = None, *, rng,
-                          budget: int = 4000) -> OrientedCurve:
+def gen_ordinary_instance(q_range, m_target: Optional[int] = None, *,
+                          rng) -> OrientedCurve:
     """Random search over primes in q_range for an ordinary instance whose
-    discriminant has a usable odd prime divisor (m exactly dividing D, m != q,
-    and m <= m_target when a bound is given).  A range reaching above the
-    fields count_points sweeps is refused before any prime is listed."""
+    discriminant has a usable odd prime divisor (m exactly dividing D,
+    m != q, and m <= m_target when a bound is given), of SEARCH_DRAWS
+    curves at most.  A range reaching above the fields count_points
+    sweeps is refused before any prime is listed."""
     lo, hi = q_range
     _check_countable(hi)
     primes = _primes_between(max(lo, 5), hi)
     if not primes:
         raise ValueError("no usable primes in the requested range")
     best_D = 0
-    for _ in range(budget):
+    for _ in range(SEARCH_DRAWS):
         q = rng.choice(primes)
         tw = get_tower(q, 1)
         a4 = rng.randrange(1, q)

@@ -273,9 +273,8 @@ def cmd_gen_instance(args) -> int:
                                        f"of two integers, not {q_range!r}")
                 m_target = (None if config.get("m_target") is None
                             else _config_value(config, "m_target", int))
-                oc = action.gen_ordinary_instance(
-                    tuple(q_range), m_target, rng=rng,
-                    budget=_config_value(config, "budget", int, 4000))
+                oc = action.gen_ordinary_instance(tuple(q_range), m_target,
+                                                  rng=rng)
             else:
                 raise ValueError("ordinary mode needs 'q'+'t' or 'q_range'")
         else:

@@ -14,9 +14,11 @@ y^2 = x^3 + a4 c^2 x + a6 c^3: (x, y) -> (c x, c^(3/2) y) is an isomorphism
 onto that model and takes the drawn point (x, sqrt c) to (c x, +-c^2), of the
 same order, so the verdict needs no square root.
 
-The division-polynomial recurrences are written once too (_division_chain),
-for int-list polynomials (_division_f, the torsion degree) and for values at
-a point (_division_values, x([m]R) in _x_multiple, pairing's certificate).
+A point is drawn by _draw, interpreted; only pairing._settle's shift
+attempts run its compiled twin, _draw_kernel.  The division-polynomial
+recurrences are written once too (_division_chain), for int-list
+polynomials (_division_f, the torsion degree) and for values at a point
+(_division_values, x([m]R) in _x_multiple, pairing's certificate).
 """
 
 from __future__ import annotations
@@ -124,12 +126,7 @@ def _draw(f: FieldTower, a4, a6, rng) -> tuple:
     c = x^3 + a4 x + a6 raw values of f, x of rank randrange(size), drawn
     again until c is a square or zero, sign = randrange(2) the bit that
     picks the root of c (see _lift), and norm the int N(c) that decided
-    squareness, kept for the root.  For a traceable f and an rng whose
-    randrange is random.Random's, the whole loop is one _draw_kernel call,
-    which reads rng as randrange does; any other tower or rng runs the
-    same steps interpreted."""
-    if f.traceable and _reads_by_getrandbits(rng):
-        return _draw_kernel(f)(a4, a6, rng)
+    squareness, kept for the root.  Interpreted; see _draw_kernel."""
     p = f.p
     for _ in range(10000):
         x = f.random_value(rng)
@@ -143,8 +140,8 @@ def _draw(f: FieldTower, a4, a6, rng) -> tuple:
 
 def _reads_by_getrandbits(rng) -> bool:
     """Whether rng.randrange(n) is random.Random's, which for n > 0 reads
-    rng.getrandbits(n.bit_length()) until the value is below n: then a
-    caller may read it so itself, with no Python frames per draw."""
+    rng.getrandbits(n.bit_length()) until the value is below n: then
+    pairing._settle and attack._side_pairing read it so themselves."""
     cls = type(rng)
     return (cls.randrange is random.Random.randrange
             and cls._randbelow is random.Random._randbelow_with_getrandbits)
@@ -158,13 +155,13 @@ def _rhs(f, x, a4, a6):
 
 @memo
 def _draw_kernel(f: FieldTower):
-    """_draw compiled for the traceable f: kernel(a4, a6, rng) is the
-    (x, c, sign, norm) of _draw on the raw a4 and a6 of any curve over f.
-    Each candidate's x from its rank, c = _rhs and N(c) (SymbolicTower.vnorm:
-    by descent on a Kummer tower, else the chain and its check that the
-    norm lies in F_p) run straight-line, Euler's test inline, and the rank
-    and the sign are read by rng.getrandbits exactly as randrange(size)
-    and randrange(2) read them."""
+    """_draw compiled for the traceable f, built by pairing._settle alone:
+    kernel(a4, a6, rng) is the (x, c, sign, norm) of _draw on the raw a4
+    and a6 of any curve over f.  Each candidate's x from its rank, c = _rhs
+    and N(c) (SymbolicTower.vnorm: by descent on a Kummer tower, else the
+    chain and its check that the norm lies in F_p) run straight-line,
+    Euler's test inline, and the rank and the sign are read by
+    rng.getrandbits exactly as randrange(size) and randrange(2) read them."""
     t = SymbolicTower(f)
     x = t.unrank(t.scalar("n"))
     c = _rhs(t, x, t.value("a4"), t.value("a6"))

@@ -68,7 +68,8 @@ kernel of curves (_draw_kernel: the rejection loop, reading the generator
 as randrange does), _descent_kernel (one per tower) and
 _certificate_kernel (one per tower and m, _x_multiple traced for both
 points, taking x^3 = c - a4 x - a6 without a product); roots, a4 and a6
-are arguments, so each serves every curve over the tower.  Elsewhere the
+are arguments, so each serves every curve over the tower, and only
+_settle builds them, on a tower where a pairing settles.  Elsewhere the
 same routines run interpreted, with the same draws and the same verdict.
 """
 

@@ -616,6 +616,17 @@ def test_uncountable_q_range_exits_2_at_once(tmp_path, capsys):
     assert code == 2 and "field too large for exhaustive" in err, err
 
 
+def test_exhausted_search_exits_2(tmp_path, capsys):
+    """Every ordinary curve over F_5 has D = 20 - t^2, 0 < |t| <= 4, one of
+    19, 16, 11 and 4, so none has an odd prime m <= 3 exactly dividing D:
+    the search draws its SEARCH_DRAWS curves and gives up."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"mode": "ordinary", "q_range": [5, 5], "m_target": 3}))
+    code, _, err = run(capsys, ["gen-instance", "--config", str(cfg)])
+    assert code == 2 and "search budget exhausted" in err, err
+
+
 def test_ddh_config_takes_json_booleans(tmp_path, capsys):
     cfg = _write_instance_config(tmp_path, capsys,
                                  {"mode": "supersingular", "p": 13},

@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 
@@ -231,6 +232,22 @@ def test_sample_and_basis():
     assert len(span) == 25
 
 
+def test_only_a_settled_pairing_compiles_the_draw_kernel():
+    """A cold torsion_basis on a traceable tower draws every point
+    interpreted and compiles no draw kernel; the first weil_pairing there
+    settles by the kernels, so it builds the tower's one."""
+    clear_caches()
+    E = curve_over(13, 2, 3)
+    _, t = count_points(E)
+    r = torsion_extension_degree(E, 5)
+    Er, rng = curve_over(13, 2, 3, r=r), random.Random(9)
+    assert Er.field.traceable
+    P, Q = torsion_basis(Er, 5, extension_order(13, t, r), rng)
+    assert cache_stats()["curves._draw_kernel"]["entries"] == 0
+    pairing.weil_pairing(Er, P, Q, 5, rng)
+    assert cache_stats()["curves._draw_kernel"]["entries"] == 1
+
+
 def test_velu_isogeny():
     rng = random.Random(11)
     E = curve_over(13, 2, 2)
@@ -369,11 +386,13 @@ def test_frozen_random_points():
                                     (23, 8, 3)])
 def test_random_point_takes_one_norm_per_x(monkeypatch, p, r, a6):
     # the norm that decides squareness in the draw also serves the root;
-    # a generator with its own randrange draws interpreted, by vnorm, and
-    # on a traceable tower random.Random's draws by the kernel, which
-    # takes each candidate's norm inline and, the norm being nonzero here,
-    # makes one Euler test of it, a call of the pow in its globals
+    # random_point draws interpreted, by vnorm, and compiles nothing; on a
+    # traceable tower the draw kernel, driven here as pairing._settle
+    # drives it, takes each candidate's norm inline and, the norm being
+    # nonzero here, makes one Euler test of it, a call of the pow in its
+    # globals
     E = curve_over(p, 1, a6, r=r)
+    f, raw = E.field, (E.a4.value, E.a6.value)
     counts = {"x": 0, "norm": 0}
     field_type = type(E.field)
     size = E.field.size
@@ -401,13 +420,15 @@ def test_random_point_takes_one_norm_per_x(monkeypatch, p, r, a6):
     clear_caches()
     E.field._sqrt_setup()       # the root's constants, built once
     for kind in (Counted, Bits) if E.field.traceable else (Counted,):
+        draw = E.draw_point
         if kind is Bits:
-            monkeypatch.setitem(curves._draw_kernel(E.field).__globals__,
-                                "pow", counted(pow))
+            kernel = curves._draw_kernel(f)
+            monkeypatch.setitem(kernel.__globals__, "pow", counted(pow))
+            draw = partial(kernel, *raw)
         counts.update(x=0, norm=0)
         rng = kind(f"norms{p},{r}")
         for _ in range(20):
-            E.random_point(rng)
+            _point(f, curves._lift(f, draw(rng)))
         assert counts["x"] >= 20
         assert counts["norm"] == counts["x"]
         built = cache_stats()["curves._draw_kernel"]["misses"]
@@ -423,14 +444,16 @@ def test_random_point_takes_one_norm_per_x(monkeypatch, p, r, a6):
     (101, 2, (2, 1), 5), (101, 4, 1, 3), (31, 10, 2, 11),
     (2221, 12, 1668, 2145),
 ])
-def test_draw_kernel_matches_the_interpreted_draw(monkeypatch, p, r, a4, a6):
+def test_draw_kernel_matches_the_interpreted_draw(p, r, a4, a6):
     """Over 2,000 draws the compiled draw (_draw_kernel: the rejection
     loop over rank, right-hand side and norm, then the sign) gives the
-    draw tuples and generator states the interpreted loop gives.  A
-    generator whose randrange is its own draws interpreted on a traceable
-    tower too, and its randrange sees every call."""
+    draw tuples and generator states the interpreted _draw gives.
+    Curve.draw_point is _draw on every tower: it compiles nothing, and a
+    generator whose randrange is its own is read through it, every call
+    seen."""
     f = get_tower(p, r)
     E = Curve(f, FieldElement(f, a4) if isinstance(a4, tuple) else a4, a6)
+    raw = E.a4.value, E.a6.value
     seed = f"draws{p},{r}"
     calls = []
 
@@ -440,21 +463,22 @@ def test_draw_kernel_matches_the_interpreted_draw(monkeypatch, p, r, a4, a6):
             calls.append((args, n))
             return n
 
+    clear_caches()
+    kernel = curves._draw_kernel(f)
     runs = []
-    for traceable, rng in ((True, random.Random(seed)),
-                           (False, random.Random(seed)), (True, Seen(seed))):
-        monkeypatch.setattr(f, "traceable", traceable)
-        clear_caches()
-        runs.append([(E.draw_point(rng), rng.getstate())
-                     for _ in range(2000)])
-        built = cache_stats()["curves._draw_kernel"]["misses"]
-        assert built == (1 if traceable and type(rng) is random.Random else 0)
+    for draw, rng in ((partial(kernel, *raw), random.Random(seed)),
+                      (partial(curves._draw, f, *raw), random.Random(seed)),
+                      (E.draw_point, Seen(seed))):
+        runs.append([(draw(rng), rng.getstate()) for _ in range(2000)])
     assert runs[0] == runs[1] == runs[2]
+    clear_caches()
+    assert E.draw_point(random.Random(seed)) == runs[0][0][0]
+    assert cache_stats()["curves._draw_kernel"]["entries"] == 0
     replay = random.Random(seed)
     assert all(replay.randrange(*args) == n for args, n in calls)
     assert replay.getstate() == runs[2][-1][1]
     if (p, r) == (31, 10):
-        assert "_segment0" in curves._draw_kernel(f).__code__.co_names
+        assert "_segment0" in kernel.__code__.co_names
 
 
 class _Scripted(random.Random):
@@ -471,7 +495,7 @@ class _Scripted(random.Random):
         return value
 
 
-def test_draw_kernel_only_where_the_product_is_unrolled(monkeypatch):
+def test_draw_kernel_only_where_the_product_is_unrolled():
     """r = 1 and r above UNROLLED_MUL_MAX_R draw interpreted and compile
     nothing; SymbolicTower refuses those towers.  At (101, 4) the kernel
     reads its ranks and sign bit as randrange does: ranks of 27 bits until
@@ -500,31 +524,31 @@ def test_draw_kernel_only_where_the_product_is_unrolled(monkeypatch):
     rng = _Scripted(script)
     assert curves._draw_kernel(f)(a4, a6, rng) == want
     assert not rng.script
-    monkeypatch.setattr(f, "traceable", False)
     rng = _Scripted(script)
     assert curves._draw(f, a4, a6, rng) == want
     assert not rng.script
 
 
-@pytest.mark.parametrize("traceable", [True, False])
-def test_draw_keeps_the_norm_check(monkeypatch, traceable):
-    """A norm outside F_p (a reducible modulus) raises on both paths: over
-    x^2 - 1, and over x^2 - 2 = (x - 3)(x + 3), a binomial that is no
-    Kummer tower (w = 2 has order 3 in F_7^*), so it keeps the chain and
-    its check.  The descent test and vis_nonsquare raise there too, on
+@pytest.mark.parametrize("compiled", [True, False])
+def test_draw_keeps_the_norm_check(compiled):
+    """A norm outside F_p (a reducible modulus) raises on both paths, the
+    draw kernel and draw_point: over x^2 - 1, and over x^2 - 2 =
+    (x - 3)(x + 3), a binomial that is no Kummer tower (w = 2 has order 3
+    in F_7^*), so it keeps the chain and its check.  The descent test and vis_nonsquare raise there too, on
     (1 + x) x: phi fixes x on both rings, so the chain's power is the
     square, which has an x term."""
     for modulus in ((6, 0, 1), (5, 0, 1)):
         ring = FieldTower(7, 2, modulus)
         assert ring._kummer is None
-        monkeypatch.setattr(ring, "traceable", traceable)
         E = Curve(ring, 1, 3)
+        draw = (partial(curves._draw_kernel(ring), E.a4.value, E.a6.value)
+                if compiled else E.draw_point)
         with pytest.raises(RuntimeError, match="prime field"):
             for seed in range(20):
-                E.draw_point(random.Random(seed))
+                draw(random.Random(seed))
         u, x = (1, 1), (0, 1)
         for test in ([lambda: pairing._descent_kernel(ring)(ring.zero, u, x)]
-                     if traceable else []) + [
+                     if compiled else []) + [
                 lambda: pairing._descent_separates(ring, ring.zero, u, x),
                 lambda: ring.vis_nonsquare(ring.vmul(u, x))]:
             with pytest.raises(RuntimeError, match="prime field"):
