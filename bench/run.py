@@ -37,7 +37,10 @@ A side is a checkout whose ``src/`` the child processes import (default:
 this one, labelled ``this``).  Each workload runs RUNS rounds; a round
 runs every side once, in the given order and reversed in alternate
 rounds, so two sides give RUNS alternating pairs.  Each key of a
-workload is reported as the median and the list of its timed runs.  One
+workload is reported as the median and the list of its timed runs.
+Each timed run also reports ``host.reference_us``: perfbench's
+``reference_s``, a fixed pure-Python loop timed right after the workload,
+so a report shows the host's speed phase in every round.  One
 more process per side and workload counts operations with perfbench's
 ``Tracer``, which wraps library functions from outside, so the timed runs
 carry no counting cost; the counts are deterministic (``layers``, whose
@@ -444,7 +447,8 @@ def _layer_args(args: list) -> tuple:
 
 
 def child(name: str, count: bool, args: list) -> dict:
-    """One run of a workload in this process, or with count its op counts.
+    """One run of a workload in this process, then host.reference_us,
+    perfbench's reference_s in microseconds, or with count its op counts.
     args: the pair's path for readme-chi7; the moduli for the ladder
     (default: LADDER); the rows' q for instance-search (default: all);
     for layers CALLS and MAX_D, then towers P,R and cells P,R,M (default:
@@ -455,7 +459,13 @@ def child(name: str, count: bool, args: list) -> dict:
            "instance-search": lambda: instance_search(
                tuple(map(int, args))),
            "layers": lambda: layers(*_layer_args(args))}[name]
-    return count_ops(run) if count else run()
+    if count:
+        return count_ops(run)
+    out = run()
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from worker import reference_s
+    out["host.reference_us"] = reference_s() * 1e6
+    return out
 
 
 def _spawn(src: Path, name: str, count: bool, *args: str) -> dict:

@@ -14,8 +14,8 @@ import time
 from typing import NamedTuple, Optional
 
 from .action import OrientedCurve, _fold_seed
-from .curves import (_raw, _reads_by_getrandbits, gl2_order, point_add,
-                     scalar_mul, torsion_basis, torsion_extension_degree)
+from .curves import (_raw, gl2_order, point_add, scalar_mul, torsion_basis,
+                     torsion_extension_degree)
 from .fields import (FieldElement, FieldTower, dlog_in_mu_m, element_order,
                      get_tower)
 from .memo import memo
@@ -109,27 +109,17 @@ def _side_pairing(oc, m: int, tower, rng) -> tuple:
     """(z, n): z = e_m(P, sigma P) for P rejection-sampled uniform over
     E[m] until (P, sigma P) generates, n the sigma evaluations counted.
 
-    P = aB1 + bB2 is drawn as its coefficients, a first, and each draw
-    reads one memoized record of its cell (_cell), so each of the m^2
-    points of E[m], its sigma image and the plan of their pairing are
-    computed at most once per basis and orientation.  For m = 4 and 8 the
-    record has already decided whether sigma moves (m/2)P; for odd m a
-    finite P generates when e_m(P, sigma P), settled from the record's
-    plan, is primitive."""
+    P = aB1 + bB2 is drawn as its coefficients, a then b, each by
+    rng.randrange(m), and each draw reads one memoized record of its cell
+    (_cell), so each of the m^2 points of E[m], its sigma image and the
+    plan of their pairing are computed at most once per basis and
+    orientation.  For m = 4 and 8 the record has already decided whether
+    sigma moves (m/2)P; for odd m a finite P generates when e_m(P,
+    sigma P), settled from the record's plan, is primitive."""
     key = (oc, oc.sigma_trace, oc.sigma_norm, m, tower.r)
-    plain, getrandbits, bits = (_reads_by_getrandbits(rng), rng.getrandbits,
-                                m.bit_length())
     sigma_evals = 0
     for _ in range(64):
-        if plain:       # randrange(m) twice, as randrange reads them
-            a = getrandbits(bits)
-            while a >= m:
-                a = getrandbits(bits)
-            b = getrandbits(bits)
-            while b >= m:
-                b = getrandbits(bits)
-        else:
-            a, b = rng.randrange(m), rng.randrange(m)
+        a, b = rng.randrange(m), rng.randrange(m)
         _, _, evals, plan = _cell(*key, a, b)
         sigma_evals += evals
         if plan is None:

@@ -15,16 +15,17 @@ onto that model and takes the drawn point (x, sqrt c) to (c x, +-c^2), of the
 same order, so the verdict needs no square root.
 
 A point is drawn by _draw, interpreted; only pairing._settle's shift
-attempts run its compiled twin, _draw_kernel.  The division-polynomial
-recurrences are written once too (_division_chain), for int-list
-polynomials (_division_f, the torsion degree) and for values at a point
-(_division_values, x([m]R) in _x_multiple, pairing's certificate).
+attempts run its compiled twin, _draw_kernel.  Both read the generator
+by its randrange alone, so any generator gives both the same draws.  The
+division-polynomial recurrences are written once too (_division_chain),
+for int-list polynomials (_division_f, the torsion degree) and for
+values at a point (_division_values, x([m]R) in _x_multiple, pairing's
+certificate).
 """
 
 from __future__ import annotations
 
 import math
-import random
 from typing import Optional
 
 from .fields import (FieldElement, FieldTower, SymbolicTower, _is_prime,
@@ -138,15 +139,6 @@ def _draw(f: FieldTower, a4, a6, rng) -> tuple:
     raise RuntimeError("failed to sample a curve point")
 
 
-def _reads_by_getrandbits(rng) -> bool:
-    """Whether rng.randrange(n) is random.Random's, which for n > 0 reads
-    rng.getrandbits(n.bit_length()) until the value is below n: then
-    pairing._settle and attack._side_pairing read it so themselves."""
-    cls = type(rng)
-    return (cls.randrange is random.Random.randrange
-            and cls._randbelow is random.Random._randbelow_with_getrandbits)
-
-
 def _rhs(f, x, a4, a6):
     """c = (x^2 + a4) x + a6 on raw values of a FieldTower f, or of a
     fields.SymbolicTower standing in for one."""
@@ -160,25 +152,19 @@ def _draw_kernel(f: FieldTower):
     and a6 of any curve over f.  Each candidate's x from its rank, c = _rhs
     and N(c) (SymbolicTower.vnorm: by descent on a Kummer tower, else the
     chain and its check that the norm lies in F_p) run straight-line,
-    Euler's test inline, and the rank and the sign are read by
-    rng.getrandbits exactly as randrange(size) and randrange(2) read them."""
+    Euler's test inline, and the rank and the sign read as _draw reads
+    them, by rng.randrange(size) and rng.randrange(2)."""
     t = SymbolicTower(f)
     x = t.unrank(t.scalar("n"))
     c = _rhs(t, x, t.value("a4"), t.value("a6"))
-    p, size, bits = f.p, f.size, f.size.bit_length()
     return t.compile("a4, a6, rng", x, c, t.vnorm(c), role="draw", loop=f"""\
-    getrandbits = rng.getrandbits
+    randrange = rng.randrange
     for _ in range(10000):
-        n = getrandbits({bits})
-        while n >= {size}:
-            n = getrandbits({bits})
+        n = randrange({f.size})
 {{steps}}        norm = {{2}}
-        if norm and pow(norm, {(p - 1) // 2}, {p}) != 1:
+        if norm and pow(norm, {(f.p - 1) // 2}, {f.p}) != 1:
             continue
-        sign = getrandbits(2)
-        while sign >= 2:
-            sign = getrandbits(2)
-        return {{0}}, {{1}}, sign, norm
+        return {{0}}, {{1}}, randrange(2), norm
     raise RuntimeError("failed to sample a curve point")
 """)
 

@@ -67,17 +67,7 @@ from .memo import memo
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
-        if n % q == 0:
-            return n == q
-    d = 37
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n >= 2 and factorize(n) == [(n, 1)]
 
 
 def factorize(n: int) -> list:
@@ -220,6 +210,7 @@ def get_tower(p: int, r: int = 1) -> "FieldTower":
                 raise ValueError(f"{p} is not prime")
             tower = FieldTower(p, 1, None)
         else:
+            get_tower(p, 1)         # checks p before the modulus search
             tower = FieldTower(p, r, make_extension(p, r))
         _towers[(p, r)] = tower
     return tower

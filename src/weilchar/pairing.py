@@ -62,15 +62,15 @@ cubic's roots (_rational_roots in F_p, _cubic_roots in F_q) are memoized
 
 An attempt has three parts, which _settle picks once per pairing: the
 draw, the descent test and the certificate.  Where the tower's product is
-unrolled (fields.SymbolicTower, 2 <= r <= UNROLLED_MUL_MAX_R) and the
-generator's randrange is random.Random's, each is a kernel: the draw
-kernel of curves (_draw_kernel: the rejection loop, reading the generator
-as randrange does), _descent_kernel (one per tower) and
-_certificate_kernel (one per tower and m, _x_multiple traced for both
-points, taking x^3 = c - a4 x - a6 without a product); roots, a4 and a6
-are arguments, so each serves every curve over the tower, and only
-_settle builds them, on a tower where a pairing settles.  Elsewhere the
-same routines run interpreted, with the same draws and the same verdict.
+unrolled (fields.SymbolicTower, 2 <= r <= UNROLLED_MUL_MAX_R), each is a
+kernel: the draw kernel of curves (_draw_kernel: the rejection loop,
+reading the generator by randrange as _draw does), _descent_kernel (one
+per tower) and _certificate_kernel (one per tower and m, _x_multiple
+traced for both points, taking x^3 = c - a4 x - a6 without a product);
+roots, a4 and a6 are arguments, so each serves every curve over the
+tower, and only _settle builds them, on a tower where a pairing settles.
+Elsewhere the same routines run interpreted, with the same draws and the
+same verdict, for any generator.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ from functools import partial
 from typing import NamedTuple
 
 from .curves import (Curve, CurvePoint, _add_raw, _draw, _draw_kernel,
-                     _lift, _raw, _reads_by_getrandbits, _x_multiple)
+                     _lift, _raw, _x_multiple)
 from .fields import (FieldElement, FieldTower, SymbolicTower, _pdivmod,
                      _pgcd, _ppowmod, _psub)
 from .memo import memo
@@ -300,13 +300,13 @@ def _settle(plan: tuple, rng) -> PairingValue:
     else attempts until one is certified, which gives the unshifted value,
     or its exact shifted value is defined.  An attempt draws R, then S,
     and runs the descent test with each root in turn, then the x-multiple
-    certificate, as kernels where the tower is traceable and rng reads as
-    random.Random does, else interpreted.  Raises ValueError unless P and
-    Q lie in E[m]."""
+    certificate, as kernels where the tower is traceable, else
+    interpreted; both read rng by randrange alike.  Raises ValueError
+    unless P and Q lie in E[m]."""
     f, a4, a6, P, Q, m, value, A, B, roots = plan
     if P is None or Q is None:
         return value
-    if f.traceable and _reads_by_getrandbits(rng):
+    if f.traceable:
         draw, descent, certificate = (_draw_kernel(f), _descent_kernel(f),
                                       _certificate_kernel(f, m))
     else:

@@ -167,9 +167,10 @@ def test_noneigen_frequency(oc24):
 @pytest.mark.parametrize("m", [3, 4, 5, 8])
 def test_noneigen_draw_reads_coefficients_as_randrange(monkeypatch, m):
     """Over 10,000 coefficients, _side_pairing reads from a
-    random.Random what two randrange(m) calls per cell read, leaving the
-    same state; a generator whose randrange is its own sees every call."""
-    drawn = []
+    random.Random and from a generator whose randrange is its own what two
+    randrange(m) calls per cell read, leaving the same state, and each
+    coefficient is one call of the generator's randrange."""
+    drawn, calls = [], []
 
     def rejected(*key):
         drawn.extend(key[-2:])
@@ -178,23 +179,28 @@ def test_noneigen_draw_reads_coefficients_as_randrange(monkeypatch, m):
     monkeypatch.setattr(weilchar.attack, "_cell", rejected)
     oc = SimpleNamespace(sigma_trace=0, sigma_norm=1)
     tower = SimpleNamespace(r=1)
-    calls = []
+    randrange = random.Random.randrange
 
-    class Seen(random.Random):
+    def seen(self, *args):
+        calls.append(args)
+        return randrange(self, *args)
+
+    class Own(random.Random):
         def randrange(self, *args):
-            calls.append(args)
             return super().randrange(*args)
 
-    for kind in (random.Random, Seen):
+    monkeypatch.setattr(random.Random, "randrange", seen)
+    for kind in (random.Random, Own):
         drawn.clear()
+        calls.clear()
         rng = kind(f"coefficients{m}")
         while len(drawn) < 10000:
             with pytest.raises(RuntimeError, match="no independent point"):
                 _side_pairing(oc, m, tower, rng)
+        assert calls == [(m,)] * len(drawn)
         replay = random.Random(f"coefficients{m}")
-        assert drawn == [replay.randrange(m) for _ in drawn]
+        assert drawn == [randrange(replay, m) for _ in drawn]
         assert rng.getstate() == replay.getstate()
-    assert calls == [(m,)] * len(drawn)
 
 
 class _Imprimitive(OrientedCurve):

@@ -25,8 +25,9 @@ STEPS = [f"{step}_{path}_us" for path in ("interp", "comp")
 def test_ladder_m3_rung_times_and_counts():
     rung = bench_run._spawn(bench_run.ROOT, "ladder", False, "3")
     assert set(rung) == {"m3.wall_ms", "m3.extension_ms", "m3.side_base_ms",
-                         "gate_holds"}
+                         "gate_holds", "host.reference_us"}
     assert rung["m3.wall_ms"] > 0 and rung["gate_holds"]
+    assert rung["host.reference_us"] > 0
     counts = bench_run._spawn(bench_run.ROOT, "ladder", True, "3")
     ops = {name for name, _, _ in bench_run.COUNTED}
     memos = set(counts) - ops
@@ -44,7 +45,7 @@ def test_ladder_m3_rung_times_and_counts():
 def test_instance_search_times_and_counts():
     run = bench_run._spawn(bench_run.ROOT, "instance-search", False)
     assert set(run) == {"q17_ms", "q7_ms", "q31_ms", "q2221_ms",
-                        "q120121_ms"}
+                        "q120121_ms", "host.reference_us"}
     assert all(ms > 0 for ms in run.values())
     counts = bench_run._spawn(bench_run.ROOT, "instance-search", True)
     # one count per candidate that passes the filter, and the filter's
@@ -85,6 +86,11 @@ def _rows(layers, prefix):
     return {k: v for k, v in layers.items() if k.startswith(prefix)}
 
 
+def test_timed_runs_report_the_host_reference(layers):
+    # perfbench's reference loop, timed after the workload in every round
+    assert layers["host.reference_us"] > 0
+
+
 def test_field_bench_smoke(layers):
     rows = _rows(layers, "tower.")
     assert set(rows) == {f"tower.{t}.{name}_us" for t in ("101^4", "23^15")
@@ -115,7 +121,7 @@ def test_pairing_steps_bench_smoke(layers):
 def test_quadforms_bench_smoke(layers):
     rows = {k: v for k, v in layers.items()
             if not k.startswith(("tower.", "scalar_mul.", "count_points.",
-                                 "cell."))}
+                                 "cell.", "host."))}
     assert set(rows) == {"compose_us", "reduce_form_us",
                          "genus_sweep.D200.s", "genus_sweep.D200.rss_mb"} | {
         f"D{D}.{key}_us" for D in (59, 24, 120, 420)

@@ -447,10 +447,11 @@ def test_random_point_takes_one_norm_per_x(monkeypatch, p, r, a6):
 def test_draw_kernel_matches_the_interpreted_draw(p, r, a4, a6):
     """Over 2,000 draws the compiled draw (_draw_kernel: the rejection
     loop over rank, right-hand side and norm, then the sign) gives the
-    draw tuples and generator states the interpreted _draw gives.
-    Curve.draw_point is _draw on every tower: it compiles nothing, and a
-    generator whose randrange is its own is read through it, every call
-    seen."""
+    draw tuples and generator states the interpreted _draw gives, for a
+    random.Random, a generator whose randrange is its own and one whose
+    getrandbits is its own: both read the generator by randrange alone,
+    and the one with its own randrange sees every call of both.
+    Curve.draw_point is _draw on every tower: it compiles nothing."""
     f = get_tower(p, r)
     E = Curve(f, FieldElement(f, a4) if isinstance(a4, tuple) else a4, a6)
     raw = E.a4.value, E.a6.value
@@ -463,20 +464,26 @@ def test_draw_kernel_matches_the_interpreted_draw(p, r, a4, a6):
             calls.append((args, n))
             return n
 
+    class Bits(random.Random):
+        def getrandbits(self, k):
+            return super().getrandbits(k)
+
     clear_caches()
     kernel = curves._draw_kernel(f)
     runs = []
-    for draw, rng in ((partial(kernel, *raw), random.Random(seed)),
-                      (partial(curves._draw, f, *raw), random.Random(seed)),
-                      (E.draw_point, Seen(seed))):
-        runs.append([(draw(rng), rng.getstate()) for _ in range(2000)])
-    assert runs[0] == runs[1] == runs[2]
+    for kind in (random.Random, Seen, Bits):
+        for draw in (partial(kernel, *raw), partial(curves._draw, f, *raw)):
+            rng = kind(seed)
+            runs.append([(draw(rng), rng.getstate()) for _ in range(2000)])
+    assert all(run == runs[0] for run in runs)
     clear_caches()
     assert E.draw_point(random.Random(seed)) == runs[0][0][0]
     assert cache_stats()["curves._draw_kernel"]["entries"] == 0
-    replay = random.Random(seed)
-    assert all(replay.randrange(*args) == n for args, n in calls)
-    assert replay.getstate() == runs[2][-1][1]
+    assert len(calls) % 2 == 0
+    for run in (calls[:len(calls) // 2], calls[len(calls) // 2:]):
+        replay = random.Random(seed)
+        assert all(replay.randrange(*args) == n for args, n in run)
+        assert replay.getstate() == runs[0][-1][1]
     if (p, r) == (31, 10):
         assert "_segment0" in kernel.__code__.co_names
 

@@ -36,6 +36,25 @@ def test_is_prime_table():
         assert not _is_prime(n)
 
 
+@pytest.mark.parametrize("p,r,match", [
+    (9, 2, "9 is not prime"), (4, 3, "out of the supported range"),
+    (2**32 + 15, 2, "out of the supported range"),
+])
+def test_get_tower_checks_p_before_the_modulus_search(monkeypatch, p, r,
+                                                      match):
+    """An extension over a p that F_p refuses raises F_p's ValueError
+    before make_extension runs (over Z/9 its irreducibility test never
+    ends), and leaves no tower behind."""
+    def searched(*args):
+        raise AssertionError("make_extension ran")
+
+    monkeypatch.setattr(fields, "make_extension", searched)
+    built = dict(fields._towers)
+    with pytest.raises(ValueError, match=match):
+        get_tower(p, r)
+    assert fields._towers == built
+
+
 def test_legendre_symbol_matches_euler():
     for m in (3, 5, 7, 11, 13, 101):
         for n in range(0, 3 * m):

@@ -527,11 +527,11 @@ def test_replay_matches_two_draws_and_the_certificate(monkeypatch, p, r, m,
     the least root of the cubic in F_p as an int, the one with the next
     root in F_q, at (101, 4) only, then the certificate) certifies, and
     leaves the generator in the state it leaves it in: by the kernels,
-    interpreted with the tower's traceable flag cleared, and interpreted
-    for a generator with a randrange of its own.  The exact fallback is
-    stubbed inconclusive, so each settle returns at the first certified
-    attempt, or raises after 200 attempts, and the generator states tell
-    every decision apart."""
+    interpreted with the tower's traceable flag cleared, and by the
+    kernels for a generator with a randrange of its own.  The exact
+    fallback is stubbed inconclusive, so each settle returns at the first
+    certified attempt, or raises after 200 attempts, and the generator
+    states tell every decision apart."""
     f = get_tower(p, r)
     E = Curve(f, FieldElement(f, a4) if isinstance(a4, tuple) else a4, a6)
     ints = (a4, a6) if isinstance(a4, int) else (None, None)
@@ -749,11 +749,45 @@ def test_descent_never_certifies_a_planted_degenerate_pair(q, a4, a6, m, r):
 
 
 class _OwnRandrange(random.Random):
-    """random.Random's stream through a randrange of its own, so _settle
-    runs each attempt interpreted."""
+    """random.Random's stream through a randrange of its own, which the
+    kernels and the interpreted attempt parts read alike."""
 
     def randrange(self, *args):
         return super().randrange(*args)
+
+
+def test_settle_runs_the_kernels_for_a_generator_with_its_own_randrange(
+        monkeypatch):
+    """On a traceable tower _settle picks its parts by the tower alone: a
+    generator with a randrange of its own builds the draw kernel and, over
+    300 settles of a basis pair of E[3] over F_{7^3}, gets the value and
+    generator state that the interpreted parts (the tower's traceable flag
+    cleared) give a random.Random, every read through its randrange."""
+    E, B1, B2 = _basis(7, 3, 2, 3, random.Random(31))
+    f = E.field
+    assert f.traceable
+    plan = pairing._plan(f, E.a4.value, E.a6.value, _raw(f, B1), _raw(f, B2),
+                         3)
+    calls = []
+
+    class Seen(_OwnRandrange):
+        def randrange(self, *args):
+            calls.append(args)
+            return super().randrange(*args)
+
+    clear_caches()
+    own, ref = Seen("own"), random.Random("own")
+    for i in range(300):
+        monkeypatch.setattr(f, "traceable", True)
+        got = pairing._settle(plan, own)
+        monkeypatch.setattr(f, "traceable", False)
+        assert got == pairing._settle(plan, ref), i
+        assert own.getstate() == ref.getstate(), i
+    assert cache_stats()["curves._draw_kernel"]["entries"] == 1
+    replay = random.Random("own")
+    for args in calls:
+        replay.randrange(*args)
+    assert replay.getstate() == own.getstate()
 
 
 @pytest.mark.parametrize("q,a4,a6,m,r", _DESCENT_CURVES)
@@ -762,12 +796,15 @@ def test_descent_settles_as_the_x_multiple_certificate_alone(
     """Over 2,000 attempts of each interpreted stream, settling plans that
     keep descent roots returns the value, and leaves the generator state,
     of settling them with the first root alone and with none (the
-    x-multiple certificate alone), by the kernels and interpreted alike.
-    Each descent test spares the certificate a share of the attempts: it
-    runs on every attempt with no root, on fewer with the first root and
-    on fewer still with both."""
+    x-multiple certificate alone), by the kernels and interpreted (the
+    tower's traceable flag cleared) alike.  Each descent test spares the
+    certificate a share of the attempts: it runs on every attempt with no
+    root, on fewer with the first root and on fewer still with both.  A
+    settle makes at least one attempt, two draws, so 2,000 settles reach
+    the 4,000 draws."""
     E, plans = _descent_plans(q, a4, a6, m, r,
                               random.Random(f"settle{q},{m}"))
+    f = E.field
     stream = [None]
     draws, certificates = {}, {}
     draw, separated = pairing._draw, pairing._separated
@@ -783,18 +820,20 @@ def test_descent_settles_as_the_x_multiple_certificate_alone(
     monkeypatch.setattr(pairing, "_draw", counted_draw)
     monkeypatch.setattr(pairing, "_separated", counted_separated)
     seed = f"settle{q},{a4},{a6},{m}"
-    rngs = [(roots, kind(seed)) for kind in (random.Random, _OwnRandrange)
-            for roots in (2, 1, 0)]
-    i = 0
-    while draws.get(2, 0) < 4000:
+    rngs = [(roots, traceable, random.Random(seed))
+            for traceable in (True, False) for roots in (2, 1, 0)]
+    for i in range(2000):
+        if draws.get(2, 0) >= 4000:
+            break
         plan = plans[i % len(plans)]
         got = []
-        for roots, rng in rngs:
+        for roots, traceable, rng in rngs:
+            monkeypatch.setattr(f, "traceable", traceable)
             stream[0] = roots
             got.append(pairing._settle(plan[:9] + (plan[9][:roots],), rng))
         assert got.count(got[0]) == len(got), i
-        assert len({repr(rng.getstate()) for _, rng in rngs}) == 1, i
-        i += 1
+        assert len({repr(rng.getstate()) for _, _, rng in rngs}) == 1, i
+    assert draws.get(2, 0) >= 4000, draws
     attempts = {roots: n // 2 for roots, n in draws.items()}
     assert attempts[0] == attempts[1] == attempts[2] == certificates[0]
     assert certificates[0] > certificates[1] > certificates[2], certificates
