@@ -33,10 +33,12 @@ Workloads, each timed in fresh processes:
   roster's square roots and root recovery, cold and warm (see
   ``layers``).
 
-A side is a checkout whose ``src/`` the child processes import (default:
-this one, labelled ``this``).  Each workload runs RUNS rounds; a round
-runs every side once, in the given order and reversed in alternate
-rounds, so two sides give RUNS alternating pairs.  Each key of a
+A side is a checkout whose ``bench/run.py`` runs the child processes on
+its own ``src/`` (default: this one, labelled ``this``), so a side is
+timed by the harness of its own tree, whatever names it calls.  Each
+workload runs RUNS rounds; a round runs every side once, in the given
+order and reversed in alternate rounds, so two sides give RUNS
+alternating pairs.  Each key of a
 workload is reported as the median and the list of its timed runs.
 Each timed run also reports ``host.reference_us``: perfbench's
 ``reference_s``, a fixed pure-Python loop timed right after the workload,
@@ -47,10 +49,18 @@ carry no counting cost; the counts are deterministic (``layers``, whose
 calls are fixed repetitions, gets none).  That process also reports, as
 ``memo.<name>.entries``, how many entries each memo of ``cache_stats()``
 holds after the run: the kernels, root constants and class products a cold
-workload built.  The JSON on stdout holds per side (``sides``) the
-sha256 of its ``src/weilchar/*.py`` and (``src_lines``) their lines as
-``wc -l`` counts them, the machine, and per workload and side the
-timings and counts.
+workload built.
+
+``bench/opcounts.json`` is the ledger of two such count dicts, under
+``ladder 3`` and ``instance-search``, which ``tests/test_bench.py``
+asserts equal.  A change that moves a count rewrites its entry, the
+output of ``PYTHONPATH=src PYTHONHASHSEED=0 python3 bench/run.py --child
+<name> [args] --count``, and lists each moved count in CHANGES.md.
+
+The JSON on stdout holds per side (``sides``) the sha256 of its
+``src/weilchar/*.py`` and (``src_lines``) their lines as ``wc -l``
+counts them, the machine, and per workload and side the timings and
+counts.
 """
 
 import argparse
@@ -318,15 +328,16 @@ def _cell_row(p: int, r: int, m: int, calls: int) -> dict:
     """The steps of a warm pairing at (p, r, m), on the instance's curve
     over F_{p^r}, interpreted (the tower's traceable flag cleared, then
     restored) and compiled: the draw (curves._draw and _draw_kernel), the
-    x([m]R) certificate and the descent test with the first kept root
-    (else the least root of the cubic in F_p), as the parts
-    pairing._settle picks; _settle on the first cell record's plan that
-    keeps a root (else the first plan); and the warm side pairing,
-    attack._side_pairing.  Then dlog_in_mu_m cold (its memos emptied)
-    and warm; the milliseconds to trace and compile the draw kernel and
-    the descent and certificate kernels; and the percentage of calls
-    attempts, drawn for the plans in turn, that the descent tests with
-    the plan's roots certify."""
+    certificate (x([m]R) and x([m]S) by curves._x_multiple and
+    _x_multiple_kernel, then their cross-multiplied comparison) and the
+    descent test with the first kept root (else the least root of the
+    cubic in F_p), as pairing._settle runs them; _settle on the first
+    cell record's plan that keeps a root (else the first plan); and the
+    warm side pairing, attack._side_pairing.  Then dlog_in_mu_m cold
+    (its memos emptied) and warm; the milliseconds to trace and compile
+    the draw kernel and the descent and x-multiple kernels; and the
+    percentage of calls attempts, drawn for the plans in turn, that the
+    descent tests with the plan's roots certify."""
     from weilchar import attack, curves, fields, pairing
     from weilchar.fields import FieldElement, dlog_in_mu_m
     f = fields.get_tower(p, r)
@@ -346,17 +357,22 @@ def _cell_row(p: int, r: int, m: int, calls: int) -> dict:
     raw = E.a4.value, E.a6.value
     parts = {"interp": (partial(curves._draw, f, *raw),
                         partial(pairing._descent_separates, f),
-                        partial(pairing._separated, f, m)),
+                        partial(curves._x_multiple, f, m)),
              "comp": (partial(curves._draw_kernel(f), *raw),
                       pairing._descent_kernel(f),
-                      pairing._certificate_kernel(f, m))}
+                      curves._x_multiple_kernel(f, m))}
     name, out, traceable = f"cell.{p}^{r}.m{m}.", {}, f.traceable
+
+    def certificate(multiple):
+        XR, ZR = multiple(a4, a6, R[0], R[1])
+        XS, ZS = multiple(a4, a6, S[0], S[1])
+        return f.vmul(XR, ZS) != f.vmul(XS, ZR)
+
     try:
-        for path, (draw, descent, certificate) in parts.items():
+        for path, (draw, descent, multiple) in parts.items():
             f.traceable = path == "comp"
             steps = {"draw": lambda: draw(rng),
-                     "certificate": lambda: certificate(a4, a6, R[0], R[1],
-                                                        S[0], S[1]),
+                     "certificate": lambda: certificate(multiple),
                      "descent": lambda: descent(roots[0], R[0], S[0]),
                      "attempt": lambda: pairing._settle(plan, rng),
                      "side": lambda: attack._side_pairing(side, m, f, rng)}
@@ -382,7 +398,7 @@ def _cell_row(p: int, r: int, m: int, calls: int) -> dict:
         lambda: curves._draw_kernel.__wrapped__(f))[0]
     out[name + "compile_test_ms"] = _timed(lambda: (
         pairing._descent_kernel.__wrapped__(f),
-        pairing._certificate_kernel.__wrapped__(f, m)))[0]
+        curves._x_multiple_kernel.__wrapped__(f, m)))[0]
     certified = 0
     for i in range(calls):
         xR, xS = E.draw_point(rng)[0], E.draw_point(rng)[0]
@@ -469,8 +485,9 @@ def child(name: str, count: bool, args: list) -> dict:
 
 
 def _spawn(src: Path, name: str, count: bool, *args: str) -> dict:
-    """child(name, count, args) in a fresh process importing src/src."""
-    cmd = [sys.executable, str(Path(__file__).resolve()), "--child", name,
+    """child(name, count, args) in a fresh process running src's harness
+    on src/src."""
+    cmd = [sys.executable, str(src / "bench" / "run.py"), "--child", name,
            *args] + (["--count"] if count else [])
     env = dict(os.environ, PYTHONPATH=str(src / "src"), PYTHONHASHSEED="0")
     proc = subprocess.run(cmd, env=env, capture_output=True, text=True,

@@ -14,13 +14,14 @@ y^2 = x^3 + a4 c^2 x + a6 c^3: (x, y) -> (c x, c^(3/2) y) is an isomorphism
 onto that model and takes the drawn point (x, sqrt c) to (c x, +-c^2), of the
 same order, so the verdict needs no square root.
 
-A point is drawn by _draw, interpreted; only pairing._settle's shift
-attempts run its compiled twin, _draw_kernel.  Both read the generator
-by its randrange alone, so any generator gives both the same draws.  The
-division-polynomial recurrences are written once too (_division_chain),
-for int-list polynomials (_division_f, the torsion degree) and for
-values at a point (_division_values, x([m]R) in _x_multiple, pairing's
-certificate).
+A point is drawn by _draw, and x([m]R) taken by _x_multiple (pairing's
+certificate), interpreted; only pairing._settle's shift attempts run
+their compiled twins, _draw_kernel and _x_multiple_kernel.  Both draws
+read the generator by its randrange alone, so any generator gives both
+the same points.  The division-polynomial recurrences are written once
+too (_division_chain), for int-list polynomials (_division_f, the
+torsion degree) and for values at a point (_division_values, in
+_x_multiple).
 """
 
 from __future__ import annotations
@@ -317,8 +318,8 @@ def frobenius_map(P: CurvePoint, q: int) -> CurvePoint:
     p = P.x.field.p
     k = 0
     qq = q
-    while qq > 1:
-        if qq % p:
+    while qq != 1:
+        if qq < 1 or qq % p:
             raise ValueError(f"{q} is not a power of the characteristic {p}")
         qq //= p
         k += 1
@@ -452,21 +453,19 @@ def _division_values(f: FieldTower, a4, a6, n: int, x, c) -> tuple:
     return get(n - 1), get(n), get(n + 1)
 
 
-def _x_multiple(f: FieldTower, a4: int, a6: int, m: int, x, c) -> tuple:
+def _x_multiple(f: FieldTower, m: int, a4: int, a6: int, x, c) -> tuple:
     """x([m]R) as (X, Z) with X / Z = x([m]R), m >= 2, for R = (x, y) on
-    y^2 = x^3 + a4 x + a6 with c = y^2, a4 and a6 given as ints of F_p.
+    y^2 = x^3 + a4 x + a6 with c = y^2, a4 and a6 given as ints of F_p,
+    on raw values of f or of a SymbolicTower for it (_x_multiple_kernel).
     Z = 0 exactly when [m]R = O, and then X != 0.  No inversion.
 
     For m = 2^k n with n odd, x([n]R) = x - psi_{n-1} psi_{n+1} / psi_n^2
-    from the division values at x, then k x-only doublings:
-    x(2R) = ((x^2 - a4)^2 - 8 a6 x) / (4c), taken from x and c for n = 1."""
+    from the division values at x, or (x, 1) for n = 1, then k x-only
+    doublings (Brier and Joye, PKC 2002)."""
     k = (m & -m).bit_length() - 1
     n = m >> k
     if n == 1:
-        t = f.vlin(-a4, ((1, f.vmul(x, x)),))
-        X, Z = (f.vlin(0, ((1, f.vmul(t, t)), (-8 * a6, x))),
-                f.vlin(0, ((4, c),)))
-        k -= 1
+        X, Z = x, f.one
     else:
         fm1, fn, fp1 = _division_values(f, a4, a6, n, x, c)
         # psi_n = f_n and psi_{n-1} psi_{n+1} = (2y)^2 f_{n-1} f_{n+1}
@@ -481,6 +480,18 @@ def _x_multiple(f: FieldTower, a4: int, a6: int, m: int, x, c) -> tuple:
                 f.vlin(0, ((4, f.vmul(XZ, XX)), (4 * a4, XZ3),
                            (4 * a6, f.vmul(ZZ, ZZ)))))
     return X, Z
+
+
+@memo
+def _x_multiple_kernel(f: FieldTower, m: int):
+    """_x_multiple traced for the traceable f and m, built by
+    pairing._settle alone: kernel(A, B, x, c) is the (X, Z) of
+    _x_multiple(f, m, A, B, x, c) for the ints A, B of F_p of any curve
+    over f."""
+    t = SymbolicTower(f)
+    return t.compile("A, B, x, c", *_x_multiple(
+        t, m, t.scalar("A"), t.scalar("B"), t.value("x"), t.value("c")),
+        role=f"x-multiple m={m}")
 
 
 def division_polynomial(E: Curve, m: int) -> list:

@@ -37,8 +37,8 @@ phi^k included, so the norm traces as it runs; its compile makes one
 straight-line kernel of the steps a result reads, with no call per field
 operation.  pairing compiles a shift attempt's parts this way: curves'
 point draw, the rejection loop around each candidate's x from its rank,
-c = x^3 + a4 x + a6 and N(c), the descent test and the x([m]R)
-certificate, so each formula is written once, in the routine.  A traced
+c = x^3 + a4 x + a6 and N(c), the descent test and curves' x([m]R), run
+once per point, so each formula is written once, in the routine.  A traced
 product asked for twice is one step, and a traced square takes the
 squaring form (Hankerson, Menezes and Vanstone, Guide to ECC, 2.3),
 r (r + 1)/2 products for r^2; lazy reduction of traced sums and maps
@@ -66,6 +66,7 @@ from typing import Optional
 from .memo import memo
 
 
+@memo
 def _is_prime(n: int) -> bool:
     return n >= 2 and factorize(n) == [(n, 1)]
 
@@ -795,13 +796,6 @@ class SymbolicTower:
                                *_times_y(1, g.vmul(sq[2], a[2]), w, 2),
                                *_times_y(-3, abc, w, 1)))
         return v[0]
-
-    # -- what FieldTower callers do in Python on the values ------------------
-
-    def differ(self, u, v) -> "_Scalar":
-        """The bool u != v."""
-        return self._scalar(" or ".join(f"{a} != {b}" for a, b in zip(u, v)),
-                            u, v)
 
     def compile(self, args: str, *results, role: str = "traced",
                 loop: Optional[str] = None):

@@ -35,9 +35,9 @@ run, cheaper first:
   R and S, and N((x_R - e)(x_S - e)) a non-residue certifies the
   attempt: about half of all attempts by one root, and about half of
   the rest by a second, whose character is independent of the first.
-- The x-multiple certificate (_separated): D in <P, Q> lies in E[m], so
-  [m]R = [m]S, and x([m]R) != x([m]S) certifies the attempt.
-  curves._x_multiple takes x([m]R) x-only in projective form, with no
+- The x-multiple certificate: D in <P, Q> lies in E[m], so [m]R = [m]S,
+  and x([m]R) != x([m]S), as X_R Z_S != X_S Z_R, certifies the attempt.
+  curves._x_multiple takes each x([m]T) = X / Z x-only, with no
   inversion, from the draw's x and c (Brier and Joye, PKC 2002).
 
 Each draw is Curve.draw_point (x, squareness test, sign bit; no square
@@ -61,16 +61,17 @@ cubic's roots (_rational_roots in F_p, _cubic_roots in F_q) are memoized
 (memo.memo).
 
 An attempt has three parts, which _settle picks once per pairing: the
-draw, the descent test and the certificate.  Where the tower's product is
-unrolled (fields.SymbolicTower, 2 <= r <= UNROLLED_MUL_MAX_R), each is a
-kernel: the draw kernel of curves (_draw_kernel: the rejection loop,
-reading the generator by randrange as _draw does), _descent_kernel (one
-per tower) and _certificate_kernel (one per tower and m, _x_multiple
-traced for both points, taking x^3 = c - a4 x - a6 without a product);
-roots, a4 and a6 are arguments, so each serves every curve over the
-tower, and only _settle builds them, on a tower where a pairing settles.
-Elsewhere the same routines run interpreted, with the same draws and the
-same verdict, for any generator.
+draw, the descent test and the x-multiple, run for R and for S, whose
+results _settle compares.  Where the tower's product is unrolled
+(fields.SymbolicTower, 2 <= r <= UNROLLED_MUL_MAX_R), each is a kernel:
+the draw kernel of curves (_draw_kernel: the rejection loop, reading the
+generator by randrange as _draw does), _descent_kernel (one per tower)
+and curves' _x_multiple_kernel (one per tower and m, taking x^3 = c - a4
+x - a6 without a product); roots, a4 and a6 are arguments, so each
+serves every curve over the tower, and only _settle builds them, on a
+tower where a pairing settles.  Elsewhere the same routines run
+interpreted, with the same draws and the same verdict, for any
+generator.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ from functools import partial
 from typing import NamedTuple
 
 from .curves import (Curve, CurvePoint, _add_raw, _draw, _draw_kernel,
-                     _lift, _raw, _x_multiple)
+                     _lift, _raw, _x_multiple, _x_multiple_kernel)
 from .fields import (FieldElement, FieldTower, SymbolicTower, _pdivmod,
                      _pgcd, _ppowmod, _psub)
 from .memo import memo
@@ -174,15 +175,6 @@ def _shifted_value(f: FieldTower, a4, P, Q, m: int, R, S):
     return f.vmul(f.vmul(num_p, den_q), f.vinv(f.vmul(den_p, num_q)))
 
 
-def _separated(f: FieldTower, m: int, A: int, B: int, xR, cR, xS, cS) -> bool:
-    """Whether x([m]R) != x([m]S) for the x and c of two draws and the
-    ints A, B of F_p of a4, a6, which certifies their shifted attempt
-    nondegenerate."""
-    XR, ZR = _x_multiple(f, A, B, m, xR, cR)
-    XS, ZS = _x_multiple(f, A, B, m, xS, cS)
-    return f.vmul(XR, ZS) != f.vmul(XS, ZR)
-
-
 def _descent_separates(f: FieldTower, e, xR, xS) -> bool:
     """Whether N((xR - e)(xS - e)) is a nonzero non-residue of F_p, for
     the x of two draws and a root e of the cubic, raw values of f: the
@@ -199,19 +191,6 @@ def _descent_kernel(f: FieldTower):
     t = SymbolicTower(f)
     return t.compile("e, xR, xS", _descent_separates(
         t, t.value("e"), t.value("xR"), t.value("xS")), role="descent")
-
-
-@memo
-def _certificate_kernel(f: FieldTower, m: int):
-    """_separated traced for the traceable f and m: kernel(A, B, xR, cR,
-    xS, cS) for the ints A, B of F_p and the x and c of two draws."""
-    t = SymbolicTower(f)
-    A, B = t.scalar("A"), t.scalar("B")
-    XR, ZR = _x_multiple(t, A, B, m, t.value("xR"), t.value("cR"))
-    XS, ZS = _x_multiple(t, A, B, m, t.value("xS"), t.value("cS"))
-    return t.compile("A, B, xR, cR, xS, cS",
-                     t.differ(t.vmul(XR, ZS), t.vmul(XS, ZR)),
-                     role=f"certificate m={m}")
 
 
 @memo
@@ -307,19 +286,21 @@ def _settle(plan: tuple, rng) -> PairingValue:
     if P is None or Q is None:
         return value
     if f.traceable:
-        draw, descent, certificate = (_draw_kernel(f), _descent_kernel(f),
-                                      _certificate_kernel(f, m))
+        draw, descent, multiple = (_draw_kernel(f), _descent_kernel(f),
+                                   _x_multiple_kernel(f, m))
     else:
-        draw, descent, certificate = (partial(_draw, f),
-                                      partial(_descent_separates, f),
-                                      partial(_separated, f, m))
+        draw, descent, multiple = (partial(_draw, f),
+                                   partial(_descent_separates, f),
+                                   partial(_x_multiple, f, m))
     for _ in range(200):
         R, S = draw(a4, a6, rng), draw(a4, a6, rng)
         if A is not None:
             for e in roots:
                 if descent(e, R[0], S[0]):
                     return value
-            if certificate(A, B, R[0], R[1], S[0], S[1]):
+            XR, ZR = multiple(A, B, R[0], R[1])
+            XS, ZS = multiple(A, B, S[0], S[1])
+            if f.vmul(XR, ZS) != f.vmul(XS, ZR):
                 return value
         shifted = _shifted_value(f, a4, P, Q, m, _lift(f, R), _lift(f, S))
         if shifted is not None:

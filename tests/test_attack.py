@@ -417,7 +417,7 @@ def test_cold_and_warm_caches_agree(request):
 
 
 def test_kernel_and_table_memos_cold_and_warm(request, monkeypatch):
-    """The draw, descent and certificate kernels, the mu_m logs, the cell
+    """The draw, descent and x-multiple kernels, the mu_m logs, the cell
     records, the checked pairing values, the curves' ints of F_p, the
     element orders, the prime ideals' class indices, the discriminant
     records and their assigned characters are memo.memo entries:
@@ -429,7 +429,7 @@ def test_kernel_and_table_memos_cold_and_warm(request, monkeypatch):
     a warm log takes no element order: the warm hits of the orders are
     the side pairing's own calls."""
     names = ("curves._draw_kernel", "pairing._descent_kernel",
-             "pairing._certificate_kernel", "fields._dlog",
+             "curves._x_multiple_kernel", "fields._dlog",
              "quadforms.discriminant", "attack._assigned", "attack._cell",
              "pairing._checked",
              "pairing._prime_field_ints", "fields.element_order",

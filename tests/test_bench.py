@@ -1,9 +1,11 @@
 """Smoke test of bench/run.py: the m = 3 rung of its ladder, the instance
 search and a small layers run, timed and counted, each in a child process
-as the harness runs it, and the line count and digest it reports per
+as the harness runs it, the first two counts equal to the ledger
+bench/opcounts.json, and the line count and digest it reports per
 side."""
 
 import importlib.util
+import json
 import shutil
 from pathlib import Path
 
@@ -16,6 +18,8 @@ spec.loader.exec_module(bench_run)
 
 KERNELS = ("unrolled_mul", "kron_mul", "vadd", "vsub", "vneg", "vinv",
            "frobenius", "vnorm", "vlin")
+# the count dicts of bench/opcounts.json, by child name and arguments
+LEDGER = json.loads((bench_run.ROOT / "bench" / "opcounts.json").read_text())
 STEPS = [f"{step}_{path}_us" for path in ("interp", "comp")
          for step in ("draw", "certificate", "descent", "attempt", "side")
          ] + ["dlog_cold_us", "dlog_warm_us", "compile_draw_ms",
@@ -29,6 +33,7 @@ def test_ladder_m3_rung_times_and_counts():
     assert rung["m3.wall_ms"] > 0 and rung["gate_holds"]
     assert rung["host.reference_us"] > 0
     counts = bench_run._spawn(bench_run.ROOT, "ladder", True, "3")
+    assert counts == LEDGER["ladder 3"]
     ops = {name for name, _, _ in bench_run.COUNTED}
     memos = set(counts) - ops
     assert ops <= set(counts) and memos
@@ -37,7 +42,7 @@ def test_ladder_m3_rung_times_and_counts():
     assert counts["fields._pmul"] > 0 and counts["curves.draw_point"] > 0
     # the kernels a cold rung compiles are memo entries, counted
     for name in ("curves._draw_kernel", "pairing._descent_kernel",
-                 "pairing._certificate_kernel",
+                 "curves._x_multiple_kernel",
                  "fields.FieldTower._frobenius_kernel"):
         assert counts[f"memo.{name}.entries"] >= 1, name
 
@@ -48,6 +53,7 @@ def test_instance_search_times_and_counts():
                         "q120121_ms", "host.reference_us"}
     assert all(ms > 0 for ms in run.values())
     counts = bench_run._spawn(bench_run.ROOT, "instance-search", True)
+    assert counts == LEDGER["instance-search"]
     # one count per candidate that passes the filter, and the filter's
     # multiples are counted through the name action imported
     assert counts["curves.count_points"] >= 16

@@ -324,6 +324,19 @@ def test_frobenius_satisfies_char_poly():
         assert acc.is_infinity()
 
 
+def test_frobenius_map_takes_powers_of_the_characteristic_only():
+    """frobenius_map(P, q) raises ValueError unless q is a power of p, for
+    q = 0, -p and 2p alike, and maps P to (x^q, y^q) for q = p and p^2."""
+    E = curve_over(13, 2, 3, r=2)
+    P = E.random_point(random.Random(17))
+    assert not P.is_infinity() and P.x ** 13 != P.x
+    for q in (0, -13, 26):
+        with pytest.raises(ValueError, match="not a power"):
+            frobenius_map(P, q)
+    assert frobenius_map(P, 13) == CurvePoint(P.x ** 13, P.y ** 13)
+    assert frobenius_map(P, 169) == P
+
+
 def test_point_hash_agrees_with_equality():
     # (2, 10) on y^2 = x^3 + 2x + 12 over F_19, and embedded in F_361
     tower = get_tower(19, 2)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import weilchar
-from weilchar import curves, fields, pairing
+from weilchar import curves, fields, pairing, quadforms
 from weilchar.fields import (UNROLLED_MUL_MAX_R, FieldElement, FieldTower,
                              SymbolicTower, _is_irreducible, _is_prime,
                              _pdivmod, _pgcd, _pmul, _ppowmod, _psub, _ptrim,
@@ -34,6 +34,37 @@ def test_is_prime_table():
         assert _is_prime(n)
     for n in (1, 0, -7, 561, 1105, 2465, 120121 * 3):
         assert not _is_prime(n)
+
+
+def test_is_prime_runs_one_trial_division_per_modulus(monkeypatch):
+    """_is_prime is a memo entry, so over 200 warm operations of
+    perfbench's sqrt-recover workload (seed 3), where every chi value asks
+    legendre_symbol to check its modulus, factorize runs at most once on
+    each modulus."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent
+                                    / "perfbench"))
+    from workloads import SqrtRecover
+    work = SqrtRecover()
+    state = work.setup(3)
+    for i in range(work.warm_ops):
+        work.op(state, i, warm=True)
+    moduli, factored = [], []
+    legendre, factor = quadforms.legendre_symbol, fields.factorize
+
+    def checked(n, m):
+        moduli.append(m)
+        return legendre(n, m)
+
+    def counted(n):
+        factored.append(n)
+        return factor(n)
+
+    monkeypatch.setattr(quadforms, "legendre_symbol", checked)
+    monkeypatch.setattr(fields, "factorize", counted)
+    for i in range(200):
+        work.op(state, i)
+    assert len(moduli) > 100
+    assert all(factored.count(m) <= 1 for m in set(moduli)), factored
 
 
 @pytest.mark.parametrize("p,r,match", [
@@ -634,7 +665,7 @@ def test_vpow_squares_once_per_bit(monkeypatch, p, r):
 
 def test_compiling_a_kernel_makes_no_frobenius_call(monkeypatch):
     """A traced phi^k reads its rows from the tower's phi^k kernel, so
-    building the draw, descent and certificate kernels calls no
+    building the draw, descent and x-multiple kernels calls no
     FieldTower.frobenius, the method the benchmarks count."""
     towers = [get_tower(120121, 3), get_tower(120121, 7), get_tower(101, 4)]
     calls = []
@@ -649,7 +680,7 @@ def test_compiling_a_kernel_makes_no_frobenius_call(monkeypatch):
     for f in towers:
         curves._draw_kernel(f)
     pairing._descent_kernel(towers[2])
-    pairing._certificate_kernel(towers[2], 4)
+    curves._x_multiple_kernel(towers[2], 4)
     assert calls == []
     assert cache_stats()["curves._draw_kernel"]["misses"] == 3
 
@@ -1161,11 +1192,11 @@ def test_kernels_are_filed_by_role_and_tower():
     f, g = get_tower(101, 4), get_tower(7, 3)
     draw = curves._draw_kernel(f)
     kernels = (draw, pairing._descent_kernel(f),
-               pairing._certificate_kernel(f, 4), f._mul, g._mul,
+               curves._x_multiple_kernel(f, 4), f._mul, g._mul,
                f._frobenius_kernel(1))
     assert [k.__code__.co_filename for k in kernels] == [
         "<kernel draw 101^4>", "<kernel descent 101^4>",
-        "<kernel certificate m=4 101^4>", "<kernel mul 101^4>",
+        "<kernel x-multiple m=4 101^4>", "<kernel mul 101^4>",
         "<kernel mul 7^3>", "<kernel frobenius^1 101^4>"]
     rng = random.Random(5)
     profile = cProfile.Profile()

@@ -5,13 +5,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weilchar.curves import (Curve, CurvePoint, _add_raw, _draw, _point,
-                             _raw, _x_multiple, count_points, extension_order,
-                             frobenius_map, point_add, sample_m_torsion,
-                             scalar_mul, torsion_basis,
+from weilchar.curves import (Curve, CurvePoint, _add_raw, _division_values,
+                             _draw, _lift, _point, _raw, _x_multiple,
+                             _x_multiple_kernel, count_points,
+                             extension_order, frobenius_map, point_add,
+                             sample_m_torsion, scalar_mul, torsion_basis,
                              torsion_extension_degree, velu_isogeny)
 from weilchar import pairing
-from weilchar.fields import FieldElement, element_order, get_tower
+from weilchar.fields import (FieldElement, SymbolicTower, element_order,
+                             get_tower)
 from weilchar.memo import cache_stats, clear_caches
 from weilchar.pairing import PairingValue, weil_pairing
 
@@ -429,6 +431,56 @@ def test_pairing_outside_the_torsion_raises_on_every_call():
     assert states[0] == states[1]
 
 
+def _closed_form_x_multiple(f, a4, a6, m, x, c):
+    """_x_multiple as it read before a power of 2 started from (x, 1)
+    (kept as the oracle): for n = 1 the first doubling is the closed form
+    x(2R) = ((x^2 - a4)^2 - 8 a6 x) / (4c)."""
+    k = (m & -m).bit_length() - 1
+    n = m >> k
+    if n == 1:
+        t = f.vlin(-a4, ((1, f.vmul(x, x)),))
+        X, Z = (f.vlin(0, ((1, f.vmul(t, t)), (-8 * a6, x))),
+                f.vlin(0, ((4, c),)))
+        k -= 1
+    else:
+        fm1, fn, fp1 = _division_values(f, a4, a6, n, x, c)
+        Z = f.vmul(fn, fn)
+        X = f.vlin(0, ((1, f.vmul(x, Z)),
+                       (-4, f.vmul(c, f.vmul(fm1, fp1)))))
+    for _ in range(k):
+        XX, ZZ, XZ = f.vmul(X, X), f.vmul(Z, Z), f.vmul(X, Z)
+        XZ3 = f.vmul(XZ, ZZ)
+        t = f.vlin(0, ((1, XX), (-a4, ZZ)))
+        X, Z = (f.vlin(0, ((1, f.vmul(t, t)), (-8 * a6, XZ3))),
+                f.vlin(0, ((4, f.vmul(XZ, XX)), (4 * a4, XZ3),
+                           (4 * a6, f.vmul(ZZ, ZZ)))))
+    return X, Z
+
+
+def _separated(f, m, A, B, xR, cR, xS, cS):
+    """The two-point x-multiple certificate that _settle ran before it
+    took each point's x-multiple on its own (kept as the oracle): whether
+    x([m]R) != x([m]S), from the closed form for a power of 2."""
+    XR, ZR = _closed_form_x_multiple(f, A, B, m, xR, cR)
+    XS, ZS = _closed_form_x_multiple(f, A, B, m, xS, cS)
+    return f.vmul(XR, ZS) != f.vmul(XS, ZR)
+
+
+def _certificate_kernel(f, m):
+    """_separated traced as one kernel (A, B, xR, cR, xS, cS), as pairing
+    compiled it before (kept as the oracle)."""
+    t = SymbolicTower(f)
+    A, B = t.scalar("A"), t.scalar("B")
+    XR, ZR = _closed_form_x_multiple(t, A, B, m, t.value("xR"),
+                                     t.value("cR"))
+    XS, ZS = _closed_form_x_multiple(t, A, B, m, t.value("xS"),
+                                     t.value("cS"))
+    u, v = t.vmul(XR, ZS), t.vmul(XS, ZR)
+    return t.compile("A, B, xR, cR, xS, cS", t._scalar(
+        " or ".join(f"{a} != {b}" for a, b in zip(u, v)), u, v),
+        role=f"certificate m={m}")
+
+
 @pytest.mark.parametrize("q,a4,a6,m", [
     (11, 1, 9, 2), (11, 1, 9, 3), (11, 1, 9, 4), (11, 1, 9, 5),
     (11, 3, 4, 7), (11, 1, 9, 8),
@@ -436,7 +488,9 @@ def test_pairing_outside_the_torsion_raises_on_every_call():
 def test_x_only_multiple_matches_scalar_mul(q, a4, a6, m):
     """X / Z = x([m]R), and Z = 0 exactly when [m]R = O (then X != 0),
     over F_q and over the field of E[m], for random R, every R in E[m],
-    and the rational 2-torsion."""
+    and the rational 2-torsion.  (X, Z) is the one of the closed form it
+    replaced for a power of 2, and, on a traceable tower, of its kernel
+    (_x_multiple_kernel)."""
     rng = random.Random(43)
     E, B1, B2 = _basis(q, a4, a6, m, rng)
     E0 = curve_over(q, a4, a6)
@@ -450,21 +504,55 @@ def test_x_only_multiple_matches_scalar_mul(q, a4, a6, m):
             continue
         f = C.field
         x, y = _raw(f, R)
-        X, Z = _x_multiple(f, a4, a6, m, x, f.vmul(y, y))
+        c = f.vmul(y, y)
+        X, Z = _x_multiple(f, m, a4, a6, x, c)
+        assert (X, Z) == _closed_form_x_multiple(f, a4, a6, m, x, c), R
+        if f.traceable:
+            assert _x_multiple_kernel(f, m)(a4, a6, x, c) == (X, Z), R
         T = scalar_mul(C, m, R)
         assert (Z == f.zero) == T.is_infinity(), R
         if T.is_infinity():
             assert X != f.zero
         else:
             assert X == f.vmul(_raw(f, T)[0], Z), R
+    assert E.field.traceable or m == 2
+
+
+# the (p, r, m, a4, a6) of the benchmark's pairings
+_CELLS = [(101, 4, 4, 1, 19), (7, 3, 3, 1, 3), (31, 3, 3, 4, 20),
+          (2221, 3, 3, 1668, 2145)]
+
+
+@pytest.mark.parametrize("p,r,m,a4,a6", _CELLS + [
+    (13, 2, 2, 2, 3), (13, 2, 4, 2, 3), (13, 2, 8, 2, 3)])
+def test_x_multiple_kernel_matches_the_routine(p, r, m, a4, a6):
+    """_x_multiple_kernel(f, m)(A, B, x, c) is _x_multiple(f, m, A, B, x,
+    c) at 200 draws and at every point (e, 0) of the cubic's roots in
+    F_q (_cubic_roots), where for even m [m]R = O: Z = 0 and X != 0."""
+    f = get_tower(p, r)
+    assert f.traceable
+    E = Curve(f, a4, a6)
+    kernel = _x_multiple_kernel(f, m)
+    rng = random.Random(f"x-multiple{p},{r},{m}")
+    points = [E.draw_point(rng)[:2] for _ in range(200)]
+    points += [(e, f.zero) for e in pairing._cubic_roots(f, a4, a6)]
+    for x, c in points:
+        X, Z = _x_multiple(f, m, a4, a6, x, c)
+        assert kernel(a4, a6, x, c) == (X, Z), x
+        if c == f.zero and m % 2 == 0:
+            assert Z == f.zero and X != f.zero, x
+    assert points[200:]
 
 
 @pytest.mark.parametrize("m", [3, 4, 5, 8])
-def test_certificate_kernel_matches_the_interpreted_one(m):
-    """The certificate kernel (_certificate_kernel) decides as the
-    interpreted _separated does on random draw pairs, and on degenerate
-    pairs S = R + T with T in E[m], where [m]S = [m]R and the decision
-    must be False."""
+def test_certificate_kernel_matches_the_interpreted_one(monkeypatch, m):
+    """_settle certifies an attempt, by the x-multiple kernel and
+    interpreted (the tower's traceable flag cleared) alike, exactly where
+    the two-point certificate it replaced (_separated, and its kernel,
+    kept as the oracle) does: on random draw pairs, and never on
+    degenerate pairs S = R + T with T in E[m], where [m]S = [m]R.  The
+    draws are stubbed to return each pair in turn and the exact fallback
+    to raise, so _settle returns only on a certified attempt."""
     q, a4, a6 = 13, 2, 3
     rng = random.Random(59)
     E, B1, B2 = _basis(q, a4, a6, m, rng)
@@ -477,17 +565,61 @@ def test_certificate_kernel_matches_the_interpreted_one(m):
         R = E.random_point(rng)
         S = point_add(E, R, rng.choice(torsion))
         if not (R.is_infinity() or S.is_infinity()):
-            degenerate.append(tuple((x, f.vmul(y, y))
+            degenerate.append(tuple((x, f.vmul(y, y), 0, 0)
                                     for x, y in (_raw(f, R), _raw(f, S))))
     assert len(degenerate) > 90
+
+    class Inconclusive(Exception):
+        pass
+
+    def inconclusive(*args):
+        raise Inconclusive
+
+    feed = [iter(())]
+    monkeypatch.setattr(pairing, "_draw", lambda *args: next(feed[0]))
+    monkeypatch.setattr(pairing, "_draw_kernel",
+                        lambda f: lambda *args: next(feed[0]))
+    monkeypatch.setattr(pairing, "_lift", lambda f, drawn: drawn)
+    monkeypatch.setattr(pairing, "_shifted_value", inconclusive)
+    plan = (f, E.a4.value, E.a6.value, "P", "Q", m, "value", a4, a6, ())
+
+    def settles(R, S, traceable):
+        feed[0] = iter((R, S))
+        monkeypatch.setattr(f, "traceable", traceable)
+        try:
+            return pairing._settle(plan, None) == "value"
+        except Inconclusive:
+            return False
+
+    want = [_separated(f, m, a4, a6, *R[:2], *S[:2])
+            for R, S in pairs + degenerate]
     clear_caches()
-    compiled = [pairing._certificate_kernel(f, m)(a4, a6, *R[:2], *S[:2])
-                for R, S in pairs + degenerate]
-    assert cache_stats()["pairing._certificate_kernel"]["misses"] == 1
-    assert compiled == [pairing._separated(f, m, a4, a6, *R[:2], *S[:2])
-                        for R, S in pairs + degenerate]
-    assert not any(compiled[len(pairs):])
-    assert sum(compiled[:len(pairs)]) > len(pairs) // 2
+    assert [settles(R, S, True) for R, S in pairs + degenerate] == want
+    assert cache_stats()["curves._x_multiple_kernel"]["misses"] == 1
+    assert [settles(R, S, False) for R, S in pairs + degenerate] == want
+    kernel = _certificate_kernel(f, m)
+    assert [kernel(a4, a6, *R[:2], *S[:2])
+            for R, S in pairs + degenerate] == want
+    assert not any(want[len(pairs):])
+    assert sum(want[:len(pairs)]) > len(pairs) // 2
+
+
+def test_a_cold_pairing_builds_one_x_multiple_kernel_per_tower_and_m():
+    """Cold weil_pairing calls on traceable towers leave one
+    curves._x_multiple_kernel entry per (tower, m), built once however
+    many pairings settle there."""
+    clear_caches()
+    keys = set()
+    for q, a4, a6, m in ((13, 2, 3, 3), (13, 2, 3, 4), (13, 2, 3, 5),
+                         (11, 1, 9, 4)):
+        rng = random.Random(f"cold{q},{m}")
+        E, P, Q = _basis(q, a4, a6, m, rng)
+        assert E.field.traceable
+        for _ in range(5):
+            weil_pairing(E, P, Q, m, rng)
+        keys.add((E.field, m))
+    stats = cache_stats()["curves._x_multiple_kernel"]
+    assert stats["entries"] == stats["misses"] == len(keys) >= 3
 
 
 def _int_descent(f, e, xR, xS):
@@ -508,18 +640,16 @@ def _old_replay(f, a4, a6, A, B, e, e2, m, rng):
     return R, S, A is not None and (
         e is not None and _int_descent(f, e, R[0], S[0])
         or e2 is not None and pairing._descent_separates(f, e2, R[0], S[0])
-        or pairing._separated(f, m, A, B, *R[:2], *S[:2]))
+        or _separated(f, m, A, B, *R[:2], *S[:2]))
 
 
-# the (p, r, m, a4, a6) of the benchmark's pairings, each cubic with one
-# root in F_p, and at (101, 4) two more in F_{101^2}; y^2 = x^3 + 3x + 2 at
-# m = 3 over F_{7^3}, where the cubic has no root in F_7 and the
-# certificate is at times inconclusive, so the exact fallback runs; and
-# a4 = 2 + t over F_{11^2}, outside F_11, where no attempt is certified
-@pytest.mark.parametrize("p,r,m,a4,a6", [
-    (101, 4, 4, 1, 19), (7, 3, 3, 1, 3), (31, 3, 3, 4, 20),
-    (2221, 3, 3, 1668, 2145), (7, 3, 3, 3, 2), (11, 2, 3, (2, 1), 1),
-])
+# the benchmark's pairings (_CELLS), each cubic with one root in F_p, and
+# at (101, 4) two more in F_{101^2}; y^2 = x^3 + 3x + 2 at m = 3 over
+# F_{7^3}, where the cubic has no root in F_7 and the certificate is at
+# times inconclusive, so the exact fallback runs; and a4 = 2 + t over
+# F_{11^2}, outside F_11, where no attempt is certified
+@pytest.mark.parametrize("p,r,m,a4,a6", _CELLS + [
+    (7, 3, 3, 3, 2), (11, 2, 3, (2, 1), 1)])
 def test_replay_matches_two_draws_and_the_certificate(monkeypatch, p, r, m,
                                                      a4, a6):
     """Over 1,000 attempts _settle certifies the attempts that the old
@@ -790,51 +920,66 @@ def test_settle_runs_the_kernels_for_a_generator_with_its_own_randrange(
     assert replay.getstate() == own.getstate()
 
 
+def _oracle_settle(plan, rng, counts):
+    """_settle as it ran interpreted with the two-point certificate
+    (_separated, kept as the oracle), adding to counts its attempts and
+    those that reach the certificate."""
+    f, a4, a6, P, Q, m, value, A, B, roots = plan
+    for _ in range(200):
+        R, S = _draw(f, a4, a6, rng), _draw(f, a4, a6, rng)
+        counts["attempts"] += 1
+        if A is not None:
+            if any(pairing._descent_separates(f, e, R[0], S[0])
+                   for e in roots):
+                return value
+            counts["certificates"] += 1
+            if _separated(f, m, A, B, *R[:2], *S[:2]):
+                return value
+        shifted = pairing._shifted_value(f, a4, P, Q, m, _lift(f, R),
+                                         _lift(f, S))
+        if shifted is not None:
+            return pairing._checked(f, shifted, m)
+    raise RuntimeError("could not find nondegenerate shift points")
+
+
 @pytest.mark.parametrize("q,a4,a6,m,r", _DESCENT_CURVES)
 def test_descent_settles_as_the_x_multiple_certificate_alone(
         q, a4, a6, m, r, monkeypatch):
-    """Over 2,000 attempts of each interpreted stream, settling plans that
-    keep descent roots returns the value, and leaves the generator state,
-    of settling them with the first root alone and with none (the
-    x-multiple certificate alone), by the kernels and interpreted (the
-    tower's traceable flag cleared) alike.  Each descent test spares the
-    certificate a share of the attempts: it runs on every attempt with no
-    root, on fewer with the first root and on fewer still with both.  A
-    settle makes at least one attempt, two draws, so 2,000 settles reach
-    the 4,000 draws."""
+    """Over 2,000 attempts, settling plans that keep descent roots, with
+    both roots, the first alone and none (the x-multiple certificate
+    alone), by the kernels and interpreted (the tower's traceable flag
+    cleared) alike, returns the value, and leaves the generator state, of
+    the oracle (_oracle_settle), and the three oracle streams agree.
+    Each descent test spares the certificate a share of the attempts: it
+    runs on every attempt with no root, on fewer with the first root and
+    on fewer still with both.  A settle makes at least one attempt, so
+    2,000 settles reach the 2,000 attempts."""
     E, plans = _descent_plans(q, a4, a6, m, r,
                               random.Random(f"settle{q},{m}"))
     f = E.field
-    stream = [None]
-    draws, certificates = {}, {}
-    draw, separated = pairing._draw, pairing._separated
-
-    def counted_draw(*args):
-        draws[stream[0]] = draws.get(stream[0], 0) + 1
-        return draw(*args)
-
-    def counted_separated(*args):
-        certificates[stream[0]] = certificates.get(stream[0], 0) + 1
-        return separated(*args)
-
-    monkeypatch.setattr(pairing, "_draw", counted_draw)
-    monkeypatch.setattr(pairing, "_separated", counted_separated)
     seed = f"settle{q},{a4},{a6},{m}"
+    counts = {roots: {"attempts": 0, "certificates": 0}
+              for roots in (2, 1, 0)}
+    oracles = {roots: random.Random(seed) for roots in counts}
     rngs = [(roots, traceable, random.Random(seed))
-            for traceable in (True, False) for roots in (2, 1, 0)]
+            for traceable in (True, False) for roots in counts]
     for i in range(2000):
-        if draws.get(2, 0) >= 4000:
+        if counts[2]["attempts"] >= 2000:
             break
         plan = plans[i % len(plans)]
-        got = []
+        want = {roots: _oracle_settle(plan[:9] + (plan[9][:roots],), rng,
+                                      counts[roots])
+                for roots, rng in oracles.items()}
+        assert want[0] == want[1] == want[2], i
+        assert len({repr(rng.getstate()) for rng in oracles.values()}) == 1
         for roots, traceable, rng in rngs:
             monkeypatch.setattr(f, "traceable", traceable)
-            stream[0] = roots
-            got.append(pairing._settle(plan[:9] + (plan[9][:roots],), rng))
-        assert got.count(got[0]) == len(got), i
-        assert len({repr(rng.getstate()) for _, _, rng in rngs}) == 1, i
-    assert draws.get(2, 0) >= 4000, draws
-    attempts = {roots: n // 2 for roots, n in draws.items()}
+            got = pairing._settle(plan[:9] + (plan[9][:roots],), rng)
+            assert got == want[roots], i
+            assert rng.getstate() == oracles[roots].getstate(), i
+    assert counts[2]["attempts"] >= 2000, counts
+    attempts = {roots: c["attempts"] for roots, c in counts.items()}
+    certificates = {roots: c["certificates"] for roots, c in counts.items()}
     assert attempts[0] == attempts[1] == attempts[2] == certificates[0]
     assert certificates[0] > certificates[1] > certificates[2], certificates
     assert 0.2 < 1 - certificates[2] / attempts[2] < 0.9, certificates
