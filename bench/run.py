@@ -35,11 +35,14 @@ Workloads, each timed in fresh processes:
 
 A side is a checkout whose ``bench/run.py`` runs the child processes on
 its own ``src/`` (default: this one, labelled ``this``), so a side is
-timed by the harness of its own tree, whatever names it calls.  Each
-workload runs RUNS rounds; a round runs every side once, in the given
-order and reversed in alternate rounds, so two sides give RUNS
-alternating pairs.  Each key of a
-workload is reported as the median and the list of its timed runs.
+timed by the harness of its own tree, whatever names it calls.  The
+end-to-end and count keys of two sides are comparable; a per-layer key
+(``layers``) is so only where both harnesses time the same steps, which
+a change that moves a layer's steps names in CHANGES.md.  Each workload
+runs RUNS rounds; a round runs every side once, in the given order and
+reversed in alternate rounds, so two sides give RUNS alternating pairs.
+Each key of a workload is reported as the median and the list of its
+timed runs.
 Each timed run also reports ``host.reference_us``: perfbench's
 ``reference_s``, a fixed pure-Python loop timed right after the workload,
 so a report shows the host's speed phase in every round.  One

@@ -460,8 +460,8 @@ def _x_multiple(f: FieldTower, m: int, a4: int, a6: int, x, c) -> tuple:
     Z = 0 exactly when [m]R = O, and then X != 0.  No inversion.
 
     For m = 2^k n with n odd, x([n]R) = x - psi_{n-1} psi_{n+1} / psi_n^2
-    from the division values at x, or (x, 1) for n = 1, then k x-only
-    doublings (Brier and Joye, PKC 2002)."""
+    from the division values at x, or (x, 1) for n = 1, which leaves c
+    unused, then k x-only doublings (Brier and Joye, PKC 2002)."""
     k = (m & -m).bit_length() - 1
     n = m >> k
     if n == 1:

@@ -67,11 +67,11 @@ results _settle compares.  Where the tower's product is unrolled
 the draw kernel of curves (_draw_kernel: the rejection loop, reading the
 generator by randrange as _draw does), _descent_kernel (one per tower)
 and curves' _x_multiple_kernel (one per tower and m, taking x^3 = c - a4
-x - a6 without a product); roots, a4 and a6 are arguments, so each
-serves every curve over the tower, and only _settle builds them, on a
-tower where a pairing settles.  Elsewhere the same routines run
-interpreted, with the same draws and the same verdict, for any
-generator.
+x - a6 without a product, or no c for m a power of 2); roots, a4 and a6
+are arguments, so each serves every curve over the tower, and only
+_settle builds them, on a tower where a pairing settles.  Elsewhere the
+same routines run interpreted, with the same draws and the same
+verdict, for any generator.
 """
 
 from __future__ import annotations

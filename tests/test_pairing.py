@@ -952,14 +952,24 @@ def test_descent_settles_as_the_x_multiple_certificate_alone(
     the oracle (_oracle_settle), and the three oracle streams agree.
     Each descent test spares the certificate a share of the attempts: it
     runs on every attempt with no root, on fewer with the first root and
-    on fewer still with both.  A settle makes at least one attempt, so
-    2,000 settles reach the 2,000 attempts."""
+    on fewer still with both.  Interpreted, _settle itself runs the
+    x-multiple twice per certificate (pairing._x_multiple, counted here)
+    exactly as often as the oracle certifies.  A settle makes at least
+    one attempt, so 2,000 settles reach the 2,000 attempts."""
     E, plans = _descent_plans(q, a4, a6, m, r,
                               random.Random(f"settle{q},{m}"))
     f = E.field
     seed = f"settle{q},{a4},{a6},{m}"
     counts = {roots: {"attempts": 0, "certificates": 0}
               for roots in (2, 1, 0)}
+    multiples = {roots: 0 for roots in counts}
+    settling = []
+
+    def counted(*args):
+        multiples[settling[-1]] += 1
+        return _x_multiple(*args)
+
+    monkeypatch.setattr(pairing, "_x_multiple", counted)
     oracles = {roots: random.Random(seed) for roots in counts}
     rngs = [(roots, traceable, random.Random(seed))
             for traceable in (True, False) for roots in counts]
@@ -974,12 +984,14 @@ def test_descent_settles_as_the_x_multiple_certificate_alone(
         assert len({repr(rng.getstate()) for rng in oracles.values()}) == 1
         for roots, traceable, rng in rngs:
             monkeypatch.setattr(f, "traceable", traceable)
+            settling.append(roots)
             got = pairing._settle(plan[:9] + (plan[9][:roots],), rng)
             assert got == want[roots], i
             assert rng.getstate() == oracles[roots].getstate(), i
     assert counts[2]["attempts"] >= 2000, counts
     attempts = {roots: c["attempts"] for roots, c in counts.items()}
     certificates = {roots: c["certificates"] for roots, c in counts.items()}
+    assert multiples == {roots: 2 * n for roots, n in certificates.items()}
     assert attempts[0] == attempts[1] == attempts[2] == certificates[0]
     assert certificates[0] > certificates[1] > certificates[2], certificates
     assert 0.2 < 1 - certificates[2] / attempts[2] < 0.9, certificates
