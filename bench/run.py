@@ -25,12 +25,13 @@ Workloads, each timed in fresh processes:
   then the ladder's ``make_instance(120121, 2, Random(0))``, each timed
   as ``q<q>_ms``;
 - ``layers``: the cost of each layer, each time one timeit run of
-  LAYER_CALLS calls (1/100 of them for ``count_points`` and the
-  class-group rows), in microseconds per call: the genus sweep up to
-  SWEEP_MAX_D (seconds and peak RSS), the field kernels of each of
-  TOWERS, F_p ``scalar_mul`` and ``count_points``, the steps of a warm
-  pairing at each of CELLS, ``compose`` and ``reduce_form``, and the
-  roster's square roots and root recovery, cold and warm (see
+  LAYER_CALLS calls (1/100 of them for ``count_points``, the order
+  filter's pass over a search's candidates and the class-group rows), in
+  microseconds per call: the genus sweep up to SWEEP_MAX_D (seconds and
+  peak RSS), the field kernels of each of TOWERS, F_p ``scalar_mul``,
+  ``count_points`` and the instance search's order filter, the steps of
+  a warm pairing at each of CELLS, ``compose`` and ``reduce_form``, and
+  the roster's square roots and root recovery, cold and warm (see
   ``layers``).
 
 A side is a checkout whose ``bench/run.py`` runs the child processes on
@@ -306,10 +307,12 @@ def _tower_row(p: int, r: int, calls: int) -> dict:
 
 
 def _curve_rows(calls: int) -> dict:
-    """scalar_mul over F_2221 by the order (q + 1 - t)(q + 1 + t) that
-    make_instance's filter multiplies by at (q, t) = (2221, 92), 23 bits,
-    and by a 40-bit scalar; count_points at each of CURVES."""
-    from weilchar import curves
+    """scalar_mul over F_2221 by (q + 1 - t)(q + 1 + t) at (q, t) = (2221,
+    92), the 23-bit order make_instance's filter multiplied by before its
+    two-point test, and by a 40-bit scalar; count_points at each of
+    CURVES; and action._order_filter at (2221, 92), per candidate, over
+    the candidates make_instance(2221, 92, Random(0)) draws."""
+    from weilchar import action, curves
     from weilchar.fields import get_tower
     p, a4, a6 = CURVES[0]
     E = curves.Curve(get_tower(p), a4, a6)
@@ -324,6 +327,15 @@ def _curve_rows(calls: int) -> dict:
         curves.count_points(E)      # the table of root counts, built once
         out[f"count_points.{p}_us"] = _us(lambda: curves.count_points(E),
                                           max(1, calls // 100))
+    filt, drawn = action._order_filter, []
+    action._order_filter = lambda *args: drawn.append(args) or filt(*args)
+    try:
+        action.make_instance(2221, 92, random.Random(0))
+    finally:
+        action._order_filter = filt
+    out["order_filter.2221_us"] = _us(
+        lambda: [filt(*args) for args in drawn],
+        max(1, calls // 100)) / len(drawn)
     return out
 
 

@@ -238,13 +238,10 @@ def gen_supersingular_instance(p: int) -> OrientedCurve:
 def make_instance(q: int, t: int, rng) -> OrientedCurve:
     """Random-search a curve over F_q with exact trace t (using the quadratic
     twist when the negated trace shows up).  Before the O(q) exact count, a
-    candidate must pass _order_filter: the point random_point would draw
-    has order dividing (q+1-t)(q+1+t), as on the sought curve or its
-    twist.  No square root is taken: for c = x^3 + a4 x + a6 a nonzero
-    square, (x, y) -> (u^2 x, u^3 y) with u^2 = c maps the curve
-    isomorphically onto y^2 = x^3 + a4 c^2 x + a6 c^3 and the point
-    (x, sqrt(c)) to (c x, +-c^2), so the filter multiplies that point,
-    whose order, and so the verdict, is the same."""
+    candidate must pass _order_filter, which admits every curve of trace
+    +-t, so the filter decides only how many candidates are counted: the
+    result is the first (a4, a6) drawn from rng whose trace is +-t, and
+    rng is left in the same state, whatever else the filter rejects."""
     if not _is_prime(q) or q < 5:
         raise ValueError("q must be a prime of at least 5")
     if t == 0 or t % q == 0:
@@ -275,24 +272,31 @@ def make_instance(q: int, t: int, rng) -> OrientedCurve:
 
 
 def _order_filter(q: int, t: int, a4: int, a6: int) -> bool:
-    """Whether the point P that random_point would draw on y^2 = x^3 +
-    a4 x + a6 from Random(_fold_seed((q, t, a4, a6))) has order dividing
-    (q+1-t)(q+1+t), as every point of the curve with trace t or of its
-    twist does.  x is read as _draw reads it, randrange(q) until c = x^3 +
-    a4 x + a6 is 0 or a square, and the sign bit is left unread.  For
-    c = 0, P = (x, 0) has order 2; otherwise the multiple runs on the
-    root-free model of make_instance's docstring."""
-    frng = random.Random(_fold_seed((q, t, a4, a6)))
-    half, order = (q - 1) // 2, (q + 1 - t) * (q + 1 + t)
-    for _ in range(10000):
-        x = frng.randrange(q)
+    """Whether [q+1]P = +-[t]P, compared by x-coordinate, for the first two
+    points P of y^2 = x^3 + a4 x + a6 met by scanning x = 0, 1, 2, ...
+    (Washington, Elliptic Curves, ch. 4).  Each holds on the curve of trace
+    t, where [q+1-t]P = O, and on its twist, where [q+1+t]P = O.  No
+    square root is taken: for c = x^3 + a4 x + a6 a nonzero square,
+    (x, y) -> (u^2 x, u^3 y) with u^2 = c is an isomorphism onto y^2 =
+    x^3 + a4 c^2 x + a6 c^3 taking (x, sqrt(c)) to (c x, +-c^2), so the
+    multiples run there.  A c = 0 is a rational 2-torsion point, which
+    an odd t rules out (then q+1-+t is odd) and an even t leaves
+    undecided; a scan that runs out passes, for the exact count."""
+    half, passed = (q - 1) // 2, 0
+    for x in range(q):
         c = ((x * x + a4) * x + a6) % q
         if not c:
-            return order % 2 == 0
-        if pow(c, half, q) == 1:
-            return _mul_fp(q, a4 * c * c % q, order,
-                           (c * x % q, c * c % q)) is None
-    raise RuntimeError("failed to sample a curve point")
+            if t & 1:
+                return False
+        elif pow(c, half, q) == 1:
+            a, P = a4 * c * c % q, (c * x % q, c * c % q)
+            A, B = _mul_fp(q, a, q + 1, P), _mul_fp(q, a, t, P)
+            if (A and A[0]) != (B and B[0]):     # x, or None at infinity
+                return False
+            passed += 1
+            if passed == 2:
+                return True
+    return True
 
 
 def _primes_between(lo: int, hi: int) -> list:
@@ -466,8 +470,8 @@ def apply_prime_ideal(oc: OrientedCurve, ell: int, lam: int) -> OrientedCurve:
     eigenline and carry the orientation over to the codomain, interned."""
     _interned(oc)
     K = eigen_kernel(oc, ell, lam)
-    phi = velu_isogeny(oc.curve, K, ell)
-    return _interned(OrientedCurve(canonical_model(phi.codomain), oc.q, oc.t,
+    codomain = velu_isogeny(oc.curve, K, ell)
+    return _interned(OrientedCurve(canonical_model(codomain), oc.q, oc.t,
                                    oc.sigma_k))
 
 

@@ -1,5 +1,5 @@
 """Short Weierstrass curves y^2 = x^3 + a4 x + a6 over F_p or F_{p^r},
-with division polynomials, torsion sampling, and Velu isogenies.
+with division polynomials, torsion sampling, and Velu codomains.
 
 Characteristic is always at least 5 here, so the short form loses nothing.
 
@@ -11,8 +11,8 @@ Over F_p, scalar_mul runs _mul_fp, the same formulas written out on ints,
 each inverse read from a table per p (_inverses) filled on first use.  It is
 the inner loop of the instance search (action._order_filter), which runs it on
 y^2 = x^3 + a4 c^2 x + a6 c^3: (x, y) -> (c x, c^(3/2) y) is an isomorphism
-onto that model and takes the drawn point (x, sqrt c) to (c x, +-c^2), of the
-same order, so the verdict needs no square root.
+onto that model and takes the scanned point (x, sqrt c) to (c x, +-c^2), so
+comparing x([q+1]P) with x([t]P) there needs no square root.
 
 A point is drawn by _draw, and x([m]R) taken by _x_multiple (pairing's
 certificate), interpreted; only pairing._settle's shift attempts run
@@ -312,8 +312,11 @@ def _inverses(p: int):
 
 def frobenius_map(P: CurvePoint, q: int) -> CurvePoint:
     """Raise both coordinates to the q-th power; q must be a power of the
-    characteristic of the point's field."""
+    characteristic of the point's field, or of some prime for the point at
+    infinity, which has no field."""
     if P.is_infinity():
+        if q < 1 or len(factorize(q)) > 1:
+            raise ValueError(f"{q} is not a power of a prime")
         return P
     p = P.x.field.p
     k = 0
@@ -591,36 +594,9 @@ def torsion_basis(E: Curve, m: int, order: int, rng) -> tuple:
     raise RuntimeError("no independent torsion point found; is E[m] rational here?")
 
 
-class Isogeny:
-    """Separable isogeny with cyclic kernel of odd prime order, via Velu."""
-
-    def __init__(self, domain: Curve, codomain: Curve, degree: int,
-                 kernel_points: list):
-        self.domain = domain
-        self.codomain = codomain
-        self.degree = degree
-        self._kernel_points = kernel_points  # all ell-1 finite kernel points
-
-    def __call__(self, P: CurvePoint) -> CurvePoint:
-        if P.is_infinity():
-            return CurvePoint.infinity()
-        # compute in the larger of the point's and the kernel's field; the
-        # coordinates of the other embed in mixed arithmetic
-        field = max(P.x.field, self._kernel_points[0].x.field,
-                    key=lambda f: f.r)
-        E = self.domain.over(field)
-        xs, ys = P.x, P.y
-        for Q in self._kernel_points:
-            T = point_add(E, P, Q)
-            if T.is_infinity():
-                return CurvePoint.infinity()   # P was a kernel point
-            xs = xs + (T.x - Q.x)
-            ys = ys + (T.y - Q.y)
-        return CurvePoint(xs, ys)
-
-
-def velu_isogeny(E: Curve, K: CurvePoint, ell: int) -> Isogeny:
-    """The quotient isogeny E -> E/<K> for K of odd prime order ell.
+def velu_isogeny(E: Curve, K: CurvePoint, ell: int) -> Curve:
+    """The codomain E/<K> of the quotient isogeny, by Velu's formulas, for K
+    of odd prime order ell.
 
     The kernel must be stable under the Frobenius of E's own field, and the
     codomain is expressed back over E's field.
@@ -659,4 +635,4 @@ def velu_isogeny(E: Curve, K: CurvePoint, ell: int) -> Isogeny:
     if field is not E.field:
         # the stable kernel makes the codomain's coefficients lie in F_p
         A2, B2 = A2.descend(), B2.descend()
-    return Isogeny(E, Curve(E.field, A2, B2), ell, mults)
+    return Curve(E.field, A2, B2)

@@ -21,14 +21,15 @@ from weilchar.action import (SmoothIdeal, apply_smooth_ideal,
 from weilchar.attack import eval_character
 from weilchar.curves import (Curve, count_points, extension_order,
                              frobenius_map, gl2_order, point_add, scalar_mul,
-                             torsion_basis, torsion_extension_degree,
-                             velu_isogeny)
+                             torsion_basis, torsion_extension_degree)
 from weilchar.fields import element_order, get_tower, legendre_symbol
 from weilchar.memo import clear_caches
 from weilchar.pairing import weil_pairing
 from weilchar.quadforms import (Character, char_eval_norm, compose,
                                 reduce_form, verify_character_relation)
 from weilchar.roots import recover_root
+
+from velu_oracle import velu_isogeny
 
 
 def test_criterion_1_oracle_equivalence(oc24, oc40, oc56_chi7):

@@ -11,8 +11,8 @@ from weilchar.action import (OrientedCurve, SmoothIdeal, _fold_seed,
                              gen_ordinary_instance, gen_supersingular_instance,
                              make_instance, prime_ideal_form,
                              random_smooth_class, sampler_primes, split_prime)
-from weilchar.curves import (Curve, _draw, _lift, count_points, frobenius_map,
-                             point_add, scalar_mul)
+from weilchar.curves import (Curve, _draw, _lift, _mul_fp, count_points,
+                             frobenius_map, point_add, scalar_mul)
 from weilchar.fields import FieldTower, get_tower
 from weilchar.memo import cache_stats, clear_caches
 from weilchar.quadforms import (QuadForm, assigned_characters, class_number,
@@ -369,13 +369,14 @@ def test_canonical_model(oc56, oc52):
 
 # (q, t, seed) -> ((a4, a6), count_points calls) of make_instance: every
 # instance of conftest.py, the oc120 twin at t = 4, and the roster of the
-# sqrt-recover benchmark workload, frozen from the search that built a
-# Curve and a FieldElement point for every candidate
+# sqrt-recover benchmark workload; each (a4, a6) frozen from the search that
+# built a Curve and a FieldElement point for every candidate, each count
+# that of the two-point filter (_order_filter)
 _FROZEN_INSTANCES = {
     (7, 2, 1): ((1, 3), 1), (11, 2, 1): ((2, 5), 1),
-    (23, 6, 1): ((6, 21), 2), (17, 3, 1): ((4, 11), 2),
-    (31, 2, 1): ((4, 20), 2), (2221, 92, 0): ((1668, 2145), 10),
-    (239, 30, 1): ((130, 115), 12), (31, 4, 1): ((11, 29), 2),
+    (23, 6, 1): ((6, 21), 2), (17, 3, 1): ((4, 11), 1),
+    (31, 2, 1): ((4, 20), 2), (2221, 92, 0): ((1668, 2145), 2),
+    (239, 30, 1): ((130, 115), 2), (31, 4, 1): ((11, 29), 2),
     (120121, 2, 0): ((108144, 71009), 2),
 }
 
@@ -482,41 +483,55 @@ def _mul_fp_by_pow(p, a4, n, A):
 
 
 def _order_filter_oracle(q, t, a4, a6):
-    """(verdict, c) of make_instance's order filter as it ran with a
-    square root per candidate: the point random_point draws from the
-    candidate's own generator, lifted by _lift, multiplied by the whole
-    order (q+1-t)(q+1+t); c is the drawn x^3 + a4 x + a6."""
+    """make_instance's order filter as it ran with a square root per
+    candidate: the point random_point draws from the candidate's own
+    generator, lifted by _lift, multiplied by the whole order
+    (q+1-t)(q+1+t)."""
     tw = get_tower(q, 1)
     frng = random.Random(_fold_seed((q, t, a4, a6)))
     drawn = _draw(tw, a4, a6, frng)
     order = (q + 1 - t) * (q + 1 + t)
-    return _mul_fp_by_pow(q, a4, order, _lift(tw, drawn)) is None, drawn[1]
+    return _mul_fp_by_pow(q, a4, order, _lift(tw, drawn)) is None
+
+
+def _drawn_point_filter(q, t, a4, a6):
+    """make_instance's order filter before the two-point test: the point
+    random_point would draw from Random(_fold_seed((q, t, a4, a6))), on
+    the root-free model (c x, c^2), multiplied by (q+1-t)(q+1+t)."""
+    frng = random.Random(_fold_seed((q, t, a4, a6)))
+    half, order = (q - 1) // 2, (q + 1 - t) * (q + 1 + t)
+    for _ in range(10000):
+        x = frng.randrange(q)
+        c = ((x * x + a4) * x + a6) % q
+        if not c:
+            return order % 2 == 0
+        if pow(c, half, q) == 1:
+            return _mul_fp(q, a4 * c * c % q, order,
+                           (c * x % q, c * c % q)) is None
+    raise RuntimeError("failed to sample a curve point")
 
 
 def test_order_filter_matches_the_rooted_filter_on_every_search(monkeypatch):
-    """Candidate by candidate, every search of _FROZEN_INSTANCES gets the
-    rooted filter's verdict, and with that filter in its place the search
-    leaves the caller's generator in the same state."""
+    """Every search of _FROZEN_INSTANCES gives the same curve, and leaves
+    the caller's generator in the same state, under the two-point filter
+    as under the drawn-point filter and the rooted one it replaced; the
+    two-point filter passes some of the candidates and rejects others."""
     seen = []
 
-    def compared(q, t, a4, a6):
-        verdict = _order_filter(q, t, a4, a6)
-        assert verdict == _order_filter_oracle(q, t, a4, a6)[0], (q, t, a4, a6)
-        seen.append(verdict)
-        return verdict
-
-    def rooted(q, t, a4, a6):
-        return _order_filter_oracle(q, t, a4, a6)[0]
+    def two_point(q, t, a4, a6):
+        seen.append(_order_filter(q, t, a4, a6))
+        return seen[-1]
 
     for (q, t, seed), (coeffs, _) in _FROZEN_INSTANCES.items():
         states = []
-        for filt in (compared, rooted):
+        for filt in (two_point, _drawn_point_filter,
+                     _order_filter_oracle):
             monkeypatch.setattr(weilchar.action, "_order_filter", filt)
             rng = random.Random(seed)
             oc = make_instance(q, t, rng)
             assert (oc.curve.a4.value, oc.curve.a6.value) == coeffs
             states.append(rng.getstate())
-        assert states[0] == states[1], (q, t, seed)
+        assert states[0] == states[1] == states[2], (q, t, seed)
     assert len(seen) > 1000 and 0 < sum(seen) < len(seen)
 
 
@@ -543,17 +558,14 @@ def _filter_cases():
                 yield q, t, a4, a6
 
 
-def test_order_filter_matches_the_rooted_filter():
-    """The root-free filter on the model (c x, c^2) gives the rooted
-    filter's verdict on every case of _filter_cases, among them drawn
-    points with c = 0 under an odd and an even order."""
-    zero_c = set()
-    verdicts = []
+def test_order_filter_passes_every_curve_of_trace_t_or_its_negation():
+    """The two-point filter passes every case of _filter_cases whose
+    curve has trace t or -t by count_points, and rejects some others."""
+    traces, verdicts = {}, []
     for q, t, a4, a6 in _filter_cases():
-        want, c = _order_filter_oracle(q, t, a4, a6)
-        assert _order_filter(q, t, a4, a6) == want, (q, t, a4, a6)
-        verdicts.append(want)
-        if c == 0:
-            zero_c.add((q + 1 - t) * (q + 1 + t) % 2)
-    assert zero_c == {0, 1}
+        if (q, a4, a6) not in traces:
+            traces[q, a4, a6] = count_points(Curve(get_tower(q, 1), a4, a6))[1]
+        verdicts.append(_order_filter(q, t, a4, a6))
+        if abs(traces[q, a4, a6]) == abs(t):
+            assert verdicts[-1], (q, t, a4, a6)
     assert 0 < sum(verdicts) < len(verdicts)

@@ -54,9 +54,9 @@ def test_instance_search_times_and_counts():
     assert all(ms > 0 for ms in run.values())
     counts = bench_run._spawn(bench_run.ROOT, "instance-search", True)
     assert counts == LEDGER["instance-search"]
-    # one count per candidate that passes the filter, and the filter's
-    # multiples are counted through the name action imported
-    assert counts["curves.count_points"] >= 16
+    # at least one count per search, and the filter's multiples are
+    # counted through the name action imported
+    assert counts["curves.count_points"] >= 5
     assert counts["curves._mul_fp"] > counts["curves.count_points"]
 
 
@@ -105,14 +105,15 @@ def test_field_bench_smoke(layers):
 
 
 def test_curve_bench_smoke(layers):
-    rows = {**_rows(layers, "scalar_mul."), **_rows(layers, "count_points.")}
+    rows = {**_rows(layers, "scalar_mul."), **_rows(layers, "count_points."),
+            **_rows(layers, "order_filter.")}
     assert set(rows) == {"scalar_mul.2221.23bit_us",
                          "scalar_mul.2221.40bit_us", "count_points.2221_us",
-                         "count_points.120121_us"}
+                         "count_points.120121_us", "order_filter.2221_us"}
     assert all(us > 0 for us in rows.values())
     # the roster's searches, one row each; their count_points calls are
     # the frozen ones
-    for q, calls in (("17", 2), ("7", 1), ("31", 2), ("2221", 10)):
+    for q, calls in (("17", 1), ("7", 1), ("31", 2), ("2221", 2)):
         counts = bench_run._spawn(bench_run.ROOT, "instance-search", True, q)
         assert counts["curves.count_points"] == calls, q
 
@@ -127,7 +128,7 @@ def test_pairing_steps_bench_smoke(layers):
 def test_quadforms_bench_smoke(layers):
     rows = {k: v for k, v in layers.items()
             if not k.startswith(("tower.", "scalar_mul.", "count_points.",
-                                 "cell.", "host."))}
+                                 "order_filter.", "cell.", "host."))}
     assert set(rows) == {"compose_us", "reduce_form_us",
                          "genus_sweep.D200.s", "genus_sweep.D200.rss_mb"} | {
         f"D{D}.{key}_us" for D in (59, 24, 120, 420)
